@@ -126,11 +126,15 @@ def _verify(args) -> int:
         "round_trip_ok": report.round_trip_ok,
         "ok": report.ok,
     }
+    if not report.ok:
+        # (reason, detail): the detail is a coloring, an assignment or an
+        # error message, all of which json.dumps writes as they are
+        payload["first_counterexample"] = report.first_counterexample
     if args.json:
         print(json.dumps(payload))
     else:
         for k, v in payload.items():
-            print(f"{k}: {v}")
+            print(f"{k}: {json.dumps(v) if k == 'first_counterexample' else v}")
     return 0 if report.ok else 1
 
 
@@ -158,10 +162,10 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_check)
 
-    cm = sub.add_parser("count-mv", help="brute-force locally-valid MV count")
+    cm = sub.add_parser("count-mv", help="locally-valid MV count from crease values")
     cm.add_argument("file")
     cm.add_argument("--limit", type=int, default=None,
-                    help="override the brute-force crease cap")
+                    help="override the crease cap (default 40)")
     cm.add_argument("--json", action="store_true")
     cm.set_defaults(func=_count_mv)
 

@@ -21,50 +21,68 @@ from .saw import SawGraph
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
 
-def _search_order(g: SawGraph) -> list[int]:
-    """Breadth-first from the root so pruning fires on a connected frontier."""
-    adj = g.adjacency()
-    order = [g.root]
-    seen = {g.root}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for w in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    for v in sorted(g.vertices):
-        if v not in seen:
-            raise ValueError("graph is not connected")
-    return order
+# colors left to a vertex, by the bit mask of its processed neighbours' colors
+_ALLOWED = [tuple(c for c in range(3) if not banned >> c & 1) for banned in range(8)]
 
 
 def count_colorings(g: SawGraph) -> int:
-    """Exact number of proper 3-colorings with the root colored 0."""
-    if not g.vertices:
-        return 1
-    order = _search_order(g)
-    pos = {v: i for i, v in enumerate(order)}
+    """Exact number of proper 3-colorings with the root colored 0.
+
+    Transfer-matrix DP: the state packs the colors of the frontier
+    (processed vertices with unprocessed neighbours) into an int, two bits
+    per slot, and maps to the number of colorings of the processed vertices
+    that leave the frontier so. A vertex's slot is freed once its last
+    neighbour is processed, so the cost follows the frontier width, not the
+    number of colorings. Vertices are processed in a greedy min-frontier
+    order from the root: the next one grows the frontier least, then has
+    the most processed neighbours (the fewest colors left), then the
+    lowest id.
+    """
+    if not g.is_connected():
+        raise ValueError("graph is not connected")
     adj = g.adjacency()
-    earlier = [[pos[w] for w in adj[v] if pos[w] < pos[v]] for v in order]
-    n = len(order)
-    colors = [0] * n
+    left = {v: len(ws) for v, ws in adj.items()}   # unprocessed neighbours
+    slot: dict[int, int] = {}   # frontier vertex -> bit shift of its color
+    free: list[int] = []
+    done: set[int] = set()
+    cand = {g.root} if g.vertices else set()
+    states = {0: 1}
 
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        banned = 0
-        for p in earlier[i]:
-            banned |= 1 << colors[p]
-        for c in (0, 1, 2):
-            if not banned & (1 << c):
-                colors[i] = c
-                total += rec(i + 1)
-        return total
+    def growth(v: int) -> tuple[int, int, int]:
+        # a processed neighbour of an unprocessed vertex is on the frontier
+        nbrs = [u for u in adj[v] if u in slot]
+        return (left[v] > 0) - sum(left[u] == 1 for u in nbrs), -len(nbrs), v
 
-    return rec(1) if n > 1 else 1
+    while cand:
+        v = min(cand, key=growth)
+        cand.discard(v)
+        done.add(v)
+        shifts = [slot[u] for u in adj[v] if u in slot]
+        keep = -1
+        for u in adj[v]:
+            left[u] -= 1
+            if u in slot and left[u] == 0:
+                keep &= ~(3 << slot[u])
+                free.append(slot.pop(u))
+            elif u not in done:
+                cand.add(u)
+        if left[v]:
+            sh = slot[v] = free.pop() if free else 2 * len(slot)
+            marks = [tuple(c << sh for c in cs) for cs in _ALLOWED]
+        else:
+            marks = [(0,) * len(cs) for cs in _ALLOWED]
+        if v == g.root:
+            marks = [(0,)] * 8      # pre-colored 0, an all-zero slot
+        new: dict[int, int] = {}
+        for s, n in states.items():
+            banned = 0
+            for t in shifts:
+                banned |= 1 << (s >> t & 3)
+            base = s & keep
+            for c in marks[banned]:
+                new[base | c] = new.get(base | c, 0) + n
+        states = new
+    return sum(states.values())
 
 
 def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:

@@ -79,10 +79,6 @@ class NotBoundaryEdge(FlatfoldError):
     """Edge is not on the boundary walk."""
 
 
-class NotBoundaryEdges(NotBoundaryEdge):
-    """Both edges must lie on the boundary walk."""
-
-
 class EdgesNotAdjacent(FlatfoldError):
     """The two edges do not share the required endpoint."""
 

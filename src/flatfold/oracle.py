@@ -1,8 +1,12 @@
-"""Ground-truth brute force over whole crease patterns.
+"""Ground truth over whole crease patterns, independent of SAW graphs.
 
-Depth-first search over crease values in a vertex-clustered order; a branch
-dies as soon as any fully-assigned vertex fails its single-vertex check.
-Counts are exact Python ints (arbitrary precision).
+Both searches assign crease values in a vertex-clustered order and check an
+interior vertex with its single-vertex crimp schedule once all its creases
+are assigned. ``count_locally_valid`` is a frontier DP that keeps only the
+values of creases an unchecked vertex still needs, so its cost follows the
+frontier width, not the count; ``enumerate_locally_valid`` is a depth-first
+search that materializes witnesses. Counts are exact Python ints (arbitrary
+precision).
 """
 
 from __future__ import annotations
@@ -114,35 +118,51 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
 
 def count_locally_valid(cp: CreasePattern, limit: int | None = None,
                         crease_order: list[str] | None = None) -> int:
-    """Exact |M(cp)| without materializing witnesses."""
+    """Exact |M(cp)| without materializing witnesses.
+
+    Frontier DP over the search plan's crease order: the state packs the
+    values of the placed creases that some unchecked vertex still needs
+    into an int, one bit per slot (set for valley), and maps to the number
+    of assignments of the placed creases that pass every completed vertex
+    and leave the frontier so. A crease's slot is freed after its last
+    vertex check.
+    """
     n = len(cp.creases)
     lim = _brute_limit(limit)
     if n > lim:
         raise LimitExceeded(f"{n} creases exceed the brute-force limit {lim}")
-    order, checks_at, _ = _search_plan(cp, crease_order)
-    vals = [0] * n
-    count = 0
-
-    def rec(i: int):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        for v in (1, -1):
-            vals[i] = v
-            ok = True
-            for sched, idxs in checks_at[i]:
-                if not _check_values(sched, [vals[k] for k in idxs]):
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1)
-        vals[i] = 0
-
-    if n == 0:
-        return 1
-    rec(0)
-    return count
+    _, checks_at, _ = _search_plan(cp, crease_order)
+    # position of each checked crease's last check
+    last = {k: i for i, checks in enumerate(checks_at) for _, idxs in checks for k in idxs}
+    slot: dict[int, int] = {}   # frontier crease position -> bit shift
+    free: list[int] = []
+    states = {0: 1}
+    for i in range(n):
+        if i not in last:
+            continue            # no vertex constrains it: counted at the end
+        slot[i] = free.pop() if free else len(slot)
+        bit = 1 << slot[i]
+        # a vertex's verdict depends only on its creases' bits: memoize on them
+        checks = [(sched, [slot[k] for k in idxs], sum(1 << slot[k] for k in idxs), {})
+                  for sched, idxs in checks_at[i]]
+        keep = -1
+        for k in [k for k in slot if last[k] == i]:
+            keep &= ~(1 << slot[k])
+            free.append(slot.pop(k))
+        new: dict[int, int] = {}
+        for s, c in states.items():
+            for t in (s, s | bit):
+                for sched, shifts, mask, verdict in checks:
+                    ok = verdict.get(t & mask)
+                    if ok is None:
+                        ok = verdict[t & mask] = _check_values(
+                            sched, [-1 if t >> x & 1 else 1 for x in shifts])
+                    if not ok:
+                        break
+                else:
+                    new[t & keep] = new.get(t & keep, 0) + c
+        states = new
+    return sum(states.values()) << (n - len(last))
 
 
 def is_locally_valid(cp: CreasePattern, mv: MVAssignment) -> bool:

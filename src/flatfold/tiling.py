@@ -11,8 +11,6 @@ with head over every shared crease.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cp import CreasePattern, cone_at
 from .errors import DisconnectedInterior, UnsupportedVertex
 from .saw import SawGraph, insert_prism, insert_triangle, negate_orientations, saw_supported, single_vertex_saw
@@ -185,13 +183,6 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
     g.walk = trial
     g.check_walk()
     return g
-
-
-@dataclass
-class TileResult:
-    graph: SawGraph
-    pattern: CreasePattern          # the pattern the graph was built for
-    transformed: bool               # True if waterbomb splitting was applied
 
 
 def tile(cp: CreasePattern) -> SawGraph:

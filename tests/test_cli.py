@@ -99,3 +99,31 @@ def test_count_mv_limit_flag(capsys, tmp_path):
     code, _, err = run(capsys, ["count-mv", str(path), "--limit", "5"])
     assert code == 1
     assert "limit" in err or "exceed" in err
+
+
+def test_verify_prints_first_counterexample(capsys, tmp_path):
+    from .helpers import invalid_joined_twist_saw
+    cp, bad = invalid_joined_twist_saw()
+    path = tmp_path / "bad.json"
+    path.write_text(emit(cp, saw=bad))
+    code, out, _ = run(capsys, ["verify", str(path), "--json"])
+    assert code == 1
+    doc = json.loads(out)
+    assert not doc["ok"]
+    reason, detail = doc["first_counterexample"]
+    assert isinstance(reason, str) and reason
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1
+    line = out.splitlines()[-1]
+    assert line.startswith("first_counterexample: ")
+    assert json.loads(line.split(": ", 1)[1]) == [reason, detail]
+
+
+def test_verify_output_unchanged_when_ok(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    run(capsys, ["generate", "miura", "2", "2", "-o", str(path)])
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 0
+    assert out == ("count_mv: 6\ncount_colorings: 6\ncounts_match: True\n"
+                   "translation_valid: True\ninjective: True\n"
+                   "round_trip_ok: True\nok: True\n")

@@ -67,6 +67,23 @@ def test_count_root_position_irrelevant():
     assert len(counts) == 1
 
 
+def test_count_miura_pins():
+    assert count_colorings(tile(miura(6, 6))) == 33_865_632
+    assert count_colorings(tile(miura(10, 10))) == 169_426_507_164_530_254_380
+
+
+def test_count_long_path_is_iterative():
+    # one vertex per recursion level would exceed the default recursion limit
+    assert count_colorings(path_graph(1500)) == 2 ** 1499
+
+
+def test_count_disconnected_raises():
+    g = path_graph(4)
+    g.add_vertex()
+    with pytest.raises(ValueError):
+        count_colorings(g)
+
+
 def test_enumerate_matches_count_and_order():
     g = cycle_graph(4)
     out = enumerate_colorings(g)

@@ -1,14 +1,21 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatfold import (
+    count_colorings,
     count_locally_valid,
     count_single_vertex_mv,
+    enumerate_colorings,
     enumerate_locally_valid,
     is_locally_valid,
 )
 from flatfold.cp import cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
-from flatfold.generators import miura, triangle_twist
+from flatfold.generators import miura, modified_miura, snake, triangle_twist
+from flatfold.tiling import tile
 
 from .helpers import grid_saw
 
@@ -70,6 +77,34 @@ def test_search_order_independence(rng):
     for _ in range(5):
         rng.shuffle(order)
         assert count_locally_valid(cp, crease_order=list(order)) == base
+
+
+def test_miura_5x5_at_default_limit():
+    assert count_locally_valid(miura(5, 5)) == 193_662
+
+
+def _small_pattern(kind, m, n, seed):
+    if kind == "modified-miura":
+        rng = random.Random(seed)
+        return modified_miura(m, n, [rng.random() < 0.5 for _ in range(n - 1)])
+    if kind == "snake":
+        return snake(m, n)
+    return triangle_twist(1 + seed % 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(2, 4), st.integers(2, 4), st.integers(0, 10 ** 6))
+def test_counters_agree_with_plain_searches(kind, m, n, seed):
+    cp = _small_pattern(kind, m, n, seed)
+    g = tile(cp)
+    count = count_colorings(g)
+    assert count == len(enumerate_colorings(g))
+    assert count == count_locally_valid(cp) == enumerate_locally_valid(cp).count
+    assert count % 2 == 0
+    order = sorted(cp.creases)
+    random.Random(seed).shuffle(order)
+    assert count_locally_valid(cp, crease_order=order) == count
 
 
 def test_limit_exceeded():
