@@ -41,24 +41,32 @@ def _emit_count(args, name: str, value: int):
         print(value)
 
 
+# family -> (fewest, most) integer parameters on the command line
+_ARITY = {"miura": (2, 2), "modified-miura": (2, 2), "snake": (2, 2),
+          "triangle-twist": (0, 1), "joined-twists": (0, 1), "crane": (0, 0)}
+_DEFAULT_COUNT = {"triangle-twist": 1, "joined-twists": 2}
+
+
 def _generate(args) -> int:
-    fam = args.family
-    if fam == "miura":
-        cp = generators.miura(args.params[0], args.params[1])
-    elif fam == "modified-miura":
-        m, n = args.params[0], args.params[1]
-        mask = [bool(int(x)) for x in (args.mask or "0" * max(n - 1, 0))]
-        cp = generators.modified_miura(m, n, mask)
-    elif fam == "snake":
-        cp = generators.snake(args.params[0], args.params[1])
-    elif fam == "triangle-twist":
-        cp = generators.triangle_twist(args.params[0] if args.params else 1)
-    elif fam == "joined-twists":
-        cp = generators.triangle_twist(args.params[0] if args.params else 2)
+    fam, params = args.family, args.params
+    lo, hi = _ARITY[fam]
+    if not lo <= len(params) <= hi:
+        want = f"{lo}" if lo == hi else f"{lo} to {hi}"
+        args.usage_error(f"{fam} takes {want} integer parameters, got {len(params)}")
+    if fam in _DEFAULT_COUNT:
+        spec = generators.PatternSpec(fam, count=params[0] if params else _DEFAULT_COUNT[fam])
     elif fam == "crane":
-        cp = generators.crane()
+        spec = generators.PatternSpec(fam)
     else:
-        raise FlatfoldError(f"unknown family {fam!r}")
+        m, n = params
+        mask = args.mask or "0" * max(n - 1, 0)
+        if set(mask) - {"0", "1"}:
+            args.usage_error(f"--mask must be a string of 0s and 1s, got {mask!r}")
+        spec = generators.PatternSpec(fam, m, n, tuple(x == "1" for x in mask))
+    try:
+        cp = spec.build()
+    except ValueError as exc:  # the generators' own parameter checks
+        args.usage_error(f"{fam}: {exc}")
     _write(emit(cp), args.output)
     return 0
 
@@ -150,12 +158,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit a generated pattern as JSON")
-    g.add_argument("family", choices=["miura", "modified-miura", "snake",
-                                      "triangle-twist", "joined-twists", "crane"])
+    g.add_argument("family", choices=list(_ARITY))
     g.add_argument("params", nargs="*", type=int)
     g.add_argument("--mask", help="reflection mask of 0/1 for modified-miura")
     g.add_argument("-o", "--output", default="-")
-    g.set_defaults(func=_generate)
+    g.set_defaults(func=_generate, usage_error=g.error)
 
     c = sub.add_parser("check", help="Kawasaki/validation report")
     c.add_argument("file")

@@ -140,6 +140,16 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     region: sequence of polygon corners, any orientation.
     declared_angles: {vertex id: [angles ccw starting after the lowest-id crease]}.
     boundary_points: {id: (x, y)} points on the region boundary.
+
+    The planarity check is a sort-and-sweep rather than an all-pairs loop.
+    Each crease's exact closed bounding box is computed once, and the boxes
+    are swept in order of their left edge. A box leaves the active list once
+    its right edge lies left of the new box; an active box whose y-interval
+    also overlaps the new one makes a candidate pair. Creases whose boxes are
+    disjoint cannot touch, so only candidates reach the exact
+    ``segments_conflict`` test. Creases are then checked in sorted id order,
+    each crease's candidates in ascending order, so the first
+    ``CrossingCreases`` raised is the one an all-pairs loop would raise.
     """
     vertices = {k: (Fraction(x), Fraction(y)) for k, (x, y) in vertices.items()}
     boundary_points = {k: (Fraction(x), Fraction(y))
@@ -185,17 +195,30 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
             raise ValidationError(f"interior vertex {vid} is not strictly inside the region")
 
     # planarity: creases may meet only at shared endpoints, and may touch the
-    # region boundary only at boundary-point endpoints
+    # region boundary only at boundary-point endpoints (see the docstring for
+    # the sweep that picks the candidate pairs)
     items = sorted(creases.items())
-    for i, (c1, (a1, b1)) in enumerate(items):
-        p1, q1 = pts[a1], pts[b1]
+    segs = [(pts[a], pts[b]) for _, (a, b) in items]
+    boxes = [(min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
+             for p, q in segs]
+    candidates: list[list[int]] = [[] for _ in items]
+    active: list[int] = []
+    for k in sorted(range(len(items)), key=lambda k: boxes[k][0]):
+        xmin, _, ymin, ymax = boxes[k]
+        active = [j for j in active if boxes[j][1] >= xmin]
+        for j in active:
+            if boxes[j][2] <= ymax and ymin <= boxes[j][3]:
+                candidates[min(j, k)].append(max(j, k))
+        active.append(k)
+    # walking creases in id order keeps the first error the all-pairs one
+    for i, (c1, _) in enumerate(items):
+        p1, q1 = segs[i]
         mid = ((p1[0] + q1[0]) / 2, (p1[1] + q1[1]) / 2)
         if not _strictly_inside(mid):
             raise CrossingCreases(f"crease {c1} runs along the region boundary")
-        for c2, (a2, b2) in items[i + 1:]:
-            p2, q2 = pts[a2], pts[b2]
-            if segments_conflict(p1, q1, p2, q2):
-                raise CrossingCreases(f"creases {c1} and {c2} intersect")
+        for j in sorted(candidates[i]):
+            if segments_conflict(p1, q1, *segs[j]):
+                raise CrossingCreases(f"creases {c1} and {items[j][0]} intersect")
 
     # interior vertices: even degree
     degree = {v: 0 for v in vertices}

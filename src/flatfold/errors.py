@@ -100,6 +100,26 @@ class DisconnectedInterior(FlatfoldError):
     """No valid clipping order exists for the interior vertices."""
 
 
+class TilingError(FlatfoldError):
+    """A SAW graph or its boundary walk broke an invariant of the tiling.
+
+    vertex is the pattern vertex being merged when the fault showed (None
+    for the base graph or a standalone check); crease names the crease or
+    creases involved, when known.
+    """
+
+    def __init__(self, message, vertex=None, crease=None):
+        self.message = message
+        self.vertex = vertex
+        self.crease = crease
+        super().__init__(message)
+
+    def __str__(self):
+        ctx = [f"{k} {v}" for k, v in (("vertex", self.vertex), ("crease", self.crease))
+               if v is not None]
+        return f"{self.message} ({', '.join(ctx)})" if ctx else self.message
+
+
 # -- coloring / bijection ----------------------------------------------------
 
 class ImproperColoring(FlatfoldError):

@@ -20,6 +20,7 @@ from .errors import (
     KawasakiViolation,
     NotBoundaryEdge,
     NotThreeNice,
+    TilingError,
     UnknownVariant,
     UnsupportedJ,
 )
@@ -117,22 +118,24 @@ class SawGraph:
         for i, (v, e) in enumerate(self.walk):
             edge = self.edges[e]
             if v not in edge.ends():
-                raise AssertionError("walk step does not start on its edge")
+                raise TilingError(f"walk step {i} starts at SAW vertex {v}, "
+                                  f"off its edge {e}", crease=edge.crease)
             nxt = self.walk[(i + 1) % n][0]
             if edge.other(v) != nxt:
-                raise AssertionError("walk does not chain")
+                raise TilingError(f"walk step {i} along edge {e} does not reach "
+                                  f"SAW vertex {nxt}", crease=edge.crease)
 
     def validate(self):
         self.check_walk()
         if not self.is_connected():
-            raise AssertionError("SAW graph is not connected")
+            raise TilingError("SAW graph is not connected")
         seen = set()
         for e in self.edges.values():
             if e.directed:
                 if e.crease is None:
-                    raise AssertionError("directed edge without a crease")
+                    raise TilingError(f"directed edge {e.id} has no crease")
                 if e.crease in seen:
-                    raise AssertionError(f"crease {e.crease} crossed twice")
+                    raise TilingError("crease crossed twice", crease=e.crease)
                 seen.add(e.crease)
 
 

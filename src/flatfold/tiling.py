@@ -12,7 +12,8 @@ with head over every shared crease.
 from __future__ import annotations
 
 from .cp import CreasePattern, cone_at
-from .errors import DisconnectedInterior, UnsupportedVertex
+from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
+from .geometry import cross, dot, on_segment, sub
 from .saw import SawGraph, insert_prism, insert_triangle, negate_orientations, saw_supported, single_vertex_saw
 
 
@@ -139,16 +140,17 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
     # boundary tour: order the chords' boundary endpoints around the region
     events = []
     nreg = len(cp.region)
-    from .geometry import on_segment
     for c in chords:
         for end in cp.creases[c]:
             p = cp.point_of(end)
             for i in range(nreg):
                 a, b = cp.region[i], cp.region[(i + 1) % nreg]
                 if on_segment(p, a, b) and p != b:
-                    d = (b[0] - a[0], b[1] - a[1])
-                    t = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
-                    events.append(((i, t), c))
+                    d = sub(b, a)
+                    u = sub(cp.point_of(cp.crease_other_end(c, end)), p)
+                    # chords sharing a boundary point are crossed by falling
+                    # angle from the boundary direction d, i.e. rising cot
+                    events.append(((i, dot(sub(p, a), d), dot(d, u) / cross(d, u)), c))
                     break
     events.sort(key=lambda e: e[0])
     # start in the region just ccw of the first event and hop across chords
@@ -200,7 +202,11 @@ def tile(cp: CreasePattern) -> SawGraph:
     g = _base_saw(cp)
     merged: set[str] = set()
     for v in reversed(order):
-        g = _merge_vertex(g, cp, v, merged)
+        try:
+            g = _merge_vertex(g, cp, v, merged)
+        except TilingError as exc:
+            exc.vertex = v
+            raise
         merged.add(v)
     g.root = select_root(g)
     g.validate()
@@ -273,7 +279,7 @@ def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
                 if len(seen) == len(target):
                     return s, i
             i = (i + 1) % n
-    raise AssertionError(f"window {creases} not found on the boundary walk")
+    raise TilingError("window not found on the boundary walk", crease=tuple(creases))
 
 
 def _clear_window_junk(g: SawGraph, creases: list[str]) -> SawGraph:
@@ -305,7 +311,7 @@ def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
     g_span = [(i % ng) for i in range(gs, gs + (ge - gs) % ng + 1)]
     u_span = [(i % nu) for i in range(us, us + (ue - us) % nu + 1)]
     if len(g_span) != len(block) or len(u_span) != len(block):
-        raise AssertionError("band windows still contain junk")
+        raise TilingError("band windows still contain junk", crease=tuple(block))
 
     # vertex pairing: u's arc vertices in order pair with g's in reverse
     u_verts = [u.walk[i][0] for i in u_span]
@@ -319,7 +325,7 @@ def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
         eu = u.crossing_edges()[c]
         eg = g.crossing_edges()[c]
         if eu.tail_side != eg.tail_side:
-            raise AssertionError(f"orientation mismatch on {c} at zip time")
+            raise TilingError("orientation mismatch at zip time", crease=c)
 
     vmap: dict[int, int] = {}
     g = g.copy()

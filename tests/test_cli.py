@@ -1,4 +1,8 @@
+import io
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +131,65 @@ def test_verify_output_unchanged_when_ok(capsys, tmp_path):
     assert out == ("count_mv: 6\ncount_colorings: 6\ncounts_match: True\n"
                    "translation_valid: True\ninjective: True\n"
                    "round_trip_ok: True\nok: True\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "miura"],
+    ["generate", "snake", "3"],
+    ["generate", "crane", "2"],
+    ["generate", "modified-miura", "2", "3", "--mask", "x1"],
+    ["generate", "miura", "0", "2"],
+    ["generate", "joined-twists", "5"],
+])
+def test_generate_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flatfold generate") and "error:" in err
+
+
+def readme_cli_commands() -> list[str]:
+    """Command lines of the README's CLI example block, comments stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+def run_pipeline(capsys, monkeypatch, line: str) -> tuple[int, str]:
+    """Run a shell pipeline of flatfold commands through main; returns the
+    last exit code and the last stage's stdout."""
+    out = ""
+    for stage in line.split("|"):
+        argv = shlex.split(stage)
+        assert argv[0] == "flatfold"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code = main(argv[1:])
+        out = capsys.readouterr().out
+        if code:
+            break
+    return code, out
+
+
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    expected = [
+        "6\n",
+        "170\n",
+        "93312\n",
+        "",
+        "v0: degree 4 kawasaki ok niceness 2\n"
+        "v1: degree 6 kawasaki ok niceness 2\n"
+        "v2: degree 4 kawasaki ok niceness 2\n"
+        "pattern valid\n",
+        '{"count_mv": 82, "count_colorings": 82, "counts_match": true, '
+        '"translation_valid": true, "injective": true, "round_trip_ok": true, '
+        '"ok": true}\n',
+        "",
+    ]
+    commands = readme_cli_commands()
+    assert len(commands) == len(expected)
+    for line, want in zip(commands, expected):
+        assert run_pipeline(capsys, monkeypatch, line) == (0, want), line
+    assert (tmp_path / "snake.json").is_file()
+    assert (tmp_path / "snake.svg").read_text().startswith("<svg")

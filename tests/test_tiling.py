@@ -1,7 +1,9 @@
 import pytest
 
 from flatfold import count_colorings, count_locally_valid, tile
-from flatfold.errors import UnsupportedVertex
+from flatfold import tiling
+from flatfold.errors import FlatfoldError, TilingError, UnsupportedVertex
+from flatfold.saw import SawGraph
 from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.tiling import clip_order, select_root
 
@@ -94,3 +96,41 @@ def test_select_root_deterministic():
     g1 = tile(miura(2, 3))
     g2 = tile(miura(2, 3))
     assert select_root(g1) == select_root(g2) == g1.root
+
+
+def test_tile_chords_sharing_boundary_points():
+    # snake(1, n) has no interior vertex; its zig-zag chords meet in pairs at
+    # boundary points, which the boundary walk must cross in angular order
+    for n in (2, 3, 4, 5):
+        cp = snake(1, n)
+        assert count_colorings(tile(cp)) == count_locally_valid(cp) == 2 ** (n - 1)
+
+
+def test_broken_walk_raises_typed_error():
+    g = SawGraph()
+    a, b, c = g.add_vertex(), g.add_vertex(), g.add_vertex()
+    g.add_edge(a, b, directed=True, crease="c0")
+    e1 = g.add_edge(b, c, directed=True, crease="c1")
+    g.walk = [(a, e1)]
+    with pytest.raises(FlatfoldError) as exc:
+        g.check_walk()
+    assert isinstance(exc.value, TilingError)
+    assert not isinstance(exc.value, AssertionError)
+    assert exc.value.crease == "c1" and "crease c1" in str(exc.value)
+
+    g.walk = []
+    g.add_edge(a, c, directed=True, crease="c0")
+    with pytest.raises(TilingError) as exc:
+        g.validate()
+    assert exc.value.crease == "c0"
+
+
+def test_merge_fault_names_the_vertex(monkeypatch):
+    real = tiling._window
+    monkeypatch.setattr(tiling, "_window",
+                        lambda walk, edges, creases: real(walk, edges, ["zz"]))
+    with pytest.raises(TilingError) as exc:
+        tile(miura(3, 3))
+    assert exc.value.vertex in miura(3, 3).interior_vertex_ids()
+    assert exc.value.crease == ("zz",)
+    assert f"vertex {exc.value.vertex}" in str(exc.value)
