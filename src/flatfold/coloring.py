@@ -115,79 +115,161 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     return out
 
 
+# the color a vertex is forced to, by the bit mask of two banned colors
+_THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
+# color step from the tail to the head of a crossing edge, by MV value
+_STEP = {1: 1, -1: 2}
+
+
+class _Plan:
+    """Per-graph tables for checking, translating and lifting colorings.
+
+    ``vertices`` fixes an index for every SAW vertex; ``edges`` holds each
+    edge's id and endpoint ids, ``directed`` each crossing edge's crease,
+    tail and head ids, and ``nbrs[i]`` the neighbours of vertex i as
+    ``(index, k, is_tail)``, where k is the position of the crossing edge in
+    ``directed`` (-1 for an undirected edge) and is_tail says whether
+    vertex i is its tail. Building the tables, checking, translating and
+    propagating are each O(V + E); only the completion search of a stalled
+    lift can take longer.
+    """
+
+    def __init__(self, g: SawGraph):
+        self.vertices = list(g.vertices)
+        self.vset = set(self.vertices)
+        self.root_id = g.root
+        index = {v: i for i, v in enumerate(self.vertices)}
+        self.root = index.get(g.root)
+        self.edges = [(e.id, e.u, e.v) for e in g.edges.values()]
+        self.directed: list[tuple[str, int, int]] = []
+        self.nbrs: list[list[tuple[int, int, bool]]] = [[] for _ in self.vertices]
+        for e in g.edges.values():
+            k = -1
+            if e.directed:
+                k = len(self.directed)
+                self.directed.append((e.crease, e.u, e.v))
+            self.nbrs[index[e.u]].append((index[e.v], k, True))
+            self.nbrs[index[e.v]].append((index[e.u], k, False))
+
+    def check(self, s: ThreeColoring) -> None:
+        if s.keys() != self.vset:
+            raise ImproperColoring("coloring domain mismatch")
+        if s[self.root_id] != 0:
+            raise ImproperColoring("root is not colored 0")
+        for eid, u, v in self.edges:
+            if s[u] == s[v]:
+                raise ImproperColoring(f"edge {eid} endpoints share color {s[u]}")
+
+    def to_mv(self, s: ThreeColoring) -> MVAssignment:
+        self.check(s)
+        return {c: 1 if (s[h] - s[t]) % 3 == 1 else -1 for c, t, h in self.directed}
+
+    def lift(self, mv: MVAssignment) -> ThreeColoring:
+        steps = [_STEP.get(mv[c], 0) for c, _, _ in self.directed]
+        if 0 in steps:
+            c = self.directed[steps.index(0)][0]
+            raise NoCompletion(f"crease {c} has value {mv[c]!r}, not 1 or -1")
+        if self.root is None:
+            raise NoCompletion(f"root {self.root_id} is not a vertex")
+        colors = [-1] * len(self.vertices)
+        banned = [0] * len(self.vertices)
+        colors[self.root] = 0
+        err = self._propagate(colors, banned, self.root, steps)
+        if err:
+            raise NoCompletion(err)
+        if -1 in colors:
+            colors = self._search(colors, banned, steps)
+        return dict(zip(self.vertices, colors))
+
+    def _propagate(self, colors: list[int], banned: list[int], start: int,
+                   steps: list[int]) -> str | None:
+        """Color everything that the newly colored ``start`` forces, in place.
+
+        A colored vertex forces the far end of each of its crossing edges,
+        and bans its color at each undirected neighbour; a vertex with two
+        banned colors takes the third. Every edge is checked once its second
+        endpoint is colored. Returns the contradiction met, or None.
+        """
+        nbrs = self.nbrs
+        todo = [start]
+        while todo:
+            v = todo.pop()
+            c = colors[v]
+            for w, k, is_tail in nbrs[v]:
+                cw = colors[w]
+                if k < 0:
+                    if cw < 0:
+                        b = banned[w] = banned[w] | 1 << c
+                        if _THIRD[b] >= 0:
+                            colors[w] = _THIRD[b]
+                            todo.append(w)
+                    elif cw == c:
+                        return (f"SAW vertices {self.vertices[v]} and "
+                                f"{self.vertices[w]} share color {c}")
+                else:
+                    want = (c + steps[k] if is_tail else c - steps[k]) % 3
+                    if cw < 0:
+                        colors[w] = want
+                        todo.append(w)
+                    elif cw != want:
+                        return f"crease {self.directed[k][0]} translates inconsistently"
+        return None
+
+    def _search(self, colors: list[int], banned: list[int],
+                steps: list[int]) -> list[int]:
+        """Finish a stalled propagation by depth-first search on an explicit
+        stack: branch on an uncolored vertex next to a colored one, propagate
+        each choice, and stop at the second completion."""
+        found = None
+        stack = [(colors, banned)]
+        while stack:
+            colors, banned = stack.pop()
+            v = next((i for i, b in enumerate(banned) if b and colors[i] < 0), None)
+            if v is None:       # nothing colored borders the rest
+                v = colors.index(-1)
+            for c in _ALLOWED[banned[v]]:
+                cs, bs = colors[:], banned[:]
+                cs[v] = c
+                if self._propagate(cs, bs, v, steps):
+                    continue
+                if -1 in cs:
+                    stack.append((cs, bs))
+                elif found is None:
+                    found = cs
+                else:
+                    raise AmbiguousCompletion("the assignment lifts to more than one coloring")
+        if found is None:
+            raise NoCompletion("no coloring completes the assignment")
+        return found
+
+
 def check_coloring(g: SawGraph, s: ThreeColoring) -> None:
     """Raise ImproperColoring unless s is proper, total and root-0."""
-    if set(s) != set(g.vertices):
-        raise ImproperColoring("coloring domain mismatch")
-    if s[g.root] != 0:
-        raise ImproperColoring("root is not colored 0")
-    for e in g.edges.values():
-        if s[e.u] == s[e.v]:
-            raise ImproperColoring(f"edge {e.id} endpoints share color {s[e.u]}")
+    _Plan(g).check(s)
 
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
     """Translate a proper coloring into the MV assignment it encodes."""
-    check_coloring(g, s)
-    mv: MVAssignment = {}
-    for e in g.edges.values():
-        if not e.directed:
-            continue
-        d = (s[e.v] - s[e.u]) % 3
-        mv[e.crease] = 1 if d == 1 else -1
-    return mv
+    return _Plan(g).to_mv(s)
 
 
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
-    """Invert the translation: propagate colors from the root.
+    """Invert the translation: the coloring that encodes ``mv``.
 
-    Crossing edges force their far endpoint directly; interior vertices are
-    completed by constraint propagation (a vertex is forced once two
-    distinct neighbour colors are known). Failure to complete uniquely
-    signals a SAW-graph construction bug.
+    From the root (colored 0), a worklist propagates forced colors: a
+    crossing edge forces its far endpoint, and a vertex with two colors
+    banned by its undirected neighbours takes the third. Each edge is
+    checked when its second endpoint is colored, so a returned coloring is
+    proper and translates back to ``mv`` on every crease the graph crosses.
+    If propagation stalls, a depth-first search on an explicit stack
+    completes it and stops at the second completion.
+
+    ``mv`` must give every crease the graph crosses; values of other
+    creases are ignored. Raises NoCompletion when no coloring encodes
+    ``mv`` (a value other than 1 or -1 included), and AmbiguousCompletion
+    when two or more do.
     """
-    colors: dict[int, int] = {g.root: 0}
-    adj: dict[int, list] = {v: [] for v in g.vertices}
-    for e in g.edges.values():
-        adj[e.u].append(e)
-        adj[e.v].append(e)
-
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges.values():
-            if e.directed:
-                known_u = e.u in colors
-                known_v = e.v in colors
-                if known_u == known_v:
-                    continue
-                step = mv[e.crease]
-                if known_u:
-                    colors[e.v] = (colors[e.u] + step) % 3
-                else:
-                    colors[e.u] = (colors[e.v] - step) % 3
-                changed = True
-        for v in g.vertices:
-            if v in colors:
-                continue
-            seen = {colors[e.other(v)] for e in adj[v] if e.other(v) in colors}
-            if len(seen) >= 3:
-                raise NoCompletion(f"no color left for vertex {v}")
-            if len(seen) == 2:
-                colors[v] = ({0, 1, 2} - seen).pop()
-                changed = True
-    if len(colors) != len(g.vertices):
-        raise AmbiguousCompletion("propagation stalled; completion not unique")
-    try:
-        check_coloring(g, colors)
-    except ImproperColoring as exc:
-        raise NoCompletion(str(exc)) from exc
-    # the translation must reproduce the given values on every crease
-    got = coloring_to_mv(g, colors)
-    for c, v in got.items():
-        if c in mv and mv[c] != v:
-            raise NoCompletion(f"crease {c} translates inconsistently")
-    return colors
+    return _Plan(g).lift(mv)
 
 
 @dataclass
@@ -215,8 +297,11 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     be oracle-tractable.
     """
     from .oracle import enumerate_locally_valid
+    plan = _Plan(g)
     report = enumerate_locally_valid(cp, cap=cap)
-    mset = {tuple(sorted(m.items())) for m in report.witnesses}
+    # assignment keys list values in one fixed crease order (None if absent)
+    order = sorted(cp.creases)
+    mset = {tuple(map(m.get, order)) for m in report.witnesses}
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
 
@@ -227,10 +312,9 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     counterexample = None
 
     seen = set()
-    crease_ids = set(cp.creases)
     for s in colorings:
-        mv = coloring_to_mv(g, s)
-        key = tuple(sorted((c, v) for c, v in mv.items() if c in crease_ids))
+        mv = plan.to_mv(s)
+        key = tuple(map(mv.get, order))
         if key not in mset:
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)
@@ -239,7 +323,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
             counterexample = counterexample or ("two colorings share an assignment", s)
         seen.add(key)
         try:
-            back = mv_to_coloring(g, mv)
+            back = plan.lift(mv)
         except Exception as exc:  # noqa: BLE001 - report, don't raise
             round_trip = False
             counterexample = counterexample or ("mv_to_coloring failed", str(exc))
@@ -247,23 +331,18 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
         if back != s:
             round_trip = False
             counterexample = counterexample or ("round trip mismatch", s)
-    # both ways: every valid assignment lifts to a coloring that maps back
-    saw_creases = {e.crease for e in g.edges.values() if e.directed}
-    extra = saw_creases - crease_ids
-    for m in report.witnesses:
-        try:
-            full = dict(m)
-            if extra:
-                # graph for a transformed pattern: only check liftability of
-                # the shared creases
-                continue
-            s = mv_to_coloring(g, full)
-            if tuple(sorted(coloring_to_mv(g, s).items())) != tuple(sorted(full.items())):
+    # both ways: every valid assignment lifts to a coloring that maps back.
+    # A graph for a transformed pattern crosses creases the pattern lacks,
+    # so its witnesses cannot be lifted and are not checked.
+    if not {c for c, _, _ in plan.directed} - set(cp.creases):
+        for m in report.witnesses:
+            try:
+                if plan.to_mv(plan.lift(m)) != m:
+                    round_trip = False
+                    counterexample = counterexample or ("assignment round trip", m)
+            except Exception as exc:  # noqa: BLE001
                 round_trip = False
-                counterexample = counterexample or ("assignment round trip", m)
-        except Exception as exc:  # noqa: BLE001
-            round_trip = False
-            counterexample = counterexample or ("assignment does not lift", str(exc))
+                counterexample = counterexample or ("assignment does not lift", str(exc))
     return BijectionReport(
         count_mv=report.count,
         count_colorings=n_col,

@@ -157,7 +157,8 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     declared_angles = {k: tuple(Fraction(a) for a in v)
                        for k, v in (declared_angles or {}).items()}
     region = [(Fraction(x), Fraction(y)) for (x, y) in region]
-    if polygon_signed_area2(region) < 0:
+    area2 = polygon_signed_area2(region)
+    if area2 < 0:
         region = list(reversed(region))
     region_t = tuple(region)
 
@@ -172,6 +173,9 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     if len(set(pts.values())) != len(pts):
         raise ValidationError("coincident vertices/boundary points")
 
+    if area2 == 0:  # also the case for fewer than three corners
+        raise ValidationError("region polygon is degenerate: it needs at least "
+                              "three corners and a nonzero area")
     # region must be convex: segments with endpoints inside then stay inside,
     # which keeps boundary-contact validation exact and simple
     nreg = len(region)

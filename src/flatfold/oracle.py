@@ -5,8 +5,8 @@ interior vertex with its single-vertex crimp schedule once all its creases
 are assigned. ``count_locally_valid`` is a frontier DP that keeps only the
 values of creases an unchecked vertex still needs, so its cost follows the
 frontier width, not the count; ``enumerate_locally_valid`` is a depth-first
-search that materializes witnesses. Counts are exact Python ints (arbitrary
-precision).
+search that materializes witnesses and stops past its cap, leaving the count
+to the same DP. Counts are exact Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -78,39 +78,44 @@ def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
 
 def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
                             crease_order: list[str] | None = None) -> LocalValidityReport:
-    """Exact count plus up to ``cap`` witness assignments."""
+    """Exact count plus the first ``cap`` witness assignments.
+
+    Witnesses come in depth-first order over the search plan's crease
+    order, each crease trying 1 before -1. The search runs on an explicit
+    stack and stops once it finds assignment ``cap + 1``; then
+    ``cap_exceeded`` is set and ``count`` comes from the frontier DP of
+    ``count_locally_valid`` (without its crease limit). Otherwise ``count``
+    is the number of witnesses found.
+    """
     order, checks_at, cones = _search_plan(cp, crease_order)
     n = len(order)
-    vals = [0] * n
     count = 0
     witnesses: list[MVAssignment] = []
     capped = False
-
-    def rec(i: int):
-        nonlocal count, capped
-        if i == n:
-            count += 1
-            if len(witnesses) < cap:
-                witnesses.append(dict(zip(order, vals)))
-            else:
-                capped = True
-            return
-        for v in (1, -1):
-            vals[i] = v
-            ok = True
-            for sched, idxs in checks_at[i]:
-                if not _check_values(sched, [vals[k] for k in idxs]):
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1)
-        vals[i] = 0
-
     if n == 0:
         count = 1
         witnesses = [{}]
     else:
-        rec(0)
+        vals = [0] * n      # 0: position not tried yet
+        i = 0
+        while i >= 0:
+            if vals[i] == -1:   # both values tried: back up
+                vals[i] = 0
+                i -= 1
+                continue
+            vals[i] = 1 if vals[i] == 0 else -1
+            if all(_check_values(sched, [vals[k] for k in idxs])
+                   for sched, idxs in checks_at[i]):
+                if i + 1 < n:
+                    i += 1
+                elif count < cap:
+                    count += 1
+                    witnesses.append(dict(zip(order, vals)))
+                else:
+                    capped = True
+                    break
+        if capped:
+            count = _frontier_count(checks_at)
     per_vertex = {v: count_single_vertex_mv(c) for v, c in cones.items()}
     return LocalValidityReport(count=count, witnesses=witnesses,
                                per_vertex_counts=per_vertex, cap_exceeded=capped)
@@ -118,20 +123,28 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
 
 def count_locally_valid(cp: CreasePattern, limit: int | None = None,
                         crease_order: list[str] | None = None) -> int:
-    """Exact |M(cp)| without materializing witnesses.
-
-    Frontier DP over the search plan's crease order: the state packs the
-    values of the placed creases that some unchecked vertex still needs
-    into an int, one bit per slot (set for valley), and maps to the number
-    of assignments of the placed creases that pass every completed vertex
-    and leave the frontier so. A crease's slot is freed after its last
-    vertex check.
-    """
+    """Exact |M(cp)| without materializing witnesses, by the frontier DP
+    of ``_frontier_count``. Raises LimitExceeded above the crease limit
+    (``limit``, else ``FLATFOLD_BRUTE_LIMIT``, else 40)."""
     n = len(cp.creases)
     lim = _brute_limit(limit)
     if n > lim:
         raise LimitExceeded(f"{n} creases exceed the brute-force limit {lim}")
     _, checks_at, _ = _search_plan(cp, crease_order)
+    return _frontier_count(checks_at)
+
+
+def _frontier_count(checks_at: list[list]) -> int:
+    """Number of assignments that pass every check of a search plan.
+
+    Frontier DP over the plan's crease order: the state packs the values
+    of the placed creases that some unchecked vertex still needs into an
+    int, one bit per slot (set for valley), and maps to the number of
+    assignments of the placed creases that pass every completed vertex and
+    leave the frontier so. A crease's slot is freed after its last vertex
+    check.
+    """
+    n = len(checks_at)
     # position of each checked crease's last check
     last = {k: i for i, checks in enumerate(checks_at) for _, idxs in checks for k in idxs}
     slot: dict[int, int] = {}   # frontier crease position -> bit shift

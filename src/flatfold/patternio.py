@@ -85,7 +85,7 @@ def saw_from_dict(doc: dict) -> SawGraph:
         g.walk = [(int(v), int(e)) for v, e in doc.get("boundary", [])]
         g._next_v = max(g.vertices, default=-1) + 1
         g._next_e = max(g.edges, default=-1) + 1
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad SAW graph: {exc}") from exc
     return g
 
@@ -113,6 +113,8 @@ def pattern_from_dict(doc: dict):
                   for v, angs in doc.get("angles", {}).items()}
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"malformed pattern: {exc}") from exc
     cp = build_crease_pattern(vertices, creases, region,
                               declared_angles=angles, boundary_points=bpoints)
     mv = None

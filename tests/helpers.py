@@ -4,7 +4,9 @@ boundary edges (the failure mode the tiling procedure must avoid)."""
 
 from __future__ import annotations
 
-from flatfold.generators import triangle_twist
+import random
+
+from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.saw import SawGraph, insert_prism, negate_orientations
 from flatfold.tiling import _merge_vertex
 
@@ -171,3 +173,13 @@ def grid_saw(m: int, n: int) -> SawGraph:
                 g.add_edge(ids[(r, c)], ids[(r, c + 1)])
     g.root = 0
     return g
+
+
+def small_pattern(kind: str, m: int, n: int, seed: int):
+    """A seeded modified-Miura mask, a snake (both m x n) or twists 1-3."""
+    if kind == "modified-miura":
+        rng = random.Random(seed)
+        return modified_miura(m, n, [rng.random() < 0.5 for _ in range(n - 1)])
+    if kind == "snake":
+        return snake(m, n)
+    return triangle_twist(1 + seed % 3)

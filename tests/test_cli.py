@@ -91,6 +91,19 @@ def test_validation_failure_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"version": 1, "region": "x", "creases": []}', "malformed pattern"),
+    ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+     ' "saw": {"vertices": [1, 2], "edges": [], "root": 0}}', "bad SAW graph"),
+])
+def test_malformed_file_exits_1(capsys, monkeypatch, doc, message):
+    code, out, err = run(capsys, ["count-colorings", "-"], stdin=doc,
+                         monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,22 +1,30 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatfold import (
     coloring_to_mv,
     count_colorings,
     enumerate_colorings,
+    enumerate_locally_valid,
     mv_to_coloring,
     single_vertex_saw,
     verify_bijection,
 )
-from flatfold.errors import CapExceeded, ImproperColoring, NoCompletion
-from flatfold.generators import miura, triangle_twist
+from flatfold.errors import (
+    AmbiguousCompletion,
+    CapExceeded,
+    ImproperColoring,
+    NoCompletion,
+)
+from flatfold.generators import crane, miura, triangle_twist
 from flatfold.saw import SawGraph
 from flatfold.tiling import tile
 
 from .conftest import cone
-from .helpers import grid_saw, invalid_joined_twist_saw
+from .helpers import grid_saw, invalid_joined_twist_saw, small_pattern
 
 
 def path_graph(n):
@@ -134,6 +142,52 @@ def test_mv_to_coloring_rejects_unreachable():
     ca, cb = [e.crease for e in g.edges.values() if e.directed]
     with pytest.raises(NoCompletion):
         mv_to_coloring(g, {ca: 1, cb: -1})  # inconsistent pair
+    with pytest.raises(NoCompletion):
+        mv_to_coloring(g, {ca: 1, cb: 0})   # not an MV value
+
+
+def test_crane_witnesses_lift_and_round_trip():
+    # propagation alone leaves most of the crane's SAW graph uncolored; the
+    # completion search must still find each witness's single coloring
+    cp = crane()
+    g = tile(cp)
+    report = enumerate_locally_valid(cp, cap=200)
+    assert len(report.witnesses) == 200
+    for mv in report.witnesses:
+        s = mv_to_coloring(g, mv)
+        assert coloring_to_mv(g, s) == mv
+
+
+def test_mv_to_coloring_ambiguous():
+    # a pendant vertex hung on the root by an undirected edge takes 1 or 2
+    g = path_graph(2)
+    with pytest.raises(AmbiguousCompletion):
+        mv_to_coloring(g, {})
+
+
+def test_mv_to_coloring_no_completion_after_search():
+    # the root hangs on a K4, which has no proper 3-coloring; propagation
+    # stalls at once, so only the search can tell
+    g = path_graph(2)
+    for _ in range(3):
+        g.add_vertex()
+    for u, v in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
+        g.add_edge(u, v)
+    with pytest.raises(NoCompletion):
+        mv_to_coloring(g, {})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(2, 4), st.integers(2, 4), st.integers(0, 10 ** 6))
+def test_translation_round_trips(kind, m, n, seed):
+    cp = small_pattern(kind, m, n, seed)
+    assume(kind == "twists" or len(cp.creases) <= 20)
+    g = tile(cp)
+    for s in enumerate_colorings(g):
+        assert mv_to_coloring(g, coloring_to_mv(g, s)) == s
+    for mv in enumerate_locally_valid(cp, cap=10 ** 6).witnesses:
+        assert coloring_to_mv(g, mv_to_coloring(g, mv)) == mv
 
 
 def test_verify_bijection_passes_on_families():

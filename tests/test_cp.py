@@ -152,3 +152,13 @@ def test_crease_sides_and_corners_cover_creases():
     for i in range(c.degree):
         left, right = c.sector(i)
         assert ("v0", left, right) in cp.corner_faces
+
+
+@pytest.mark.parametrize("region", [
+    [(0, 0), (4, 0)],                   # two corners
+    [(0, 0), (2, 0), (4, 0)],           # collinear: zero area
+    [(0, 0), (4, 0), (4, 4), (4, 0)],   # doubles back: zero area
+])
+def test_rejects_degenerate_region(region):
+    with pytest.raises(ValidationError, match="region polygon is degenerate"):
+        build_crease_pattern(vertices={}, creases={}, region=region)

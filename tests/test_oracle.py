@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatfold import (
@@ -12,12 +12,13 @@ from flatfold import (
     enumerate_locally_valid,
     is_locally_valid,
 )
+from flatfold import oracle
 from flatfold.cp import cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
-from flatfold.generators import miura, modified_miura, snake, triangle_twist
+from flatfold.generators import crane, miura, triangle_twist
 from flatfold.tiling import tile
 
-from .helpers import grid_saw
+from .helpers import grid_saw, small_pattern
 
 
 def test_single_vertex_pattern_matches_recursion():
@@ -83,20 +84,11 @@ def test_miura_5x5_at_default_limit():
     assert count_locally_valid(miura(5, 5)) == 193_662
 
 
-def _small_pattern(kind, m, n, seed):
-    if kind == "modified-miura":
-        rng = random.Random(seed)
-        return modified_miura(m, n, [rng.random() < 0.5 for _ in range(n - 1)])
-    if kind == "snake":
-        return snake(m, n)
-    return triangle_twist(1 + seed % 3)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(["modified-miura", "snake", "twists"]),
        st.integers(2, 4), st.integers(2, 4), st.integers(0, 10 ** 6))
 def test_counters_agree_with_plain_searches(kind, m, n, seed):
-    cp = _small_pattern(kind, m, n, seed)
+    cp = small_pattern(kind, m, n, seed)
     g = tile(cp)
     count = count_colorings(g)
     assert count == len(enumerate_colorings(g))
@@ -130,3 +122,40 @@ def test_kawasaki_violation_reported():
     )
     with pytest.raises(KawasakiViolation):
         count_locally_valid(cp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(2, 4), st.integers(2, 4), st.integers(0, 10 ** 6), st.data())
+def test_capped_witnesses_are_a_prefix(kind, m, n, seed, data):
+    cp = small_pattern(kind, m, n, seed)
+    assume(kind == "twists" or len(cp.creases) <= 20)
+    count = count_locally_valid(cp)
+    full = enumerate_locally_valid(cp, cap=count)
+    assert full.count == count and not full.cap_exceeded
+    assert len(full.witnesses) == count
+    cap = data.draw(st.one_of(st.sampled_from([0, count - 1, count, count + 1]),
+                              st.integers(0, count + 2)))
+    report = enumerate_locally_valid(cp, cap=cap)
+    assert report.witnesses == full.witnesses[:cap]
+    assert report.count == count
+    assert report.cap_exceeded == (count > cap)
+    assert report.per_vertex_counts == full.per_vertex_counts
+
+
+def test_capped_search_stops_at_cap(monkeypatch):
+    # the DFS stops at witness cap + 1 and the count comes from the DP;
+    # walking all 93,312 crane assignments makes 805,024 vertex checks
+    calls = 0
+    check_values = oracle._check_values
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return check_values(*args)
+
+    monkeypatch.setattr(oracle, "_check_values", counting)
+    report = enumerate_locally_valid(crane(), cap=20)
+    assert report.count == 93_312
+    assert len(report.witnesses) == 20 and report.cap_exceeded
+    assert calls < 5_000
