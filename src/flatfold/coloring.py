@@ -86,7 +86,13 @@ def count_colorings(g: SawGraph) -> int:
 
 
 def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
-    """Materialize S(g) in lexicographic vertex-id order (root fixed to 0)."""
+    """Materialize S(g) in lexicographic vertex-id order (root fixed to 0).
+
+    A depth-first search on an explicit stack, so any number of vertices
+    fits: ``stack[i]`` iterates, in increasing order, over the colors the
+    i-th vertex may still take given its earlier neighbours. Raises
+    CapExceeded at coloring cap + 1.
+    """
     if not g.vertices:
         return [{}]
     ids = sorted(g.vertices)
@@ -98,20 +104,25 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     colors = [0] * n
     out: list[ThreeColoring] = []
 
-    def rec(i: int):
-        if i == n:
-            if len(out) >= cap:
-                raise CapExceeded(f"more than {cap} colorings")
-            out.append(dict(zip(ids, colors)))
-            return
-        choices = (0,) if i == root_pos else (0, 1, 2)
-        for c in choices:
-            if any(colors[p] == c for p in earlier[i]):
-                continue
-            colors[i] = c
-            rec(i + 1)
+    def free_colors(i: int):
+        used = {colors[p] for p in earlier[i]}
+        return iter([c for c in ((0,) if i == root_pos else (0, 1, 2))
+                     if c not in used])
 
-    rec(0)
+    stack = [free_colors(0)]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        colors[i] = c
+        if i + 1 < n:
+            stack.append(free_colors(i + 1))
+            continue
+        if len(out) >= cap:
+            raise CapExceeded(f"more than {cap} colorings")
+        out.append(dict(zip(ids, colors)))
     return out
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .errors import (
     CrossingCreases,
@@ -141,6 +143,15 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     declared_angles: {vertex id: [angles ccw starting after the lowest-id crease]}.
     boundary_points: {id: (x, y)} points on the region boundary.
 
+    Every geometric test runs on Python ints. Once the coordinates are
+    Fractions, all of them (region corners, vertices and boundary points)
+    are multiplied by one even integer, ``2 * lcm`` of their denominators.
+    A uniform positive scale keeps every orientation sign, equality and
+    order along a line, so convexity, containment, the sweep, the segment
+    tests and the face trace give the answers they would give on the
+    rationals; the factor 2 keeps every crease midpoint an integer. The
+    returned pattern holds the original Fractions.
+
     The planarity check is a sort-and-sweep rather than an all-pairs loop.
     Each crease's exact closed bounding box is computed once, and the boxes
     are swept in order of their left edge. A box leaves the active list once
@@ -157,9 +168,22 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     declared_angles = {k: tuple(Fraction(a) for a in v)
                        for k, v in (declared_angles or {}).items()}
     region = [(Fraction(x), Fraction(y)) for (x, y) in region]
-    area2 = polygon_signed_area2(region)
+    scale = 2 * lcm(*(c.denominator
+                      for p in chain(region, vertices.values(), boundary_points.values())
+                      for c in p))
+
+    def lattice(p: Point) -> tuple[int, int]:
+        return (p[0].numerator * (scale // p[0].denominator),
+                p[1].numerator * (scale // p[1].denominator))
+
+    # the predicates below see only these integer copies
+    ivertices = {k: lattice(p) for k, p in vertices.items()}
+    ibpoints = {k: lattice(p) for k, p in boundary_points.items()}
+    iregion = [lattice(p) for p in region]
+    area2 = polygon_signed_area2(iregion)
     if area2 < 0:
-        region = list(reversed(region))
+        region.reverse()
+        iregion.reverse()
     region_t = tuple(region)
 
     for cid, (a, b) in creases.items():
@@ -169,7 +193,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if a == b:
             raise ValidationError(f"crease {cid} is degenerate")
 
-    pts = {**vertices, **boundary_points}
+    pts = {**ivertices, **ibpoints}
     if len(set(pts.values())) != len(pts):
         raise ValidationError("coincident vertices/boundary points")
 
@@ -178,23 +202,23 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
                               "three corners and a nonzero area")
     # region must be convex: segments with endpoints inside then stay inside,
     # which keeps boundary-contact validation exact and simple
-    nreg = len(region)
+    nreg = len(iregion)
     for i in range(nreg):
-        if orient(region[i - 1], region[i], region[(i + 1) % nreg]) < 0:
+        if orient(iregion[i - 1], iregion[i], iregion[(i + 1) % nreg]) < 0:
             raise ValidationError("region polygon must be convex")
 
-    def _on_region(p: Point) -> bool:
-        return any(on_segment(p, region[i], region[(i + 1) % nreg])
+    def _on_region(p) -> bool:
+        return any(on_segment(p, iregion[i], iregion[(i + 1) % nreg])
                    for i in range(nreg))
 
-    def _strictly_inside(p: Point) -> bool:
-        return all(orient(region[i], region[(i + 1) % nreg], p) > 0
+    def _strictly_inside(p) -> bool:
+        return all(orient(iregion[i], iregion[(i + 1) % nreg], p) > 0
                    for i in range(nreg))
 
-    for bid, p in boundary_points.items():
+    for bid, p in ibpoints.items():
         if not _on_region(p):
             raise ValidationError(f"boundary point {bid} not on the region boundary")
-    for vid, p in vertices.items():
+    for vid, p in ivertices.items():
         if not _strictly_inside(p):
             raise ValidationError(f"interior vertex {vid} is not strictly inside the region")
 
@@ -217,7 +241,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     # walking creases in id order keeps the first error the all-pairs one
     for i, (c1, _) in enumerate(items):
         p1, q1 = segs[i]
-        mid = ((p1[0] + q1[0]) / 2, (p1[1] + q1[1]) / 2)
+        mid = ((p1[0] + q1[0]) // 2, (p1[1] + q1[1]) // 2)  # exact: coordinates are even
         if not _strictly_inside(mid):
             raise CrossingCreases(f"crease {c1} runs along the region boundary")
         for j in sorted(candidates[i]):
@@ -248,7 +272,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
 
     faces, crease_sides, corner_faces = _trace_faces(
-        vertices, boundary_points, creases, region)
+        ivertices, ibpoints, creases, iregion)
 
     return CreasePattern(
         vertices=vertices,
@@ -265,11 +289,13 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
 def _trace_faces(vertices, boundary_points, creases, region):
     """Planar face traversal. Returns (faces, crease_sides, corner_faces).
 
+    Coordinates are the integer copies made by build_crease_pattern.
+
     crease_sides[c] = (left face, right face) relative to the stored (a, b)
     direction of crease c. corner_faces[(v, cL, cR)] = face occupying the
     sector that runs ccw from crease cL to crease cR at vertex v.
     """
-    pts: dict[str, Point] = {**vertices, **boundary_points}
+    pts: dict[str, tuple[int, int]] = {**vertices, **boundary_points}
     nreg = len(region)
 
     # region corners become nodes too; a boundary point sitting exactly on a
@@ -288,7 +314,7 @@ def _trace_faces(vertices, boundary_points, creases, region):
 
     # split region edges at boundary points
     edges: dict[str, tuple[str, str]] = dict(creases)
-    bp_on_edge: dict[int, list[tuple[Fraction, str]]] = {i: [] for i in range(nreg)}
+    bp_on_edge: dict[int, list[tuple[int, str]]] = {i: [] for i in range(nreg)}
     for bid, p in boundary_points.items():
         for i in range(nreg):
             a, b = region[i], region[(i + 1) % nreg]

@@ -1,15 +1,19 @@
-"""Exact 2-D predicates over rational coordinates.
+"""Exact 2-D predicates over rational or integer coordinates.
 
-All geometry in the library runs on ``fractions.Fraction`` so that
-orientation tests, intersection tests and angular sorts are exact. No
-floating point is used outside of SVG rendering.
+Coordinates given to the library, and those stored in a pattern, are exact
+rationals (``fractions.Fraction``). The predicates here work on any exact
+number type; pattern build runs them on integer-scaled copies of the
+coordinates (see ``cp.build_crease_pattern``), which gives the same signs
+as the rationals at a fraction of the cost. Orientation tests,
+intersection tests and angular sorts are therefore exact. No floating
+point is used outside of SVG rendering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
@@ -69,13 +73,16 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def primitive(v: Vec) -> tuple[int, int]:
     """Reduce a rational direction vector to a canonical primitive integer pair."""
-    x, y = Fraction(v[0]), Fraction(v[1])
+    x, y = v
+    if not (isinstance(x, int) and isinstance(y, int)):
+        x, y = Fraction(x), Fraction(y)
+        den = lcm(x.denominator, y.denominator)
+        x = x.numerator * (den // x.denominator)
+        y = y.numerator * (den // y.denominator)
     if x == 0 and y == 0:
         raise ValueError("zero direction")
-    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    ix, iy = int(x * den), int(y * den)
-    g = gcd(abs(ix), abs(iy))
-    return (ix // g, iy // g)
+    g = gcd(x, y)
+    return (x // g, y // g)
 
 
 def _quadrant(d: tuple[int, int]) -> int:
@@ -138,9 +145,9 @@ def sector_45(d1: tuple[int, int], d2: tuple[int, int]) -> Fraction | None:
     return Fraction(45 * step)
 
 
-def polygon_signed_area2(points: list[Point]) -> Fraction:
-    """Twice the signed area of a polygon (ccw positive)."""
-    s = Fraction(0)
+def polygon_signed_area2(points: list[Point]) -> Fraction | int:
+    """Twice the signed area of a polygon (ccw positive); int input gives an int."""
+    s = 0
     n = len(points)
     for i in range(n):
         x1, y1 = points[i]

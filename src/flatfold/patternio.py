@@ -87,6 +87,16 @@ def saw_from_dict(doc: dict) -> SawGraph:
         g._next_e = max(g.edges, default=-1) + 1
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad SAW graph: {exc}") from exc
+    for e in g.edges.values():
+        for end in (e.u, e.v):
+            if end not in g.vertices:
+                raise ParseError(f"bad SAW graph: edge {e.id} ends at unlisted vertex {end}")
+    if g.vertices and g.root not in g.vertices:
+        raise ParseError(f"bad SAW graph: root {g.root} is not a listed vertex")
+    for i, (v, e) in enumerate(g.walk):
+        if v not in g.vertices or e not in g.edges:
+            raise ParseError(f"bad SAW graph: boundary step {i} ({v}, {e}) "
+                             "names an unlisted vertex or edge")
     return g
 
 

@@ -11,7 +11,7 @@ with head over every shared crease.
 
 from __future__ import annotations
 
-from .cp import CreasePattern, cone_at
+from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
 from .geometry import cross, dot, on_segment, sub
 from .saw import SawGraph, insert_prism, insert_triangle, negate_orientations, saw_supported, single_vertex_saw
@@ -27,8 +27,12 @@ def clip_order(cp: CreasePattern) -> list[str]:
     keeps the rest of their crease-connected component intact go first, so
     the rebuild can always attach along shared creases.
     """
-    remaining = set(cp.interior_vertex_ids())
-    cones = {v: cone_at(cp, v) for v in remaining}
+    return _clip_order(cp, {v: cone_at(cp, v) for v in cp.interior_vertex_ids()})
+
+
+def _clip_order(cp: CreasePattern, cones: dict[str, ConeVertex]) -> list[str]:
+    """clip_order on the cones of every interior vertex, computed once."""
+    remaining = set(cones)
     order = []
     while remaining:
         clippable = []
@@ -76,9 +80,9 @@ def _contiguous(flags: list[bool]) -> bool:
     return transitions <= 2
 
 
-def _bind_faces(g: SawGraph, cp: CreasePattern, v: str) -> SawGraph:
-    """Bind a cone-level SAW graph of vertex v to pattern faces and sides."""
-    g = g.copy()
+def _bind_faces(g: SawGraph, cp: CreasePattern, v: str) -> None:
+    """Bind a cone-level SAW graph of vertex v, in place, to pattern faces
+    and sides."""
     for sv in g.vertices.values():
         left, right = sv.face
         sv.face = cp.corner_faces[(v, left, right)]
@@ -86,7 +90,6 @@ def _bind_faces(g: SawGraph, cp: CreasePattern, v: str) -> SawGraph:
         if e.directed:
             left_face, _ = cp.crease_sides[e.crease]
             e.tail_side = 1 if g.vertices[e.u].face == left_face else -1
-    return g
 
 
 def _base_saw(cp: CreasePattern) -> SawGraph:
@@ -193,17 +196,22 @@ def tile(cp: CreasePattern) -> SawGraph:
     Every interior vertex must be supported by single_vertex_saw (3-nice
     with a small terminal, all-equal degree <= 4, or degree 2); waterbomb
     vertices fall in this class, so no pattern surgery is needed.
+
+    Each vertex's cone is computed once and shared by the support check,
+    the clip order and the merges. The graph built here is owned by this
+    call, so every merge fuses into it in place.
     """
-    for v in cp.interior_vertex_ids():
-        ok, why = saw_supported(cone_at(cp, v))
+    cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
+    for v, cone in cones.items():
+        ok, why = saw_supported(cone)
         if not ok:
             raise UnsupportedVertex(v, why)
-    order = clip_order(cp)
+    order = _clip_order(cp, cones)
     g = _base_saw(cp)
     merged: set[str] = set()
     for v in reversed(order):
         try:
-            g = _merge_vertex(g, cp, v, merged)
+            g = _merge_vertex(g, cp, v, cones[v], merged)
         except TilingError as exc:
             exc.vertex = v
             raise
@@ -219,9 +227,13 @@ def select_root(g: SawGraph) -> int:
     return by_face[0][1]
 
 
-def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, merged: set[str]) -> SawGraph:
-    cone = cone_at(cp, v)
-    u_graph = _bind_faces(single_vertex_saw(cone), cp, v)
+def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
+                  merged: set[str]) -> SawGraph:
+    """Merge the SAW graph of vertex v (cone ``cone``) into g, which the
+    caller owns and which is changed in place. Returns the merged graph:
+    g itself, or a graph that replaced it (an empty g, or a prism)."""
+    u_graph = single_vertex_saw(cone)
+    _bind_faces(u_graph, cp, v)
 
     shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
     shared = [c for c, f in zip(cone.crease_ids, shared_flags) if f]
@@ -304,7 +316,8 @@ def _clear_window_junk(g: SawGraph, creases: list[str]) -> SawGraph:
 
 
 def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
-    """Identify the band vertices of u with those of g and fuse the graphs."""
+    """Identify the band vertices of u with those of g and fuse u into g in
+    place."""
     gs, ge = _window(g.walk, g.edges, list(reversed(block)))
     us, ue = _window(u.walk, u.edges, block)
     ng, nu = len(g.walk), len(u.walk)
@@ -320,15 +333,15 @@ def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
     g_verts.append(g.edges[g.walk[g_span[-1]][1]].other(g_verts[-1]))
     pairs = list(zip(u_verts, reversed(g_verts)))
 
+    # a window without junk holds exactly the band's crossing edges
+    g_band = {g.edges[g.walk[i][1]].crease: g.edges[g.walk[i][1]] for i in g_span}
+    u_band = {u.edges[u.walk[i][1]].crease: u.edges[u.walk[i][1]] for i in u_span}
     # sanity: paired crossing edges agree in orientation
     for c in block:
-        eu = u.crossing_edges()[c]
-        eg = g.crossing_edges()[c]
-        if eu.tail_side != eg.tail_side:
+        if u_band[c].tail_side != g_band[c].tail_side:
             raise TilingError("orientation mismatch at zip time", crease=c)
 
     vmap: dict[int, int] = {}
-    g = g.copy()
     for uv, gv in pairs:
         vmap[uv] = gv
         # the incoming side knows the finest (pattern-level) face
@@ -338,16 +351,14 @@ def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
             vmap[sv.id] = g.add_vertex(face=sv.face)
     emap: dict[int, int] = {}
     dropped: dict[int, int] = {}
-    g_cross = g.crossing_edges()
     for se in u.edges.values():
-        if se.directed and se.crease in block:
-            dropped[se.id] = g_cross[se.crease].id
+        if se.directed and se.crease in g_band:
+            dropped[se.id] = g_band[se.crease].id
             continue
         emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed,
                                  se.crease, se.tail_side)
 
     # new walk: g's walk with the window replaced by u's complement arc
-    u_arc = set(u_span)
     u_complement = []
     i = (u_span[-1] + 1) % nu
     while i != u_span[0]:
@@ -371,10 +382,10 @@ def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
 def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
                      merged: set[str], vname: str) -> SawGraph:
     """Merge with no shared creases: identify one vertex through the face
-    both graphs currently share."""
+    both graphs currently share, fusing u into g in place."""
     if not g.vertices:
         # empty base (no chords): u becomes the graph
-        return u.copy()
+        return u
     # group faces into regions connected across creases not yet crossed
     present = {e.crease for e in g.edges.values() if e.directed}
     present |= {e.crease for e in u.edges.values() if e.directed}
@@ -406,7 +417,6 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
         raise DisconnectedInterior(
             f"no face connection found while merging {vname}")
 
-    g = g.copy()
     vmap = {u_pick: g_pick}
     g.vertices[g_pick].face = u.vertices[u_pick].face
     for sv in u.vertices.values():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+from flatfold.cp import cone_at
 from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.saw import SawGraph, insert_prism, negate_orientations
 from flatfold.tiling import _merge_vertex
@@ -41,7 +42,7 @@ def twist_unit_saw(cp, vertex_ids) -> SawGraph:
     g = SawGraph()
     merged = set()
     for v in sorted(vertex_ids):
-        g = _merge_vertex(g, cp, v, merged)
+        g = _merge_vertex(g, cp, v, cone_at(cp, v), merged)
         merged.add(v)
     return g
 

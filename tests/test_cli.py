@@ -9,6 +9,7 @@ import pytest
 from flatfold.cli import main
 from flatfold.patternio import emit
 from flatfold.generators import miura
+from flatfold.tiling import tile
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -101,6 +102,33 @@ def test_malformed_file_exits_1(capsys, monkeypatch, doc, message):
                          monkeypatch=monkeypatch)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def _saw_doc(**saw_changes):
+    """Miura 2x2 with its tiled SAW graph embedded, the saw block edited."""
+    cp = miura(2, 2)
+    doc = json.loads(emit(cp, saw=tile(cp)))
+    for key, edit in saw_changes.items():
+        doc["saw"][key] = edit(doc["saw"][key])
+    return json.dumps(doc)
+
+
+UNLISTED_SAW_REFERENCES = {
+    "edge endpoint": dict(edges=lambda es: es + [{"id": 99, "u": 0, "v": 5}]),
+    "root": dict(root=lambda _: 7),
+    "boundary vertex": dict(boundary=lambda b: [[77, b[0][1]]] + b[1:]),
+    "boundary edge": dict(boundary=lambda b: [[b[0][0], 77]] + b[1:]),
+}
+
+
+@pytest.mark.parametrize("command", ["count-colorings", "verify"])
+@pytest.mark.parametrize("case", sorted(UNLISTED_SAW_REFERENCES))
+def test_unlisted_saw_reference_exits_1(capsys, monkeypatch, case, command):
+    doc = _saw_doc(**UNLISTED_SAW_REFERENCES[case])
+    code, out, err = run(capsys, [command, "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "bad SAW graph" in err
     assert "Traceback" not in err
 
 

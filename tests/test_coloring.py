@@ -111,6 +111,33 @@ def test_enumerate_cap():
         enumerate_colorings(grid_saw(3, 3), cap=10)
 
 
+def test_enumerate_long_path_is_iterative():
+    # one vertex per recursion level would exceed the default recursion limit
+    # long before the cap could stop the search
+    with pytest.raises(CapExceeded):
+        enumerate_colorings(path_graph(1500), cap=10)
+    # a 1,500-vertex strip of triangles has exactly two colorings
+    g = path_graph(1500)
+    for i in range(1498):
+        g.add_edge(i, i + 2)
+    out = enumerate_colorings(g, cap=2)
+    assert [[s[v] for v in range(4)] for s in out] == [[0, 1, 2, 0], [0, 2, 1, 0]]
+    assert [s[1499] for s in out] == [1499 % 3, (-1499) % 3]
+
+
+def test_enumerate_matches_exhaustive_order():
+    g = grid_saw(3, 3)
+    g.root = 4
+    ids = sorted(g.vertices)
+    edges = [(e.u, e.v) for e in g.edges.values()]
+    expected = [dict(zip(ids, colors)) for colors in product(range(3), repeat=9)
+                if colors[4] == 0 and all(colors[u] != colors[v] for u, v in edges)]
+    assert enumerate_colorings(g) == expected
+    assert enumerate_colorings(g, cap=len(expected)) == expected
+    with pytest.raises(CapExceeded):
+        enumerate_colorings(g, cap=len(expected) - 1)
+
+
 def test_coloring_to_mv_degree2():
     g = single_vertex_saw(cone(180, 180))
     a, b = sorted(g.vertices)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flatfold import count_colorings, count_locally_valid, tile
@@ -5,9 +7,10 @@ from flatfold import tiling
 from flatfold.errors import FlatfoldError, TilingError, UnsupportedVertex
 from flatfold.saw import SawGraph
 from flatfold.generators import crane, miura, snake, triangle_twist
+from flatfold.patternio import emit
 from flatfold.tiling import clip_order, select_root
 
-from .helpers import grid_saw
+from .helpers import grid_saw, small_pattern
 
 
 def test_tile_matches_oracle_small_miuras():
@@ -92,6 +95,26 @@ def test_tile_after_waterbomb_split():
     assert count_colorings(tile(cp2)) == n
 
 
+def test_miura_10x10_tiling_scales_linearly(monkeypatch):
+    cone_calls = []
+    real_cone_at = tiling.cone_at
+    monkeypatch.setattr(tiling, "cone_at",
+                        lambda cp, v: cone_calls.append(v) or real_cone_at(cp, v))
+    copied = [0]
+    real_copy = SawGraph.copy
+
+    def counting_copy(g):
+        copied[0] += len(g.vertices)
+        return real_copy(g)
+
+    monkeypatch.setattr(SawGraph, "copy", counting_copy)
+    cp = miura(10, 10)
+    g = tile(cp)
+    assert sorted(cone_calls) == cp.interior_vertex_ids()
+    # copying the whole graph once per merge copied 5,499 SAW vertices here
+    assert copied[0] < 2 * len(g.vertices)
+
+
 def test_select_root_deterministic():
     g1 = tile(miura(2, 3))
     g2 = tile(miura(2, 3))
@@ -134,3 +157,47 @@ def test_merge_fault_names_the_vertex(monkeypatch):
     assert exc.value.vertex in miura(3, 3).interior_vertex_ids()
     assert exc.value.crease == ("zz",)
     assert f"vertex {exc.value.vertex}" in str(exc.value)
+
+
+# sha256 of emit(cp, saw=tile(cp)). Any change to a tiled SAW graph (vertex
+# and edge ids, faces, orientations, the boundary walk) changes its file, so
+# a refactor of the tiling that is meant to keep the graphs fails here if it
+# does not
+GOLDEN_SAW_SHA256 = {
+    "crane": "23e983f0cc21187170b7fc3c2334456252daa8e90b2d42ee262c484b9add44a8",
+    "twist-1": "04ae74bd127bd901ceb33281647f35d51645f005df19f2ab932de487f3a1b565",
+    "twist-2": "a70d91990b4303a98e0e84fa7cbef6662c8524a9997882a276e57b17d692e652",
+    "twist-3": "47c70e511f683ca9056e13d112299d1c1d825446f99f7a3d5a3c2168c407791f",
+    "miura-3": "623052c1d3835cfe98492830981f284f1bf396942241d889175f7251d9c6d52e",
+    "snake-3": "ccd8d5dcb27e45ad0f81af60b1335ee67c73ff9e085d1b21f065816962371b4e",
+    "modified-miura-3-seed1": "642fa31aa92bbbf523a97f4f20e5ad2ec61b4232fad397ba7f9a08fcf9d91fba",
+    "modified-miura-3-seed10": "cc7f04c71b818490a74aa5a3a0ac06b0e0d31d401b1726d189cabfc723b9c8d3",
+    "miura-5": "96a4a3c7db7add6f6c2d48af34c3f492d7fd29b15ab964c8267cbf5388386160",
+    "snake-5": "f6ffa450ecca80b3c033e123c95a0d71746d04d97333b44faf2e536688d7215e",
+    "modified-miura-5-seed1": "e1239a77779bbeb8b6c44cde491840e29c319b5b65b04654d0e07e629f80123d",
+    "modified-miura-5-seed10": "f3efc54f8bc5d718eff58b7e6968b156514f0180ee0af163a5860b5c7a467cac",
+    "miura-8": "72fb23ca9ce8cac8f498f54374933db678aeed96b08b18e054c7efabd78c4dc2",
+    "snake-8": "39c99e99a435e8411f61016a8cfe6d7ee9065530b8bba279ba04b9aacfa565d8",
+    "modified-miura-8-seed1": "09887a27c913aa66aed0367eb8075bda9dcf3af2245ecde91f5caef2243d1f0d",
+    "modified-miura-8-seed10": "48d6592aecd97a8b7a312eb564798210237a99523b63787ede242548dcbbd734",
+}
+
+
+def _golden_pattern(name):
+    """crane, twist-k, {miura,snake}-n or modified-miura-n-seedS (n x n)."""
+    if name == "crane":
+        return crane()
+    parts = name.rsplit("-", 2) if "seed" in name else name.rsplit("-", 1)
+    if parts[0] == "twist":
+        return triangle_twist(int(parts[1]))
+    n = int(parts[1])
+    if parts[0] == "modified-miura":
+        return small_pattern("modified-miura", n, n, int(parts[2][len("seed"):]))
+    return {"miura": miura, "snake": snake}[parts[0]](n, n)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAW_SHA256))
+def test_saw_files_match_golden_hashes(name):
+    cp = _golden_pattern(name)
+    text = emit(cp, saw=tile(cp))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SAW_SHA256[name]
