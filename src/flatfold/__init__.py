@@ -41,7 +41,6 @@ from .saw import (
     insert_prism,
     insert_triangle,
     single_vertex_saw,
-    split_waterbomb,
 )
 from .single_vertex import (
     ALL_EQUAL,
@@ -58,6 +57,7 @@ from .single_vertex import (
     maekawa_check,
     niceness,
 )
+from .generators import split_waterbomb
 from .tiling import clip_order, tile
 
 __all__ = [

@@ -13,6 +13,7 @@ from .cp import CreasePattern, MVAssignment
 from .errors import (
     AmbiguousCompletion,
     CapExceeded,
+    DisconnectedSawGraph,
     ImproperColoring,
     NoCompletion,
 )
@@ -39,7 +40,7 @@ def count_colorings(g: SawGraph) -> int:
     lowest id.
     """
     if not g.is_connected():
-        raise ValueError("graph is not connected")
+        raise DisconnectedSawGraph("SAW graph is not connected")
     adj = g.adjacency()
     left = {v: len(ws) for v, ws in adj.items()}   # unprocessed neighbours
     slot: dict[int, int] = {}   # frontier vertex -> bit shift of its color

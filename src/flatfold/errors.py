@@ -122,6 +122,10 @@ class TilingError(FlatfoldError):
 
 # -- coloring / bijection ----------------------------------------------------
 
+class DisconnectedSawGraph(FlatfoldError, ValueError):
+    """The SAW graph to color is not connected."""
+
+
 class ImproperColoring(FlatfoldError):
     """The coloring violates an adjacency or the root pre-coloring."""
 

@@ -1,6 +1,7 @@
 """Parametric constructors for the crease-pattern families used by the
 tests and the CLI: Miura-ori, modified Miura-ori, snake tessellations,
-triangle twists (single, mirror-joined pairs and chains) and the crane.
+triangle twists (single, mirror-joined pairs and chains) and the crane,
+plus split_waterbomb, which rewrites one waterbomb vertex of a pattern.
 
 Geometry conventions: patterns whose true sector angles are irrational in
 degrees carry per-vertex declared angle lists; coordinates are exact
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cp import CreasePattern, build_crease_pattern
-from .errors import BadMaskLength
+from .cp import CreasePattern, build_crease_pattern, cone_at
+from .errors import BadMaskLength, NotWaterbomb, ValidationError
 
 F = Fraction
 
@@ -427,3 +428,74 @@ def triangle_twist(count: int = 1) -> CreasePattern:
 
     region = [(F(xlo), F(ylo)), (F(xhi), F(ylo)), (F(xhi), F(yhi)), (F(xlo), F(yhi))]
     return b.build(region)
+
+
+def split_waterbomb(cp: CreasePattern, v: str) -> CreasePattern:
+    """Replace a degree-6 waterbomb vertex by two bird's feet with a heel.
+
+    A waterbomb has cyclic angles (a, a, b, a, a, b) with a < b. The two
+    new vertices sit a short way along the middle crease of each triple;
+    locally-valid assignments of the new pattern restrict bijectively to
+    the original's. Raises NotWaterbomb otherwise.
+    """
+    cone = cone_at(cp, v)
+    if cone.degree != 6:
+        raise NotWaterbomb(f"vertex {v} has degree {cone.degree}")
+    rot = None
+    for k in range(6):
+        a = cone.rotated(k).angles
+        if a[0] == a[1] == a[3] == a[4] and a[2] == a[5] and a[0] < a[2]:
+            rot = cone.rotated(k)
+            break
+    if rot is None:
+        raise NotWaterbomb(f"vertex {v} is not an (a,a,b,a,a,b) waterbomb")
+    a_val = rot.angles[0]
+    triple1 = rot.crease_ids[0:3]
+    triple2 = rot.crease_ids[3:6]
+
+    p = cp.vertices[v]
+    # preserve exact cones of v's neighbours (their crease directions move)
+    declared = dict(cp.declared_angles)
+    for c in cone.crease_ids:
+        w = cp.crease_other_end(c, v)
+        if w in cp.vertices and w not in declared:
+            wc = cone_at(cp, w)
+            declared[w] = wc.angles
+
+    def anchor(cid):
+        far = cp.point_of(cp.crease_other_end(cid, v))
+        return (far[0] - p[0], far[1] - p[1])
+
+    d1 = anchor(triple1[1])
+    d2 = anchor(triple2[1])
+    t = F(1, 8)
+    birdfoot = (a_val, a_val, 180 - a_val, 180 - a_val)
+    while t > F(1, 4096):
+        va = (p[0] + t * d1[0], p[1] + t * d1[1])
+        vb = (p[0] + t * d2[0], p[1] + t * d2[1])
+        vertices = {k: pt for k, pt in cp.vertices.items() if k != v}
+        va_id, vb_id = f"{v}a", f"{v}b"
+        vertices[va_id] = va
+        vertices[vb_id] = vb
+        creases = {}
+        for cid, (x, y) in cp.creases.items():
+            if v in (x, y):
+                side = va_id if cid in triple1 else vb_id
+                creases[cid] = (side, x if y == v else y)
+            else:
+                creases[cid] = (x, y)
+        heel_id = f"{v}heel"
+        creases[heel_id] = (va_id, vb_id)
+        decl = dict(declared)
+        decl.pop(v, None)
+        for nid, trip in ((va_id, triple1), (vb_id, triple2)):
+            order = list(trip) + [heel_id]
+            k = order.index(min(order))
+            decl[nid] = tuple(birdfoot[(k + i) % 4] for i in range(4))
+        try:
+            return build_crease_pattern(
+                vertices, creases, cp.region,
+                declared_angles=decl, boundary_points=cp.boundary_points)
+        except ValidationError:
+            t /= 4
+    raise NotWaterbomb(f"could not embed the split of {v}")

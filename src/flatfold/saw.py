@@ -150,6 +150,32 @@ class GadgetFragment:
     last: int
 
 
+def _add_gadget(g: SawGraph, creases: tuple[str, ...]):
+    """Add the gadget for a run of j = len(creases) - 1 equal angles to g.
+
+    Returns the directed path's j+2 vertices and j+1 edges (crossing the
+    creases in order) and the apex (None for j = 2). Vertices get no face.
+    """
+    j = len(creases) - 1
+    path = [g.add_vertex() for _ in range(j + 2)]
+    apex = None if j == 2 else g.add_vertex()
+    edges = [g.add_edge(path[t], path[t + 1], directed=True, crease=creases[t])
+             for t in range(j + 1)]
+    if j == 2:
+        # closing constraint: on attachment the terminals are the endpoints
+        # of an existing edge; standalone we keep it so |S| = 6
+        g.add_edge(path[0], path[-1])
+    else:
+        # j = 1: two triangles sharing {w1, apex} force s(w0) = s(w2);
+        # j = 3: the apex, adjacent to w0 and w1, pins the third color, and
+        # {w1, w4}, {w4, apex} then force s(w4) = s(w0)
+        for w in (path[0], path[1], path[-1]):
+            g.add_edge(w, apex)
+        if j == 3:
+            g.add_edge(path[1], path[-1])
+    return path, edges, apex
+
+
 def baby_gadget(j: int, creases: tuple[str, ...] | None = None) -> GadgetFragment:
     """The gadget encoding the big-little-big constraint for a run of j angles.
 
@@ -165,38 +191,10 @@ def baby_gadget(j: int, creases: tuple[str, ...] | None = None) -> GadgetFragmen
     if len(creases) != j + 1:
         raise ValueError("need j+1 crease ids")
     g = SawGraph()
-    if j == 1:
-        w0, w1, w2, x = (g.add_vertex() for _ in range(4))
-        g.add_edge(w0, w1, directed=True, crease=creases[0])
-        g.add_edge(w1, w2, directed=True, crease=creases[1])
-        # two triangles sharing {w1, x} force s(w0) = s(w2)
-        g.add_edge(w0, x)
-        g.add_edge(w1, x)
-        g.add_edge(w2, x)
-        first, last = w0, w2
-    elif j == 2:
-        w0, w1, w2, w3 = (g.add_vertex() for _ in range(4))
-        g.add_edge(w0, w1, directed=True, crease=creases[0])
-        g.add_edge(w1, w2, directed=True, crease=creases[1])
-        g.add_edge(w2, w3, directed=True, crease=creases[2])
-        # closing constraint: on attachment the terminals are the endpoints
-        # of an existing edge; standalone we keep it so |S| = 6
-        g.add_edge(w0, w3)
-        first, last = w0, w3
-    else:
-        w0, w1, w2, w3, w4, w5 = (g.add_vertex() for _ in range(6))
-        for i in range(4):
-            g.add_edge(i, i + 1, directed=True, crease=creases[i])
-        # apex: w5 adjacent to w0, w1 pins the third color; {w1, w4} and
-        # {w4, w5} then force s(w4) = s(w0)
-        g.add_edge(w0, w5)
-        g.add_edge(w1, w5)
-        g.add_edge(w4, w5)
-        g.add_edge(w1, w4)
-        first, last = w0, w4
-    g.root = first
-    g.walk = [(i, i) for i in range(j + 1)]  # the directed path; open fragment
-    return GadgetFragment(graph=g, first=first, last=last)
+    path, edges, _ = _add_gadget(g, creases)
+    g.root = path[0]
+    g.walk = list(zip(path, edges))  # the directed path; open fragment
+    return GadgetFragment(graph=g, first=path[0], last=path[-1])
 
 
 # -- single-vertex construction -------------------------------------------------
@@ -240,28 +238,29 @@ def _all_equal4_saw(cone: ConeVertex) -> SawGraph:
     return g
 
 
+# the typed refusals of single_vertex_saw: the cone has no SAW graph here
+_REFUSALS = (KawasakiViolation, NotThreeNice, AllEqualHighDegree)
+
+
 def single_vertex_saw(cone: ConeVertex) -> SawGraph:
     """SAW graph for a 3-nice (or small all-equal) flat-foldable vertex.
 
-    Follows the inductive construction: crimp down to the all-equal base,
-    then unfold, splicing in baby gadgets. Vertices whose recursion
-    bottoms out at an all-equal cone of degree >= 6 are unsupported.
+    Follows the inductive construction: crimp down to the all-equal
+    terminal (the cone itself when all its angles are equal), then unfold,
+    splicing in baby gadgets. This is the one place that refuses a cone:
+    KawasakiViolation if it fails the Kawasaki test, NotThreeNice if the
+    recursion meets a run of four or more equal angles, and
+    AllEqualHighDegree if the terminal has degree 6 or more.
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
-    if len(set(cone.angles)) == 1:
-        if cone.degree == 2:
-            return _degree2_saw(cone)
-        if cone.degree == 4:
-            return _all_equal4_saw(cone)
-        raise AllEqualHighDegree(f"no SAW graph for all-equal degree {cone.degree}")
     trace = crimp_trace(cone)
     if trace.max_j is not None and trace.max_j > 3:
         raise NotThreeNice(f"recursion meets a run of {trace.max_j} equal angles")
     term = trace.terminal
     if term.degree > 4:
         raise AllEqualHighDegree(
-            f"recursion terminates at an all-equal cone of degree {term.degree}")
+            f"no SAW graph for an all-equal terminal of degree {term.degree}")
     g = _degree2_saw(term) if term.degree == 2 else _all_equal4_saw(term)
     cones = [trace.start] + [s.result for s in trace.steps]
     for k in range(len(trace.steps) - 1, -1, -1):
@@ -271,18 +270,11 @@ def single_vertex_saw(cone: ConeVertex) -> SawGraph:
 
 
 def saw_supported(cone: ConeVertex) -> tuple[bool, str]:
-    """Whether single_vertex_saw can build this cone, with a reason if not."""
-    if not kawasaki_check(cone):
-        return False, "kawasaki"
-    if len(set(cone.angles)) == 1:
-        if cone.degree <= 4:
-            return True, ""
-        return False, f"all-equal degree {cone.degree}"
-    trace = crimp_trace(cone)
-    if trace.max_j > 3:
-        return False, f"strictly {trace.max_j}-nice"
-    if trace.terminal.degree > 4:
-        return False, f"all-equal terminal of degree {trace.terminal.degree}"
+    """Whether single_vertex_saw builds this cone; if not, its refusal text."""
+    try:
+        single_vertex_saw(cone)
+    except _REFUSALS as exc:
+        return False, str(exc)
     return True, ""
 
 
@@ -306,24 +298,13 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> SawGraph:
             if v.face == merged_sector and v.id != host:
                 v.face = left_sector
 
-        frag = baby_gadget(j, tuple(ids[1:j + 2]))
-        vmap = {vid: g.add_vertex() for vid in frag.graph.vertices}
-        for eid in sorted(frag.graph.edges):
-            fe = frag.graph.edges[eid]
-            g.add_edge(vmap[fe.u], vmap[fe.v], fe.directed, fe.crease)
-        path_edges = [g._next_e - len(frag.graph.edges) + t for t in range(j + 1)]
-        a, b = vmap[frag.first], vmap[frag.last]
+        path, path_edges, apex = _add_gadget(g, ids[1:j + 2])
+        a, b = path[0], path[-1]
         g.vertices[a].face = left_sector
         g.vertices[b].face = right_sector
-        if j == 1:
-            chain = [a, vmap[1], b]
-            g.vertices[vmap[1]].face = run_sectors[0]
-            g.vertices[vmap[3]].face = run_sectors[0]  # apex
-        else:
-            chain = [a, vmap[1], vmap[2], vmap[3], b]
-            for t in range(1, 4):
-                g.vertices[vmap[t]].face = run_sectors[t - 1]
-            g.vertices[vmap[5]].face = run_sectors[0]  # apex
+        for w, sector in zip(path[1:-1], run_sectors):
+            g.vertices[w].face = sector
+        g.vertices[apex].face = run_sectors[0]
 
         # host's walk slot: entered from the prev side, left toward next
         idx = next(i for i, (v, _) in enumerate(g.walk) if v == host)
@@ -349,8 +330,8 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> SawGraph:
         del g.vertices[host]
         if g.root == host:
             g.root = a
-        path_steps = [(chain[t], path_edges[t]) for t in range(j + 1)]
-        g.walk = g.walk[:idx] + path_steps + [(b, e_out)] + g.walk[idx + 1:]
+        g.walk = (g.walk[:idx] + list(zip(path, path_edges)) + [(b, e_out)]
+                  + g.walk[idx + 1:])
         g.check_walk()
         return g
 
@@ -475,82 +456,6 @@ def insert_triangle(g: SawGraph, edge_id: int, transfer_crease: bool = True) -> 
     g.walk = g.walk[:idx] + steps + g.walk[idx + 1:]
     g.check_walk()
     return g
-
-
-def split_waterbomb(cp, v: str):
-    """Replace a degree-6 waterbomb vertex by two bird's feet with a heel.
-
-    A waterbomb has cyclic angles (a, a, b, a, a, b) with a < b. The two
-    new vertices sit a short way along the middle crease of each triple;
-    locally-valid assignments of the new pattern restrict bijectively to
-    the original's. Raises NotWaterbomb otherwise.
-    """
-    from fractions import Fraction
-    from .cp import build_crease_pattern, cone_at
-    from .errors import NotWaterbomb
-
-    cone = cone_at(cp, v)
-    if cone.degree != 6:
-        raise NotWaterbomb(f"vertex {v} has degree {cone.degree}")
-    rot = None
-    for k in range(6):
-        a = cone.rotated(k).angles
-        if a[0] == a[1] == a[3] == a[4] and a[2] == a[5] and a[0] < a[2]:
-            rot = cone.rotated(k)
-            break
-    if rot is None:
-        raise NotWaterbomb(f"vertex {v} is not an (a,a,b,a,a,b) waterbomb")
-    a_val = rot.angles[0]
-    triple1 = rot.crease_ids[0:3]
-    triple2 = rot.crease_ids[3:6]
-
-    p = cp.vertices[v]
-    # preserve exact cones of v's neighbours (their crease directions move)
-    declared = dict(cp.declared_angles)
-    for c in cone.crease_ids:
-        w = cp.crease_other_end(c, v)
-        if w in cp.vertices and w not in declared:
-            wc = cone_at(cp, w)
-            declared[w] = wc.angles
-
-    def anchor(cid):
-        far = cp.point_of(cp.crease_other_end(cid, v))
-        return (far[0] - p[0], far[1] - p[1])
-
-    d1 = anchor(triple1[1])
-    d2 = anchor(triple2[1])
-    t = Fraction(1, 8)
-    birdfoot = (a_val, a_val, 180 - a_val, 180 - a_val)
-    while t > Fraction(1, 4096):
-        va = (p[0] + t * d1[0], p[1] + t * d1[1])
-        vb = (p[0] + t * d2[0], p[1] + t * d2[1])
-        vertices = {k: pt for k, pt in cp.vertices.items() if k != v}
-        va_id, vb_id = f"{v}a", f"{v}b"
-        vertices[va_id] = va
-        vertices[vb_id] = vb
-        creases = {}
-        for cid, (x, y) in cp.creases.items():
-            if v in (x, y):
-                side = va_id if cid in triple1 else vb_id
-                creases[cid] = (side, x if y == v else y)
-            else:
-                creases[cid] = (x, y)
-        heel_id = f"{v}heel"
-        creases[heel_id] = (va_id, vb_id)
-        decl = dict(declared)
-        decl.pop(v, None)
-        for nid, trip in ((va_id, triple1), (vb_id, triple2)):
-            order = list(trip) + [heel_id]
-            k = order.index(min(order))
-            angs = [birdfoot[(i) % 4] for i in range(4)]
-            decl[nid] = tuple(angs[(k + i) % 4] for i in range(4))
-        try:
-            return build_crease_pattern(
-                vertices, creases, cp.region,
-                declared_angles=decl, boundary_points=cp.boundary_points)
-        except Exception:
-            t /= 4
-    raise NotWaterbomb(f"could not embed the split of {v}")
 
 
 def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> SawGraph:

@@ -196,16 +196,13 @@ def _schedule(angles: tuple[Angle, ...], crease_ids: tuple[str, ...]) -> _Schedu
     trace = crimp_trace(cone)
     pos = {c: i for i, c in enumerate(crease_ids)}
     steps = []
-    cur = cone
     for st in trace.steps:
         run = st.run
         idxs = tuple(pos[c] for c in run.creases)
         steps.append((idxs, run.j, idxs[0] if run.j % 2 == 0 else None))
-        cur = st.result
-    terminal = trace.terminal
     return _Schedule(
         steps=tuple(steps),
-        terminal_idx=tuple(pos[c] for c in terminal.crease_ids),
+        terminal_idx=tuple(pos[c] for c in trace.terminal.crease_ids),
         crease_ids=crease_ids,
     )
 

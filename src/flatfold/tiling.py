@@ -14,7 +14,8 @@ from __future__ import annotations
 from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
 from .geometry import cross, dot, on_segment, sub
-from .saw import SawGraph, insert_prism, insert_triangle, negate_orientations, saw_supported, single_vertex_saw
+from .saw import (_REFUSALS, SawGraph, insert_prism, insert_triangle,
+                  negate_orientations, single_vertex_saw)
 
 
 def clip_order(cp: CreasePattern) -> list[str]:
@@ -92,6 +93,26 @@ def _bind_faces(g: SawGraph, cp: CreasePattern, v: str) -> None:
             e.tail_side = 1 if g.vertices[e.u].face == left_face else -1
 
 
+def _face_regions(cp: CreasePattern, kept: set[str]) -> dict[str, str]:
+    """Map each interior face of cp to its region, the faces joined across
+    every crease not in kept. A region is named by its minimum face id, so
+    the order of the unions does not matter."""
+    parent = {f.id: f.id for f in cp.interior_faces()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c, (fa, fb) in cp.crease_sides.items():
+        if c not in kept:
+            ra, rb = find(fa), find(fb)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return {f: find(f) for f in parent}
+
+
 def _base_saw(cp: CreasePattern) -> SawGraph:
     """SAW graph of the pattern with every interior vertex clipped away.
 
@@ -102,37 +123,18 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
     interior = set(cp.interior_vertex_ids())
     chords = sorted(c for c, (a, b) in cp.creases.items()
                     if a not in interior and b not in interior)
-    # face regions of the clipped pattern: union of cp faces across every
-    # non-chord crease
-    parent: dict[str, str] = {f.id: f.id for f in cp.interior_faces()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c in cp.creases:
-        if c not in chords:
-            fa, fb = cp.crease_sides[c]
-            union(fa, fb)
+    region = _face_regions(cp, set(chords))
 
     g = SawGraph()
     region_vertex: dict[str, int] = {}
-    for f in sorted(parent):
-        r = find(f)
-        if r not in region_vertex:
-            region_vertex[r] = g.add_vertex(face=r)
+    for f in sorted(region):
+        if region[f] not in region_vertex:
+            region_vertex[region[f]] = g.add_vertex(face=region[f])
     edge_of_chord = {}
     for c in chords:
         fa, fb = cp.crease_sides[c]
-        u = region_vertex[find(fa)]
-        v = region_vertex[find(fb)]
+        u = region_vertex[region[fa]]
+        v = region_vertex[region[fb]]
         edge_of_chord[c] = g.add_edge(u, v, directed=True, crease=c, tail_side=1)
     g.root = 0
 
@@ -156,62 +158,47 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
                     events.append(((i, dot(sub(p, a), d), dot(d, u) / cross(d, u)), c))
                     break
     events.sort(key=lambda e: e[0])
-    # start in the region just ccw of the first event and hop across chords
-    walk = []
-    # find the face right after the last event going ccw: it is the face
-    # containing the boundary stretch before event 0; identify it by
-    # crossing the last chord from the face after it... simpler: walk
-    # events, maintaining current face via chord sides.
-    # Determine starting face: take the boundary segment just before the
-    # first event and find which region it borders via corner_faces of the
-    # outer boundary; instead use chord adjacency: cross the first chord
-    # from either side and fix the rotation at the end by consistency.
+    # hop across the chords in tour order, starting on the side of the
+    # first chord from which the tour closes up
     c0 = events[0][1]
-    fa, fb = cp.crease_sides[c0]
-    cur = region_vertex[find(fa)]
-    trial = []
-    ok = True
-    for _, c in events:
-        e = g.edges[edge_of_chord[c]]
-        if cur not in e.ends():
-            ok = False
-            break
-        trial.append((cur, e.id))
-        cur = e.other(cur)
-    if not ok or cur != trial[0][0]:
-        cur = region_vertex[find(fb)]
-        trial = []
+    for face in cp.crease_sides[c0]:
+        start = cur = region_vertex[region[face]]
+        g.walk = []
         for _, c in events:
             e = g.edges[edge_of_chord[c]]
-            trial.append((cur, e.id))
+            if cur not in e.ends():
+                break
+            g.walk.append((cur, e.id))
             cur = e.other(cur)
-    g.walk = trial
-    g.check_walk()
-    return g
+        if len(g.walk) == len(events) and cur == start:
+            return g
+    raise TilingError("the boundary tour does not close from either side",
+                      crease=c0)
 
 
 def tile(cp: CreasePattern) -> SawGraph:
     """SAW graph for the whole pattern.
 
-    Every interior vertex must be supported by single_vertex_saw (3-nice
-    with a small terminal, all-equal degree <= 4, or degree 2); waterbomb
-    vertices fall in this class, so no pattern surgery is needed.
-
-    Each vertex's cone is computed once and shared by the support check,
-    the clip order and the merges. The graph built here is owned by this
-    call, so every merge fuses into it in place.
+    Each vertex's cone is computed once and serves the support pass, the
+    clip order and the merges. The support pass builds every interior
+    vertex's graph once, in sorted id order, with single_vertex_saw, and
+    turns its refusals into UnsupportedVertex. Waterbomb vertices are
+    3-nice, so no pattern surgery is needed. The graph built here is owned
+    by this call, so every merge fuses into it in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
+    graphs = {}
     for v, cone in cones.items():
-        ok, why = saw_supported(cone)
-        if not ok:
-            raise UnsupportedVertex(v, why)
+        try:
+            graphs[v] = single_vertex_saw(cone)
+        except _REFUSALS as exc:
+            raise UnsupportedVertex(v, str(exc)) from exc
     order = _clip_order(cp, cones)
     g = _base_saw(cp)
     merged: set[str] = set()
     for v in reversed(order):
         try:
-            g = _merge_vertex(g, cp, v, cones[v], merged)
+            g = _merge_vertex(g, cp, v, cones[v], graphs.pop(v), merged)
         except TilingError as exc:
             exc.vertex = v
             raise
@@ -228,11 +215,11 @@ def select_root(g: SawGraph) -> int:
 
 
 def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
-                  merged: set[str]) -> SawGraph:
-    """Merge the SAW graph of vertex v (cone ``cone``) into g, which the
-    caller owns and which is changed in place. Returns the merged graph:
-    g itself, or a graph that replaced it (an empty g, or a prism)."""
-    u_graph = single_vertex_saw(cone)
+                  u_graph: SawGraph, merged: set[str]) -> SawGraph:
+    """Merge u_graph, the single-vertex SAW graph of vertex v (cone
+    ``cone``), into g. Both are owned by the caller and changed in place.
+    Returns the merged graph: g itself, or a graph that replaced it (an
+    empty g, or a prism)."""
     _bind_faces(u_graph, cp, v)
 
     shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
@@ -389,27 +376,14 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
     # group faces into regions connected across creases not yet crossed
     present = {e.crease for e in g.edges.values() if e.directed}
     present |= {e.crease for e in u.edges.values() if e.directed}
-    parent = {f.id: f.id for f in cp.faces if not f.is_outer}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c, (fa, fb) in cp.crease_sides.items():
-        if c in present:
-            continue
-        ra, rb = find(fa), find(fb)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    region = _face_regions(cp, present)
 
     on_walk = g.walk_vertices() if g.walk else set(g.vertices)
     u_pick = g_pick = None
     for uv in sorted(u.walk_vertices()):
-        r = find(u.vertices[uv].face)
+        r = region[u.vertices[uv].face]
         candidates = [sv.id for sv in g.vertices.values()
-                      if sv.id in on_walk and find(sv.face) == r]
+                      if sv.id in on_walk and region[sv.face] == r]
         if candidates:
             u_pick, g_pick = uv, min(candidates)
             break

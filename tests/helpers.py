@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import random
 
-from flatfold.cp import cone_at
+from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.generators import modified_miura, snake, triangle_twist
-from flatfold.saw import SawGraph, insert_prism, negate_orientations
+from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
 from flatfold.tiling import _merge_vertex
 
 
@@ -42,7 +42,8 @@ def twist_unit_saw(cp, vertex_ids) -> SawGraph:
     g = SawGraph()
     merged = set()
     for v in sorted(vertex_ids):
-        g = _merge_vertex(g, cp, v, cone_at(cp, v), merged)
+        cone = cone_at(cp, v)
+        g = _merge_vertex(g, cp, v, cone, single_vertex_saw(cone), merged)
         merged.add(v)
     return g
 
@@ -184,3 +185,23 @@ def small_pattern(kind: str, m: int, n: int, seed: int):
     if kind == "snake":
         return snake(m, n)
     return triangle_twist(1 + seed % 3)
+
+
+# boundary points, counter-clockwise, for the creases of a star vertex
+_STAR_ENDS = {
+    4: [(4, 0), (0, 4), (-4, 0), (0, -4)],
+    6: [(4, 0), (2, 4), (-2, 4), (-4, 0), (-2, -4), (2, -4)],
+}
+
+
+def star_pattern(angles):
+    """One interior vertex v0 at the centre of a square, with a crease to
+    the boundary per declared sector angle (degree 4 or 6)."""
+    ends = _STAR_ENDS[len(angles)]
+    return build_crease_pattern(
+        vertices={"v0": (0, 0)},
+        creases={f"c{i}": ("v0", f"b{i}") for i in range(len(ends))},
+        region=[(-4, -4), (4, -4), (4, 4), (-4, 4)],
+        boundary_points={f"b{i}": p for i, p in enumerate(ends)},
+        declared_angles={"v0": tuple(angles)},
+    )

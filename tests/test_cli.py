@@ -11,6 +11,8 @@ from flatfold.patternio import emit
 from flatfold.generators import miura
 from flatfold.tiling import tile
 
+from .helpers import star_pattern
+
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -96,6 +98,9 @@ def test_validation_failure_exits_1(capsys, tmp_path):
     ('{"version": 1, "region": "x", "creases": []}', "malformed pattern"),
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
      ' "saw": {"vertices": [1, 2], "edges": [], "root": 0}}', "bad SAW graph"),
+    ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+     ' "saw": {"vertices": [{"id": 0}, {"id": 1}], "edges": [], "root": 0}}',
+     "SAW graph is not connected"),
 ])
 def test_malformed_file_exits_1(capsys, monkeypatch, doc, message):
     code, out, err = run(capsys, ["count-colorings", "-"], stdin=doc,
@@ -103,6 +108,14 @@ def test_malformed_file_exits_1(capsys, monkeypatch, doc, message):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_build_saw_unsupported_vertex_exits_1(capsys, tmp_path):
+    path = tmp_path / "kawasaki.json"
+    path.write_text(emit(star_pattern((80, 100, 90, 90))))
+    code, out, err = run(capsys, ["build-saw", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: unsupported vertex v0: ")
 
 
 def _saw_doc(**saw_changes):

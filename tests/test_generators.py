@@ -89,6 +89,24 @@ def test_snake_waterbomb_split_equivalence():
     assert count_locally_valid(split_waterbomb(cp, wb)) == count_locally_valid(cp)
 
 
+def test_split_waterbomb_lets_other_errors_through(monkeypatch):
+    # only a ValidationError means "embed the split closer"; anything else
+    # is a fault and must not be retried into NotWaterbomb
+    import flatfold.generators as generators
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise ZeroDivisionError("fault in the pattern build")
+
+    cp = snake(2, 4)
+    wb = next(v for v in cp.interior_vertex_ids() if len(cp.creases_at(v)) == 6)
+    monkeypatch.setattr(generators, "build_crease_pattern", broken)
+    with pytest.raises(ZeroDivisionError):
+        generators.split_waterbomb(cp, wb)
+    assert len(calls) == 1
+
+
 def test_twist_counts():
     assert count_locally_valid(triangle_twist(1)) == 26
     assert count_locally_valid(triangle_twist(2)) == 170

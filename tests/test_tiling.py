@@ -3,14 +3,15 @@ import hashlib
 import pytest
 
 from flatfold import count_colorings, count_locally_valid, tile
-from flatfold import tiling
+from flatfold import saw, tiling
 from flatfold.errors import FlatfoldError, TilingError, UnsupportedVertex
-from flatfold.saw import SawGraph
+from flatfold.cp import cone_at
+from flatfold.saw import SawGraph, saw_supported
 from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.patternio import emit
 from flatfold.tiling import clip_order, select_root
 
-from .helpers import grid_saw, small_pattern
+from .helpers import grid_saw, small_pattern, star_pattern
 
 
 def test_tile_matches_oracle_small_miuras():
@@ -61,18 +62,23 @@ def test_clip_order_covers_all_vertices():
 
 
 def test_tile_rejects_unsupported_vertex():
-    from flatfold import build_crease_pattern
     # single all-equal degree-6 vertex: open problem, no SAW graph
-    cp = build_crease_pattern(
-        vertices={"v0": (0, 0)},
-        creases={f"c{i}": ("v0", f"b{i}") for i in range(6)},
-        region=[(-4, -4), (4, -4), (4, 4), (-4, 4)],
-        boundary_points={"b0": (4, 0), "b1": (2, 4), "b2": (-2, 4),
-                         "b3": (-4, 0), "b4": (-2, -4), "b5": (2, -4)},
-        declared_angles={"v0": (60,) * 6},
-    )
+    cp = star_pattern((60,) * 6)
     with pytest.raises(UnsupportedVertex):
         tile(cp)
+
+
+@pytest.mark.parametrize("angles", [
+    (80, 100, 90, 90),              # fails the Kawasaki test
+    (30, 30, 30, 30, 120, 120),     # a run of four equal angles
+    (60, 60, 60, 60, 60, 60),       # an all-equal terminal of degree 6
+])
+def test_tile_refusal_names_vertex_and_reason(angles):
+    cp = star_pattern(angles)
+    with pytest.raises(UnsupportedVertex) as exc:
+        tile(cp)
+    assert exc.value.vertex == "v0"
+    assert exc.value.reason == saw_supported(cone_at(cp, "v0"))[1]
 
 
 def test_tile_random_masks_match_oracle(rng):
@@ -113,6 +119,15 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
     assert sorted(cone_calls) == cp.interior_vertex_ids()
     # copying the whole graph once per merge copied 5,499 SAW vertices here
     assert copied[0] < 2 * len(g.vertices)
+
+
+def test_miura_10x10_one_crimp_trace_per_vertex(monkeypatch):
+    calls = []
+    real = saw.crimp_trace
+    monkeypatch.setattr(saw, "crimp_trace", lambda cone: calls.append(cone) or real(cone))
+    cp = miura(10, 10)
+    tile(cp)
+    assert len(cp.interior_vertex_ids()) == len(calls) == 81
 
 
 def test_select_root_deterministic():
