@@ -94,6 +94,8 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     i-th vertex may still take given its earlier neighbours. Raises
     CapExceeded at coloring cap + 1.
     """
+    if not g.is_connected():
+        raise DisconnectedSawGraph("SAW graph is not connected")
     if not g.vertices:
         return [{}]
     ids = sorted(g.vertices)

@@ -4,6 +4,11 @@ A pattern lives on a bounded polygonal region. Creases join interior
 vertices and/or boundary points; faces are derived by the standard
 next-edge-counterclockwise traversal. Coordinates are exact rationals.
 
+The creases around a vertex are always read in one order: counterclockwise
+by exact direction, rotated so the lowest crease id leads. ``_ccw_ids``
+states that rule; the face trace applies it and records each interior
+vertex's order in ``CreasePattern.ccw_creases``, which ``cone_at`` reads.
+
 Sector angles around a vertex come from one of two sources:
 
 * declared per-vertex angle lists (exact rationals in degrees, listed
@@ -37,6 +42,7 @@ from .geometry import (
     primitive,
     sector_45,
     segments_conflict,
+    sub,
 )
 
 Angle = Fraction  # sector angle in exact degrees
@@ -107,6 +113,8 @@ class CreasePattern:
     crease_sides: dict[str, tuple[str, str]] = field(default_factory=dict)
     # (vertex, left crease, right crease) -> face id for ccw-consecutive pairs
     corner_faces: dict[tuple[str, str, str], str] = field(default_factory=dict)
+    # interior vertex -> its crease ids, counterclockwise, lowest id first
+    ccw_creases: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def point_of(self, node_id: str) -> Point:
         if node_id in self.vertices:
@@ -135,7 +143,8 @@ def _edge_id_for_boundary(i: int) -> str:
 
 def build_crease_pattern(vertices, creases, region, declared_angles=None,
                          boundary_points=None) -> CreasePattern:
-    """Validate and assemble a crease pattern, computing faces.
+    """Validate and assemble a crease pattern, computing faces and each
+    interior vertex's crease order (``ccw_creases``) from the face trace.
 
     vertices: {id: (x, y)} interior vertices, exact rationals.
     creases: {id: (end_id, end_id)} endpoints reference vertices or boundary points.
@@ -271,7 +280,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if sum(angs) != 360:
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
 
-    faces, crease_sides, corner_faces = _trace_faces(
+    faces, crease_sides, corner_faces, ccw_creases = _trace_faces(
         ivertices, ibpoints, creases, iregion)
 
     return CreasePattern(
@@ -283,17 +292,28 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         faces=faces,
         crease_sides=crease_sides,
         corner_faces=corner_faces,
+        ccw_creases=ccw_creases,
     )
 
 
+def _ccw_ids(dirs: dict[str, tuple[int, int]]) -> list[str]:
+    """The crease-order rule: ids counterclockwise by their primitive
+    direction, rotated so the lowest id leads."""
+    ids = sorted(dirs, key=lambda i: ANGLE_KEY(dirs[i]))
+    k = ids.index(min(ids))
+    return ids[k:] + ids[:k]
+
+
 def _trace_faces(vertices, boundary_points, creases, region):
-    """Planar face traversal. Returns (faces, crease_sides, corner_faces).
+    """Planar face traversal. Returns (faces, crease_sides, corner_faces,
+    ccw_creases).
 
     Coordinates are the integer copies made by build_crease_pattern.
 
     crease_sides[c] = (left face, right face) relative to the stored (a, b)
     direction of crease c. corner_faces[(v, cL, cR)] = face occupying the
     sector that runs ccw from crease cL to crease cR at vertex v.
+    ccw_creases[v] = the creases at interior vertex v in _ccw_ids order.
     """
     pts: dict[str, tuple[int, int]] = {**vertices, **boundary_points}
     nreg = len(region)
@@ -333,26 +353,24 @@ def _trace_faces(vertices, boundary_points, creases, region):
             edges[_edge_id_for_boundary(seg)] = (a, b)
             seg += 1
 
-    # incidence with exact ccw angular sort
-    incident: dict[str, list[tuple[tuple[int, int], str, str]]] = {n: [] for n in pts}
+    # incidence in the exact ccw order
+    incident: dict[str, dict[str, tuple[int, int]]] = {n: {} for n in pts}
     for eid, (a, b) in edges.items():
-        incident[a].append((primitive((pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])), eid, b))
-        incident[b].append((primitive((pts[a][0] - pts[b][0], pts[a][1] - pts[b][1])), eid, a))
-    order: dict[str, list[tuple[str, str]]] = {}
-    for n, lst in incident.items():
-        lst.sort(key=lambda t: ANGLE_KEY(t[0]))
-        ds = [t[0] for t in lst]
-        if len(set(ds)) != len(ds):
+        incident[a][eid] = primitive((pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]))
+        incident[b][eid] = primitive((pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]))
+    order: dict[str, list[str]] = {}
+    for n, dirs in incident.items():
+        if len(set(dirs.values())) != len(dirs):
             raise ValidationError(f"overlapping creases at {n}")
-        order[n] = [(eid, other) for _, eid, other in lst]
+        order[n] = _ccw_ids(dirs)
 
     # next half-edge: arriving at v from u, leave via the edge immediately
     # clockwise of the reversed direction (interior faces traced ccw).
     def next_half_edge(u: str, eid: str, v: str) -> tuple[str, str, str]:
         lst = order[v]
-        idx = next(i for i, (e2, w) in enumerate(lst) if e2 == eid and w == u)
-        e2, w = lst[(idx - 1) % len(lst)]
-        return (v, e2, w)
+        e2 = lst[lst.index(eid) - 1]
+        a, b = edges[e2]
+        return (v, e2, b if a == v else a)
 
     half_edges = set()
     for eid, (a, b) in edges.items():
@@ -389,28 +407,17 @@ def _trace_faces(vertices, boundary_points, creases, region):
         return min(rots)
 
     interior = sorted((w for w, a2 in face_rows if a2 >= 0), key=canon)
+    named = [(f"f{i}", w) for i, w in enumerate(interior)] + [("outer", outers[0])]
     faces = []
     he_face: dict[tuple[str, str, str], str] = {}
-    for i, walk in enumerate(interior):
-        fid = f"f{i}"
+    for fid, walk in named:
         faces.append(Face(
             id=fid,
             nodes=tuple(u for (u, _, _) in walk),
             edge_refs=tuple(e for (_, e, _) in walk),
-            is_outer=False,
+            is_outer=fid == "outer",
         ))
-        for he in walk:
-            he_face[he] = fid
-    outer_walk = outers[0]
-    fid = "outer"
-    faces.append(Face(
-        id=fid,
-        nodes=tuple(u for (u, _, _) in outer_walk),
-        edge_refs=tuple(e for (_, e, _) in outer_walk),
-        is_outer=True,
-    ))
-    for he in outer_walk:
-        he_face[he] = fid
+        he_face.update((he, fid) for he in walk)
 
     crease_sides = {}
     for cid, (a, b) in creases.items():
@@ -419,52 +426,40 @@ def _trace_faces(vertices, boundary_points, creases, region):
     # corners: consecutive half-edges (u -> v), (v -> w) of a face put the
     # sector running ccw from edge (v,w) to edge (v,u) inside that face.
     corner_faces = {}
-    for walk in interior + [outer_walk]:
-        f = he_face[walk[0]]
+    for f, walk in named:
         n = len(walk)
         for i in range(n):
             u, e1, v = walk[i]
             _, e2, w = walk[(i + 1) % n]
             if v in vertices:
                 corner_faces[(v, e2, e1)] = f
-    return tuple(faces), crease_sides, corner_faces
+    ccw_creases = {v: tuple(order[v]) for v in vertices}
+    return tuple(faces), crease_sides, corner_faces, ccw_creases
 
 
 def cone_at(cp: CreasePattern, v: str) -> ConeVertex:
     """Cyclic angle/crease sequence at an interior vertex.
 
-    Counterclockwise order, rotated so the lowest crease id comes first.
-    Angles come from the vertex's declared list when present, otherwise
-    from coordinates (only exact for 45-degree-multiple directions).
+    The creases are the face trace's order, ``cp.ccw_creases[v]``:
+    counterclockwise, the lowest crease id first. Angles come from the
+    vertex's declared list when present, otherwise from the crease
+    directions (only exact for 45-degree multiples).
     """
     if v not in cp.vertices:
         raise NotInteriorVertex(v)
-    p = cp.vertices[v]
-    inc = []
-    for cid in cp.creases_at(v):
-        q = cp.point_of(cp.crease_other_end(cid, v))
-        inc.append((primitive((q[0] - p[0], q[1] - p[1])), cid))
-    inc.sort(key=lambda t: ANGLE_KEY(t[0]))
-    dirs = [d for d, _ in inc]
-    ids = [c for _, c in inc]
-    # rotate so the lowest id leads
-    k = ids.index(min(ids))
-    dirs = dirs[k:] + dirs[:k]
-    ids = ids[k:] + ids[:k]
-    n = len(ids)
-
+    ids = cp.ccw_creases[v]
     if v in cp.declared_angles:
-        angles = cp.declared_angles[v]
-    else:
-        angles = []
-        for i in range(n):
-            a = sector_45(dirs[i], dirs[(i + 1) % n])
-            if a is None:
-                raise ValidationError(
-                    f"vertex {v}: sector angles are not 45-degree multiples; "
-                    "declare them explicitly")
-            angles.append(a)
-        if sum(angles) != 360:
-            raise ValidationError(f"vertex {v}: computed angles do not close up")
-        angles = tuple(angles)
-    return ConeVertex(angles=tuple(angles), crease_ids=tuple(ids))
+        return ConeVertex(angles=cp.declared_angles[v], crease_ids=ids)
+    p = cp.vertices[v]
+    dirs = [primitive(sub(cp.point_of(cp.crease_other_end(c, v)), p)) for c in ids]
+    angles = []
+    for d1, d2 in zip(dirs, dirs[1:] + dirs[:1]):
+        a = sector_45(d1, d2)
+        if a is None:
+            raise ValidationError(
+                f"vertex {v}: sector angles are not 45-degree multiples; "
+                "declare them explicitly")
+        angles.append(a)
+    if sum(angles) != 360:
+        raise ValidationError(f"vertex {v}: computed angles do not close up")
+    return ConeVertex(angles=tuple(angles), crease_ids=ids)

@@ -6,19 +6,21 @@ plus split_waterbomb, which rewrites one waterbomb vertex of a pattern.
 Geometry conventions: patterns whose true sector angles are irrational in
 degrees carry per-vertex declared angle lists; coordinates are exact
 rationals chosen to reproduce the correct combinatorial embedding.
+``_Builder.declare`` writes such a list: it orders a vertex's creases by
+``cp``'s crease-order rule and asks a family's sector rule for the angle
+between each consecutive pair of crease directions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .cp import CreasePattern, build_crease_pattern, cone_at
+from .cp import CreasePattern, _ccw_ids, build_crease_pattern, cone_at
 from .errors import BadMaskLength, NotWaterbomb, ValidationError
+from .geometry import dot, primitive
 
 F = Fraction
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,7 @@ class _Builder:
         self.bpoints = {}
         self.creases = {}
         self.angles = {}
+        self.at = {}   # node id -> ids of its creases
         self._by_pos = {}
         self._nv = 0
         self._nb = 0
@@ -82,38 +85,28 @@ class _Builder:
         cid = f"c{self._nc}"
         self._nc += 1
         self.creases[cid] = (a, b)
+        self.at.setdefault(a, []).append(cid)
+        self.at.setdefault(b, []).append(cid)
         return cid
+
+    def declare(self, vid: str, sector) -> None:
+        """Declare vid's sector angles in cone_at's order: sector(d1, d2)
+        of each ccw-consecutive pair of crease directions (primitive)."""
+        p = self.vertices[vid]
+        dirs = {}
+        for cid in self.at[vid]:
+            a, b = self.creases[cid]
+            other = b if a == vid else a
+            q = self.vertices.get(other) or self.bpoints[other]
+            dirs[cid] = primitive((q[0] - p[0], q[1] - p[1]))
+        ids = _ccw_ids(dirs)
+        self.angles[vid] = tuple(sector(dirs[c1], dirs[c2])
+                                 for c1, c2 in zip(ids, ids[1:] + ids[:1]))
 
     def build(self, region) -> CreasePattern:
         return build_crease_pattern(self.vertices, self.creases, region,
                                     declared_angles=self.angles,
                                     boundary_points=self.bpoints)
-
-
-def _declare_zigzag_angles(b: _Builder, vid: str, acute: Fraction, cp_dirs):
-    """Declared angles for a degree-4 vertex with one straight pair and a
-    mirrored/chevron pair: acute sectors where the true sector is acute.
-
-    cp_dirs: list of exact direction vectors for the incident creases.
-    The declared list follows the ccw order starting after the lowest
-    crease id, matching cone_at's convention.
-    """
-    from .geometry import ANGLE_KEY, primitive
-    dirs = [(primitive(d), cid) for d, cid in cp_dirs]
-    dirs.sort(key=lambda t: ANGLE_KEY(t[0]))
-    ids = [cid for _, cid in dirs]
-    k = ids.index(min(ids))
-    dirs = dirs[k:] + dirs[:k]
-    out = []
-    n = len(dirs)
-    for i in range(n):
-        d1 = dirs[i][0]
-        d2 = dirs[(i + 1) % n][0]
-        dotv = d1[0] * d2[0] + d1[1] * d2[1]
-        out.append(acute if dotv > 0 else 180 - acute)
-    if sum(out) != 360:
-        raise AssertionError("bad angle declaration")
-    b.angles[vid] = tuple(out)
 
 
 def miura(m: int, n: int, acute=F(60)) -> CreasePattern:
@@ -164,19 +157,13 @@ def modified_miura(m: int, n: int, mask, acute=F(60), shear=F(1, 4)) -> CreasePa
         for a, c in zip(nodes, nodes[1:]):
             b.crease(a, c)
 
-    # declared angles at the interior vertices
+    # declared angles at the interior vertices: acute where the true sector is
+    def zigzag(d1, d2):
+        return F(acute) if dot(d1, d2) > 0 else 180 - F(acute)
+
     for j in range(1, n):
         for i in range(1, m):
-            vid = b.vertex(zx(j, i), F(i))
-            x0 = zx(j, i)
-            dirs = []
-            for cid, (p, q) in b.creases.items():
-                if vid not in (p, q):
-                    continue
-                other = q if p == vid else p
-                pt = b.vertices.get(other) or b.bpoints[other]
-                dirs.append(((pt[0] - x0, pt[1] - F(i)), cid))
-            _declare_zigzag_angles(b, vid, F(acute), dirs)
+            b.declare(b.vertex(zx(j, i), F(i)), zigzag)
 
     region = [(F(0), F(0)), (F(n), F(0)), (F(n), F(m)), (F(0), F(m))]
     return b.build(region)
@@ -277,27 +264,12 @@ def crane() -> CreasePattern:
 
 # Twist geometry lives on the 60-degree sheared lattice: lattice (x, y)
 # renders as x + y/2, y*sqrt(3)/2. The six unit directions are exact
-# 60-degree multiples, so sector angles are known without coordinates.
+# 60-degree multiples, so sector angles are known without coordinates. The
+# shear keeps orientation, so the creases' ccw order on the lattice
+# coordinates is their rendered order.
 _LATTICE_DIRS = {
     (1, 0): 0, (0, 1): 60, (-1, 1): 120, (-1, 0): 180, (0, -1): 240, (1, -1): 300,
 }
-
-
-def _lattice_angles(b: _Builder, vid: str, ray_dirs):
-    """Declare sector angles at a twist vertex from its lattice directions."""
-    dirs = sorted(ray_dirs, key=lambda t: _LATTICE_DIRS[t[0]])
-    ids = [cid for _, cid in dirs]
-    k = ids.index(min(ids))
-    dirs = dirs[k:] + dirs[:k]
-    out = []
-    n = len(dirs)
-    for i in range(n):
-        a1 = _LATTICE_DIRS[dirs[i][0]]
-        a2 = _LATTICE_DIRS[dirs[(i + 1) % n][0]]
-        out.append(F((a2 - a1) % 360))
-    if sum(out) != 360:
-        raise AssertionError("twist angles do not close up")
-    b.angles[vid] = tuple(out)
 
 
 def _ray_to_rect(p, d, xlo, xhi, ylo, yhi):
@@ -377,15 +349,9 @@ def triangle_twist(count: int = 1) -> CreasePattern:
         for k, p in u.items():
             vid[(t, k)] = b.vertex(*p)
     # triangle edges
-    tri_dirs = {t: {} for t in range(count)}
-    for t, u in enumerate(units):
+    for t in range(count):
         for k1, k2 in (("A", "B"), ("B", "C"), ("C", "A")):
-            cid = b.crease(vid[(t, k1)], vid[(t, k2)])
-            d = (u[k2][0] - u[k1][0], u[k2][1] - u[k1][1])
-            from .geometry import primitive
-            d = primitive(d)
-            tri_dirs[t].setdefault(k1, []).append((d, cid))
-            tri_dirs[t].setdefault(k2, []).append(((-d[0], -d[1]), cid))
+            b.crease(vid[(t, k1)], vid[(t, k2)])
 
     # connector creases between mirror-paired corners
     shared_pairs = []
@@ -397,12 +363,9 @@ def triangle_twist(count: int = 1) -> CreasePattern:
         shared_pairs.append(((1, "C"), (2, "C")))
     connected = set()
     for (t1, k1), (t2, k2) in shared_pairs:
-        cid = b.crease(vid[(t1, k1)], vid[(t2, k2)])
+        b.crease(vid[(t1, k1)], vid[(t2, k2)])
         p1, p2 = units[t1][k1], units[t2][k2]
-        from .geometry import primitive
         d = primitive((p2[0] - p1[0], p2[1] - p1[1]))
-        tri_dirs[t1].setdefault(k1, []).append((d, cid))
-        tri_dirs[t2].setdefault(k2, []).append(((-d[0], -d[1]), cid))
         connected.add((t1, k1, tuple(d)))
         connected.add((t2, k2, (-d[0], -d[1])))
 
@@ -418,13 +381,14 @@ def triangle_twist(count: int = 1) -> CreasePattern:
                 if (t, k, tuple(d)) in connected:
                     continue
                 q = _ray_to_rect(p, d, xlo, xhi, ylo, yhi)
-                bid = b.bpoint(*q)
-                cid = b.crease(vid[(t, k)], bid)
-                tri_dirs[t].setdefault(k, []).append((d, cid))
+                b.crease(vid[(t, k)], b.bpoint(*q))
+
+    def lattice_sector(d1, d2):
+        return F((_LATTICE_DIRS[d2] - _LATTICE_DIRS[d1]) % 360)
 
     for t in range(count):
         for k in ("A", "B", "C"):
-            _lattice_angles(b, vid[(t, k)], tri_dirs[t][k])
+            b.declare(vid[(t, k)], lattice_sector)
 
     region = [(F(xlo), F(ylo)), (F(xhi), F(ylo)), (F(xhi), F(yhi)), (F(xlo), F(yhi))]
     return b.build(region)

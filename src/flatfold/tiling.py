@@ -259,8 +259,8 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
 
 def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
     """Locate the walk window whose directed edges are exactly the given
-    creases in order (undirected edges allowed in between). Returns
-    (start, end) step indices, inclusive, in cyclic terms."""
+    creases in order (undirected edges allowed in between). Returns the
+    window's step indices in walk order, wrapping around the walk's end."""
     n = len(walk)
     target = list(creases)
     for s in range(n):
@@ -268,15 +268,17 @@ def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
         if not e0.directed or e0.crease != target[0]:
             continue
         seen = []
+        span = []
         i = s
         for _ in range(n):
+            span.append(i)
             e = edges[walk[i][1]]
             if e.directed:
                 seen.append(e.crease)
                 if seen != target[:len(seen)]:
                     break
                 if len(seen) == len(target):
-                    return s, i
+                    return span
             i = (i + 1) % n
     raise TilingError("window not found on the boundary walk", crease=tuple(creases))
 
@@ -291,9 +293,7 @@ def _clear_window_junk(g: SawGraph, creases: list[str]) -> SawGraph:
     if len(creases) <= 1:
         return g
     while True:
-        s, e = _window(g.walk, g.edges, creases)
-        n = len(g.walk)
-        span = [(i % n) for i in range(s, s + (e - s) % n + 1)]
+        span = _window(g.walk, g.edges, creases)
         junk = [i for i in span if not g.edges[g.walk[i][1]].directed]
         if not junk:
             return g
@@ -305,11 +305,9 @@ def _clear_window_junk(g: SawGraph, creases: list[str]) -> SawGraph:
 def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
     """Identify the band vertices of u with those of g and fuse u into g in
     place."""
-    gs, ge = _window(g.walk, g.edges, list(reversed(block)))
-    us, ue = _window(u.walk, u.edges, block)
+    g_span = _window(g.walk, g.edges, list(reversed(block)))
+    u_span = _window(u.walk, u.edges, block)
     ng, nu = len(g.walk), len(u.walk)
-    g_span = [(i % ng) for i in range(gs, gs + (ge - gs) % ng + 1)]
-    u_span = [(i % nu) for i in range(us, us + (ue - us) % nu + 1)]
     if len(g_span) != len(block) or len(u_span) != len(block):
         raise TilingError("band windows still contain junk", crease=tuple(block))
 
@@ -328,42 +326,34 @@ def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
         if u_band[c].tail_side != g_band[c].tail_side:
             raise TilingError("orientation mismatch at zip time", crease=c)
 
-    vmap: dict[int, int] = {}
-    for uv, gv in pairs:
-        vmap[uv] = gv
-        # the incoming side knows the finest (pattern-level) face
+    vmap, emap = _fuse(g, u, dict(pairs),
+                       {se.id: g_band[se.crease].id for se in u.edges.values()
+                        if se.directed and se.crease in g_band})
+
+    # new walk: g's walk after the window, then u's arc outside its window
+    g_rest = [g.walk[(g_span[-1] + 1 + k) % ng] for k in range(ng - len(g_span))]
+    u_rest = [u.walk[(u_span[-1] + 1 + k) % nu] for k in range(nu - len(u_span))]
+    g.walk = g_rest + [(vmap[v0], emap[e0]) for v0, e0 in u_rest]
+    g.check_walk()
+    return g
+
+
+def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
+          emap: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Copy u into g, in place, but for the vertices and edges that vmap
+    and emap (u id -> g id) already identify with g's; returns both maps,
+    completed. An identified vertex takes u's face, the incoming side
+    knowing the finest (pattern-level) one. New ids follow u's order."""
+    for uv, gv in vmap.items():
         g.vertices[gv].face = u.vertices[uv].face
     for sv in u.vertices.values():
         if sv.id not in vmap:
             vmap[sv.id] = g.add_vertex(face=sv.face)
-    emap: dict[int, int] = {}
-    dropped: dict[int, int] = {}
     for se in u.edges.values():
-        if se.directed and se.crease in g_band:
-            dropped[se.id] = g_band[se.crease].id
-            continue
-        emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed,
-                                 se.crease, se.tail_side)
-
-    # new walk: g's walk with the window replaced by u's complement arc
-    u_complement = []
-    i = (u_span[-1] + 1) % nu
-    while i != u_span[0]:
-        v0, e0 = u.walk[i]
-        u_complement.append((vmap[v0], emap.get(e0, dropped.get(e0))))
-        i = (i + 1) % nu
-    new_walk = []
-    # rotate g.walk to start right after the window
-    start = (g_span[-1] + 1) % ng
-    i = start
-    while True:
-        if i == g_span[0]:
-            break
-        new_walk.append(g.walk[i])
-        i = (i + 1) % ng
-    g.walk = new_walk + u_complement
-    g.check_walk()
-    return g
+        if se.id not in emap:
+            emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed,
+                                     se.crease, se.tail_side)
+    return vmap, emap
 
 
 def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
@@ -391,15 +381,7 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
         raise DisconnectedInterior(
             f"no face connection found while merging {vname}")
 
-    vmap = {u_pick: g_pick}
-    g.vertices[g_pick].face = u.vertices[u_pick].face
-    for sv in u.vertices.values():
-        if sv.id != u_pick:
-            vmap[sv.id] = g.add_vertex(face=sv.face)
-    emap = {}
-    for se in u.edges.values():
-        emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed,
-                                 se.crease, se.tail_side)
+    vmap, emap = _fuse(g, u, {u_pick: g_pick}, {})
     # splice u's walk (rotated to start at u_pick) into g's walk at g_pick
     u_walk = [(vmap[v0], emap[e0]) for v0, e0 in u.walk]
     ui = next(i for i, (v0, _) in enumerate(u_walk) if v0 == g_pick)

@@ -94,6 +94,7 @@ def test_validation_failure_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["count-colorings", "verify"])
 @pytest.mark.parametrize("doc, message", [
     ('{"version": 1, "region": "x", "creases": []}', "malformed pattern"),
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
@@ -102,8 +103,8 @@ def test_validation_failure_exits_1(capsys, tmp_path):
      ' "saw": {"vertices": [{"id": 0}, {"id": 1}], "edges": [], "root": 0}}',
      "SAW graph is not connected"),
 ])
-def test_malformed_file_exits_1(capsys, monkeypatch, doc, message):
-    code, out, err = run(capsys, ["count-colorings", "-"], stdin=doc,
+def test_malformed_file_exits_1(capsys, monkeypatch, doc, message, command):
+    code, out, err = run(capsys, [command, "-"], stdin=doc,
                          monkeypatch=monkeypatch)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err

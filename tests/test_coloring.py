@@ -16,6 +16,7 @@ from flatfold import (
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
+    DisconnectedSawGraph,
     ImproperColoring,
     NoCompletion,
 )
@@ -90,6 +91,8 @@ def test_count_disconnected_raises():
     g.add_vertex()
     with pytest.raises(ValueError):
         count_colorings(g)
+    with pytest.raises(DisconnectedSawGraph, match="SAW graph is not connected"):
+        enumerate_colorings(g)
 
 
 def test_enumerate_matches_count_and_order():

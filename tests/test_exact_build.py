@@ -4,9 +4,10 @@ The build runs every geometric predicate on integer-scaled copies of the
 coordinates. The reference below replays the same checks, in the same
 order and with the same messages, directly on Fractions: an all-pairs
 planarity loop and a face trace that sorts directions by exact angle
-comparison. Patterns whose coordinates mix pairwise-coprime denominators
-(3, 7, 1009) would expose any sign, equality or order the scaling changed
-as a different verdict, message or face.
+comparison, which also gives each interior vertex's crease order.
+Patterns whose coordinates mix pairwise-coprime denominators (3, 7, 1009)
+would expose any sign, equality or order the scaling changed as a
+different verdict, message, face or crease order.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatfold import build_crease_pattern
-from flatfold.cp import Face
+from flatfold.cp import Face, cone_at
 from flatfold.errors import (
     CrossingCreases,
     DanglingCrease,
@@ -36,8 +37,8 @@ def _area2(poly):
 
 
 def reference_build(vertices, creases, region, declared_angles, boundary_points):
-    """(faces, crease_sides, corner_faces), or raises the error the build
-    should raise first."""
+    """(faces, crease_sides, corner_faces, ccw_creases), or raises the error
+    the build should raise first."""
     vertices = {k: (F(x), F(y)) for k, (x, y) in vertices.items()}
     bpoints = {k: (F(x), F(y)) for k, (x, y) in boundary_points.items()}
     angles = {k: tuple(F(a) for a in v) for k, v in declared_angles.items()}
@@ -98,7 +99,8 @@ def reference_build(vertices, creases, region, declared_angles, boundary_points)
 
 def _reference_faces(vertices, bpoints, creases, region):
     """Next-edge-counterclockwise face trace on Fractions, with the build's
-    node, boundary-segment and face ids."""
+    node, boundary-segment and face ids, and each interior vertex's creases
+    in that trace's angular order, rotated so the lowest id leads."""
     n = len(region)
     pts = {**vertices, **bpoints}
     corner = {}
@@ -178,7 +180,12 @@ def _reference_faces(vertices, bpoints, creases, region):
             v, e2 = walk[(i + 1) % len(walk)]
             if v in vertices:
                 corners[(v, e2, e1)] = face.id
-    return tuple(faces), sides, corners
+    ccw = {}
+    for v in vertices:
+        ids = [eid for eid, _ in around[v]]
+        k = ids.index(min(ids))
+        ccw[v] = tuple(ids[k:] + ids[:k])
+    return tuple(faces), sides, corners, ccw
 
 
 # -- patterns with pairwise-coprime denominators ------------------------------
@@ -262,7 +269,13 @@ def test_build_matches_fraction_reference(args):
         return
     assert got[0] == "ok", got
     cp = got[1]
-    assert (cp.faces, cp.crease_sides, cp.corner_faces) == expected[1]
+    assert (cp.faces, cp.crease_sides, cp.corner_faces, cp.ccw_creases) == expected[1]
+    for v, ids in expected[1][3].items():
+        try:
+            cone = cone_at(cp, v)
+        except ValidationError:  # angles neither declared nor 45-degree multiples
+            continue
+        assert cone.crease_ids == ids
     stored = (list(cp.vertices.values()) + list(cp.boundary_points.values())
               + list(cp.region))
     assert all(type(x) is Fraction for p in stored for x in p)
@@ -271,6 +284,6 @@ def test_build_matches_fraction_reference(args):
 
 def test_reference_agrees_on_the_bases():
     for cp in BASES.values():
-        faces, sides, corners = reference_build(
+        expected = reference_build(
             cp.vertices, cp.creases, cp.region, cp.declared_angles, cp.boundary_points)
-        assert (faces, sides, corners) == (cp.faces, cp.crease_sides, cp.corner_faces)
+        assert expected == (cp.faces, cp.crease_sides, cp.corner_faces, cp.ccw_creases)

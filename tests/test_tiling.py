@@ -1,13 +1,14 @@
 import hashlib
+import re
 
 import pytest
 
 from flatfold import count_colorings, count_locally_valid, tile
 from flatfold import saw, tiling
 from flatfold.errors import FlatfoldError, TilingError, UnsupportedVertex
-from flatfold.cp import cone_at
+from flatfold.cp import CreasePattern, cone_at
 from flatfold.saw import SawGraph, saw_supported
-from flatfold.generators import crane, miura, snake, triangle_twist
+from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
 from flatfold.patternio import emit
 from flatfold.tiling import clip_order, select_root
 
@@ -82,7 +83,6 @@ def test_tile_refusal_names_vertex_and_reason(angles):
 
 
 def test_tile_random_masks_match_oracle(rng):
-    from flatfold.generators import modified_miura
     for m, n in [(2, 4), (4, 2), (3, 4), (2, 5)]:
         mask = tuple(rng.random() < 0.5 for _ in range(n - 1))
         cp = modified_miura(m, n, mask)
@@ -114,9 +114,16 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
         return real_copy(g)
 
     monkeypatch.setattr(SawGraph, "copy", counting_copy)
+    # cone_at reads the face trace's crease order; scanning every crease
+    # per vertex made tile quadratic in the pattern size
+    scans = []
+    real_creases_at = CreasePattern.creases_at
+    monkeypatch.setattr(CreasePattern, "creases_at",
+                        lambda cp, v: scans.append(v) or real_creases_at(cp, v))
     cp = miura(10, 10)
     g = tile(cp)
     assert sorted(cone_calls) == cp.interior_vertex_ids()
+    assert scans == []
     # copying the whole graph once per merge copied 5,499 SAW vertices here
     assert copied[0] < 2 * len(g.vertices)
 
@@ -195,20 +202,27 @@ GOLDEN_SAW_SHA256 = {
     "snake-8": "39c99e99a435e8411f61016a8cfe6d7ee9065530b8bba279ba04b9aacfa565d8",
     "modified-miura-8-seed1": "09887a27c913aa66aed0367eb8075bda9dcf3af2245ecde91f5caef2243d1f0d",
     "modified-miura-8-seed10": "48d6592aecd97a8b7a312eb564798210237a99523b63787ede242548dcbbd734",
+    "miura-1x4": "0736cd65b5bf1052333ee5a24fcf787df4bb70396920978830c54ff8ad824160",
+    "modified-miura-2x6-mask10110": "4f2b860bcc0d3872c208b43422fed3a07ffebc566229820dcfad4b704dba857d",
+    "snake-6x2": "a315ef7bc1a3db2a139ba602e7655fa7f78634d47ab59245408343f20f4127db",
 }
 
 
 def _golden_pattern(name):
-    """crane, twist-k, {miura,snake}-n or modified-miura-n-seedS (n x n)."""
+    """crane, twist-k, {miura,snake}-n (n x n) or -mxn, modified-miura-n-seedS
+    (n x n) or modified-miura-mxn-maskB (B: one 0/1 digit per zig-zag)."""
     if name == "crane":
         return crane()
-    parts = name.rsplit("-", 2) if "seed" in name else name.rsplit("-", 1)
-    if parts[0] == "twist":
-        return triangle_twist(int(parts[1]))
-    n = int(parts[1])
-    if parts[0] == "modified-miura":
-        return small_pattern("modified-miura", n, n, int(parts[2][len("seed"):]))
-    return {"miura": miura, "snake": snake}[parts[0]](n, n)
+    family, m, n, tag, arg = re.fullmatch(
+        r"([a-z-]+?)-(\d+)(?:x(\d+))?(?:-(seed|mask)(\d+))?", name).groups()
+    m, n = int(m), int(n or m)
+    if family == "twist":
+        return triangle_twist(m)
+    if tag == "seed":
+        return small_pattern("modified-miura", m, n, int(arg))
+    if tag == "mask":
+        return modified_miura(m, n, [bit == "1" for bit in arg])
+    return {"miura": miura, "snake": snake}[family](m, n)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SAW_SHA256))
