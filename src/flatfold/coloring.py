@@ -315,7 +315,8 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     report = enumerate_locally_valid(cp, cap=cap)
     # assignment keys list values in one fixed crease order (None if absent)
     order = sorted(cp.creases)
-    mset = {tuple(map(m.get, order)) for m in report.witnesses}
+    keys = [tuple(map(m.get, order)) for m in report.witnesses]
+    mset = set(keys)
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
 
@@ -347,9 +348,12 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
             counterexample = counterexample or ("round trip mismatch", s)
     # both ways: every valid assignment lifts to a coloring that maps back.
     # A graph for a transformed pattern crosses creases the pattern lacks,
-    # so its witnesses cannot be lifted and are not checked.
+    # so its witnesses cannot be lifted and are not checked. A witness some
+    # coloring produced was lifted above by the same deterministic lift.
     if not {c for c, _, _ in plan.directed} - set(cp.creases):
-        for m in report.witnesses:
+        for m, key in zip(report.witnesses, keys):
+            if key in seen:
+                continue
             try:
                 if plan.to_mv(plan.lift(m)) != m:
                     round_trip = False

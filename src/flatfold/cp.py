@@ -8,6 +8,9 @@ The creases around a vertex are always read in one order: counterclockwise
 by exact direction, rotated so the lowest crease id leads. ``_ccw_ids``
 states that rule; the face trace applies it and records each interior
 vertex's order in ``CreasePattern.ccw_creases``, which ``cone_at`` reads.
+The build places each boundary point once (its region edge and offset);
+the trace orders the boundary by place and records the boundary tour,
+``CreasePattern.boundary_tour``, which tiling reads.
 
 Sector angles around a vertex come from one of two sources:
 
@@ -36,6 +39,7 @@ from .errors import (
 from .geometry import (
     ANGLE_KEY,
     Point,
+    dot,
     on_segment,
     orient,
     polygon_signed_area2,
@@ -115,6 +119,8 @@ class CreasePattern:
     corner_faces: dict[tuple[str, str, str], str] = field(default_factory=dict)
     # interior vertex -> its crease ids, counterclockwise, lowest id first
     ccw_creases: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # creases ending on the boundary in ccw walk order (a chord appears twice)
+    boundary_tour: tuple[str, ...] = ()
 
     def point_of(self, node_id: str) -> Point:
         if node_id in self.vertices:
@@ -137,14 +143,11 @@ class CreasePattern:
         return [f for f in self.faces if not f.is_outer]
 
 
-def _edge_id_for_boundary(i: int) -> str:
-    return f"s{i}"
-
-
 def build_crease_pattern(vertices, creases, region, declared_angles=None,
                          boundary_points=None) -> CreasePattern:
-    """Validate and assemble a crease pattern, computing faces and each
-    interior vertex's crease order (``ccw_creases``) from the face trace.
+    """Validate and assemble a crease pattern, computing faces, each
+    interior vertex's crease order (``ccw_creases``) and the boundary tour
+    (``boundary_tour``) from the face trace.
 
     vertices: {id: (x, y)} interior vertices, exact rationals.
     creases: {id: (end_id, end_id)} endpoints reference vertices or boundary points.
@@ -160,6 +163,13 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     tests and the face trace give the answers they would give on the
     rationals; the factor 2 keeps every crease midpoint an integer. The
     returned pattern holds the original Fractions.
+
+    A boundary point's place is the region edge (a, b) holding it with
+    p != b, and its offset dot(p - a, b - a); 0 means it is corner a, no
+    place means it is off the boundary. The boundary tour lists the creases
+    ending on the boundary as a ccw walk just inside it meets them from
+    corner 0: at each node, its ccw order from the outgoing boundary segment
+    to the incoming one, reversed (falling angle from the walk's direction).
 
     The planarity check is a sort-and-sweep rather than an all-pairs loop.
     Each crease's exact closed bounding box is computed once, and the boxes
@@ -206,26 +216,29 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     if len(set(pts.values())) != len(pts):
         raise ValidationError("coincident vertices/boundary points")
 
-    if area2 == 0:  # also the case for fewer than three corners
+    nreg = len(iregion)
+    if area2 == 0 or len(set(iregion)) < nreg:  # zero area also for < 3 corners
         raise ValidationError("region polygon is degenerate: it needs at least "
                               "three corners and a nonzero area")
     # region must be convex: segments with endpoints inside then stay inside,
     # which keeps boundary-contact validation exact and simple
-    nreg = len(iregion)
     for i in range(nreg):
         if orient(iregion[i - 1], iregion[i], iregion[(i + 1) % nreg]) < 0:
             raise ValidationError("region polygon must be convex")
-
-    def _on_region(p) -> bool:
-        return any(on_segment(p, iregion[i], iregion[(i + 1) % nreg])
-                   for i in range(nreg))
 
     def _strictly_inside(p) -> bool:
         return all(orient(iregion[i], iregion[(i + 1) % nreg], p) > 0
                    for i in range(nreg))
 
+    # each boundary point's place (see the docstring)
+    places: dict[str, tuple[int, int]] = {}
     for bid, p in ibpoints.items():
-        if not _on_region(p):
+        for i in range(nreg):
+            a, b = iregion[i], iregion[(i + 1) % nreg]
+            if p != b and on_segment(p, a, b):
+                places[bid] = (i, dot(sub(p, a), sub(b, a)))
+                break
+        else:
             raise ValidationError(f"boundary point {bid} not on the region boundary")
     for vid, p in ivertices.items():
         if not _strictly_inside(p):
@@ -280,8 +293,8 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if sum(angs) != 360:
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
 
-    faces, crease_sides, corner_faces, ccw_creases = _trace_faces(
-        ivertices, ibpoints, creases, iregion)
+    faces, crease_sides, corner_faces, ccw_creases, boundary_tour = _trace_faces(
+        ivertices, ibpoints, places, creases, iregion)
 
     return CreasePattern(
         vertices=vertices,
@@ -293,6 +306,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         crease_sides=crease_sides,
         corner_faces=corner_faces,
         ccw_creases=ccw_creases,
+        boundary_tour=boundary_tour,
     )
 
 
@@ -304,54 +318,34 @@ def _ccw_ids(dirs: dict[str, tuple[int, int]]) -> list[str]:
     return ids[k:] + ids[:k]
 
 
-def _trace_faces(vertices, boundary_points, creases, region):
+def _trace_faces(vertices, boundary_points, places, creases, region):
     """Planar face traversal. Returns (faces, crease_sides, corner_faces,
-    ccw_creases).
+    ccw_creases, boundary_tour).
 
-    Coordinates are the integer copies made by build_crease_pattern.
+    Coordinates are the integer copies made by build_crease_pattern, and
+    places[b] is boundary point b's (region edge, offset) from there.
 
     crease_sides[c] = (left face, right face) relative to the stored (a, b)
     direction of crease c. corner_faces[(v, cL, cR)] = face occupying the
     sector that runs ccw from crease cL to crease cR at vertex v.
     ccw_creases[v] = the creases at interior vertex v in _ccw_ids order.
+    boundary_tour is as build_crease_pattern states it.
     """
     pts: dict[str, tuple[int, int]] = {**vertices, **boundary_points}
-    nreg = len(region)
 
-    # region corners become nodes too; a boundary point sitting exactly on a
-    # corner doubles as the corner node (creases may end at paper corners)
-    by_pos = {p: bid for bid, p in boundary_points.items()}
-    corner_ids = {}
+    # the boundary ring: every boundary node in place order. A boundary
+    # point at offset 0 doubles as its edge's first corner (creases may end
+    # at paper corners); any other corner becomes a node r<i>.
+    node_at = {place: bid for bid, place in places.items()}
     for i, p in enumerate(region):
-        if p in by_pos:
-            corner_ids[i] = by_pos[p]
-            continue
-        if any(p == q for q in vertices.values()):
-            raise ValidationError("interior vertex coincides with a region corner")
-        nid = f"r{i}"
-        corner_ids[i] = nid
-        pts[nid] = p
-
-    # split region edges at boundary points
+        if (i, 0) not in node_at:
+            node_at[(i, 0)] = f"r{i}"
+            pts[f"r{i}"] = p
+    ring = [node_at[place] for place in sorted(node_at)]
+    segs = [f"s{k}" for k in range(len(ring))]  # segs[k] joins ring[k], ring[k + 1]
     edges: dict[str, tuple[str, str]] = dict(creases)
-    bp_on_edge: dict[int, list[tuple[int, str]]] = {i: [] for i in range(nreg)}
-    for bid, p in boundary_points.items():
-        for i in range(nreg):
-            a, b = region[i], region[(i + 1) % nreg]
-            if on_segment(p, a, b) and p != a and p != b:
-                # parameterize along the edge for ordering
-                d = (b[0] - a[0], b[1] - a[1])
-                t = ((p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1])
-                bp_on_edge[i].append((t, bid))
-                break
-    seg = 0
-    for i in range(nreg):
-        chain = [corner_ids[i]]
-        chain += [bid for _, bid in sorted(bp_on_edge[i])]
-        chain.append(corner_ids[(i + 1) % nreg])
-        for a, b in zip(chain, chain[1:]):
-            edges[_edge_id_for_boundary(seg)] = (a, b)
-            seg += 1
+    for k, sid in enumerate(segs):
+        edges[sid] = (ring[k], ring[(k + 1) % len(ring)])
 
     # incidence in the exact ccw order
     incident: dict[str, dict[str, tuple[int, int]]] = {n: {} for n in pts}
@@ -372,11 +366,7 @@ def _trace_faces(vertices, boundary_points, creases, region):
         a, b = edges[e2]
         return (v, e2, b if a == v else a)
 
-    half_edges = set()
-    for eid, (a, b) in edges.items():
-        half_edges.add((a, eid, b))
-        half_edges.add((b, eid, a))
-
+    half_edges = {h for e, (a, b) in edges.items() for h in ((a, e, b), (b, e, a))}
     walks = []
     seen = set()
     for he in sorted(half_edges):
@@ -391,11 +381,7 @@ def _trace_faces(vertices, boundary_points, creases, region):
         walks.append(walk)
 
     # identify outer face by signed area of the walk polygon
-    face_rows = []
-    for walk in walks:
-        poly = [pts[u] for (u, _, _) in walk]
-        area2 = polygon_signed_area2(poly)
-        face_rows.append((walk, area2))
+    face_rows = [(w, polygon_signed_area2([pts[u] for u, _, _ in w])) for w in walks]
     outers = [w for w, a2 in face_rows if a2 < 0]
     if len(outers) != 1:
         raise ValidationError("face traversal failed to find a unique outer face")
@@ -419,9 +405,8 @@ def _trace_faces(vertices, boundary_points, creases, region):
         ))
         he_face.update((he, fid) for he in walk)
 
-    crease_sides = {}
-    for cid, (a, b) in creases.items():
-        crease_sides[cid] = (he_face[(a, cid, b)], he_face[(b, cid, a)])
+    crease_sides = {cid: (he_face[(a, cid, b)], he_face[(b, cid, a)])
+                    for cid, (a, b) in creases.items()}
 
     # corners: consecutive half-edges (u -> v), (v -> w) of a face put the
     # sector running ccw from edge (v,w) to edge (v,u) inside that face.
@@ -434,7 +419,16 @@ def _trace_faces(vertices, boundary_points, creases, region):
             if v in vertices:
                 corner_faces[(v, e2, e1)] = f
     ccw_creases = {v: tuple(order[v]) for v in vertices}
-    return tuple(faces), crease_sides, corner_faces, ccw_creases
+    # at a ring node the walk meets the creases by falling angle from its
+    # direction: the node's order from the outgoing segment round to the
+    # incoming one, reversed
+    tour = []
+    for k, n in enumerate(ring):
+        lst = order[n]
+        i = lst.index(segs[k])
+        after = lst[i + 1:] + lst[:i]
+        tour += reversed(after[:after.index(segs[k - 1])])
+    return tuple(faces), crease_sides, corner_faces, ccw_creases, tuple(tour)
 
 
 def cone_at(cp: CreasePattern, v: str) -> ConeVertex:

@@ -30,7 +30,11 @@ def _brute_limit(override: int | None) -> int:
     if override is not None:
         return override
     env = os.environ.get("FLATFOLD_BRUTE_LIMIT")
-    return int(env) if env else DEFAULT_BRUTE_LIMIT
+    try:
+        return int(env) if env else DEFAULT_BRUTE_LIMIT
+    except ValueError:
+        raise LimitExceeded(
+            f"FLATFOLD_BRUTE_LIMIT must be an integer, not {env!r}") from None
 
 
 @dataclass
@@ -125,7 +129,8 @@ def count_locally_valid(cp: CreasePattern, limit: int | None = None,
                         crease_order: list[str] | None = None) -> int:
     """Exact |M(cp)| without materializing witnesses, by the frontier DP
     of ``_frontier_count``. Raises LimitExceeded above the crease limit
-    (``limit``, else ``FLATFOLD_BRUTE_LIMIT``, else 40)."""
+    (``limit``, else ``FLATFOLD_BRUTE_LIMIT``, else 40), or when
+    ``FLATFOLD_BRUTE_LIMIT`` is not an integer."""
     n = len(cp.creases)
     lim = _brute_limit(limit)
     if n > lim:

@@ -40,9 +40,6 @@ class MinRun:
     j: int                     # number of equal angles
     creases: tuple[str, ...]   # the j+1 bordering crease ids
 
-    def angle_indices(self, n: int) -> list[int]:
-        return [(self.start + k) % n for k in range(self.j)]
-
 
 @dataclass(frozen=True)
 class CrimpStep:
@@ -187,7 +184,6 @@ class _Schedule:
 
     steps: tuple[tuple[tuple[int, ...], int, int | None], ...]
     terminal_idx: tuple[int, ...]
-    crease_ids: tuple[str, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -203,7 +199,6 @@ def _schedule(angles: tuple[Angle, ...], crease_ids: tuple[str, ...]) -> _Schedu
     return _Schedule(
         steps=tuple(steps),
         terminal_idx=tuple(pos[c] for c in trace.terminal.crease_ids),
-        crease_ids=crease_ids,
     )
 
 

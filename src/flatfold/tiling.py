@@ -7,13 +7,15 @@ shared creases. Within a band, mismatched crossing-edge orientations are
 reversed with triangles and stray undirected edges are pushed to the band
 periphery with prisms; the zip then identifies tail with tail and head
 with head over every shared crease.
+
+Tiling computes no geometry: crease orders, faces, sides and the boundary
+tour all come from the pattern's face trace.
 """
 
 from __future__ import annotations
 
 from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
-from .geometry import cross, dot, on_segment, sub
 from .saw import (_REFUSALS, SawGraph, insert_prism, insert_triangle,
                   negate_orientations, single_vertex_saw)
 
@@ -139,38 +141,22 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
     g.root = 0
 
     if not chords:
-        g.walk = []
         return g
 
-    # boundary tour: order the chords' boundary endpoints around the region
-    events = []
-    nreg = len(cp.region)
-    for c in chords:
-        for end in cp.creases[c]:
-            p = cp.point_of(end)
-            for i in range(nreg):
-                a, b = cp.region[i], cp.region[(i + 1) % nreg]
-                if on_segment(p, a, b) and p != b:
-                    d = sub(b, a)
-                    u = sub(cp.point_of(cp.crease_other_end(c, end)), p)
-                    # chords sharing a boundary point are crossed by falling
-                    # angle from the boundary direction d, i.e. rising cot
-                    events.append(((i, dot(sub(p, a), d), dot(d, u) / cross(d, u)), c))
-                    break
-    events.sort(key=lambda e: e[0])
-    # hop across the chords in tour order, starting on the side of the
-    # first chord from which the tour closes up
-    c0 = events[0][1]
+    # hop across the chords in boundary-tour order, starting on the side
+    # of the first chord from which the tour closes up
+    tour = [c for c in cp.boundary_tour if c in edge_of_chord]
+    c0 = tour[0]
     for face in cp.crease_sides[c0]:
         start = cur = region_vertex[region[face]]
         g.walk = []
-        for _, c in events:
+        for c in tour:
             e = g.edges[edge_of_chord[c]]
             if cur not in e.ends():
                 break
             g.walk.append((cur, e.id))
             cur = e.other(cur)
-        if len(g.walk) == len(events) and cur == start:
+        if len(g.walk) == len(tour) and cur == start:
             return g
     raise TilingError("the boundary tour does not close from either side",
                       crease=c0)
@@ -223,38 +209,35 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
     _bind_faces(u_graph, cp, v)
 
     shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
-    shared = [c for c, f in zip(cone.crease_ids, shared_flags) if f]
-    if not shared:
+    if not any(shared_flags):
         return _splice_disjoint(g, cp, u_graph, merged, v)
 
     if not _contiguous(shared_flags):
         raise DisconnectedInterior(f"shared creases of {v} are not contiguous")
-    # rotate the shared block into cyclic order c_s..c_e
+    # the shared block in cyclic order c_s..c_e
     n = len(shared_flags)
     start = next(i for i in range(n)
                  if shared_flags[i] and not shared_flags[(i - 1) % n])
-    block = []
-    i = start
-    while shared_flags[i]:
-        block.append(cone.crease_ids[i])
-        i = (i + 1) % n
+    block = list(cone.rotated(start).crease_ids[:sum(shared_flags)])
 
-    # orientation pass: compare geometric sides; a global negation of the
-    # incoming graph is a free variant, use it when it fixes the majority
-    g_edges = g.crossing_edges()
+    # g's band, junk-free, holds the tail sides u must match
+    g, g_span = _clear_window_junk(g, block[::-1])
+    g_side = {g.edges[g.walk[i][1]].crease: g.edges[g.walk[i][1]].tail_side
+              for i in g_span}
+    # orientation pass: a global negation of the incoming graph is a free
+    # variant, used when it fixes the majority; triangles fix the rest.
+    # Negation keeps edge ids and a triangle replaces only its own crease's
+    # edge, so u's crossing edges are read once.
     u_edges = u_graph.crossing_edges()
-    mism = [c for c in block if g_edges[c].tail_side != u_edges[c].tail_side]
+    mism = [c for c in block if g_side[c] != u_edges[c].tail_side]
     if len(mism) * 2 > len(block):
         u_graph = negate_orientations(u_graph)
-        u_edges = u_graph.crossing_edges()
-        mism = [c for c in block if g_edges[c].tail_side != u_edges[c].tail_side]
+        mism = [c for c in block if c not in mism]
     for c in mism:
         u_graph = insert_triangle(u_graph, u_edges[c].id)
-        u_edges = u_graph.crossing_edges()
 
-    u_graph = _clear_window_junk(u_graph, block)
-    g = _clear_window_junk(g, list(reversed(block)))
-    return _zip(g, u_graph, block)
+    u_graph, u_span = _clear_window_junk(u_graph, block)
+    return _zip(g, g_span, u_graph, u_span, block)
 
 
 def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
@@ -283,33 +266,30 @@ def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
     raise TilingError("window not found on the boundary walk", crease=tuple(creases))
 
 
-def _clear_window_junk(g: SawGraph, creases: list[str]) -> SawGraph:
-    """Push undirected boundary edges out of the window with prisms.
+def _clear_window_junk(g: SawGraph, creases: list[str]) -> tuple[SawGraph, list[int]]:
+    """Push undirected boundary edges out of the window with prisms; returns
+    the graph and its window, now junk-free.
 
     Always pushes the first junk edge toward the window start; its
     walk-earlier neighbour inside the span is then guaranteed directed, and
     every prism strictly shrinks the junk count inside the window.
     """
-    if len(creases) <= 1:
-        return g
     while True:
         span = _window(g.walk, g.edges, creases)
         junk = [i for i in span if not g.edges[g.walk[i][1]].directed]
         if not junk:
-            return g
+            return g, span
         i = junk[0]
         dir_idx = span[span.index(i) - 1]
         g = insert_prism(g, g.walk[dir_idx][1], g.walk[i][1])
 
 
-def _zip(g: SawGraph, u: SawGraph, block: list[str]) -> SawGraph:
+def _zip(g: SawGraph, g_span: list[int], u: SawGraph, u_span: list[int],
+         block: list[str]) -> SawGraph:
     """Identify the band vertices of u with those of g and fuse u into g in
-    place."""
-    g_span = _window(g.walk, g.edges, list(reversed(block)))
-    u_span = _window(u.walk, u.edges, block)
+    place. The spans are the junk-free band windows: g's crosses the block
+    in reverse, u's in order."""
     ng, nu = len(g.walk), len(u.walk)
-    if len(g_span) != len(block) or len(u_span) != len(block):
-        raise TilingError("band windows still contain junk", crease=tuple(block))
 
     # vertex pairing: u's arc vertices in order pair with g's in reverse
     u_verts = [u.walk[i][0] for i in u_span]

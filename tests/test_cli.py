@@ -111,6 +111,23 @@ def test_malformed_file_exits_1(capsys, monkeypatch, doc, message, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["count-colorings", "check"])
+def test_repeated_region_corner_exits_1(capsys, monkeypatch, command):
+    doc = ('{"version": 1, "region": [["0","0"],["1","0"],["1","0"],["1","1"],'
+           '["0","1"]], "creases": []}')
+    code, out, err = run(capsys, [command, "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: region polygon is degenerate")
+
+
+def test_non_integer_brute_limit_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("FLATFOLD_BRUTE_LIMIT", "abc")
+    code, out, err = run(capsys, ["count-mv", "-"], stdin=emit(miura(2, 2)),
+                         monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: FLATFOLD_BRUTE_LIMIT must be an integer, not 'abc'\n"
+
+
 def test_build_saw_unsupported_vertex_exits_1(capsys, tmp_path):
     path = tmp_path / "kawasaki.json"
     path.write_text(emit(star_pattern((80, 100, 90, 90))))

@@ -235,6 +235,20 @@ def test_verify_bijection_passes_on_families():
         assert report.ok, (len(cp.creases), report)
 
 
+def test_verify_bijection_lifts_each_assignment_once(monkeypatch):
+    from flatfold import coloring
+    lifted = []
+    real = coloring._Plan.lift
+    monkeypatch.setattr(coloring._Plan, "lift",
+                        lambda plan, mv: lifted.append(mv) or real(plan, mv))
+    cp = miura(3, 3)
+    report = verify_bijection(cp, tile(cp))
+    assert report.ok and report.count_mv == 82
+    # the coloring pass lifts every assignment a coloring maps to, so the
+    # witness pass has none left to lift (it lifted all 82 again before)
+    assert len(lifted) == 82
+
+
 def test_verify_bijection_flags_bad_merge():
     cp, bad = invalid_joined_twist_saw()
     report = verify_bijection(cp, bad)

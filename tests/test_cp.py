@@ -158,6 +158,7 @@ def test_crease_sides_and_corners_cover_creases():
     [(0, 0), (4, 0)],                   # two corners
     [(0, 0), (2, 0), (4, 0)],           # collinear: zero area
     [(0, 0), (4, 0), (4, 4), (4, 0)],   # doubles back: zero area
+    [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)],  # a repeated corner
 ])
 def test_rejects_degenerate_region(region):
     with pytest.raises(ValidationError, match="region polygon is degenerate"):

@@ -4,7 +4,8 @@ The build runs every geometric predicate on integer-scaled copies of the
 coordinates. The reference below replays the same checks, in the same
 order and with the same messages, directly on Fractions: an all-pairs
 planarity loop and a face trace that sorts directions by exact angle
-comparison, which also gives each interior vertex's crease order.
+comparison, which also gives each interior vertex's crease order, and a
+boundary tour sorted by region edge, offset and exact cotangent.
 Patterns whose coordinates mix pairwise-coprime denominators (3, 7, 1009)
 would expose any sign, equality or order the scaling changed as a
 different verdict, message, face or crease order.
@@ -37,8 +38,8 @@ def _area2(poly):
 
 
 def reference_build(vertices, creases, region, declared_angles, boundary_points):
-    """(faces, crease_sides, corner_faces, ccw_creases), or raises the error
-    the build should raise first."""
+    """(faces, crease_sides, corner_faces, ccw_creases, boundary_tour), or
+    raises the error the build should raise first."""
     vertices = {k: (F(x), F(y)) for k, (x, y) in vertices.items()}
     bpoints = {k: (F(x), F(y)) for k, (x, y) in boundary_points.items()}
     angles = {k: tuple(F(a) for a in v) for k, v in declared_angles.items()}
@@ -94,7 +95,31 @@ def reference_build(vertices, creases, region, declared_angles, boundary_points)
             raise ValidationError(f"vertex {v}: non-positive declared angle")
         if sum(angs) != 360:
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
-    return _reference_faces(vertices, bpoints, creases, region)
+    return (*_reference_faces(vertices, bpoints, creases, region),
+            _reference_tour(vertices, bpoints, creases, region))
+
+
+def _reference_tour(vertices, bpoints, creases, region):
+    """The creases ending on the boundary, one entry per boundary end,
+    ordered by (region edge the end starts or lies on, offset along that
+    edge, rising cotangent of the crease against the edge direction)."""
+    pts = {**vertices, **bpoints}
+    n = len(region)
+    events = []
+    for c, (a, b) in creases.items():
+        for end, other in ((a, b), (b, a)):
+            if end not in bpoints:
+                continue
+            p = bpoints[end]
+            i = next(i for i in range(n) if p != region[(i + 1) % n]
+                     and on_segment(p, region[i], region[(i + 1) % n]))
+            start, stop = region[i], region[(i + 1) % n]
+            d = (stop[0] - start[0], stop[1] - start[1])
+            u = (pts[other][0] - p[0], pts[other][1] - p[1])
+            offset = (p[0] - start[0]) * d[0] + (p[1] - start[1]) * d[1]
+            cot = (d[0] * u[0] + d[1] * u[1]) / (d[0] * u[1] - d[1] * u[0])
+            events.append(((i, offset, cot), c))
+    return tuple(c for _, c in sorted(events))
 
 
 def _reference_faces(vertices, bpoints, creases, region):
@@ -269,7 +294,8 @@ def test_build_matches_fraction_reference(args):
         return
     assert got[0] == "ok", got
     cp = got[1]
-    assert (cp.faces, cp.crease_sides, cp.corner_faces, cp.ccw_creases) == expected[1]
+    assert (cp.faces, cp.crease_sides, cp.corner_faces, cp.ccw_creases,
+            cp.boundary_tour) == expected[1]
     for v, ids in expected[1][3].items():
         try:
             cone = cone_at(cp, v)
@@ -286,4 +312,5 @@ def test_reference_agrees_on_the_bases():
     for cp in BASES.values():
         expected = reference_build(
             cp.vertices, cp.creases, cp.region, cp.declared_angles, cp.boundary_points)
-        assert expected == (cp.faces, cp.crease_sides, cp.corner_faces, cp.ccw_creases)
+        assert expected == (cp.faces, cp.crease_sides, cp.corner_faces, cp.ccw_creases,
+                            cp.boundary_tour)

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatfold.errors import ParseError
 from flatfold.generators import crane, miura, triangle_twist
 from flatfold.patternio import emit, load_text, pattern_to_dict, to_fold
 from flatfold.svg import render_svg
 from flatfold.tiling import tile
+
+from .helpers import small_pattern
 
 
 def test_round_trip_miura():
@@ -20,6 +25,18 @@ def test_round_trip_miura():
     assert cp2.region == cp.region
     # semantic stability: emitting again gives identical text
     assert emit(cp2) == emit(cp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_load_emit_round_trips_every_field(kind, m, n, seed):
+    cp = small_pattern(kind, m, n, seed)
+    cp2 = load_text(emit(cp))[0]
+    # the derived fields (faces, sides, corners, crease orders, boundary
+    # tour) are rebuilt from the file and must come out the same
+    for f in dataclasses.fields(cp):
+        assert getattr(cp2, f.name) == getattr(cp, f.name), f.name
 
 
 def test_round_trip_with_mv_and_saw():

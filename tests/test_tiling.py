@@ -120,12 +120,25 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
     real_creases_at = CreasePattern.creases_at
     monkeypatch.setattr(CreasePattern, "creases_at",
                         lambda cp, v: scans.append(v) or real_creases_at(cp, v))
+    # each merge locates its two band windows once (262 _window calls here
+    # when the zip searched them again), and reads crossing edges only of
+    # the incoming single-vertex graph, not of the merged one (178 edges)
+    windows = []
+    real_window = tiling._window
+    monkeypatch.setattr(tiling, "_window", lambda walk, edges, creases:
+                        windows.append(creases) or real_window(walk, edges, creases))
+    crossing_reads = []
+    real_crossing = SawGraph.crossing_edges
+    monkeypatch.setattr(SawGraph, "crossing_edges",
+                        lambda g: crossing_reads.append(len(g.edges)) or real_crossing(g))
     cp = miura(10, 10)
     g = tile(cp)
     assert sorted(cone_calls) == cp.interior_vertex_ids()
     assert scans == []
     # copying the whole graph once per merge copied 5,499 SAW vertices here
     assert copied[0] < 2 * len(g.vertices)
+    assert len(windows) <= 2 * len(cp.vertices)
+    assert crossing_reads and max(crossing_reads) <= 20
 
 
 def test_miura_10x10_one_crimp_trace_per_vertex(monkeypatch):
