@@ -1,8 +1,10 @@
 """Proper 3-colorings with a pre-colored root, and the two-way translation
 between colorings and MV assignments through directed crossing edges.
 
-A crossing edge (u, v) over crease c translates as mountain when
-s(v) - s(u) = 1 (mod 3) and valley when the difference is 2.
+Counting and enumerating colorings is a plan of ``search``: each vertex
+reads its earlier neighbours and takes a color none of them has. A crossing
+edge (u, v) over crease c translates as mountain when s(v) - s(u) = 1
+(mod 3) and valley when the difference is 2.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from .errors import (
     DisconnectedSawGraph,
     ImproperColoring,
     NoCompletion,
+    TilingError,
 )
 from .saw import SawGraph
+from .search import depth_first, frontier_count
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
@@ -26,103 +30,76 @@ ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 _ALLOWED = [tuple(c for c in range(3) if not banned >> c & 1) for banned in range(8)]
 
 
-def count_colorings(g: SawGraph) -> int:
-    """Exact number of proper 3-colorings with the root colored 0.
+def _free_colors(vals: tuple[int, ...]) -> tuple[int, ...]:
+    return _ALLOWED[sum({1 << c for c in vals})]
 
-    Transfer-matrix DP: the state packs the colors of the frontier
-    (processed vertices with unprocessed neighbours) into an int, two bits
-    per slot, and maps to the number of colorings of the processed vertices
-    that leave the frontier so. A vertex's slot is freed once its last
-    neighbour is processed, so the cost follows the frontier width, not the
-    number of colorings. Vertices are processed in a greedy min-frontier
-    order from the root: the next one grows the frontier least, then has
-    the most processed neighbours (the fewest colors left), then the
-    lowest id.
-    """
+
+def _root_colors(vals: tuple[int, ...]) -> tuple[int, ...]:
+    return () if 0 in vals else (0,)
+
+
+def _plan(g: SawGraph, order: list[int]) -> list:
+    """The coloring search as a plan of ``search``: each vertex of
+    ``order`` reads its earlier neighbours and takes a color none of them
+    has; the root takes only 0."""
+    if g.vertices and g.root not in g.vertices:
+        raise TilingError(f"root {g.root} is not a vertex of the SAW graph")
     if not g.is_connected():
         raise DisconnectedSawGraph("SAW graph is not connected")
     adj = g.adjacency()
+    pos = {v: i for i, v in enumerate(order)}
+    return [(sorted(pos[w] for w in adj[v] if pos[w] < i),
+             _root_colors if v == g.root else _free_colors)
+            for i, v in enumerate(order)]
+
+
+def _min_frontier_order(g: SawGraph) -> list[int]:
+    """Greedy min-frontier vertex order from the root: the next vertex grows
+    the frontier (processed vertices with unprocessed neighbours) least,
+    then has the most processed neighbours (the fewest colors left), then
+    the lowest id."""
+    adj = g.adjacency()
     left = {v: len(ws) for v, ws in adj.items()}   # unprocessed neighbours
-    slot: dict[int, int] = {}   # frontier vertex -> bit shift of its color
-    free: list[int] = []
-    done: set[int] = set()
-    cand = {g.root} if g.vertices else set()
-    states = {0: 1}
+    done: dict[int, None] = {}      # processed vertices, in order
+    cand = {g.root} if g.root in adj else set()   # _plan refuses a missing root
 
     def growth(v: int) -> tuple[int, int, int]:
-        # a processed neighbour of an unprocessed vertex is on the frontier
-        nbrs = [u for u in adj[v] if u in slot]
+        # every processed neighbour of an unprocessed vertex is on the frontier
+        nbrs = [u for u in adj[v] if u in done]
         return (left[v] > 0) - sum(left[u] == 1 for u in nbrs), -len(nbrs), v
 
     while cand:
         v = min(cand, key=growth)
         cand.discard(v)
-        done.add(v)
-        shifts = [slot[u] for u in adj[v] if u in slot]
-        keep = -1
+        done[v] = None
         for u in adj[v]:
             left[u] -= 1
-            if u in slot and left[u] == 0:
-                keep &= ~(3 << slot[u])
-                free.append(slot.pop(u))
-            elif u not in done:
+            if u not in done:
                 cand.add(u)
-        if left[v]:
-            sh = slot[v] = free.pop() if free else 2 * len(slot)
-            marks = [tuple(c << sh for c in cs) for cs in _ALLOWED]
-        else:
-            marks = [(0,) * len(cs) for cs in _ALLOWED]
-        if v == g.root:
-            marks = [(0,)] * 8      # pre-colored 0, an all-zero slot
-        new: dict[int, int] = {}
-        for s, n in states.items():
-            banned = 0
-            for t in shifts:
-                banned |= 1 << (s >> t & 3)
-            base = s & keep
-            for c in marks[banned]:
-                new[base | c] = new.get(base | c, 0) + n
-        states = new
-    return sum(states.values())
+    return list(done)
+
+
+def count_colorings(g: SawGraph) -> int:
+    """Exact number of proper 3-colorings with the root colored 0.
+
+    The frontier DP of ``search.frontier_count`` over a greedy min-frontier
+    vertex order, so the cost follows the frontier width, not the number of
+    colorings. Raises DisconnectedSawGraph for a disconnected graph and
+    TilingError when the root is not a vertex.
+    """
+    return frontier_count(_plan(g, _min_frontier_order(g)))
 
 
 def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     """Materialize S(g) in lexicographic vertex-id order (root fixed to 0).
 
-    A depth-first search on an explicit stack, so any number of vertices
-    fits: ``stack[i]`` iterates, in increasing order, over the colors the
-    i-th vertex may still take given its earlier neighbours. Raises
-    CapExceeded at coloring cap + 1.
+    The depth-first search of ``search.depth_first`` over the sorted vertex
+    ids, so any number of vertices fits. Raises CapExceeded at coloring
+    cap + 1.
     """
-    if not g.is_connected():
-        raise DisconnectedSawGraph("SAW graph is not connected")
-    if not g.vertices:
-        return [{}]
     ids = sorted(g.vertices)
-    adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(ids)}
-    earlier = [[pos[w] for w in adj[v] if pos[w] < pos[v]] for v in ids]
-    root_pos = pos[g.root]
-    n = len(ids)
-    colors = [0] * n
     out: list[ThreeColoring] = []
-
-    def free_colors(i: int):
-        used = {colors[p] for p in earlier[i]}
-        return iter([c for c in ((0,) if i == root_pos else (0, 1, 2))
-                     if c not in used])
-
-    stack = [free_colors(0)]
-    while stack:
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            continue
-        i = len(stack) - 1
-        colors[i] = c
-        if i + 1 < n:
-            stack.append(free_colors(i + 1))
-            continue
+    for colors in depth_first(_plan(g, ids)):
         if len(out) >= cap:
             raise CapExceeded(f"more than {cap} colorings")
         out.append(dict(zip(ids, colors)))
@@ -165,7 +142,7 @@ class _Plan:
             self.nbrs[index[e.u]].append((index[e.v], k, True))
             self.nbrs[index[e.v]].append((index[e.u], k, False))
 
-    def check(self, s: ThreeColoring) -> None:
+    def to_mv(self, s: ThreeColoring) -> MVAssignment:
         if s.keys() != self.vset:
             raise ImproperColoring("coloring domain mismatch")
         if s[self.root_id] != 0:
@@ -173,9 +150,6 @@ class _Plan:
         for eid, u, v in self.edges:
             if s[u] == s[v]:
                 raise ImproperColoring(f"edge {eid} endpoints share color {s[u]}")
-
-    def to_mv(self, s: ThreeColoring) -> MVAssignment:
-        self.check(s)
         return {c: 1 if (s[h] - s[t]) % 3 == 1 else -1 for c, t, h in self.directed}
 
     def lift(self, mv: MVAssignment) -> ThreeColoring:
@@ -257,11 +231,6 @@ class _Plan:
         return found
 
 
-def check_coloring(g: SawGraph, s: ThreeColoring) -> None:
-    """Raise ImproperColoring unless s is proper, total and root-0."""
-    _Plan(g).check(s)
-
-
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
     """Translate a proper coloring into the MV assignment it encodes."""
     return _Plan(g).to_mv(s)
@@ -320,10 +289,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
 
-    counts_match = report.count == n_col
-    translation_valid = True
-    injective = True
-    round_trip = True
+    translation_valid = injective = round_trip = True
     counterexample = None
 
     seen = set()
@@ -362,11 +328,6 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
                 round_trip = False
                 counterexample = counterexample or ("assignment does not lift", str(exc))
     return BijectionReport(
-        count_mv=report.count,
-        count_colorings=n_col,
-        counts_match=counts_match,
-        translation_valid=translation_valid,
-        injective=injective,
-        round_trip_ok=round_trip,
-        first_counterexample=counterexample,
-    )
+        count_mv=report.count, count_colorings=n_col, counts_match=report.count == n_col,
+        translation_valid=translation_valid, injective=injective,
+        round_trip_ok=round_trip, first_counterexample=counterexample)

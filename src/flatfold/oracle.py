@@ -1,18 +1,21 @@
 """Ground truth over whole crease patterns, independent of SAW graphs.
 
-Both searches assign crease values in a vertex-clustered order and check an
-interior vertex with its single-vertex crimp schedule once all its creases
-are assigned. ``count_locally_valid`` is a frontier DP that keeps only the
-values of creases an unchecked vertex still needs, so its cost follows the
-frontier width, not the count; ``enumerate_locally_valid`` is a depth-first
-search that materializes witnesses and stops past its cap, leaving the count
-to the same DP. Counts are exact Python ints (arbitrary precision).
+The crease search is a plan of ``search``: creases are assigned in a
+vertex-clustered order, and the crease that completes an interior vertex
+reads that vertex's other creases and takes only the values that pass its
+single-vertex crimp schedule. ``count_locally_valid`` runs the plan through
+the frontier DP ``search.frontier_count``, so its cost follows the frontier
+width, not the count; ``enumerate_locally_valid`` runs it through the
+depth-first generator ``search.depth_first``, materializes witnesses and
+stops past its cap, leaving the count to the same DP. Counts are exact
+Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .cp import CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
@@ -22,6 +25,7 @@ from .single_vertex import (
     count_single_vertex_mv,
     kawasaki_check,
 )
+from .search import depth_first, frontier_count
 
 DEFAULT_BRUTE_LIMIT = 40
 
@@ -46,7 +50,9 @@ class LocalValidityReport:
 
 
 def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
-    """Crease assignment order plus per-position vertex-completion checks."""
+    """The crease search as a plan of ``search``: the crease order, the
+    plan (a crease reads the other creases of the vertices it completes),
+    and the cone of each interior vertex."""
     cones = {}
     for v in cp.interior_vertex_ids():
         cone = cone_at(cp, v)
@@ -55,17 +61,9 @@ def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
         cones[v] = cone
 
     if crease_order is None:
-        order: list[str] = []
-        placed = set()
-        for v in cp.interior_vertex_ids():
-            for c in cones[v].crease_ids:
-                if c not in placed:
-                    placed.add(c)
-                    order.append(c)
-        for c in sorted(cp.creases):
-            if c not in placed:
-                placed.add(c)
-                order.append(c)
+        # each vertex's creases in turn, then the creases no vertex has
+        order = list(dict.fromkeys([c for cone in cones.values() for c in cone.crease_ids]
+                                   + sorted(cp.creases)))
     else:
         order = list(crease_order)
         if sorted(order) != sorted(cp.creases):
@@ -73,11 +71,27 @@ def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
 
     pos = {c: i for i, c in enumerate(order)}
     checks_at: list[list] = [[] for _ in order]
-    for v, cone in cones.items():
-        sched = _schedule(cone.angles, cone.crease_ids)
+    for cone in cones.values():
         idxs = [pos[c] for c in cone.crease_ids]
-        checks_at[max(idxs)].append((sched, idxs))
-    return order, checks_at, cones
+        checks_at[max(idxs)].append((_schedule(cone.angles, cone.crease_ids), idxs))
+    plan = []
+    for i, checks in enumerate(checks_at):
+        reads = sorted({k for _, idxs in checks for k in idxs} - {i})
+        plan.append((reads, partial(_crease_values, checks, reads + [i])))
+    return order, plan, cones
+
+
+def _crease_values(checks: list, at: list[int], vals: tuple[int, ...]) -> list[int]:
+    """The ``allowed`` rule of a crease that completes the vertices of
+    ``checks``: value 0 (mountain, +1) or 1 (valley, -1), whichever passes
+    each vertex's crimp schedule. ``at`` lists the positions of the read
+    creases, then the crease's own."""
+    out = []
+    for x in (0, 1):
+        mv = {k: 1 - 2 * v for k, v in zip(at, vals + (x,))}
+        if all(_check_values(sched, [mv[k] for k in idxs]) for sched, idxs in checks):
+            out.append(x)
+    return out
 
 
 def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
@@ -85,41 +99,21 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
     """Exact count plus the first ``cap`` witness assignments.
 
     Witnesses come in depth-first order over the search plan's crease
-    order, each crease trying 1 before -1. The search runs on an explicit
-    stack and stops once it finds assignment ``cap + 1``; then
+    order, each crease trying 1 before -1, from ``search.depth_first``.
+    The search stops once it finds assignment ``cap + 1``; then
     ``cap_exceeded`` is set and ``count`` comes from the frontier DP of
     ``count_locally_valid`` (without its crease limit). Otherwise ``count``
     is the number of witnesses found.
     """
-    order, checks_at, cones = _search_plan(cp, crease_order)
-    n = len(order)
-    count = 0
+    order, plan, cones = _search_plan(cp, crease_order)
     witnesses: list[MVAssignment] = []
     capped = False
-    if n == 0:
-        count = 1
-        witnesses = [{}]
-    else:
-        vals = [0] * n      # 0: position not tried yet
-        i = 0
-        while i >= 0:
-            if vals[i] == -1:   # both values tried: back up
-                vals[i] = 0
-                i -= 1
-                continue
-            vals[i] = 1 if vals[i] == 0 else -1
-            if all(_check_values(sched, [vals[k] for k in idxs])
-                   for sched, idxs in checks_at[i]):
-                if i + 1 < n:
-                    i += 1
-                elif count < cap:
-                    count += 1
-                    witnesses.append(dict(zip(order, vals)))
-                else:
-                    capped = True
-                    break
-        if capped:
-            count = _frontier_count(checks_at)
+    for vals in depth_first(plan):
+        if len(witnesses) >= cap:
+            capped = True
+            break
+        witnesses.append({c: 1 - 2 * v for c, v in zip(order, vals)})
+    count = frontier_count(plan) if capped else len(witnesses)
     per_vertex = {v: count_single_vertex_mv(c) for v, c in cones.items()}
     return LocalValidityReport(count=count, witnesses=witnesses,
                                per_vertex_counts=per_vertex, cap_exceeded=capped)
@@ -128,59 +122,14 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
 def count_locally_valid(cp: CreasePattern, limit: int | None = None,
                         crease_order: list[str] | None = None) -> int:
     """Exact |M(cp)| without materializing witnesses, by the frontier DP
-    of ``_frontier_count``. Raises LimitExceeded above the crease limit
-    (``limit``, else ``FLATFOLD_BRUTE_LIMIT``, else 40), or when
+    of ``search.frontier_count``. Raises LimitExceeded above the crease
+    limit (``limit``, else ``FLATFOLD_BRUTE_LIMIT``, else 40), or when
     ``FLATFOLD_BRUTE_LIMIT`` is not an integer."""
     n = len(cp.creases)
     lim = _brute_limit(limit)
     if n > lim:
         raise LimitExceeded(f"{n} creases exceed the brute-force limit {lim}")
-    _, checks_at, _ = _search_plan(cp, crease_order)
-    return _frontier_count(checks_at)
-
-
-def _frontier_count(checks_at: list[list]) -> int:
-    """Number of assignments that pass every check of a search plan.
-
-    Frontier DP over the plan's crease order: the state packs the values
-    of the placed creases that some unchecked vertex still needs into an
-    int, one bit per slot (set for valley), and maps to the number of
-    assignments of the placed creases that pass every completed vertex and
-    leave the frontier so. A crease's slot is freed after its last vertex
-    check.
-    """
-    n = len(checks_at)
-    # position of each checked crease's last check
-    last = {k: i for i, checks in enumerate(checks_at) for _, idxs in checks for k in idxs}
-    slot: dict[int, int] = {}   # frontier crease position -> bit shift
-    free: list[int] = []
-    states = {0: 1}
-    for i in range(n):
-        if i not in last:
-            continue            # no vertex constrains it: counted at the end
-        slot[i] = free.pop() if free else len(slot)
-        bit = 1 << slot[i]
-        # a vertex's verdict depends only on its creases' bits: memoize on them
-        checks = [(sched, [slot[k] for k in idxs], sum(1 << slot[k] for k in idxs), {})
-                  for sched, idxs in checks_at[i]]
-        keep = -1
-        for k in [k for k in slot if last[k] == i]:
-            keep &= ~(1 << slot[k])
-            free.append(slot.pop(k))
-        new: dict[int, int] = {}
-        for s, c in states.items():
-            for t in (s, s | bit):
-                for sched, shifts, mask, verdict in checks:
-                    ok = verdict.get(t & mask)
-                    if ok is None:
-                        ok = verdict[t & mask] = _check_values(
-                            sched, [-1 if t >> x & 1 else 1 for x in shifts])
-                    if not ok:
-                        break
-                else:
-                    new[t & keep] = new.get(t & keep, 0) + c
-        states = new
-    return sum(states.values()) << (n - len(last))
+    return frontier_count(_search_plan(cp, crease_order)[1])
 
 
 def is_locally_valid(cp: CreasePattern, mv: MVAssignment) -> bool:

@@ -129,9 +129,11 @@ def pattern_from_dict(doc: dict):
                               declared_angles=angles, boundary_points=bpoints)
     mv = None
     if "mv" in doc:
+        if not isinstance(doc["mv"], dict):
+            raise ParseError("bad MV block: not an object")
         mv = {}
         for c, val in doc["mv"].items():
-            if c not in cp.creases or val not in (1, -1):
+            if c not in cp.creases or val not in (1, -1) or isinstance(val, bool):
                 raise ParseError(f"bad MV entry {c}: {val}")
             mv[c] = int(val)
     saw = saw_from_dict(doc["saw"]) if "saw" in doc else None

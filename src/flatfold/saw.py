@@ -421,13 +421,13 @@ def negate_orientations(g: SawGraph) -> SawGraph:
 
 # -- boundary surgery -------------------------------------------------------------
 
-def insert_triangle(g: SawGraph, edge_id: int, transfer_crease: bool = True) -> SawGraph:
+def insert_triangle(g: SawGraph, edge_id: int) -> SawGraph:
     """Add a triangle over a boundary crossing edge (coloring count preserved).
 
     For e = (u, v) the new vertex w sits across the crease from u; edges
-    (w, u) directed and {v, w} undirected are added. With
-    ``transfer_crease`` the crossing role moves to (w, u), presenting the
-    crease on the boundary with the opposite orientation.
+    (w, u) directed and {v, w} undirected are added. The crossing role
+    moves to (w, u), presenting the crease on the boundary with the
+    opposite orientation, and e becomes undirected.
     """
     e0 = g.edges[edge_id]
     if not e0.directed:
@@ -442,14 +442,10 @@ def insert_triangle(g: SawGraph, edge_id: int, transfer_crease: bool = True) -> 
     u, v = e.u, e.v
     w = g.add_vertex(face=g.vertices[v].face)
     new_cross = g.add_edge(
-        w, u, directed=transfer_crease,
-        crease=e.crease if transfer_crease else None,
-        tail_side=(-e.tail_side if (transfer_crease and e.tail_side is not None) else None))
+        w, u, directed=True, crease=e.crease,
+        tail_side=-e.tail_side if e.tail_side is not None else None)
     junk = g.add_edge(v, w)
-    if transfer_crease:
-        e.directed = False
-        e.crease = None
-        e.tail_side = None
+    e.directed, e.crease, e.tail_side = False, None, None
     idx = slots[0]
     start_v = g.walk[idx][0]
     steps = [(u, new_cross), (w, junk)] if start_v == u else [(v, junk), (w, new_cross)]

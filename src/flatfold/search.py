@@ -1,0 +1,81 @@
+"""One search engine for both of flatfold's search problems.
+
+A *plan* is a list of positions in assignment order. Position i is a pair
+``(reads, allowed)``: ``reads`` lists earlier positions, and
+``allowed(vals)`` returns, in increasing order, the values in 0..3 that
+position i may take when the positions in ``reads`` hold the tuple
+``vals``. A SAW-graph vertex reads its earlier neighbours (``coloring``); a
+crease reads the other creases of the vertices it completes (``oracle``).
+Both functions call ``allowed`` once per position and distinct ``vals``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterator, Sequence
+
+Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
+
+
+def frontier_count(plan: Plan) -> int:
+    """Number of complete assignments of ``plan``, by a frontier DP: the
+    state packs the values of the assigned positions that a later position
+    still reads into an int, two bits per slot, and maps to the number of
+    assignments that leave the frontier so. A slot is freed after its last
+    reader, so the cost follows the frontier width, not the count."""
+    last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
+    slot: dict[int, int] = {}   # frontier position -> bit shift of its value
+    free: list[int] = []
+    states = {0: 1}
+    for i, (reads, allowed) in enumerate(plan):
+        shifts = [slot[k] for k in reads]
+        read_mask = sum(3 << t for t in shifts)
+        keep = -1
+        for k in reads:
+            if last[k] == i:
+                keep &= ~(3 << slot[k])
+                free.append(slot.pop(k))
+        sh = None
+        if i in last:
+            sh = slot[i] = free.pop() if free else 2 * len(slot)
+        codes_of: dict[int, list[int]] = {}   # read bits -> allowed value bits
+        new: dict[int, int] = {}
+        for s, n in states.items():
+            r = s & read_mask
+            codes = codes_of.get(r)
+            if codes is None:
+                vals = allowed(tuple([r >> t & 3 for t in shifts]))
+                codes = codes_of[r] = [0 if sh is None else v << sh for v in vals]
+            base = s & keep
+            for c in codes:
+                t = base | c
+                new[t] = new.get(t, 0) + n
+        states = new
+    return sum(states.values())
+
+
+def depth_first(plan: Plan) -> Iterator[tuple[int, ...]]:
+    """Yield every complete assignment of ``plan`` in lexicographic order,
+    by a depth-first search on an explicit stack (``stack[i]`` iterates
+    over the values position i may still take), so any number of
+    positions fits."""
+    n = len(plan)
+    vals = [0] * n
+    memo: list[dict] = [{} for _ in plan]
+    stack: list[Iterator[int]] = []
+    i = 0   # the position to open next
+    while True:
+        if i == n:
+            yield tuple(vals)
+        else:
+            reads, allowed = plan[i]
+            key = tuple([vals[k] for k in reads])
+            got = memo[i].get(key)
+            if got is None:
+                got = memo[i][key] = allowed(key)
+            stack.append(iter(got))
+        while stack and (v := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        i = len(stack)
+        vals[i - 1] = v

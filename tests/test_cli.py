@@ -102,6 +102,8 @@ def test_validation_failure_exits_1(capsys, tmp_path):
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
      ' "saw": {"vertices": [{"id": 0}, {"id": 1}], "edges": [], "root": 0}}',
      "SAW graph is not connected"),
+    ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+     ' "mv": []}', "bad MV block"),
 ])
 def test_malformed_file_exits_1(capsys, monkeypatch, doc, message, command):
     code, out, err = run(capsys, [command, "-"], stdin=doc,

@@ -19,6 +19,7 @@ from flatfold.errors import (
     DisconnectedSawGraph,
     ImproperColoring,
     NoCompletion,
+    TilingError,
 )
 from flatfold.generators import crane, miura, triangle_twist
 from flatfold.saw import SawGraph
@@ -55,16 +56,20 @@ def test_count_small_graphs():
 
 
 def test_count_3x3_grid_matches_exhaustive():
-    g = grid_saw(3, 3)
-    # independent check: filter all 3^9 assignments
-    adj = [(e.u, e.v) for e in g.edges.values()]
-    total = 0
-    for colors in product(range(3), repeat=9):
-        if colors[g.root] != 0:
-            continue
-        if all(colors[u] != colors[v] for u, v in adj):
-            total += 1
-    assert count_colorings(g) == total == 82
+    # independent check: filter all 3^|V| assignments, sharing no search
+    # plan with the counter
+    for g, expected in [(grid_saw(3, 3), 82), (tile(miura(2, 3)), 18),
+                        (tile(triangle_twist(1)), 26)]:
+        ids = sorted(g.vertices)
+        pos = {v: i for i, v in enumerate(ids)}
+        adj = [(pos[e.u], pos[e.v]) for e in g.edges.values()]
+        total = 0
+        for colors in product(range(3), repeat=len(ids)):
+            if colors[pos[g.root]] != 0:
+                continue
+            if all(colors[u] != colors[v] for u, v in adj):
+                total += 1
+        assert count_colorings(g) == total == expected
 
 
 def test_count_root_position_irrelevant():
@@ -93,6 +98,12 @@ def test_count_disconnected_raises():
         count_colorings(g)
     with pytest.raises(DisconnectedSawGraph, match="SAW graph is not connected"):
         enumerate_colorings(g)
+    # a root that is not a vertex cannot be pre-colored
+    g = path_graph(4)
+    g.root = 7
+    for f in (count_colorings, enumerate_colorings):
+        with pytest.raises(TilingError, match="root 7 is not a vertex"):
+            f(g)
 
 
 def test_enumerate_matches_count_and_order():

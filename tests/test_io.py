@@ -68,6 +68,15 @@ def test_float_coordinates_rejected():
     assert "rational" in str(err.value)
 
 
+def test_boolean_mv_value_rejected():
+    # the schema allows only 1 and -1; true must not read as a mountain
+    cp = miura(2, 2)
+    doc = pattern_to_dict(cp, mv={c: 1 for c in cp.creases})
+    doc["mv"][sorted(cp.creases)[0]] = True
+    with pytest.raises(ParseError, match="bad MV entry"):
+        load_text(json.dumps(doc))
+
+
 def test_bad_json_rejected():
     with pytest.raises(ParseError):
         load_text("{not json")

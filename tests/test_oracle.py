@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,7 @@ from flatfold import (
 from flatfold import oracle
 from flatfold.cp import cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
-from flatfold.generators import crane, miura, triangle_twist
+from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.tiling import tile
 
 from .helpers import grid_saw, small_pattern
@@ -143,19 +144,58 @@ def test_capped_witnesses_are_a_prefix(kind, m, n, seed, data):
     assert report.per_vertex_counts == full.per_vertex_counts
 
 
-def test_capped_search_stops_at_cap(monkeypatch):
-    # the DFS stops at witness cap + 1 and the count comes from the DP;
-    # walking all 93,312 crane assignments makes 805,024 vertex checks
-    calls = 0
+def _count_checks(monkeypatch):
+    calls = [0]
     check_values = oracle._check_values
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return check_values(*args)
 
     monkeypatch.setattr(oracle, "_check_values", counting)
+    return calls
+
+
+def test_capped_search_stops_at_cap(monkeypatch):
+    # the DFS stops at witness cap + 1 and the count comes from the DP;
+    # without a cap the DFS checks each vertex once per distinct value of
+    # the creases it reads: 224 vertex checks walk all 93,312 crane
+    # assignments
+    calls = _count_checks(monkeypatch)
     report = enumerate_locally_valid(crane(), cap=20)
     assert report.count == 93_312
     assert len(report.witnesses) == 20 and report.cap_exceeded
-    assert calls < 5_000
+    assert calls[0] < 5_000
+
+
+def test_enumeration_checks_no_more_than_the_count(monkeypatch):
+    # both searches ask a crease's rule once per distinct read value, and
+    # a full enumeration reads no value the DP does not
+    calls = _count_checks(monkeypatch)
+    assert count_locally_valid(miura(4, 4)) == 2_604
+    counted = calls[0]
+    calls[0] = 0
+    report = enumerate_locally_valid(miura(4, 4), cap=10 ** 6)
+    assert report.count == 2_604 and not report.cap_exceeded
+    assert counted == 144 and calls[0] <= counted
+
+
+@pytest.mark.parametrize("make", [lambda: miura(2, 3), lambda: miura(3, 3),
+                                  lambda: snake(2, 3), lambda: triangle_twist(1)],
+                         ids=["miura-2x3", "miura-3x3", "snake-2x3", "twist-1"])
+def test_brute_force_matches_both_searches(make):
+    # independent reference: every +-1 assignment through is_locally_valid,
+    # sharing no search plan with the DP or the DFS
+    cp = make()
+    ids = sorted(cp.creases)
+    assert len(ids) <= 12
+    valid = [vals for vals in product((1, -1), repeat=len(ids))
+             if is_locally_valid(cp, dict(zip(ids, vals)))]
+    assert count_locally_valid(cp) == len(valid)
+    report = enumerate_locally_valid(cp, cap=len(valid))
+    assert not report.cap_exceeded
+    assert sorted(tuple(m[c] for c in ids) for m in report.witnesses) == sorted(valid)
+    # over the sorted crease order the witnesses come in product order,
+    # each crease trying 1 before -1
+    report = enumerate_locally_valid(cp, cap=len(valid), crease_order=ids)
+    assert report.witnesses == [dict(zip(ids, vals)) for vals in valid]
