@@ -295,7 +295,7 @@ def _ray_to_rect(p, d, xlo, xhi, ylo, yhi):
         if best is None or t < best[0]:
             best = (t, q)
     if best is None:
-        raise AssertionError("ray misses the region")
+        raise ValidationError("ray misses the region")
     return best[1]
 
 

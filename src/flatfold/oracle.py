@@ -73,7 +73,7 @@ def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
     checks_at: list[list] = [[] for _ in order]
     for cone in cones.values():
         idxs = [pos[c] for c in cone.crease_ids]
-        checks_at[max(idxs)].append((_schedule(cone.angles, cone.crease_ids), idxs))
+        checks_at[max(idxs)].append((_schedule(cone.angles), idxs))
     plan = []
     for i, checks in enumerate(checks_at):
         reads = sorted({k for _, idxs in checks for k in idxs} - {i})

@@ -10,7 +10,7 @@ the outer face; for single-vertex graphs every crossing edge lies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cp import ConeVertex
@@ -79,8 +79,9 @@ class SawGraph:
 
     def copy(self) -> "SawGraph":
         g = SawGraph(root=self.root, _next_v=self._next_v, _next_e=self._next_e)
-        g.vertices = {k: replace(v) for k, v in self.vertices.items()}
-        g.edges = {k: replace(e) for k, e in self.edges.items()}
+        g.vertices = {k: SawVertex(k, v.face) for k, v in self.vertices.items()}
+        g.edges = {k: SawEdge(k, e.u, e.v, e.directed, e.crease, e.tail_side)
+                   for k, e in self.edges.items()}
         g.walk = list(self.walk)
         return g
 
@@ -267,15 +268,6 @@ def single_vertex_saw(cone: ConeVertex) -> SawGraph:
         g = _unfold(g, cones[k], trace.steps[k].run)
     g.validate()
     return g
-
-
-def saw_supported(cone: ConeVertex) -> tuple[bool, str]:
-    """Whether single_vertex_saw builds this cone; if not, its refusal text."""
-    try:
-        single_vertex_saw(cone)
-    except _REFUSALS as exc:
-        return False, str(exc)
-    return True, ""
 
 
 def _unfold(g: SawGraph, big: ConeVertex, run) -> SawGraph:

@@ -178,8 +178,9 @@ def niceness(cone: ConeVertex):
 class _Schedule:
     """Positions, per crimp step, into the original crease tuple.
 
-    Checking one assignment is O(degree) integer work; the schedule is
-    cached per angle/crease tuple so brute-force loops stay fast.
+    Checking one assignment is O(degree) integer work. Positions do not
+    depend on crease names, so the schedule is cached per angle tuple and
+    brute-force loops stay fast.
     """
 
     steps: tuple[tuple[tuple[int, ...], int, int | None], ...]
@@ -187,19 +188,14 @@ class _Schedule:
 
 
 @lru_cache(maxsize=4096)
-def _schedule(angles: tuple[Angle, ...], crease_ids: tuple[str, ...]) -> _Schedule:
-    cone = ConeVertex(angles, crease_ids)
-    trace = crimp_trace(cone)
-    pos = {c: i for i, c in enumerate(crease_ids)}
+def _schedule(angles: tuple[Angle, ...]) -> _Schedule:
+    # the positions themselves serve as crease labels
+    trace = crimp_trace(ConeVertex(angles, tuple(range(len(angles)))))
     steps = []
     for st in trace.steps:
         run = st.run
-        idxs = tuple(pos[c] for c in run.creases)
-        steps.append((idxs, run.j, idxs[0] if run.j % 2 == 0 else None))
-    return _Schedule(
-        steps=tuple(steps),
-        terminal_idx=tuple(pos[c] for c in trace.terminal.crease_ids),
-    )
+        steps.append((run.creases, run.j, run.creases[0] if run.j % 2 == 0 else None))
+    return _Schedule(steps=tuple(steps), terminal_idx=trace.terminal.crease_ids)
 
 
 def _check_values(sched: _Schedule, vals: list[int]) -> bool:
@@ -229,7 +225,7 @@ def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
-    sched = _schedule(cone.angles, cone.crease_ids)
+    sched = _schedule(cone.angles)
     vals = [mv[c] for c in cone.crease_ids]
     if any(v not in (1, -1) for v in vals):
         raise ValueError("assignment values must be +-1")

@@ -8,16 +8,23 @@ reversed with triangles and stray undirected edges are pushed to the band
 periphery with prisms; the zip then identifies tail with tail and head
 with head over every shared crease.
 
+The clip order keeps its clippable set up to date, so a pick re-tests
+only its own neighbours. A single-vertex graph depends only on the cone's
+sector angles, so it is built once per distinct angle tuple and each
+vertex merges a renamed copy.
+
 Tiling computes no geometry: crease orders, faces, sides and the boundary
 tour all come from the pattern's face trace.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
-from .saw import (_REFUSALS, SawGraph, insert_prism, insert_triangle,
-                  negate_orientations, single_vertex_saw)
+from .saw import (_REFUSALS, SawEdge, SawGraph, SawVertex, insert_prism,
+                  insert_triangle, negate_orientations, single_vertex_saw)
 
 
 def clip_order(cp: CreasePattern) -> list[str]:
@@ -34,46 +41,63 @@ def clip_order(cp: CreasePattern) -> list[str]:
 
 
 def _clip_order(cp: CreasePattern, cones: dict[str, ConeVertex]) -> list[str]:
-    """clip_order on the cones of every interior vertex, computed once."""
+    """clip_order on the cones of every interior vertex, computed once.
+
+    Clippability depends only on which of a vertex's neighbours remain, so
+    the clippable set is kept up to date: a pick re-evaluates only its own
+    neighbours. Each pick takes the first clippable vertex, in sorted
+    order, that is not a cut vertex, else the first clippable one.
+    """
+    ends = {v: [cp.crease_other_end(c, v) for c in cone.crease_ids]
+            for v, cone in cones.items()}
     remaining = set(cones)
+    clippable = {v for v in remaining if _clippable(ends[v], remaining)}
     order = []
     while remaining:
-        clippable = []
-        for v in sorted(remaining):
-            ids = cones[v].crease_ids
-            shared = [cp.crease_other_end(c, v) in remaining for c in ids]
-            if all(shared):
-                continue  # nothing reaches the boundary yet
-            if _contiguous(shared):
-                clippable.append(v)
         if not clippable:
             raise DisconnectedInterior(
                 "no clippable vertex; interior cannot be ordered")
-        pick = next((v for v in clippable if not _is_cut(cp, cones, remaining, v)),
-                    clippable[0])
+        ranked = sorted(clippable)
+        pick = next((v for v in ranked if not _is_cut(ends, remaining, v)),
+                    ranked[0])
         order.append(pick)
         remaining.discard(pick)
+        clippable.discard(pick)
+        for w in set(ends[pick]) & remaining:
+            if _clippable(ends[w], remaining):
+                clippable.add(w)
+            else:
+                clippable.discard(w)
     return order
 
 
-def _is_cut(cp, cones, remaining: set[str], v: str) -> bool:
-    """Would removing v disconnect its component of the interior graph?"""
-    nbrs = {cp.crease_other_end(c, v) for c in cones[v].crease_ids}
-    nbrs = {w for w in nbrs if w in remaining and w != v}
+def _clippable(ends: list[str], remaining: set[str]) -> bool:
+    """Does a vertex whose creases end at ``ends`` (in cyclic order) reach
+    the boundary, with its creases to remaining vertices contiguous?"""
+    shared = [w in remaining for w in ends]
+    return not all(shared) and _contiguous(shared)
+
+
+def _is_cut(ends: dict[str, list[str]], remaining: set[str], v: str) -> bool:
+    """Would removing v disconnect its component of the interior graph?
+
+    A breadth-first search from one remaining neighbour of v, avoiding v,
+    that stops as soon as it has reached every other one."""
+    nbrs = {w for w in ends[v] if w in remaining}
     if len(nbrs) <= 1:
         return False
-    rest = remaining - {v}
-    start = next(iter(nbrs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for c in cones[w].crease_ids:
-            x = cp.crease_other_end(c, w)
-            if x in rest and x not in seen:
+    start = nbrs.pop()
+    seen = {v, start}
+    queue = deque([start])
+    while queue:
+        for x in ends[queue.popleft()]:
+            if x in remaining and x not in seen:
                 seen.add(x)
-                stack.append(x)
-    return not nbrs <= seen
+                nbrs.discard(x)
+                if not nbrs:
+                    return False
+                queue.append(x)
+    return True
 
 
 def _contiguous(flags: list[bool]) -> bool:
@@ -166,25 +190,33 @@ def tile(cp: CreasePattern) -> SawGraph:
     """SAW graph for the whole pattern.
 
     Each vertex's cone is computed once and serves the support pass, the
-    clip order and the merges. The support pass builds every interior
-    vertex's graph once, in sorted id order, with single_vertex_saw, and
-    turns its refusals into UnsupportedVertex. Waterbomb vertices are
-    3-nice, so no pattern surgery is needed. The graph built here is owned
-    by this call, so every merge fuses into it in place.
+    clip order and the merges. A single-vertex SAW graph depends only on
+    the cone's sector angles (crease names are labels), so the support
+    pass runs single_vertex_saw once per distinct angle tuple, walking the
+    vertices in sorted id order and turning a refusal into
+    UnsupportedVertex at the first vertex that meets it. Each merge takes
+    a fresh copy of its tuple's graph with the vertex's own crease names.
+    Waterbomb vertices are 3-nice, so no pattern surgery is needed. The
+    graph built here is owned by this call, so every merge fuses into it
+    in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
-    graphs = {}
+    built: dict[tuple, tuple[SawGraph, tuple[str, ...]]] = {}
     for v, cone in cones.items():
-        try:
-            graphs[v] = single_vertex_saw(cone)
-        except _REFUSALS as exc:
-            raise UnsupportedVertex(v, str(exc)) from exc
+        if cone.angles not in built:
+            try:
+                built[cone.angles] = (single_vertex_saw(cone), cone.crease_ids)
+            except _REFUSALS as exc:
+                raise UnsupportedVertex(v, str(exc)) from exc
     order = _clip_order(cp, cones)
     g = _base_saw(cp)
     merged: set[str] = set()
     for v in reversed(order):
+        cone = cones[v]
+        base, names = built[cone.angles]
+        u_graph = _renamed(base, dict(zip(names, cone.crease_ids)))
         try:
-            g = _merge_vertex(g, cp, v, cones[v], graphs.pop(v), merged)
+            g = _merge_vertex(g, cp, v, cone, u_graph, merged)
         except TilingError as exc:
             exc.vertex = v
             raise
@@ -192,6 +224,21 @@ def tile(cp: CreasePattern) -> SawGraph:
     g.root = select_root(g)
     g.validate()
     return g
+
+
+def _renamed(g: SawGraph, names: dict[str, str]) -> SawGraph:
+    """A fresh copy of a single-vertex SAW graph with every crease name,
+    on its crossing edges and in its sector-pair faces, mapped through
+    names. Ids, orientations, the walk and the root are kept."""
+    out = SawGraph(root=g.root, walk=list(g.walk),
+                   _next_v=g._next_v, _next_e=g._next_e)
+    out.vertices = {k: SawVertex(k, (names[sv.face[0]], names[sv.face[1]]))
+                    for k, sv in g.vertices.items()}
+    out.edges = {k: SawEdge(k, e.u, e.v, e.directed,
+                            None if e.crease is None else names[e.crease],
+                            e.tail_side)
+                 for k, e in g.edges.items()}
+    return out
 
 
 def select_root(g: SawGraph) -> int:

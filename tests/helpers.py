@@ -5,8 +5,10 @@ boundary edges (the failure mode the tiling procedure must avoid)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from flatfold.cp import build_crease_pattern, cone_at
+from flatfold.cp import ConeVertex, build_crease_pattern, cone_at
+from flatfold.errors import DisconnectedInterior
 from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
 from flatfold.tiling import _merge_vertex
@@ -175,6 +177,89 @@ def grid_saw(m: int, n: int) -> SawGraph:
                 g.add_edge(ids[(r, c)], ids[(r, c + 1)])
     g.root = 0
     return g
+
+
+def reference_clip_order(cp, cones=None) -> list[str]:
+    """The clip order by rescanning: each pick re-tests every remaining
+    vertex for clippability, and each candidate for being a cut vertex by
+    a search over all remaining vertices. The library keeps the clippable
+    set up to date instead and must pick the same order. ``cones`` defaults
+    to the cone of every interior vertex."""
+    if cones is None:
+        cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
+    nbrs = {v: [cp.crease_other_end(c, v) for c in cone.crease_ids]
+            for v, cone in cones.items()}
+
+    def contiguous(flags):
+        n = len(flags)
+        return sum(flags[i] != flags[(i + 1) % n] for i in range(n)) <= 2
+
+    def is_cut(remaining, v):
+        near = {w for w in nbrs[v] if w in remaining}
+        if len(near) <= 1:
+            return False
+        rest = remaining - {v}
+        start = next(iter(near))
+        seen, stack = {start}, [start]
+        while stack:
+            for x in nbrs[stack.pop()]:
+                if x in rest and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        return not near <= seen
+
+    remaining = set(cones)
+    order = []
+    while remaining:
+        clippable = []
+        for v in sorted(remaining):
+            shared = [w in remaining for w in nbrs[v]]
+            if not all(shared) and contiguous(shared):
+                clippable.append(v)
+        if not clippable:
+            raise DisconnectedInterior("no clippable vertex")
+        pick = next((v for v in clippable if not is_cut(remaining, v)),
+                    clippable[0])
+        order.append(pick)
+        remaining.discard(pick)
+    return order
+
+
+class CreaseGraph:
+    """Crease incidences alone: the part of a pattern the clip order reads."""
+
+    def __init__(self, creases: dict[str, tuple[str, str]]):
+        self.creases = creases
+
+    def crease_other_end(self, c: str, v: str) -> str:
+        a, b = self.creases[c]
+        return b if a == v else a
+
+
+def random_crease_graph(rng: random.Random, n: int):
+    """A random graph on n interior vertices with boundary creases and a
+    random cyclic crease order at each vertex, not necessarily planar.
+    Returns (CreaseGraph, cones); the cones' angles are placeholders."""
+    creases = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                creases[f"c{len(creases)}"] = (f"v{i}", f"v{j}")
+        for _ in range(rng.randint(0, 2)):
+            creases[f"c{len(creases)}"] = (f"v{i}", f"b{len(creases)}")
+    at = {f"v{i}": [] for i in range(n)}
+    for c, (a, b) in creases.items():
+        for end in (a, b):
+            if end in at:
+                at[end].append(c)
+    cones = {}
+    for v, ids in at.items():
+        if not ids:  # a lone vertex gets a crease to the boundary
+            ids.append(f"c{len(creases)}")
+            creases[ids[0]] = (v, f"b{len(creases)}")
+        rng.shuffle(ids)
+        cones[v] = ConeVertex((Fraction(1),) * len(ids), tuple(ids))
+    return CreaseGraph(creases), cones
 
 
 def small_pattern(kind: str, m: int, n: int, seed: int):

@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from flatfold import cone_at, count_colorings, count_locally_valid, kawasaki_check, tile
-from flatfold.errors import BadMaskLength
-from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
+from flatfold.errors import BadMaskLength, ValidationError
+from flatfold.generators import (_ray_to_rect, crane, miura, modified_miura, snake,
+                                 triangle_twist)
 
 
 def all_kawasaki(cp):
@@ -153,3 +154,10 @@ def test_crane_counts():
     n = count_colorings(g)
     assert n == 93312
     assert n == count_locally_valid(cp)
+
+
+def test_ray_to_rect_miss_raises_validation_error():
+    assert _ray_to_rect((0, 0), (1, 1), -2, 2, -1, 1) == (1, 1)
+    # from outside the rectangle, pointing away from it
+    with pytest.raises(ValidationError, match="ray misses the region"):
+        _ray_to_rect((5, 0), (1, 0), -2, 2, -1, 1)

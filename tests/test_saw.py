@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatfold import (
     baby_gadget,
@@ -14,6 +18,7 @@ from flatfold import (
     single_vertex_saw,
     split_waterbomb,
 )
+from flatfold.cp import ConeVertex
 from flatfold.errors import (
     AllEqualHighDegree,
     NotBoundaryEdge,
@@ -24,7 +29,7 @@ from flatfold.errors import (
 )
 from flatfold.generators import crane, miura, snake
 from flatfold.oracle import count_locally_valid
-from flatfold.saw import saw_supported
+from flatfold.saw import _REFUSALS
 
 from .conftest import cone, random_kawasaki_cone
 
@@ -150,9 +155,7 @@ def test_single_vertex_saw_unsupported():
     # 3-nice by run lengths, but the recursion bottoms out at an all-equal
     # cone of degree 6: no base graph exists
     c = cone(60, 30, 60, 90, 90, 90, 90, 90)
-    ok, why = saw_supported(c)
-    assert not ok and "terminal" in why
-    with pytest.raises(AllEqualHighDegree):
+    with pytest.raises(AllEqualHighDegree, match="terminal"):
         single_vertex_saw(c)
 
 
@@ -170,11 +173,34 @@ def test_random_supported_cones_biject(rng):
     checked = 0
     while checked < 60:
         c = random_kawasaki_cone(rng, max_half_degree=4)
-        ok, _ = saw_supported(c)
-        if not ok:
+        try:
+            single_vertex_saw(c)
+        except _REFUSALS:
             continue
         assert_cone_bijection(c)
         checked += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_single_vertex_saw_commutes_with_renaming(seed, data):
+    # tile builds one graph per distinct angle tuple and renames it per
+    # vertex; that is sound only if the construction reads crease names as
+    # labels and nothing else
+    c = random_kawasaki_cone(random.Random(seed), max_half_degree=5)
+    try:
+        g = single_vertex_saw(c)
+    except _REFUSALS:
+        assume(False)
+    names = data.draw(st.lists(st.text("cx01", min_size=1, max_size=3),
+                               min_size=c.degree, max_size=c.degree, unique=True))
+    rename = dict(zip(c.crease_ids, names))
+    for sv in g.vertices.values():
+        sv.face = tuple(rename[x] for x in sv.face)
+    for e in g.edges.values():
+        if e.crease is not None:
+            e.crease = rename[e.crease]
+    assert single_vertex_saw(ConeVertex(c.angles, tuple(names))) == g
 
 
 def test_insert_triangle_preserves_count_and_translation():
@@ -249,10 +275,10 @@ def test_random_surgery_preserves_counts(rng):
     done = 0
     while done < 25:
         c = random_kawasaki_cone(rng, max_half_degree=3)
-        ok, _ = saw_supported(c)
-        if not ok:
+        try:
+            g = single_vertex_saw(c)
+        except _REFUSALS:
             continue
-        g = single_vertex_saw(c)
         base = count_colorings(g)
         directed = [e.id for e in g.edges.values()
                     if e.directed and any(eid == e.id for _, eid in g.walk)]

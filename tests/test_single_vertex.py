@@ -18,8 +18,11 @@ from flatfold import (
     maekawa_check,
     niceness,
 )
+from flatfold.cp import cone_at
 from flatfold.errors import AllAnglesEqual, InvalidRun, KawasakiViolation
-from flatfold.single_vertex import MinRun
+from flatfold.generators import miura
+from flatfold.oracle import count_locally_valid
+from flatfold.single_vertex import MinRun, _schedule
 
 from .conftest import brute_force_count, cone, random_kawasaki_cone
 
@@ -206,3 +209,14 @@ def test_enumerate_agrees_with_validity(half_degree, seed):
         if is_valid_single_vertex(c, m):
             want.add(tuple(sorted(m.items())))
     assert got == want
+
+
+def test_validity_schedule_is_cached_per_angle_tuple():
+    # the schedule holds positions, so vertices that differ only in crease
+    # names share one entry
+    cp = miura(6, 6)
+    angle_tuples = {cone_at(cp, v).angles for v in cp.interior_vertex_ids()}
+    _schedule.cache_clear()
+    assert count_locally_valid(cp, limit=len(cp.creases)) == 33865632
+    assert _schedule.cache_info().misses <= len(angle_tuples)
+    assert len(angle_tuples) < len(cp.interior_vertex_ids())

@@ -1,18 +1,22 @@
 import hashlib
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatfold import count_colorings, count_locally_valid, tile
 from flatfold import saw, tiling
-from flatfold.errors import FlatfoldError, TilingError, UnsupportedVertex
+from flatfold.errors import DisconnectedInterior, FlatfoldError, TilingError, UnsupportedVertex
 from flatfold.cp import CreasePattern, cone_at
-from flatfold.saw import SawGraph, saw_supported
+from flatfold.saw import _REFUSALS, SawGraph, single_vertex_saw
 from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
 from flatfold.patternio import emit
 from flatfold.tiling import clip_order, select_root
 
-from .helpers import grid_saw, small_pattern, star_pattern
+from .helpers import (grid_saw, random_crease_graph, reference_clip_order, small_pattern,
+                      star_pattern)
 
 
 def test_tile_matches_oracle_small_miuras():
@@ -62,6 +66,61 @@ def test_clip_order_covers_all_vertices():
         assert sorted(order) == cp.interior_vertex_ids()
 
 
+def test_clip_order_matches_rescanning_reference():
+    patterns = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
+    for m in range(1, 9):
+        for n in range(1, 9):
+            patterns.append(snake(m, n))
+            patterns.append(small_pattern("modified-miura", m, n, 8 * m + n))
+    for cp in patterns:
+        assert clip_order(cp) == reference_clip_order(cp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_clip_order_matches_reference_on_random_graphs(n, seed):
+    # random cyclic orders often make a pick leave a clippable neighbour
+    # unclippable, which the pattern families above rarely exercise
+    cp, cones = random_crease_graph(random.Random(seed), n)
+    try:
+        want = reference_clip_order(cp, cones)
+    except DisconnectedInterior:
+        with pytest.raises(DisconnectedInterior):
+            tiling._clip_order(cp, cones)
+    else:
+        assert tiling._clip_order(cp, cones) == want
+
+
+def test_clip_order_work_is_linear(monkeypatch):
+    # a pick re-tests only its neighbours for clippability; rescanning every
+    # remaining vertex on each pick made the clip order quadratic
+    evaluations, cut_tests = [], []
+    real_clippable, real_is_cut = tiling._clippable, tiling._is_cut
+    monkeypatch.setattr(tiling, "_clippable", lambda ends, remaining:
+                        evaluations.append(1) or real_clippable(ends, remaining))
+    monkeypatch.setattr(tiling, "_is_cut", lambda ends, remaining, v:
+                        cut_tests.append(v) or real_is_cut(ends, remaining, v))
+    cp = miura(20, 20)
+    order = clip_order(cp)
+    n_vertices, n_creases = len(order), len(cp.creases)
+    assert (n_vertices, n_creases) == (361, 760)
+    assert len(evaluations) <= n_vertices + 2 * n_creases
+    assert len(cut_tests) <= 2 * n_vertices
+
+
+def test_tile_copies_match_direct_construction():
+    # tile builds one single-vertex graph per distinct angle tuple and
+    # renames it per vertex; each copy must equal the direct construction
+    for cp in (crane(), triangle_twist(3), snake(3, 3), miura(3, 4)):
+        first = {}
+        for v in cp.interior_vertex_ids():
+            cone = cone_at(cp, v)
+            base_cone = first.setdefault(cone.angles, cone)
+            names = dict(zip(base_cone.crease_ids, cone.crease_ids))
+            copy = tiling._renamed(single_vertex_saw(base_cone), names)
+            assert copy == single_vertex_saw(cone)
+
+
 def test_tile_rejects_unsupported_vertex():
     # single all-equal degree-6 vertex: open problem, no SAW graph
     cp = star_pattern((60,) * 6)
@@ -79,7 +138,9 @@ def test_tile_refusal_names_vertex_and_reason(angles):
     with pytest.raises(UnsupportedVertex) as exc:
         tile(cp)
     assert exc.value.vertex == "v0"
-    assert exc.value.reason == saw_supported(cone_at(cp, "v0"))[1]
+    with pytest.raises(_REFUSALS) as refusal:
+        single_vertex_saw(cone_at(cp, "v0"))
+    assert exc.value.reason == str(refusal.value)
 
 
 def test_tile_random_masks_match_oracle(rng):
@@ -147,7 +208,10 @@ def test_miura_10x10_one_crimp_trace_per_vertex(monkeypatch):
     monkeypatch.setattr(saw, "crimp_trace", lambda cone: calls.append(cone) or real(cone))
     cp = miura(10, 10)
     tile(cp)
-    assert len(cp.interior_vertex_ids()) == len(calls) == 81
+    # one single-vertex construction per distinct angle tuple, not per vertex
+    angles = {cone_at(cp, v).angles for v in cp.interior_vertex_ids()}
+    assert len(cp.interior_vertex_ids()) == 81
+    assert len(calls) == len(angles) == 4
 
 
 def test_select_root_deterministic():
