@@ -132,9 +132,6 @@ class CreasePattern:
     def interior_vertex_ids(self) -> list[str]:
         return sorted(self.vertices)
 
-    def creases_at(self, v: str) -> list[str]:
-        return [c for c, (a, b) in sorted(self.creases.items()) if v in (a, b)]
-
     def crease_other_end(self, c: str, v: str) -> str:
         a, b = self.creases[c]
         return b if a == v else a

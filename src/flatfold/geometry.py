@@ -109,10 +109,6 @@ def angle_cmp(d1: tuple[int, int], d2: tuple[int, int]) -> int:
 ANGLE_KEY = cmp_to_key(angle_cmp)
 
 
-def sort_ccw(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return sorted(dirs, key=ANGLE_KEY)
-
-
 _OCTANTS = {
     (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
     (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,

@@ -1,14 +1,15 @@
 """Ground truth over whole crease patterns, independent of SAW graphs.
 
-The crease search is a plan of ``search``: creases are assigned in a
-vertex-clustered order, and the crease that completes an interior vertex
-reads that vertex's other creases and takes only the values that pass its
-single-vertex crimp schedule. ``count_locally_valid`` runs the plan through
-the frontier DP ``search.frontier_count``, so its cost follows the frontier
-width, not the count; ``enumerate_locally_valid`` runs it through the
-depth-first generator ``search.depth_first``, materializes witnesses and
-stops past its cap, leaving the count to the same DP. Counts are exact
-Python ints (arbitrary precision).
+The crease search is a plan of ``search``: creases are assigned in one
+order, a vertex sweep (``_search_plan``), and the crease that completes an
+interior vertex reads that vertex's other creases and takes only the
+values that pass its single-vertex crimp schedule. ``count_locally_valid``
+runs the plan through the frontier DP ``search.frontier_count``, so its
+cost follows the frontier width, not the count; ``enumerate_locally_valid``
+runs the same plan through the depth-first generator
+``search.depth_first``, materializes witnesses in sweep order and stops
+past its cap, leaving the count to the DP. Counts are exact Python ints
+(arbitrary precision).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .single_vertex import (
     count_single_vertex_mv,
     kawasaki_check,
 )
-from .search import depth_first, frontier_count
+from .search import depth_first, frontier_count, frontier_width
 
 DEFAULT_BRUTE_LIMIT = 40
 
@@ -52,45 +53,71 @@ class LocalValidityReport:
 def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
     """The crease search as a plan of ``search``: the crease order, the
     plan (a crease reads the other creases of the vertices it completes),
-    and the cone of each interior vertex."""
+    and the cone of each interior vertex.
+
+    Unless ``crease_order`` is given, the order is a vertex sweep: the
+    interior vertices sorted by exact coordinate, x then y or y then x,
+    each vertex's ``ccw_creases`` in turn, then the creases no vertex has.
+    Of the two axes, the one whose plan has the smaller
+    ``search.frontier_width`` wins, x on a tie, so the frontier is one
+    row of vertices across the narrower side of the pattern."""
     cones = {}
     for v in cp.interior_vertex_ids():
         cone = cone_at(cp, v)
         if not kawasaki_check(cone):
             raise KawasakiViolation(vertex=v)
         cones[v] = cone
+    vertex_checks = [(_schedule(cone.angles), cone.crease_ids) for cone in cones.values()]
 
-    if crease_order is None:
-        # each vertex's creases in turn, then the creases no vertex has
-        order = list(dict.fromkeys([c for cone in cones.values() for c in cone.crease_ids]
-                                   + sorted(cp.creases)))
-    else:
+    if crease_order is not None:
         order = list(crease_order)
         if sorted(order) != sorted(cp.creases):
             raise ValueError("crease_order must be a permutation of the creases")
-
-    pos = {c: i for i, c in enumerate(order)}
-    checks_at: list[list] = [[] for _ in order]
-    for cone in cones.values():
-        idxs = [pos[c] for c in cone.crease_ids]
-        checks_at[max(idxs)].append((_schedule(cone.angles), idxs))
-    plan = []
-    for i, checks in enumerate(checks_at):
-        reads = sorted({k for _, idxs in checks for k in idxs} - {i})
-        plan.append((reads, partial(_crease_values, checks, reads + [i])))
+        return order, _plan(vertex_checks, order), cones
+    plans = []
+    for axis in (0, 1):
+        swept = sorted(cones, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
+        order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
+                                   + sorted(cp.creases)))
+        plans.append((order, _plan(vertex_checks, order)))
+    order, plan = min(plans, key=lambda op: frontier_width(op[1]))
     return order, plan, cones
 
 
-def _crease_values(checks: list, at: list[int], vals: tuple[int, ...]) -> list[int]:
+def _plan(vertex_checks: list, order: list[str]) -> list:
+    """The plan over ``order``: the crease that completes a vertex checks
+    it against the vertex's crimp schedule, reading the vertex's other
+    creases. ``vertex_checks`` pairs each vertex's schedule with its
+    creases."""
+    pos = {c: i for i, c in enumerate(order)}
+    checks_at: list[list] = [[] for _ in order]
+    for sched, creases in vertex_checks:
+        idxs = [pos[c] for c in creases]
+        checks_at[max(idxs)].append((sched, idxs))
+    plan = []
+    for i, checks in enumerate(checks_at):
+        reads = sorted({k for _, idxs in checks for k in idxs} - {i})
+        place = {k: j for j, k in enumerate(reads + [i])}
+        checks = [(sched, [place[k] for k in idxs]) for sched, idxs in checks]
+        plan.append((reads, partial(_crease_values, checks)))
+    return plan
+
+
+def _crease_values(checks: list, vals: tuple[int, ...]) -> list[int]:
     """The ``allowed`` rule of a crease that completes the vertices of
     ``checks``: value 0 (mountain, +1) or 1 (valley, -1), whichever passes
-    each vertex's crimp schedule. ``at`` lists the positions of the read
-    creases, then the crease's own."""
+    each vertex's crimp schedule. A check lists the places of its vertex's
+    creases in ``vals`` followed by the crease's own value."""
+    signs = [1 - 2 * v for v in vals]
     out = []
-    for x in (0, 1):
-        mv = {k: 1 - 2 * v for k, v in zip(at, vals + (x,))}
-        if all(_check_values(sched, [mv[k] for k in idxs]) for sched, idxs in checks):
+    for x, sign in ((0, 1), (1, -1)):
+        signs.append(sign)
+        for sched, places in checks:
+            if not _check_values(sched, [signs[j] for j in places]):
+                break
+        else:
             out.append(x)
+        signs.pop()
     return out
 
 
@@ -99,7 +126,8 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
     """Exact count plus the first ``cap`` witness assignments.
 
     Witnesses come in depth-first order over the search plan's crease
-    order, each crease trying 1 before -1, from ``search.depth_first``.
+    order, the vertex sweep of ``_search_plan`` unless ``crease_order`` is
+    given, each crease trying 1 before -1, from ``search.depth_first``.
     The search stops once it finds assignment ``cap + 1``; then
     ``cap_exceeded`` is set and ``count`` comes from the frontier DP of
     ``count_locally_valid`` (without its crease limit). Otherwise ``count``

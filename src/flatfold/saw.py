@@ -10,6 +10,7 @@ the outer face; for single-vertex graphs every crossing edge lies on it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,10 +114,16 @@ class SawGraph:
     def walk_vertices(self) -> set[int]:
         return {v for v, _ in self.walk}
 
-    def check_walk(self):
-        """Internal sanity: the walk chains and closes."""
+    def check_walk(self, steps: Iterable[int] | None = None):
+        """Internal sanity: the walk chains and closes. ``steps`` limits the
+        check to those step indices (taken modulo the walk's length), each
+        checked against the step after it."""
         n = len(self.walk)
-        for i, (v, e) in enumerate(self.walk):
+        if steps is None or not n:
+            steps = range(n)
+        for k in steps:
+            i = k % n
+            v, e = self.walk[i]
             edge = self.edges[e]
             if v not in edge.ends():
                 raise TilingError(f"walk step {i} starts at SAW vertex {v}, "

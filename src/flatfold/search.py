@@ -53,6 +53,20 @@ def frontier_count(plan: Plan) -> int:
     return sum(states.values())
 
 
+def frontier_width(plan: Plan) -> int:
+    """The most slots ``frontier_count`` holds at once on ``plan``: a
+    position takes a slot when a later position reads it and frees it
+    after its last reader, so this is one pass over the reads."""
+    last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
+    live = width = 0
+    for i, (reads, _) in enumerate(plan):
+        live -= sum(last[k] == i for k in reads)
+        if i in last:
+            live += 1
+            width = max(width, live)
+    return width
+
+
 def depth_first(plan: Plan) -> Iterator[tuple[int, ...]]:
     """Yield every complete assignment of ``plan`` in lexicographic order,
     by a depth-first search on an explicit stack (``stack[i]`` iterates

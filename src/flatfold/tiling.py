@@ -357,11 +357,13 @@ def _zip(g: SawGraph, g_span: list[int], u: SawGraph, u_span: list[int],
                        {se.id: g_band[se.crease].id for se in u.edges.values()
                         if se.directed and se.crease in g_band})
 
-    # new walk: g's walk after the window, then u's arc outside its window
+    # new walk: g's walk after the window, then u's arc outside its window.
+    # Only u's arc and the two seams are new: the last step of g's part
+    # now leads into the arc, and the arc's last step back to g's part.
     g_rest = [g.walk[(g_span[-1] + 1 + k) % ng] for k in range(ng - len(g_span))]
     u_rest = [u.walk[(u_span[-1] + 1 + k) % nu] for k in range(nu - len(u_span))]
     g.walk = g_rest + [(vmap[v0], emap[e0]) for v0, e0 in u_rest]
-    g.check_walk()
+    g.check_walk(range(len(g_rest) - 1, len(g.walk)))
     return g
 
 
@@ -417,7 +419,8 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
         g.walk = u_rot
         g.check_walk()
         return g
+    # only u's walk and the step of g's walk that now leads into it are new
     gi = next(i for i, (v0, _) in enumerate(g.walk) if v0 == g_pick)
     g.walk = g.walk[:gi] + u_rot + g.walk[gi:]
-    g.check_walk()
+    g.check_walk(range(gi - 1, gi + len(u_rot)))
     return g

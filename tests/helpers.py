@@ -290,3 +290,38 @@ def star_pattern(angles):
         boundary_points={f"b{i}": p for i, p in enumerate(ends)},
         declared_angles={"v0": tuple(angles)},
     )
+
+
+def vertex_id_order(cp) -> list[str]:
+    """The crease order the oracle used before the vertex sweep: each
+    interior vertex's creases counterclockwise, in vertex-id order, then
+    the creases no vertex has."""
+    return list(dict.fromkeys([c for v in cp.interior_vertex_ids() for c in cp.ccw_creases[v]]
+                              + sorted(cp.creases)))
+
+
+def sweep_order(cp, axis: int) -> list[str]:
+    """The oracle's vertex sweep along one axis (0 is x then y, 1 is y then
+    x), written out from its definition."""
+    swept = sorted(cp.vertices, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
+    order = [c for v in swept for c in cp.ccw_creases[v]]
+    return list(dict.fromkeys(order + sorted(cp.creases)))
+
+
+def replayed_width(plan) -> int:
+    """The most frontier slots live at once, by replaying the slot rule of
+    ``search.frontier_count`` on explicit slot sets: at each position, the
+    read positions it is the last reader of leave the frontier, then the
+    position enters it if any later position reads it."""
+    readers: dict[int, list[int]] = {}
+    for i, (reads, _) in enumerate(plan):
+        for k in reads:
+            readers.setdefault(k, []).append(i)
+    live: set[int] = set()
+    width = 0
+    for i, (reads, _) in enumerate(plan):
+        live -= {k for k in reads if readers[k][-1] == i}
+        if i in readers:
+            live.add(i)
+        width = max(width, len(live))
+    return width

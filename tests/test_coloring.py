@@ -81,6 +81,20 @@ def test_count_root_position_irrelevant():
     assert len(counts) == 1
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(2, 5), st.integers(2, 5), st.integers(0, 10 ** 6))
+def test_count_is_root_independent(kind, m, n, seed):
+    # recoloring by a permutation of the three colors moves any root's
+    # color to 0, so every root gives the same count
+    g = tile(small_pattern(kind, m, n, seed))
+    counts = set()
+    for r in sorted(g.vertices):
+        g.root = r
+        counts.add(count_colorings(g))
+    assert len(counts) == 1
+
+
 def test_count_miura_pins():
     assert count_colorings(tile(miura(6, 6))) == 33_865_632
     assert count_colorings(tile(miura(10, 10))) == 169_426_507_164_530_254_380

@@ -80,13 +80,13 @@ def test_snake_counts_match_miura():
 
 def test_snake_no_waterbomb_degenerate():
     cp = snake(2, 2)  # single zig column: no adjacent pair to merge
-    assert all(len(cp.creases_at(v)) == 4 for v in cp.interior_vertex_ids())
+    assert all(len(cp.ccw_creases[v]) == 4 for v in cp.interior_vertex_ids())
 
 
 def test_snake_waterbomb_split_equivalence():
     from flatfold import split_waterbomb
     cp = snake(2, 4)
-    wb = next(v for v in cp.interior_vertex_ids() if len(cp.creases_at(v)) == 6)
+    wb = next(v for v in cp.interior_vertex_ids() if len(cp.ccw_creases[v]) == 6)
     assert count_locally_valid(split_waterbomb(cp, wb)) == count_locally_valid(cp)
 
 
@@ -101,7 +101,7 @@ def test_split_waterbomb_lets_other_errors_through(monkeypatch):
         raise ZeroDivisionError("fault in the pattern build")
 
     cp = snake(2, 4)
-    wb = next(v for v in cp.interior_vertex_ids() if len(cp.creases_at(v)) == 6)
+    wb = next(v for v in cp.interior_vertex_ids() if len(cp.ccw_creases[v]) == 6)
     monkeypatch.setattr(generators, "build_crease_pattern", broken)
     with pytest.raises(ZeroDivisionError):
         generators.split_waterbomb(cp, wb)
@@ -143,7 +143,7 @@ def test_pattern_spec_dispatch():
 
 def test_crane_structure():
     cp = crane()
-    degs = sorted(len(cp.creases_at(v)) for v in cp.interior_vertex_ids())
+    degs = sorted(len(cp.ccw_creases[v]) for v in cp.interior_vertex_ids())
     assert degs == [4] * 10 + [6]
     assert len(cp.creases) == 30
 

@@ -11,7 +11,6 @@ from flatfold.geometry import (
     primitive,
     sector_45,
     segments_conflict,
-    sort_ccw,
 )
 
 F = Fraction
@@ -32,7 +31,7 @@ def test_primitive_reduces():
 
 def test_angle_sort_counterclockwise():
     dirs = [(0, -1), (1, 0), (-1, 0), (1, 1), (0, 1), (-1, -1)]
-    assert sort_ccw(dirs) == [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    assert sorted(dirs, key=ANGLE_KEY) == [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
 def test_octants_and_sectors():

@@ -17,9 +17,11 @@ from flatfold import oracle
 from flatfold.cp import cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
 from flatfold.generators import crane, miura, snake, triangle_twist
+from flatfold.search import frontier_width
 from flatfold.tiling import tile
 
-from .helpers import grid_saw, small_pattern
+from .helpers import (grid_saw, replayed_width, small_pattern, sweep_order,
+                      vertex_id_order)
 
 
 def test_single_vertex_pattern_matches_recursion():
@@ -98,6 +100,54 @@ def test_counters_agree_with_plain_searches(kind, m, n, seed):
     order = sorted(cp.creases)
     random.Random(seed).shuffle(order)
     assert count_locally_valid(cp, crease_order=order) == count
+
+
+@pytest.mark.parametrize("n, count", [(8, 13_574_876_544_396),
+                                      (10, 169_426_507_164_530_254_380)])
+def test_sweep_matches_colorings_on_large_miura(n, count):
+    # the vertex sweep's frontier holds 9 and 11 creases here, so both
+    # counts take well under a second
+    cp = miura(n, n)
+    assert count_locally_valid(cp, limit=len(cp.creases)) == count
+    assert count_colorings(tile(cp)) == count
+
+
+@pytest.mark.parametrize("make, width", [(crane, 7), (lambda: miura(5, 5), 6),
+                                         (lambda: snake(6, 6), 8),
+                                         (lambda: miura(10, 10), 11)],
+                         ids=["crane", "miura-5x5", "snake-6x6", "miura-10x10"])
+def test_sweep_plan_widths(make, width):
+    cp = make()
+    plan = oracle._search_plan(cp)[1]
+    assert frontier_width(plan) == replayed_width(plan) == width
+    old = oracle._search_plan(cp, crease_order=vertex_id_order(cp))[1]
+    assert replayed_width(old) > width
+
+
+def test_sweep_takes_the_narrower_axis():
+    # Miura 10x10: the x sweep is 18 wide, the y sweep 11; the crane ties
+    # at 7, and a tie goes to x
+    cp = miura(10, 10)
+    widths = [replayed_width(oracle._search_plan(cp, crease_order=sweep_order(cp, axis))[1])
+              for axis in (0, 1)]
+    assert widths == [18, 11]
+    assert oracle._search_plan(cp)[0] == sweep_order(cp, 1)
+    cp = crane()
+    assert oracle._search_plan(cp)[0] == sweep_order(cp, 0)
+    assert replayed_width(oracle._search_plan(cp, crease_order=sweep_order(cp, 1))[1]) == 7
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(2, 8), st.integers(2, 8), st.integers(0, 10 ** 6))
+def test_sweep_count_matches_colorings_and_old_order(kind, m, n, seed):
+    # counts only; the vertex-id order is too wide to run past 5x5
+    cp = small_pattern(kind, m, n, seed)
+    count = count_locally_valid(cp, limit=len(cp.creases))
+    assert count == count_colorings(tile(cp))
+    if kind == "twists" or max(m, n) <= 5:
+        assert count == count_locally_valid(cp, limit=len(cp.creases),
+                                            crease_order=vertex_id_order(cp))
 
 
 def test_limit_exceeded():

@@ -296,7 +296,7 @@ def test_random_surgery_preserves_counts(rng):
 def test_split_waterbomb_counts_match():
     cp = snake(2, 4)
     wbs = [v for v in cp.interior_vertex_ids()
-           if len(cp.creases_at(v)) == 6]
+           if len(cp.ccw_creases[v]) == 6]
     assert wbs
     before = count_locally_valid(cp)
     cp2 = split_waterbomb(cp, wbs[0])
@@ -307,7 +307,7 @@ def test_split_waterbomb_counts_match():
 def test_split_waterbomb_crane_center():
     cp = crane()
     center = next(v for v in cp.interior_vertex_ids()
-                  if len(cp.creases_at(v)) == 6)
+                  if len(cp.ccw_creases[v]) == 6)
     cp2 = split_waterbomb(cp, center)
     from flatfold.cp import cone_at
     for nid in (f"{center}a", f"{center}b"):

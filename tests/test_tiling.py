@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flatfold import count_colorings, count_locally_valid, tile
 from flatfold import saw, tiling
 from flatfold.errors import DisconnectedInterior, FlatfoldError, TilingError, UnsupportedVertex
-from flatfold.cp import CreasePattern, cone_at
+from flatfold.cp import cone_at
 from flatfold.saw import _REFUSALS, SawGraph, single_vertex_saw
 from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
 from flatfold.patternio import emit
@@ -39,7 +39,7 @@ def test_tile_twists():
 
 def test_tile_snake_with_waterbombs():
     cp = snake(3, 3)
-    assert any(len(cp.creases_at(v)) == 6 for v in cp.interior_vertex_ids())
+    assert any(len(cp.ccw_creases[v]) == 6 for v in cp.interior_vertex_ids())
     assert count_colorings(tile(cp)) == count_locally_valid(cp)
 
 
@@ -155,7 +155,7 @@ def test_tile_after_waterbomb_split():
     # transformed pattern must tile to the same count
     from flatfold import split_waterbomb
     cp = snake(3, 3)
-    wb = next(v for v in cp.interior_vertex_ids() if len(cp.creases_at(v)) == 6)
+    wb = next(v for v in cp.interior_vertex_ids() if len(cp.ccw_creases[v]) == 6)
     cp2 = split_waterbomb(cp, wb)
     n = count_locally_valid(cp)
     assert count_locally_valid(cp2) == n
@@ -175,12 +175,6 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
         return real_copy(g)
 
     monkeypatch.setattr(SawGraph, "copy", counting_copy)
-    # cone_at reads the face trace's crease order; scanning every crease
-    # per vertex made tile quadratic in the pattern size
-    scans = []
-    real_creases_at = CreasePattern.creases_at
-    monkeypatch.setattr(CreasePattern, "creases_at",
-                        lambda cp, v: scans.append(v) or real_creases_at(cp, v))
     # each merge locates its two band windows once (262 _window calls here
     # when the zip searched them again), and reads crossing edges only of
     # the incoming single-vertex graph, not of the merged one (178 edges)
@@ -195,7 +189,6 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
     cp = miura(10, 10)
     g = tile(cp)
     assert sorted(cone_calls) == cp.interior_vertex_ids()
-    assert scans == []
     # copying the whole graph once per merge copied 5,499 SAW vertices here
     assert copied[0] < 2 * len(g.vertices)
     assert len(windows) <= 2 * len(cp.vertices)
@@ -256,6 +249,28 @@ def test_merge_fault_names_the_vertex(monkeypatch):
     assert exc.value.vertex in miura(3, 3).interior_vertex_ids()
     assert exc.value.crease == ("zz",)
     assert f"vertex {exc.value.vertex}" in str(exc.value)
+
+
+@pytest.mark.parametrize("side", ["g", "u"])
+def test_zip_checks_the_seams_it_writes(monkeypatch, side):
+    # a zip checks only the incoming graph's arc and the two seams where it
+    # meets the merged walk; with tile's whole-walk validate switched off,
+    # a bad seam step must still raise
+    real_zip = tiling._zip
+
+    def bad_seam(g, g_span, u, u_span, block):
+        # the step just before a band window becomes a seam after the zip;
+        # send it back along the edge the walk came in by, so that only the
+        # seam step itself breaks
+        h, span = (g, g_span) if side == "g" else (u, u_span)
+        i = (span[0] - 1) % len(h.walk)
+        h.walk[i] = (h.walk[i][0], h.walk[i - 1][1])
+        return real_zip(g, g_span, u, u_span, block)
+
+    monkeypatch.setattr(tiling, "_zip", bad_seam)
+    monkeypatch.setattr(SawGraph, "validate", lambda g: None)
+    with pytest.raises(TilingError, match="does not reach"):
+        tile(miura(3, 3))
 
 
 # sha256 of emit(cp, saw=tile(cp)). Any change to a tiled SAW graph (vertex
