@@ -41,28 +41,23 @@ def _emit_count(args, name: str, value: int):
         print(value)
 
 
-# family -> (fewest, most) integer parameters on the command line
-_ARITY = {"miura": (2, 2), "modified-miura": (2, 2), "snake": (2, 2),
-          "triangle-twist": (0, 1), "joined-twists": (0, 1), "crane": (0, 0)}
-_DEFAULT_COUNT = {"triangle-twist": 1, "joined-twists": 2}
-
-
 def _generate(args) -> int:
     fam, params = args.family, args.params
-    lo, hi = _ARITY[fam]
+    family = generators.FAMILIES[fam]
+    hi = len(family.params)
+    lo = hi - (family.default_count is not None)
     if not lo <= len(params) <= hi:
         want = f"{lo}" if lo == hi else f"{lo} to {hi}"
         args.usage_error(f"{fam} takes {want} integer parameters, got {len(params)}")
-    if fam in _DEFAULT_COUNT:
-        spec = generators.PatternSpec(fam, count=params[0] if params else _DEFAULT_COUNT[fam])
-    elif fam == "crane":
-        spec = generators.PatternSpec(fam)
-    else:
-        m, n = params
-        mask = args.mask or "0" * max(n - 1, 0)
+    fields = dict(zip(family.params, params))
+    if family.default_count is not None:
+        fields.setdefault("count", family.default_count)
+    if "n" in fields:
+        mask = args.mask or "0" * max(fields["n"] - 1, 0)
         if set(mask) - {"0", "1"}:
             args.usage_error(f"--mask must be a string of 0s and 1s, got {mask!r}")
-        spec = generators.PatternSpec(fam, m, n, tuple(x == "1" for x in mask))
+        fields["mask"] = tuple(x == "1" for x in mask)
+    spec = generators.PatternSpec(fam, **fields)
     try:
         cp = spec.build()
     except ValueError as exc:  # the generators' own parameter checks
@@ -158,7 +153,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit a generated pattern as JSON")
-    g.add_argument("family", choices=list(_ARITY))
+    g.add_argument("family", choices=list(generators.FAMILIES))
     g.add_argument("params", nargs="*", type=int)
     g.add_argument("--mask", help="reflection mask of 0/1 for modified-miura")
     g.add_argument("-o", "--output", default="-")

@@ -13,8 +13,10 @@ between each consecutive pair of crease directions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cp import CreasePattern, _ccw_ids, build_crease_pattern, cone_at
 from .errors import BadMaskLength, NotWaterbomb, ValidationError
@@ -25,26 +27,42 @@ F = Fraction
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Family name plus family-specific parameters, as used by the CLI."""
+    """Family name plus family-specific parameters, as used by the CLI.
 
-    family: str                      # miura | modified-miura | snake | triangle-twist | crane
+    ``family`` is a key of FAMILIES: miura, modified-miura, snake,
+    triangle-twist, joined-twists or crane.
+    """
+
+    family: str
     m: int = 1
     n: int = 1
     mask: tuple[bool, ...] = ()
     count: int = 1
 
     def build(self) -> "CreasePattern":
-        if self.family == "miura":
-            return miura(self.m, self.n)
-        if self.family == "modified-miura":
-            return modified_miura(self.m, self.n, self.mask)
-        if self.family == "snake":
-            return snake(self.m, self.n)
-        if self.family in ("triangle-twist", "joined-twists"):
-            return triangle_twist(self.count)
-        if self.family == "crane":
-            return crane()
-        raise ValueError(f"unknown family {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        return FAMILIES[self.family].build(self)
+
+
+class Family(NamedTuple):
+    """How a PatternSpec builds one family, and the integer parameters the
+    CLI takes for it: the PatternSpec fields they fill, in order. A family
+    with a default count may leave its count out."""
+
+    build: Callable[[PatternSpec], CreasePattern]
+    params: tuple[str, ...] = ()
+    default_count: int | None = None
+
+
+FAMILIES = {
+    "miura": Family(lambda s: miura(s.m, s.n), ("m", "n")),
+    "modified-miura": Family(lambda s: modified_miura(s.m, s.n, s.mask), ("m", "n")),
+    "snake": Family(lambda s: snake(s.m, s.n), ("m", "n")),
+    "triangle-twist": Family(lambda s: triangle_twist(s.count), ("count",), 1),
+    "joined-twists": Family(lambda s: triangle_twist(s.count), ("count",), 2),
+    "crane": Family(lambda s: crane()),
+}
 
 
 class _Builder:
@@ -109,6 +127,28 @@ class _Builder:
                                     boundary_points=self.bpoints)
 
 
+def _zigzag_sheet(b: _Builder, m: int, n: int, zx) -> list[tuple[Fraction, Fraction]]:
+    """Crease an n x m sheet: vertical zig-zag polylines j = 1..n-1 through
+    (zx(j, i), i) for i = 0..m, then the horizontal row lines i = 1..m-1,
+    split at their zig vertices in increasing x (a vertex two polylines
+    share is one vertex). Returns the sheet's region."""
+    for j in range(1, n):
+        for i in range(m):
+            p = (zx(j, i), F(i))
+            q = (zx(j, i + 1), F(i + 1))
+            a = b.vertex(*p) if 0 < i else b.bpoint(*p)
+            c = b.vertex(*q) if i + 1 < m else b.bpoint(*q)
+            b.crease(a, c)
+    for i in range(1, m):
+        xs = sorted({zx(j, i) for j in range(1, n)})
+        nodes = [b.bpoint(F(0), F(i))]
+        nodes += [b.vertex(x, F(i)) for x in xs]
+        nodes.append(b.bpoint(F(n), F(i)))
+        for a, c in zip(nodes, nodes[1:]):
+            b.crease(a, c)
+    return [(F(0), F(0)), (F(n), F(0)), (F(n), F(m)), (F(0), F(m))]
+
+
 def miura(m: int, n: int, acute=F(60)) -> CreasePattern:
     """m x n array of congruent parallelograms (bird's-foot vertices)."""
     return modified_miura(m, n, (False,) * max(n - 1, 0), acute=acute)
@@ -136,26 +176,8 @@ def modified_miura(m: int, n: int, mask, acute=F(60), shear=F(1, 4)) -> CreasePa
         sigma = -1 if mask[j - 1] else 1
         return j + s * sigma * (-1) ** i
 
-    # zig-zag columns
-    for j in range(1, n):
-        for i in range(m):
-            p = (zx(j, i), F(i))
-            q = (zx(j, i + 1), F(i + 1))
-            a = b.vertex(*p) if 0 < i else b.bpoint(*p)
-            c = b.vertex(*q) if i + 1 < m else b.bpoint(*q)
-            b.crease(a, c)
-
-    # horizontal rows, split at the zig vertices
-    for i in range(1, m):
-        xs = [F(0)] + [zx(j, i) for j in range(1, n)] + [F(n)]
-        nodes = []
-        for k, x in enumerate(xs):
-            if k == 0 or k == len(xs) - 1:
-                nodes.append(b.bpoint(x, F(i)))
-            else:
-                nodes.append(b.vertex(x, F(i)))
-        for a, c in zip(nodes, nodes[1:]):
-            b.crease(a, c)
+    # with the shear below 1/2, zx rises strictly with j: no two columns meet
+    region = _zigzag_sheet(b, m, n, zx)
 
     # declared angles at the interior vertices: acute where the true sector is
     def zigzag(d1, d2):
@@ -164,8 +186,6 @@ def modified_miura(m: int, n: int, mask, acute=F(60), shear=F(1, 4)) -> CreasePa
     for j in range(1, n):
         for i in range(1, m):
             b.declare(b.vertex(zx(j, i), F(i)), zigzag)
-
-    region = [(F(0), F(0)), (F(n), F(0)), (F(n), F(m)), (F(0), F(m))]
     return b.build(region)
 
 
@@ -188,24 +208,7 @@ def snake(m: int, n: int) -> CreasePattern:
     def zx(j: int, i: int) -> Fraction:
         return j + s * sigma(j) * (-1) ** i
 
-    for j in range(1, n):
-        for i in range(m):
-            p = (zx(j, i), F(i))
-            q = (zx(j, i + 1), F(i + 1))
-            a = b.vertex(*p) if 0 < i else b.bpoint(*p)
-            c = b.vertex(*q) if i + 1 < m else b.bpoint(*q)
-            b.crease(a, c)
-
-    for i in range(1, m):
-        xs = sorted({zx(j, i) for j in range(1, n)})
-        nodes = [b.bpoint(F(0), F(i))]
-        nodes += [b.vertex(x, F(i)) for x in xs]
-        nodes.append(b.bpoint(F(n), F(i)))
-        for a, c in zip(nodes, nodes[1:]):
-            b.crease(a, c)
-
-    region = [(F(0), F(0)), (F(n), F(0)), (F(n), F(m)), (F(0), F(m))]
-    return b.build(region)
+    return b.build(_zigzag_sheet(b, m, n, zx))
 
 
 def crane() -> CreasePattern:

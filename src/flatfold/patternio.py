@@ -157,11 +157,6 @@ def load(path: str):
         return load_text(fh.read())
 
 
-def save(path: str, cp: CreasePattern, mv=None, saw=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit(cp, mv, saw))
-
-
 def to_fold(cp: CreasePattern, mv: MVAssignment | None = None) -> dict:
     """Interoperability shim: a FOLD-style dict with float coordinates.
 

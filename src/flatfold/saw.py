@@ -6,6 +6,11 @@ A SawGraph holds vertices placed in faces (pattern face ids, or
 cone), undirected internal edges, and directed "crossing" edges tagged
 with the crease they cross. The boundary walk is the closed walk around
 the outer face; for single-vertex graphs every crossing edge lies on it.
+
+Boundary surgery (insert_triangle, insert_prism, negate_orientations)
+changes the graph it is given and returns None, as the construction
+steps do; copy a graph first to keep the original. A refused surgery
+leaves the graph unchanged.
 """
 
 from __future__ import annotations
@@ -272,13 +277,14 @@ def single_vertex_saw(cone: ConeVertex) -> SawGraph:
     g = _degree2_saw(term) if term.degree == 2 else _all_equal4_saw(term)
     cones = [trace.start] + [s.result for s in trace.steps]
     for k in range(len(trace.steps) - 1, -1, -1):
-        g = _unfold(g, cones[k], trace.steps[k].run)
+        _unfold(g, cones[k], trace.steps[k].run)
     g.validate()
     return g
 
 
-def _unfold(g: SawGraph, big: ConeVertex, run) -> SawGraph:
-    """Expand g (a SAW graph of crimp(big, run)) into a SAW graph of big."""
+def _unfold(g: SawGraph, big: ConeVertex, run) -> None:
+    """Expand g (a SAW graph of crimp(big, run)), in place, into a SAW
+    graph of big."""
     n = big.degree
     j = run.j
     rot = big.rotated((run.start - 1) % n)
@@ -332,7 +338,7 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> SawGraph:
         g.walk = (g.walk[:idx] + list(zip(path, path_edges)) + [(b, e_out)]
                   + g.walk[idx + 1:])
         g.check_walk()
-        return g
+        return
 
     # even j: attach the directed path onto the survivor crease's edge
     survivor = first_id
@@ -364,7 +370,6 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> SawGraph:
         se.crease = None
         se.tail_side = None
     g.check_walk()
-    return g
 
 
 # -- degree-4 catalog ------------------------------------------------------------
@@ -399,28 +404,26 @@ def deg4_saw(kind: str, variant: int = 0) -> SawGraph:
     ids = tuple(f"c{i}" for i in range(4))
     g = single_vertex_saw(ConeVertex(angles, ids))
     flip = {f"c{i}" for i in variants[variant]}
-    for e in g.edges.values():
-        if e.directed and e.crease in flip:
-            e.u, e.v = e.v, e.u
-            if e.tail_side is not None:
-                e.tail_side = -e.tail_side
+    _reverse(e for e in g.edges.values() if e.directed and e.crease in flip)
     return g
 
 
-def negate_orientations(g: SawGraph) -> SawGraph:
-    """Reverse every directed edge (always a legal variant)."""
-    g = g.copy()
-    for e in g.edges.values():
-        if e.directed:
-            e.u, e.v = e.v, e.u
-            if e.tail_side is not None:
-                e.tail_side = -e.tail_side
-    return g
+def negate_orientations(g: SawGraph) -> None:
+    """Reverse every directed edge of g, in place (always a legal variant)."""
+    _reverse(e for e in g.edges.values() if e.directed)
+
+
+def _reverse(edges: Iterable[SawEdge]) -> None:
+    """Reverse each given edge and the side its tail lies on."""
+    for e in edges:
+        e.u, e.v = e.v, e.u
+        if e.tail_side is not None:
+            e.tail_side = -e.tail_side
 
 
 # -- boundary surgery -------------------------------------------------------------
 
-def insert_triangle(g: SawGraph, edge_id: int) -> SawGraph:
+def insert_triangle(g: SawGraph, edge_id: int) -> None:
     """Add a triangle over a boundary crossing edge (coloring count preserved).
 
     For e = (u, v) the new vertex w sits across the crease from u; edges
@@ -428,16 +431,14 @@ def insert_triangle(g: SawGraph, edge_id: int) -> SawGraph:
     moves to (w, u), presenting the crease on the boundary with the
     opposite orientation, and e becomes undirected.
     """
-    e0 = g.edges[edge_id]
-    if not e0.directed:
+    e = g.edges[edge_id]
+    if not e.directed:
         raise NotBoundaryEdge("triangle insertion needs a directed edge")
     slots = [i for i, (_, eid) in enumerate(g.walk) if eid == edge_id]
     if not slots:
         raise NotBoundaryEdge(f"edge {edge_id} is not on the boundary walk")
     if len(slots) > 1:
         raise NotBoundaryEdge("edge borders the outer face twice")
-    g = g.copy()
-    e = g.edges[edge_id]
     u, v = e.u, e.v
     w = g.add_vertex(face=g.vertices[v].face)
     new_cross = g.add_edge(
@@ -448,18 +449,20 @@ def insert_triangle(g: SawGraph, edge_id: int) -> SawGraph:
     idx = slots[0]
     start_v = g.walk[idx][0]
     steps = [(u, new_cross), (w, junk)] if start_v == u else [(v, junk), (w, new_cross)]
-    g.walk = g.walk[:idx] + steps + g.walk[idx + 1:]
+    g.walk[idx:idx + 1] = steps
     g.check_walk()
-    return g
 
 
-def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> SawGraph:
+def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> None:
     """Attach a triangular prism over adjacent boundary edges e1 (directed,
     crossing a crease) and e2 (undirected), swapping their boundary order.
 
     The coloring count is preserved and the three new colors are forced.
-    Both chiralities are handled: e2 may hang off the head or the tail of
-    e1.
+    e2 may hang off the head or the tail of e1 (the two chiralities); the
+    shared endpoint p, the pivot, decides which. With q the other end of
+    e1 and f the far end of e2, the boundary path q, p, f becomes q, z, f:
+    a new undirected {q, z} and a new crossing edge {z, f} that keeps
+    e1's direction along the path, while e1 becomes undirected.
     """
     e1 = g.edges[e1_id]
     e2 = g.edges[e2_id]
@@ -481,54 +484,31 @@ def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> SawGraph:
         raise EdgesNotAdjacent("edges must share exactly one endpoint")
     pivot = shared.pop()
 
-    g = g.copy()
-    e1 = g.edges[e1_id]
-    e2 = g.edges[e2_id]
-    u, v = e1.u, e1.v
-    far = e2.other(pivot)
-    if pivot == v:
-        # junk at the head: [ (u,v), {v,w} ] -> [ {u,z}, (z,w) ]
-        w = far
-        x = g.add_vertex(face=g.vertices[v].face)
-        y = g.add_vertex(face=g.vertices[u].face)
-        z = g.add_vertex(face=g.vertices[u].face)
-        g.add_edge(u, y)
-        g.add_edge(y, z)
-        uz = g.add_edge(u, z)
-        g.add_edge(v, x)
-        g.add_edge(x, w)
-        g.add_edge(y, x)
-        cross = g.add_edge(z, w, directed=True, crease=e1.crease,
-                           tail_side=e1.tail_side)
-        steps = [(u, uz), (z, cross)]
-    else:
-        # junk at the tail: [ {t,u}, (u,v) ] -> [ (t,z), {z,v} ]
-        t = far
-        x = g.add_vertex(face=g.vertices[u].face)
-        y = g.add_vertex(face=g.vertices[v].face)
-        z = g.add_vertex(face=g.vertices[v].face)
-        g.add_edge(v, y)
-        g.add_edge(y, z)
-        zv = g.add_edge(z, v)
-        g.add_edge(u, x)
-        g.add_edge(x, t)
-        g.add_edge(y, x)
-        cross = g.add_edge(t, z, directed=True, crease=e1.crease,
-                           tail_side=e1.tail_side)
-        steps = [(t, cross), (z, zv)]
-    e1.directed = False
-    e1.crease = None
-    e1.tail_side = None
+    # junk at the head: [ (q,p), {p,f} ] -> [ {q,z}, (z,f) ];
+    # junk at the tail: [ {f,p}, (p,q) ] -> [ (f,z), {z,q} ]
+    head = pivot == e1.v
+    q, f = e1.other(pivot), e2.other(pivot)
+    x = g.add_vertex(face=g.vertices[pivot].face)
+    y = g.add_vertex(face=g.vertices[q].face)
+    z = g.add_vertex(face=g.vertices[q].face)
+    g.add_edge(q, y)
+    g.add_edge(y, z)
+    qz = g.add_edge(q, z) if head else g.add_edge(z, q)
+    g.add_edge(pivot, x)
+    g.add_edge(x, f)
+    g.add_edge(y, x)
+    cross = g.add_edge(*((z, f) if head else (f, z)), directed=True,
+                       crease=e1.crease, tail_side=e1.tail_side)
+    steps = [(q, qz), (z, cross)] if head else [(f, cross), (z, qz)]
+    e1.directed, e1.crease, e1.tail_side = False, None, None
 
     walk = g.walk
-    start_v = walk[idx][0]
     (s1v, s1e), (s2v, s2e) = steps
-    if start_v != s1v:
+    if walk[idx][0] != s1v:
         end_v = g.edges[s2e].other(s2v)
         steps = [(end_v, s2e), (s2v, s1e)]
     if idx + 1 < n:
-        g.walk = walk[:idx] + steps + walk[idx + 2:]
+        walk[idx:idx + 2] = steps
     else:
-        g.walk = [steps[1]] + walk[1:n - 1] + [steps[0]]
+        walk[-1], walk[0] = steps
     g.check_walk()
-    return g

@@ -11,7 +11,8 @@ with head over every shared crease.
 The clip order keeps its clippable set up to date, so a pick re-tests
 only its own neighbours. A single-vertex graph depends only on the cone's
 sector angles, so it is built once per distinct angle tuple and each
-vertex merges a renamed copy.
+vertex merges a renamed copy. That copy is the only one: the surgery and
+the zip change the graphs they are given in place.
 
 Tiling computes no geometry: crease orders, faces, sides and the boundary
 tour all come from the pattern's face trace.
@@ -36,21 +37,16 @@ def clip_order(cp: CreasePattern) -> list[str]:
     in its cyclic order. Among clippable vertices, ones whose removal
     keeps the rest of their crease-connected component intact go first, so
     the rebuild can always attach along shared creases.
-    """
-    return _clip_order(cp, {v: cone_at(cp, v) for v in cp.interior_vertex_ids()})
 
-
-def _clip_order(cp: CreasePattern, cones: dict[str, ConeVertex]) -> list[str]:
-    """clip_order on the cones of every interior vertex, computed once.
-
+    Only the crease order ``cp.ccw_creases`` is read, no angle.
     Clippability depends only on which of a vertex's neighbours remain, so
     the clippable set is kept up to date: a pick re-evaluates only its own
     neighbours. Each pick takes the first clippable vertex, in sorted
     order, that is not a cut vertex, else the first clippable one.
     """
-    ends = {v: [cp.crease_other_end(c, v) for c in cone.crease_ids]
-            for v, cone in cones.items()}
-    remaining = set(cones)
+    ends = {v: [cp.crease_other_end(c, v) for c in ids]
+            for v, ids in cp.ccw_creases.items()}
+    remaining = set(ends)
     clippable = {v for v in remaining if _clippable(ends[v], remaining)}
     order = []
     while remaining:
@@ -189,16 +185,16 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
 def tile(cp: CreasePattern) -> SawGraph:
     """SAW graph for the whole pattern.
 
-    Each vertex's cone is computed once and serves the support pass, the
-    clip order and the merges. A single-vertex SAW graph depends only on
+    Each vertex's cone is computed once and serves the support pass and
+    the merges; the clip order reads only crease orders. A single-vertex SAW graph depends only on
     the cone's sector angles (crease names are labels), so the support
     pass runs single_vertex_saw once per distinct angle tuple, walking the
     vertices in sorted id order and turning a refusal into
     UnsupportedVertex at the first vertex that meets it. Each merge takes
     a fresh copy of its tuple's graph with the vertex's own crease names.
     Waterbomb vertices are 3-nice, so no pattern surgery is needed. The
-    graph built here is owned by this call, so every merge fuses into it
-    in place.
+    graph built here and each renamed copy are owned by this call, so
+    every triangle, prism and merge changes them in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
     built: dict[tuple, tuple[SawGraph, tuple[str, ...]]] = {}
@@ -208,7 +204,7 @@ def tile(cp: CreasePattern) -> SawGraph:
                 built[cone.angles] = (single_vertex_saw(cone), cone.crease_ids)
             except _REFUSALS as exc:
                 raise UnsupportedVertex(v, str(exc)) from exc
-    order = _clip_order(cp, cones)
+    order = clip_order(cp)
     g = _base_saw(cp)
     merged: set[str] = set()
     for v in reversed(order):
@@ -216,7 +212,7 @@ def tile(cp: CreasePattern) -> SawGraph:
         base, names = built[cone.angles]
         u_graph = _renamed(base, dict(zip(names, cone.crease_ids)))
         try:
-            g = _merge_vertex(g, cp, v, cone, u_graph, merged)
+            _merge_vertex(g, cp, v, cone, u_graph, merged)
         except TilingError as exc:
             exc.vertex = v
             raise
@@ -248,16 +244,15 @@ def select_root(g: SawGraph) -> int:
 
 
 def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
-                  u_graph: SawGraph, merged: set[str]) -> SawGraph:
+                  u_graph: SawGraph, merged: set[str]) -> None:
     """Merge u_graph, the single-vertex SAW graph of vertex v (cone
-    ``cone``), into g. Both are owned by the caller and changed in place.
-    Returns the merged graph: g itself, or a graph that replaced it (an
-    empty g, or a prism)."""
+    ``cone``), into g. Both are owned by the caller and changed in place."""
     _bind_faces(u_graph, cp, v)
 
     shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
     if not any(shared_flags):
-        return _splice_disjoint(g, cp, u_graph, merged, v)
+        _splice_disjoint(g, cp, u_graph, merged, v)
+        return
 
     if not _contiguous(shared_flags):
         raise DisconnectedInterior(f"shared creases of {v} are not contiguous")
@@ -268,7 +263,7 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
     block = list(cone.rotated(start).crease_ids[:sum(shared_flags)])
 
     # g's band, junk-free, holds the tail sides u must match
-    g, g_span = _clear_window_junk(g, block[::-1])
+    g_span = _clear_window_junk(g, block[::-1])
     g_side = {g.edges[g.walk[i][1]].crease: g.edges[g.walk[i][1]].tail_side
               for i in g_span}
     # orientation pass: a global negation of the incoming graph is a free
@@ -278,13 +273,13 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
     u_edges = u_graph.crossing_edges()
     mism = [c for c in block if g_side[c] != u_edges[c].tail_side]
     if len(mism) * 2 > len(block):
-        u_graph = negate_orientations(u_graph)
+        negate_orientations(u_graph)
         mism = [c for c in block if c not in mism]
     for c in mism:
-        u_graph = insert_triangle(u_graph, u_edges[c].id)
+        insert_triangle(u_graph, u_edges[c].id)
 
-    u_graph, u_span = _clear_window_junk(u_graph, block)
-    return _zip(g, g_span, u_graph, u_span, block)
+    u_span = _clear_window_junk(u_graph, block)
+    _zip(g, g_span, u_graph, u_span, block)
 
 
 def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
@@ -313,9 +308,9 @@ def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
     raise TilingError("window not found on the boundary walk", crease=tuple(creases))
 
 
-def _clear_window_junk(g: SawGraph, creases: list[str]) -> tuple[SawGraph, list[int]]:
-    """Push undirected boundary edges out of the window with prisms; returns
-    the graph and its window, now junk-free.
+def _clear_window_junk(g: SawGraph, creases: list[str]) -> list[int]:
+    """Push undirected boundary edges out of the window with prisms, in
+    place; returns the window, now junk-free.
 
     Always pushes the first junk edge toward the window start; its
     walk-earlier neighbour inside the span is then guaranteed directed, and
@@ -325,14 +320,14 @@ def _clear_window_junk(g: SawGraph, creases: list[str]) -> tuple[SawGraph, list[
         span = _window(g.walk, g.edges, creases)
         junk = [i for i in span if not g.edges[g.walk[i][1]].directed]
         if not junk:
-            return g, span
+            return span
         i = junk[0]
         dir_idx = span[span.index(i) - 1]
-        g = insert_prism(g, g.walk[dir_idx][1], g.walk[i][1])
+        insert_prism(g, g.walk[dir_idx][1], g.walk[i][1])
 
 
 def _zip(g: SawGraph, g_span: list[int], u: SawGraph, u_span: list[int],
-         block: list[str]) -> SawGraph:
+         block: list[str]) -> None:
     """Identify the band vertices of u with those of g and fuse u into g in
     place. The spans are the junk-free band windows: g's crosses the block
     in reverse, u's in order."""
@@ -364,7 +359,6 @@ def _zip(g: SawGraph, g_span: list[int], u: SawGraph, u_span: list[int],
     u_rest = [u.walk[(u_span[-1] + 1 + k) % nu] for k in range(nu - len(u_span))]
     g.walk = g_rest + [(vmap[v0], emap[e0]) for v0, e0 in u_rest]
     g.check_walk(range(len(g_rest) - 1, len(g.walk)))
-    return g
 
 
 def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
@@ -386,12 +380,9 @@ def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
 
 
 def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
-                     merged: set[str], vname: str) -> SawGraph:
+                     merged: set[str], vname: str) -> None:
     """Merge with no shared creases: identify one vertex through the face
     both graphs currently share, fusing u into g in place."""
-    if not g.vertices:
-        # empty base (no chords): u becomes the graph
-        return u
     # group faces into regions connected across creases not yet crossed
     present = {e.crease for e in g.edges.values() if e.directed}
     present |= {e.crease for e in u.edges.values() if e.directed}
@@ -418,9 +409,8 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
     if not g.walk:
         g.walk = u_rot
         g.check_walk()
-        return g
+        return
     # only u's walk and the step of g's walk that now leads into it are new
     gi = next(i for i, (v0, _) in enumerate(g.walk) if v0 == g_pick)
     g.walk = g.walk[:gi] + u_rot + g.walk[gi:]
     g.check_walk(range(gi - 1, gi + len(u_rot)))
-    return g

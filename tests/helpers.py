@@ -5,13 +5,12 @@ boundary edges (the failure mode the tiling procedure must avoid)."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from flatfold.cp import ConeVertex, build_crease_pattern, cone_at
+from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.errors import DisconnectedInterior
 from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
-from flatfold.tiling import _merge_vertex
+from flatfold.tiling import _bind_faces, _merge_vertex
 
 
 def first_coloring(g: SawGraph) -> dict[int, int]:
@@ -40,12 +39,16 @@ def first_coloring(g: SawGraph) -> dict[int, int]:
 
 
 def twist_unit_saw(cp, vertex_ids) -> SawGraph:
-    """SAW graph of the sub-pattern spanned by one twist unit's vertices."""
-    g = SawGraph()
-    merged = set()
-    for v in sorted(vertex_ids):
+    """SAW graph of the sub-pattern spanned by one twist unit's vertices:
+    the first vertex's graph, bound to the pattern, with the others merged
+    into it."""
+    first, *rest = sorted(vertex_ids)
+    g = single_vertex_saw(cone_at(cp, first))
+    _bind_faces(g, cp, first)
+    merged = {first}
+    for v in rest:
         cone = cone_at(cp, v)
-        g = _merge_vertex(g, cp, v, cone, single_vertex_saw(cone), merged)
+        _merge_vertex(g, cp, v, cone, single_vertex_saw(cone), merged)
         merged.add(v)
     return g
 
@@ -67,7 +70,9 @@ def _push_junk_between(g: SawGraph, ca: str, cb: str) -> SawGraph:
             return g
         di = next((ui - k) % n for k in range(1, n)
                   if g.edges[g.walk[(ui - k) % n][1]].directed)
-        g = insert_prism(g, g.walk[di][1], g.walk[ui][1])
+        g2 = g.copy()
+        insert_prism(g2, g.walk[di][1], g.walk[ui][1])
+        g = g2
     raise RuntimeError("could not position the undirected edge")
 
 
@@ -106,7 +111,9 @@ def invalid_joined_twist_saw():
     eA = gA.crossing_edges()
     eB = gB.crossing_edges()
     if eA[ca].tail_side != eB[ca].tail_side:
-        gB = negate_orientations(gB)
+        gB2 = gB.copy()
+        negate_orientations(gB2)
+        gB = gB2
         eB = gB.crossing_edges()
     assert eA[ca].tail_side == eB[ca].tail_side
     assert eA[cb].tail_side == eB[cb].tail_side
@@ -179,16 +186,13 @@ def grid_saw(m: int, n: int) -> SawGraph:
     return g
 
 
-def reference_clip_order(cp, cones=None) -> list[str]:
+def reference_clip_order(cp) -> list[str]:
     """The clip order by rescanning: each pick re-tests every remaining
     vertex for clippability, and each candidate for being a cut vertex by
     a search over all remaining vertices. The library keeps the clippable
-    set up to date instead and must pick the same order. ``cones`` defaults
-    to the cone of every interior vertex."""
-    if cones is None:
-        cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
-    nbrs = {v: [cp.crease_other_end(c, v) for c in cone.crease_ids]
-            for v, cone in cones.items()}
+    set up to date instead and must pick the same order."""
+    nbrs = {v: [cp.crease_other_end(c, v) for c in ids]
+            for v, ids in cp.ccw_creases.items()}
 
     def contiguous(flags):
         n = len(flags)
@@ -208,7 +212,7 @@ def reference_clip_order(cp, cones=None) -> list[str]:
                     stack.append(x)
         return not near <= seen
 
-    remaining = set(cones)
+    remaining = set(nbrs)
     order = []
     while remaining:
         clippable = []
@@ -226,10 +230,13 @@ def reference_clip_order(cp, cones=None) -> list[str]:
 
 
 class CreaseGraph:
-    """Crease incidences alone: the part of a pattern the clip order reads."""
+    """Crease incidences and each interior vertex's cyclic crease order
+    alone: the part of a pattern the clip order reads."""
 
-    def __init__(self, creases: dict[str, tuple[str, str]]):
+    def __init__(self, creases: dict[str, tuple[str, str]],
+                 ccw_creases: dict[str, tuple[str, ...]]):
         self.creases = creases
+        self.ccw_creases = ccw_creases
 
     def crease_other_end(self, c: str, v: str) -> str:
         a, b = self.creases[c]
@@ -238,8 +245,7 @@ class CreaseGraph:
 
 def random_crease_graph(rng: random.Random, n: int):
     """A random graph on n interior vertices with boundary creases and a
-    random cyclic crease order at each vertex, not necessarily planar.
-    Returns (CreaseGraph, cones); the cones' angles are placeholders."""
+    random cyclic crease order at each vertex, not necessarily planar."""
     creases = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -252,14 +258,12 @@ def random_crease_graph(rng: random.Random, n: int):
         for end in (a, b):
             if end in at:
                 at[end].append(c)
-    cones = {}
     for v, ids in at.items():
         if not ids:  # a lone vertex gets a crease to the boundary
             ids.append(f"c{len(creases)}")
             creases[ids[0]] = (v, f"b{len(creases)}")
         rng.shuffle(ids)
-        cones[v] = ConeVertex((Fraction(1),) * len(ids), tuple(ids))
-    return CreaseGraph(creases), cones
+    return CreaseGraph(creases, {v: tuple(ids) for v, ids in at.items()})
 
 
 def small_pattern(kind: str, m: int, n: int, seed: int):

@@ -125,7 +125,8 @@ def test_criterion_5_gadget_invariance():
             continue
         base = count_colorings(g)
         walk_directed = [e for _, e in g.walk if g.edges[e].directed]
-        g2 = insert_triangle(g, rng.choice(walk_directed))
+        g2 = g.copy()
+        insert_triangle(g2, rng.choice(walk_directed))
         assert count_colorings(g2) == base
         applications += 1
         if applications >= 200:
@@ -135,7 +136,8 @@ def test_criterion_5_gadget_invariance():
         i = next(i for i, (_, e) in enumerate(walk) if not g2.edges[e].directed)
         nbrs = [walk[i - 1][1], walk[(i + 1) % len(walk)][1]]
         partner = next(e for e in nbrs if g2.edges[e].directed)
-        g3 = insert_prism(g2, partner, walk[i][1])
+        g3 = g2.copy()
+        insert_prism(g3, partner, walk[i][1])
         assert count_colorings(g3) == base
         applications += 1
     report(5, True, f"{applications} surgeries preserved counts exactly")

@@ -29,7 +29,7 @@ from flatfold.errors import (
 )
 from flatfold.generators import crane, miura, snake
 from flatfold.oracle import count_locally_valid
-from flatfold.saw import _REFUSALS
+from flatfold.saw import _REFUSALS, negate_orientations
 
 from .conftest import cone, random_kawasaki_cone
 
@@ -209,7 +209,8 @@ def test_insert_triangle_preserves_count_and_translation():
     base = count_colorings(g)
     valid = {tuple(sorted(m.items())) for m in enumerate_single_vertex_mv(c)}
     e = next(e.id for e in g.edges.values() if e.directed)
-    g2 = insert_triangle(g, e)
+    g2 = g.copy()
+    insert_triangle(g2, e)
     assert count_colorings(g2) == base
     got = {tuple(sorted(coloring_to_mv(g2, s).items()))
            for s in enumerate_colorings(g2)}
@@ -220,7 +221,8 @@ def test_insert_triangle_flips_presented_orientation():
     g = single_vertex_saw(cone(60, 60, 120, 120))
     e = next(e for e in g.edges.values() if e.directed)
     crease = e.crease
-    g2 = insert_triangle(g, e.id)
+    g2 = g.copy()
+    insert_triangle(g2, e.id)
     old = e
     new = g2.crossing_edges()[crease]
     assert new.id != old.id
@@ -230,9 +232,11 @@ def test_insert_triangle_flips_presented_orientation():
 
 def test_insert_triangle_needs_boundary_edge():
     g = single_vertex_saw(cone(45, 30, 75, 90))  # has interior triangle edges
+    before = g.copy()
     und = next(e.id for e in g.edges.values() if not e.directed)
     with pytest.raises(NotBoundaryEdge):
         insert_triangle(g, und)
+    assert g == before  # a refused surgery changes nothing
 
 
 def test_insert_prism_both_chiralities():
@@ -248,7 +252,8 @@ def test_insert_prism_both_chiralities():
     before = walk[i - 1][1]
     after = walk[(i + 1) % len(walk)][1]
     for partner in (before, after):
-        g2 = insert_prism(g, partner, walk[i][1])
+        g2 = g.copy()
+        insert_prism(g2, partner, walk[i][1])
         assert count_colorings(g2) == base
 
 
@@ -263,12 +268,31 @@ def test_insert_prism_forced_colors():
     assert e1.v in e2.ends()
     u, v = e1.u, e1.v
     w = e2.other(v)
-    g2 = insert_prism(g, e1.id, e2.id)
+    g2 = g.copy()
+    insert_prism(g2, e1.id, e2.id)
     x, y, z = sorted(set(g2.vertices) - set(g.vertices))
     for s in enumerate_colorings(g2):
         assert s[x] % 3 == (-s[v] - s[w]) % 3
         assert s[z] % 3 == (s[w] + s[u] - s[v]) % 3
         assert s[y] % 3 == (s[x] + s[u] - s[v]) % 3
+
+
+def test_surgery_changes_its_argument():
+    # each surgery works in place and returns None; a copy keeps the original
+    c = cone(90, 90, 90, 90)
+    g = single_vertex_saw(c)
+    base = count_colorings(g)
+    crossing = next(e for _, e in g.walk if g.edges[e].directed)
+    i = next(i for i, (_, e) in enumerate(g.walk) if not g.edges[e].directed)
+    partner = g.walk[i - 1][1]
+    surgeries = [(negate_orientations, ()), (insert_triangle, (crossing,)),
+                 (insert_prism, (partner, g.walk[i][1]))]
+    for surgery, args in surgeries:
+        h = g.copy()
+        assert surgery(h, *args) is None
+        assert h != g
+        assert count_colorings(h) == base
+    assert g == single_vertex_saw(c)
 
 
 def test_random_surgery_preserves_counts(rng):
@@ -282,13 +306,15 @@ def test_random_surgery_preserves_counts(rng):
         base = count_colorings(g)
         directed = [e.id for e in g.edges.values()
                     if e.directed and any(eid == e.id for _, eid in g.walk)]
-        g2 = insert_triangle(g, rng.choice(directed))
+        g2 = g.copy()
+        insert_triangle(g2, rng.choice(directed))
         assert count_colorings(g2) == base
         # prism the junk edge it introduced
         walk = g2.walk
         i = next(i for i, (_, e) in enumerate(walk) if not g2.edges[e].directed)
         j = (i - 1) if g2.edges[walk[i - 1][1]].directed else (i + 1) % len(walk)
-        g3 = insert_prism(g2, walk[j][1], walk[i][1])
+        g3 = g2.copy()
+        insert_prism(g3, walk[j][1], walk[i][1])
         assert count_colorings(g3) == base
         done += 1
 

@@ -81,14 +81,14 @@ def test_clip_order_matches_rescanning_reference():
 def test_clip_order_matches_reference_on_random_graphs(n, seed):
     # random cyclic orders often make a pick leave a clippable neighbour
     # unclippable, which the pattern families above rarely exercise
-    cp, cones = random_crease_graph(random.Random(seed), n)
+    cp = random_crease_graph(random.Random(seed), n)
     try:
-        want = reference_clip_order(cp, cones)
+        want = reference_clip_order(cp)
     except DisconnectedInterior:
         with pytest.raises(DisconnectedInterior):
-            tiling._clip_order(cp, cones)
+            clip_order(cp)
     else:
-        assert tiling._clip_order(cp, cones) == want
+        assert clip_order(cp) == want
 
 
 def test_clip_order_work_is_linear(monkeypatch):
@@ -160,6 +160,23 @@ def test_tile_after_waterbomb_split():
     n = count_locally_valid(cp)
     assert count_locally_valid(cp2) == n
     assert count_colorings(tile(cp2)) == n
+
+
+def test_tiling_copies_no_graph(monkeypatch):
+    # triangles, negations and prisms change the graphs tile owns in place;
+    # when each copied its input, tiling the crane copied 714 SAW vertices
+    # in 19 prisms, 19 in triangles and 20 in negations
+    copies = []
+    real_copy = SawGraph.copy
+    monkeypatch.setattr(SawGraph, "copy",
+                        lambda g: copies.append(len(g.vertices)) or real_copy(g))
+    prisms = []
+    real_prism = tiling.insert_prism
+    monkeypatch.setattr(tiling, "insert_prism",
+                        lambda g, e1, e2: prisms.append(e1) or real_prism(g, e1, e2))
+    g = tile(crane())
+    assert len(g.vertices) == 92 and len(prisms) == 19
+    assert copies == []
 
 
 def test_miura_10x10_tiling_scales_linearly(monkeypatch):
