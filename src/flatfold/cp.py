@@ -7,7 +7,11 @@ next-edge-counterclockwise traversal. Coordinates are exact rationals.
 The creases around a vertex are always read in one order: counterclockwise
 by exact direction, rotated so the lowest crease id leads. ``_ccw_ids``
 states that rule; the face trace applies it and records each interior
-vertex's order in ``CreasePattern.ccw_creases``, which ``cone_at`` reads.
+vertex's order in ``CreasePattern.ccw_creases`` and the creases' primitive
+integer directions in ``CreasePattern.ccw_dirs``, which ``cone_at`` reads.
+``cone_at`` computes a vertex's cone once per pattern and keeps it on the
+pattern.
+
 The build places each boundary point once (its region edge and offset);
 the trace orders the boundary by place and records the boundary tour,
 ``CreasePattern.boundary_tour``, which tiling reads.
@@ -19,7 +23,9 @@ Sector angles around a vertex come from one of two sources:
   crease), for patterns whose true angles are irrational in degrees, or
 * the coordinates themselves, but only when every consecutive direction
   pair differs by a multiple of 45 degrees -- the one family where
-  rational coordinates determine rational degree measures exactly.
+  rational coordinates determine rational degree measures exactly. The
+  angles come from the face trace's integer directions, so no rational
+  arithmetic is repeated.
 """
 
 from __future__ import annotations
@@ -119,8 +125,13 @@ class CreasePattern:
     corner_faces: dict[tuple[str, str, str], str] = field(default_factory=dict)
     # interior vertex -> its crease ids, counterclockwise, lowest id first
     ccw_creases: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # interior vertex -> the primitive integer direction of each of those creases
+    ccw_dirs: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     # creases ending on the boundary in ccw walk order (a chord appears twice)
     boundary_tour: tuple[str, ...] = ()
+    # cone_at's memo: interior vertex -> its ConeVertex
+    _cones: dict[str, ConeVertex] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def point_of(self, node_id: str) -> Point:
         if node_id in self.vertices:
@@ -143,8 +154,9 @@ class CreasePattern:
 def build_crease_pattern(vertices, creases, region, declared_angles=None,
                          boundary_points=None) -> CreasePattern:
     """Validate and assemble a crease pattern, computing faces, each
-    interior vertex's crease order (``ccw_creases``) and the boundary tour
-    (``boundary_tour``) from the face trace.
+    interior vertex's crease order (``ccw_creases``) and crease directions
+    (``ccw_dirs``) and the boundary tour (``boundary_tour``) from the face
+    trace. Values that already are Fractions are kept as they are.
 
     vertices: {id: (x, y)} interior vertices, exact rationals.
     creases: {id: (end_id, end_id)} endpoints reference vertices or boundary points.
@@ -174,16 +186,18 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     its right edge lies left of the new box; an active box whose y-interval
     also overlaps the new one makes a candidate pair. Creases whose boxes are
     disjoint cannot touch, so only candidates reach the exact
-    ``segments_conflict`` test. Creases are then checked in sorted id order,
-    each crease's candidates in ascending order, so the first
-    ``CrossingCreases`` raised is the one an all-pairs loop would raise.
+    ``segments_conflict`` test, which decides a pair that shares an
+    endpoint (most candidates) with one cross and one dot product. Creases
+    are then checked in sorted id order, each crease's candidates in
+    ascending order, so the first ``CrossingCreases`` raised is the one an
+    all-pairs loop would raise.
     """
-    vertices = {k: (Fraction(x), Fraction(y)) for k, (x, y) in vertices.items()}
-    boundary_points = {k: (Fraction(x), Fraction(y))
+    vertices = {k: (_exact(x), _exact(y)) for k, (x, y) in vertices.items()}
+    boundary_points = {k: (_exact(x), _exact(y))
                        for k, (x, y) in (boundary_points or {}).items()}
-    declared_angles = {k: tuple(Fraction(a) for a in v)
+    declared_angles = {k: tuple(_exact(a) for a in v)
                        for k, v in (declared_angles or {}).items()}
-    region = [(Fraction(x), Fraction(y)) for (x, y) in region]
+    region = [(_exact(x), _exact(y)) for (x, y) in region]
     scale = 2 * lcm(*(c.denominator
                       for p in chain(region, vertices.values(), boundary_points.values())
                       for c in p))
@@ -223,9 +237,13 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if orient(iregion[i - 1], iregion[i], iregion[(i + 1) % nreg]) < 0:
             raise ValidationError("region polygon must be convex")
 
+    # each rim edge as (corner, edge vector); p is strictly inside when it
+    # lies strictly left of every edge
+    rim = [(a, sub(iregion[(i + 1) % nreg], a)) for i, a in enumerate(iregion)]
+
     def _strictly_inside(p) -> bool:
-        return all(orient(iregion[i], iregion[(i + 1) % nreg], p) > 0
-                   for i in range(nreg))
+        return all(ex * (p[1] - ay) - ey * (p[0] - ax) > 0
+                   for (ax, ay), (ex, ey) in rim)
 
     # each boundary point's place (see the docstring)
     places: dict[str, tuple[int, int]] = {}
@@ -290,8 +308,8 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if sum(angs) != 360:
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
 
-    faces, crease_sides, corner_faces, ccw_creases, boundary_tour = _trace_faces(
-        ivertices, ibpoints, places, creases, iregion)
+    faces, crease_sides, corner_faces, ccw_creases, ccw_dirs, boundary_tour = \
+        _trace_faces(ivertices, ibpoints, places, creases, iregion)
 
     return CreasePattern(
         vertices=vertices,
@@ -303,8 +321,14 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         crease_sides=crease_sides,
         corner_faces=corner_faces,
         ccw_creases=ccw_creases,
+        ccw_dirs=ccw_dirs,
         boundary_tour=boundary_tour,
     )
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction, reusing x when it already is one."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _ccw_ids(dirs: dict[str, tuple[int, int]]) -> list[str]:
@@ -317,7 +341,7 @@ def _ccw_ids(dirs: dict[str, tuple[int, int]]) -> list[str]:
 
 def _trace_faces(vertices, boundary_points, places, creases, region):
     """Planar face traversal. Returns (faces, crease_sides, corner_faces,
-    ccw_creases, boundary_tour).
+    ccw_creases, ccw_dirs, boundary_tour).
 
     Coordinates are the integer copies made by build_crease_pattern, and
     places[b] is boundary point b's (region edge, offset) from there.
@@ -325,7 +349,9 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
     crease_sides[c] = (left face, right face) relative to the stored (a, b)
     direction of crease c. corner_faces[(v, cL, cR)] = face occupying the
     sector that runs ccw from crease cL to crease cR at vertex v.
-    ccw_creases[v] = the creases at interior vertex v in _ccw_ids order.
+    ccw_creases[v] = the creases at interior vertex v in _ccw_ids order,
+    and ccw_dirs[v] their primitive directions away from v (a uniform
+    scale keeps primitive directions, so they are those of the rationals).
     boundary_tour is as build_crease_pattern states it.
     """
     pts: dict[str, tuple[int, int]] = {**vertices, **boundary_points}
@@ -416,6 +442,7 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
             if v in vertices:
                 corner_faces[(v, e2, e1)] = f
     ccw_creases = {v: tuple(order[v]) for v in vertices}
+    ccw_dirs = {v: tuple(incident[v][c] for c in order[v]) for v in vertices}
     # at a ring node the walk meets the creases by falling angle from its
     # direction: the node's order from the outgoing segment round to the
     # incoming one, reversed
@@ -425,7 +452,7 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
         i = lst.index(segs[k])
         after = lst[i + 1:] + lst[:i]
         tour += reversed(after[:after.index(segs[k - 1])])
-    return tuple(faces), crease_sides, corner_faces, ccw_creases, tuple(tour)
+    return tuple(faces), crease_sides, corner_faces, ccw_creases, ccw_dirs, tuple(tour)
 
 
 def cone_at(cp: CreasePattern, v: str) -> ConeVertex:
@@ -433,24 +460,31 @@ def cone_at(cp: CreasePattern, v: str) -> ConeVertex:
 
     The creases are the face trace's order, ``cp.ccw_creases[v]``:
     counterclockwise, the lowest crease id first. Angles come from the
-    vertex's declared list when present, otherwise from the crease
-    directions (only exact for 45-degree multiples).
+    vertex's declared list when present, otherwise from the trace's integer
+    crease directions, ``cp.ccw_dirs[v]`` (only exact for 45-degree
+    multiples). The cone is computed once per pattern and kept on it, so
+    every later call returns the same object.
     """
+    cone = cp._cones.get(v)
+    if cone is not None:
+        return cone
     if v not in cp.vertices:
         raise NotInteriorVertex(v)
     ids = cp.ccw_creases[v]
     if v in cp.declared_angles:
-        return ConeVertex(angles=cp.declared_angles[v], crease_ids=ids)
-    p = cp.vertices[v]
-    dirs = [primitive(sub(cp.point_of(cp.crease_other_end(c, v)), p)) for c in ids]
-    angles = []
-    for d1, d2 in zip(dirs, dirs[1:] + dirs[:1]):
-        a = sector_45(d1, d2)
-        if a is None:
-            raise ValidationError(
-                f"vertex {v}: sector angles are not 45-degree multiples; "
-                "declare them explicitly")
-        angles.append(a)
-    if sum(angles) != 360:
-        raise ValidationError(f"vertex {v}: computed angles do not close up")
-    return ConeVertex(angles=tuple(angles), crease_ids=ids)
+        cone = ConeVertex(angles=cp.declared_angles[v], crease_ids=ids)
+    else:
+        dirs = cp.ccw_dirs[v]
+        angles = []
+        for d1, d2 in zip(dirs, dirs[1:] + dirs[:1]):
+            a = sector_45(d1, d2)
+            if a is None:
+                raise ValidationError(
+                    f"vertex {v}: sector angles are not 45-degree multiples; "
+                    "declare them explicitly")
+            angles.append(a)
+        if sum(angles) != 360:
+            raise ValidationError(f"vertex {v}: computed angles do not close up")
+        cone = ConeVertex(angles=tuple(angles), crease_ids=ids)
+    cp._cones[v] = cone
+    return cone

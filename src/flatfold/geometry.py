@@ -4,9 +4,10 @@ Coordinates given to the library, and those stored in a pattern, are exact
 rationals (``fractions.Fraction``). The predicates here work on any exact
 number type; pattern build runs them on integer-scaled copies of the
 coordinates (see ``cp.build_crease_pattern``), which gives the same signs
-as the rationals at a fraction of the cost. Orientation tests,
-intersection tests and angular sorts are therefore exact. No floating
-point is used outside of SVG rendering.
+as the rationals at a fraction of the cost. The face trace's primitive
+integer directions are also what ``cp.cone_at`` turns into sector angles
+(``sector_45``). Orientation tests, intersection tests and angular sorts
+are therefore exact. No floating point is used outside of SVG rendering.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ def orient(a: Point, b: Point, c: Point) -> int:
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """True if p lies on the closed segment ab (collinear + within bbox)."""
-    if orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    return orient(a, b, p) == 0 and _in_box(p, a, b)
 
 
 def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -51,24 +49,36 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
     Shared endpoints are fine (creases meeting at a vertex); any other
     contact, including touching in the interior or overlapping collinearly,
     is a conflict.
+
+    Two segments that share an endpoint s, leaving it towards p and q,
+    meet elsewhere only when they leave s along the same ray: p - s and
+    q - s are parallel (zero cross product) and point the same way
+    (positive dot product). That covers identical and reversed segments.
     """
-    shared = {a, b} & {c, d}
-    if len(shared) == 2:
-        return True  # identical or reversed segment
-    d1 = orient(c, d, a)
-    d2 = orient(c, d, b)
-    d3 = orient(a, b, c)
-    d4 = orient(a, b, d)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    # collinear / endpoint-touch cases
-    for p, (u, v) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
-        if p in shared:
-            continue
-        if on_segment(p, u, v) and p not in (u, v):
+    if a == c or a == d:
+        s, p = a, b
+    elif b == c or b == d:
+        s, p = b, a
+    else:
+        d1 = orient(c, d, a)
+        d2 = orient(c, d, b)
+        d3 = orient(a, b, c)
+        d4 = orient(a, b, d)
+        if d1 * d2 < 0 and d3 * d4 < 0:
             return True
-    return False
+        # an endpoint touching the other segment, or a collinear overlap
+        return ((d1 == 0 and _in_box(a, c, d)) or (d2 == 0 and _in_box(b, c, d))
+                or (d3 == 0 and _in_box(c, a, b)) or (d4 == 0 and _in_box(d, a, b)))
+    q = d if c == s else c
+    u = sub(p, s)
+    w = sub(q, s)
+    return cross(u, w) == 0 and dot(u, w) > 0
+
+
+def _in_box(p: Point, a: Point, b: Point) -> bool:
+    """p lies in the closed bounding box of ab."""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 def primitive(v: Vec) -> tuple[int, int]:

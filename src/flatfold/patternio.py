@@ -1,11 +1,19 @@
 """JSON pattern files: load/emit crease patterns, optional MV assignments
-and embedded SAW graphs. Coordinates are rational strings ("p/q" or "p");
-floats are rejected so exact angle tests stay exact.
+and embedded SAW graphs. Coordinates are integers or rational strings
+("p/q" or "p"); floats and booleans are rejected so exact angle tests stay
+exact. A string in the schema's grammar, ``-?[0-9]+(/[0-9]+)?``, is read
+with ``int()``; any other string goes to ``Fraction`` as it is. Every id
+is a string and no id repeats.
+
+``emit`` writes the bytes ``json.dumps(doc, indent=2, sort_keys=True)``
+would write, with a one-pass writer (``_write_json``): json.dumps uses its
+C encoder only without an indent.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cp import CreasePattern, MVAssignment, build_crease_pattern
@@ -13,16 +21,27 @@ from .errors import ParseError
 from .saw import SawEdge, SawGraph, SawVertex
 
 FORMAT_VERSION = 1
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+# the schema's rational grammar; such a string is read with int()
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _rat(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError(f"{where}: float coordinates are not allowed; "
                          "use rational strings like \"3/4\"")
+    if isinstance(value, bool):
+        raise ParseError(f"{where}: expected a rational, not {json.dumps(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            m = _RATIONAL.fullmatch(value)
+            if m is not None:
+                return Fraction(int(m[1]), int(m[2] or 1))
+            # anything else reads as Fraction reads it, or fails as it does
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational {value!r}") from exc
@@ -30,7 +49,6 @@ def _rat(value, where: str) -> Fraction:
 
 
 def _rat_str(x: Fraction) -> str:
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -100,24 +118,44 @@ def saw_from_dict(doc: dict) -> SawGraph:
     return g
 
 
+def _new_id(row: dict, kind: str, *taken: dict) -> str:
+    """row's id: a string that no dict in ``taken`` holds yet."""
+    rid = row["id"]
+    if not isinstance(rid, str):
+        raise ParseError(f"{kind} id {rid!r} is not a string")
+    for t in taken:
+        if rid in t:
+            raise ParseError(f"{kind} id {rid!r} is used by an earlier row")
+    return rid
+
+
 def pattern_from_dict(doc: dict):
-    """Returns (pattern, mv or None, saw or None)."""
+    """Returns (pattern, mv or None, saw or None).
+
+    Every id is a string, and no id repeats: vertices and boundary points
+    share one namespace (a crease names its endpoints by id), creases have
+    their own."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version != FORMAT_VERSION or isinstance(version, bool):
+        raise ParseError(f"unsupported version {version!r}")
     try:
-        vertices = {row["id"]: (_rat(row["x"], row["id"]), _rat(row["y"], row["id"]))
-                    for row in doc.get("vertices", [])}
-        bpoints = {row["id"]: (_rat(row["x"], row["id"]), _rat(row["y"], row["id"]))
-                   for row in doc.get("boundary_points", [])}
+        vertices: dict = {}
+        bpoints: dict = {}
+        for rows, points, kind in ((doc.get("vertices", []), vertices, "vertex"),
+                                   (doc.get("boundary_points", []), bpoints,
+                                    "boundary point")):
+            for row in rows:
+                rid = _new_id(row, kind, vertices, bpoints)
+                points[rid] = (_rat(row["x"], rid), _rat(row["y"], rid))
         creases = {}
-        known = set(vertices) | set(bpoints)
         for row in doc.get("creases", []):
+            cid = _new_id(row, "crease", creases)
             a, b = row["from"], row["to"]
-            if a not in known or b not in known:
-                raise ParseError(f"crease {row.get('id')} references unknown endpoint")
-            creases[row["id"]] = (a, b)
+            if not all(end in vertices or end in bpoints for end in (a, b)):
+                raise ParseError(f"crease {cid} references unknown endpoint")
+            creases[cid] = (a, b)
         region = [(_rat(x, "region"), _rat(y, "region")) for x, y in doc["region"]]
         angles = {v: tuple(_rat(a, v) for a in angs)
                   for v, angs in doc.get("angles", {}).items()}
@@ -141,7 +179,55 @@ def pattern_from_dict(doc: dict):
 
 
 def emit(cp: CreasePattern, mv=None, saw=None) -> str:
-    return json.dumps(pattern_to_dict(cp, mv, saw), indent=2, sort_keys=True) + "\n"
+    """The pattern file: the bytes ``json.dumps(pattern_to_dict(cp, mv,
+    saw), indent=2, sort_keys=True)`` writes, and a newline."""
+    out: list[str] = []
+    _write_json(pattern_to_dict(cp, mv, saw), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, nl: str, out: list[str]) -> None:
+    """Append o to out as ``json.dumps(o, indent=2, sort_keys=True)`` writes
+    it, nl being a newline and the indent o sits at. Handles exactly the
+    types a pattern document holds: dict (string keys), list, str, int,
+    bool and None. json.dumps uses its C encoder only without an indent;
+    this writer encodes strings with the same C function."""
+    t = type(o)
+    if t is str:
+        out.append(_encode_str(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _encode_str(k) + ": ")
+            _write_json(o[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write_json(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def load_text(text: str):

@@ -185,8 +185,9 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
 def tile(cp: CreasePattern) -> SawGraph:
     """SAW graph for the whole pattern.
 
-    Each vertex's cone is computed once and serves the support pass and
-    the merges; the clip order reads only crease orders. A single-vertex SAW graph depends only on
+    Each vertex's cone (``cone_at`` computes it once per pattern) serves
+    the support pass and the merges; the clip order reads only crease
+    orders. A single-vertex SAW graph depends only on
     the cone's sector angles (crease names are labels), so the support
     pass runs single_vertex_saw once per distinct angle tuple, walking the
     vertices in sorted id order and turning a refusal into
@@ -260,7 +261,8 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
     n = len(shared_flags)
     start = next(i for i in range(n)
                  if shared_flags[i] and not shared_flags[(i - 1) % n])
-    block = list(cone.rotated(start).crease_ids[:sum(shared_flags)])
+    ids = cone.crease_ids
+    block = list((ids[start:] + ids[:start])[:sum(shared_flags)])
 
     # g's band, junk-free, holds the tail sides u must match
     g_span = _clear_window_junk(g, block[::-1])

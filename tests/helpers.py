@@ -9,6 +9,7 @@ import random
 from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.errors import DisconnectedInterior
 from flatfold.generators import modified_miura, snake, triangle_twist
+from flatfold.geometry import on_segment, orient
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
 from flatfold.tiling import _bind_faces, _merge_vertex
 
@@ -329,3 +330,26 @@ def replayed_width(plan) -> int:
             live.add(i)
         width = max(width, len(live))
     return width
+
+
+def reference_segments_conflict(a, b, c, d) -> bool:
+    """``geometry.segments_conflict`` as it was before its shared-endpoint
+    shortcut: the general orientation test, with shared endpoints skipped
+    in the touch checks."""
+    shared = {a, b} & {c, d}
+    if len(shared) == 2:
+        return True  # identical or reversed segment
+    d1 = orient(c, d, a)
+    d2 = orient(c, d, b)
+    d3 = orient(a, b, c)
+    d4 = orient(a, b, d)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
+       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+        return True
+    # collinear / endpoint-touch cases
+    for p, (u, v) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
+        if p in shared:
+            continue
+        if on_segment(p, u, v) and p not in (u, v):
+            return True
+    return False

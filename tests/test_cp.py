@@ -80,6 +80,16 @@ def test_cone_at_requires_interior():
         cone_at(cp, "b0")
 
 
+def test_cone_at_is_computed_once_per_pattern():
+    cp = cross_pattern()
+    assert cone_at(cp, "v0") is cone_at(cp, "v0")
+    # the memo is no part of the pattern's value or its repr
+    fresh = cross_pattern()
+    assert fresh == cp and repr(fresh) == repr(cp)
+    assert cone_at(fresh, "v0") == cone_at(cp, "v0")
+    assert cone_at(fresh, "v0") is not cone_at(cp, "v0")
+
+
 def test_cone_at_rotation_consistency():
     cp = cross_pattern()
     c = cone_at(cp, "v0")

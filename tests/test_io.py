@@ -1,17 +1,18 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatfold.errors import ParseError
 from flatfold.generators import crane, miura, triangle_twist
-from flatfold.patternio import emit, load_text, pattern_to_dict, to_fold
+from flatfold.patternio import _rat, _write_json, emit, load_text, pattern_to_dict, to_fold
 from flatfold.svg import render_svg
 from flatfold.tiling import tile
 
-from .helpers import small_pattern
+from .helpers import small_pattern, star_pattern
 
 
 def test_round_trip_miura():
@@ -75,6 +76,95 @@ def test_boolean_mv_value_rejected():
     doc["mv"][sorted(cp.creases)[0]] = True
     with pytest.raises(ParseError, match="bad MV entry"):
         load_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["coordinate", "angle"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_rationals_rejected(where, value):
+    # the schema allows integers and rational strings; a bool is neither,
+    # though Python's bool is an int
+    doc = pattern_to_dict(star_pattern([90, 90, 90, 90]))
+    if where == "coordinate":
+        doc["vertices"][0]["x"] = value
+    else:
+        doc["angles"]["v0"][0] = value
+    with pytest.raises(ParseError, match="expected a rational"):
+        load_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("rows", ["vertices", "boundary_points", "creases"])
+def test_ids_must_be_strings(rows):
+    doc = pattern_to_dict(miura(2, 2))
+    doc[rows][-1]["id"] = 7
+    with pytest.raises(ParseError, match="is not a string"):
+        load_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("rows", ["vertices", "boundary_points", "creases"])
+def test_repeated_ids_rejected(rows):
+    # a second row with an earlier id would silently replace the first
+    doc = pattern_to_dict(miura(2, 2))
+    doc[rows].append(dict(doc[rows][0]))
+    with pytest.raises(ParseError, match="used by an earlier row"):
+        load_text(json.dumps(doc))
+
+
+def test_vertex_and_boundary_point_ids_are_one_namespace():
+    doc = pattern_to_dict(miura(2, 2))
+    doc["boundary_points"][0]["id"] = doc["vertices"][0]["id"]
+    with pytest.raises(ParseError, match="used by an earlier row"):
+        load_text(json.dumps(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True))
+def test_rat_reads_the_schema_grammar_as_fraction_does(value):
+    try:
+        expected = Fraction(value)
+    except ZeroDivisionError:
+        with pytest.raises(ParseError):
+            _rat(value, "x")
+        return
+    got = _rat(value, "x")
+    assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize("value", [" 1", "1_0", "+2", "1.5", "\u0663", "1e2",
+                                   "1/0", "3/-4", "", "-", "1/", "0x10"])
+def test_rat_falls_back_to_fraction(value):
+    # strings outside the schema's grammar read as Fraction reads them, or
+    # fail as it fails
+    try:
+        expected = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError, match="bad rational"):
+            _rat(value, "x")
+    else:
+        got = _rat(value, "x")
+        assert type(got) is Fraction and got == expected
+
+
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    | st.text() | st.sampled_from(["", "\x00\x1f\\\"", "\u00e9\u2603\U0001f600", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_docs)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[]], "\u00e9": None})
+def test_writer_matches_json_dumps(doc):
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_writer_refuses_other_types():
+    with pytest.raises(TypeError):
+        _write_json({"x": 0.5}, "\n", [])
 
 
 def test_bad_json_rejected():

@@ -2,7 +2,9 @@
 
 The build sweeps bounding boxes to pick candidate pairs for the exact
 segment test. An all-pairs reference loop here pins that the sweep loses no
-conflict and raises the same first CrossingCreases message.
+conflict and raises the same first CrossingCreases message, and the
+segment test's shortcut for pairs that share an endpoint is checked against
+the general test it replaced (``helpers.reference_segments_conflict``).
 """
 
 from fractions import Fraction
@@ -15,6 +17,8 @@ from flatfold import build_crease_pattern, cp as cp_module
 from flatfold.errors import CrossingCreases, ValidationError
 from flatfold.generators import miura
 from flatfold.geometry import orient, segments_conflict
+
+from .helpers import reference_segments_conflict
 
 F = Fraction
 SIDE = 4
@@ -142,3 +146,50 @@ def test_miura_8x8_with_a_crossing_crease_is_rejected(monkeypatch):
     assert calls[0] < 4 * len(creases)
     pts = {**base.vertices, **bpoints}
     assert str(exc.value) == all_pairs_first_crossing(pts, creases, base.region)
+
+
+def _from(p, q, k, m):
+    """The point p + (k/m)(q - p)."""
+    t = F(k, m)
+    return (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t)
+
+
+small = st.integers(-3, 3)
+ipoint = st.tuples(small, small)
+fpoint = st.tuples(half_grid, half_grid)
+
+
+@st.composite
+def segment_pairs(draw):
+    """Two segments, on integers or Fractions: unrelated, sharing an
+    endpoint, or sharing one and collinear along the same ray or opposite
+    rays (also identical, reversed and degenerate)."""
+    pt = draw(st.sampled_from([ipoint, fpoint]))
+    a, b, c, d = (draw(pt) for _ in range(4))
+    kind = draw(st.sampled_from(["any", "shared", "same ray", "opposite rays"]))
+    if kind != "any":
+        k = draw(st.integers(1, 6))
+        if kind == "same ray":
+            d = _from(a, b, k, 3)      # on ray a -> b: inside, at b or beyond
+        elif kind == "opposite rays":
+            d = _from(a, b, -k, 3)     # on the ray from a away from b
+        c = a
+        # any endpoint may be the shared one, either segment first
+        if draw(st.booleans()):
+            c, d = d, c
+        if draw(st.booleans()):
+            a, b = b, a
+        if draw(st.booleans()):
+            a, b, c, d = c, d, a, b
+    return a, b, c, d
+
+
+@settings(max_examples=600, deadline=None)
+@given(segment_pairs())
+@example(((0, 0), (2, 2), (0, 0), (1, 1)))    # shared, same ray, overlapping
+@example(((0, 0), (2, 2), (2, 2), (0, 0)))    # reversed
+@example(((0, 0), (2, 2), (0, 0), (-1, -1)))  # shared, opposite rays
+@example(((0, 0), (0, 0), (0, 0), (1, 1)))    # degenerate at the shared point
+@example(((0, 0), (2, 0), (1, 0), (3, 0)))    # collinear overlap, nothing shared
+def test_segments_conflict_matches_reference(seg):
+    assert segments_conflict(*seg) == reference_segments_conflict(*seg)

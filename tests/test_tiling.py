@@ -212,6 +212,22 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
     assert crossing_reads and max(crossing_reads) <= 20
 
 
+def test_tile_and_oracle_build_each_cone_once(monkeypatch):
+    from flatfold import oracle
+    seen = []
+    for mod in (tiling, oracle):
+        real = mod.cone_at
+        monkeypatch.setattr(mod, "cone_at", lambda cp, v, real=real:
+                            seen.append((v, real(cp, v))) or seen[-1][1])
+    cp = miura(6, 6)
+    tile(cp)
+    count_locally_valid(cp, limit=len(cp.creases))
+    # both callers ask for every vertex's cone, and get one object per vertex
+    assert len(seen) == 2 * len(cp.vertices)
+    objects = {v: {id(c) for w, c in seen if w == v} for v in cp.vertices}
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
 def test_miura_10x10_one_crimp_trace_per_vertex(monkeypatch):
     calls = []
     real = saw.crimp_trace
