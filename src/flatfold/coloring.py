@@ -115,48 +115,62 @@ _STEP = {1: 1, -1: 2}
 class _Plan:
     """Per-graph tables for checking, translating and lifting colorings.
 
-    ``vertices`` fixes an index for every SAW vertex; ``edges`` holds each
-    edge's id and endpoint ids, ``directed`` each crossing edge's crease,
-    tail and head ids, and ``nbrs[i]`` the neighbours of vertex i as
-    ``(index, k, is_tail)``, where k is the position of the crossing edge in
-    ``directed`` (-1 for an undirected edge) and is_tail says whether
-    vertex i is its tail. Building the tables, checking, translating and
-    propagating are each O(V + E); only the completion search of a stalled
-    lift can take longer.
+    A vertex's index is its place in ``vertices``, the sorted ids (the
+    order of ``enumerate_colorings``). ``edges`` holds each edge's id and
+    endpoint indices, ``directed`` each crossing edge's crease, tail and
+    head, ``crossing`` each crease's last crossing edge (whose step the
+    crease takes, as in ``to_mv``) and ``nbrs[i]`` the neighbours of vertex
+    i as ``(index, k, is_tail)``, k being the crossing edge's position in
+    ``directed`` (-1 for an undirected edge). A crossing edge's step is
+    (s(head) - s(tail)) mod 3: 1 for mountain, 2 for valley. Building,
+    checking, translating and propagating are each O(V + E); only the
+    completion search of a stalled lift can take longer.
     """
 
     def __init__(self, g: SawGraph):
-        self.vertices = list(g.vertices)
+        self.vertices = sorted(g.vertices)
         self.vset = set(self.vertices)
         self.root_id = g.root
         index = {v: i for i, v in enumerate(self.vertices)}
         self.root = index.get(g.root)
-        self.edges = [(e.id, e.u, e.v) for e in g.edges.values()]
+        self.edges = [(e.id, index[e.u], index[e.v]) for e in g.edges.values()]
         self.directed: list[tuple[str, int, int]] = []
         self.nbrs: list[list[tuple[int, int, bool]]] = [[] for _ in self.vertices]
         for e in g.edges.values():
             k = -1
             if e.directed:
                 k = len(self.directed)
-                self.directed.append((e.crease, e.u, e.v))
+                self.directed.append((e.crease, index[e.u], index[e.v]))
             self.nbrs[index[e.u]].append((index[e.v], k, True))
             self.nbrs[index[e.v]].append((index[e.u], k, False))
+        self.crossing = {c: k for k, (c, _, _) in enumerate(self.directed)}
 
-    def to_mv(self, s: ThreeColoring) -> MVAssignment:
+    def colors(self, s: ThreeColoring) -> list[int]:
+        """The color list of s, checked: proper, with the root colored 0."""
         if s.keys() != self.vset:
             raise ImproperColoring("coloring domain mismatch")
         if s[self.root_id] != 0:
             raise ImproperColoring("root is not colored 0")
+        colors = list(map(s.__getitem__, self.vertices))
         for eid, u, v in self.edges:
-            if s[u] == s[v]:
-                raise ImproperColoring(f"edge {eid} endpoints share color {s[u]}")
-        return {c: 1 if (s[h] - s[t]) % 3 == 1 else -1 for c, t, h in self.directed}
+            if colors[u] == colors[v]:
+                raise ImproperColoring(f"edge {eid} endpoints share color {colors[u]}")
+        return colors
 
-    def lift(self, mv: MVAssignment) -> ThreeColoring:
+    def to_mv(self, colors: list[int]) -> MVAssignment:
+        return {c: 1 if (colors[h] - colors[t]) % 3 == 1 else -1
+                for c, t, h in self.directed}
+
+    def steps(self, mv: MVAssignment) -> list[int]:
+        """Each crossing edge's step in the coloring that encodes ``mv``."""
         steps = [_STEP.get(mv[c], 0) for c, _, _ in self.directed]
         if 0 in steps:
             c = self.directed[steps.index(0)][0]
             raise NoCompletion(f"crease {c} has value {mv[c]!r}, not 1 or -1")
+        return steps
+
+    def lift(self, steps: list[int]) -> list[int]:
+        """The one color list whose crossing edges take ``steps``."""
         if self.root is None:
             raise NoCompletion(f"root {self.root_id} is not a vertex")
         colors = [-1] * len(self.vertices)
@@ -167,7 +181,7 @@ class _Plan:
             raise NoCompletion(err)
         if -1 in colors:
             colors = self._search(colors, banned, steps)
-        return dict(zip(self.vertices, colors))
+        return colors
 
     def _propagate(self, colors: list[int], banned: list[int], start: int,
                    steps: list[int]) -> str | None:
@@ -233,7 +247,8 @@ class _Plan:
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
     """Translate a proper coloring into the MV assignment it encodes."""
-    return _Plan(g).to_mv(s)
+    plan = _Plan(g)
+    return plan.to_mv(plan.colors(s))
 
 
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
@@ -252,7 +267,8 @@ def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     ``mv`` (a value other than 1 or -1 included), and AmbiguousCompletion
     when two or more do.
     """
-    return _Plan(g).lift(mv)
+    plan = _Plan(g)
+    return dict(zip(plan.vertices, plan.lift(plan.steps(mv))))
 
 
 @dataclass
@@ -277,25 +293,31 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
 
     Checks |S(g)| == |M(cp)|, that coloring_to_mv lands inside M(cp)
     injectively, and the round-trip identities both ways. The pattern must
-    be oracle-tractable.
+    be oracle-tractable. Assignments are keyed by the oracle's value tuples,
+    streamed from its search up to ``cap`` (past it the count comes from
+    its DP), colorings by their crossing-edge steps (None for an uncrossed
+    crease); only keys no coloring produced become MV dicts. Raises
+    CapExceeded past ``cap`` colorings.
     """
-    from .oracle import enumerate_locally_valid
+    from .oracle import _first_assignments
     plan = _Plan(g)
-    report = enumerate_locally_valid(cp, cap=cap)
-    # assignment keys list values in one fixed crease order (None if absent)
-    order = sorted(cp.creases)
-    keys = [tuple(map(m.get, order)) for m in report.witnesses]
-    mset = set(keys)
+    order, _, found, count, _ = _first_assignments(cp, cap)
+    mset = set(found)
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
+    at = [plan.crossing.get(c, -1) for c in order]
+    # a crease crossed twice takes its last edge's step; None if none is
+    last = None if len(plan.crossing) == len(plan.directed) else \
+        [plan.crossing[c] for c, _, _ in plan.directed]
 
     translation_valid = injective = round_trip = True
     counterexample = None
 
     seen = set()
     for s in colorings:
-        mv = plan.to_mv(s)
-        key = tuple(map(mv.get, order))
+        colors = plan.colors(s)
+        steps = [(colors[h] - colors[t]) % 3 for _, t, h in plan.directed]
+        key = tuple([steps[k] - 1 if k >= 0 else None for k in at])
         if key not in mset:
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)
@@ -304,30 +326,31 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
             counterexample = counterexample or ("two colorings share an assignment", s)
         seen.add(key)
         try:
-            back = plan.lift(mv)
+            back = plan.lift(steps if last is None else [steps[k] for k in last])
         except Exception as exc:  # noqa: BLE001 - report, don't raise
             round_trip = False
             counterexample = counterexample or ("mv_to_coloring failed", str(exc))
             continue
-        if back != s:
+        if back != colors:
             round_trip = False
             counterexample = counterexample or ("round trip mismatch", s)
     # both ways: every valid assignment lifts to a coloring that maps back.
     # A graph for a transformed pattern crosses creases the pattern lacks,
     # so its witnesses cannot be lifted and are not checked. A witness some
     # coloring produced was lifted above by the same deterministic lift.
-    if not {c for c, _, _ in plan.directed} - set(cp.creases):
-        for m, key in zip(report.witnesses, keys):
+    if not plan.crossing.keys() - set(cp.creases):
+        for key in found:
             if key in seen:
                 continue
+            m = {c: 1 - 2 * v for c, v in zip(order, key)}
             try:
-                if plan.to_mv(plan.lift(m)) != m:
+                if plan.to_mv(plan.lift(plan.steps(m))) != m:
                     round_trip = False
                     counterexample = counterexample or ("assignment round trip", m)
             except Exception as exc:  # noqa: BLE001
                 round_trip = False
                 counterexample = counterexample or ("assignment does not lift", str(exc))
     return BijectionReport(
-        count_mv=report.count, count_colorings=n_col, counts_match=report.count == n_col,
+        count_mv=count, count_colorings=n_col, counts_match=count == n_col,
         translation_valid=translation_valid, injective=injective,
         round_trip_ok=round_trip, first_counterexample=counterexample)

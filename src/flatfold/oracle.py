@@ -5,11 +5,12 @@ order, a vertex sweep (``_search_plan``), and the crease that completes an
 interior vertex reads that vertex's other creases and takes only the
 values that pass its single-vertex crimp schedule. ``count_locally_valid``
 runs the plan through the frontier DP ``search.frontier_count``, so its
-cost follows the frontier width, not the count; ``enumerate_locally_valid``
+cost follows the frontier width, not the count. ``_first_assignments``
 runs the same plan through the depth-first generator
-``search.depth_first``, materializes witnesses in sweep order and stops
-past its cap, leaving the count to the DP. Counts are exact Python ints
-(arbitrary precision).
+``search.depth_first`` and stops past its cap, leaving the count to the
+DP; ``enumerate_locally_valid`` turns its value tuples into witness dicts
+and ``coloring.verify_bijection`` keys assignments by them. Counts are
+exact Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .cp import CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
@@ -121,27 +123,34 @@ def _crease_values(checks: list, vals: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _first_assignments(cp: CreasePattern, cap: int,
+                       crease_order: list[str] | None = None):
+    """The search plan's crease order and cones, the value tuples (0 =
+    mountain, 1 = valley) of the first ``cap`` assignments of its
+    depth-first search, which stops at assignment ``cap + 1``, the count
+    (then from the frontier DP) and whether the cap was passed."""
+    order, plan, cones = _search_plan(cp, crease_order)
+    cap = max(cap, 0)
+    found = list(islice(depth_first(plan), cap + 1))
+    capped = len(found) > cap
+    return order, cones, found[:cap], frontier_count(plan) if capped else len(found), capped
+
+
 def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
                             crease_order: list[str] | None = None) -> LocalValidityReport:
     """Exact count plus the first ``cap`` witness assignments.
 
     Witnesses come in depth-first order over the search plan's crease
     order, the vertex sweep of ``_search_plan`` unless ``crease_order`` is
-    given, each crease trying 1 before -1, from ``search.depth_first``.
+    given, each crease trying 1 before -1: one dict per value tuple of
+    ``_first_assignments``, the search ``verify_bijection`` streams too.
     The search stops once it finds assignment ``cap + 1``; then
     ``cap_exceeded`` is set and ``count`` comes from the frontier DP of
     ``count_locally_valid`` (without its crease limit). Otherwise ``count``
     is the number of witnesses found.
     """
-    order, plan, cones = _search_plan(cp, crease_order)
-    witnesses: list[MVAssignment] = []
-    capped = False
-    for vals in depth_first(plan):
-        if len(witnesses) >= cap:
-            capped = True
-            break
-        witnesses.append({c: 1 - 2 * v for c, v in zip(order, vals)})
-    count = frontier_count(plan) if capped else len(witnesses)
+    order, cones, found, count, capped = _first_assignments(cp, cap, crease_order)
+    witnesses = [{c: 1 - 2 * v for c, v in zip(order, vals)} for vals in found]
     per_vertex = {v: count_single_vertex_mv(c) for v, c in cones.items()}
     return LocalValidityReport(count=count, witnesses=witnesses,
                                per_vertex_counts=per_vertex, cap_exceeded=capped)

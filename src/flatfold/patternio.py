@@ -87,34 +87,48 @@ def saw_to_dict(g: SawGraph) -> dict:
     }
 
 
+def _int(value, where: str, among: dict | None = None) -> int:
+    """value, if it is a JSON integer (not a boolean) and a key of ``among``."""
+    if type(value) is not int:
+        raise ParseError(f"bad SAW graph: {where} {value!r} is not an integer")
+    if among is not None and value not in among:
+        raise ParseError(f"bad SAW graph: {where} {value} is not listed")
+    return value
+
+
 def saw_from_dict(doc: dict) -> SawGraph:
+    """The SAW graph of a ``saw`` block. Ids, edge ends, the root and the
+    boundary steps are JSON integers, and all but ids name listed rows;
+    ``directed`` is a boolean, a face a string or a list of strings, and a
+    crease a string or null."""
     g = SawGraph()
     try:
         for row in doc["vertices"]:
-            face = row.get("face")
-            if isinstance(face, list):
+            vid, face = _int(row["id"], "vertex id"), row["face"]
+            if type(face) is list and all(type(f) is str for f in face):
                 face = tuple(face)
-            g.vertices[int(row["id"])] = SawVertex(int(row["id"]), face)
+            elif type(face) is not str:
+                raise ParseError(f"bad SAW graph: vertex {vid} has face {face!r}")
+            g.vertices[vid] = SawVertex(vid, face)
         for row in doc["edges"]:
-            g.edges[int(row["id"])] = SawEdge(
-                int(row["id"]), int(row["u"]), int(row["v"]),
-                bool(row.get("directed", False)), row.get("crease"))
-        g.root = int(doc["root"])
-        g.walk = [(int(v), int(e)) for v, e in doc.get("boundary", [])]
+            eid = _int(row["id"], "edge id")
+            u, v = (_int(row[k], f"edge {eid} end", g.vertices) for k in "uv")
+            directed, crease = row.get("directed", False), row.get("crease")
+            if type(directed) is not bool or not (crease is None or type(crease) is str):
+                raise ParseError(f"bad SAW graph: edge {eid} has directed {directed!r} "
+                                 f"and crease {crease!r}")
+            g.edges[eid] = SawEdge(eid, u, v, directed, crease)
+        g.root = _int(doc["root"], "root", g.vertices or None)
+        boundary = doc.get("boundary", [])
+        if not (type(boundary) is list
+                and all(type(step) is list and len(step) == 2 for step in boundary)):
+            raise ParseError("bad SAW graph: boundary is not a list of [vertex, edge] pairs")
+        g.walk = [(_int(v, "boundary vertex", g.vertices), _int(e, "boundary edge", g.edges))
+                  for v, e in boundary]
         g._next_v = max(g.vertices, default=-1) + 1
         g._next_e = max(g.edges, default=-1) + 1
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad SAW graph: {exc}") from exc
-    for e in g.edges.values():
-        for end in (e.u, e.v):
-            if end not in g.vertices:
-                raise ParseError(f"bad SAW graph: edge {e.id} ends at unlisted vertex {end}")
-    if g.vertices and g.root not in g.vertices:
-        raise ParseError(f"bad SAW graph: root {g.root} is not a listed vertex")
-    for i, (v, e) in enumerate(g.walk):
-        if v not in g.vertices or e not in g.edges:
-            raise ParseError(f"bad SAW graph: boundary step {i} ({v}, {e}) "
-                             "names an unlisted vertex or edge")
     return g
 
 

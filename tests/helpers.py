@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import random
 
+from flatfold import coloring
+from flatfold.coloring import BijectionReport
 from flatfold.cp import build_crease_pattern, cone_at
-from flatfold.errors import DisconnectedInterior
+from flatfold.errors import DisconnectedInterior, ImproperColoring
 from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.geometry import on_segment, orient
+from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
 from flatfold.tiling import _bind_faces, _merge_vertex
 
@@ -353,3 +356,71 @@ def reference_segments_conflict(a, b, c, d) -> bool:
         if on_segment(p, u, v) and p not in (u, v):
             return True
     return False
+
+
+def _reference_to_mv(g: SawGraph, s: dict[int, int]) -> dict[str, int]:
+    """``coloring_to_mv`` as it was before colorings were read into color
+    lists: the checks and the translation on the coloring dict."""
+    if s.keys() != set(g.vertices):
+        raise ImproperColoring("coloring domain mismatch")
+    if s[g.root] != 0:
+        raise ImproperColoring("root is not colored 0")
+    for e in g.edges.values():
+        if s[e.u] == s[e.v]:
+            raise ImproperColoring(f"edge {e.id} endpoints share color {s[e.u]}")
+    return {e.crease: 1 if (s[e.v] - s[e.u]) % 3 == 1 else -1
+            for e in g.edges.values() if e.directed}
+
+
+def reference_verify_bijection(cp, g: SawGraph, cap: int = 200000) -> BijectionReport:
+    """``coloring.verify_bijection`` as it was before it streamed: lists of
+    witness dicts and colorings, keys over the sorted crease ids, and every
+    translation and lift on dicts. Colorings come from the
+    ``coloring.enumerate_colorings`` attribute, so a test that replaces it
+    feeds both functions the same list."""
+    report = enumerate_locally_valid(cp, cap=cap)
+    # assignment keys list values in one fixed crease order (None if absent)
+    order = sorted(cp.creases)
+    keys = [tuple(map(m.get, order)) for m in report.witnesses]
+    mset = set(keys)
+    colorings = coloring.enumerate_colorings(g, cap=cap)
+    n_col = len(colorings)
+
+    translation_valid = injective = round_trip = True
+    counterexample = None
+
+    seen = set()
+    for s in colorings:
+        mv = _reference_to_mv(g, s)
+        key = tuple(map(mv.get, order))
+        if key not in mset:
+            translation_valid = False
+            counterexample = counterexample or ("coloring maps outside M", s)
+        if key in seen:
+            injective = False
+            counterexample = counterexample or ("two colorings share an assignment", s)
+        seen.add(key)
+        try:
+            back = coloring.mv_to_coloring(g, mv)
+        except Exception as exc:  # noqa: BLE001 - report, don't raise
+            round_trip = False
+            counterexample = counterexample or ("mv_to_coloring failed", str(exc))
+            continue
+        if back != s:
+            round_trip = False
+            counterexample = counterexample or ("round trip mismatch", s)
+    if not {e.crease for e in g.edges.values() if e.directed} - set(cp.creases):
+        for m, key in zip(report.witnesses, keys):
+            if key in seen:
+                continue
+            try:
+                if _reference_to_mv(g, coloring.mv_to_coloring(g, m)) != m:
+                    round_trip = False
+                    counterexample = counterexample or ("assignment round trip", m)
+            except Exception as exc:  # noqa: BLE001
+                round_trip = False
+                counterexample = counterexample or ("assignment does not lift", str(exc))
+    return BijectionReport(
+        count_mv=report.count, count_colorings=n_col, counts_match=report.count == n_col,
+        translation_valid=translation_valid, injective=injective,
+        round_trip_ok=round_trip, first_counterexample=counterexample)

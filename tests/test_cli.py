@@ -100,7 +100,8 @@ def test_validation_failure_exits_1(capsys, tmp_path):
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
      ' "saw": {"vertices": [1, 2], "edges": [], "root": 0}}', "bad SAW graph"),
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
-     ' "saw": {"vertices": [{"id": 0}, {"id": 1}], "edges": [], "root": 0}}',
+     ' "saw": {"vertices": [{"id": 0, "face": "f0"}, {"id": 1, "face": "f0"}],'
+     ' "edges": [], "root": 0}}',
      "SAW graph is not connected"),
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
      ' "mv": []}', "bad MV block"),

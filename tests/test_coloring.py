@@ -13,6 +13,8 @@ from flatfold import (
     single_vertex_saw,
     verify_bijection,
 )
+from flatfold import coloring, oracle
+from flatfold.coloring import BijectionReport
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -26,7 +28,12 @@ from flatfold.saw import SawGraph
 from flatfold.tiling import tile
 
 from .conftest import cone
-from .helpers import grid_saw, invalid_joined_twist_saw, small_pattern
+from .helpers import (
+    grid_saw,
+    invalid_joined_twist_saw,
+    reference_verify_bijection,
+    small_pattern,
+)
 
 
 def path_graph(n):
@@ -281,3 +288,157 @@ def test_verify_bijection_flags_bad_merge():
     assert not report.counts_match
     assert report.count_mv == 170
     assert report.count_colorings == 110
+
+
+def _outcome(verify, cp, g, cap):
+    """A verify function's report, or the type and message it raised."""
+    try:
+        return verify(cp, g, cap=cap)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def bijection_cases(draw):
+    """(pattern, graph, cap): a tiled pattern or the invalid joined-twist
+    merge, perhaps with one crossing edge reversed, two crease labels
+    swapped, one edge given another's crease (so that crease is crossed
+    twice and its own not at all; with "relabel-off" a third edge crosses
+    a crease the pattern lacks, so no witness is lifted), one more edge
+    across an existing crease, or its vertices listed in reverse order."""
+    kind = draw(st.sampled_from(["modified-miura", "snake", "twists", "bad-merge"]))
+    if kind == "bad-merge":
+        cp, g = invalid_joined_twist_saw()
+    else:
+        cp = small_pattern(kind, draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+                           draw(st.integers(0, 10 ** 6)))
+        g = tile(cp)
+    crossing = [e for e in g.edges.values() if e.directed]
+    a, b, c = [crossing[k] for k in draw(st.lists(
+        st.integers(0, len(crossing) - 1), min_size=3, max_size=3, unique=True))]
+    edit = draw(st.sampled_from(["none", "reverse", "swap", "relabel", "relabel-off",
+                                 "extra", "reorder"]))
+    if edit == "reverse":
+        a.u, a.v = a.v, a.u
+    elif edit == "swap":
+        a.crease, b.crease = b.crease, a.crease
+    elif edit.startswith("relabel"):
+        a.crease = b.crease
+        if edit == "relabel-off":
+            c.crease = "elsewhere"
+    elif edit == "extra":
+        g.add_edge(a.u, c.v if c.v != a.u else c.u, directed=True, crease=b.crease)
+    elif edit == "reorder":
+        g.vertices = dict(reversed(g.vertices.items()))
+    # a cap under the count of the bad merge's assignments (170), not of
+    # its colorings (110), compares only a prefix of the assignments
+    return cp, g, draw(st.sampled_from([200000, 200000, 120]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bijection_cases())
+def test_verify_bijection_matches_reference(case):
+    # the streamed verify_bijection gives the list-based one's report:
+    # every field, the counterexample's reason, and its detail where that
+    # is a coloring or an assignment; or both raise the same error
+    cp, g, cap = case
+    want = _outcome(reference_verify_bijection, cp, g, cap)
+    got = _outcome(verify_bijection, cp, g, cap)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, BijectionReport)
+    fields = ["count_mv", "count_colorings", "counts_match", "translation_valid",
+              "injective", "round_trip_ok"]
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    if want.first_counterexample is None:
+        assert got.first_counterexample is None
+        return
+    (reason, detail), (want_reason, want_detail) = \
+        got.first_counterexample, want.first_counterexample
+    assert reason == want_reason
+    if isinstance(want_detail, dict):
+        assert detail == want_detail
+
+
+@pytest.mark.parametrize("at", [0, -1])
+@pytest.mark.parametrize("how", ["root", "improper", "domain"])
+def test_verify_bijection_checks_each_coloring(monkeypatch, how, at):
+    # a coloring that fails a check of coloring_to_mv raises its error, as
+    # in the list-based reference; colorings reach both functions through
+    # the coloring.enumerate_colorings attribute
+    cp = miura(2, 3)
+    g = tile(cp)
+    g.vertices = dict(reversed(g.vertices.items()))
+    enumerate_colorings = coloring.enumerate_colorings
+
+    def with_bad(g, cap):
+        out = enumerate_colorings(g, cap)
+        s = out[at]
+        if how == "root":       # the colors cycled: proper, but the root is 1
+            bad = {v: (c + 1) % 3 for v, c in reversed(s.items())}
+        elif how == "improper":
+            e = next(iter(g.edges.values()))
+            bad = {**s, e.v: s[e.u]}
+        else:                   # a vertex the graph lacks
+            bad = {**s, max(s) + 1: 0}
+        out.insert(at % (len(out) + 1), bad)
+        return out
+
+    monkeypatch.setattr(coloring, "enumerate_colorings", with_bad)
+    want = _outcome(reference_verify_bijection, cp, g, 200000)
+    assert want[0] is ImproperColoring
+    assert _outcome(verify_bijection, cp, g, 200000) == want
+
+
+def test_verify_bijection_raises_past_cap():
+    cp = miura(3, 3)
+    g = tile(cp)
+    for cap in (0, 81):
+        with pytest.raises(CapExceeded, match=f"more than {cap} colorings"):
+            verify_bijection(cp, g, cap=cap)
+    assert verify_bijection(cp, g, cap=82).ok
+
+
+def test_verify_bijection_stops_the_search_at_cap(monkeypatch):
+    # as in test_oracle's test_capped_search_stops_at_cap: the oracle's
+    # search stops at assignment cap + 1 before the colorings pass the cap
+    calls = [0]
+    check_values = oracle._check_values
+
+    def counting(*args):
+        calls[0] += 1
+        return check_values(*args)
+
+    monkeypatch.setattr(oracle, "_check_values", counting)
+    cp = crane()
+    with pytest.raises(CapExceeded):
+        verify_bijection(cp, tile(cp), cap=20)
+    assert 0 < calls[0] < 5_000
+
+
+def test_verify_bijection_skips_witness_lifts_off_the_pattern(monkeypatch):
+    # a graph that crosses a crease the pattern lacks lifts only what its
+    # colorings map to; the witness pass is skipped
+    lifted = []
+    real = coloring._Plan.lift
+    monkeypatch.setattr(coloring._Plan, "lift",
+                        lambda plan, steps: lifted.append(steps) or real(plan, steps))
+    cp = miura(2, 3)
+    g = tile(cp)
+    next(e for e in g.edges.values() if e.directed).crease = "elsewhere"
+    report = verify_bijection(cp, g)
+    assert not report.translation_valid
+    assert len(lifted) == report.count_colorings
+
+
+def test_verify_bijection_flags_an_uncrossed_crease():
+    # a pattern crease no edge crosses keys as None, which no assignment has
+    cp = miura(2, 3)
+    g = tile(cp)
+    next(e for e in g.edges.values() if e.directed).directed = False
+    report = verify_bijection(cp, g)
+    want = reference_verify_bijection(cp, g)
+    assert not report.translation_valid and not want.translation_valid
+    assert report.first_counterexample == want.first_counterexample
+    assert report.round_trip_ok == want.round_trip_ok

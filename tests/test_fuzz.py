@@ -7,9 +7,7 @@ loader must refuse, so ``load_text`` raises a ``FlatfoldError`` (a
 ``ParseError`` unless a field was dropped) and each subcommand exits 1 or
 2 with no traceback. Where ``jsonschema`` is
 installed, the shipped schema must refuse the mutant too, except for a
-repeated row (JSON Schema cannot say that ids are unique) and a field
-dropped from a row of the ``saw`` block (the schema leaves those rows
-untyped).
+repeated row (JSON Schema cannot say that ids are unique).
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ BASES = {
 }
 # one value of each JSON type
 VALUES = [True, False, None, 0.5, 7, "s", [], {}]
-RATIONAL, ID, INT = (int, str), (str,), (int,)
+RATIONAL, ID, INT, LIST = (int, str), (str,), (int,), (list,)
 
 
 @cache
@@ -77,11 +75,21 @@ def sites(doc: dict) -> list[tuple]:
         out += [("retype", ("angles", v, j), RATIONAL) for j in range(len(angles))]
     out += [("retype", ("mv", c), INT) for c in doc.get("mv", {})]
     if "saw" in doc:
+        saw = doc["saw"]
         out += [("drop", ("saw", k)) for k in ("vertices", "edges", "root")]
-        out += [("drop", ("saw", "vertices", i, "id"))
-                for i in range(len(doc["saw"]["vertices"]))]
-        out += [("drop", ("saw", "edges", i, f))
-                for i in range(len(doc["saw"]["edges"])) for f in ("id", "u", "v")]
+        out += [("retype", ("saw", "root"), INT), ("retype", ("saw", "boundary"), LIST)]
+        for i in range(len(saw["vertices"])):
+            out += [("drop", ("saw", "vertices", i, f)) for f in ("id", "face")]
+            out += [("retype", ("saw", "vertices", i, "id"), INT),
+                    ("retype", ("saw", "vertices", i, "face"), (str, list))]
+        for i in range(len(saw["edges"])):
+            out += [("drop", ("saw", "edges", i, f)) for f in ("id", "u", "v")]
+            out += [("retype", ("saw", "edges", i, f), INT) for f in ("id", "u", "v")]
+            out += [("retype", ("saw", "edges", i, "directed"), (bool,)),
+                    ("retype", ("saw", "edges", i, "crease"), (str, type(None)))]
+        for i in range(len(saw["boundary"])):
+            out.append(("retype", ("saw", "boundary", i), LIST))
+            out += [("retype", ("saw", "boundary", i, j), INT) for j in (0, 1)]
     return out
 
 
@@ -121,7 +129,7 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @given(mutants())
 def test_mutated_patterns_fail_cleanly(mutant):
     kind, path, text = mutant
-    if jsonschema is not None and kind != "repeat" and not (path[0] == "saw" and len(path) > 2):
+    if jsonschema is not None and kind != "repeat":
         assert not jsonschema.Draft7Validator(schema()).is_valid(json.loads(text))
     # a retyped value or a repeated row is refused while parsing, so it
     # cannot pass as a different, merely invalid, pattern
