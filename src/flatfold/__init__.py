@@ -1,7 +1,8 @@
 """Flat-foldable crease patterns, SAW graphs and MV-assignment counting.
 
 The library builds exact-arithmetic crease patterns, counts and enumerates
-locally-valid mountain-valley assignments (brute-force oracle and a
+locally-valid mountain-valley assignments (an oracle that counts by a
+frontier DP over crease values and enumerates by depth-first search, and a
 linear-time single-vertex recursion), constructs SAW graphs whose
 pre-colored proper 3-colorings biject with those assignments, and tiles
 single-vertex graphs into SAW graphs for whole patterns.

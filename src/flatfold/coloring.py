@@ -163,10 +163,10 @@ class _Plan:
 
     def steps(self, mv: MVAssignment) -> list[int]:
         """Each crossing edge's step in the coloring that encodes ``mv``."""
-        steps = [_STEP.get(mv[c], 0) for c, _, _ in self.directed]
+        steps = [_STEP.get(mv.get(c), 0) for c, _, _ in self.directed]
         if 0 in steps:
             c = self.directed[steps.index(0)][0]
-            raise NoCompletion(f"crease {c} has value {mv[c]!r}, not 1 or -1")
+            raise NoCompletion(f"crease {c} has value {mv.get(c)!r}, not 1 or -1")
         return steps
 
     def lift(self, steps: list[int]) -> list[int]:
@@ -289,20 +289,33 @@ class BijectionReport:
 
 def verify_bijection(cp: CreasePattern, g: SawGraph,
                      cap: int = 200000) -> BijectionReport:
-    """Cross-check a SAW graph against the brute-force oracle.
+    """Cross-check a SAW graph against the oracle's crease search.
 
     Checks |S(g)| == |M(cp)|, that coloring_to_mv lands inside M(cp)
     injectively, and the round-trip identities both ways. The pattern must
-    be oracle-tractable. Assignments are keyed by the oracle's value tuples,
-    streamed from its search up to ``cap`` (past it the count comes from
-    its DP), colorings by their crossing-edge steps (None for an uncrossed
-    crease); only keys no coloring produced become MV dicts. Raises
-    CapExceeded past ``cap`` colorings.
+    be oracle-tractable.
+
+    Assignments are keyed as the oracle's search gives them, streamed up to
+    ``cap`` (past it the count comes from its DP): ``bytes`` with one value
+    per crease in search order, 0 for mountain and 1 for valley. A coloring
+    is keyed the same way from its crossing-edge steps, with 2 for a crease
+    no edge crosses, a value no assignment has. One dict records, for each
+    assignment key, whether a coloring mapped to it, and a set keeps the
+    keys of colorings that map outside M(cp); only assignment keys no
+    coloring produced become MV dicts.
+
+    Raises CapExceeded past ``cap`` colorings. When the oracle's search
+    passes ``cap``, ``count_colorings`` runs first, so a graph with more
+    than ``cap`` colorings is refused without enumerating any of them.
     """
     from .oracle import _first_assignments
     plan = _Plan(g)
-    order, _, found, count, _ = _first_assignments(cp, cap)
-    mset = set(found)
+    order, found, count, capped = _first_assignments(cp, cap)
+    if capped and count_colorings(g) > cap:
+        raise CapExceeded(f"more than {cap} colorings")
+    hit = dict.fromkeys(found, False)   # assignment key -> a coloring maps to it
+    del found
+    outside: set[bytes] = set()
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
     at = [plan.crossing.get(c, -1) for c in order]
@@ -313,18 +326,21 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     translation_valid = injective = round_trip = True
     counterexample = None
 
-    seen = set()
     for s in colorings:
         colors = plan.colors(s)
         steps = [(colors[h] - colors[t]) % 3 for _, t, h in plan.directed]
-        key = tuple([steps[k] - 1 if k >= 0 else None for k in at])
-        if key not in mset:
+        key = bytes([steps[k] - 1 if k >= 0 else 2 for k in at])
+        mapped = hit.get(key)
+        if mapped is None:
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)
-        if key in seen:
+            mapped = key in outside
+            outside.add(key)
+        else:
+            hit[key] = True
+        if mapped:
             injective = False
             counterexample = counterexample or ("two colorings share an assignment", s)
-        seen.add(key)
         try:
             back = plan.lift(steps if last is None else [steps[k] for k in last])
         except Exception as exc:  # noqa: BLE001 - report, don't raise
@@ -339,8 +355,8 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     # so its witnesses cannot be lifted and are not checked. A witness some
     # coloring produced was lifted above by the same deterministic lift.
     if not plan.crossing.keys() - set(cp.creases):
-        for key in found:
-            if key in seen:
+        for key, mapped in hit.items():
+            if mapped:
                 continue
             m = {c: 1 - 2 * v for c, v in zip(order, key)}
             try:

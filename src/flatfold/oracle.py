@@ -8,9 +8,11 @@ runs the plan through the frontier DP ``search.frontier_count``, so its
 cost follows the frontier width, not the count. ``_first_assignments``
 runs the same plan through the depth-first generator
 ``search.depth_first`` and stops past its cap, leaving the count to the
-DP; ``enumerate_locally_valid`` turns its value tuples into witness dicts
-and ``coloring.verify_bijection`` keys assignments by them. Counts are
-exact Python ints (arbitrary precision).
+DP; it keeps each assignment as ``bytes``, one value per crease in search
+order (0 = mountain, 1 = valley). ``enumerate_locally_valid`` turns those
+keys into witness dicts, and ``coloring.verify_bijection`` uses them as
+its assignment keys as they are. Counts are exact Python ints (arbitrary
+precision).
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ from itertools import islice
 
 from .cp import CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
-from .single_vertex import (
-    _check_values,
-    _schedule,
-    count_single_vertex_mv,
-    kawasaki_check,
-)
+from .single_vertex import _check_values, _schedule, kawasaki_check
 from .search import depth_first, frontier_count, frontier_width
 
 DEFAULT_BRUTE_LIMIT = 40
@@ -48,14 +45,12 @@ def _brute_limit(override: int | None) -> int:
 class LocalValidityReport:
     count: int
     witnesses: list[MVAssignment]
-    per_vertex_counts: dict[str, int]
     cap_exceeded: bool = False
 
 
 def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
-    """The crease search as a plan of ``search``: the crease order, the
-    plan (a crease reads the other creases of the vertices it completes),
-    and the cone of each interior vertex.
+    """The crease search as a plan of ``search``: the crease order and the
+    plan (a crease reads the other creases of the vertices it completes).
 
     Unless ``crease_order`` is given, the order is a vertex sweep: the
     interior vertices sorted by exact coordinate, x then y or y then x,
@@ -75,15 +70,14 @@ def _search_plan(cp: CreasePattern, crease_order: list[str] | None = None):
         order = list(crease_order)
         if sorted(order) != sorted(cp.creases):
             raise ValueError("crease_order must be a permutation of the creases")
-        return order, _plan(vertex_checks, order), cones
+        return order, _plan(vertex_checks, order)
     plans = []
     for axis in (0, 1):
         swept = sorted(cones, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
         order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
                                    + sorted(cp.creases)))
         plans.append((order, _plan(vertex_checks, order)))
-    order, plan = min(plans, key=lambda op: frontier_width(op[1]))
-    return order, plan, cones
+    return min(plans, key=lambda op: frontier_width(op[1]))
 
 
 def _plan(vertex_checks: list, order: list[str]) -> list:
@@ -125,15 +119,18 @@ def _crease_values(checks: list, vals: tuple[int, ...]) -> list[int]:
 
 def _first_assignments(cp: CreasePattern, cap: int,
                        crease_order: list[str] | None = None):
-    """The search plan's crease order and cones, the value tuples (0 =
-    mountain, 1 = valley) of the first ``cap`` assignments of its
-    depth-first search, which stops at assignment ``cap + 1``, the count
-    (then from the frontier DP) and whether the cap was passed."""
-    order, plan, cones = _search_plan(cp, crease_order)
+    """The search plan's crease order; the first ``cap`` assignments of
+    its depth-first search, which stops at assignment ``cap + 1``, each as
+    ``bytes`` with one value per crease in that order (0 = mountain, 1 =
+    valley); the count (then from the frontier DP); and whether the cap
+    was passed."""
+    order, plan = _search_plan(cp, crease_order)
     cap = max(cap, 0)
-    found = list(islice(depth_first(plan), cap + 1))
+    found = list(map(bytes, islice(depth_first(plan), cap + 1)))
     capped = len(found) > cap
-    return order, cones, found[:cap], frontier_count(plan) if capped else len(found), capped
+    if capped:
+        found.pop()
+    return order, found, frontier_count(plan) if capped else len(found), capped
 
 
 def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
@@ -142,18 +139,16 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000,
 
     Witnesses come in depth-first order over the search plan's crease
     order, the vertex sweep of ``_search_plan`` unless ``crease_order`` is
-    given, each crease trying 1 before -1: one dict per value tuple of
-    ``_first_assignments``, the search ``verify_bijection`` streams too.
+    given, each crease trying 1 before -1: one dict per assignment key of
+    ``_first_assignments``, the search ``verify_bijection`` keys by too.
     The search stops once it finds assignment ``cap + 1``; then
     ``cap_exceeded`` is set and ``count`` comes from the frontier DP of
     ``count_locally_valid`` (without its crease limit). Otherwise ``count``
     is the number of witnesses found.
     """
-    order, cones, found, count, capped = _first_assignments(cp, cap, crease_order)
-    witnesses = [{c: 1 - 2 * v for c, v in zip(order, vals)} for vals in found]
-    per_vertex = {v: count_single_vertex_mv(c) for v, c in cones.items()}
-    return LocalValidityReport(count=count, witnesses=witnesses,
-                               per_vertex_counts=per_vertex, cap_exceeded=capped)
+    order, found, count, capped = _first_assignments(cp, cap, crease_order)
+    witnesses = [{c: 1 - 2 * v for c, v in zip(order, key)} for key in found]
+    return LocalValidityReport(count=count, witnesses=witnesses, cap_exceeded=capped)
 
 
 def count_locally_valid(cp: CreasePattern, limit: int | None = None,

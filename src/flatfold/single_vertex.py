@@ -226,7 +226,7 @@ def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
     sched = _schedule(cone.angles)
-    vals = [mv[c] for c in cone.crease_ids]
+    vals = [mv.get(c) for c in cone.crease_ids]
     if any(v not in (1, -1) for v in vals):
         raise ValueError("assignment values must be +-1")
     return _check_values(sched, vals)

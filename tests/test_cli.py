@@ -76,6 +76,14 @@ def test_verify_subcommand(capsys, tmp_path):
     assert doc["ok"] and doc["count_mv"] == doc["count_colorings"] == 6
 
 
+def test_verify_refuses_past_the_cap(capsys, tmp_path):
+    # 33,865,632 colorings: refused by count, not after 200,001 of them
+    path = tmp_path / "m.json"
+    run(capsys, ["generate", "miura", "6", "6", "-o", str(path)])
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert (code, out, err) == (1, "", "error: more than 200000 colorings\n")
+
+
 def test_render_subcommand(capsys, tmp_path):
     src = tmp_path / "m.json"
     dst = tmp_path / "m.svg"

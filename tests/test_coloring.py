@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -208,6 +209,12 @@ def test_mv_to_coloring_rejects_unreachable():
         mv_to_coloring(g, {ca: 1, cb: 0})   # not an MV value
 
 
+def test_mv_to_coloring_refuses_a_missing_crease():
+    g = tile(miura(2, 2))
+    with pytest.raises(NoCompletion, match="has value None, not 1 or -1"):
+        mv_to_coloring(g, {})
+
+
 def test_crane_witnesses_lift_and_round_trip():
     # propagation alone leaves most of the crane's SAW graph uncolored; the
     # completion search must still find each witness's single coloring
@@ -331,8 +338,11 @@ def bijection_cases(draw):
     elif edit == "reorder":
         g.vertices = dict(reversed(g.vertices.items()))
     # a cap under the count of the bad merge's assignments (170), not of
-    # its colorings (110), compares only a prefix of the assignments
-    return cp, g, draw(st.sampled_from([200000, 200000, 120]))
+    # its colorings (110), compares only a prefix of the assignments; one
+    # under the pattern's count passes the oracle's cap, so verify counts
+    # the colorings before it enumerates them, and the reference does not
+    count = enumerate_locally_valid(cp, cap=0).count
+    return cp, g, draw(st.sampled_from([200000, 200000, 120, count - 1]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -398,6 +408,35 @@ def test_verify_bijection_raises_past_cap():
         with pytest.raises(CapExceeded, match=f"more than {cap} colorings"):
             verify_bijection(cp, g, cap=cap)
     assert verify_bijection(cp, g, cap=82).ok
+
+
+@pytest.mark.parametrize("make, cap", [(crane, 20), (lambda: miura(3, 3), 81)])
+def test_verify_bijection_refuses_by_count(monkeypatch, make, cap):
+    # past the oracle's cap, count_colorings decides: no coloring is
+    # enumerated before the refusal
+    def fail(g, cap):
+        raise AssertionError("enumerate_colorings ran")
+
+    cp = make()
+    g = tile(cp)
+    monkeypatch.setattr(coloring, "enumerate_colorings", fail)
+    with pytest.raises(CapExceeded, match=f"^more than {cap} colorings$"):
+        verify_bijection(cp, g, cap=cap)
+
+
+def test_verify_bijection_refusal_memory():
+    # the refusal holds the oracle's byte keys, not cap + 1 coloring dicts
+    # (20,001 coloring dicts of 25 entries take about 31 MB)
+    cp = miura(5, 5)
+    g = tile(cp)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            verify_bijection(cp, g, cap=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_verify_bijection_stops_the_search_at_cap(monkeypatch):

@@ -29,8 +29,12 @@ def test_single_vertex_pattern_matches_recursion():
     report = enumerate_locally_valid(cp)
     assert report.count == 6
     v = cp.interior_vertex_ids()[0]
-    assert report.per_vertex_counts == {v: 6}
     assert count_locally_valid(cp) == count_single_vertex_mv(cone_at(cp, v))
+
+
+def test_is_locally_valid_refuses_a_missing_crease():
+    with pytest.raises(ValueError, match=r"assignment values must be \+-1"):
+        is_locally_valid(miura(2, 2), {})
 
 
 def test_joined_twists_count():
@@ -61,8 +65,8 @@ def test_witnesses_restrict_to_valid_vertices():
         assert is_locally_valid(cp, m)
     # shared creases only constrain: count <= product of per-vertex counts
     prod = 1
-    for n in report.per_vertex_counts.values():
-        prod *= n
+    for v in cp.interior_vertex_ids():
+        prod *= count_single_vertex_mv(cone_at(cp, v))
     assert report.count <= prod
 
 
@@ -191,7 +195,6 @@ def test_capped_witnesses_are_a_prefix(kind, m, n, seed, data):
     assert report.witnesses == full.witnesses[:cap]
     assert report.count == count
     assert report.cap_exceeded == (count > cap)
-    assert report.per_vertex_counts == full.per_vertex_counts
 
 
 def _count_checks(monkeypatch):
