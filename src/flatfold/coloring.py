@@ -9,7 +9,10 @@ edge (u, v) over crease c translates as mountain when s(v) - s(u) = 1
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice, repeat
 
 from .cp import CreasePattern, MVAssignment
 from .errors import (
@@ -21,7 +24,7 @@ from .errors import (
     TilingError,
 )
 from .saw import SawGraph
-from .search import depth_first, frontier_count
+from .search import _reader, depth_first, frontier_count
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
@@ -98,11 +101,10 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     cap + 1.
     """
     ids = sorted(g.vertices)
-    out: list[ThreeColoring] = []
-    for colors in depth_first(_plan(g, ids)):
-        if len(out) >= cap:
-            raise CapExceeded(f"more than {cap} colorings")
-        out.append(dict(zip(ids, colors)))
+    found = depth_first(_plan(g, ids))
+    out = list(map(dict, map(zip, repeat(ids), islice(found, max(cap, 0)))))
+    if next(found, None) is not None:
+        raise CapExceeded(f"more than {cap} colorings")
     return out
 
 
@@ -110,52 +112,78 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
 _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
 # color step from the tail to the head of a crossing edge, by MV value
 _STEP = {1: 1, -1: 2}
+_COLORS = frozenset((0, 1, 2))
+# the step (v - u) mod 3 of an edge whose end colors u and v make byte 4u + v
+_STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
+# an assignment key's byte by step: 0 for mountain (step 1), 1 for valley
+# (step 2), and 2 for step 0, which only a crease no edge crosses reads
+_KEY_OF_STEP = bytes.maketrans(b"\0\1\2", b"\2\0\1")
 
 
 class _Plan:
     """Per-graph tables for checking, translating and lifting colorings.
 
     A vertex's index is its place in ``vertices``, the sorted ids (the
-    order of ``enumerate_colorings``). ``edges`` holds each edge's id and
-    endpoint indices, ``directed`` each crossing edge's crease, tail and
-    head, ``crossing`` each crease's last crossing edge (whose step the
-    crease takes, as in ``to_mv``) and ``nbrs[i]`` the neighbours of vertex
-    i as ``(index, k, is_tail)``, k being the crossing edge's position in
-    ``directed`` (-1 for an undirected edge). A crossing edge's step is
-    (s(head) - s(tail)) mod 3: 1 for mountain, 2 for valley. Building,
-    checking, translating and propagating are each O(V + E); only the
-    completion search of a stalled lift can take longer.
+    order of ``enumerate_colorings``). ``edges`` holds each edge's id,
+    endpoint indices and k, the edge's position in ``directed`` (-1 for an
+    undirected edge); ``directed`` holds each crossing edge's crease, tail
+    and head, and ``crossing`` each crease's last crossing edge (whose step
+    the crease takes, as in ``to_mv``). A crossing edge's step is
+    (s(head) - s(tail)) mod 3: 1 for mountain, 2 for valley. The tables of
+    ``colors`` (its readers) and of ``lift`` (``nbrs`` and ``_tree``) are
+    built on their first call, so ``coloring_to_mv`` and
+    ``mv_to_coloring`` build only what they use. Building, checking,
+    translating and lifting are each O(V + E); only the completion search
+    of a stalled lift can take longer.
     """
 
     def __init__(self, g: SawGraph):
         self.vertices = sorted(g.vertices)
         self.vset = set(self.vertices)
         self.root_id = g.root
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = dict(zip(self.vertices, range(len(self.vertices))))
         self.root = index.get(g.root)
-        self.edges = [(e.id, index[e.u], index[e.v]) for e in g.edges.values()]
+        self.edges: list[tuple[int, int, int, int]] = []
         self.directed: list[tuple[str, int, int]] = []
-        self.nbrs: list[list[tuple[int, int, bool]]] = [[] for _ in self.vertices]
         for e in g.edges.values():
+            u, v = index[e.u], index[e.v]
             k = -1
             if e.directed:
                 k = len(self.directed)
-                self.directed.append((e.crease, index[e.u], index[e.v]))
-            self.nbrs[index[e.u]].append((index[e.v], k, True))
-            self.nbrs[index[e.v]].append((index[e.u], k, False))
+                self.directed.append((e.crease, u, v))
+            self.edges.append((e.id, u, v, k))
         self.crossing = {c: k for k, (c, _, _) in enumerate(self.directed)}
 
-    def colors(self, s: ThreeColoring) -> list[int]:
-        """The color list of s, checked: proper, with the root colored 0."""
+    def colors(self, s: ThreeColoring) -> tuple[list[int], bytes]:
+        """The color list of s, checked: colors 0, 1 and 2 only, proper,
+        with the root colored 0; and its steps as ``bytes``: a 0, then each
+        edge's (s(v) - s(u)) mod 3 in edge order."""
         if s.keys() != self.vset:
             raise ImproperColoring("coloring domain mismatch")
         if s[self.root_id] != 0:
             raise ImproperColoring("root is not colored 0")
-        colors = list(map(s.__getitem__, self.vertices))
-        for eid, u, v in self.edges:
-            if colors[u] == colors[v]:
-                raise ImproperColoring(f"edge {eid} endpoints share color {colors[u]}")
-        return colors
+        read, us, vs = self._readers
+        colors = list(read(s))
+        if not _COLORS.issuperset(colors):
+            v = next(v for v, c in zip(self.vertices, colors) if c not in _COLORS)
+            raise ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
+        # both ends' colors packed into ints, a byte per edge: one to_bytes
+        # gives each edge's 4u + v (after a 0), one translate its step
+        packed = int.from_bytes(bytes(us(colors)), "big") << 2 | \
+            int.from_bytes(bytes(vs(colors)), "big")
+        steps = packed.to_bytes(len(self.edges) + 1, "big").translate(_STEP_OF_PAIR)
+        bad = steps.find(0, 1)
+        if bad > 0:
+            eid, u, _, _ = self.edges[bad - 1]
+            raise ImproperColoring(f"edge {eid} endpoints share color {colors[u]}")
+        return colors, steps
+
+    @cached_property
+    def _readers(self):
+        """``colors``' readers: of a coloring's colors in vertex order, and
+        of the colors at each edge's two ends."""
+        return (_reader(self.vertices), _reader([u for _, u, _, _ in self.edges]),
+                _reader([v for _, _, v, _ in self.edges]))
 
     def to_mv(self, colors: list[int]) -> MVAssignment:
         return {c: 1 if (colors[h] - colors[t]) % 3 == 1 else -1
@@ -169,22 +197,45 @@ class _Plan:
             raise NoCompletion(f"crease {c} has value {mv.get(c)!r}, not 1 or -1")
         return steps
 
-    def lift(self, steps: list[int]) -> list[int]:
-        """The one color list whose crossing edges take ``steps``."""
+    def lift(self, steps: Sequence[int]) -> list[int]:
+        """The one color list whose crossing edges take ``steps``.
+
+        When the crossing edges reached from the root span the graph, the
+        colors follow from the root along a breadth-first tree of them, and
+        the result stands if every other crossing edge takes its step and
+        no undirected edge joins two equal colors; no other coloring can
+        take the steps. Otherwise a worklist propagates forced colors from
+        the root (``_propagate``) and a search completes what it leaves
+        (``_search``). Raises NoCompletion or AmbiguousCompletion.
+        """
         if self.root is None:
             raise NoCompletion(f"root {self.root_id} is not a vertex")
-        colors = [-1] * len(self.vertices)
-        banned = [0] * len(self.vertices)
-        colors[self.root] = 0
-        err = self._propagate(colors, banned, self.root, steps)
-        if err:
-            raise NoCompletion(err)
-        if -1 in colors:
-            colors = self._search(colors, banned, steps)
+        tree = self._tree
+        if tree is None:
+            colors = [-1] * len(self.vertices)
+            banned = [0] * len(self.vertices)
+            colors[self.root] = 0
+            err = self._propagate(colors, banned, self.root, steps)
+            if err:
+                raise NoCompletion(err)
+            if -1 in colors:
+                colors = self._search(colors, banned, steps)
+            return colors
+        order, closing, undirected = tree
+        colors = [0] * len(self.vertices)
+        for v, p, k, sign in order:
+            colors[v] = (colors[p] + sign * steps[k]) % 3
+        for t, h, k in closing:
+            if (colors[h] - colors[t]) % 3 != steps[k]:
+                raise NoCompletion(f"crease {self.directed[k][0]} translates inconsistently")
+        for u, v in undirected:
+            if colors[u] == colors[v]:
+                raise NoCompletion(f"SAW vertices {self.vertices[u]} and "
+                                   f"{self.vertices[v]} share color {colors[u]}")
         return colors
 
     def _propagate(self, colors: list[int], banned: list[int], start: int,
-                   steps: list[int]) -> str | None:
+                   steps: Sequence[int]) -> str | None:
         """Color everything that the newly colored ``start`` forces, in place.
 
         A colored vertex forces the far end of each of its crossing edges,
@@ -192,33 +243,33 @@ class _Plan:
         banned colors takes the third. Every edge is checked once its second
         endpoint is colored. Returns the contradiction met, or None.
         """
-        nbrs = self.nbrs
+        cross, plain = self.nbrs
         todo = [start]
         while todo:
             v = todo.pop()
             c = colors[v]
-            for w, k, is_tail in nbrs[v]:
+            for w, k, sign in cross[v]:
+                want = (c + sign * steps[k]) % 3
                 cw = colors[w]
-                if k < 0:
-                    if cw < 0:
-                        b = banned[w] = banned[w] | 1 << c
-                        if _THIRD[b] >= 0:
-                            colors[w] = _THIRD[b]
-                            todo.append(w)
-                    elif cw == c:
-                        return (f"SAW vertices {self.vertices[v]} and "
-                                f"{self.vertices[w]} share color {c}")
-                else:
-                    want = (c + steps[k] if is_tail else c - steps[k]) % 3
-                    if cw < 0:
-                        colors[w] = want
+                if cw < 0:
+                    colors[w] = want
+                    todo.append(w)
+                elif cw != want:
+                    return f"crease {self.directed[k][0]} translates inconsistently"
+            for w in plain[v]:
+                cw = colors[w]
+                if cw < 0:
+                    b = banned[w] = banned[w] | 1 << c
+                    if (third := _THIRD[b]) >= 0:
+                        colors[w] = third
                         todo.append(w)
-                    elif cw != want:
-                        return f"crease {self.directed[k][0]} translates inconsistently"
+                elif cw == c:
+                    return (f"SAW vertices {self.vertices[v]} and "
+                            f"{self.vertices[w]} share color {c}")
         return None
 
     def _search(self, colors: list[int], banned: list[int],
-                steps: list[int]) -> list[int]:
+                steps: Sequence[int]) -> list[int]:
         """Finish a stalled propagation by depth-first search on an explicit
         stack: branch on an uncolored vertex next to a colored one, propagate
         each choice, and stop at the second completion."""
@@ -244,23 +295,65 @@ class _Plan:
             raise NoCompletion("no coloring completes the assignment")
         return found
 
+    @cached_property
+    def nbrs(self) -> tuple[list[list[tuple[int, int, int]]], list[list[int]]]:
+        """The neighbours of each vertex i: ``cross[i]`` across crossing
+        edges as ``(index, k, sign)``, the neighbour's color being i's plus
+        ``sign`` times step k, and ``plain[i]`` across undirected edges."""
+        cross: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
+        plain: list[list[int]] = [[] for _ in self.vertices]
+        for _, u, v, k in self.edges:
+            if k < 0:
+                plain[u].append(v)
+                plain[v].append(u)
+            else:
+                cross[u].append((v, k, 1))
+                cross[v].append((u, k, -1))
+        return cross, plain
+
+    @cached_property
+    def _tree(self):
+        """The tree lift's tables, or None when the crossing edges reached
+        from the root miss a vertex: the tree's vertices in breadth-first
+        order as ``(vertex, parent, k, sign)``, the vertex's color being
+        the parent's plus ``sign`` times step k; the other crossing edges
+        as ``(tail, head, k)``; and the undirected edges' endpoints."""
+        reached = [False] * len(self.vertices)
+        reached[self.root] = True
+        queue = [self.root]
+        order = []
+        cross = self.nbrs[0]
+        for p in queue:             # the queue grows as the search reaches
+            for w, k, sign in cross[p]:
+                if not reached[w]:
+                    reached[w] = True
+                    queue.append(w)
+                    order.append((w, p, k, sign))
+        if len(queue) < len(self.vertices):
+            return None
+        in_tree = {k for _, _, k, _ in order}
+        return (order,
+                [(t, h, k) for k, (_, t, h) in enumerate(self.directed) if k not in in_tree],
+                [(u, v) for _, u, v, k in self.edges if k < 0])
+
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
     """Translate a proper coloring into the MV assignment it encodes."""
     plan = _Plan(g)
-    return plan.to_mv(plan.colors(s))
+    return plan.to_mv(plan.colors(s)[0])
 
 
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     """Invert the translation: the coloring that encodes ``mv``.
 
-    From the root (colored 0), a worklist propagates forced colors: a
-    crossing edge forces its far endpoint, and a vertex with two colors
-    banned by its undirected neighbours takes the third. Each edge is
-    checked when its second endpoint is colored, so a returned coloring is
-    proper and translates back to ``mv`` on every crease the graph crosses.
-    If propagation stalls, a depth-first search on an explicit stack
-    completes it and stops at the second completion.
+    The colors follow from the root (colored 0) along a spanning tree of
+    crossing edges where there is one. Otherwise a worklist propagates
+    forced colors: a crossing edge forces its far endpoint, and a vertex
+    with two colors banned by its undirected neighbours takes the third;
+    if propagation stalls, a depth-first search on an explicit stack
+    completes it and stops at the second completion. Every edge is
+    checked, so a returned coloring is proper and translates back to
+    ``mv`` on every crease the graph crosses.
 
     ``mv`` must give every crease the graph crosses; values of other
     creases are ignored. Raises NoCompletion when no coloring encodes
@@ -304,32 +397,39 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     keys of colorings that map outside M(cp); only assignment keys no
     coloring produced become MV dicts.
 
-    Raises CapExceeded past ``cap`` colorings. When the oracle's search
-    passes ``cap``, ``count_colorings`` runs first, so a graph with more
-    than ``cap`` colorings is refused without enumerating any of them.
+    Each coloring is checked, keyed and lifted on ``_Plan``'s tables, built
+    once per graph: ``colors`` gives its color list and every edge's step,
+    and one ``itemgetter`` each reads its key and its lift's steps.
+
+    Raises CapExceeded past ``cap`` colorings. ``count_colorings`` runs
+    before any coloring is enumerated, so a graph with more than ``cap``
+    colorings is refused without building one, whether or not the
+    oracle's search passes ``cap``.
     """
     from .oracle import _first_assignments
     plan = _Plan(g)
-    order, found, count, capped = _first_assignments(cp, cap)
-    if capped and count_colorings(g) > cap:
+    order, found, count, _ = _first_assignments(cp, cap)
+    if count_colorings(g) > cap:
         raise CapExceeded(f"more than {cap} colorings")
     hit = dict.fromkeys(found, False)   # assignment key -> a coloring maps to it
     del found
     outside: set[bytes] = set()
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
-    at = [plan.crossing.get(c, -1) for c in order]
-    # a crease crossed twice takes its last edge's step; None if none is
-    last = None if len(plan.crossing) == len(plan.directed) else \
-        [plan.crossing[c] for c, _, _ in plan.directed]
+    # each crossing edge's place in the steps of plan.colors; a key reads
+    # each crease's step in search order (the crease's last crossing
+    # edge's), and a crease no edge crosses reads the leading 0
+    at = [j + 1 for j, (_, _, _, k) in enumerate(plan.edges) if k >= 0]
+    key_at = _reader([at[plan.crossing[c]] if c in plan.crossing else 0 for c in order])
+    # the lift's steps: a crease crossed twice takes its last edge's step
+    lift_at = _reader([at[plan.crossing[c]] for c, _, _ in plan.directed])
 
     translation_valid = injective = round_trip = True
     counterexample = None
 
     for s in colorings:
-        colors = plan.colors(s)
-        steps = [(colors[h] - colors[t]) % 3 for _, t, h in plan.directed]
-        key = bytes([steps[k] - 1 if k >= 0 else 2 for k in at])
+        colors, steps = plan.colors(s)
+        key = bytes(key_at(steps)).translate(_KEY_OF_STEP)
         mapped = hit.get(key)
         if mapped is None:
             translation_valid = False
@@ -342,7 +442,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
             injective = False
             counterexample = counterexample or ("two colorings share an assignment", s)
         try:
-            back = plan.lift(steps if last is None else [steps[k] for k in last])
+            back = plan.lift(lift_at(steps))
         except Exception as exc:  # noqa: BLE001 - report, don't raise
             round_trip = False
             counterexample = counterexample or ("mv_to_coloring failed", str(exc))

@@ -12,6 +12,7 @@ Both functions call ``allowed`` once per position and distinct ``vals``.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from operator import itemgetter
 
 Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
 
@@ -67,29 +68,52 @@ def frontier_width(plan: Plan) -> int:
     return width
 
 
+def _reader(reads: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    """A function that reads the values at ``reads`` out of a value list as
+    a tuple: one ``itemgetter`` call, or a one-element closure where
+    ``itemgetter`` would not give a tuple."""
+    if len(reads) > 1:
+        return itemgetter(*reads)
+    if reads:
+        k = reads[0]
+        return lambda vals: (vals[k],)
+    return lambda vals: ()
+
+
 def depth_first(plan: Plan) -> Iterator[tuple[int, ...]]:
     """Yield every complete assignment of ``plan`` in lexicographic order,
-    by a depth-first search on an explicit stack (``stack[i]`` iterates
-    over the values position i may still take), so any number of
-    positions fits."""
+    by a depth-first search without recursion (``its[i]`` iterates over the
+    values position i may still take), so any number of positions fits.
+    Each position reads its key with one ``_reader`` call and keeps its
+    ``allowed`` results as tuples, one per distinct key; the last
+    position's values are yielded directly, with no iterator."""
     n = len(plan)
+    if not n:
+        yield ()
+        return
+    positions = [(_reader(reads), allowed, {}) for reads, allowed in plan]
     vals = [0] * n
-    memo: list[dict] = [{} for _ in plan]
-    stack: list[Iterator[int]] = []
+    its: list[Iterator[int]] = [iter(())] * n
+    last = n - 1
     i = 0   # the position to open next
     while True:
-        if i == n:
-            yield tuple(vals)
+        read, allowed, memo = positions[i]
+        key = read(vals)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = tuple(allowed(key))
+        if i < last:
+            its[i] = iter(got)
         else:
-            reads, allowed = plan[i]
-            key = tuple([vals[k] for k in reads])
-            got = memo[i].get(key)
-            if got is None:
-                got = memo[i][key] = allowed(key)
-            stack.append(iter(got))
-        while stack and (v := next(stack[-1], None)) is None:
-            stack.pop()
-        if not stack:
-            return
-        i = len(stack)
-        vals[i - 1] = v
+            head = tuple(vals[:last])
+            for v in got:
+                yield head + (v,)
+            if not i:
+                return
+            i -= 1
+        while (v := next(its[i], None)) is None:
+            if not i:
+                return
+            i -= 1
+        vals[i] = v
+        i += 1

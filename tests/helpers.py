@@ -9,7 +9,12 @@ import random
 from flatfold import coloring
 from flatfold.coloring import BijectionReport
 from flatfold.cp import build_crease_pattern, cone_at
-from flatfold.errors import DisconnectedInterior, ImproperColoring
+from flatfold.errors import (
+    AmbiguousCompletion,
+    DisconnectedInterior,
+    ImproperColoring,
+    NoCompletion,
+)
 from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.geometry import on_segment, orient
 from flatfold.oracle import enumerate_locally_valid
@@ -424,3 +429,112 @@ def reference_verify_bijection(cp, g: SawGraph, cap: int = 200000) -> BijectionR
         count_mv=report.count, count_colorings=n_col, counts_match=report.count == n_col,
         translation_valid=translation_valid, injective=injective,
         round_trip_ok=round_trip, first_counterexample=counterexample)
+
+
+def reference_depth_first(plan):
+    """``search.depth_first`` as it was before its readers and its
+    last-position shortcut: every position, the last included, pushes an
+    iterator over its memoized values onto an explicit stack."""
+    n = len(plan)
+    vals = [0] * n
+    memo = [{} for _ in plan]
+    stack = []
+    i = 0   # the position to open next
+    while True:
+        if i == n:
+            yield tuple(vals)
+        else:
+            reads, allowed = plan[i]
+            key = tuple([vals[k] for k in reads])
+            got = memo[i].get(key)
+            if got is None:
+                got = memo[i][key] = allowed(key)
+            stack.append(iter(got))
+        while stack and (v := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        i = len(stack)
+        vals[i - 1] = v
+
+
+# the color a vertex is forced to, by the bit mask of two banned colors
+_THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
+# colors left to a vertex, by the bit mask of its colored neighbours' colors
+_LEFT = [tuple(c for c in range(3) if not banned >> c & 1) for banned in range(8)]
+
+
+def reference_lift(g: SawGraph, steps: list[int]) -> list[int]:
+    """``coloring._Plan.lift`` as it was before the tree lift: from the
+    root (colored 0), a worklist propagates forced colors over every graph,
+    and a depth-first search completes a stalled propagation, stopping at
+    the second completion. Returns the color list over the sorted vertex
+    ids; raises NoCompletion or AmbiguousCompletion."""
+    vertices = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    root = index.get(g.root)
+    directed = []
+    nbrs = [[] for _ in vertices]
+    for e in g.edges.values():
+        k = -1
+        if e.directed:
+            k = len(directed)
+            directed.append(e.crease)
+        nbrs[index[e.u]].append((index[e.v], k, True))
+        nbrs[index[e.v]].append((index[e.u], k, False))
+
+    def propagate(colors, banned, start):
+        todo = [start]
+        while todo:
+            v = todo.pop()
+            c = colors[v]
+            for w, k, is_tail in nbrs[v]:
+                cw = colors[w]
+                if k < 0:
+                    if cw < 0:
+                        b = banned[w] = banned[w] | 1 << c
+                        if _THIRD[b] >= 0:
+                            colors[w] = _THIRD[b]
+                            todo.append(w)
+                    elif cw == c:
+                        return f"SAW vertices {vertices[v]} and {vertices[w]} share color {c}"
+                else:
+                    want = (c + steps[k] if is_tail else c - steps[k]) % 3
+                    if cw < 0:
+                        colors[w] = want
+                        todo.append(w)
+                    elif cw != want:
+                        return f"crease {directed[k]} translates inconsistently"
+        return None
+
+    if root is None:
+        raise NoCompletion(f"root {g.root} is not a vertex")
+    colors = [-1] * len(vertices)
+    banned = [0] * len(vertices)
+    colors[root] = 0
+    err = propagate(colors, banned, root)
+    if err:
+        raise NoCompletion(err)
+    if -1 not in colors:
+        return colors
+    found = None
+    stack = [(colors, banned)]
+    while stack:
+        colors, banned = stack.pop()
+        v = next((i for i, b in enumerate(banned) if b and colors[i] < 0), None)
+        if v is None:
+            v = colors.index(-1)
+        for c in _LEFT[banned[v]]:
+            cs, bs = colors[:], banned[:]
+            cs[v] = c
+            if propagate(cs, bs, v):
+                continue
+            if -1 in cs:
+                stack.append((cs, bs))
+            elif found is None:
+                found = cs
+            else:
+                raise AmbiguousCompletion("the assignment lifts to more than one coloring")
+    if found is None:
+        raise NoCompletion("no coloring completes the assignment")
+    return found

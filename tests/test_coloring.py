@@ -24,14 +24,16 @@ from flatfold.errors import (
     NoCompletion,
     TilingError,
 )
-from flatfold.generators import crane, miura, triangle_twist
+from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.saw import SawGraph
 from flatfold.tiling import tile
 
 from .conftest import cone
 from .helpers import (
+    first_coloring,
     grid_saw,
     invalid_joined_twist_saw,
+    reference_lift,
     reference_verify_bijection,
     small_pattern,
 )
@@ -192,6 +194,17 @@ def test_coloring_to_mv_rejects_improper():
         coloring_to_mv(g, {a: 1, b: 2})  # root must be 0
 
 
+@pytest.mark.parametrize("color", [3, 4, -1, 256, 1.5])
+def test_coloring_to_mv_rejects_a_color_out_of_range(color):
+    # colors are packed a byte per edge end, so any other value is refused
+    # before it could pass for a color (3 for 0, 4 for a step of 1)
+    g = tile(miura(2, 3))
+    s = enumerate_colorings(g)[0]
+    v = next(v for v in sorted(g.vertices) if v != g.root)
+    with pytest.raises(ImproperColoring, match=f"^vertex {v} has color {color!r}, not 0, 1 or 2$"):
+        coloring_to_mv(g, {**s, v: color})
+
+
 def test_mv_round_trip_on_twist():
     cp = triangle_twist(1)
     g = tile(cp)
@@ -274,6 +287,77 @@ def test_verify_bijection_passes_on_families():
         assert report.ok, (len(cp.creases), report)
 
 
+@st.composite
+def lift_cases(draw):
+    """(graph, steps): a tiled Miura, modified Miura, snake, joined twists
+    or the crane, perhaps with one crossing edge reversed, one more
+    crossing edge over its crease, its crease left uncrossed, or the root
+    removed; and steps drawn at random, taken from a random color list (the
+    crossing edges agree wherever its colors differ, the undirected edges
+    may not), or taken from a proper coloring (the lift succeeds)."""
+    kind = draw(st.sampled_from(["miura", "modified-miura", "snake", "twists", "crane"]))
+    if kind == "crane":
+        cp = crane()
+    elif kind == "miura":
+        cp = miura(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    elif kind == "snake":
+        cp = snake(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    else:
+        cp = small_pattern(kind, draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+                           draw(st.integers(0, 10 ** 6)))
+    g = tile(cp)
+    ids = sorted(g.vertices)
+    e = draw(st.sampled_from([e for e in g.edges.values() if e.directed]))
+    edit = draw(st.sampled_from(["none", "reverse", "extra", "uncross", "no-root"]))
+    if edit == "reverse":
+        e.u, e.v = e.v, e.u
+    elif edit == "extra":
+        u, v = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+        g.add_edge(u, v, directed=True, crease=e.crease)
+    elif edit == "uncross":
+        e.directed = False
+    elif edit == "no-root":
+        g.root = ids[-1] + 1
+    directed = [e for e in g.edges.values() if e.directed]
+    how = draw(st.sampled_from(["random", "colors", "proper"]))
+    if how == "random":
+        return g, draw(st.lists(st.sampled_from([1, 2]), min_size=len(directed),
+                                max_size=len(directed)))
+    if how == "proper" and edit != "no-root":
+        s = first_coloring(g)
+    else:
+        s = dict(zip(ids, draw(st.lists(st.integers(0, 2), min_size=len(ids),
+                                        max_size=len(ids)))))
+        s[g.root] = 0
+    return g, [(s[e.v] - s[e.u]) % 3 or 1 for e in directed]
+
+
+def _lifted(lift, *args):
+    """A lift's color list, or the type of the error it raised."""
+    try:
+        return lift(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_cases())
+def test_lift_matches_reference(case):
+    # the tree lift (graphs whose crossing edges from the root span them)
+    # and the worklist lift (the others) give the propagate-and-search
+    # lift's colors, or raise the same type of error
+    g, steps = case
+    assert _lifted(coloring._Plan(g).lift, steps) == _lifted(reference_lift, g, steps)
+
+
+def test_lift_takes_the_tree_where_crossing_edges_span():
+    # the Miura, modified-Miura and snake graphs lift along a tree; the
+    # crane and joined twists, with several crossing components, do not
+    for cp, spans in [(miura(4, 4), True), (small_pattern("modified-miura", 4, 4, 1), True),
+                      (snake(4, 4), True), (triangle_twist(3), False), (crane(), False)]:
+        assert (coloring._Plan(tile(cp))._tree is not None) == spans
+
+
 def test_verify_bijection_lifts_each_assignment_once(monkeypatch):
     from flatfold import coloring
     lifted = []
@@ -339,8 +423,9 @@ def bijection_cases(draw):
         g.vertices = dict(reversed(g.vertices.items()))
     # a cap under the count of the bad merge's assignments (170), not of
     # its colorings (110), compares only a prefix of the assignments; one
-    # under the pattern's count passes the oracle's cap, so verify counts
-    # the colorings before it enumerates them, and the reference does not
+    # under the pattern's count passes the oracle's cap, so the oracle's
+    # count comes from its DP (verify counts the colorings before it
+    # enumerates them at every cap, the reference never does)
     count = enumerate_locally_valid(cp, cap=0).count
     return cp, g, draw(st.sampled_from([200000, 200000, 120, count - 1]))
 
@@ -412,8 +497,7 @@ def test_verify_bijection_raises_past_cap():
 
 @pytest.mark.parametrize("make, cap", [(crane, 20), (lambda: miura(3, 3), 81)])
 def test_verify_bijection_refuses_by_count(monkeypatch, make, cap):
-    # past the oracle's cap, count_colorings decides: no coloring is
-    # enumerated before the refusal
+    # count_colorings decides: no coloring is enumerated before the refusal
     def fail(g, cap):
         raise AssertionError("enumerate_colorings ran")
 
@@ -422,6 +506,25 @@ def test_verify_bijection_refuses_by_count(monkeypatch, make, cap):
     monkeypatch.setattr(coloring, "enumerate_colorings", fail)
     with pytest.raises(CapExceeded, match=f"^more than {cap} colorings$"):
         verify_bijection(cp, g, cap=cap)
+
+
+def test_verify_bijection_refuses_a_graph_past_the_cap(monkeypatch):
+    # the oracle's search stays under the cap and the graph's colorings do
+    # not: count_colorings refuses before any coloring is enumerated, so no
+    # coloring dict is held (20,000 of them took 23 MB)
+    def fail(g, cap):
+        raise AssertionError("enumerate_colorings ran")
+
+    g = tile(miura(5, 5))
+    monkeypatch.setattr(coloring, "enumerate_colorings", fail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^more than 20000 colorings$"):
+            verify_bijection(miura(2, 2), g, cap=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_verify_bijection_refusal_memory():
