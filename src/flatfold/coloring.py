@@ -3,8 +3,8 @@ between colorings and MV assignments through directed crossing edges.
 
 Counting and enumerating colorings is a plan of ``search``: each vertex
 reads its earlier neighbours and takes a color none of them has. A crossing
-edge (u, v) over crease c translates as mountain when s(v) - s(u) = 1
-(mod 3) and valley when the difference is 2.
+edge (u, v) over crease c takes the step s(v) - s(u) (mod 3): 1 reads as
+mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 
-from .cp import CreasePattern, MVAssignment
+from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment
 from .errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -41,10 +41,14 @@ def _root_colors(vals: tuple[int, ...]) -> tuple[int, ...]:
     return () if 0 in vals else (0,)
 
 
+def _no_colors(vals: tuple[int, ...]) -> tuple[int, ...]:
+    return ()
+
+
 def _plan(g: SawGraph, order: list[int]) -> list:
     """The coloring search as a plan of ``search``: each vertex of
     ``order`` reads its earlier neighbours and takes a color none of them
-    has; the root takes only 0."""
+    has; the root takes only 0, and a vertex with a loop none."""
     if g.vertices and g.root not in g.vertices:
         raise TilingError(f"root {g.root} is not a vertex of the SAW graph")
     if not g.is_connected():
@@ -52,7 +56,7 @@ def _plan(g: SawGraph, order: list[int]) -> list:
     adj = g.adjacency()
     pos = {v: i for i, v in enumerate(order)}
     return [(sorted(pos[w] for w in adj[v] if pos[w] < i),
-             _root_colors if v == g.root else _free_colors)
+             _no_colors if v in adj[v] else _root_colors if v == g.root else _free_colors)
             for i, v in enumerate(order)]
 
 
@@ -110,14 +114,9 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
 
 # the color a vertex is forced to, by the bit mask of two banned colors
 _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
-# color step from the tail to the head of a crossing edge, by MV value
-_STEP = {1: 1, -1: 2}
 _COLORS = frozenset((0, 1, 2))
 # the step (v - u) mod 3 of an edge whose end colors u and v make byte 4u + v
 _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
-# an assignment key's byte by step: 0 for mountain (step 1), 1 for valley
-# (step 2), and 2 for step 0, which only a crease no edge crosses reads
-_KEY_OF_STEP = bytes.maketrans(b"\0\1\2", b"\2\0\1")
 
 
 class _Plan:
@@ -160,6 +159,8 @@ class _Plan:
         edge's (s(v) - s(u)) mod 3 in edge order."""
         if s.keys() != self.vset:
             raise ImproperColoring("coloring domain mismatch")
+        if self.root is None:
+            raise ImproperColoring(f"root {self.root_id} is not a vertex")
         if s[self.root_id] != 0:
             raise ImproperColoring("root is not colored 0")
         read, us, vs = self._readers
@@ -186,12 +187,11 @@ class _Plan:
                 _reader([v for _, _, v, _ in self.edges]))
 
     def to_mv(self, colors: list[int]) -> MVAssignment:
-        return {c: 1 if (colors[h] - colors[t]) % 3 == 1 else -1
-                for c, t, h in self.directed}
+        return {c: MV_OF_STEP[(colors[h] - colors[t]) % 3] for c, t, h in self.directed}
 
     def steps(self, mv: MVAssignment) -> list[int]:
         """Each crossing edge's step in the coloring that encodes ``mv``."""
-        steps = [_STEP.get(mv.get(c), 0) for c, _, _ in self.directed]
+        steps = [STEP_OF_MV.get(mv.get(c), 0) for c, _, _ in self.directed]
         if 0 in steps:
             c = self.directed[steps.index(0)][0]
             raise NoCompletion(f"crease {c} has value {mv.get(c)!r}, not 1 or -1")
@@ -389,13 +389,13 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     be oracle-tractable.
 
     Assignments are keyed as the oracle's search gives them, streamed up to
-    ``cap`` (past it the count comes from its DP): ``bytes`` with one value
-    per crease in search order, 0 for mountain and 1 for valley. A coloring
-    is keyed the same way from its crossing-edge steps, with 2 for a crease
-    no edge crosses, a value no assignment has. One dict records, for each
-    assignment key, whether a coloring mapped to it, and a set keeps the
-    keys of colorings that map outside M(cp); only assignment keys no
-    coloring produced become MV dicts.
+    ``cap`` (past it the count comes from its DP): ``bytes`` with one step
+    per crease in search order, 1 for mountain and 2 for valley. A coloring
+    is keyed by its crossing-edge steps as they are, read in the same
+    order; a crease no edge crosses reads 0, a value no assignment has.
+    One dict records, for each assignment key, whether a coloring mapped
+    to it, and a set keeps the keys of colorings that map outside M(cp);
+    only assignment keys no coloring produced become MV dicts.
 
     Each coloring is checked, keyed and lifted on ``_Plan``'s tables, built
     once per graph: ``colors`` gives its color list and every edge's step,
@@ -408,7 +408,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     """
     from .oracle import _first_assignments
     plan = _Plan(g)
-    order, found, count, _ = _first_assignments(cp, cap)
+    order, found, count = _first_assignments(cp, cap)
     if count_colorings(g) > cap:
         raise CapExceeded(f"more than {cap} colorings")
     hit = dict.fromkeys(found, False)   # assignment key -> a coloring maps to it
@@ -429,7 +429,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
 
     for s in colorings:
         colors, steps = plan.colors(s)
-        key = bytes(key_at(steps)).translate(_KEY_OF_STEP)
+        key = bytes(key_at(steps))
         mapped = hit.get(key)
         if mapped is None:
             translation_valid = False
@@ -458,7 +458,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
         for key, mapped in hit.items():
             if mapped:
                 continue
-            m = {c: 1 - 2 * v for c, v in zip(order, key)}
+            m = {c: MV_OF_STEP[v] for c, v in zip(order, key)}
             try:
                 if plan.to_mv(plan.lift(plan.steps(m))) != m:
                     round_trip = False

@@ -57,6 +57,10 @@ from .geometry import (
 
 Angle = Fraction  # sector angle in exact degrees
 MVAssignment = dict[str, int]  # crease id -> +1 mountain / -1 valley
+# the one translation between MV values and color steps (s(head) - s(tail))
+# mod 3 across a crossing edge: 1 for mountain, 2 for valley; step 0 reads 0
+STEP_OF_MV = {1: 1, -1: 2}
+MV_OF_STEP = (0, 1, -1)
 
 
 @dataclass(frozen=True)

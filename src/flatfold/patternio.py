@@ -87,31 +87,33 @@ def saw_to_dict(g: SawGraph) -> dict:
     }
 
 
-def _int(value, where: str, among: dict | None = None) -> int:
-    """value, if it is a JSON integer (not a boolean) and a key of ``among``."""
+def _int(value, where: str, among: dict | None = None, taken: dict | tuple = ()) -> int:
+    """value, if it is a JSON integer (not a boolean) in ``among``, not in ``taken``."""
     if type(value) is not int:
         raise ParseError(f"bad SAW graph: {where} {value!r} is not an integer")
     if among is not None and value not in among:
         raise ParseError(f"bad SAW graph: {where} {value} is not listed")
+    if value in taken:
+        raise ParseError(f"bad SAW graph: {where} {value} is used by an earlier row")
     return value
 
 
 def saw_from_dict(doc: dict) -> SawGraph:
     """The SAW graph of a ``saw`` block. Ids, edge ends, the root and the
-    boundary steps are JSON integers, and all but ids name listed rows;
-    ``directed`` is a boolean, a face a string or a list of strings, and a
-    crease a string or null."""
+    boundary steps are JSON integers, and all but ids name listed rows; no
+    vertex id or edge id repeats. ``directed`` is a boolean, a face a
+    string or a list of strings, and a crease a string or null."""
     g = SawGraph()
     try:
         for row in doc["vertices"]:
-            vid, face = _int(row["id"], "vertex id"), row["face"]
+            vid, face = _int(row["id"], "vertex id", taken=g.vertices), row["face"]
             if type(face) is list and all(type(f) is str for f in face):
                 face = tuple(face)
             elif type(face) is not str:
                 raise ParseError(f"bad SAW graph: vertex {vid} has face {face!r}")
             g.vertices[vid] = SawVertex(vid, face)
         for row in doc["edges"]:
-            eid = _int(row["id"], "edge id")
+            eid = _int(row["id"], "edge id", taken=g.edges)
             u, v = (_int(row[k], f"edge {eid} end", g.vertices) for k in "uv")
             directed, crease = row.get("directed", False), row.get("crease")
             if type(directed) is not bool or not (crease is None or type(crease) is str):

@@ -252,7 +252,7 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
 
     shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
     if not any(shared_flags):
-        _splice_disjoint(g, cp, u_graph, merged, v)
+        _splice_disjoint(g, cp, u_graph, v)
         return
 
     if not _contiguous(shared_flags):
@@ -381,8 +381,7 @@ def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
     return vmap, emap
 
 
-def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph,
-                     merged: set[str], vname: str) -> None:
+def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph, vname: str) -> None:
     """Merge with no shared creases: identify one vertex through the face
     both graphs currently share, fusing u into g in place."""
     # group faces into regions connected across creases not yet crossed

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from flatfold import coloring
+from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
 from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.errors import (
@@ -319,6 +319,13 @@ def sweep_order(cp, axis: int) -> list[str]:
     swept = sorted(cp.vertices, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
     order = [c for v in swept for c in cp.ccw_creases[v]]
     return list(dict.fromkeys(order + sorted(cp.creases)))
+
+
+def oracle_plan(cp, order: list[str]) -> list:
+    """The oracle's crease search plan over a fixed crease order, which
+    lists every crease once, in place of the vertex sweep."""
+    assert sorted(order) == sorted(cp.creases)
+    return oracle._plan(oracle._cones(cp), order)
 
 
 def replayed_width(plan) -> int:

@@ -113,6 +113,13 @@ def test_validation_failure_exits_1(capsys, tmp_path):
      "SAW graph is not connected"),
     ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
      ' "mv": []}', "bad MV block"),
+    ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+     ' "saw": {"vertices": [{"id": 0, "face": "f0"}, {"id": 0, "face": "f1"}],'
+     ' "edges": [], "root": 0}}', "vertex id 0 is used by an earlier row"),
+    ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+     ' "saw": {"vertices": [{"id": 0, "face": "f0"}, {"id": 1, "face": "f0"}],'
+     ' "edges": [{"id": 0, "u": 0, "v": 1}, {"id": 0, "u": 1, "v": 0}], "root": 0}}',
+     "edge id 0 is used by an earlier row"),
 ])
 def test_malformed_file_exits_1(capsys, monkeypatch, doc, message, command):
     code, out, err = run(capsys, [command, "-"], stdin=doc,
@@ -172,6 +179,43 @@ def test_unlisted_saw_reference_exits_1(capsys, monkeypatch, case, command):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "bad SAW graph" in err
     assert "Traceback" not in err
+
+
+def test_repeated_saw_edge_id_exits_1(capsys, monkeypatch):
+    # Miura 3x3 with its tiled graph: renumbering one edge to an earlier
+    # edge's id would drop that earlier edge and count 100, not 82
+    cp = miura(3, 3)
+    doc = json.loads(emit(cp, saw=tile(cp)))
+    code, out, _ = run(capsys, ["count-colorings", "-"], stdin=json.dumps(doc),
+                       monkeypatch=monkeypatch)
+    assert (code, out) == (0, "82\n")
+    doc["saw"]["edges"][7]["id"] = 1
+    code, out, err = run(capsys, ["count-colorings", "-"], stdin=json.dumps(doc),
+                         monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: bad SAW graph: edge id 1 is used by an earlier row\n"
+
+
+def test_a_looped_saw_vertex_counts_and_verifies_as_uncolorable(capsys, monkeypatch):
+    # an undirected edge 0-0 leaves no coloring: count-colorings prints 0
+    # and verify prints a failed report, not an error
+    doc = _saw_doc(edges=lambda es: es + [{"id": 99, "u": 0, "v": 0}])
+    code, out, _ = run(capsys, ["count-colorings", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (0, "0\n")
+    code, out, err = run(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1 and err == ""
+    assert out.startswith("count_mv: 6\ncount_colorings: 0\ncounts_match: False\n")
+    assert "ok: False\n" in out
+
+
+def test_verify_refuses_a_missing_root(capsys, monkeypatch):
+    # a SAW block with no vertices may name any root; its empty coloring
+    # cannot color that root 0
+    doc = ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+           ' "saw": {"vertices": [], "edges": [], "root": 3}}')
+    code, out, err = run(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: root 3 is not a vertex\n"
 
 
 def test_usage_error_exits_2(capsys):

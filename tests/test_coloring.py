@@ -130,6 +130,21 @@ def test_count_disconnected_raises():
             f(g)
 
 
+@pytest.mark.parametrize("looped", ["root", "other"])
+def test_a_loop_leaves_no_coloring(looped):
+    # a vertex joined to itself takes no color, so counting, enumerating
+    # and checking agree: Miura 2x2's 6 colorings all break on the loop
+    cp = miura(2, 2)
+    g = tile(cp)
+    assert count_colorings(g) == 6
+    v = g.root if looped == "root" else max(g.vertices)
+    g.add_edge(v, v)
+    assert count_colorings(g) == 0 and enumerate_colorings(g) == []
+    report = verify_bijection(cp, g)
+    assert (report.count_mv, report.count_colorings) == (6, 0)
+    assert not report.counts_match and not report.ok
+
+
 def test_enumerate_matches_count_and_order():
     g = cycle_graph(4)
     out = enumerate_colorings(g)
@@ -192,6 +207,19 @@ def test_coloring_to_mv_rejects_improper():
         coloring_to_mv(g, {a: 0, b: 0})
     with pytest.raises(ImproperColoring):
         coloring_to_mv(g, {a: 1, b: 2})  # root must be 0
+
+
+def test_coloring_to_mv_refuses_a_missing_root():
+    # a root that is not a vertex cannot be colored 0; an empty graph
+    # admits any root, and its one (empty) coloring is refused the same way
+    g = path_graph(4)
+    g.root = 7
+    with pytest.raises(ImproperColoring, match="^root 7 is not a vertex$"):
+        coloring_to_mv(g, {v: v % 2 for v in g.vertices})
+    g = SawGraph()
+    g.root = 3
+    with pytest.raises(ImproperColoring, match="^root 3 is not a vertex$"):
+        coloring_to_mv(g, {})
 
 
 @pytest.mark.parametrize("color", [3, 4, -1, 256, 1.5])

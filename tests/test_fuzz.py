@@ -2,10 +2,10 @@
 
 A generated pattern's JSON document is broken in one place: a required
 field is dropped, a value the schema types is given another JSON type, or
-a vertex, boundary-point or crease row is repeated. Each mutant is one the
-loader must refuse, so ``load_text`` raises a ``FlatfoldError`` (a
-``ParseError`` unless a field was dropped) and each subcommand exits 1 or
-2 with no traceback. Where ``jsonschema`` is
+a vertex, boundary-point, crease, SAW vertex or SAW edge row is repeated.
+Each mutant is one the loader must refuse, so ``load_text`` raises a
+``FlatfoldError`` (a ``ParseError`` unless a field was dropped) and each
+subcommand exits 1 or 2 with no traceback. Where ``jsonschema`` is
 installed, the shipped schema must refuse the mutant too, except for a
 repeated row (JSON Schema cannot say that ids are unique).
 """
@@ -79,10 +79,12 @@ def sites(doc: dict) -> list[tuple]:
         out += [("drop", ("saw", k)) for k in ("vertices", "edges", "root")]
         out += [("retype", ("saw", "root"), INT), ("retype", ("saw", "boundary"), LIST)]
         for i in range(len(saw["vertices"])):
+            out.append(("repeat", ("saw", "vertices", i)))
             out += [("drop", ("saw", "vertices", i, f)) for f in ("id", "face")]
             out += [("retype", ("saw", "vertices", i, "id"), INT),
                     ("retype", ("saw", "vertices", i, "face"), (str, list))]
         for i in range(len(saw["edges"])):
+            out.append(("repeat", ("saw", "edges", i)))
             out += [("drop", ("saw", "edges", i, f)) for f in ("id", "u", "v")]
             out += [("retype", ("saw", "edges", i, f), INT) for f in ("id", "u", "v")]
             out += [("retype", ("saw", "edges", i, "directed"), (bool,)),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -14,14 +15,14 @@ from flatfold import (
     is_locally_valid,
 )
 from flatfold import oracle
-from flatfold.cp import cone_at
+from flatfold.cp import MV_OF_STEP, cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
 from flatfold.generators import crane, miura, snake, triangle_twist
-from flatfold.search import frontier_width
+from flatfold.search import depth_first, frontier_count, frontier_width
 from flatfold.tiling import tile
 
-from .helpers import (grid_saw, replayed_width, small_pattern, sweep_order,
-                      vertex_id_order)
+from .helpers import (grid_saw, oracle_plan, replayed_width, small_pattern,
+                      sweep_order, vertex_id_order)
 
 
 def test_single_vertex_pattern_matches_recursion():
@@ -84,7 +85,7 @@ def test_search_order_independence(rng):
     order = sorted(cp.creases)
     for _ in range(5):
         rng.shuffle(order)
-        assert count_locally_valid(cp, crease_order=list(order)) == base
+        assert frontier_count(oracle_plan(cp, order)) == base
 
 
 def test_miura_5x5_at_default_limit():
@@ -103,7 +104,7 @@ def test_counters_agree_with_plain_searches(kind, m, n, seed):
     assert count % 2 == 0
     order = sorted(cp.creases)
     random.Random(seed).shuffle(order)
-    assert count_locally_valid(cp, crease_order=order) == count
+    assert frontier_count(oracle_plan(cp, order)) == count
 
 
 @pytest.mark.parametrize("n, count", [(8, 13_574_876_544_396),
@@ -124,7 +125,7 @@ def test_sweep_plan_widths(make, width):
     cp = make()
     plan = oracle._search_plan(cp)[1]
     assert frontier_width(plan) == replayed_width(plan) == width
-    old = oracle._search_plan(cp, crease_order=vertex_id_order(cp))[1]
+    old = oracle_plan(cp, vertex_id_order(cp))
     assert replayed_width(old) > width
 
 
@@ -132,13 +133,13 @@ def test_sweep_takes_the_narrower_axis():
     # Miura 10x10: the x sweep is 18 wide, the y sweep 11; the crane ties
     # at 7, and a tie goes to x
     cp = miura(10, 10)
-    widths = [replayed_width(oracle._search_plan(cp, crease_order=sweep_order(cp, axis))[1])
+    widths = [replayed_width(oracle_plan(cp, sweep_order(cp, axis)))
               for axis in (0, 1)]
     assert widths == [18, 11]
     assert oracle._search_plan(cp)[0] == sweep_order(cp, 1)
     cp = crane()
     assert oracle._search_plan(cp)[0] == sweep_order(cp, 0)
-    assert replayed_width(oracle._search_plan(cp, crease_order=sweep_order(cp, 1))[1]) == 7
+    assert replayed_width(oracle_plan(cp, sweep_order(cp, 1))) == 7
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,8 +151,7 @@ def test_sweep_count_matches_colorings_and_old_order(kind, m, n, seed):
     count = count_locally_valid(cp, limit=len(cp.creases))
     assert count == count_colorings(tile(cp))
     if kind == "twists" or max(m, n) <= 5:
-        assert count == count_locally_valid(cp, limit=len(cp.creases),
-                                            crease_order=vertex_id_order(cp))
+        assert count == frontier_count(oracle_plan(cp, vertex_id_order(cp)))
 
 
 def test_limit_exceeded():
@@ -195,6 +195,21 @@ def test_capped_witnesses_are_a_prefix(kind, m, n, seed, data):
     assert report.witnesses == full.witnesses[:cap]
     assert report.count == count
     assert report.cap_exceeded == (count > cap)
+
+
+@pytest.mark.parametrize("make, cap, digest", [
+    (crane, 20, "49cf790f59a58272"),
+    (lambda: miura(4, 4), 3000, "f2aaacdd305ea469"),
+    (lambda: triangle_twist(3), 3000, "92f1a58998f1f7c1"),
+], ids=["crane", "miura-4x4", "twists-3"])
+def test_witness_order_is_pinned(make, cap, digest):
+    # fixed digests of (count, cap_exceeded, witnesses): the witnesses'
+    # order is the vertex sweep's depth-first order, 1 before -1, and any
+    # change to the sweep, the values or their order changes the digest
+    report = enumerate_locally_valid(make(), cap=cap)
+    text = repr((report.count, report.cap_exceeded,
+                 [sorted(m.items()) for m in report.witnesses]))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def _count_checks(monkeypatch):
@@ -248,7 +263,7 @@ def test_brute_force_matches_both_searches(make):
     report = enumerate_locally_valid(cp, cap=len(valid))
     assert not report.cap_exceeded
     assert sorted(tuple(m[c] for c in ids) for m in report.witnesses) == sorted(valid)
-    # over the sorted crease order the witnesses come in product order,
-    # each crease trying 1 before -1
-    report = enumerate_locally_valid(cp, cap=len(valid), crease_order=ids)
-    assert report.witnesses == [dict(zip(ids, vals)) for vals in valid]
+    # over the sorted crease order the depth-first search gives the
+    # assignments in product order, each crease trying 1 before -1
+    found = [tuple(MV_OF_STEP[v] for v in a) for a in depth_first(oracle_plan(cp, ids))]
+    assert found == valid

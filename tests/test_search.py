@@ -1,12 +1,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatfold import coloring, oracle
+from flatfold import coloring
 from flatfold.saw import SawGraph
 from flatfold.search import depth_first
 from flatfold.tiling import tile
 
-from .helpers import reference_depth_first, small_pattern
+from .helpers import oracle_plan, reference_depth_first, small_pattern
 
 
 def k4() -> SawGraph:
@@ -38,7 +38,7 @@ def plans(draw):
     if kind == "coloring":
         g = tile(cp)
         return coloring._plan(g, draw(st.permutations(sorted(g.vertices))))
-    return oracle._search_plan(cp, draw(st.permutations(sorted(cp.creases))))[1]
+    return oracle_plan(cp, draw(st.permutations(sorted(cp.creases))))
 
 
 @settings(max_examples=60, deadline=None)
