@@ -13,7 +13,7 @@ import sys
 
 from . import generators
 from .coloring import count_colorings, verify_bijection
-from .errors import FlatfoldError
+from .errors import BadMaskLength, FlatfoldError
 from .oracle import count_locally_valid
 from .patternio import emit, load, load_text
 from .svg import render_svg
@@ -60,7 +60,7 @@ def _generate(args) -> int:
     spec = generators.PatternSpec(fam, **fields)
     try:
         cp = spec.build()
-    except ValueError as exc:  # the generators' own parameter checks
+    except (ValueError, BadMaskLength) as exc:  # the generators' own parameter checks
         args.usage_error(f"{fam}: {exc}")
     _write(emit(cp), args.output)
     return 0

@@ -49,8 +49,8 @@ def _plan(g: SawGraph, order: list[int]) -> list:
     """The coloring search as a plan of ``search``: each vertex of
     ``order`` reads its earlier neighbours and takes a color none of them
     has; the root takes only 0, and a vertex with a loop none."""
-    if g.vertices and g.root not in g.vertices:
-        raise TilingError(f"root {g.root} is not a vertex of the SAW graph")
+    if g.root not in g.vertices:
+        raise TilingError(f"root {g.root} is not a vertex")
     if not g.is_connected():
         raise DisconnectedSawGraph("SAW graph is not connected")
     adj = g.adjacency()

@@ -10,6 +10,9 @@ Conventions (used consistently across the library):
   run creases.
 * The recursion never re-checks Kawasaki after a crimp; the initial test
   is inherited through the cone states.
+* The validity check, the count, the enumeration and niceness all read
+  the crimp schedule (``_schedule``, cached per angle tuple); only the
+  SAW construction walks the intermediate cones of ``crimp_trace``.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def crimp_trace(cone: ConeVertex) -> CrimpTrace:
 
 
 def niceness(cone: ConeVertex):
-    """Largest run length met by the recursion, or ALL_EQUAL.
+    """Largest run length in the crimp schedule, or ALL_EQUAL.
 
     A vertex is 3-nice iff the returned value is an int <= 3.
     """
@@ -169,7 +172,7 @@ def niceness(cone: ConeVertex):
         raise KawasakiViolation(message="niceness needs a Kawasaki-valid cone")
     if len(set(cone.angles)) == 1:
         return ALL_EQUAL
-    return crimp_trace(cone).max_j
+    return max(j for _, j, _ in _schedule(cone.angles).steps)
 
 
 # -- fast validity schedule ---------------------------------------------------
@@ -233,58 +236,52 @@ def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
 
 
 def count_single_vertex_mv(cone: ConeVertex) -> int:
-    """|M(cone)| in linear time.
+    """|M(cone)| in linear time, read off the crimp schedule.
 
-    Base all-equal cone of degree 2n contributes 2*C(2n, n-1); each odd-j
-    crimp multiplies by C(j+1, (j+1)//2) and each even-j crimp by
-    C(j+1, j//2).
+    The all-equal base of degree n2 contributes 2*C(n2, n2/2 - 1); each
+    crimp of a run of j equal angles multiplies by C(j+1, (j+1)//2), the
+    number of its crease vectors summing to 0 (odd j) or to a given +-1
+    (even j).
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
-    trace = crimp_trace(cone)
-    n2 = trace.terminal.degree
+    sched = _schedule(cone.angles)
+    n2 = len(sched.terminal_idx)
     total = 2 * comb(n2, n2 // 2 - 1)
-    for st in trace.steps:
-        j = st.run.j
-        total *= comb(j + 1, (j + 1) // 2) if j % 2 == 1 else comb(j + 1, j // 2)
+    for _, j, _ in sched.steps:
+        total *= comb(j + 1, (j + 1) // 2)
     return total
 
 
 def enumerate_single_vertex_mv(cone: ConeVertex, cap: int = 1 << 20) -> list[MVAssignment]:
-    """Materialize the valid assignments (deterministic order).
+    """Materialize the valid assignments, sorted by their values in
+    sorted crease-id order.
 
-    Built by lifting base Maekawa vectors back through the crimp sequence,
-    so |result| always equals count_single_vertex_mv.
+    Lifts the base Maekawa vectors back through the crimp schedule: each
+    run's j+1 positions take every +-1 vector summing to 0 (odd j) or to
+    the survivor's value (even j), so |result| always equals
+    count_single_vertex_mv.
     """
     total = count_single_vertex_mv(cone)
     if total > cap:
         raise CapExceeded(f"{total} assignments exceed cap {cap}")
-    trace = crimp_trace(cone)
-    term = trace.terminal
-    base: list[dict[str, int]] = []
-    for vals in product((1, -1), repeat=term.degree):
-        if abs(sum(vals)) == 2:
-            base.append(dict(zip(term.crease_ids, vals)))
-    assignments = base
-    for st in reversed(trace.steps):
-        run = st.run
-        j = run.j
+    sched = _schedule(cone.angles)
+    rows = [[0] * cone.degree]
+    # the base's Maekawa vectors first, then the runs, last crimp first
+    lifts = [(sched.terminal_idx, None, (2, -2))]
+    lifts += [(idxs, survivor, None) for idxs, _, survivor in reversed(sched.steps)]
+    for idxs, survivor, sums in lifts:
         lifted = []
-        for mu in assignments:
-            if j % 2 == 1:
-                for vals in product((1, -1), repeat=j + 1):
-                    if sum(vals) == 0:
-                        new = dict(mu)
-                        new.update(zip(run.creases, vals))
-                        lifted.append(new)
-            else:
-                survivor = run.creases[0]
-                target = mu[survivor]
-                for vals in product((1, -1), repeat=j + 1):
-                    if sum(vals) == target:
-                        new = dict(mu)
-                        new.update(zip(run.creases, vals))
-                        lifted.append(new)
-        assignments = lifted
-    assignments.sort(key=lambda m: tuple(m[c] for c in sorted(m)))
-    return assignments
+        for row in rows:
+            want = sums or (0 if survivor is None else row[survivor],)
+            for vals in product((1, -1), repeat=len(idxs)):
+                if sum(vals) in want:
+                    new = row.copy()
+                    for i, v in zip(idxs, vals):
+                        new[i] = v
+                    lifted.append(new)
+        rows = lifted
+    ids = cone.crease_ids
+    by_id = sorted(range(cone.degree), key=ids.__getitem__)
+    rows.sort(key=lambda row: [row[i] for i in by_id])
+    return [dict(zip(ids, row)) for row in rows]

@@ -218,6 +218,15 @@ def test_verify_refuses_a_missing_root(capsys, monkeypatch):
     assert err == "error: root 3 is not a vertex\n"
 
 
+def test_count_colorings_refuses_a_missing_root(capsys, monkeypatch):
+    # count-colorings refuses the root verify refuses, in the same words
+    doc = ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+           ' "saw": {"vertices": [], "edges": [], "root": 3}}')
+    code, out, err = run(capsys, ["count-colorings", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: root 3 is not a vertex\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -267,6 +276,7 @@ def test_verify_output_unchanged_when_ok(capsys, tmp_path):
     ["generate", "modified-miura", "2", "3", "--mask", "x1"],
     ["generate", "miura", "0", "2"],
     ["generate", "joined-twists", "5"],
+    ["generate", "modified-miura", "3", "3", "--mask", "1"],
 ])
 def test_generate_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -130,6 +130,15 @@ def test_count_disconnected_raises():
             f(g)
 
 
+def test_a_graph_with_no_vertices_refuses_its_root():
+    # an empty graph may name any root, which no coloring can color 0
+    g = SawGraph()
+    g.root = 3
+    for f in (count_colorings, enumerate_colorings):
+        with pytest.raises(TilingError, match="^root 3 is not a vertex$"):
+            f(g)
+
+
 @pytest.mark.parametrize("looped", ["root", "other"])
 def test_a_loop_leaves_no_coloring(looped):
     # a vertex joined to itself takes no color, so counting, enumerating

@@ -21,15 +21,18 @@ from flatfold import (
 from flatfold.cp import ConeVertex
 from flatfold.errors import (
     AllEqualHighDegree,
+    EdgesNotAdjacent,
     NotBoundaryEdge,
     NotThreeNice,
     NotWaterbomb,
     UnknownVariant,
     UnsupportedJ,
 )
-from flatfold.generators import crane, miura, snake
+from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.oracle import count_locally_valid
-from flatfold.saw import _REFUSALS, negate_orientations
+from flatfold.patternio import saw_to_dict
+from flatfold.saw import _REFUSALS, SawGraph, negate_orientations
+from flatfold.tiling import tile
 
 from .conftest import cone, random_kawasaki_cone
 
@@ -237,6 +240,50 @@ def test_insert_triangle_needs_boundary_edge():
     with pytest.raises(NotBoundaryEdge):
         insert_triangle(g, und)
     assert g == before  # a refused surgery changes nothing
+
+
+def _twist_refusals():
+    # tile(triangle_twist(1)): a walk of crossing edges and one undirected
+    # edge, and crossing edges inside the graph
+    g = tile(triangle_twist(1))
+    walk = [e for _, e in g.walk]
+    crossing = [e for e in walk if g.edges[e].directed]
+    und = next(e for e in walk if not g.edges[e].directed)
+    inner = next(e.id for e in g.edges.values() if e.directed and e.id not in walk)
+    i = walk.index(und)
+    far = next(e for e in crossing if e not in (walk[i - 1], walk[(i + 1) % len(walk)]))
+    return [(g, insert_triangle, (inner,), NotBoundaryEdge, "not on the boundary walk"),
+            (g, insert_prism, tuple(crossing[:2]), EdgesNotAdjacent, "one undirected"),
+            (g, insert_prism, (inner, und), NotBoundaryEdge, "must be on the boundary"),
+            (g, insert_prism, (far, und), EdgesNotAdjacent, "not adjacent")]
+
+
+def _two_vertex_refusals():
+    # a crossing edge the walk runs along both ways, and a crossing edge
+    # beside an undirected edge with the same two ends
+    g = SawGraph()
+    u, v = g.add_vertex(), g.add_vertex()
+    e = g.add_edge(u, v, directed=True, crease="c0")
+    g.walk = [(u, e), (v, e)]
+    h = SawGraph()
+    u, v = h.add_vertex(), h.add_vertex()
+    e1 = h.add_edge(u, v, directed=True, crease="c0")
+    e2 = h.add_edge(u, v)
+    h.walk = [(u, e1), (v, e2)]
+    return [(g, insert_triangle, (e,), NotBoundaryEdge, "outer face twice"),
+            (h, insert_prism, (e1, e2), EdgesNotAdjacent, "exactly one endpoint")]
+
+
+def test_refused_surgeries_leave_the_graph_unchanged():
+    # each refusal raises before it writes anything, as the saw module
+    # docstring promises
+    refusals = _twist_refusals() + _two_vertex_refusals()
+    for g, surgery, args, error, reason in refusals:
+        g.check_walk()
+        before = saw_to_dict(g)
+        with pytest.raises(error, match=reason):
+            surgery(g, *args)
+        assert saw_to_dict(g) == before
 
 
 def test_insert_prism_both_chiralities():

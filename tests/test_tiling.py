@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatfold import count_colorings, count_locally_valid, tile
+from flatfold import count_colorings, count_locally_valid, tile, verify_bijection
 from flatfold import saw, tiling
 from flatfold.errors import DisconnectedInterior, FlatfoldError, TilingError, UnsupportedVertex
-from flatfold.cp import cone_at
+from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.saw import _REFUSALS, SawGraph, single_vertex_saw
 from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
 from flatfold.patternio import emit
@@ -252,6 +252,41 @@ def test_tile_chords_sharing_boundary_points():
     for n in (2, 3, 4, 5):
         cp = snake(1, n)
         assert count_colorings(tile(cp)) == count_locally_valid(cp) == 2 ** (n - 1)
+
+
+def x_and_chords(xs, chords, width):
+    """X's at (cx, 1), each with creases to (cx +- 1, 0) and (cx +- 1, 2),
+    and vertical chords at the given x, in the region [0, width] x [0, 2]."""
+    vertices, creases, points = {}, {}, {}
+    for cx in xs:
+        vertices[f"v{cx}"] = (cx, 1)
+        for x, y in ((cx + 1, 0), (cx + 1, 2), (cx - 1, 2), (cx - 1, 0)):
+            points[f"b{x}_{y}"] = (x, y)
+            creases[f"v{cx}_{x}_{y}"] = (f"v{cx}", f"b{x}_{y}")
+    for x in chords:
+        points[f"b{x}_0"], points[f"b{x}_2"] = (x, 0), (x, 2)
+        creases[f"chord{x}"] = (f"b{x}_0", f"b{x}_2")
+    return build_crease_pattern(vertices, creases, [(0, 0), (width, 0), (width, 2), (0, 2)],
+                                boundary_points=points)
+
+
+@pytest.mark.parametrize("xs, chords, width, count, splices", [
+    ((1,), (3,), 4, 16, 1),
+    ((1, 5), (), 6, 64, 1),
+    ((1, 5), (3,), 6, 128, 2),
+])
+def test_disjoint_merges_onto_a_walk(monkeypatch, xs, chords, width, count, splices):
+    # X's that share no crease with the graph so far merge through a face;
+    # every family merges that way only onto the base graph's empty walk
+    onto_walk = []
+    real = tiling._splice_disjoint
+    monkeypatch.setattr(tiling, "_splice_disjoint",
+                        lambda g, *args: onto_walk.append(bool(g.walk)) or real(g, *args))
+    cp = x_and_chords(xs, chords, width)
+    g = tile(cp)
+    assert sum(onto_walk) == splices
+    assert count_colorings(g) == count_locally_valid(cp) == count
+    assert verify_bijection(cp, g).ok
 
 
 def test_broken_walk_raises_typed_error():
