@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
+from operator import itemgetter
 
 from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment
 from .errors import (
@@ -114,26 +115,49 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
 
 # the color a vertex is forced to, by the bit mask of two banned colors
 _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
-_COLORS = frozenset((0, 1, 2))
-# the step (v - u) mod 3 of an edge whose end colors u and v make byte 4u + v
+# tables read at byte 4x + y: the step (y - x) mod 3 of an edge whose end
+# colors are x and y, and a color x plus or minus a step y, mod 3
 _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
+_ADD_STEP = bytes((b // 4 + b % 4) % 3 for b in range(256))
+_SUB_STEP = bytes((b // 4 - b % 4) % 3 for b in range(256))
+# colorings that verify_bijection checks, keys and lifts as one block
+_BLOCK = 256
+
+
+def _packed(a: int, b: int, rows: int, table: bytes) -> bytes:
+    """``table[4x + y]`` for the bytes x of ``a`` and y of ``b`` at each of
+    ``rows`` places, two columns read as ints: one ``to_bytes`` gives every
+    4x + y (x and y are colors or steps, at most 3) and one ``translate``
+    every entry."""
+    return (a << 2 | b).to_bytes(rows, "big").translate(table)
+
+
+def _transpose(seqs: Sequence[Sequence[int]], n: int) -> list[bytes]:
+    """The n byte strings of the values at each place of ``seqs``: a
+    block's rows from its columns, or its columns from its rows."""
+    return list(map(bytes, zip(*seqs))) if seqs else [b""] * n
 
 
 class _Plan:
     """Per-graph tables for checking, translating and lifting colorings.
 
+    The functions take a block of colorings and hold it as columns: a
+    ``bytes`` per vertex with each coloring's color, and a ``bytes`` per
+    edge with each coloring's step on it. ``coloring_to_mv`` and
+    ``mv_to_coloring`` pass a block of one.
+
     A vertex's index is its place in ``vertices``, the sorted ids (the
     order of ``enumerate_colorings``). ``edges`` holds each edge's id,
     endpoint indices and k, the edge's position in ``directed`` (-1 for an
-    undirected edge); ``directed`` holds each crossing edge's crease, tail
-    and head, and ``crossing`` each crease's last crossing edge (whose step
-    the crease takes, as in ``to_mv``). A crossing edge's step is
-    (s(head) - s(tail)) mod 3: 1 for mountain, 2 for valley. The tables of
-    ``colors`` (its readers) and of ``lift`` (``nbrs`` and ``_tree``) are
-    built on their first call, so ``coloring_to_mv`` and
-    ``mv_to_coloring`` build only what they use. Building, checking,
-    translating and lifting are each O(V + E); only the completion search
-    of a stalled lift can take longer.
+    undirected edge); ``directed`` holds each crossing edge's crease and
+    the place of its steps in ``edge_steps``, and ``crossing`` that place
+    for each crease's last crossing edge, whose step the crease takes. A
+    crossing edge's step is (s(head) - s(tail)) mod 3: 1 for mountain, 2
+    for valley. The tables of ``colors`` (its getters) and of ``lift``
+    (``nbrs`` and ``_tree``) are built on their first call, so
+    ``coloring_to_mv`` and ``mv_to_coloring`` build only what they use.
+    Building, checking, translating and lifting are each O(V + E) per
+    coloring; only the completion search of a stalled lift can take longer.
     """
 
     def __init__(self, g: SawGraph):
@@ -143,96 +167,123 @@ class _Plan:
         index = dict(zip(self.vertices, range(len(self.vertices))))
         self.root = index.get(g.root)
         self.edges: list[tuple[int, int, int, int]] = []
-        self.directed: list[tuple[str, int, int]] = []
-        for e in g.edges.values():
+        self.directed: list[tuple[str, int]] = []
+        self.crossing: dict[str, int] = {}
+        for j, e in enumerate(g.edges.values(), 1):
             u, v = index[e.u], index[e.v]
             k = -1
             if e.directed:
                 k = len(self.directed)
-                self.directed.append((e.crease, u, v))
+                self.directed.append((e.crease, j))
+                self.crossing[e.crease] = j
             self.edges.append((e.id, u, v, k))
-        self.crossing = {c: k for k, (c, _, _) in enumerate(self.directed)}
 
-    def colors(self, s: ThreeColoring) -> tuple[list[int], bytes]:
-        """The color list of s, checked: colors 0, 1 and 2 only, proper,
-        with the root colored 0; and its steps as ``bytes``: a 0, then each
-        edge's (s(v) - s(u)) mod 3 in edge order."""
-        if s.keys() != self.vset:
-            raise ImproperColoring("coloring domain mismatch")
+    def colors(self, block: Sequence[ThreeColoring]) -> tuple[list[bytes], list[bytes]]:
+        """The color columns of a block of colorings, checked: each
+        coloring colors the vertices, the root 0, with colors 0, 1 and 2
+        only, and properly; and their ``edge_steps``. Raises
+        ImproperColoring; on a block of one, for its first failed check in
+        that order (and the first improper edge in edge order)."""
+        rows = len(block)
+        if self.root is None or sum(map(len, block)) != rows * len(self.vertices):
+            raise self._refusal(block)
+        try:
+            cols = [bytes(map(get, block)) for get in self._getters]
+        except (KeyError, TypeError, ValueError):   # a vertex or a byte is missing
+            raise self._refusal(block) from None
+        if cols[self.root] != bytes(rows) or max(map(max, cols)) > 2:
+            raise self._refusal(block)
+        steps = self.edge_steps(cols)
+        bad = b"".join(steps).find(0, rows)     # past the zero column
+        if bad >= 0:
+            j, i = divmod(bad, rows)
+            eid, u, _, _ = self.edges[j - 1]
+            raise ImproperColoring(f"edge {eid} endpoints share color {cols[u][i]}")
+        return cols, steps
+
+    def _refusal(self, block: Sequence[ThreeColoring]) -> ImproperColoring:
+        """The first check of ``colors`` that a block of colorings fails,
+        short of properness."""
+        if any(s.keys() != self.vset for s in block):
+            return ImproperColoring("coloring domain mismatch")
         if self.root is None:
-            raise ImproperColoring(f"root {self.root_id} is not a vertex")
-        if s[self.root_id] != 0:
-            raise ImproperColoring("root is not colored 0")
-        read, us, vs = self._readers
-        colors = list(read(s))
-        if not _COLORS.issuperset(colors):
-            v = next(v for v, c in zip(self.vertices, colors) if c not in _COLORS)
-            raise ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
-        # both ends' colors packed into ints, a byte per edge: one to_bytes
-        # gives each edge's 4u + v (after a 0), one translate its step
-        packed = int.from_bytes(bytes(us(colors)), "big") << 2 | \
-            int.from_bytes(bytes(vs(colors)), "big")
-        steps = packed.to_bytes(len(self.edges) + 1, "big").translate(_STEP_OF_PAIR)
-        bad = steps.find(0, 1)
-        if bad > 0:
-            eid, u, _, _ = self.edges[bad - 1]
-            raise ImproperColoring(f"edge {eid} endpoints share color {colors[u]}")
-        return colors, steps
+            return ImproperColoring(f"root {self.root_id} is not a vertex")
+        if any(s[self.root_id] != 0 for s in block):
+            return ImproperColoring("root is not colored 0")
+        s, v = next((s, v) for s in block for v in self.vertices
+                    if not (isinstance(s[v], int) and 0 <= s[v] <= 2))
+        return ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
 
     @cached_property
-    def _readers(self):
-        """``colors``' readers: of a coloring's colors in vertex order, and
-        of the colors at each edge's two ends."""
-        return (_reader(self.vertices), _reader([u for _, u, _, _ in self.edges]),
-                _reader([v for _, _, v, _ in self.edges]))
+    def _getters(self) -> list[itemgetter]:
+        """``colors``' getter of each vertex's color in a coloring."""
+        return list(map(itemgetter, self.vertices))
 
-    def to_mv(self, colors: list[int]) -> MVAssignment:
-        return {c: MV_OF_STEP[(colors[h] - colors[t]) % 3] for c, t, h in self.directed}
+    def edge_steps(self, cols: list[bytes]) -> list[bytes]:
+        """A zero column, then each edge's steps (s(v) - s(u)) mod 3, in
+        edge order, of the block with color columns ``cols``."""
+        rows = len(cols[0])
+        ints = [int.from_bytes(c, "big") for c in cols]
+        return [bytes(rows)] + [_packed(ints[u], ints[v], rows, _STEP_OF_PAIR)
+                                for _, u, v, _ in self.edges]
 
-    def steps(self, mv: MVAssignment) -> list[int]:
-        """Each crossing edge's step in the coloring that encodes ``mv``."""
-        steps = [STEP_OF_MV.get(mv.get(c), 0) for c, _, _ in self.directed]
+    def to_mv(self, steps: list[bytes]) -> MVAssignment:
+        """The MV assignment of a block of one from its ``edge_steps``."""
+        return {c: MV_OF_STEP[steps[j][0]] for c, j in self.crossing.items()}
+
+    def steps(self, mv: MVAssignment) -> list[bytes]:
+        """Each crossing edge's step column in the block of one coloring
+        that encodes ``mv``."""
+        steps = [STEP_OF_MV.get(mv.get(c), 0) for c, _ in self.directed]
         if 0 in steps:
             c = self.directed[steps.index(0)][0]
             raise NoCompletion(f"crease {c} has value {mv.get(c)!r}, not 1 or -1")
-        return steps
+        return [bytes((step,)) for step in steps]
 
-    def lift(self, steps: Sequence[int]) -> list[int]:
-        """The one color list whose crossing edges take ``steps``.
+    def lift(self, steps: Sequence[bytes], rows: int) -> list[bytes]:
+        """The color columns of the block of ``rows`` colorings whose
+        crossing edges take ``steps``, a column per crossing edge.
 
         When the crossing edges reached from the root span the graph, the
-        colors follow from the root along a breadth-first tree of them, and
-        the result stands if every other crossing edge takes its step and
-        no undirected edge joins two equal colors; no other coloring can
-        take the steps. Otherwise a worklist propagates forced colors from
+        colors follow from the root along a breadth-first tree of them, a
+        column at a time, and the block stands if, by its ``edge_steps``,
+        every crossing edge takes its steps and no undirected edge joins
+        two equal colors; no other coloring can take the steps. Otherwise
+        each row is lifted alone: a worklist propagates forced colors from
         the root (``_propagate``) and a search completes what it leaves
-        (``_search``). Raises NoCompletion or AmbiguousCompletion.
+        (``_search``). Raises NoCompletion or AmbiguousCompletion when a
+        row has no coloring or more than one, of the type its first such
+        row raises alone; on a block of one, for its first failed check.
         """
         if self.root is None:
             raise NoCompletion(f"root {self.root_id} is not a vertex")
         tree = self._tree
         if tree is None:
-            colors = [-1] * len(self.vertices)
-            banned = [0] * len(self.vertices)
-            colors[self.root] = 0
-            err = self._propagate(colors, banned, self.root, steps)
-            if err:
-                raise NoCompletion(err)
-            if -1 in colors:
-                colors = self._search(colors, banned, steps)
-            return colors
-        order, closing, undirected = tree
-        colors = [0] * len(self.vertices)
-        for v, p, k, sign in order:
-            colors[v] = (colors[p] + sign * steps[k]) % 3
-        for t, h, k in closing:
-            if (colors[h] - colors[t]) % 3 != steps[k]:
-                raise NoCompletion(f"crease {self.directed[k][0]} translates inconsistently")
-        for u, v in undirected:
-            if colors[u] == colors[v]:
+            out = []
+            for row in _transpose(steps, rows):
+                colors = [-1] * len(self.vertices)
+                banned = [0] * len(self.vertices)
+                colors[self.root] = 0
+                err = self._propagate(colors, banned, self.root, row)
+                if err:
+                    raise NoCompletion(err)
+                if -1 in colors:
+                    colors = self._search(colors, banned, row)
+                out.append(colors)
+            return _transpose(out, len(self.vertices))
+        cols = [bytes(rows)] * len(self.vertices)
+        for v, p, k, table in tree:
+            cols[v] = _packed(int.from_bytes(cols[p], "big"),
+                              int.from_bytes(steps[k], "big"), rows, table)
+        got = self.edge_steps(cols)
+        for (c, j), want in zip(self.directed, steps):
+            if got[j] != want:
+                raise NoCompletion(f"crease {c} translates inconsistently")
+        for j, (_, u, v, k) in enumerate(self.edges, 1):
+            if k < 0 and (i := got[j].find(0)) >= 0:
                 raise NoCompletion(f"SAW vertices {self.vertices[u]} and "
-                                   f"{self.vertices[v]} share color {colors[u]}")
-        return colors
+                                   f"{self.vertices[v]} share color {cols[u][i]}")
+        return cols
 
     def _propagate(self, colors: list[int], banned: list[int], start: int,
                    steps: Sequence[int]) -> str | None:
@@ -313,11 +364,11 @@ class _Plan:
 
     @cached_property
     def _tree(self):
-        """The tree lift's tables, or None when the crossing edges reached
-        from the root miss a vertex: the tree's vertices in breadth-first
-        order as ``(vertex, parent, k, sign)``, the vertex's color being
-        the parent's plus ``sign`` times step k; the other crossing edges
-        as ``(tail, head, k)``; and the undirected edges' endpoints."""
+        """The tree of the tree lift, or None when the crossing edges
+        reached from the root miss a vertex: its vertices in breadth-first
+        order as ``(vertex, parent, k, table)``, the vertex's colors being
+        the parent's plus (``_ADD_STEP``) or minus (``_SUB_STEP``) steps
+        k."""
         reached = [False] * len(self.vertices)
         reached[self.root] = True
         queue = [self.root]
@@ -328,19 +379,14 @@ class _Plan:
                 if not reached[w]:
                     reached[w] = True
                     queue.append(w)
-                    order.append((w, p, k, sign))
-        if len(queue) < len(self.vertices):
-            return None
-        in_tree = {k for _, _, k, _ in order}
-        return (order,
-                [(t, h, k) for k, (_, t, h) in enumerate(self.directed) if k not in in_tree],
-                [(u, v) for _, u, v, k in self.edges if k < 0])
+                    order.append((w, p, k, _ADD_STEP if sign > 0 else _SUB_STEP))
+        return order if len(queue) == len(self.vertices) else None
 
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
     """Translate a proper coloring into the MV assignment it encodes."""
     plan = _Plan(g)
-    return plan.to_mv(plan.colors(s)[0])
+    return plan.to_mv(plan.colors([s])[1])
 
 
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
@@ -361,7 +407,7 @@ def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     when two or more do.
     """
     plan = _Plan(g)
-    return dict(zip(plan.vertices, plan.lift(plan.steps(mv))))
+    return dict(zip(plan.vertices, b"".join(plan.lift(plan.steps(mv), 1))))
 
 
 @dataclass
@@ -397,9 +443,16 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     to it, and a set keeps the keys of colorings that map outside M(cp);
     only assignment keys no coloring produced become MV dicts.
 
-    Each coloring is checked, keyed and lifted on ``_Plan``'s tables, built
-    once per graph: ``colors`` gives its color list and every edge's step,
-    and one ``itemgetter`` each reads its key and its lift's steps.
+    Colorings are checked, keyed and lifted ``_BLOCK`` at a time on
+    ``_Plan``'s tables, built once per graph: ``colors`` gives a block's
+    color columns and every edge's step column, one ``itemgetter`` each
+    reads the key columns and the lift's step columns, and the keys are
+    the block's rows of its key columns. The record of assignments changes
+    only for a block whose colorings are proper, map to distinct
+    assignments no earlier coloring mapped to, and lift back to
+    themselves; any other block is checked again a coloring at a time, by
+    the same functions, so the report and every error are those of the
+    colorings taken one by one.
 
     Raises CapExceeded past ``cap`` colorings. ``count_colorings`` runs
     before any coloring is enumerated, so a graph with more than ``cap``
@@ -416,40 +469,62 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     outside: set[bytes] = set()
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
-    # each crossing edge's place in the steps of plan.colors; a key reads
-    # each crease's step in search order (the crease's last crossing
-    # edge's), and a crease no edge crosses reads the leading 0
-    at = [j + 1 for j, (_, _, _, k) in enumerate(plan.edges) if k >= 0]
-    key_at = _reader([at[plan.crossing[c]] if c in plan.crossing else 0 for c in order])
+    # a key reads each crease's steps in search order (the crease's last
+    # crossing edge's), and a crease no edge crosses reads the zero column
+    key_at = _reader([plan.crossing.get(c, 0) for c in order])
     # the lift's steps: a crease crossed twice takes its last edge's step
-    lift_at = _reader([at[plan.crossing[c]] for c, _, _ in plan.directed])
+    lift_at = _reader([plan.crossing[c] for c, _ in plan.directed])
+
+    def read(block: list[ThreeColoring]) -> tuple[list[bytes], list[bytes], tuple]:
+        """A block's color columns, its keys, and its lift's step columns."""
+        cols, steps = plan.colors(block)
+        return cols, _transpose(key_at(steps), len(block)), lift_at(steps)
+
+    def passes(block: list[ThreeColoring]) -> bool:
+        """Whether the block passes every check; if it does, its
+        assignments are recorded as mapped to."""
+        try:
+            cols, keys, lift_steps = read(block)
+            new = dict.fromkeys(keys, True)
+            # distinct keys, each an assignment (False) no coloring mapped to
+            if len(new) < len(block) or list(map(hit.get, new)).count(False) < len(new):
+                return False
+            if plan.lift(lift_steps, len(block)) != cols:
+                return False
+        except Exception:  # noqa: BLE001 - checked again one by one
+            return False
+        hit.update(new)
+        return True
 
     translation_valid = injective = round_trip = True
     counterexample = None
 
-    for s in colorings:
-        colors, steps = plan.colors(s)
-        key = bytes(key_at(steps))
-        mapped = hit.get(key)
-        if mapped is None:
-            translation_valid = False
-            counterexample = counterexample or ("coloring maps outside M", s)
-            mapped = key in outside
-            outside.add(key)
-        else:
-            hit[key] = True
-        if mapped:
-            injective = False
-            counterexample = counterexample or ("two colorings share an assignment", s)
-        try:
-            back = plan.lift(lift_at(steps))
-        except Exception as exc:  # noqa: BLE001 - report, don't raise
-            round_trip = False
-            counterexample = counterexample or ("mv_to_coloring failed", str(exc))
+    for i in range(0, n_col, _BLOCK):
+        block = colorings[i:i + _BLOCK]
+        if passes(block):
             continue
-        if back != colors:
-            round_trip = False
-            counterexample = counterexample or ("round trip mismatch", s)
+        for s in block:
+            colors, (key,), lift_steps = read([s])
+            mapped = hit.get(key)
+            if mapped is None:
+                translation_valid = False
+                counterexample = counterexample or ("coloring maps outside M", s)
+                mapped = key in outside
+                outside.add(key)
+            else:
+                hit[key] = True
+            if mapped:
+                injective = False
+                counterexample = counterexample or ("two colorings share an assignment", s)
+            try:
+                back = plan.lift(lift_steps, 1)
+            except Exception as exc:  # noqa: BLE001 - report, don't raise
+                round_trip = False
+                counterexample = counterexample or ("mv_to_coloring failed", str(exc))
+                continue
+            if back != colors:
+                round_trip = False
+                counterexample = counterexample or ("round trip mismatch", s)
     # both ways: every valid assignment lifts to a coloring that maps back.
     # A graph for a transformed pattern crosses creases the pattern lacks,
     # so its witnesses cannot be lifted and are not checked. A witness some
@@ -460,7 +535,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
                 continue
             m = {c: MV_OF_STEP[v] for c, v in zip(order, key)}
             try:
-                if plan.to_mv(plan.lift(plan.steps(m))) != m:
+                if plan.to_mv(plan.edge_steps(plan.lift(plan.steps(m), 1))) != m:
                     round_trip = False
                     counterexample = counterexample or ("assignment round trip", m)
             except Exception as exc:  # noqa: BLE001

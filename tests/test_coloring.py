@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from flatfold import (
 )
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
+from flatfold.cp import STEP_OF_MV
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -231,15 +234,23 @@ def test_coloring_to_mv_refuses_a_missing_root():
         coloring_to_mv(g, {})
 
 
-@pytest.mark.parametrize("color", [3, 4, -1, 256, 1.5])
-def test_coloring_to_mv_rejects_a_color_out_of_range(color):
+@pytest.mark.parametrize("color", [3, 4, -1, 256, 1.5, 1.0, Fraction(2)])
+def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
     # colors are packed a byte per edge end, so any other value is refused
-    # before it could pass for a color (3 for 0, 4 for a step of 1)
-    g = tile(miura(2, 3))
-    s = enumerate_colorings(g)[0]
+    # before it could pass for a color (3 for 0, 4 for a step of 1); 1.0
+    # and Fraction(2) equal colors but are not ints, which bytes refuses.
+    # verify refuses it alike as the first coloring of a later block
+    cp = miura(4, 4)
+    g = tile(cp)
+    colorings = enumerate_colorings(g)
     v = next(v for v in sorted(g.vertices) if v != g.root)
-    with pytest.raises(ImproperColoring, match=f"^vertex {v} has color {color!r}, not 0, 1 or 2$"):
-        coloring_to_mv(g, {**s, v: color})
+    colorings[coloring._BLOCK][v] = color
+    message = re.escape(f"vertex {v} has color {color!r}, not 0, 1 or 2")
+    with pytest.raises(ImproperColoring, match=f"^{message}$"):
+        coloring_to_mv(g, colorings[coloring._BLOCK])
+    monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: colorings)
+    with pytest.raises(ImproperColoring, match=f"^{message}$"):
+        verify_bijection(cp, g)
 
 
 def test_mv_round_trip_on_twist():
@@ -325,13 +336,15 @@ def test_verify_bijection_passes_on_families():
 
 
 @st.composite
-def lift_cases(draw):
-    """(graph, steps): a tiled Miura, modified Miura, snake, joined twists
+def lift_cases(draw, max_rows=1):
+    """(graph, rows): a tiled Miura, modified Miura, snake, joined twists
     or the crane, perhaps with one crossing edge reversed, one more
     crossing edge over its crease, its crease left uncrossed, or the root
-    removed; and steps drawn at random, taken from a random color list (the
-    crossing edges agree wherever its colors differ, the undirected edges
-    may not), or taken from a proper coloring (the lift succeeds)."""
+    removed; and 1 to ``max_rows`` rows of steps, each drawn at random,
+    taken from a random color list (the crossing edges agree wherever its
+    colors differ, the undirected edges may not), taken from a proper
+    coloring, or taken from one of the pattern's first 20 locally-valid
+    assignments (without an edit, these two lift)."""
     kind = draw(st.sampled_from(["miura", "modified-miura", "snake", "twists", "crane"]))
     if kind == "crane":
         cp = crane()
@@ -356,17 +369,25 @@ def lift_cases(draw):
     elif edit == "no-root":
         g.root = ids[-1] + 1
     directed = [e for e in g.edges.values() if e.directed]
-    how = draw(st.sampled_from(["random", "colors", "proper"]))
-    if how == "random":
-        return g, draw(st.lists(st.sampled_from([1, 2]), min_size=len(directed),
-                                max_size=len(directed)))
-    if how == "proper" and edit != "no-root":
-        s = first_coloring(g)
-    else:
-        s = dict(zip(ids, draw(st.lists(st.integers(0, 2), min_size=len(ids),
-                                        max_size=len(ids)))))
-        s[g.root] = 0
-    return g, [(s[e.v] - s[e.u]) % 3 or 1 for e in directed]
+    witnesses = enumerate_locally_valid(cp, cap=20).witnesses
+
+    def row():
+        how = draw(st.sampled_from(["random", "colors", "proper", "witness"]))
+        if how == "witness":
+            mv = draw(st.sampled_from(witnesses))
+            return [STEP_OF_MV[mv[e.crease]] for e in directed]
+        if how == "random":
+            return draw(st.lists(st.sampled_from([1, 2]), min_size=len(directed),
+                                 max_size=len(directed)))
+        if how == "proper" and edit != "no-root":
+            s = first_coloring(g)
+        else:
+            s = dict(zip(ids, draw(st.lists(st.integers(0, 2), min_size=len(ids),
+                                            max_size=len(ids)))))
+            s[g.root] = 0
+        return [(s[e.v] - s[e.u]) % 3 or 1 for e in directed]
+
+    return g, [row() for _ in range(draw(st.integers(1, max_rows)))]
 
 
 def _lifted(lift, *args):
@@ -377,14 +398,37 @@ def _lifted(lift, *args):
         return type(exc)
 
 
+def _block_lift(plan, rows):
+    """``plan.lift`` of the rows of steps as one block: each row's color
+    list, or the type of the error raised."""
+    cols = _lifted(plan.lift, coloring._transpose(rows, len(plan.directed)), len(rows))
+    return cols if isinstance(cols, type) else list(map(list, zip(*cols)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(lift_cases())
 def test_lift_matches_reference(case):
     # the tree lift (graphs whose crossing edges from the root span them)
     # and the worklist lift (the others) give the propagate-and-search
     # lift's colors, or raise the same type of error
-    g, steps = case
-    assert _lifted(coloring._Plan(g).lift, steps) == _lifted(reference_lift, g, steps)
+    g, (steps,) = case
+    want = _lifted(reference_lift, g, steps)
+    assert _block_lift(coloring._Plan(g), [steps]) == \
+        (want if isinstance(want, type) else [want])
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_cases(max_rows=8))
+def test_block_lift_matches_each_row(case):
+    # a block of rows lifts to what each row lifts to alone: every row's
+    # colors when each row lifts, else the error type of the first row
+    # that fails alone, on the tree lift (a column at a time) and on the
+    # worklist lift (a row at a time) alike
+    g, rows = case
+    plan = coloring._Plan(g)
+    alone = [_block_lift(plan, [r]) for r in rows]
+    failed = [a for a in alone if isinstance(a, type)]
+    assert _block_lift(plan, rows) == (failed[0] if failed else [c for c, in alone])
 
 
 def test_lift_takes_the_tree_where_crossing_edges_span():
@@ -396,17 +440,16 @@ def test_lift_takes_the_tree_where_crossing_edges_span():
 
 
 def test_verify_bijection_lifts_each_assignment_once(monkeypatch):
-    from flatfold import coloring
-    lifted = []
+    lifted = []     # the rows of each lifted block
     real = coloring._Plan.lift
     monkeypatch.setattr(coloring._Plan, "lift",
-                        lambda plan, mv: lifted.append(mv) or real(plan, mv))
+                        lambda plan, steps, rows: lifted.append(rows) or real(plan, steps, rows))
     cp = miura(3, 3)
     report = verify_bijection(cp, tile(cp))
     assert report.ok and report.count_mv == 82
     # the coloring pass lifts every assignment a coloring maps to, so the
     # witness pass has none left to lift (it lifted all 82 again before)
-    assert len(lifted) == 82
+    assert sum(lifted) == 82
 
 
 def test_verify_bijection_flags_bad_merge():
@@ -493,13 +536,16 @@ def test_verify_bijection_matches_reference(case):
         assert detail == want_detail
 
 
-@pytest.mark.parametrize("at", [0, -1])
+@pytest.mark.parametrize("size, at", [((2, 3), 0), ((2, 3), -1),
+                                      ((4, 4), coloring._BLOCK), ((4, 4), -1)])
 @pytest.mark.parametrize("how", ["root", "improper", "domain"])
-def test_verify_bijection_checks_each_coloring(monkeypatch, how, at):
+def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     # a coloring that fails a check of coloring_to_mv raises its error, as
     # in the list-based reference; colorings reach both functions through
-    # the coloring.enumerate_colorings attribute
-    cp = miura(2, 3)
+    # the coloring.enumerate_colorings attribute. Miura 4x4's 2,604
+    # colorings fill several blocks: the bad one is the first of the
+    # second block, or the last of all
+    cp = miura(*size)
     g = tile(cp)
     g.vertices = dict(reversed(g.vertices.items()))
     enumerate_colorings = coloring.enumerate_colorings
@@ -509,8 +555,9 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, at):
         s = out[at]
         if how == "root":       # the colors cycled: proper, but the root is 1
             bad = {v: (c + 1) % 3 for v, c in reversed(s.items())}
-        elif how == "improper":
-            e = next(iter(g.edges.values()))
+        elif how == "improper":     # an edge in the middle of the edge order
+            edges = list(g.edges.values())
+            e = edges[len(edges) // 2]
             bad = {**s, e.v: s[e.u]}
         else:                   # a vertex the graph lacks
             bad = {**s, max(s) + 1: 0}
@@ -521,6 +568,57 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, at):
     want = _outcome(reference_verify_bijection, cp, g, 200000)
     assert want[0] is ImproperColoring
     assert _outcome(verify_bijection, cp, g, 200000) == want
+
+
+# colors 1 and 2 swapped, every other byte kept
+_MIRROR = bytes((0, 2, 1)) + bytes(range(3, 256))
+
+
+@pytest.mark.parametrize("how", ["repeat-earlier", "repeat-same", "outside",
+                                 "lift-fails", "lift-differs"])
+def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, how):
+    # in the second block of Miura 4x4, a repeat of a coloring of the first
+    # block or of its own, a coloring whose assignment the oracle's search
+    # leaves out, or one whose lift (in a block or alone, patched) fails or
+    # gives other colors: the block is checked again one by one, and the
+    # report is the list-based reference's, counterexample included
+    cp = miura(4, 4)
+    g = tile(cp)
+    at = coloring._BLOCK + 44
+    colorings = enumerate_colorings(g)
+    if how.startswith("repeat"):
+        colorings.insert(at, colorings[3 if how == "repeat-earlier" else at - 3])
+    else:
+        mv = coloring_to_mv(g, colorings[at])
+    if how.startswith("lift"):
+        target = bytes(STEP_OF_MV[mv[c]] for c, _ in coloring._Plan(g).directed)
+        lift = coloring._Plan.lift
+
+        def planted(plan, steps, rows):
+            cols = lift(plan, steps, rows)
+            if target not in coloring._transpose(steps, rows):
+                return cols
+            if how == "lift-fails":
+                raise NoCompletion("planted")
+            return [c.translate(_MIRROR) for c in cols]
+
+        monkeypatch.setattr(coloring._Plan, "lift", planted)
+    elif how == "outside":
+        first_assignments = oracle._first_assignments
+
+        def without(cp, cap):
+            order, found, count = first_assignments(cp, cap)
+            key = bytes(STEP_OF_MV[mv[c]] for c in order)
+            return order, [k for k in found if k != key], count - 1
+
+        monkeypatch.setattr(oracle, "_first_assignments", without)
+    monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: list(colorings))
+    want = reference_verify_bijection(cp, g)
+    reason = {"outside": "coloring maps outside M", "lift-fails": "mv_to_coloring failed",
+              "lift-differs": "round trip mismatch"}.get(how, "two colorings share an assignment")
+    detail = "planted" if how == "lift-fails" else colorings[at]
+    assert want.first_counterexample == (reason, detail)
+    assert verify_bijection(cp, g) == want
 
 
 def test_verify_bijection_raises_past_cap():
@@ -599,16 +697,16 @@ def test_verify_bijection_stops_the_search_at_cap(monkeypatch):
 def test_verify_bijection_skips_witness_lifts_off_the_pattern(monkeypatch):
     # a graph that crosses a crease the pattern lacks lifts only what its
     # colorings map to; the witness pass is skipped
-    lifted = []
+    lifted = []     # the rows of each lifted block
     real = coloring._Plan.lift
     monkeypatch.setattr(coloring._Plan, "lift",
-                        lambda plan, steps: lifted.append(steps) or real(plan, steps))
+                        lambda plan, steps, rows: lifted.append(rows) or real(plan, steps, rows))
     cp = miura(2, 3)
     g = tile(cp)
     next(e for e in g.edges.values() if e.directed).crease = "elsewhere"
     report = verify_bijection(cp, g)
     assert not report.translation_valid
-    assert len(lifted) == report.count_colorings
+    assert sum(lifted) == report.count_colorings
 
 
 def test_verify_bijection_flags_an_uncrossed_crease():
