@@ -66,7 +66,8 @@ FAMILIES = {
 
 
 class _Builder:
-    """Accumulates vertices, boundary points and creases, reusing ids by position."""
+    """Accumulates vertices, boundary points and creases, reusing ids by
+    position. Each kind numbers its ids in order of registration."""
 
     def __init__(self):
         self.vertices = {}
@@ -75,33 +76,23 @@ class _Builder:
         self.angles = {}
         self.at = {}   # node id -> ids of its creases
         self._by_pos = {}
-        self._nv = 0
-        self._nb = 0
-        self._nc = 0
 
     def vertex(self, x, y) -> str:
-        key = (F(x), F(y))
-        if key in self._by_pos:
-            return self._by_pos[key]
-        vid = f"v{self._nv}"
-        self._nv += 1
-        self.vertices[vid] = key
-        self._by_pos[key] = vid
-        return vid
+        return self._point(self.vertices, "v", x, y)
 
     def bpoint(self, x, y) -> str:
+        return self._point(self.bpoints, "b", x, y)
+
+    def _point(self, points: dict, prefix: str, x, y) -> str:
+        """The id at (x, y); a new one, registered in points, if none yet."""
         key = (F(x), F(y))
-        if key in self._by_pos:
-            return self._by_pos[key]
-        bid = f"b{self._nb}"
-        self._nb += 1
-        self.bpoints[bid] = key
-        self._by_pos[key] = bid
-        return bid
+        if key not in self._by_pos:
+            self._by_pos[key] = pid = f"{prefix}{len(points)}"
+            points[pid] = key
+        return self._by_pos[key]
 
     def crease(self, a: str, b: str) -> str:
-        cid = f"c{self._nc}"
-        self._nc += 1
+        cid = f"c{len(self.creases)}"
         self.creases[cid] = (a, b)
         self.at.setdefault(a, []).append(cid)
         self.at.setdefault(b, []).append(cid)

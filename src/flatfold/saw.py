@@ -6,6 +6,9 @@ A SawGraph holds vertices placed in faces (pattern face ids, or
 cone), undirected internal edges, and directed "crossing" edges tagged
 with the crease they cross. The boundary walk is the closed walk around
 the outer face; for single-vertex graphs every crossing edge lies on it.
+These are exactly the fields of a pattern file's ``saw`` block, so a
+graph written to a file reads back equal. Nothing else is cached: the
+side of its crease a crossing edge leaves from is the face of its tail.
 
 Boundary surgery (insert_triangle, insert_prism, negate_orientations)
 changes the graph it is given and returns None, as the construction
@@ -41,14 +44,13 @@ class SawVertex:
 
 @dataclass
 class SawEdge:
+    """One row of a ``saw`` block's edges; nothing is stored besides."""
+
     id: int
     u: int                    # tail when directed
     v: int
     directed: bool = False
     crease: str | None = None
-    # +1: tail lies on the left face of the crease's stored (a, b) direction.
-    # None until the graph is bound to a concrete pattern.
-    tail_side: int | None = None
 
     def ends(self) -> tuple[int, int]:
         return (self.u, self.v)
@@ -76,17 +78,16 @@ class SawGraph:
         self.vertices[vid] = SawVertex(vid, face)
         return vid
 
-    def add_edge(self, u: int, v: int, directed=False, crease=None,
-                 tail_side=None) -> int:
+    def add_edge(self, u: int, v: int, directed=False, crease=None) -> int:
         eid = self._next_e
         self._next_e += 1
-        self.edges[eid] = SawEdge(eid, u, v, directed, crease, tail_side)
+        self.edges[eid] = SawEdge(eid, u, v, directed, crease)
         return eid
 
     def copy(self) -> "SawGraph":
         g = SawGraph(root=self.root, _next_v=self._next_v, _next_e=self._next_e)
         g.vertices = {k: SawVertex(k, v.face) for k, v in self.vertices.items()}
-        g.edges = {k: SawEdge(k, e.u, e.v, e.directed, e.crease, e.tail_side)
+        g.edges = {k: SawEdge(k, e.u, e.v, e.directed, e.crease)
                    for k, e in self.edges.items()}
         g.walk = list(self.walk)
         return g
@@ -368,7 +369,6 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> None:
     else:
         se.directed = False
         se.crease = None
-        se.tail_side = None
     g.check_walk()
 
 
@@ -414,11 +414,9 @@ def negate_orientations(g: SawGraph) -> None:
 
 
 def _reverse(edges: Iterable[SawEdge]) -> None:
-    """Reverse each given edge and the side its tail lies on."""
+    """Swap the ends of each given edge."""
     for e in edges:
         e.u, e.v = e.v, e.u
-        if e.tail_side is not None:
-            e.tail_side = -e.tail_side
 
 
 # -- boundary surgery -------------------------------------------------------------
@@ -441,11 +439,9 @@ def insert_triangle(g: SawGraph, edge_id: int) -> None:
         raise NotBoundaryEdge("edge borders the outer face twice")
     u, v = e.u, e.v
     w = g.add_vertex(face=g.vertices[v].face)
-    new_cross = g.add_edge(
-        w, u, directed=True, crease=e.crease,
-        tail_side=-e.tail_side if e.tail_side is not None else None)
+    new_cross = g.add_edge(w, u, directed=True, crease=e.crease)
     junk = g.add_edge(v, w)
-    e.directed, e.crease, e.tail_side = False, None, None
+    e.directed, e.crease = False, None
     idx = slots[0]
     start_v = g.walk[idx][0]
     steps = [(u, new_cross), (w, junk)] if start_v == u else [(v, junk), (w, new_cross)]
@@ -497,10 +493,9 @@ def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> None:
     g.add_edge(pivot, x)
     g.add_edge(x, f)
     g.add_edge(y, x)
-    cross = g.add_edge(*((z, f) if head else (f, z)), directed=True,
-                       crease=e1.crease, tail_side=e1.tail_side)
+    cross = g.add_edge(*((z, f) if head else (f, z)), directed=True, crease=e1.crease)
     steps = [(q, qz), (z, cross)] if head else [(f, cross), (z, qz)]
-    e1.directed, e1.crease, e1.tail_side = False, None, None
+    e1.directed, e1.crease = False, None
 
     walk = g.walk
     (s1v, s1e), (s2v, s2e) = steps

@@ -11,11 +11,14 @@ with head over every shared crease.
 The clip order keeps its clippable set up to date, so a pick re-tests
 only its own neighbours. A single-vertex graph depends only on the cone's
 sector angles, so it is built once per distinct angle tuple and each
-vertex merges a renamed copy. That copy is the only one: the surgery and
-the zip change the graphs they are given in place.
+vertex merges a bound copy, in the vertex's crease names and pattern
+faces. That copy is the only one: the surgery and the zip change the
+graphs they are given in place.
 
 Tiling computes no geometry: crease orders, faces, sides and the boundary
-tour all come from the pattern's face trace.
+tour all come from the pattern's face trace. A crossing edge's tail face
+says which side of its crease it leaves from, so two crossing edges of
+one crease point the same way exactly when their tails share a face.
 """
 
 from __future__ import annotations
@@ -103,18 +106,6 @@ def _contiguous(flags: list[bool]) -> bool:
     return transitions <= 2
 
 
-def _bind_faces(g: SawGraph, cp: CreasePattern, v: str) -> None:
-    """Bind a cone-level SAW graph of vertex v, in place, to pattern faces
-    and sides."""
-    for sv in g.vertices.values():
-        left, right = sv.face
-        sv.face = cp.corner_faces[(v, left, right)]
-    for e in g.edges.values():
-        if e.directed:
-            left_face, _ = cp.crease_sides[e.crease]
-            e.tail_side = 1 if g.vertices[e.u].face == left_face else -1
-
-
 def _face_regions(cp: CreasePattern, kept: set[str]) -> dict[str, str]:
     """Map each interior face of cp to its region, the faces joined across
     every crease not in kept. A region is named by its minimum face id, so
@@ -157,7 +148,7 @@ def _base_saw(cp: CreasePattern) -> SawGraph:
         fa, fb = cp.crease_sides[c]
         u = region_vertex[region[fa]]
         v = region_vertex[region[fb]]
-        edge_of_chord[c] = g.add_edge(u, v, directed=True, crease=c, tail_side=1)
+        edge_of_chord[c] = g.add_edge(u, v, directed=True, crease=c)
     g.root = 0
 
     if not chords:
@@ -192,10 +183,11 @@ def tile(cp: CreasePattern) -> SawGraph:
     pass runs single_vertex_saw once per distinct angle tuple, walking the
     vertices in sorted id order and turning a refusal into
     UnsupportedVertex at the first vertex that meets it. Each merge takes
-    a fresh copy of its tuple's graph with the vertex's own crease names.
-    Waterbomb vertices are 3-nice, so no pattern surgery is needed. The
-    graph built here and each renamed copy are owned by this call, so
-    every triangle, prism and merge changes them in place.
+    a bound copy of its tuple's graph: the vertex's own crease names, and
+    the pattern face of each sector. Waterbomb vertices are 3-nice, so no
+    pattern surgery is needed. The graph built here and each bound copy
+    are owned by this call, so every triangle, prism and merge changes
+    them in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
     built: dict[tuple, tuple[SawGraph, tuple[str, ...]]] = {}
@@ -211,7 +203,7 @@ def tile(cp: CreasePattern) -> SawGraph:
     for v in reversed(order):
         cone = cones[v]
         base, names = built[cone.angles]
-        u_graph = _renamed(base, dict(zip(names, cone.crease_ids)))
+        u_graph = _bound(base, cp, v, dict(zip(names, cone.crease_ids)))
         try:
             _merge_vertex(g, cp, v, cone, u_graph, merged)
         except TilingError as exc:
@@ -223,17 +215,17 @@ def tile(cp: CreasePattern) -> SawGraph:
     return g
 
 
-def _renamed(g: SawGraph, names: dict[str, str]) -> SawGraph:
-    """A fresh copy of a single-vertex SAW graph with every crease name,
-    on its crossing edges and in its sector-pair faces, mapped through
-    names. Ids, orientations, the walk and the root are kept."""
+def _bound(g: SawGraph, cp: CreasePattern, v: str, names: dict[str, str]) -> SawGraph:
+    """A fresh copy of a single-vertex SAW graph, bound to vertex v of cp:
+    each crossing edge's crease name mapped through names, and each
+    sector pair, its creases mapped alike, replaced by the pattern face of
+    that corner of v. Ids, orientations, the walk and the root are kept."""
     out = SawGraph(root=g.root, walk=list(g.walk),
                    _next_v=g._next_v, _next_e=g._next_e)
-    out.vertices = {k: SawVertex(k, (names[sv.face[0]], names[sv.face[1]]))
+    out.vertices = {k: SawVertex(k, cp.corner_faces[(v, names[sv.face[0]], names[sv.face[1]])])
                     for k, sv in g.vertices.items()}
     out.edges = {k: SawEdge(k, e.u, e.v, e.directed,
-                            None if e.crease is None else names[e.crease],
-                            e.tail_side)
+                            None if e.crease is None else names[e.crease])
                  for k, e in g.edges.items()}
     return out
 
@@ -247,9 +239,8 @@ def select_root(g: SawGraph) -> int:
 def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
                   u_graph: SawGraph, merged: set[str]) -> None:
     """Merge u_graph, the single-vertex SAW graph of vertex v (cone
-    ``cone``), into g. Both are owned by the caller and changed in place."""
-    _bind_faces(u_graph, cp, v)
-
+    ``cone``) bound to cp's faces, into g. Both are owned by the caller
+    and changed in place."""
     shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
     if not any(shared_flags):
         _splice_disjoint(g, cp, u_graph, v)
@@ -264,16 +255,16 @@ def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
     ids = cone.crease_ids
     block = list((ids[start:] + ids[:start])[:sum(shared_flags)])
 
-    # g's band, junk-free, holds the tail sides u must match
+    # g's band, junk-free, holds the tail faces u must match
     g_span = _clear_window_junk(g, block[::-1])
-    g_side = {g.edges[g.walk[i][1]].crease: g.edges[g.walk[i][1]].tail_side
+    g_tail = {g.edges[g.walk[i][1]].crease: g.vertices[g.edges[g.walk[i][1]].u].face
               for i in g_span}
     # orientation pass: a global negation of the incoming graph is a free
     # variant, used when it fixes the majority; triangles fix the rest.
     # Negation keeps edge ids and a triangle replaces only its own crease's
     # edge, so u's crossing edges are read once.
     u_edges = u_graph.crossing_edges()
-    mism = [c for c in block if g_side[c] != u_edges[c].tail_side]
+    mism = [c for c in block if g_tail[c] != u_graph.vertices[u_edges[c].u].face]
     if len(mism) * 2 > len(block):
         negate_orientations(u_graph)
         mism = [c for c in block if c not in mism]
@@ -345,9 +336,9 @@ def _zip(g: SawGraph, g_span: list[int], u: SawGraph, u_span: list[int],
     # a window without junk holds exactly the band's crossing edges
     g_band = {g.edges[g.walk[i][1]].crease: g.edges[g.walk[i][1]] for i in g_span}
     u_band = {u.edges[u.walk[i][1]].crease: u.edges[u.walk[i][1]] for i in u_span}
-    # sanity: paired crossing edges agree in orientation
+    # sanity: paired crossing edges agree in orientation, tail face to tail face
     for c in block:
-        if u_band[c].tail_side != g_band[c].tail_side:
+        if u.vertices[u_band[c].u].face != g.vertices[g_band[c].u].face:
             raise TilingError("orientation mismatch at zip time", crease=c)
 
     vmap, emap = _fuse(g, u, dict(pairs),
@@ -376,8 +367,7 @@ def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
             vmap[sv.id] = g.add_vertex(face=sv.face)
     for se in u.edges.values():
         if se.id not in emap:
-            emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed,
-                                     se.crease, se.tail_side)
+            emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed, se.crease)
     return vmap, emap
 
 

@@ -19,7 +19,7 @@ from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.geometry import on_segment, orient
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
-from flatfold.tiling import _bind_faces, _merge_vertex
+from flatfold.tiling import _bound, _merge_vertex
 
 
 def first_coloring(g: SawGraph) -> dict[int, int]:
@@ -49,15 +49,17 @@ def first_coloring(g: SawGraph) -> dict[int, int]:
 
 def twist_unit_saw(cp, vertex_ids) -> SawGraph:
     """SAW graph of the sub-pattern spanned by one twist unit's vertices:
-    the first vertex's graph, bound to the pattern, with the others merged
-    into it."""
+    the first vertex's graph, bound to the pattern, with the others' bound
+    graphs merged into it."""
+    def bound(v):
+        cone = cone_at(cp, v)
+        return cone, _bound(single_vertex_saw(cone), cp, v, {c: c for c in cone.crease_ids})
+
     first, *rest = sorted(vertex_ids)
-    g = single_vertex_saw(cone_at(cp, first))
-    _bind_faces(g, cp, first)
+    g = bound(first)[1]
     merged = {first}
     for v in rest:
-        cone = cone_at(cp, v)
-        _merge_vertex(g, cp, v, cone, single_vertex_saw(cone), merged)
+        _merge_vertex(g, cp, v, *bound(v), merged)
         merged.add(v)
     return g
 
@@ -115,17 +117,18 @@ def invalid_joined_twist_saw():
     ca, cb = shared
     gA = twist_unit_saw(cp, unit0)
     gB = twist_unit_saw(cp, unit1)
-    # align orientations with the free global reversal, then stage both
+    # align orientations with the free global reversal (two crossing edges
+    # of a crease agree when their tails share a face), then stage both
     # boundaries into the [directed, undirected, directed] configuration
-    eA = gA.crossing_edges()
-    eB = gB.crossing_edges()
-    if eA[ca].tail_side != eB[ca].tail_side:
+    def tail_face(g, c):
+        return g.vertices[g.crossing_edges()[c].u].face
+
+    if tail_face(gA, ca) != tail_face(gB, ca):
         gB2 = gB.copy()
         negate_orientations(gB2)
         gB = gB2
-        eB = gB.crossing_edges()
-    assert eA[ca].tail_side == eB[ca].tail_side
-    assert eA[cb].tail_side == eB[cb].tail_side
+    assert tail_face(gA, ca) == tail_face(gB, ca)
+    assert tail_face(gA, cb) == tail_face(gB, cb)
     gA = _push_junk_between(gA, ca, cb)
     gB = _push_junk_between(gB, ca, cb)
 
@@ -160,8 +163,7 @@ def invalid_joined_twist_saw():
         if se.id == undB:
             dropped[se.id] = undA  # the wrong identification
             continue
-        emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed,
-                                 se.crease, se.tail_side)
+        emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed, se.crease)
     nA, nB = len(gA.walk), len(gB.walk)
     new_walk = []
     i = (wA[2] + 1) % nA

@@ -11,8 +11,9 @@ from flatfold import saw, tiling
 from flatfold.errors import DisconnectedInterior, FlatfoldError, TilingError, UnsupportedVertex
 from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.saw import _REFUSALS, SawGraph, single_vertex_saw
-from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
-from flatfold.patternio import emit
+from flatfold.generators import (crane, miura, modified_miura, snake, split_waterbomb,
+                                 triangle_twist)
+from flatfold.patternio import emit, saw_from_dict, saw_to_dict
 from flatfold.tiling import clip_order, select_root
 
 from .helpers import (grid_saw, random_crease_graph, reference_clip_order, small_pattern,
@@ -109,16 +110,18 @@ def test_clip_order_work_is_linear(monkeypatch):
 
 
 def test_tile_copies_match_direct_construction():
-    # tile builds one single-vertex graph per distinct angle tuple and
-    # renames it per vertex; each copy must equal the direct construction
+    # tile builds one single-vertex graph per distinct angle tuple and binds
+    # a copy of it to each vertex; each copy must equal the direct
+    # construction at that vertex, bound alike
     for cp in (crane(), triangle_twist(3), snake(3, 3), miura(3, 4)):
         first = {}
         for v in cp.interior_vertex_ids():
             cone = cone_at(cp, v)
             base_cone = first.setdefault(cone.angles, cone)
             names = dict(zip(base_cone.crease_ids, cone.crease_ids))
-            copy = tiling._renamed(single_vertex_saw(base_cone), names)
-            assert copy == single_vertex_saw(cone)
+            copy = tiling._bound(single_vertex_saw(base_cone), cp, v, names)
+            own = {c: c for c in cone.crease_ids}
+            assert copy == tiling._bound(single_vertex_saw(cone), cp, v, own)
 
 
 def test_tile_rejects_unsupported_vertex():
@@ -390,3 +393,52 @@ def test_saw_files_match_golden_hashes(name):
     cp = _golden_pattern(name)
     text = emit(cp, saw=tile(cp))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SAW_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAW_SHA256))
+def test_tiled_saw_file_reads_back_equal(name):
+    # a SawGraph holds exactly the fields of a file's saw block
+    g = tile(_golden_pattern(name))
+    assert saw_from_dict(saw_to_dict(g)) == g
+
+
+@pytest.mark.parametrize("kind", sorted(saw._DEG4_CONES))
+def test_single_vertex_saw_file_reads_back_equal(kind):
+    # variant 0 is single_vertex_saw on the catalog cone; its sector-pair
+    # faces are written as lists and read back as tuples
+    g = saw.deg4_saw(kind)
+    assert saw_from_dict(saw_to_dict(g)) == g
+
+
+def _split_waterbombs():
+    for cp in (snake(3, 3), snake(2, 4), crane()):
+        for v in cp.interior_vertex_ids():
+            if len(cp.ccw_creases[v]) == 6:
+                yield split_waterbomb(cp, v)
+
+
+def test_crossing_edges_join_their_crease_faces():
+    # tiling reads the side of its crease a crossing edge leaves from off
+    # its tail's face, so each crossing edge of a crease at an interior
+    # vertex must join that crease's two faces. Chords (no interior end)
+    # are left out: the base graph names each chord region's vertex by the
+    # region's least face id, and a disjoint splice renames that vertex
+    # with the incoming vertex's face, so on x_and_chords((1,), (3,), 4)
+    # chord3's edge joins f0 and f4 while chord3 separates f3 and f4.
+    # Tiling never reads a chord's side.
+    patterns = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
+    patterns += [f(m, n) for f in (miura, snake) for m in range(1, 7) for n in range(1, 7)]
+    patterns += [small_pattern("modified-miura", m, n, 1)
+                 for m in range(1, 7) for n in range(1, 7)]
+    patterns += [x_and_chords(*case) for case in
+                 (((1,), (3,), 4), ((1, 5), (), 6), ((1, 5), (3,), 6))]
+    patterns += list(_split_waterbombs())
+    checked = 0
+    for cp in patterns:
+        g = tile(cp)
+        for e in g.edges.values():
+            if e.directed and set(cp.creases[e.crease]) & set(cp.vertices):
+                ends = {g.vertices[e.u].face, g.vertices[e.v].face}
+                assert ends == set(cp.crease_sides[e.crease]), e.crease
+                checked += 1
+    assert checked > 1000
