@@ -2,11 +2,12 @@
 
 The construction mirrors the inductive proof: clip vertices one at a time
 (each clipped vertex must reach the current boundary), then rebuild in
-reverse, merging each vertex's single-vertex SAW graph along the band of
-shared creases. Within a band, mismatched crossing-edge orientations are
-reversed with triangles and stray undirected edges are pushed to the band
-periphery with prisms; the zip then identifies tail with tail and head
-with head over every shared crease.
+reverse, one component of the interior graph at a time, merging each
+vertex's single-vertex SAW graph along the band of shared creases.
+Within a band, mismatched crossing-edge orientations are reversed with
+triangles and stray undirected edges are pushed to the band periphery
+with prisms; the zip then identifies tail with tail and head with head
+over every shared crease.
 
 The clip order keeps its clippable set up to date, so a pick re-tests
 only its own neighbours. A single-vertex graph depends only on the cone's
@@ -177,17 +178,13 @@ def tile(cp: CreasePattern) -> SawGraph:
     """SAW graph for the whole pattern.
 
     Each vertex's cone (``cone_at`` computes it once per pattern) serves
-    the support pass and the merges; the clip order reads only crease
-    orders. A single-vertex SAW graph depends only on
-    the cone's sector angles (crease names are labels), so the support
-    pass runs single_vertex_saw once per distinct angle tuple, walking the
-    vertices in sorted id order and turning a refusal into
-    UnsupportedVertex at the first vertex that meets it. Each merge takes
-    a bound copy of its tuple's graph: the vertex's own crease names, and
-    the pattern face of each sector. Waterbomb vertices are 3-nice, so no
-    pattern surgery is needed. The graph built here and each bound copy
-    are owned by this call, so every triangle, prism and merge changes
-    them in place.
+    the support pass and the merges. The support pass runs
+    single_vertex_saw once per distinct angle tuple, walking the vertices
+    in sorted id order and turning a refusal into UnsupportedVertex at the
+    first vertex that meets it. Each merge takes a bound copy of its
+    tuple's graph. Waterbomb vertices are 3-nice, so no pattern surgery is
+    needed. The graph built here and each bound copy are owned by this
+    call, so every triangle, prism and merge changes them in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
     built: dict[tuple, tuple[SawGraph, tuple[str, ...]]] = {}
@@ -197,10 +194,9 @@ def tile(cp: CreasePattern) -> SawGraph:
                 built[cone.angles] = (single_vertex_saw(cone), cone.crease_ids)
             except _REFUSALS as exc:
                 raise UnsupportedVertex(v, str(exc)) from exc
-    order = clip_order(cp)
     g = _base_saw(cp)
     merged: set[str] = set()
-    for v in reversed(order):
+    for v in _rebuild_order(cp):
         cone = cones[v]
         base, names = built[cone.angles]
         u_graph = _bound(base, cp, v, dict(zip(names, cone.crease_ids)))
@@ -213,6 +209,24 @@ def tile(cp: CreasePattern) -> SawGraph:
     g.root = select_root(g)
     g.validate()
     return g
+
+
+def _rebuild_order(cp: CreasePattern) -> list[str]:
+    """The clip order reversed, one component of the interior graph at a
+    time, in the order the components first come. A component's share of
+    the clip order is a clip order of its own. Merged whole, a component
+    starts with a disjoint splice while every earlier one is complete, so
+    the one old vertex the splice gives a new face ends no crossing edge
+    whose side a later merge reads."""
+    rebuild = clip_order(cp)[::-1]
+    first: dict[str, int] = {}
+    for i, s in enumerate(rebuild):
+        queue = [s]
+        for x in queue:
+            if x in cp.ccw_creases and x not in first:
+                first[x] = i
+                queue += [cp.crease_other_end(c, x) for c in cp.ccw_creases[x]]
+    return sorted(rebuild, key=first.__getitem__)
 
 
 def _bound(g: SawGraph, cp: CreasePattern, v: str, names: dict[str, str]) -> SawGraph:
@@ -280,24 +294,20 @@ def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
     creases in order (undirected edges allowed in between). Returns the
     window's step indices in walk order, wrapping around the walk's end."""
     n = len(walk)
-    target = list(creases)
     for s in range(n):
         e0 = edges[walk[s][1]]
-        if not e0.directed or e0.crease != target[0]:
+        if not e0.directed or e0.crease != creases[0]:
             continue
-        seen = []
-        span = []
-        i = s
-        for _ in range(n):
+        span, seen = [], 0
+        for i in (j % n for j in range(s, s + n)):
             span.append(i)
             e = edges[walk[i][1]]
             if e.directed:
-                seen.append(e.crease)
-                if seen != target[:len(seen)]:
+                if e.crease != creases[seen]:
                     break
-                if len(seen) == len(target):
+                seen += 1
+                if seen == len(creases):
                     return span
-            i = (i + 1) % n
     raise TilingError("window not found on the boundary walk", crease=tuple(creases))
 
 
@@ -375,8 +385,7 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph, vname: str) ->
     """Merge with no shared creases: identify one vertex through the face
     both graphs currently share, fusing u into g in place."""
     # group faces into regions connected across creases not yet crossed
-    present = {e.crease for e in g.edges.values() if e.directed}
-    present |= {e.crease for e in u.edges.values() if e.directed}
+    present = {e.crease for h in (g, u) for e in h.edges.values() if e.directed}
     region = _face_regions(cp, present)
 
     on_walk = g.walk_vertices() if g.walk else set(g.vertices)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 
@@ -13,7 +14,7 @@ from flatfold.cp import build_crease_pattern, cone_at
 from flatfold.saw import _REFUSALS, SawGraph, single_vertex_saw
 from flatfold.generators import (crane, miura, modified_miura, snake, split_waterbomb,
                                  triangle_twist)
-from flatfold.patternio import emit, saw_from_dict, saw_to_dict
+from flatfold.patternio import emit, load_text, saw_from_dict, saw_to_dict
 from flatfold.tiling import clip_order, select_root
 
 from .helpers import (grid_saw, random_crease_graph, reference_clip_order, small_pattern,
@@ -292,6 +293,76 @@ def test_disjoint_merges_onto_a_walk(monkeypatch, xs, chords, width, count, spli
     assert verify_bijection(cp, g).ok
 
 
+def strip_of_units(units, names):
+    """Units left to right in a strip of height 4, a gap of 1 between them,
+    each unit's creases ending on the top and bottom edges: "x" is one X
+    vertex, "c" a chain of two vertices joined by a diagonal crease.
+    Neighbouring units share a face but no crease; names name the
+    vertices in order of appearance."""
+    vertices, creases, points = {}, {}, {}
+    name = iter(names)
+    x0 = 0
+
+    def crease(v, p):
+        points[f"p{p[0]}_{p[1]}"] = p
+        creases[f"k{len(creases)}"] = (v, f"p{p[0]}_{p[1]}")
+
+    for unit in units:
+        if unit == "x":
+            v = next(name)
+            vertices[v] = (x0 + 2, 2)
+            for p in ((x0, 0), (x0 + 4, 0), (x0 + 4, 4), (x0, 4)):
+                crease(v, p)
+            x0 += 5
+        else:
+            a, b = next(name), next(name)
+            vertices[a], vertices[b] = (x0 + 3, 1), (x0 + 4, 2)
+            creases[f"k{len(creases)}"] = (a, b)
+            for p in ((x0 + 2, 0), (x0 + 4, 0), (x0, 4)):
+                crease(a, p)
+            for p in ((x0 + 2, 4), (x0 + 6, 4), (x0 + 6, 0)):
+                crease(b, p)
+            x0 += 7
+    return build_crease_pattern(vertices, creases, [(0, 0), (x0 - 1, 0), (x0 - 1, 4), (0, 4)],
+                                boundary_points=points)
+
+
+def _components(cp):
+    comp = {}
+    for s in sorted(cp.ccw_creases):
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            if x in cp.ccw_creases and x not in comp:
+                comp[x] = s
+                stack += [cp.crease_other_end(c, x) for c in cp.ccw_creases[x]]
+    return comp
+
+
+@pytest.mark.parametrize("units, names", [
+    ("cx", "cab"), ("cc", "acbd"), ("xcx", "adbc"), ("cxc", "abdce"),
+])
+def test_interleaved_components_merge_whole(monkeypatch, units, names):
+    # the reversed clip order interleaves two components, so a component
+    # would be spliced onto a walk whose region spans creases of a vertex
+    # not yet merged; tile merges each component whole instead, and so
+    # never reads a side off a vertex a splice has relabelled. The pattern
+    # is read from its file, as build-saw reads it.
+    cp, _, _ = load_text(emit(strip_of_units(units, names)))
+    comp = _components(cp)
+    rebuilt = [comp[v] for v in reversed(clip_order(cp))]
+    assert any(a != b and a in rebuilt[i + 1:] for i, (a, b) in
+               enumerate(zip(rebuilt, rebuilt[1:])))
+    merged = []
+    real = tiling._merge_vertex
+    monkeypatch.setattr(tiling, "_merge_vertex",
+                        lambda g, cp, v, *args: merged.append(comp[v]) or real(g, cp, v, *args))
+    g = tile(cp)
+    assert merged == sorted(merged, key=merged.index)
+    assert count_colorings(g) == count_locally_valid(cp)
+    assert verify_bijection(cp, g).ok
+
+
 def test_broken_walk_raises_typed_error():
     g = SawGraph()
     a, b, c = g.add_vertex(), g.add_vertex(), g.add_vertex()
@@ -417,28 +488,53 @@ def _split_waterbombs():
                 yield split_waterbomb(cp, v)
 
 
-def test_crossing_edges_join_their_crease_faces():
+def _on_crease_faces(cp, g, e):
+    return {g.vertices[e.u].face, g.vertices[e.v].face} == set(cp.crease_sides[e.crease])
+
+
+def test_crossing_edges_join_their_crease_faces(monkeypatch):
     # tiling reads the side of its crease a crossing edge leaves from off
-    # its tail's face, so each crossing edge of a crease at an interior
-    # vertex must join that crease's two faces. Chords (no interior end)
-    # are left out: the base graph names each chord region's vertex by the
-    # region's least face id, and a disjoint splice renames that vertex
-    # with the incoming vertex's face, so on x_and_chords((1,), (3,), 4)
-    # chord3's edge joins f0 and f4 while chord3 separates f3 and f4.
-    # Tiling never reads a chord's side.
-    patterns = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
-    patterns += [f(m, n) for f in (miura, snake) for m in range(1, 7) for n in range(1, 7)]
-    patterns += [small_pattern("modified-miura", m, n, 1)
-                 for m in range(1, 7) for n in range(1, 7)]
-    patterns += [x_and_chords(*case) for case in
-                 (((1,), (3,), 4), ((1, 5), (), 6), ((1, 5), (3,), 6))]
-    patterns += list(_split_waterbombs())
+    # its tail's face, in _merge_vertex's orientation pass and in _zip's
+    # check, both on the band edges _zip is given; so at every zip each
+    # band edge of both graphs must join its crease's two faces
+    zipped = []
+    real = tiling._zip
+
+    def checked_zip(g, g_span, u, u_span, block):
+        for graph, span in ((g, g_span), (u, u_span)):
+            for i in span:
+                e = graph.edges[graph.walk[i][1]]
+                assert _on_crease_faces(cp, graph, e), e.crease
+                zipped.append(e.crease)
+        return real(g, g_span, u, u_span, block)
+
+    monkeypatch.setattr(tiling, "_zip", checked_zip)
+    # one component each and no chords: each crossing edge of the tiled
+    # graph joins its crease's faces too. Chords are left out: the base
+    # graph names each chord region's vertex by the region's least face
+    # id, and a disjoint splice renames that vertex with the incoming
+    # vertex's face, so on x_and_chords((1,), (3,), 4) chord3's edge joins
+    # f0 and f4 while chord3 separates f3 and f4. Strips of several
+    # components are left out: a disjoint splice onto a walk whose region
+    # spans creases not yet merged renames a vertex of a complete
+    # component. Tiling never reads either side.
+    whole = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
+    whole += [f(m, n) for f in (miura, snake) for m in range(1, 7) for n in range(1, 7)]
+    whole += [small_pattern("modified-miura", m, n, 1)
+              for m in range(1, 7) for n in range(1, 7)]
+    whole += [x_and_chords(*case) for case in
+              (((1,), (3,), 4), ((1, 5), (), 6), ((1, 5), (3,), 6))]
+    whole += list(_split_waterbombs())
     checked = 0
-    for cp in patterns:
+    for cp in whole:
         g = tile(cp)
         for e in g.edges.values():
             if e.directed and set(cp.creases[e.crease]) & set(cp.vertices):
-                ends = {g.vertices[e.u].face, g.vertices[e.v].face}
-                assert ends == set(cp.crease_sides[e.crease]), e.crease
+                assert _on_crease_faces(cp, g, e), e.crease
                 checked += 1
     assert checked > 1000
+    for units in ("cx", "cc", "xcx"):
+        for names in itertools.permutations("abcd"[:len(units) + units.count("c")]):
+            cp = strip_of_units(units, names)
+            tile(cp)
+    assert len(zipped) > 1500
