@@ -5,6 +5,11 @@ Counting and enumerating colorings is a plan of ``search``: each vertex
 reads its earlier neighbours and takes a color none of them has. A crossing
 edge (u, v) over crease c takes the step s(v) - s(u) (mod 3): 1 reads as
 mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
+
+``verify_bijection`` certifies a passing graph from its colorings and the
+oracle's count: when the counts agree and the colorings' images are valid
+at every vertex, pairwise distinct and lift back, the translation is a
+bijection. Any other graph is checked against the oracle's enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 
-from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment
+from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment, cone_at
 from .errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -26,6 +31,7 @@ from .errors import (
 )
 from .saw import SawGraph
 from .search import _reader, depth_first, frontier_count
+from .single_vertex import _valid_codes
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
@@ -122,6 +128,9 @@ _ADD_STEP = bytes((b // 4 + b % 4) % 3 for b in range(256))
 _SUB_STEP = bytes((b // 4 - b % 4) % 3 for b in range(256))
 # colorings that verify_bijection checks, keys and lifts as one block
 _BLOCK = 256
+# the largest cone degree whose step codes fit a byte: verify_bijection
+# certifies a pattern by its cones' tables only up to it
+_TABLE_DEGREE = 8
 
 
 def _packed(a: int, b: int, rows: int, table: bytes) -> bytes:
@@ -434,22 +443,30 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     injectively, and the round-trip identities both ways. The pattern must
     be oracle-tractable.
 
-    Assignments are keyed as the oracle's search gives them, streamed up to
-    ``cap`` (past it the count comes from its DP): ``bytes`` with one step
-    per crease in search order, 1 for mountain and 2 for valley. A coloring
-    is keyed by its crossing-edge steps as they are, read in the same
-    order; a crease no edge crosses reads 0, a value no assignment has.
-    One dict records, for each assignment key, whether a coloring mapped
-    to it, and a set keeps the keys of colorings that map outside M(cp);
-    only assignment keys no coloring produced become MV dicts.
+    A passing graph is certified from its colorings alone, without
+    enumerating M(cp): the count |M(cp)| comes from the oracle's DP
+    (``_first_assignments`` with cap 0), and if it equals the colorings'
+    count, g crosses exactly cp's creases and every interior vertex has
+    degree at most 8, the colorings are checked ``_BLOCK`` at a time on
+    ``_Plan``'s tables. Each coloring must be proper, its image must pass
+    every interior vertex's crimp schedule (the cone's table of valid step
+    codes, ``single_vertex._valid_codes``, read a byte per coloring), no
+    two images may be equal (one set of keys), and each must lift back to
+    its coloring. Then the map is injective from S(g) into M(cp) and
+    |S(g)| == |M(cp)|, so it is a bijection: every field of the report is
+    known, and no assignment is left for the witness pass.
 
-    Colorings are checked, keyed and lifted ``_BLOCK`` at a time on
-    ``_Plan``'s tables, built once per graph: ``colors`` gives a block's
-    color columns and every edge's step column, one ``itemgetter`` each
-    reads the key columns and the lift's step columns, and the keys are
-    the block's rows of its key columns. The record of assignments changes
-    only for a block whose colorings are proper, map to distinct
-    assignments no earlier coloring mapped to, and lift back to
+    Any other outcome runs the exact path, which enumerates M(cp).
+    Assignments are keyed as the oracle's search gives them, streamed up
+    to ``cap`` (past it the count comes from its DP): ``bytes`` with one
+    step per crease in search order, 1 for mountain and 2 for valley. A
+    coloring is keyed by its crossing-edge steps as they are, read in the
+    same order; a crease no edge crosses reads 0, a value no assignment
+    has. One dict records, for each assignment key, whether a coloring
+    mapped to it, and a set keeps the keys of colorings that map outside
+    M(cp); only assignment keys no coloring produced become MV dicts. The
+    record changes only for a block whose colorings are proper, map to
+    distinct assignments no earlier coloring mapped to, and lift back to
     themselves; any other block is checked again a coloring at a time, by
     the same functions, so the report and every error are those of the
     colorings taken one by one.
@@ -461,12 +478,10 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     """
     from .oracle import _first_assignments
     plan = _Plan(g)
-    order, found, count = _first_assignments(cp, cap)
-    if count_colorings(g) > cap:
+    order, _, count = _first_assignments(cp, 0)
+    counted = count_colorings(g)
+    if counted > cap:
         raise CapExceeded(f"more than {cap} colorings")
-    hit = dict.fromkeys(found, False)   # assignment key -> a coloring maps to it
-    del found
-    outside: set[bytes] = set()
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
     # a key reads each crease's steps in search order (the crease's last
@@ -474,6 +489,48 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     key_at = _reader([plan.crossing.get(c, 0) for c in order])
     # the lift's steps: a crease crossed twice takes its last edge's step
     lift_at = _reader([plan.crossing[c] for c, _ in plan.directed])
+
+    def certified() -> bool:
+        """Whether the colorings certify the bijection by themselves."""
+        if not count == counted == n_col or plan.crossing.keys() != cp.creases.keys():
+            return False
+        place = dict(zip(order, range(len(order))))
+        checks = []     # (valid codes, places of the cone's creases in a key)
+        for v in cp.interior_vertex_ids():
+            cone = cone_at(cp, v)
+            if cone.degree > _TABLE_DEGREE:
+                return False
+            checks.append((bytes(_valid_codes(cone.angles)), [place[c] for c in cone.crease_ids]))
+        images: set[bytes] = set()
+        for i in range(0, n_col, _BLOCK):
+            block = colorings[i:i + _BLOCK]
+            rows = len(block)
+            try:
+                cols, steps = plan.colors(block)
+                keys = key_at(steps)
+                ints = [int.from_bytes(k, "big") for k in keys]
+                ones = int.from_bytes(b"\1" * rows, "big")
+                for codes, places in checks:
+                    # every step is 1 or 2, so each byte is its row's code
+                    code = sum(ints[k] << b for b, k in enumerate(places))
+                    code -= ones * ((1 << len(places)) - 1)
+                    if code.to_bytes(rows, "big").translate(None, codes):
+                        return False
+                images.update(_transpose(keys, rows))
+                if len(images) < i + rows or plan.lift(lift_at(steps), rows) != cols:
+                    return False
+            except Exception:  # noqa: BLE001 - checked again on the exact path
+                return False
+        return True
+
+    if certified():
+        return BijectionReport(
+            count_mv=count, count_colorings=n_col, counts_match=True,
+            translation_valid=True, injective=True, round_trip_ok=True)
+    order, found, count = _first_assignments(cp, cap)
+    hit = dict.fromkeys(found, False)   # assignment key -> a coloring maps to it
+    del found
+    outside: set[bytes] = set()
 
     def read(block: list[ThreeColoring]) -> tuple[list[bytes], list[bytes], tuple]:
         """A block's color columns, its keys, and its lift's step columns."""

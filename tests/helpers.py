@@ -291,12 +291,14 @@ def small_pattern(kind: str, m: int, n: int, seed: int):
 _STAR_ENDS = {
     4: [(4, 0), (0, 4), (-4, 0), (0, -4)],
     6: [(4, 0), (2, 4), (-2, 4), (-4, 0), (-2, -4), (2, -4)],
+    10: [(4, 0), (4, 1), (4, 2), (2, 4), (-1, 4), (-4, 0), (-4, -1), (-4, -3),
+         (-2, -4), (1, -4)],
 }
 
 
 def star_pattern(angles):
     """One interior vertex v0 at the centre of a square, with a crease to
-    the boundary per declared sector angle (degree 4 or 6)."""
+    the boundary per declared sector angle (degree 4, 6 or 10)."""
     ends = _STAR_ENDS[len(angles)]
     return build_crease_pattern(
         vertices={"v0": (0, 0)},

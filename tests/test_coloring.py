@@ -39,6 +39,7 @@ from .helpers import (
     reference_lift,
     reference_verify_bijection,
     small_pattern,
+    star_pattern,
 )
 
 
@@ -476,7 +477,8 @@ def bijection_cases(draw):
     swapped, one edge given another's crease (so that crease is crossed
     twice and its own not at all; with "relabel-off" a third edge crosses
     a crease the pattern lacks, so no witness is lifted), one more edge
-    across an existing crease, or its vertices listed in reverse order."""
+    across an existing crease, its vertices listed in reverse order, or
+    one crossing edge made undirected (its crease left uncrossed)."""
     kind = draw(st.sampled_from(["modified-miura", "snake", "twists", "bad-merge"]))
     if kind == "bad-merge":
         cp, g = invalid_joined_twist_saw()
@@ -488,7 +490,7 @@ def bijection_cases(draw):
     a, b, c = [crossing[k] for k in draw(st.lists(
         st.integers(0, len(crossing) - 1), min_size=3, max_size=3, unique=True))]
     edit = draw(st.sampled_from(["none", "reverse", "swap", "relabel", "relabel-off",
-                                 "extra", "reorder"]))
+                                 "extra", "reorder", "uncross"]))
     if edit == "reverse":
         a.u, a.v = a.v, a.u
     elif edit == "swap":
@@ -501,6 +503,8 @@ def bijection_cases(draw):
         g.add_edge(a.u, c.v if c.v != a.u else c.u, directed=True, crease=b.crease)
     elif edit == "reorder":
         g.vertices = dict(reversed(g.vertices.items()))
+    elif edit == "uncross":
+        a.directed, a.crease = False, None
     # a cap under the count of the bad merge's assignments (170), not of
     # its colorings (110), compares only a prefix of the assignments; one
     # under the pattern's count passes the oracle's cap, so the oracle's
@@ -719,3 +723,96 @@ def test_verify_bijection_flags_an_uncrossed_crease():
     assert not report.translation_valid and not want.translation_valid
     assert report.first_counterexample == want.first_counterexample
     assert report.round_trip_ok == want.round_trip_ok
+
+
+def _recorded_caps(monkeypatch) -> list[int]:
+    """The caps of every later call of ``oracle._first_assignments``."""
+    caps: list[int] = []
+    first_assignments = oracle._first_assignments
+    monkeypatch.setattr(oracle, "_first_assignments",
+                        lambda cp, cap: caps.append(cap) or first_assignments(cp, cap))
+    return caps
+
+
+@pytest.mark.parametrize("make", [
+    lambda: miura(4, 4), lambda: small_pattern("modified-miura", 4, 4, 1),
+    lambda: snake(4, 4), lambda: triangle_twist(1), lambda: triangle_twist(2),
+    lambda: triangle_twist(3)],
+    ids=["miura", "modified-miura", "snake", "twists-1", "twists-2", "twists-3"])
+def test_verify_bijection_certifies_without_enumerating_m(monkeypatch, make):
+    # a passing graph is certified from its colorings: the oracle's search
+    # runs with cap 0 (its count from the DP) and keeps no assignment
+    cp = make()
+    g = tile(cp)
+    caps = _recorded_caps(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [0]
+    assert report.ok
+    assert report == reference_verify_bijection(cp, g)
+
+
+def _miura_reversed(k: int):
+    """Miura 3x3 and its graph with crossing edge k reversed."""
+    cp = miura(3, 3)
+    g = tile(cp)
+    e = [e for e in g.edges.values() if e.directed][k]
+    e.u, e.v = e.v, e.u
+    return cp, g
+
+
+@pytest.mark.parametrize("make", [invalid_joined_twist_saw] +
+                         [lambda k=k: _miura_reversed(k) for k in range(12)],
+                         ids=["bad-merge"] + [f"miura-reversed-{k}" for k in range(12)])
+def test_verify_bijection_falls_back_to_the_exact_path(monkeypatch, make):
+    # the bad merge's counts differ (170 and 110); a reversed edge of Miura
+    # 3x3 keeps both counts at 82 and every coloring's lift, so only the
+    # cones' tables see that its images leave M. Each runs the exact path,
+    # which enumerates M, and reports as the reference does
+    cp, g = make()
+    caps = _recorded_caps(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [0, 200000]
+    assert not report.ok
+    if make is not invalid_joined_twist_saw:
+        assert report.count_mv == report.count_colorings == 82
+        assert not report.translation_valid
+    assert report == reference_verify_bijection(cp, g)
+
+
+def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
+    # an edge beside a crossing edge, across a crease the pattern lacks,
+    # keeps every coloring, image and lift: the graph passes, but it does
+    # not cross exactly the pattern's creases, so the exact path runs
+    cp = miura(3, 3)
+    g = tile(cp)
+    e = next(e for e in g.edges.values() if e.directed)
+    g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
+    caps = _recorded_caps(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [0, 200000]
+    assert report.ok
+    assert report == reference_verify_bijection(cp, g)
+
+
+def test_verify_bijection_sees_a_repeated_image(monkeypatch):
+    # a coloring repeated in place of another keeps the count, and each
+    # coloring still lifts back to itself: only the set of images sees two
+    # colorings share an assignment
+    cp = miura(4, 4)
+    g = tile(cp)
+    colorings = enumerate_colorings(g)
+    colorings[coloring._BLOCK + 44] = colorings[3]
+    monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: list(colorings))
+    want = reference_verify_bijection(cp, g)
+    assert want.counts_match and not want.injective
+    assert verify_bijection(cp, g) == want
+
+
+def test_verify_bijection_past_the_table_degree():
+    # one interior vertex of degree 10, whose step codes do not fit a byte:
+    # verify gives the reference's report whichever path it takes
+    cp = star_pattern((10, 20, 30, 40, 80) * 2)
+    g = tile(cp)
+    report = verify_bijection(cp, g)
+    assert report.ok and report.count_mv == 32
+    assert report == reference_verify_bijection(cp, g)
