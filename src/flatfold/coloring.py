@@ -6,15 +6,15 @@ reads its earlier neighbours and takes a color none of them has. A crossing
 edge (u, v) over crease c takes the step s(v) - s(u) (mod 3): 1 reads as
 mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 
-``verify_bijection`` certifies a passing graph from its colorings and the
-oracle's count: when the counts agree and the colorings' images are valid
-at every vertex, pairwise distinct and lift back, the translation is a
-bijection. Any other graph is checked against the oracle's enumeration.
+``verify_bijection`` checks the colorings in one pass: each image must be
+in M (read from the cones' tables of valid step codes, or from the
+oracle's listed assignments), distinct, and lift back. A passing graph
+whose cones fit the tables is certified without listing M.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
@@ -443,33 +443,30 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     injectively, and the round-trip identities both ways. The pattern must
     be oracle-tractable.
 
-    A passing graph is certified from its colorings alone, without
-    enumerating M(cp): the count |M(cp)| comes from the oracle's DP
-    (``_first_assignments`` with cap 0), and if it equals the colorings'
-    count, g crosses exactly cp's creases and every interior vertex has
-    degree at most 8, the colorings are checked ``_BLOCK`` at a time on
-    ``_Plan``'s tables. Each coloring must be proper, its image must pass
-    every interior vertex's crimp schedule (the cone's table of valid step
-    codes, ``single_vertex._valid_codes``, read a byte per coloring), no
-    two images may be equal (one set of keys), and each must lift back to
-    its coloring. Then the map is injective from S(g) into M(cp) and
-    |S(g)| == |M(cp)|, so it is a bijection: every field of the report is
-    known, and no assignment is left for the witness pass.
+    The crease order and |M(cp)| come from the oracle's DP
+    (``_first_assignments`` with cap 0). An assignment is keyed as the
+    oracle's search gives it: ``bytes`` with one step per crease in that
+    order, 1 for mountain and 2 for valley. A coloring is keyed by its
+    crossing-edge steps as they are, read in the same order; a crease no
+    edge crosses reads 0, a value no assignment has. Whether a key is in
+    M(cp) is read from one of two sources, chosen once. When |M(cp)|
+    equals the colorings' count and no interior vertex has more than 8
+    creases, from each cone's table of valid step codes
+    (``single_vertex._valid_codes``), read a byte per coloring. Otherwise
+    from the keys of the oracle's search, listed up to ``cap`` (past it
+    the count comes from its DP).
 
-    Any other outcome runs the exact path, which enumerates M(cp).
-    Assignments are keyed as the oracle's search gives them, streamed up
-    to ``cap`` (past it the count comes from its DP): ``bytes`` with one
-    step per crease in search order, 1 for mountain and 2 for valley. A
-    coloring is keyed by its crossing-edge steps as they are, read in the
-    same order; a crease no edge crosses reads 0, a value no assignment
-    has. One dict records, for each assignment key, whether a coloring
-    mapped to it, and a set keeps the keys of colorings that map outside
-    M(cp); only assignment keys no coloring produced become MV dicts. The
-    record changes only for a block whose colorings are proper, map to
-    distinct assignments no earlier coloring mapped to, and lift back to
-    themselves; any other block is checked again a coloring at a time, by
-    the same functions, so the report and every error are those of the
-    colorings taken one by one.
+    The colorings are checked in one pass, ``_BLOCK`` at a time on
+    ``_Plan``'s tables. A block is recorded whole when its colorings are
+    proper, their keys are distinct, in M(cp) and no earlier coloring's,
+    and each lifts back to its coloring. Any other block is checked again
+    a coloring at a time, by the same functions, so the report and every
+    error are those of the colorings taken one by one. Then each
+    assignment no coloring mapped to must lift to a coloring that maps
+    back to it; only when there is such an assignment are M(cp)'s keys
+    listed, if they were not already. A passing graph whose counts agree
+    maps its |M(cp)| colorings to distinct assignments in M(cp), a
+    bijection, so it leaves no assignment over and M(cp) is not listed.
 
     Raises CapExceeded past ``cap`` colorings. ``count_colorings`` runs
     before any coloring is enumerated, so a graph with more than ``cap``
@@ -479,8 +476,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     from .oracle import _first_assignments
     plan = _Plan(g)
     order, _, count = _first_assignments(cp, 0)
-    counted = count_colorings(g)
-    if counted > cap:
+    if count_colorings(g) > cap:
         raise CapExceeded(f"more than {cap} colorings")
     colorings = enumerate_colorings(g, cap=cap)
     n_col = len(colorings)
@@ -489,92 +485,66 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     key_at = _reader([plan.crossing.get(c, 0) for c in order])
     # the lift's steps: a crease crossed twice takes its last edge's step
     lift_at = _reader([plan.crossing[c] for c, _ in plan.directed])
-
-    def certified() -> bool:
-        """Whether the colorings certify the bijection by themselves."""
-        if not count == counted == n_col or plan.crossing.keys() != cp.creases.keys():
-            return False
+    listed = None       # M(cp)'s keys in search order, once listed
+    cones = [cone_at(cp, v) for v in cp.interior_vertex_ids()]
+    if count == n_col and all(cone.degree <= _TABLE_DEGREE for cone in cones):
         place = dict(zip(order, range(len(order))))
-        checks = []     # (valid codes, places of the cone's creases in a key)
-        for v in cp.interior_vertex_ids():
-            cone = cone_at(cp, v)
-            if cone.degree > _TABLE_DEGREE:
+        # each cone's valid codes and the places of its creases in a key
+        checks = [(bytes(_valid_codes(cone.angles)), [place[c] for c in cone.crease_ids])
+                  for cone in cones]
+
+        def inside(key_cols: Sequence[bytes], keys: Collection[bytes]) -> bool:
+            """Whether every key, with a column per crease ``key_cols``, has
+            no 0 and passes every cone's table."""
+            if 0 in b"".join(key_cols):
                 return False
-            checks.append((bytes(_valid_codes(cone.angles)), [place[c] for c in cone.crease_ids]))
-        images: set[bytes] = set()
-        for i in range(0, n_col, _BLOCK):
-            block = colorings[i:i + _BLOCK]
-            rows = len(block)
-            try:
-                cols, steps = plan.colors(block)
-                keys = key_at(steps)
-                ints = [int.from_bytes(k, "big") for k in keys]
-                ones = int.from_bytes(b"\1" * rows, "big")
-                for codes, places in checks:
-                    # every step is 1 or 2, so each byte is its row's code
-                    code = sum(ints[k] << b for b, k in enumerate(places))
-                    code -= ones * ((1 << len(places)) - 1)
-                    if code.to_bytes(rows, "big").translate(None, codes):
-                        return False
-                images.update(_transpose(keys, rows))
-                if len(images) < i + rows or plan.lift(lift_at(steps), rows) != cols:
+            ints = [int.from_bytes(k, "big") for k in key_cols]
+            ones = int.from_bytes(b"\1" * len(keys), "big")
+            for codes, places in checks:
+                # every step is 1 or 2, so each byte is its row's code
+                code = sum(ints[k] << b for b, k in enumerate(places))
+                code -= ones * ((1 << len(places)) - 1)
+                if code.to_bytes(len(keys), "big").translate(None, codes):
                     return False
-            except Exception:  # noqa: BLE001 - checked again on the exact path
-                return False
-        return True
+            return True
+    else:
+        listed = dict.fromkeys(_first_assignments(cp, cap)[1])
 
-    if certified():
-        return BijectionReport(
-            count_mv=count, count_colorings=n_col, counts_match=True,
-            translation_valid=True, injective=True, round_trip_ok=True)
-    order, found, count = _first_assignments(cp, cap)
-    hit = dict.fromkeys(found, False)   # assignment key -> a coloring maps to it
-    del found
-    outside: set[bytes] = set()
+        def inside(key_cols: Sequence[bytes], keys: Collection[bytes]) -> bool:
+            """Whether every key is a listed assignment's."""
+            return all(map(listed.__contains__, keys))
 
-    def read(block: list[ThreeColoring]) -> tuple[list[bytes], list[bytes], tuple]:
-        """A block's color columns, its keys, and its lift's step columns."""
-        cols, steps = plan.colors(block)
-        return cols, _transpose(key_at(steps), len(block)), lift_at(steps)
-
-    def passes(block: list[ThreeColoring]) -> bool:
-        """Whether the block passes every check; if it does, its
-        assignments are recorded as mapped to."""
-        try:
-            cols, keys, lift_steps = read(block)
-            new = dict.fromkeys(keys, True)
-            # distinct keys, each an assignment (False) no coloring mapped to
-            if len(new) < len(block) or list(map(hit.get, new)).count(False) < len(new):
-                return False
-            if plan.lift(lift_steps, len(block)) != cols:
-                return False
-        except Exception:  # noqa: BLE001 - checked again one by one
-            return False
-        hit.update(new)
-        return True
-
+    hit: set[bytes] = set()         # the keys of images in M(cp)
+    outside: set[bytes] = set()     # the keys of the other images
     translation_valid = injective = round_trip = True
     counterexample = None
 
     for i in range(0, n_col, _BLOCK):
         block = colorings[i:i + _BLOCK]
-        if passes(block):
-            continue
+        try:
+            cols, steps = plan.colors(block)
+            key_cols = key_at(steps)
+            keys = set(_transpose(key_cols, len(block)))
+            if (len(keys) == len(block) and hit.isdisjoint(keys) and inside(key_cols, keys)
+                    and plan.lift(lift_at(steps), len(block)) == cols):
+                hit |= keys
+                continue
+        except Exception:  # noqa: BLE001 - checked again one by one
+            pass
         for s in block:
-            colors, (key,), lift_steps = read([s])
-            mapped = hit.get(key)
-            if mapped is None:
+            colors, steps = plan.colors([s])
+            key_cols = key_at(steps)
+            key = b"".join(key_cols)
+            seen = hit if inside(key_cols, (key,)) else outside
+            if seen is outside:
                 translation_valid = False
                 counterexample = counterexample or ("coloring maps outside M", s)
-                mapped = key in outside
-                outside.add(key)
-            else:
-                hit[key] = True
-            if mapped:
+            if key in seen:
                 injective = False
                 counterexample = counterexample or ("two colorings share an assignment", s)
+            seen.add(key)
             try:
-                back = plan.lift(lift_steps, 1)
+                back = plan.lift(lift_at(steps), 1)
             except Exception as exc:  # noqa: BLE001 - report, don't raise
                 round_trip = False
                 counterexample = counterexample or ("mv_to_coloring failed", str(exc))
@@ -586,9 +556,9 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     # A graph for a transformed pattern crosses creases the pattern lacks,
     # so its witnesses cannot be lifted and are not checked. A witness some
     # coloring produced was lifted above by the same deterministic lift.
-    if not plan.crossing.keys() - set(cp.creases):
-        for key, mapped in hit.items():
-            if mapped:
+    if len(hit) < count and not plan.crossing.keys() - set(cp.creases):
+        for key in _first_assignments(cp, cap)[1] if listed is None else listed:
+            if key in hit:
                 continue
             m = {c: MV_OF_STEP[v] for c, v in zip(order, key)}
             try:

@@ -18,7 +18,7 @@ from flatfold import (
 )
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
-from flatfold.cp import STEP_OF_MV
+from flatfold.cp import STEP_OF_MV, cone_at
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -522,7 +522,15 @@ def test_verify_bijection_matches_reference(case):
     # is a coloring or an assignment; or both raise the same error
     cp, g, cap = case
     want = _outcome(reference_verify_bijection, cp, g, cap)
-    got = _outcome(verify_bijection, cp, g, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        caps = _recorded_caps(mp)
+        got = _outcome(verify_bijection, cp, g, cap)
+    # counts that agree and distinct images in M leave no assignment
+    # unmapped; on cones that fit a byte M is then never listed
+    if (isinstance(got, BijectionReport) and got.counts_match and got.translation_valid
+            and got.injective and all(cone_at(cp, v).degree <= coloring._TABLE_DEGREE
+                                      for v in cp.interior_vertex_ids())):
+        assert caps == [0]
     if isinstance(want, tuple):
         assert got == want
         return
@@ -622,7 +630,11 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
               "lift-differs": "round trip mismatch"}.get(how, "two colorings share an assignment")
     detail = "planted" if how == "lift-fails" else colorings[at]
     assert want.first_counterexample == (reason, detail)
+    caps = _recorded_caps(monkeypatch)
     assert verify_bijection(cp, g) == want
+    if how.startswith("lift"):
+        # every image is a distinct assignment, so none is left to list M for
+        assert caps == [0]
 
 
 def test_verify_bijection_raises_past_cap():
@@ -763,11 +775,12 @@ def _miura_reversed(k: int):
 @pytest.mark.parametrize("make", [invalid_joined_twist_saw] +
                          [lambda k=k: _miura_reversed(k) for k in range(12)],
                          ids=["bad-merge"] + [f"miura-reversed-{k}" for k in range(12)])
-def test_verify_bijection_falls_back_to_the_exact_path(monkeypatch, make):
-    # the bad merge's counts differ (170 and 110); a reversed edge of Miura
-    # 3x3 keeps both counts at 82 and every coloring's lift, so only the
-    # cones' tables see that its images leave M. Each runs the exact path,
-    # which enumerates M, and reports as the reference does
+def test_verify_bijection_lists_m_when_an_assignment_is_unmapped(monkeypatch, make):
+    # the bad merge's counts differ (170 and 110), so M's listed keys are
+    # the membership source; a reversed edge of Miura 3x3 keeps both counts
+    # at 82 and every coloring's lift, so only the cones' tables see that
+    # its images leave M. Either way an assignment is left unmapped, M is
+    # listed for its witness, and the report is the reference's
     cp, g = make()
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
@@ -781,15 +794,15 @@ def test_verify_bijection_falls_back_to_the_exact_path(monkeypatch, make):
 
 def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
     # an edge beside a crossing edge, across a crease the pattern lacks,
-    # keeps every coloring, image and lift: the graph passes, but it does
-    # not cross exactly the pattern's creases, so the exact path runs
+    # keeps every coloring, image and lift: the graph passes and every
+    # assignment is an image, so M is never listed
     cp = miura(3, 3)
     g = tile(cp)
     e = next(e for e in g.edges.values() if e.directed)
     g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [0]
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -808,11 +821,14 @@ def test_verify_bijection_sees_a_repeated_image(monkeypatch):
     assert verify_bijection(cp, g) == want
 
 
-def test_verify_bijection_past_the_table_degree():
+def test_verify_bijection_past_the_table_degree(monkeypatch):
     # one interior vertex of degree 10, whose step codes do not fit a byte:
-    # verify gives the reference's report whichever path it takes
+    # M's listed keys are the membership source, and the report is the
+    # reference's
     cp = star_pattern((10, 20, 30, 40, 80) * 2)
     g = tile(cp)
+    caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
+    assert caps == [0, 200000]
     assert report.ok and report.count_mv == 32
     assert report == reference_verify_bijection(cp, g)
