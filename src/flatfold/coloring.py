@@ -6,10 +6,14 @@ reads its earlier neighbours and takes a color none of them has. A crossing
 edge (u, v) over crease c takes the step s(v) - s(u) (mod 3): 1 reads as
 mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 
+An assignment lifts back to its coloring by one body: from the root, a
+worklist propagates forced colors and a search completes what it leaves.
 ``verify_bijection`` checks the colorings in one pass: each image must be
 in M (read from the cones' tables of valid step codes, or from the
-oracle's listed assignments), distinct, and lift back. A passing graph
-whose cones fit the tables is certified without listing M.
+oracle's listed assignments), distinct, and lift back; where the crossing
+edges span the graph from the root, the last is read off their steps
+without lifting. A passing graph whose cones fit the tables is certified
+without listing M.
 """
 
 from __future__ import annotations
@@ -121,24 +125,13 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
 
 # the color a vertex is forced to, by the bit mask of two banned colors
 _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
-# tables read at byte 4x + y: the step (y - x) mod 3 of an edge whose end
-# colors are x and y, and a color x plus or minus a step y, mod 3
+# the step (y - x) mod 3 of an edge whose end colors are x and y, at byte 4x + y
 _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
-_ADD_STEP = bytes((b // 4 + b % 4) % 3 for b in range(256))
-_SUB_STEP = bytes((b // 4 - b % 4) % 3 for b in range(256))
-# colorings that verify_bijection checks, keys and lifts as one block
+# colorings that verify_bijection checks, keys and lifts back as one block
 _BLOCK = 256
 # the largest cone degree whose step codes fit a byte: verify_bijection
 # certifies a pattern by its cones' tables only up to it
 _TABLE_DEGREE = 8
-
-
-def _packed(a: int, b: int, rows: int, table: bytes) -> bytes:
-    """``table[4x + y]`` for the bytes x of ``a`` and y of ``b`` at each of
-    ``rows`` places, two columns read as ints: one ``to_bytes`` gives every
-    4x + y (x and y are colors or steps, at most 3) and one ``translate``
-    every entry."""
-    return (a << 2 | b).to_bytes(rows, "big").translate(table)
 
 
 def _transpose(seqs: Sequence[Sequence[int]], n: int) -> list[bytes]:
@@ -150,10 +143,9 @@ def _transpose(seqs: Sequence[Sequence[int]], n: int) -> list[bytes]:
 class _Plan:
     """Per-graph tables for checking, translating and lifting colorings.
 
-    The functions take a block of colorings and hold it as columns: a
+    ``colors`` and ``edge_steps`` hold a block of colorings as columns: a
     ``bytes`` per vertex with each coloring's color, and a ``bytes`` per
-    edge with each coloring's step on it. ``coloring_to_mv`` and
-    ``mv_to_coloring`` pass a block of one.
+    edge with each coloring's step on it. ``lift`` takes one row of steps.
 
     A vertex's index is its place in ``vertices``, the sorted ids (the
     order of ``enumerate_colorings``). ``edges`` holds each edge's id,
@@ -162,9 +154,9 @@ class _Plan:
     the place of its steps in ``edge_steps``, and ``crossing`` that place
     for each crease's last crossing edge, whose step the crease takes. A
     crossing edge's step is (s(head) - s(tail)) mod 3: 1 for mountain, 2
-    for valley. The tables of ``colors`` (its getters) and of ``lift``
-    (``nbrs`` and ``_tree``) are built on their first call, so
-    ``coloring_to_mv`` and ``mv_to_coloring`` build only what they use.
+    for valley. ``colors``' getters, ``lift``'s ``nbrs`` and ``spans`` are
+    built on first use, so ``coloring_to_mv`` and ``mv_to_coloring`` build
+    only what they use.
     Building, checking, translating and lifting are each O(V + E) per
     coloring; only the completion search of a stalled lift can take longer.
     """
@@ -230,69 +222,41 @@ class _Plan:
 
     def edge_steps(self, cols: list[bytes]) -> list[bytes]:
         """A zero column, then each edge's steps (s(v) - s(u)) mod 3, in
-        edge order, of the block with color columns ``cols``."""
+        edge order, of the block with color columns ``cols``: the columns
+        read as ints, one ``to_bytes`` gives each edge's 4 s(u) + s(v) and
+        one ``translate`` its steps."""
         rows = len(cols[0])
         ints = [int.from_bytes(c, "big") for c in cols]
-        return [bytes(rows)] + [_packed(ints[u], ints[v], rows, _STEP_OF_PAIR)
-                                for _, u, v, _ in self.edges]
+        return [bytes(rows)] + [(ints[u] << 2 | ints[v]).to_bytes(rows, "big")
+                                .translate(_STEP_OF_PAIR) for _, u, v, _ in self.edges]
 
     def to_mv(self, steps: list[bytes]) -> MVAssignment:
         """The MV assignment of a block of one from its ``edge_steps``."""
         return {c: MV_OF_STEP[steps[j][0]] for c, j in self.crossing.items()}
 
-    def steps(self, mv: MVAssignment) -> list[bytes]:
-        """Each crossing edge's step column in the block of one coloring
-        that encodes ``mv``."""
-        steps = [STEP_OF_MV.get(mv.get(c), 0) for c, _ in self.directed]
+    def steps(self, mv: MVAssignment) -> bytes:
+        """Each crossing edge's step in the coloring that encodes ``mv``."""
+        steps = bytes(STEP_OF_MV.get(mv.get(c), 0) for c, _ in self.directed)
         if 0 in steps:
             c = self.directed[steps.index(0)][0]
             raise NoCompletion(f"crease {c} has value {mv.get(c)!r}, not 1 or -1")
-        return [bytes((step,)) for step in steps]
+        return steps
 
-    def lift(self, steps: Sequence[bytes], rows: int) -> list[bytes]:
-        """The color columns of the block of ``rows`` colorings whose
-        crossing edges take ``steps``, a column per crossing edge.
-
-        When the crossing edges reached from the root span the graph, the
-        colors follow from the root along a breadth-first tree of them, a
-        column at a time, and the block stands if, by its ``edge_steps``,
-        every crossing edge takes its steps and no undirected edge joins
-        two equal colors; no other coloring can take the steps. Otherwise
-        each row is lifted alone: a worklist propagates forced colors from
-        the root (``_propagate``) and a search completes what it leaves
-        (``_search``). Raises NoCompletion or AmbiguousCompletion when a
-        row has no coloring or more than one, of the type its first such
-        row raises alone; on a block of one, for its first failed check.
-        """
+    def lift(self, steps: Sequence[int]) -> list[int]:
+        """The colors of the coloring whose crossing edges take ``steps``,
+        one per crossing edge: a worklist propagates forced colors from the
+        root (``_propagate``) and a search completes what it leaves
+        (``_search``). Raises NoCompletion or AmbiguousCompletion when no
+        coloring or more than one takes the steps."""
         if self.root is None:
             raise NoCompletion(f"root {self.root_id} is not a vertex")
-        tree = self._tree
-        if tree is None:
-            out = []
-            for row in _transpose(steps, rows):
-                colors = [-1] * len(self.vertices)
-                banned = [0] * len(self.vertices)
-                colors[self.root] = 0
-                err = self._propagate(colors, banned, self.root, row)
-                if err:
-                    raise NoCompletion(err)
-                if -1 in colors:
-                    colors = self._search(colors, banned, row)
-                out.append(colors)
-            return _transpose(out, len(self.vertices))
-        cols = [bytes(rows)] * len(self.vertices)
-        for v, p, k, table in tree:
-            cols[v] = _packed(int.from_bytes(cols[p], "big"),
-                              int.from_bytes(steps[k], "big"), rows, table)
-        got = self.edge_steps(cols)
-        for (c, j), want in zip(self.directed, steps):
-            if got[j] != want:
-                raise NoCompletion(f"crease {c} translates inconsistently")
-        for j, (_, u, v, k) in enumerate(self.edges, 1):
-            if k < 0 and (i := got[j].find(0)) >= 0:
-                raise NoCompletion(f"SAW vertices {self.vertices[u]} and "
-                                   f"{self.vertices[v]} share color {cols[u][i]}")
-        return cols
+        colors = [-1] * len(self.vertices)
+        banned = [0] * len(self.vertices)
+        colors[self.root] = 0
+        err = self._propagate(colors, banned, self.root, steps)
+        if err:
+            raise NoCompletion(err)
+        return self._search(colors, banned, steps) if -1 in colors else colors
 
     def _propagate(self, colors: list[int], banned: list[int], start: int,
                    steps: Sequence[int]) -> str | None:
@@ -372,24 +336,20 @@ class _Plan:
         return cross, plain
 
     @cached_property
-    def _tree(self):
-        """The tree of the tree lift, or None when the crossing edges
-        reached from the root miss a vertex: its vertices in breadth-first
-        order as ``(vertex, parent, k, table)``, the vertex's colors being
-        the parent's plus (``_ADD_STEP``) or minus (``_SUB_STEP``) steps
-        k."""
-        reached = [False] * len(self.vertices)
-        reached[self.root] = True
+    def spans(self) -> bool:
+        """Whether the crossing edges reached from the root reach every
+        vertex, so that the steps fix every color of a lift."""
+        if self.root is None:
+            return False
+        reached = {self.root}
         queue = [self.root]
-        order = []
         cross = self.nbrs[0]
-        for p in queue:             # the queue grows as the search reaches
-            for w, k, sign in cross[p]:
-                if not reached[w]:
-                    reached[w] = True
+        for v in queue:             # the queue grows as the search reaches
+            for w, _, _ in cross[v]:
+                if w not in reached:
+                    reached.add(w)
                     queue.append(w)
-                    order.append((w, p, k, _ADD_STEP if sign > 0 else _SUB_STEP))
-        return order if len(queue) == len(self.vertices) else None
+        return len(reached) == len(self.vertices)
 
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
@@ -401,14 +361,13 @@ def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     """Invert the translation: the coloring that encodes ``mv``.
 
-    The colors follow from the root (colored 0) along a spanning tree of
-    crossing edges where there is one. Otherwise a worklist propagates
-    forced colors: a crossing edge forces its far endpoint, and a vertex
-    with two colors banned by its undirected neighbours takes the third;
-    if propagation stalls, a depth-first search on an explicit stack
-    completes it and stops at the second completion. Every edge is
-    checked, so a returned coloring is proper and translates back to
-    ``mv`` on every crease the graph crosses.
+    From the root (colored 0), a worklist propagates forced colors: a
+    crossing edge forces its far endpoint, and a vertex with two colors
+    banned by its undirected neighbours takes the third; if propagation
+    stalls, a depth-first search on an explicit stack completes it and
+    stops at the second completion. Every edge is checked, so a returned
+    coloring is proper and translates back to ``mv`` on every crease the
+    graph crosses.
 
     ``mv`` must give every crease the graph crosses; values of other
     creases are ignored. Raises NoCompletion when no coloring encodes
@@ -416,7 +375,7 @@ def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     when two or more do.
     """
     plan = _Plan(g)
-    return dict(zip(plan.vertices, b"".join(plan.lift(plan.steps(mv), 1))))
+    return dict(zip(plan.vertices, plan.lift(plan.steps(mv))))
 
 
 @dataclass
@@ -459,9 +418,12 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     The colorings are checked in one pass, ``_BLOCK`` at a time on
     ``_Plan``'s tables. A block is recorded whole when its colorings are
     proper, their keys are distinct, in M(cp) and no earlier coloring's,
-    and each lifts back to its coloring. Any other block is checked again
-    a coloring at a time, by the same functions, so the report and every
-    error are those of the colorings taken one by one. Then each
+    and each lifts back to its coloring. Where the crossing edges reached
+    from the root span the graph (``_Plan.spans``) they fix every color,
+    so a proper coloring lifts back exactly when each crossing edge takes
+    its crease's step, and no block is lifted. Any other block is checked
+    again a coloring at a time, by the same functions, so the report and
+    every error are those of the colorings taken one by one. Then each
     assignment no coloring mapped to must lift to a coloring that maps
     back to it; only when there is such an assignment are M(cp)'s keys
     listed, if they were not already. A passing graph whose counts agree
@@ -485,6 +447,16 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     key_at = _reader([plan.crossing.get(c, 0) for c in order])
     # the lift's steps: a crease crossed twice takes its last edge's step
     lift_at = _reader([plan.crossing[c] for c, _ in plan.directed])
+    edge_at = _reader([j for _, j in plan.directed])     # each edge's own steps
+
+    def lifts_back(cols: list[bytes], steps: list[bytes]) -> bool:
+        """Whether each coloring of a proper block lifts back to itself."""
+        if plan.spans:
+            return edge_at(steps) == lift_at(steps)
+        rows = len(cols[0])
+        return ([bytes(plan.lift(r)) for r in _transpose(lift_at(steps), rows)]
+                == _transpose(cols, rows))
+
     listed = None       # M(cp)'s keys in search order, once listed
     cones = [cone_at(cp, v) for v in cp.interior_vertex_ids()]
     if count == n_col and all(cone.degree <= _TABLE_DEGREE for cone in cones):
@@ -526,7 +498,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
             key_cols = key_at(steps)
             keys = set(_transpose(key_cols, len(block)))
             if (len(keys) == len(block) and hit.isdisjoint(keys) and inside(key_cols, keys)
-                    and plan.lift(lift_at(steps), len(block)) == cols):
+                    and lifts_back(cols, steps)):
                 hit |= keys
                 continue
         except Exception:  # noqa: BLE001 - checked again one by one
@@ -544,25 +516,26 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
                 counterexample = counterexample or ("two colorings share an assignment", s)
             seen.add(key)
             try:
-                back = plan.lift(lift_at(steps), 1)
+                back = bytes(plan.lift(b"".join(lift_at(steps))))
             except Exception as exc:  # noqa: BLE001 - report, don't raise
                 round_trip = False
                 counterexample = counterexample or ("mv_to_coloring failed", str(exc))
                 continue
-            if back != colors:
+            if back != b"".join(colors):
                 round_trip = False
                 counterexample = counterexample or ("round trip mismatch", s)
     # both ways: every valid assignment lifts to a coloring that maps back.
     # A graph for a transformed pattern crosses creases the pattern lacks,
     # so its witnesses cannot be lifted and are not checked. A witness some
-    # coloring produced was lifted above by the same deterministic lift.
+    # coloring produced had its round trip checked above.
     if len(hit) < count and not plan.crossing.keys() - set(cp.creases):
         for key in _first_assignments(cp, cap)[1] if listed is None else listed:
             if key in hit:
                 continue
             m = {c: MV_OF_STEP[v] for c, v in zip(order, key)}
             try:
-                if plan.to_mv(plan.edge_steps(plan.lift(plan.steps(m), 1))) != m:
+                back = _transpose([plan.lift(plan.steps(m))], len(plan.vertices))
+                if plan.to_mv(plan.edge_steps(back)) != m:
                     round_trip = False
                     counterexample = counterexample or ("assignment round trip", m)
             except Exception as exc:  # noqa: BLE001

@@ -476,11 +476,11 @@ _LEFT = [tuple(c for c in range(3) if not banned >> c & 1) for banned in range(8
 
 
 def reference_lift(g: SawGraph, steps: list[int]) -> list[int]:
-    """``coloring._Plan.lift`` as it was before the tree lift: from the
-    root (colored 0), a worklist propagates forced colors over every graph,
-    and a depth-first search completes a stalled propagation, stopping at
-    the second completion. Returns the color list over the sorted vertex
-    ids; raises NoCompletion or AmbiguousCompletion."""
+    """``coloring._Plan.lift`` written on the graph's edges, with no
+    per-graph tables: from the root (colored 0), a worklist propagates
+    forced colors, and a depth-first search completes a stalled
+    propagation, stopping at the second completion. Returns the color list
+    over the sorted vertex ids; raises NoCompletion or AmbiguousCompletion."""
     vertices = sorted(g.vertices)
     index = {v: i for i, v in enumerate(vertices)}
     root = index.get(g.root)

@@ -337,15 +337,15 @@ def test_verify_bijection_passes_on_families():
 
 
 @st.composite
-def lift_cases(draw, max_rows=1):
-    """(graph, rows): a tiled Miura, modified Miura, snake, joined twists
+def lift_cases(draw):
+    """(graph, steps): a tiled Miura, modified Miura, snake, joined twists
     or the crane, perhaps with one crossing edge reversed, one more
     crossing edge over its crease, its crease left uncrossed, or the root
-    removed; and 1 to ``max_rows`` rows of steps, each drawn at random,
-    taken from a random color list (the crossing edges agree wherever its
-    colors differ, the undirected edges may not), taken from a proper
-    coloring, or taken from one of the pattern's first 20 locally-valid
-    assignments (without an edit, these two lift)."""
+    removed; and a row of steps drawn at random, taken from a random color
+    list (the crossing edges agree wherever its colors differ, the
+    undirected edges may not), taken from a proper coloring, or taken from
+    one of the pattern's first 20 locally-valid assignments (without an
+    edit, these two lift)."""
     kind = draw(st.sampled_from(["miura", "modified-miura", "snake", "twists", "crane"]))
     if kind == "crane":
         cp = crane()
@@ -388,7 +388,7 @@ def lift_cases(draw, max_rows=1):
             s[g.root] = 0
         return [(s[e.v] - s[e.u]) % 3 or 1 for e in directed]
 
-    return g, [row() for _ in range(draw(st.integers(1, max_rows)))]
+    return g, row()
 
 
 def _lifted(lift, *args):
@@ -399,58 +399,50 @@ def _lifted(lift, *args):
         return type(exc)
 
 
-def _block_lift(plan, rows):
-    """``plan.lift`` of the rows of steps as one block: each row's color
-    list, or the type of the error raised."""
-    cols = _lifted(plan.lift, coloring._transpose(rows, len(plan.directed)), len(rows))
-    return cols if isinstance(cols, type) else list(map(list, zip(*cols)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(lift_cases())
 def test_lift_matches_reference(case):
-    # the tree lift (graphs whose crossing edges from the root span them)
-    # and the worklist lift (the others) give the propagate-and-search
-    # lift's colors, or raise the same type of error
-    g, (steps,) = case
-    want = _lifted(reference_lift, g, steps)
-    assert _block_lift(coloring._Plan(g), [steps]) == \
-        (want if isinstance(want, type) else [want])
+    # on every graph, whether or not its crossing edges from the root span
+    # it, the lift gives the propagate-and-search lift's colors, or raises
+    # the same type of error
+    g, steps = case
+    assert _lifted(coloring._Plan(g).lift, steps) == _lifted(reference_lift, g, steps)
 
 
-@settings(max_examples=100, deadline=None)
-@given(lift_cases(max_rows=8))
-def test_block_lift_matches_each_row(case):
-    # a block of rows lifts to what each row lifts to alone: every row's
-    # colors when each row lifts, else the error type of the first row
-    # that fails alone, on the tree lift (a column at a time) and on the
-    # worklist lift (a row at a time) alike
-    g, rows = case
-    plan = coloring._Plan(g)
-    alone = [_block_lift(plan, [r]) for r in rows]
-    failed = [a for a in alone if isinstance(a, type)]
-    assert _block_lift(plan, rows) == (failed[0] if failed else [c for c, in alone])
-
-
-def test_lift_takes_the_tree_where_crossing_edges_span():
-    # the Miura, modified-Miura and snake graphs lift along a tree; the
-    # crane and joined twists, with several crossing components, do not
+def test_plan_spans_where_crossing_edges_reach_every_vertex():
+    # the crossing edges from the root reach every vertex of the Miura,
+    # modified-Miura and snake graphs; the crane and joined twists have
+    # several crossing components, and a graph without its root spans none
     for cp, spans in [(miura(4, 4), True), (small_pattern("modified-miura", 4, 4, 1), True),
                       (snake(4, 4), True), (triangle_twist(3), False), (crane(), False)]:
-        assert (coloring._Plan(tile(cp))._tree is not None) == spans
+        assert coloring._Plan(tile(cp)).spans == spans
+    g = tile(miura(2, 2))
+    g.root = max(g.vertices) + 1
+    assert not coloring._Plan(g).spans
 
 
-def test_verify_bijection_lifts_each_assignment_once(monkeypatch):
-    lifted = []     # the rows of each lifted block
-    real = coloring._Plan.lift
+def _recorded_lifts(monkeypatch) -> list[bytes]:
+    """The steps of every later call of ``_Plan.lift``."""
+    lifted: list[bytes] = []
+    lift = coloring._Plan.lift
     monkeypatch.setattr(coloring._Plan, "lift",
-                        lambda plan, steps, rows: lifted.append(rows) or real(plan, steps, rows))
-    cp = miura(3, 3)
-    report = verify_bijection(cp, tile(cp))
-    assert report.ok and report.count_mv == 82
+                        lambda plan, steps: lifted.append(bytes(steps)) or lift(plan, steps))
+    return lifted
+
+
+@pytest.mark.parametrize("make, count, lifts", [(lambda: miura(3, 3), 82, 0),
+                                                (lambda: triangle_twist(2), 170, 170)],
+                         ids=["miura", "twists-2"])
+def test_verify_bijection_lifts_each_assignment_once(monkeypatch, make, count, lifts):
     # the coloring pass lifts every assignment a coloring maps to, so the
-    # witness pass has none left to lift (it lifted all 82 again before)
-    assert sum(lifted) == 82
+    # witness pass has none left to lift; where the crossing edges span
+    # the graph, as on Miura 3x3, it reads the round trip off their steps
+    # and lifts none
+    cp = make()
+    lifted = _recorded_lifts(monkeypatch)
+    report = verify_bijection(cp, tile(cp))
+    assert report.ok and report.count_mv == count
+    assert len(lifted) == lifts
 
 
 def test_verify_bijection_flags_bad_merge():
@@ -477,8 +469,10 @@ def bijection_cases(draw):
     swapped, one edge given another's crease (so that crease is crossed
     twice and its own not at all; with "relabel-off" a third edge crosses
     a crease the pattern lacks, so no witness is lifted), one more edge
-    across an existing crease, its vertices listed in reverse order, or
-    one crossing edge made undirected (its crease left uncrossed)."""
+    across an existing crease (last in the edge order, or with
+    "extra-first" first, so the crease still takes its own edge's step),
+    its vertices listed in reverse order, or one crossing edge made
+    undirected (its crease left uncrossed)."""
     kind = draw(st.sampled_from(["modified-miura", "snake", "twists", "bad-merge"]))
     if kind == "bad-merge":
         cp, g = invalid_joined_twist_saw()
@@ -490,7 +484,7 @@ def bijection_cases(draw):
     a, b, c = [crossing[k] for k in draw(st.lists(
         st.integers(0, len(crossing) - 1), min_size=3, max_size=3, unique=True))]
     edit = draw(st.sampled_from(["none", "reverse", "swap", "relabel", "relabel-off",
-                                 "extra", "reorder", "uncross"]))
+                                 "extra", "extra-first", "reorder", "uncross"]))
     if edit == "reverse":
         a.u, a.v = a.v, a.u
     elif edit == "swap":
@@ -499,8 +493,10 @@ def bijection_cases(draw):
         a.crease = b.crease
         if edit == "relabel-off":
             c.crease = "elsewhere"
-    elif edit == "extra":
-        g.add_edge(a.u, c.v if c.v != a.u else c.u, directed=True, crease=b.crease)
+    elif edit.startswith("extra"):
+        eid = g.add_edge(a.u, c.v if c.v != a.u else c.u, directed=True, crease=b.crease)
+        if edit == "extra-first":
+            g.edges = {eid: g.edges.pop(eid), **g.edges}
     elif edit == "reorder":
         g.vertices = dict(reversed(g.vertices.items()))
     elif edit == "uncross":
@@ -522,9 +518,15 @@ def test_verify_bijection_matches_reference(case):
     # is a coloring or an assignment; or both raise the same error
     cp, g, cap = case
     want = _outcome(reference_verify_bijection, cp, g, cap)
+    spans = coloring._Plan(g).spans
     with pytest.MonkeyPatch.context() as mp:
         caps = _recorded_caps(mp)
+        lifted = _recorded_lifts(mp)
         got = _outcome(verify_bijection, cp, g, cap)
+    # where the crossing edges span the graph, a passing report reads
+    # every round trip off the crossing edges' steps and lifts nothing
+    if isinstance(got, BijectionReport) and got.ok and spans:
+        assert lifted == []
     # counts that agree and distinct images in M leave no assignment
     # unmapped; on cones that fit a byte M is then never listed
     if (isinstance(got, BijectionReport) and got.counts_match and got.translation_valid
@@ -582,19 +584,17 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     assert _outcome(verify_bijection, cp, g, 200000) == want
 
 
-# colors 1 and 2 swapped, every other byte kept
-_MIRROR = bytes((0, 2, 1)) + bytes(range(3, 256))
-
-
 @pytest.mark.parametrize("how", ["repeat-earlier", "repeat-same", "outside",
                                  "lift-fails", "lift-differs"])
 def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, how):
     # in the second block of Miura 4x4, a repeat of a coloring of the first
-    # block or of its own, a coloring whose assignment the oracle's search
-    # leaves out, or one whose lift (in a block or alone, patched) fails or
-    # gives other colors: the block is checked again one by one, and the
-    # report is the list-based reference's, counterexample included
-    cp = miura(4, 4)
+    # block or of its own, or a coloring whose assignment the oracle's
+    # search leaves out; in the second block of joined twists 3, whose
+    # crossing edges do not span it, so that each coloring is lifted, one
+    # whose lift (patched) fails or gives other colors: the block is
+    # checked again one by one, and the report is the list-based
+    # reference's, counterexample included
+    cp = triangle_twist(3) if how.startswith("lift") else miura(4, 4)
     g = tile(cp)
     at = coloring._BLOCK + 44
     colorings = enumerate_colorings(g)
@@ -606,13 +606,13 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
         target = bytes(STEP_OF_MV[mv[c]] for c, _ in coloring._Plan(g).directed)
         lift = coloring._Plan.lift
 
-        def planted(plan, steps, rows):
-            cols = lift(plan, steps, rows)
-            if target not in coloring._transpose(steps, rows):
-                return cols
+        def planted(plan, steps):
+            colors = lift(plan, steps)
+            if bytes(steps) != target:
+                return colors
             if how == "lift-fails":
                 raise NoCompletion("planted")
-            return [c.translate(_MIRROR) for c in cols]
+            return [-c % 3 for c in colors]     # colors 1 and 2 swapped
 
         monkeypatch.setattr(coloring._Plan, "lift", planted)
     elif how == "outside":
@@ -713,16 +713,13 @@ def test_verify_bijection_stops_the_search_at_cap(monkeypatch):
 def test_verify_bijection_skips_witness_lifts_off_the_pattern(monkeypatch):
     # a graph that crosses a crease the pattern lacks lifts only what its
     # colorings map to; the witness pass is skipped
-    lifted = []     # the rows of each lifted block
-    real = coloring._Plan.lift
-    monkeypatch.setattr(coloring._Plan, "lift",
-                        lambda plan, steps, rows: lifted.append(rows) or real(plan, steps, rows))
+    lifted = _recorded_lifts(monkeypatch)
     cp = miura(2, 3)
     g = tile(cp)
     next(e for e in g.edges.values() if e.directed).crease = "elsewhere"
     report = verify_bijection(cp, g)
     assert not report.translation_valid
-    assert sum(lifted) == report.count_colorings
+    assert len(lifted) == report.count_colorings
 
 
 def test_verify_bijection_flags_an_uncrossed_crease():
@@ -789,6 +786,24 @@ def test_verify_bijection_lists_m_when_an_assignment_is_unmapped(monkeypatch, ma
     if make is not invalid_joined_twist_saw:
         assert report.count_mv == report.count_colorings == 82
         assert not report.translation_valid
+    assert report == reference_verify_bijection(cp, g)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_verify_bijection_sees_a_crossing_edge_against_its_crease(k):
+    # a reversed copy of Miura 3x3's crossing edge k, listed first, keeps
+    # every coloring and every image (its crease takes its last crossing
+    # edge's step), but no coloring takes the crease's step on the copy:
+    # only the round trip, read off the crossing edges' steps, sees it
+    cp = miura(3, 3)
+    g = tile(cp)
+    e = [e for e in g.edges.values() if e.directed][k]
+    eid = g.add_edge(e.v, e.u, directed=True, crease=e.crease)
+    g.edges = {eid: g.edges.pop(eid), **g.edges}
+    report = verify_bijection(cp, g)
+    assert report.count_mv == report.count_colorings == 82
+    assert report.translation_valid and report.injective
+    assert not report.round_trip_ok
     assert report == reference_verify_bijection(cp, g)
 
 
