@@ -267,43 +267,31 @@ _LATTICE_DIRS = {
 
 
 def _ray_to_rect(p, d, xlo, xhi, ylo, yhi):
-    """Exact first intersection of the ray p + t*d with the rectangle."""
-    best = None
+    """Exact first intersection of the ray p + t*d with the rectangle: the
+    smallest positive t, over the sides d is not parallel to, at which the
+    ray meets the closed rectangle."""
     px, py = F(p[0]), F(p[1])
     dx, dy = F(d[0]), F(d[1])
-    for value, coord in ((xlo, "x"), (xhi, "x"), (ylo, "y"), (yhi, "y")):
-        if coord == "x":
-            if dx == 0:
-                continue
-            t = (F(value) - px) / dx
-            q = (F(value), py + t * dy)
-        else:
-            if dy == 0:
-                continue
-            t = (F(value) - py) / dy
-            q = (px + t * dx, F(value))
-        if t <= 0:
-            continue
-        if not (F(xlo) <= q[0] <= F(xhi) and F(ylo) <= q[1] <= F(yhi)):
-            continue
-        if best is None or t < best[0]:
-            best = (t, q)
-    if best is None:
-        raise ValidationError("ray misses the region")
-    return best[1]
+    ts = ([(F(x) - px) / dx for x in (xlo, xhi) if dx]
+          + [(F(y) - py) / dy for y in (ylo, yhi) if dy])
+    for t, q in sorted((t, (px + t * dx, py + t * dy)) for t in ts if t > 0):
+        if F(xlo) <= q[0] <= F(xhi) and F(ylo) <= q[1] <= F(yhi):
+            return q
+    raise ValidationError("ray misses the region")
 
 
-def _mirror_x(m):
-    """Reflection across the true-vertical line through lattice x = m maps
-    lattice (x, y) to (2m - x - y, y) and direction (dx, dy) to
-    (-dx - dy, dy)."""
-    def pt(p):
-        return (2 * m - p[0] - p[1], p[1])
-
-    def vec(d):
-        return (-d[0] - d[1], d[1])
-
-    return pt, vec
+# Joined twists: unit k + 1 is unit k's image under row k, a reflection as a
+# point map and a direction map on the lattice: across the true-vertical
+# line through lattice x = -1, then across the line perpendicular to unit
+# 1's outgoing strip rays (on the lattice, a coordinate swap about a fixed
+# point on the strip).
+_TWIST_REFLECTIONS = (
+    (lambda p: (-2 - p[0] - p[1], p[1]), lambda d: (-d[0] - d[1], d[1])),
+    (lambda p: (p[1] - 5, p[0] + 5), lambda d: (d[1], d[0])),
+)
+# shared strips: unit k and k + 1 share the images of these corners' second
+# rays (the CA strip for the first pair), joined by one connector crease each
+_TWIST_SHARED = (("A", "C"), ("B", "C"))
 
 
 def triangle_twist(count: int = 1) -> CreasePattern:
@@ -315,28 +303,12 @@ def triangle_twist(count: int = 1) -> CreasePattern:
     """
     if count not in (1, 2, 3):
         raise ValueError("count must be 1, 2 or 3")
-    corners = {"A": (0, 0), "B": (1, 0), "C": (0, 1)}
-    units = [{k: v for k, v in corners.items()}]
+    units = [{"A": (0, 0), "B": (1, 0), "C": (0, 1)}]
     ray_dirs = [dict(A=[(1, -1), (-1, 0)], B=[(1, -1), (0, 1)], C=[(0, 1), (-1, 0)])]
-    if count >= 2:
-        pt, vec = _mirror_x(-1)
-        units.append({k: pt(v) for k, v in units[0].items()})
-        ray_dirs.append({k: [vec(d) for d in ds] for k, ds in ray_dirs[0].items()})
-    if count >= 3:
-        # mirror unit 2 across the line perpendicular to its outgoing strip
-        # rays; on the lattice this reflection is a coordinate swap about a
-        # fixed point on the strip
-        def pt3(p):
-            return (p[1] - 5, p[0] + 5)
+    for pt, vec in _TWIST_REFLECTIONS[:count - 1]:
+        units.append({k: pt(p) for k, p in units[-1].items()})
+        ray_dirs.append({k: [vec(d) for d in ds] for k, ds in ray_dirs[-1].items()})
 
-        def vec3(d):
-            return (d[1], d[0])
-
-        units.append({k: pt3(v) for k, v in units[1].items()})
-        ray_dirs.append({k: [vec3(d) for d in ds] for k, ds in ray_dirs[1].items()})
-
-    # shared strips: unit k and k+1 share the images of A's and C's
-    # second rays (the CA strip for the first pair)
     b = _Builder()
     vid = {}
     for t, u in enumerate(units):
@@ -348,20 +320,14 @@ def triangle_twist(count: int = 1) -> CreasePattern:
             b.crease(vid[(t, k1)], vid[(t, k2)])
 
     # connector creases between mirror-paired corners
-    shared_pairs = []
-    if count >= 2:
-        shared_pairs.append(((0, "A"), (1, "A")))
-        shared_pairs.append(((0, "C"), (1, "C")))
-    if count >= 3:
-        shared_pairs.append(((1, "B"), (2, "B")))
-        shared_pairs.append(((1, "C"), (2, "C")))
     connected = set()
-    for (t1, k1), (t2, k2) in shared_pairs:
-        b.crease(vid[(t1, k1)], vid[(t2, k2)])
-        p1, p2 = units[t1][k1], units[t2][k2]
-        d = primitive((p2[0] - p1[0], p2[1] - p1[1]))
-        connected.add((t1, k1, tuple(d)))
-        connected.add((t2, k2, (-d[0], -d[1])))
+    for t, shared in enumerate(_TWIST_SHARED[:count - 1]):
+        for k in shared:
+            b.crease(vid[(t, k)], vid[(t + 1, k)])
+            p1, p2 = units[t][k], units[t + 1][k]
+            d = primitive((p2[0] - p1[0], p2[1] - p1[1]))
+            connected.add((t, k, tuple(d)))
+            connected.add((t + 1, k, (-d[0], -d[1])))
 
     # free rays to the boundary
     xs = [p[0] for u in units for p in u.values()]
@@ -380,9 +346,8 @@ def triangle_twist(count: int = 1) -> CreasePattern:
     def lattice_sector(d1, d2):
         return F((_LATTICE_DIRS[d2] - _LATTICE_DIRS[d1]) % 360)
 
-    for t in range(count):
-        for k in ("A", "B", "C"):
-            b.declare(vid[(t, k)], lattice_sector)
+    for v in vid.values():
+        b.declare(v, lattice_sector)
 
     region = [(F(xlo), F(ylo)), (F(xhi), F(ylo)), (F(xhi), F(yhi)), (F(xlo), F(yhi))]
     return b.build(region)

@@ -31,11 +31,10 @@ def render_svg(cp: CreasePattern, mv: MVAssignment | None = None,
         # y flipped so the pattern reads the usual way up
         return (float(p[0] - xlo + pad), float(yhi + pad - p[1]))
 
-    w = float((xhi - xlo + 2 * pad)) * scale
-    h = float((yhi - ylo + 2 * pad)) * scale
+    w, h = float(xhi - xlo + 2 * pad), float(yhi - ylo + 2 * pad)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
-        f'viewBox="0 0 {float(xhi - xlo + 2 * pad):.4f} {float(yhi - ylo + 2 * pad):.4f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * scale:.0f}" '
+        f'height="{h * scale:.0f}" viewBox="0 0 {w:.4f} {h:.4f}">',
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
         'markerWidth="5" markerHeight="5" orient="auto-start-reverse">'
         '<path d="M 0 1 L 9 5 L 0 9 z" fill="#1f77b4"/></marker></defs>',
@@ -43,32 +42,26 @@ def render_svg(cp: CreasePattern, mv: MVAssignment | None = None,
     # region
     poly = " ".join(f"{_fmt(pt(p)[0])},{_fmt(pt(p)[1])}" for p in cp.region)
     lines.append(f'<polygon points="{poly}" fill="none" stroke="#888" stroke-width="0.03"/>')
-    # creases
-    for cid, (a, b) in sorted(cp.creases.items()):
-        p, q = pt(cp.point_of(a)), pt(cp.point_of(b))
-        style = 'stroke="#333" stroke-width="0.04"'
-        if mv and cid in mv:
-            if mv[cid] == 1:
-                style = 'stroke="#111" stroke-width="0.045"'
-            else:
-                style = 'stroke="#111" stroke-width="0.045" stroke-dasharray="0.12,0.08"'
+
+    def line(p, q, style):
         lines.append(f'<line x1="{_fmt(p[0])}" y1="{_fmt(p[1])}" '
                      f'x2="{_fmt(q[0])}" y2="{_fmt(q[1])}" {style}/>')
+
+    # creases: mountains solid, other values dashed, unassigned thin grey
+    for cid, (a, b) in sorted(cp.creases.items()):
+        style = 'stroke="#333" stroke-width="0.04"'
+        if mv and cid in mv:
+            style = 'stroke="#111" stroke-width="0.045"'
+            if mv[cid] != 1:
+                style += ' stroke-dasharray="0.12,0.08"'
+        line(pt(cp.point_of(a)), pt(cp.point_of(b)), style)
     # SAW overlay
     if saw is not None:
-        pos = _saw_positions(cp, saw)
+        pos = _saw_positions(cp, saw, pt, (xlo, yhi))
         for e in sorted(saw.edges.values(), key=lambda e: e.id):
-            p, q = pos[e.u], pos[e.v]
-            if e.directed:
-                lines.append(
-                    f'<line x1="{_fmt(p[0])}" y1="{_fmt(p[1])}" x2="{_fmt(q[0])}" '
-                    f'y2="{_fmt(q[1])}" stroke="#1f77b4" stroke-width="0.03" '
-                    'marker-end="url(#arrow)"/>')
-            else:
-                lines.append(
-                    f'<line x1="{_fmt(p[0])}" y1="{_fmt(p[1])}" x2="{_fmt(q[0])}" '
-                    f'y2="{_fmt(q[1])}" stroke="#1f77b4" stroke-width="0.02" '
-                    'stroke-dasharray="0.05,0.05"/>')
+            line(pos[e.u], pos[e.v],
+                 'stroke="#1f77b4" stroke-width="0.03" marker-end="url(#arrow)"' if e.directed
+                 else 'stroke="#1f77b4" stroke-width="0.02" stroke-dasharray="0.05,0.05"')
         for sv in sorted(saw.vertices.values(), key=lambda s: s.id):
             p = pos[sv.id]
             fill = "#1f77b4"
@@ -80,20 +73,16 @@ def render_svg(cp: CreasePattern, mv: MVAssignment | None = None,
     return "\n".join(lines) + "\n"
 
 
-def _saw_positions(cp: CreasePattern, saw: SawGraph):
-    """Schematic placement: face centroid plus a small deterministic offset."""
-    xs = [p[0] for p in cp.region]
-    ys = [p[1] for p in cp.region]
-    xlo = min(xs)
-    yhi = max(ys)
-    pad = Fraction(1, 2)
+def _saw_positions(cp: CreasePattern, saw: SawGraph, pt, corner):
+    """Schematic placement: face centroid plus a small deterministic offset,
+    mapped to the drawing by pt; a vertex of a face with no centroid sits
+    off to the region's corner."""
     centroids = {}
     for f in cp.faces:
         if f.is_outer:
             continue
-        pts = [cp.point_of(n) if (n in cp.vertices or n in cp.boundary_points)
-               else None for n in f.nodes]
-        pts = [p for p in pts if p is not None]
+        pts = [cp.point_of(n) for n in f.nodes
+               if n in cp.vertices or n in cp.boundary_points]
         if not pts:
             continue
         cx = sum(p[0] for p in pts) / len(pts)
@@ -104,11 +93,7 @@ def _saw_positions(cp: CreasePattern, saw: SawGraph):
         by_face.setdefault(sv.face, []).append(sv.id)
     pos = {}
     for face, members in by_face.items():
-        c = centroids.get(face)
-        if c is None:
-            c = (xlo, yhi)  # off to the corner for unknown faces
+        c = centroids.get(face, corner)
         for k, vid in enumerate(members):
-            off = Fraction(k, max(8, 4 * len(members)))
-            p = (c[0] + off, c[1])
-            pos[vid] = (float(p[0] - xlo + pad), float(yhi + pad - p[1]))
+            pos[vid] = pt((c[0] + Fraction(k, max(8, 4 * len(members))), c[1]))
     return pos

@@ -296,6 +296,17 @@ def test_mv_to_coloring_ambiguous():
         mv_to_coloring(g, {})
 
 
+def test_mv_to_coloring_ambiguous_on_a_disconnected_graph():
+    # c touches nothing, so when propagation stalls the search branches on a
+    # vertex with no colored neighbour and finds three completions
+    g = SawGraph()
+    a, b, _ = g.add_vertex(), g.add_vertex(), g.add_vertex()
+    g.add_edge(a, b, directed=True, crease="k")
+    with pytest.raises(AmbiguousCompletion,
+                       match="^the assignment lifts to more than one coloring$"):
+        mv_to_coloring(g, {"k": 1})
+
+
 def test_mv_to_coloring_no_completion_after_search():
     # the root hangs on a K4, which has no proper 3-coloring; propagation
     # stalls at once, so only the search can tell

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flatfold import build_crease_pattern, cone_at
+from flatfold.cp import ConeVertex
 from flatfold.errors import (
     CrossingCreases,
     DanglingCrease,
@@ -173,3 +174,36 @@ def test_crease_sides_and_corners_cover_creases():
 def test_rejects_degenerate_region(region):
     with pytest.raises(ValidationError, match="region polygon is degenerate"):
         build_crease_pattern(vertices={}, creases={}, region=region)
+
+
+@pytest.mark.parametrize("angles, ids, message", [
+    ((90, 270), ("c0",), "angle/crease count mismatch"),
+    ((0, 360), ("c0", "c1"), "sector angles must be positive"),
+])
+def test_cone_vertex_refuses_bad_sectors(angles, ids, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ConeVertex(tuple(F(a) for a in angles), ids)
+
+
+@pytest.mark.parametrize("p", [(0, 2), (5, 2)])
+def test_rejects_interior_vertex_on_or_outside_the_boundary(p):
+    with pytest.raises(ValidationError,
+                       match="^interior vertex v0 is not strictly inside the region$"):
+        build_crease_pattern(vertices={"v0": p}, creases={}, region=SQUARE)
+
+
+def test_rejects_isolated_interior_vertex():
+    with pytest.raises(ValidationError, match="^isolated interior vertex v0$"):
+        build_crease_pattern(vertices={"v0": (2, 2)}, creases={}, region=SQUARE)
+
+
+@pytest.mark.parametrize("declared, message", [
+    ({"v9": (90, 90, 90, 90)}, "declared angles for unknown vertex v9"),
+    ({"v0": (90, 90, 180)}, "vertex v0: 3 angles for degree 4"),
+    ({"v0": (0, 180, 90, 90)}, "vertex v0: non-positive declared angle"),
+])
+def test_rejects_bad_declared_angles(declared, message):
+    cp = cross_pattern()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_crease_pattern(cp.vertices, cp.creases, SQUARE, declared_angles=declared,
+                             boundary_points=cp.boundary_points)

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -64,6 +65,14 @@ def test_modified_miura_mask_rules():
     assert count_locally_valid(cp) == count_locally_valid(base)
     with pytest.raises(BadMaskLength):
         modified_miura(3, 3, (True,))
+
+
+def test_generators_refuse_bad_sizes_and_shears():
+    from fractions import Fraction
+    with pytest.raises(ValueError, match=re.escape("shear must be in (0, 1/2)")):
+        modified_miura(2, 2, (False,), shear=Fraction(1, 2))
+    with pytest.raises(ValueError, match="^m, n >= 1$"):
+        snake(0, 2)
 
 
 def test_modified_miura_counts_match_standard():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from flatfold.errors import (
     NotBoundaryEdge,
     NotThreeNice,
     NotWaterbomb,
+    TilingError,
     UnknownVariant,
     UnsupportedJ,
 )
@@ -35,6 +37,7 @@ from flatfold.saw import _REFUSALS, SawGraph, negate_orientations
 from flatfold.tiling import tile
 
 from .conftest import cone, random_kawasaki_cone
+from .helpers import star_pattern
 
 
 def assert_cone_bijection(c):
@@ -87,6 +90,21 @@ def test_baby_gadget_mv_constraints():
 def test_baby_gadget_unsupported():
     with pytest.raises(UnsupportedJ):
         baby_gadget(4)
+
+
+def test_baby_gadget_needs_one_crease_id_per_crossing():
+    with pytest.raises(ValueError, match="^need j\\+1 crease ids$"):
+        baby_gadget(2, ("a",))
+
+
+def test_validate_refuses_a_disconnected_graph_and_an_uncreased_crossing():
+    g = SawGraph()
+    a, b = g.add_vertex(), g.add_vertex()
+    with pytest.raises(TilingError, match="^SAW graph is not connected$"):
+        g.validate()
+    g.add_edge(a, b, directed=True)
+    with pytest.raises(TilingError, match="^directed edge 0 has no crease$"):
+        g.validate()
 
 
 def test_deg4_catalog_counts():
@@ -392,3 +410,10 @@ def test_split_waterbomb_rejects_others():
     v = cp.interior_vertex_ids()[0]
     with pytest.raises(NotWaterbomb):
         split_waterbomb(cp, v)
+
+
+def test_split_waterbomb_refuses_an_all_equal_degree_6_vertex():
+    # degree 6, but no two sector angles differ
+    with pytest.raises(NotWaterbomb,
+                       match=re.escape("vertex v0 is not an (a,a,b,a,a,b) waterbomb")):
+        split_waterbomb(star_pattern((60,) * 6), "v0")

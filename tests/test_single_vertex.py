@@ -117,6 +117,13 @@ def test_crimp_rejects_foreign_run():
         crimp(c, MinRun(start=0, j=2, creases=("c0", "c1", "c2")))
 
 
+def test_crimp_refuses_a_run_whose_neighbours_coincide():
+    c = cone(10, 10, 10, 50)
+    (run,) = find_min_runs(c)
+    with pytest.raises(InvalidRun, match="^run neighbours coincide; cone is not flat-foldable$"):
+        crimp(c, run)
+
+
 def test_is_valid_examples():
     c = cone(90, 90, 90, 90)
     assert is_valid_single_vertex(c, dict(zip(c.crease_ids, (1, 1, 1, -1))))
@@ -164,6 +171,14 @@ def test_niceness_examples():
     assert niceness(cone(60, 60, 120, 120)) == 2
     assert niceness(cone(90, 90, 90, 90)) is ALL_EQUAL
     assert niceness(cone(30, 30, 30, 30, 90, 90)) == 4
+
+
+def test_niceness_and_count_refuse_a_non_kawasaki_cone():
+    c = cone(10, 20, 30, 300)
+    with pytest.raises(KawasakiViolation, match="^niceness needs a Kawasaki-valid cone$"):
+        niceness(c)
+    with pytest.raises(KawasakiViolation, match="^cone fails the Kawasaki test$"):
+        count_single_vertex_mv(c)
 
 
 def test_count_matches_brute_force_randomized(rng):

@@ -296,9 +296,10 @@ def test_disjoint_merges_onto_a_walk(monkeypatch, xs, chords, width, count, spli
 def strip_of_units(units, names):
     """Units left to right in a strip of height 4, a gap of 1 between them,
     each unit's creases ending on the top and bottom edges: "x" is one X
-    vertex, "c" a chain of two vertices joined by a diagonal crease.
-    Neighbouring units share a face but no crease; names name the
-    vertices in order of appearance."""
+    vertex, "c" a chain of two vertices joined by a diagonal crease, "d" a
+    diamond of four vertices (left, top, right, bottom) joined in a cycle,
+    each with two creases to the strip's edges. Neighbouring units share a
+    face but no crease; names name the vertices in order of appearance."""
     vertices, creases, points = {}, {}, {}
     name = iter(names)
     x0 = 0
@@ -314,6 +315,17 @@ def strip_of_units(units, names):
             for p in ((x0, 0), (x0 + 4, 0), (x0 + 4, 4), (x0, 4)):
                 crease(v, p)
             x0 += 5
+        elif unit == "d":
+            ring = [next(name) for _ in range(4)]
+            for v, p in zip(ring, ((x0 + 2, 2), (x0 + 3, 3), (x0 + 4, 2), (x0 + 3, 1))):
+                vertices[v] = p
+            for v, w in zip(ring, ring[1:] + ring[:1]):
+                creases[f"k{len(creases)}"] = (v, w)
+            for v, ends in zip(ring, (((x0, 4), (x0, 0)), ((x0 + 2, 4), (x0 + 4, 4)),
+                                      ((x0 + 6, 4), (x0 + 6, 0)), ((x0 + 2, 0), (x0 + 4, 0)))):
+                for p in ends:
+                    crease(v, p)
+            x0 += 7
         else:
             a, b = next(name), next(name)
             vertices[a], vertices[b] = (x0 + 3, 1), (x0 + 4, 2)
@@ -361,6 +373,30 @@ def test_interleaved_components_merge_whole(monkeypatch, units, names):
     assert merged == sorted(merged, key=merged.index)
     assert count_colorings(g) == count_locally_valid(cp)
     assert verify_bijection(cp, g).ok
+
+
+@pytest.mark.parametrize("units, names, count", [
+    ("d", "abcd", 256), ("dd", "abcdefgh", 65536), ("dx", "abcde", 2048),
+])
+def test_diamond_strips_tile(units, names, count):
+    cp = strip_of_units(units, names)
+    assert count_colorings(tile(cp)) == count_locally_valid(cp, limit=10 ** 6) == count
+
+
+# _splice_disjoint inserts an incoming component's tour at the vertex it
+# identifies; on these namings a later band's window runs across that point,
+# so _window cannot find it (the open FOUND on window splits in CHANGES.md)
+@pytest.mark.xfail(strict=True, raises=TilingError,
+                   reason="_splice_disjoint can split a later band's window")
+@pytest.mark.parametrize("units, names, count", [
+    ("dx", "mjfio", 2048), ("dc", "jifagp", 8192), ("cd", "pgkcdn", 8192),
+    ("xdx", "hjicfo", 16384),
+])
+def test_diamond_strips_whose_window_a_splice_splits(units, names, count):
+    cp = strip_of_units(units, names)
+    n = count_locally_valid(cp, limit=10 ** 6)
+    assert n == count
+    assert count_colorings(tile(cp)) == n
 
 
 def test_broken_walk_raises_typed_error():
