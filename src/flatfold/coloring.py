@@ -8,22 +8,23 @@ mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 
 An assignment lifts back to its coloring by one body: from the root, a
 worklist propagates forced colors and a search completes what it leaves.
-``verify_bijection`` checks the colorings in one pass: each image must be
-in M (read from the cones' tables of valid step codes, or from the
-oracle's listed assignments), distinct, and lift back; where the crossing
-edges span the graph from the root, the last is read off their steps
-without lifting. A passing graph whose cones fit the tables is certified
-without listing M.
+``verify_bijection`` certifies the map from colorings to assignments a
+bijection onto M by counts: two more frontier DPs (``_certificates``)
+count the colorings whose image is in M with a consistent round trip,
+and the pairs of colorings with equal images. When both equal |S| and
+|M|, only a sample of lifts is checked; otherwise every coloring is
+checked against M as the oracle lists it (``_exact_pass``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 
+from . import oracle
 from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment, cone_at
 from .errors import (
     AmbiguousCompletion,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .saw import SawGraph
 from .search import _reader, depth_first, frontier_count
-from .single_vertex import _valid_codes
+from .single_vertex import _check_values, _schedule
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
@@ -108,6 +109,80 @@ def count_colorings(g: SawGraph) -> int:
     return frontier_count(_plan(g, _min_frontier_order(g)))
 
 
+def _checked_colors(nbrs: list[int], first, checks: list, vals: tuple[int, ...]) -> list[int]:
+    """The colors ``first`` leaves a vertex by its neighbours' colors (the
+    places ``nbrs`` of ``vals``) whose steps (s(v) - s(u)) mod 3 on each
+    check's place pairs (u, v) pass its test; the vertex is placed last."""
+    out = []
+    for c in first(tuple([vals[k] for k in nbrs])):
+        full = vals + (c,)
+        if all(test(*[(full[v] - full[u]) % 3 for u, v in pairs]) for test, pairs in checks):
+            out.append(c)
+    return out
+
+
+def _passes(sched, *steps: int) -> bool:
+    return _check_values(sched, [MV_OF_STEP[s] for s in steps])
+
+
+# a pair of colorings (s, s') takes the value 3 d + s at a vertex, where
+# d = s' - s (mod 3); the values that a neighbour's value x bans (the same
+# s or the same s'), and those of another d than x's, as bit masks
+_PAIR_BAN = [sum(1 << y for y in range(9) if y % 3 == x % 3 or (y + y // 3) % 3 == (x + x // 3) % 3)
+             for x in range(9)]
+_OFFSET_BAN = [sum(1 << y for y in range(9) if y // 3 != x // 3) for x in range(9)]
+
+
+def _pair_values(same: list[int], banned: int, vals: tuple[int, ...]) -> list[int]:
+    """The pair values left to a vertex by the mask ``banned`` and its
+    neighbours' values ``vals``, those at the places ``same`` fixing d."""
+    for x in vals:
+        banned |= _PAIR_BAN[x]
+    for k in same:
+        banned |= _OFFSET_BAN[vals[k]]
+    return [y for y in range(9) if not banned >> y & 1]
+
+
+def _certificates(cp: CreasePattern, g: SawGraph) -> tuple[int, int]:
+    """Two frontier DPs over ``count_colorings``' order. The first counts
+    the colorings that cross every crease of the pattern (else it is 0),
+    whose last crossing edges' steps pass each interior vertex's crimp
+    schedule (checked at the vertex that colors their last endpoint), and
+    that give every crossing edge its crease's last crossing edge's step:
+    those whose image is in M(cp) and round trip is consistent. The second
+    counts the pairs of colorings with equal images in 4-bit pair values
+    (``_PAIR_BAN``), the last crossing edge of each crease of the pattern
+    keeping d equal at its ends: |S(g)| exactly when no two share one."""
+    order = _min_frontier_order(g)
+    plan = _plan(g, order)
+    pos = {v: i for i, v in enumerate(order)}
+    ends = [((pos[e.u], pos[e.v]), e.crease) for e in g.edges.values() if e.directed]
+    last = {c: uv for uv, c in ends}
+    checks_at: list[list] = [[] for _ in order]
+    for uv, c in ends:
+        if uv != last[c]:
+            checks_at[max(uv + last[c])].append((eq, [uv, last[c]]))
+    into_m = 0
+    if cp.creases.keys() <= last.keys():
+        for cone in map(partial(cone_at, cp), cp.interior_vertex_ids()):
+            pairs = [last[c] for c in cone.crease_ids]
+            checks_at[max(map(max, pairs))].append((partial(_passes, _schedule(cone.angles)), pairs))
+        checked = []
+        for i, ((nbrs, first), checks) in enumerate(zip(plan, checks_at)):
+            if checks:
+                reads = sorted({k for _, pairs in checks for p in pairs for k in p} - {i} | set(nbrs))
+                place = {k: j for j, k in enumerate(reads + [i])}
+                checks = [(test, [(place[u], place[v]) for u, v in pairs]) for test, pairs in checks]
+                nbrs, first = reads, partial(_checked_colors, [place[k] for k in nbrs], first, checks)
+            checked.append((nbrs, first))
+        into_m = frontier_count(checked)
+    equal = {tuple(sorted(last[c])) for c in cp.creases.keys() & last.keys()}
+    pairs_plan = [(nbrs, _no_colors if first is _no_colors else partial(
+        _pair_values, [j for j, k in enumerate(nbrs) if (k, i) in equal],
+        0x1FE if first is _root_colors else 0)) for i, (nbrs, first) in enumerate(plan)]
+    return into_m, frontier_count(pairs_plan, bits=4)
+
+
 def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     """Materialize S(g) in lexicographic vertex-id order (root fixed to 0).
 
@@ -129,9 +204,8 @@ _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
 _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
 # colorings that verify_bijection checks, keys and lifts back as one block
 _BLOCK = 256
-# the largest cone degree whose step codes fit a byte: verify_bijection
-# certifies a pattern by its cones' tables only up to it
-_TABLE_DEGREE = 8
+# the oracle's first assignments that a certified graph past _BLOCK lifts
+_LIFTS = 8
 
 
 def _transpose(seqs: Sequence[Sequence[int]], n: int) -> list[bytes]:
@@ -336,6 +410,26 @@ class _Plan:
         return cross, plain
 
     @cached_property
+    def lift_at(self):
+        """Reads from ``edge_steps`` each crossing edge's crease's step."""
+        return _reader([self.crossing[c] for c, _ in self.directed])
+
+    def lifts_back(self, cols: list[bytes], steps: list[bytes]) -> bool:
+        """Whether each coloring of a proper block (``colors``) lifts back
+        to itself; where the crossing edges span the graph they fix every
+        color, so exactly when each takes its crease's step (no lift)."""
+        if self.spans:
+            return _reader([j for _, j in self.directed])(steps) == self.lift_at(steps)
+        rows = len(cols[0])
+        return ([bytes(self.lift(r)) for r in _transpose(self.lift_at(steps), rows)]
+                == _transpose(cols, rows))
+
+    def round_trip(self, mv: MVAssignment) -> MVAssignment:
+        """The assignment of the coloring that ``mv`` lifts to."""
+        back = _transpose([self.lift(self.steps(mv))], len(self.vertices))
+        return self.to_mv(self.edge_steps(back))
+
+    @cached_property
     def spans(self) -> bool:
         """Whether the crossing edges reached from the root reach every
         vertex, so that the steps fix every color of a lift."""
@@ -402,112 +496,77 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     injectively, and the round-trip identities both ways. The pattern must
     be oracle-tractable.
 
-    The crease order and |M(cp)| come from the oracle's DP
-    (``_first_assignments`` with cap 0). An assignment is keyed as the
-    oracle's search gives it: ``bytes`` with one step per crease in that
-    order, 1 for mountain and 2 for valley. A coloring is keyed by its
-    crossing-edge steps as they are, read in the same order; a crease no
-    edge crosses reads 0, a value no assignment has. Whether a key is in
-    M(cp) is read from one of two sources, chosen once. When |M(cp)|
-    equals the colorings' count and no interior vertex has more than 8
-    creases, from each cone's table of valid step codes
-    (``single_vertex._valid_codes``), read a byte per coloring. Otherwise
-    from the keys of the oracle's search, listed up to ``cap`` (past it
-    the count comes from its DP).
+    When |M(cp)|, |S(g)| and both counts of ``_certificates`` agree, the
+    map is a bijection whose round trips hold as far as the lift is right,
+    and the lift is checked on a sample: up to ``_BLOCK`` colorings, each
+    must lift back to itself (``_Plan.lifts_back``); past it, each of the
+    first ``_LIFTS`` assignments must lift and map back. Anything else (a
+    count that differs, a sample that fails or raises, a listing of other
+    than |S(g)| colorings) goes to ``_exact_pass``.
 
-    The colorings are checked in one pass, ``_BLOCK`` at a time on
-    ``_Plan``'s tables. A block is recorded whole when its colorings are
-    proper, their keys are distinct, in M(cp) and no earlier coloring's,
-    and each lifts back to its coloring. Where the crossing edges reached
-    from the root span the graph (``_Plan.spans``) they fix every color,
-    so a proper coloring lifts back exactly when each crossing edge takes
-    its crease's step, and no block is lifted. Any other block is checked
-    again a coloring at a time, by the same functions, so the report and
-    every error are those of the colorings taken one by one. Then each
-    assignment no coloring mapped to must lift to a coloring that maps
-    back to it; only when there is such an assignment are M(cp)'s keys
-    listed, if they were not already. A passing graph whose counts agree
-    maps its |M(cp)| colorings to distinct assignments in M(cp), a
-    bijection, so it leaves no assignment over and M(cp) is not listed.
-
-    Raises CapExceeded past ``cap`` colorings. ``count_colorings`` runs
-    before any coloring is enumerated, so a graph with more than ``cap``
-    colorings is refused without building one, whether or not the
-    oracle's search passes ``cap``.
+    Raises CapExceeded past ``cap`` colorings, counted before any is
+    enumerated, so such a graph is refused without building a coloring,
+    whether or not the oracle's search passes ``cap``.
     """
-    from .oracle import _first_assignments
     plan = _Plan(g)
-    order, _, count = _first_assignments(cp, 0)
-    if count_colorings(g) > cap:
+    order, first, count = oracle._first_assignments(cp, _LIFTS)
+    n_col = count_colorings(g)
+    if n_col > cap:
         raise CapExceeded(f"more than {cap} colorings")
-    colorings = enumerate_colorings(g, cap=cap)
-    n_col = len(colorings)
+    colorings = None
+    if count == n_col and _certificates(cp, g) == (n_col, n_col):
+        try:
+            if n_col <= _BLOCK:
+                colorings = enumerate_colorings(g, cap=cap)
+                certified = len(colorings) == n_col and plan.lifts_back(*plan.colors(colorings))
+            else:
+                certified = all(plan.round_trip(m) == m for m in (
+                    {c: MV_OF_STEP[v] for c, v in zip(order, key)} for key in first))
+        except Exception:  # noqa: BLE001 - the exact pass reports it
+            certified = False
+        if certified:
+            return BijectionReport(count_mv=count, count_colorings=n_col, counts_match=True,
+                                   translation_valid=True, injective=True, round_trip_ok=True)
+    if colorings is None:
+        colorings = enumerate_colorings(g, cap=cap)
+    return _exact_pass(cp, plan, colorings, cap)
+
+
+def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
+                cap: int) -> BijectionReport:
+    """``verify_bijection``'s report from every coloring of ``colorings``
+    and M(cp) as the oracle's search lists it up to ``cap``, keyed as that
+    search gives it (``bytes``, a step per crease in search order). A
+    block of ``_BLOCK`` colorings is recorded whole when they are proper,
+    their keys distinct, listed and new, and each lifts back; any other
+    block is checked again one by one, so the report and every error are
+    those of the colorings one by one. Then each listed assignment no
+    coloring mapped to must lift and map back."""
+    order, found, count = oracle._first_assignments(cp, cap)
+    listed = set(found)
     # a key reads each crease's steps in search order (the crease's last
     # crossing edge's), and a crease no edge crosses reads the zero column
     key_at = _reader([plan.crossing.get(c, 0) for c in order])
-    # the lift's steps: a crease crossed twice takes its last edge's step
-    lift_at = _reader([plan.crossing[c] for c, _ in plan.directed])
-    edge_at = _reader([j for _, j in plan.directed])     # each edge's own steps
-
-    def lifts_back(cols: list[bytes], steps: list[bytes]) -> bool:
-        """Whether each coloring of a proper block lifts back to itself."""
-        if plan.spans:
-            return edge_at(steps) == lift_at(steps)
-        rows = len(cols[0])
-        return ([bytes(plan.lift(r)) for r in _transpose(lift_at(steps), rows)]
-                == _transpose(cols, rows))
-
-    listed = None       # M(cp)'s keys in search order, once listed
-    cones = [cone_at(cp, v) for v in cp.interior_vertex_ids()]
-    if count == n_col and all(cone.degree <= _TABLE_DEGREE for cone in cones):
-        place = dict(zip(order, range(len(order))))
-        # each cone's valid codes and the places of its creases in a key
-        checks = [(bytes(_valid_codes(cone.angles)), [place[c] for c in cone.crease_ids])
-                  for cone in cones]
-
-        def inside(key_cols: Sequence[bytes], keys: Collection[bytes]) -> bool:
-            """Whether every key, with a column per crease ``key_cols``, has
-            no 0 and passes every cone's table."""
-            if 0 in b"".join(key_cols):
-                return False
-            ints = [int.from_bytes(k, "big") for k in key_cols]
-            ones = int.from_bytes(b"\1" * len(keys), "big")
-            for codes, places in checks:
-                # every step is 1 or 2, so each byte is its row's code
-                code = sum(ints[k] << b for b, k in enumerate(places))
-                code -= ones * ((1 << len(places)) - 1)
-                if code.to_bytes(len(keys), "big").translate(None, codes):
-                    return False
-            return True
-    else:
-        listed = dict.fromkeys(_first_assignments(cp, cap)[1])
-
-        def inside(key_cols: Sequence[bytes], keys: Collection[bytes]) -> bool:
-            """Whether every key is a listed assignment's."""
-            return all(map(listed.__contains__, keys))
-
     hit: set[bytes] = set()         # the keys of images in M(cp)
     outside: set[bytes] = set()     # the keys of the other images
     translation_valid = injective = round_trip = True
     counterexample = None
 
-    for i in range(0, n_col, _BLOCK):
+    for i in range(0, len(colorings), _BLOCK):
         block = colorings[i:i + _BLOCK]
         try:
             cols, steps = plan.colors(block)
-            key_cols = key_at(steps)
-            keys = set(_transpose(key_cols, len(block)))
-            if (len(keys) == len(block) and hit.isdisjoint(keys) and inside(key_cols, keys)
-                    and lifts_back(cols, steps)):
+            keys = set(_transpose(key_at(steps), len(block)))
+            if (len(keys) == len(block) and hit.isdisjoint(keys) and keys <= listed
+                    and plan.lifts_back(cols, steps)):
                 hit |= keys
                 continue
         except Exception:  # noqa: BLE001 - checked again one by one
             pass
         for s in block:
             colors, steps = plan.colors([s])
-            key_cols = key_at(steps)
-            key = b"".join(key_cols)
-            seen = hit if inside(key_cols, (key,)) else outside
+            key = b"".join(key_at(steps))
+            seen = hit if key in listed else outside
             if seen is outside:
                 translation_valid = False
                 counterexample = counterexample or ("coloring maps outside M", s)
@@ -516,7 +575,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
                 counterexample = counterexample or ("two colorings share an assignment", s)
             seen.add(key)
             try:
-                back = bytes(plan.lift(b"".join(lift_at(steps))))
+                back = bytes(plan.lift(b"".join(plan.lift_at(steps))))
             except Exception as exc:  # noqa: BLE001 - report, don't raise
                 round_trip = False
                 counterexample = counterexample or ("mv_to_coloring failed", str(exc))
@@ -529,19 +588,18 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     # so its witnesses cannot be lifted and are not checked. A witness some
     # coloring produced had its round trip checked above.
     if len(hit) < count and not plan.crossing.keys() - set(cp.creases):
-        for key in _first_assignments(cp, cap)[1] if listed is None else listed:
+        for key in found:
             if key in hit:
                 continue
             m = {c: MV_OF_STEP[v] for c, v in zip(order, key)}
             try:
-                back = _transpose([plan.lift(plan.steps(m))], len(plan.vertices))
-                if plan.to_mv(plan.edge_steps(back)) != m:
+                if plan.round_trip(m) != m:
                     round_trip = False
                     counterexample = counterexample or ("assignment round trip", m)
             except Exception as exc:  # noqa: BLE001
                 round_trip = False
                 counterexample = counterexample or ("assignment does not lift", str(exc))
     return BijectionReport(
-        count_mv=count, count_colorings=n_col, counts_match=count == n_col,
+        count_mv=count, count_colorings=len(colorings), counts_match=count == len(colorings),
         translation_valid=translation_valid, injective=injective,
         round_trip_ok=round_trip, first_counterexample=counterexample)

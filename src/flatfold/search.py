@@ -2,11 +2,12 @@
 
 A *plan* is a list of positions in assignment order. Position i is a pair
 ``(reads, allowed)``: ``reads`` lists earlier positions, and
-``allowed(vals)`` returns, in increasing order, the values in 0..3 that
-position i may take when the positions in ``reads`` hold the tuple
-``vals``. A SAW-graph vertex reads its earlier neighbours (``coloring``); a
-crease reads the other creases of the vertices it completes (``oracle``).
-Both functions call ``allowed`` once per position and distinct ``vals``.
+``allowed(vals)`` returns, in increasing order, the values that position
+i may take when the positions in ``reads`` hold the tuple ``vals`` (0..3,
+or wider in ``frontier_count``). A SAW-graph vertex reads its earlier
+neighbours (``coloring``); a crease reads the other creases of the
+vertices it completes (``oracle``). Both functions call ``allowed`` once
+per position and distinct ``vals``.
 """
 
 from __future__ import annotations
@@ -17,34 +18,38 @@ from operator import itemgetter
 Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
 
 
-def frontier_count(plan: Plan) -> int:
+def frontier_count(plan: Plan, bits: int = 2) -> int:
     """Number of complete assignments of ``plan``, by a frontier DP: the
     state packs the values of the assigned positions that a later position
-    still reads into an int, two bits per slot, and maps to the number of
-    assignments that leave the frontier so. A slot is freed after its last
-    reader, so the cost follows the frontier width, not the count."""
+    still reads into an int, ``bits`` bits per slot (a value that does not
+    fit raises ValueError), and maps to the number of assignments that
+    leave the frontier so. A slot is freed after its last reader, so the
+    cost follows the frontier width, not the count."""
     last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
+    mask = (1 << bits) - 1
     slot: dict[int, int] = {}   # frontier position -> bit shift of its value
     free: list[int] = []
     states = {0: 1}
     for i, (reads, allowed) in enumerate(plan):
         shifts = [slot[k] for k in reads]
-        read_mask = sum(3 << t for t in shifts)
+        read_mask = sum(mask << t for t in shifts)
         keep = -1
         for k in reads:
             if last[k] == i:
-                keep &= ~(3 << slot[k])
+                keep &= ~(mask << slot[k])
                 free.append(slot.pop(k))
         sh = None
         if i in last:
-            sh = slot[i] = free.pop() if free else 2 * len(slot)
+            sh = slot[i] = free.pop() if free else bits * len(slot)
         codes_of: dict[int, list[int]] = {}   # read bits -> allowed value bits
         new: dict[int, int] = {}
         for s, n in states.items():
             r = s & read_mask
             codes = codes_of.get(r)
             if codes is None:
-                vals = allowed(tuple([r >> t & 3 for t in shifts]))
+                vals = allowed(tuple([r >> t & mask for t in shifts]))
+                if vals and not 0 <= min(vals) <= max(vals) <= mask:
+                    raise ValueError(f"position {i} allows a value outside {bits} bits")
                 codes = codes_of[r] = [0 if sh is None else v << sh for v in vals]
             base = s & keep
             for c in codes:

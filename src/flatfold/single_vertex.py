@@ -10,10 +10,9 @@ Conventions (used consistently across the library):
   run creases.
 * The recursion never re-checks Kawasaki after a crimp; the initial test
   is inherited through the cone states.
-* The validity check, the count, the enumeration, niceness and the
-  table of valid step codes (``_valid_codes``) all read the crimp schedule
-  (``_schedule``, cached per angle tuple); only the SAW construction walks
-  the intermediate cones of ``crimp_trace``.
+* The validity check, the count, the enumeration and niceness all read
+  the crimp schedule (``_schedule``, cached per angle tuple); only the SAW
+  construction walks the intermediate cones of ``crimp_trace``.
 """
 
 from __future__ import annotations
@@ -218,19 +217,6 @@ def _check_values(sched: _Schedule, vals: list[int]) -> bool:
     for i in sched.terminal_idx:
         t += vals[i]
     return abs(t) == 2
-
-
-@lru_cache(maxsize=4096)
-def _valid_codes(angles: tuple[Angle, ...]) -> tuple[int, ...]:
-    """The step codes that pass the crimp schedule of a cone with these
-    angles, in increasing order. Bit i of a code is the step of the cone's
-    i-th crease less one (``cp.STEP_OF_MV``): 0 for mountain, 1 for
-    valley. Cached per angle tuple like ``_schedule``; the table tries all
-    2**degree codes."""
-    sched = _schedule(angles)
-    n = len(angles)
-    return tuple(code for code in range(1 << n)
-                 if _check_values(sched, [1 - 2 * (code >> i & 1) for i in range(n)]))
 
 
 def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:

@@ -197,6 +197,29 @@ def grid_saw(m: int, n: int) -> SawGraph:
     return g
 
 
+def grid_coloring_count(m: int, n: int) -> int:
+    """Proper 3-colorings of ``grid_saw(m, n)`` with its corner root
+    colored 0, by a row transfer matrix that shares no plan with
+    ``coloring``: the states are the proper colorings of a row of n, a row
+    may follow any row it differs from at every column, and a third of
+    all colorings color the root 0 (Ginepro and Hull, "Counting Miura-ori
+    foldings", J. Integer Sequences, 2014)."""
+    def rows_beside(q: tuple[int, ...]) -> list[tuple[int, ...]]:
+        rows: list[tuple[int, ...]] = [()]
+        for i in range(n):
+            rows = [r + (c,) for r in rows for c in range(3) if c != q[i] and r[-1:] != (c,)]
+        return rows
+
+    counts = dict.fromkeys(rows_beside((3,) * n), 1)    # 3 is no color
+    for _ in range(m - 1):
+        new = dict.fromkeys(counts, 0)
+        for q, k in counts.items():
+            for r in rows_beside(q):
+                new[r] += k
+        counts = new
+    return sum(counts.values()) // 3
+
+
 def reference_clip_order(cp) -> list[str]:
     """The clip order by rescanning: each pick re-tests every remaining
     vertex for clippability, and each candidate for being a cut vertex by

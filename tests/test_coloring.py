@@ -18,7 +18,7 @@ from flatfold import (
 )
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
-from flatfold.cp import STEP_OF_MV, cone_at
+from flatfold.cp import MV_OF_STEP, STEP_OF_MV
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -34,6 +34,7 @@ from flatfold.tiling import tile
 from .conftest import cone
 from .helpers import (
     first_coloring,
+    grid_coloring_count,
     grid_saw,
     invalid_joined_twist_saw,
     reference_lift,
@@ -111,7 +112,21 @@ def test_count_is_root_independent(kind, m, n, seed):
 
 def test_count_miura_pins():
     assert count_colorings(tile(miura(6, 6))) == 33_865_632
+    assert count_colorings(tile(miura(8, 8))) == grid_coloring_count(8, 8) == 13_574_876_544_396
     assert count_colorings(tile(miura(10, 10))) == 169_426_507_164_530_254_380
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_count_and_certificates_match_a_transfer_matrix(m):
+    # the Miura m x n SAW graph is the m x n grid: a row transfer matrix,
+    # which shares no plan with count_colorings, gives its colorings, and
+    # both certificate counts equal it on a passing graph
+    for n in range(1, 7):
+        cp = miura(m, n)
+        g = tile(cp)
+        want = grid_coloring_count(m, n)
+        assert count_colorings(g) == want, (m, n)
+        assert coloring._certificates(cp, g) == (want, want), (m, n)
 
 
 def test_count_long_path_is_iterative():
@@ -240,7 +255,8 @@ def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
     # colors are packed a byte per edge end, so any other value is refused
     # before it could pass for a color (3 for 0, 4 for a step of 1); 1.0
     # and Fraction(2) equal colors but are not ints, which bytes refuses.
-    # verify refuses it alike as the first coloring of a later block
+    # verify's exact pass refuses it alike as the first coloring of a
+    # later block
     cp = miura(4, 4)
     g = tile(cp)
     colorings = enumerate_colorings(g)
@@ -251,7 +267,7 @@ def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
         coloring_to_mv(g, colorings[coloring._BLOCK])
     monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: colorings)
     with pytest.raises(ImproperColoring, match=f"^{message}$"):
-        verify_bijection(cp, g)
+        _exact_pass(cp, g)
 
 
 def test_mv_round_trip_on_twist():
@@ -465,6 +481,12 @@ def test_verify_bijection_flags_bad_merge():
     assert report.count_colorings == 110
 
 
+def _exact_pass(cp, g, cap=200000):
+    """verify_bijection's exact pass on the colorings of the
+    coloring.enumerate_colorings attribute, as the reference reads them."""
+    return coloring._exact_pass(cp, coloring._Plan(g), coloring.enumerate_colorings(g, cap), cap)
+
+
 def _outcome(verify, cp, g, cap):
     """A verify function's report, or the type and message it raised."""
     try:
@@ -534,16 +556,18 @@ def test_verify_bijection_matches_reference(case):
         caps = _recorded_caps(mp)
         lifted = _recorded_lifts(mp)
         got = _outcome(verify_bijection, cp, g, cap)
-    # where the crossing edges span the graph, a passing report reads
-    # every round trip off the crossing edges' steps and lifts nothing
-    if isinstance(got, BijectionReport) and got.ok and spans:
-        assert lifted == []
-    # counts that agree and distinct images in M leave no assignment
-    # unmapped; on cones that fit a byte M is then never listed
-    if (isinstance(got, BijectionReport) and got.counts_match and got.translation_valid
-            and got.injective and all(cone_at(cp, v).degree <= coloring._TABLE_DEGREE
-                                      for v in cp.interior_vertex_ids())):
-        assert caps == [0]
+    # a passing graph is certified by its counts and never lists M; where
+    # its colorings fit a block and the crossing edges span the graph, it
+    # reads every round trip off their steps and lifts nothing, and past a
+    # block it lifts at most the oracle's first assignments. Any other
+    # report comes from the exact pass, which lists M
+    if isinstance(got, BijectionReport):
+        assert caps == ([coloring._LIFTS] if got.ok else [coloring._LIFTS, cap])
+    if isinstance(got, BijectionReport) and got.ok:
+        if got.count_colorings > coloring._BLOCK:
+            assert len(lifted) <= coloring._LIFTS
+        elif spans:
+            assert lifted == []
     if isinstance(want, tuple):
         assert got == want
         return
@@ -567,9 +591,11 @@ def test_verify_bijection_matches_reference(case):
 def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     # a coloring that fails a check of coloring_to_mv raises its error, as
     # in the list-based reference; colorings reach both functions through
-    # the coloring.enumerate_colorings attribute. Miura 4x4's 2,604
+    # the coloring.enumerate_colorings attribute. Miura 2x3's listing, one
+    # too long, sends verify to its exact pass. Miura 4x4's 2,604
     # colorings fill several blocks: the bad one is the first of the
-    # second block, or the last of all
+    # second block, or the last of all. A graph certified past a block
+    # lists no coloring, so these go to the exact pass directly
     cp = miura(*size)
     g = tile(cp)
     g.vertices = dict(reversed(g.vertices.items()))
@@ -592,7 +618,8 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     monkeypatch.setattr(coloring, "enumerate_colorings", with_bad)
     want = _outcome(reference_verify_bijection, cp, g, 200000)
     assert want[0] is ImproperColoring
-    assert _outcome(verify_bijection, cp, g, 200000) == want
+    verify = _exact_pass if size == (4, 4) else verify_bijection
+    assert _outcome(verify, cp, g, 200000) == want
 
 
 @pytest.mark.parametrize("how", ["repeat-earlier", "repeat-same", "outside",
@@ -604,7 +631,10 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
     # crossing edges do not span it, so that each coloring is lifted, one
     # whose lift (patched) fails or gives other colors: the block is
     # checked again one by one, and the report is the list-based
-    # reference's, counterexample included
+    # reference's, counterexample included. The oracle's count, one short,
+    # sends verify to the exact pass; the planted colorings and lifts of a
+    # graph certified past a block are never listed or lifted, so those go
+    # to the exact pass directly
     cp = triangle_twist(3) if how.startswith("lift") else miura(4, 4)
     g = tile(cp)
     at = coloring._BLOCK + 44
@@ -641,11 +671,87 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
               "lift-differs": "round trip mismatch"}.get(how, "two colorings share an assignment")
     detail = "planted" if how == "lift-fails" else colorings[at]
     assert want.first_counterexample == (reason, detail)
+    if how != "outside":
+        assert _exact_pass(cp, g) == want
+        return
     caps = _recorded_caps(monkeypatch)
     assert verify_bijection(cp, g) == want
-    if how.startswith("lift"):
-        # every image is a distinct assignment, so none is left to list M for
-        assert caps == [0]
+    assert caps == [coloring._LIFTS, 200000]
+
+
+@pytest.mark.parametrize("make, count", [(crane, 93_312), (lambda: miura(5, 5), 193_662)],
+                         ids=["crane", "miura-5x5"])
+def test_verify_bijection_certifies_large_graphs(make, count):
+    # the crane's lift needs a search, and Miura 5x5 is near the cap: both
+    # are certified by counts and a sample of lifts
+    cp = make()
+    report = verify_bijection(cp, tile(cp))
+    assert report.ok and report.count_mv == report.count_colorings == count
+
+
+def _miura_mutant(how: str):
+    """Miura 4x4 and its graph with crossing edge 5 reversed, made
+    undirected (its crease uncrossed), given edge 9's crease label in a
+    swap, or copied reversed and listed first."""
+    cp = miura(4, 4)
+    g = tile(cp)
+    a, b = [e for e in g.edges.values() if e.directed][5:10:4]
+    if how == "reversed":
+        a.u, a.v = a.v, a.u
+    elif how == "uncrossed":
+        a.directed, a.crease = False, None
+    elif how == "swapped":
+        a.crease, b.crease = b.crease, a.crease
+    else:
+        eid = g.add_edge(a.v, a.u, directed=True, crease=a.crease)
+        g.edges = {eid: g.edges.pop(eid), **g.edges}
+    return cp, g
+
+
+@pytest.mark.parametrize("how", ["reversed", "uncrossed", "swapped", "copied"])
+def test_verify_bijection_refuses_a_mutant_past_a_block(monkeypatch, how):
+    # each mutant keeps Miura 4x4's 2,604 colorings and assignments, but
+    # the first certificate falls short of them, so verify takes the exact
+    # pass, lists M and gives the reference's report
+    cp, g = _miura_mutant(how)
+    assert count_colorings(g) == enumerate_locally_valid(cp, cap=0).count == 2604
+    into_m, pairs = coloring._certificates(cp, g)
+    assert into_m < 2604 and pairs == 2604
+    caps = _recorded_caps(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [coloring._LIFTS, 200000]
+    assert not report.ok
+    assert report == reference_verify_bijection(cp, g)
+
+
+def test_verify_bijection_lifts_a_sample_past_a_block(monkeypatch):
+    # joined twists 3 (1,112 colorings) is certified by counts, and its
+    # lift is checked on the oracle's first _LIFTS assignments; a lift
+    # planted to fail on the first of them sends verify to the exact pass,
+    # whose report is the reference's
+    cp = triangle_twist(3)
+    g = tile(cp)
+    plan = coloring._Plan(g)
+    order, first, _ = oracle._first_assignments(cp, coloring._LIFTS)
+    targets = [plan.steps({c: MV_OF_STEP[v] for c, v in zip(order, key)}) for key in first]
+    assert len(targets) == coloring._LIFTS
+    with pytest.MonkeyPatch.context() as mp:
+        lifted = _recorded_lifts(mp)
+        assert verify_bijection(cp, g).ok
+    assert lifted == targets
+    lift = coloring._Plan.lift
+
+    def planted(plan, steps):
+        if bytes(steps) == targets[0]:
+            raise NoCompletion("planted")
+        return lift(plan, steps)
+
+    monkeypatch.setattr(coloring._Plan, "lift", planted)
+    caps = _recorded_caps(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [coloring._LIFTS, 200000]
+    assert report.first_counterexample == ("mv_to_coloring failed", "planted")
+    assert report == reference_verify_bijection(cp, g)
 
 
 def test_verify_bijection_raises_past_cap():
@@ -760,13 +866,13 @@ def _recorded_caps(monkeypatch) -> list[int]:
     lambda: triangle_twist(3)],
     ids=["miura", "modified-miura", "snake", "twists-1", "twists-2", "twists-3"])
 def test_verify_bijection_certifies_without_enumerating_m(monkeypatch, make):
-    # a passing graph is certified from its colorings: the oracle's search
-    # runs with cap 0 (its count from the DP) and keeps no assignment
+    # a passing graph is certified by counts: the oracle's search keeps
+    # only the first _LIFTS assignments (its count from the DP)
     cp = make()
     g = tile(cp)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0]
+    assert caps == [coloring._LIFTS]
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -784,15 +890,14 @@ def _miura_reversed(k: int):
                          [lambda k=k: _miura_reversed(k) for k in range(12)],
                          ids=["bad-merge"] + [f"miura-reversed-{k}" for k in range(12)])
 def test_verify_bijection_lists_m_when_an_assignment_is_unmapped(monkeypatch, make):
-    # the bad merge's counts differ (170 and 110), so M's listed keys are
-    # the membership source; a reversed edge of Miura 3x3 keeps both counts
-    # at 82 and every coloring's lift, so only the cones' tables see that
-    # its images leave M. Either way an assignment is left unmapped, M is
-    # listed for its witness, and the report is the reference's
+    # the bad merge's counts differ (170 and 110); a reversed edge of Miura
+    # 3x3 keeps both counts at 82 and every coloring's lift, so only the
+    # first certificate sees that its images leave M. Either way the exact
+    # pass lists M, and the report is the reference's
     cp, g = make()
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [coloring._LIFTS, 200000]
     assert not report.ok
     if make is not invalid_joined_twist_saw:
         assert report.count_mv == report.count_colorings == 82
@@ -828,15 +933,15 @@ def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
     g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0]
+    assert caps == [coloring._LIFTS]
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
 
 def test_verify_bijection_sees_a_repeated_image(monkeypatch):
     # a coloring repeated in place of another keeps the count, and each
-    # coloring still lifts back to itself: only the set of images sees two
-    # colorings share an assignment
+    # coloring still lifts back to itself: only the exact pass's set of
+    # images sees two colorings share an assignment
     cp = miura(4, 4)
     g = tile(cp)
     colorings = enumerate_colorings(g)
@@ -844,17 +949,17 @@ def test_verify_bijection_sees_a_repeated_image(monkeypatch):
     monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: list(colorings))
     want = reference_verify_bijection(cp, g)
     assert want.counts_match and not want.injective
-    assert verify_bijection(cp, g) == want
+    assert _exact_pass(cp, g) == want
 
 
 def test_verify_bijection_past_the_table_degree(monkeypatch):
-    # one interior vertex of degree 10, whose step codes do not fit a byte:
-    # M's listed keys are the membership source, and the report is the
-    # reference's
+    # one interior vertex of degree 10: the first certificate reads its
+    # crimp schedule as it reads any other, so the graph is certified
+    # without listing M, and the report is the reference's
     cp = star_pattern((10, 20, 30, 40, 80) * 2)
     g = tile(cp)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [coloring._LIFTS]
     assert report.ok and report.count_mv == 32
     assert report == reference_verify_bijection(cp, g)

@@ -1,9 +1,14 @@
+import random
+from functools import partial
+from operator import mul
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatfold import coloring
 from flatfold.saw import SawGraph
-from flatfold.search import depth_first
+from flatfold.search import depth_first, frontier_count
 from flatfold.tiling import tile
 
 from .helpers import oracle_plan, reference_depth_first, small_pattern
@@ -52,3 +57,45 @@ def test_depth_first_on_one_position():
     # the last position is also the first: its values, then nothing
     assert list(depth_first([([], lambda vals: (0, 2))])) == [(0,), (2,)]
     assert list(depth_first([([], lambda vals: ())])) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(plans())
+def test_frontier_count_matches_depth_first(plan):
+    # two-bit slots hold the values 0..3 of these plans, and four-bit slots
+    # count them alike
+    n = len(list(depth_first(plan)))
+    assert frontier_count(plan) == frontier_count(plan, bits=4) == n
+
+
+def _values_mod(weights: list[int], p: int, vals: tuple[int, ...]) -> list[int]:
+    """The values v in 0..8 whose weighted sum with ``vals`` is 0 mod p."""
+    return [v for v in range(9) if sum(map(mul, weights, vals + (v,))) % p == 0]
+
+
+def random_plan(seed: int) -> list:
+    """A seeded plan of up to 6 positions, each reading up to 3 earlier
+    ones and taking values in 0..8 by a seeded rule of ``_values_mod``."""
+    rng = random.Random(seed)
+    plan = []
+    for i in range(rng.randint(1, 6)):
+        reads = sorted(rng.sample(range(i), rng.randint(0, min(i, 3))))
+        weights = [rng.randint(1, 6) for _ in range(len(reads) + 1)]
+        plan.append((reads, partial(_values_mod, weights, rng.randint(2, 4))))
+    return plan
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_frontier_count_in_wider_slots(seed):
+    # values up to 8 need four-bit slots
+    plan = random_plan(seed)
+    assert frontier_count(plan, bits=4) == len(list(depth_first(plan)))
+
+
+@pytest.mark.parametrize("values", [(0, 4), (-1,), (16,)])
+def test_frontier_count_refuses_a_value_past_its_slot(values):
+    # a value that does not fit its slot would spill into the next one
+    plan = [([], lambda vals: (0, 1)), ([0], lambda vals: values)]
+    bits = 4 if 16 in values else 2
+    with pytest.raises(ValueError, match=f"^position 1 allows a value outside {bits} bits$"):
+        frontier_count(plan, bits=bits)

@@ -18,12 +18,11 @@ from flatfold import (
     maekawa_check,
     niceness,
 )
-from flatfold.cp import MV_OF_STEP, cone_at
+from flatfold.cp import cone_at
 from flatfold.errors import AllAnglesEqual, InvalidRun, KawasakiViolation
-from flatfold.generators import crane, miura, modified_miura, snake, triangle_twist
+from flatfold.generators import miura
 from flatfold.oracle import count_locally_valid
-from flatfold.saw import _DEG4_CONES
-from flatfold.single_vertex import MinRun, _schedule, _valid_codes
+from flatfold.single_vertex import MinRun, _schedule
 
 from .conftest import brute_force_count, cone, random_kawasaki_cone
 
@@ -236,36 +235,3 @@ def test_validity_schedule_is_cached_per_angle_tuple():
     assert count_locally_valid(cp, limit=len(cp.creases)) == 33865632
     assert _schedule.cache_info().misses <= len(angle_tuples)
     assert len(angle_tuples) < len(cp.interior_vertex_ids())
-
-
-def _table_cones():
-    """Every distinct cone of the crane, joined twists 1-3 and the Miura,
-    modified-Miura (every mask) and snake patterns up to 4x4, with the
-    degree-4 catalog and seeded random cones of degree up to 8."""
-    patterns = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
-    for m in range(2, 5):
-        for n in range(2, 5):
-            patterns += [miura(m, n), snake(m, n)]
-            patterns += [modified_miura(m, n, mask) for mask in product((0, 1), repeat=n - 1)]
-    cones = {}
-    for cp in patterns:
-        for v in cp.interior_vertex_ids():
-            c = cone_at(cp, v)
-            cones[c.angles] = c
-    cones.update((a, cone(*a)) for a in _DEG4_CONES.values())
-    rng = random.Random(8)
-    cones.update((c.angles, c) for c in (random_kawasaki_cone(rng, 4) for _ in range(40)))
-    return list(cones.values())
-
-
-def test_valid_codes_agree_with_the_schedule():
-    # bit i of a code is the step of crease i less one: 0 for mountain, 1
-    # for valley; a cone's table holds the codes its schedule passes
-    cones = _table_cones()
-    assert max(c.degree for c in cones) == 8
-    for c in cones:
-        codes = set(_valid_codes(c.angles))
-        assert len(codes) == count_single_vertex_mv(c), c.angles
-        for code in range(1 << c.degree):
-            mv = {cid: MV_OF_STEP[(code >> i & 1) + 1] for i, cid in enumerate(c.crease_ids)}
-            assert (code in codes) == is_valid_single_vertex(c, mv), (c.angles, code)
