@@ -9,16 +9,17 @@ mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 An assignment lifts back to its coloring by one body: from the root, a
 worklist propagates forced colors and a search completes what it leaves.
 ``verify_bijection`` certifies the map from colorings to assignments a
-bijection onto M by counts: two more frontier DPs (``_certificates``)
-count the colorings whose image is in M with a consistent round trip,
-and the pairs of colorings with equal images. When both equal |S| and
+bijection onto M by counts (``_certificates``): a frontier DP counts the
+colorings whose image is in M with a consistent round trip, and the
+pairs of colorings with equal images are counted by one more where the
+crossing edges do not already fix every color. When both equal |S| and
 |M|, only a sample of lifts is checked; otherwise every coloring is
 checked against M as the oracle lists it (``_exact_pass``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
@@ -76,16 +77,24 @@ def _min_frontier_order(g: SawGraph) -> list[int]:
     """Greedy min-frontier vertex order from the root: the next vertex grows
     the frontier (processed vertices with unprocessed neighbours) least,
     then has the most processed neighbours (the fewest colors left), then
-    the lowest id."""
+    the lowest id.
+
+    Each vertex's counts are kept up to date around each new vertex, so a
+    candidate's growth is read off them, not recounted: a vertex enters
+    the frontier if it has an unprocessed neighbour, and each processed
+    neighbour whose one unprocessed neighbour it is leaves it."""
     adj = g.adjacency()
     left = {v: len(ws) for v, ws in adj.items()}   # unprocessed neighbours
+    near = dict.fromkeys(adj, 0)    # processed neighbours
+    ones = dict.fromkeys(adj, 0)    # processed neighbours it is the last of
     done: dict[int, None] = {}      # processed vertices, in order
     cand = {g.root} if g.root in adj else set()   # _plan refuses a missing root
 
     def growth(v: int) -> tuple[int, int, int]:
-        # every processed neighbour of an unprocessed vertex is on the frontier
-        nbrs = [u for u in adj[v] if u in done]
-        return (left[v] > 0) - sum(left[u] == 1 for u in nbrs), -len(nbrs), v
+        return (left[v] > 0) - ones[v], -near[v], v
+
+    def last_of(u: int) -> int:
+        return next(w for w in adj[u] if w not in done)
 
     while cand:
         v = min(cand, key=growth)
@@ -94,7 +103,12 @@ def _min_frontier_order(g: SawGraph) -> list[int]:
         for u in adj[v]:
             left[u] -= 1
             if u not in done:
+                near[u] += 1
                 cand.add(u)
+            elif u != v and left[u] == 1:
+                ones[last_of(u)] += 1
+        if left[v] == 1:
+            ones[last_of(v)] += 1
     return list(done)
 
 
@@ -143,18 +157,27 @@ def _pair_values(same: list[int], banned: int, vals: tuple[int, ...]) -> list[in
     return [y for y in range(9) if not banned >> y & 1]
 
 
-def _certificates(cp: CreasePattern, g: SawGraph) -> tuple[int, int]:
-    """Two frontier DPs over ``count_colorings``' order. The first counts
-    the colorings that cross every crease of the pattern (else it is 0),
-    whose last crossing edges' steps pass each interior vertex's crimp
-    schedule (checked at the vertex that colors their last endpoint), and
-    that give every crossing edge its crease's last crossing edge's step:
-    those whose image is in M(cp) and round trip is consistent. The second
-    counts the pairs of colorings with equal images in 4-bit pair values
+def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
+                  n_col: int, spans: bool) -> tuple[int, int]:
+    """Two counts over the coloring plan ``plan`` of ``order``, which has
+    ``n_col`` colorings. The first is a frontier DP that counts the
+    colorings that cross every crease of the pattern (else it is 0), whose
+    last crossing edges' steps pass each interior vertex's crimp schedule
+    (checked at the vertex that colors their last endpoint), and that give
+    every crossing edge its crease's last crossing edge's step: those whose
+    image is in M(cp) and round trip is consistent.
+
+    The second is the number of pairs of colorings with equal images:
+    ``n_col`` exactly when no two share one. When the first count is
+    ``n_col``, every crossing edge takes its crease's last crossing edge's
+    step, so two colorings with equal images take equal steps on every
+    crossing edge. Where the crossing edges reach every vertex from the
+    root (``spans``, as ``_Plan.spans``) and cross only the pattern's
+    creases, those steps fix every color from the root's 0, so no two
+    colorings share an image and the pair count is ``n_col`` without a
+    count. Otherwise a frontier DP counts the pairs in 4-bit pair values
     (``_PAIR_BAN``), the last crossing edge of each crease of the pattern
-    keeping d equal at its ends: |S(g)| exactly when no two share one."""
-    order = _min_frontier_order(g)
-    plan = _plan(g, order)
+    keeping d equal at its ends."""
     pos = {v: i for i, v in enumerate(order)}
     ends = [((pos[e.u], pos[e.v]), e.crease) for e in g.edges.values() if e.directed]
     last = {c: uv for uv, c in ends}
@@ -176,6 +199,8 @@ def _certificates(cp: CreasePattern, g: SawGraph) -> tuple[int, int]:
                 nbrs, first = reads, partial(_checked_colors, [place[k] for k in nbrs], first, checks)
             checked.append((nbrs, first))
         into_m = frontier_count(checked)
+    if into_m == n_col and spans and last.keys() <= cp.creases.keys():
+        return into_m, n_col
     equal = {tuple(sorted(last[c])) for c in cp.creases.keys() & last.keys()}
     pairs_plan = [(nbrs, _no_colors if first is _no_colors else partial(
         _pair_values, [j for j, k in enumerate(nbrs) if (k, i) in equal],
@@ -183,16 +208,23 @@ def _certificates(cp: CreasePattern, g: SawGraph) -> tuple[int, int]:
     return into_m, frontier_count(pairs_plan, bits=4)
 
 
+def _colorings(g: SawGraph) -> Iterator[ThreeColoring]:
+    """S(g) in lexicographic vertex-id order (root fixed to 0), one
+    coloring at a time: the depth-first search of ``search.depth_first``
+    over the sorted vertex ids."""
+    ids = sorted(g.vertices)
+    return map(dict, map(zip, repeat(ids), depth_first(_plan(g, ids))))
+
+
 def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
     """Materialize S(g) in lexicographic vertex-id order (root fixed to 0).
 
     The depth-first search of ``search.depth_first`` over the sorted vertex
-    ids, so any number of vertices fits. Raises CapExceeded at coloring
-    cap + 1.
+    ids (``_colorings``), so any number of vertices fits. Raises
+    CapExceeded at coloring cap + 1.
     """
-    ids = sorted(g.vertices)
-    found = depth_first(_plan(g, ids))
-    out = list(map(dict, map(zip, repeat(ids), islice(found, max(cap, 0)))))
+    found = _colorings(g)
+    out = list(islice(found, max(cap, 0)))
     if next(found, None) is not None:
         raise CapExceeded(f"more than {cap} colorings")
     return out
@@ -205,6 +237,7 @@ _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
 # colorings that verify_bijection checks, keys and lifts back as one block
 _BLOCK = 256
 # the oracle's first assignments that a certified graph past _BLOCK lifts
+# (its own first colorings where it crosses a crease the pattern lacks)
 _LIFTS = 8
 
 
@@ -447,7 +480,25 @@ class _Plan:
 
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
-    """Translate a proper coloring into the MV assignment it encodes."""
+    """Translate a proper coloring into the MV assignment it encodes, in
+    one pass over the edges: each crease takes its last crossing edge's
+    step. A coloring that fails a check of ``_Plan.colors`` (its domain,
+    root, color range or an improper edge) goes to it, which raises its
+    ImproperColoring."""
+    try:
+        ok = s.keys() == g.vertices.keys() and s.get(g.root) == 0 and max(bytes(s.values())) <= 2
+    except (TypeError, ValueError):     # a color is not a byte
+        ok = False
+    if ok:
+        mv = {}
+        for e in g.edges.values():
+            a, b = s[e.u], s[e.v]
+            if a == b:
+                break
+            if e.directed:
+                mv[e.crease] = MV_OF_STEP[(b - a) % 3]
+        else:
+            return mv
     plan = _Plan(g)
     return plan.to_mv(plan.colors([s])[1])
 
@@ -497,10 +548,15 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     be oracle-tractable.
 
     When |M(cp)|, |S(g)| and both counts of ``_certificates`` agree, the
-    map is a bijection whose round trips hold as far as the lift is right,
-    and the lift is checked on a sample: up to ``_BLOCK`` colorings, each
-    must lift back to itself (``_Plan.lifts_back``); past it, each of the
-    first ``_LIFTS`` assignments must lift and map back. Anything else (a
+    map is a bijection whose round trips hold as far as the lift is right.
+    |S(g)| and the certificates share one min-frontier order and coloring
+    plan, and the pair count runs only where the crossing edges do not
+    fix every color (``_certificates``). The lift is checked on a sample:
+    up to ``_BLOCK`` colorings, each must lift back to itself
+    (``_Plan.lifts_back``); past it, each of the first ``_LIFTS``
+    assignments must lift and map back, or, on a graph that crosses a
+    crease the pattern lacks (which no assignment gives), each of its own
+    first ``_LIFTS`` colorings must lift back to itself. Anything else (a
     count that differs, a sample that fails or raises, a listing of other
     than |S(g)| colorings) goes to ``_exact_pass``.
 
@@ -510,18 +566,23 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     """
     plan = _Plan(g)
     order, first, count = oracle._first_assignments(cp, _LIFTS)
-    n_col = count_colorings(g)
+    vertex_order = _min_frontier_order(g)
+    search = _plan(g, vertex_order)
+    n_col = frontier_count(search)
     if n_col > cap:
         raise CapExceeded(f"more than {cap} colorings")
     colorings = None
-    if count == n_col and _certificates(cp, g) == (n_col, n_col):
+    if count == n_col and _certificates(cp, g, vertex_order, search, n_col,
+                                        plan.spans) == (n_col, n_col):
         try:
             if n_col <= _BLOCK:
                 colorings = enumerate_colorings(g, cap=cap)
                 certified = len(colorings) == n_col and plan.lifts_back(*plan.colors(colorings))
-            else:
+            elif plan.crossing.keys() <= cp.creases.keys():
                 certified = all(plan.round_trip(m) == m for m in (
                     {c: MV_OF_STEP[v] for c, v in zip(order, key)} for key in first))
+            else:
+                certified = plan.lifts_back(*plan.colors(list(islice(_colorings(g), _LIFTS))))
         except Exception:  # noqa: BLE001 - the exact pass reports it
             certified = False
         if certified:

@@ -66,35 +66,43 @@ def _search_plan(cp: CreasePattern):
     The order is a vertex sweep: the interior vertices sorted by exact
     coordinate, x then y or y then x, each vertex's ``ccw_creases`` in
     turn, then the creases no vertex has. Of the two axes, the one whose
-    plan has the smaller ``search.frontier_width`` wins, x on a tie, so
+    reads have the smaller ``search.frontier_width`` wins, x on a tie, so
     the frontier is one row of vertices across the narrower side of the
-    pattern."""
+    pattern; only its plan is built."""
     cones = _cones(cp)
-    plans = []
+    sweeps = []
     for axis in (0, 1):
         swept = sorted(cones, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
         order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
                                    + sorted(cp.creases)))
-        plans.append((order, _plan(cones, order)))
-    return min(plans, key=lambda op: frontier_width(op[1]))
+        sweeps.append((order, _reads(cones, order)))
+    order, reads = min(sweeps, key=lambda sweep: frontier_width(sweep[1]))
+    return order, _plan(reads)
 
 
-def _plan(cones: dict[str, ConeVertex], order: list[str]) -> list:
-    """The plan over ``order``, which lists every crease once: the crease
-    that completes a vertex of ``cones`` checks it against the vertex's
-    crimp schedule, reading the vertex's other creases."""
+def _reads(cones: dict[str, ConeVertex], order: list[str]) -> list:
+    """The positions of ``order``, which lists every crease once, before
+    their checks: each as its reads, the other creases of the vertices of
+    ``cones`` that it completes, and those vertices, each with the places
+    of its creases in the reads followed by the position itself."""
     pos = {c: i for i, c in enumerate(order)}
-    checks_at: list[list] = [[] for _ in order]
+    completes: list[list] = [[] for _ in order]
     for cone in cones.values():
         idxs = [pos[c] for c in cone.crease_ids]
-        checks_at[max(idxs)].append((_schedule(cone.angles), idxs))
-    plan = []
-    for i, checks in enumerate(checks_at):
-        reads = sorted({k for _, idxs in checks for k in idxs} - {i})
+        completes[max(idxs)].append((cone, idxs))
+    out = []
+    for i, completed in enumerate(completes):
+        reads = sorted({k for _, idxs in completed for k in idxs} - {i})
         place = {k: j for j, k in enumerate(reads + [i])}
-        checks = [(sched, [place[k] for k in idxs]) for sched, idxs in checks]
-        plan.append((reads, partial(_crease_values, checks)))
-    return plan
+        out.append((reads, [(cone, [place[k] for k in idxs]) for cone, idxs in completed]))
+    return out
+
+
+def _plan(reads: list) -> list:
+    """The plan of ``_reads``' positions: the crease that completes a
+    vertex checks it against the vertex's crimp schedule."""
+    return [(r, partial(_crease_values, [(_schedule(cone.angles), places) for cone, places in completed]))
+            for r, completed in reads]
 
 
 def _crease_values(checks: list, vals: tuple[int, ...]) -> list[int]:

@@ -19,6 +19,7 @@ from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.geometry import on_segment, orient
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
+from flatfold.search import frontier_width
 from flatfold.tiling import _bound, _merge_vertex
 
 
@@ -352,7 +353,20 @@ def oracle_plan(cp, order: list[str]) -> list:
     """The oracle's crease search plan over a fixed crease order, which
     lists every crease once, in place of the vertex sweep."""
     assert sorted(order) == sorted(cp.creases)
-    return oracle._plan(oracle._cones(cp), order)
+    return oracle._plan(oracle._reads(oracle._cones(cp), order))
+
+
+def reference_search_plan(cp):
+    """``oracle._search_plan`` as it was before it chose the axis by its
+    reads alone: both sweeps' full plans, the narrower kept, x on a tie."""
+    cones = oracle._cones(cp)
+    plans = []
+    for axis in (0, 1):
+        swept = sorted(cones, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
+        order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
+                                   + sorted(cp.creases)))
+        plans.append((order, oracle_plan(cp, order)))
+    return min(plans, key=lambda op: frontier_width(op[1]))
 
 
 def replayed_width(plan) -> int:
@@ -409,6 +423,30 @@ def _reference_to_mv(g: SawGraph, s: dict[int, int]) -> dict[str, int]:
             raise ImproperColoring(f"edge {e.id} endpoints share color {s[e.u]}")
     return {e.crease: 1 if (s[e.v] - s[e.u]) % 3 == 1 else -1
             for e in g.edges.values() if e.directed}
+
+
+def reference_min_frontier_order(g: SawGraph) -> list[int]:
+    """``coloring._min_frontier_order`` as it was before it kept its counts
+    up to date: each candidate's frontier growth recounted from its
+    processed neighbours at every step."""
+    adj = g.adjacency()
+    left = {v: len(ws) for v, ws in adj.items()}
+    done: dict[int, None] = {}
+    cand = {g.root} if g.root in adj else set()
+
+    def growth(v):
+        nbrs = [u for u in adj[v] if u in done]
+        return (left[v] > 0) - sum(left[u] == 1 for u in nbrs), -len(nbrs), v
+
+    while cand:
+        v = min(cand, key=growth)
+        cand.discard(v)
+        done[v] = None
+        for u in adj[v]:
+            left[u] -= 1
+            if u not in done:
+                cand.add(u)
+    return list(done)
 
 
 def reference_verify_bijection(cp, g: SawGraph, cap: int = 200000) -> BijectionReport:

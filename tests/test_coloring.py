@@ -29,6 +29,7 @@ from flatfold.errors import (
 )
 from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.saw import SawGraph
+from flatfold.search import frontier_count
 from flatfold.tiling import tile
 
 from .conftest import cone
@@ -38,6 +39,7 @@ from .helpers import (
     grid_saw,
     invalid_joined_twist_saw,
     reference_lift,
+    reference_min_frontier_order,
     reference_verify_bijection,
     small_pattern,
     star_pattern,
@@ -116,17 +118,43 @@ def test_count_miura_pins():
     assert count_colorings(tile(miura(10, 10))) == 169_426_507_164_530_254_380
 
 
+def _certificates(cp, g, spans: bool) -> tuple[int, int]:
+    """``coloring._certificates`` over count_colorings' order and plan, as
+    verify_bijection runs it; with ``spans`` false, the pair count always
+    runs its DP."""
+    order = coloring._min_frontier_order(g)
+    plan = coloring._plan(g, order)
+    return coloring._certificates(cp, g, order, plan, frontier_count(plan), spans)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_count_and_certificates_match_a_transfer_matrix(m):
     # the Miura m x n SAW graph is the m x n grid: a row transfer matrix,
     # which shares no plan with count_colorings, gives its colorings, and
-    # both certificate counts equal it on a passing graph
+    # both certificate counts equal it on a passing graph, the pair count
+    # by its DP too
     for n in range(1, 7):
         cp = miura(m, n)
         g = tile(cp)
         want = grid_coloring_count(m, n)
         assert count_colorings(g) == want, (m, n)
-        assert coloring._certificates(cp, g) == (want, want), (m, n)
+        assert _certificates(cp, g, spans=False) == (want, want), (m, n)
+
+
+def test_min_frontier_order_matches_reference():
+    # the counts kept up to date give the order that recounting each
+    # candidate's growth gave, from the root and from other roots, with a
+    # loop (a vertex that is its own neighbour) too
+    graphs = [tile(cp) for cp in (crane(), miura(10, 10), snake(4, 4), snake(3, 6),
+                                  triangle_twist(1), triangle_twist(2), triangle_twist(3))]
+    graphs += [tile(small_pattern("modified-miura", m, n, seed))
+               for m, n in [(2, 5), (4, 4), (6, 3), (8, 8)] for seed in range(3)]
+    looped = tile(miura(3, 3))
+    looped.add_edge(max(looped.vertices), max(looped.vertices))
+    for g in graphs + [looped]:
+        for root in [g.root] + sorted(g.vertices)[::7]:
+            g.root = root
+            assert coloring._min_frontier_order(g) == reference_min_frontier_order(g)
 
 
 def test_count_long_path_is_iterative():
@@ -268,6 +296,60 @@ def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
     monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: colorings)
     with pytest.raises(ImproperColoring, match=f"^{message}$"):
         _exact_pass(cp, g)
+
+
+def _to_mv_by_columns(g, s):
+    """``coloring_to_mv`` as a block of one: the coloring's columns
+    checked by ``_Plan.colors`` and its image read off their steps."""
+    plan = coloring._Plan(g)
+    return plan.to_mv(plan.colors([s])[1])
+
+
+def _copied_first(g):
+    """``g`` with a reversed copy of its first crossing edge listed first,
+    so that crease's two edges take opposite steps."""
+    e = next(e for e in g.edges.values() if e.directed)
+    eid = g.add_edge(e.v, e.u, directed=True, crease=e.crease)
+    g.edges = {eid: g.edges.pop(eid), **g.edges}
+    return g
+
+
+@pytest.mark.parametrize("make", [lambda: tile(miura(3, 3)), lambda: tile(snake(3, 3)),
+                                  lambda: tile(triangle_twist(1)), lambda: tile(triangle_twist(2)),
+                                  lambda: _copied_first(tile(miura(3, 3)))],
+                         ids=["miura-3x3", "snake-3x3", "twists-1", "twists-2", "miura-3x3-copied"])
+def test_coloring_to_mv_matches_the_column_read(make):
+    # the one pass over the edges gives each coloring the assignment that
+    # the column read gives, in the same crease order; a crease crossed
+    # twice takes its last crossing edge's step
+    g = make()
+    for s in enumerate_colorings(g):
+        got, want = coloring_to_mv(g, s), _to_mv_by_columns(g, s)
+        assert got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("how", ["domain", "missing-root", "root", "range", "improper"])
+def test_coloring_to_mv_refuses_as_the_column_read(how):
+    # each planted refusal raises the column read's ImproperColoring,
+    # message included
+    g = tile(miura(3, 3))
+    s = first_coloring(g)
+    v = next(v for v in sorted(g.vertices) if v != g.root)
+    if how == "domain":
+        s[max(g.vertices) + 1] = 0
+    elif how == "missing-root":
+        g.root = max(g.vertices) + 1
+    elif how == "root":
+        s = {u: (c + 1) % 3 for u, c in s.items()}
+    elif how == "range":
+        s[v] = 3
+    else:
+        e = list(g.edges.values())[len(g.edges) // 2]
+        s[e.v] = s[e.u]
+    with pytest.raises(ImproperColoring) as want:
+        _to_mv_by_columns(g, s)
+    with pytest.raises(ImproperColoring, match=f"^{re.escape(str(want.value))}$"):
+        coloring_to_mv(g, s)
 
 
 def test_mv_round_trip_on_twist():
@@ -585,6 +667,41 @@ def test_verify_bijection_matches_reference(case):
         assert detail == want_detail
 
 
+@settings(max_examples=100, deadline=None)
+@given(bijection_cases())
+def test_a_spanning_round_trip_count_proves_injectivity(case):
+    # verify skips the pair count where the crossing edges span the graph
+    # from the root and cross only the pattern's creases, once the round
+    # trip count is |S|: on each such graph the pair count's DP gives |S|
+    cp, g, _ = case
+    plan = coloring._Plan(g)
+    assume(plan.spans and plan.crossing.keys() <= cp.creases.keys())
+    into_m, pairs = _certificates(cp, g, spans=False)
+    if into_m == count_colorings(g):
+        assert pairs == into_m
+        assert _certificates(cp, g, spans=True) == (into_m, pairs)
+
+
+@pytest.mark.parametrize("make, counts", [(lambda: miura(4, 4), 3), (lambda: triangle_twist(3), 4)],
+                         ids=["miura-4x4", "twists-3"])
+def test_verify_bijection_builds_one_plan(monkeypatch, make, counts):
+    # one min-frontier order serves |S| and the certificates; past the
+    # oracle's DP count and |S|, Miura 4x4 runs the round trip count only,
+    # and joined twists 3, whose crossing edges do not span it, the pair
+    # count too
+    cp = make()
+    g = tile(cp)
+    calls = {"frontier_count": 0, "_min_frontier_order": 0}
+    for module, name in [(coloring, "frontier_count"), (oracle, "frontier_count"),
+                         (coloring, "_min_frontier_order")]:
+        def counted(*args, f=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert verify_bijection(cp, g).ok
+    assert calls == {"frontier_count": counts, "_min_frontier_order": 1}
+
+
 @pytest.mark.parametrize("size, at", [((2, 3), 0), ((2, 3), -1),
                                       ((4, 4), coloring._BLOCK), ((4, 4), -1)])
 @pytest.mark.parametrize("how", ["root", "improper", "domain"])
@@ -715,7 +832,7 @@ def test_verify_bijection_refuses_a_mutant_past_a_block(monkeypatch, how):
     # pass, lists M and gives the reference's report
     cp, g = _miura_mutant(how)
     assert count_colorings(g) == enumerate_locally_valid(cp, cap=0).count == 2604
-    into_m, pairs = coloring._certificates(cp, g)
+    into_m, pairs = _certificates(cp, g, spans=True)
     assert into_m < 2604 and pairs == 2604
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
@@ -935,6 +1052,29 @@ def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
     report = verify_bijection(cp, g)
     assert caps == [coloring._LIFTS]
     assert report.ok
+    assert report == reference_verify_bijection(cp, g)
+
+
+@pytest.mark.parametrize("make", [lambda: miura(4, 4), lambda: triangle_twist(3)],
+                         ids=["miura-4x4", "twists-3"])
+def test_verify_bijection_certifies_a_foreign_crease_past_a_block(monkeypatch, make):
+    # past a block, a copy of a crossing edge across a crease the pattern
+    # lacks passes without listing M: no assignment gives that crease, so
+    # the graph's own first _LIFTS colorings, in sorted-id order, must lift
+    # back (joined twists 3's crossing edges do not span it, so each lifts)
+    cp = make()
+    g = tile(cp)
+    e = next(e for e in g.edges.values() if e.directed)
+    g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
+    caps = _recorded_caps(monkeypatch)
+    lifted = _recorded_lifts(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [coloring._LIFTS]
+    assert report.ok and report.count_colorings > coloring._BLOCK
+    plan = coloring._Plan(g)
+    want = [b"".join(plan.lift_at(plan.colors([s])[1]))
+            for s in enumerate_colorings(g)[:coloring._LIFTS]]
+    assert lifted == ([] if plan.spans else want)
     assert report == reference_verify_bijection(cp, g)
 
 

@@ -21,8 +21,8 @@ from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.search import depth_first, frontier_count, frontier_width
 from flatfold.tiling import tile
 
-from .helpers import (grid_saw, oracle_plan, replayed_width, small_pattern,
-                      sweep_order, vertex_id_order)
+from .helpers import (grid_saw, oracle_plan, reference_search_plan, replayed_width,
+                      small_pattern, sweep_order, vertex_id_order)
 
 
 def test_single_vertex_pattern_matches_recursion():
@@ -140,6 +140,22 @@ def test_sweep_takes_the_narrower_axis():
     cp = crane()
     assert oracle._search_plan(cp)[0] == sweep_order(cp, 0)
     assert replayed_width(oracle_plan(cp, sweep_order(cp, 1))) == 7
+
+
+def test_sweep_axis_chosen_by_reads_keeps_the_full_plans_choice():
+    # the axis is chosen by the width of its reads alone, and only the
+    # winner's plan is built: the order, the reads and the count are those
+    # of choosing between both axes' full plans
+    patterns = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
+    patterns += [make(m, n) for make in (miura, snake) for m, n in [(1, 4), (3, 3), (2, 7), (7, 2)]]
+    patterns += [small_pattern("modified-miura", m, n, seed)
+                 for m, n in [(3, 5), (5, 3), (6, 6)] for seed in range(3)]
+    for cp in patterns:
+        order, plan = oracle._search_plan(cp)
+        want_order, want_plan = reference_search_plan(cp)
+        assert order == want_order
+        assert [reads for reads, _ in plan] == [reads for reads, _ in want_plan]
+        assert frontier_count(plan) == frontier_count(want_plan)
 
 
 @settings(max_examples=30, deadline=None)
