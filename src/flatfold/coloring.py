@@ -189,7 +189,7 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     if cp.creases.keys() <= last.keys():
         for cone in map(partial(cone_at, cp), cp.interior_vertex_ids()):
             pairs = [last[c] for c in cone.crease_ids]
-            checks_at[max(map(max, pairs))].append((partial(_passes, _schedule(cone.angles)), pairs))
+            checks_at[max(map(max, pairs))].append((partial(_passes, _schedule(cone.scaled)), pairs))
         checked = []
         for i, ((nbrs, first), checks) in enumerate(zip(plan, checks_at)):
             if checks:

@@ -26,6 +26,15 @@ Sector angles around a vertex come from one of two sources:
   rational coordinates determine rational degree measures exactly. The
   angles come from the face trace's integer directions, so no rational
   arithmetic is repeated.
+
+Every cone also keeps its angles scaled to integers (``ConeVertex.scaled``):
+each angle times one positive integer, the lcm of their denominators for a
+cone built from its angles; a rotation, reflection or crimp keeps its
+cone's scale. A uniform positive scale keeps every sign, equality, order
+and zero sum, so the single-vertex layer (Kawasaki's test, the minimal
+runs and the crimp recursion) and the declared-angle checks give on these
+ints the answers they would give on the Fractions. The Fractions stay the
+public values.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from numbers import Rational
 
 from .errors import (
     CrossingCreases,
@@ -68,17 +78,33 @@ class ConeVertex:
     """Cyclic sector angles and crease ids around one vertex.
 
     angles[i] sits between crease_ids[i] and crease_ids[(i+1) % n].
-    The cone total may differ from 360 after crimps.
+    The cone total may differ from 360 after crimps. Each angle is a
+    rational number (a Fraction or an int); ``scaled`` holds the angles
+    times one positive integer that makes them all ints (the module
+    docstring states the rule).
     """
 
     angles: tuple[Angle, ...]
     crease_ids: tuple[str, ...]
+    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.angles) != len(self.crease_ids):
             raise ValidationError("angle/crease count mismatch")
-        if any(a <= 0 for a in self.angles):
+        object.__setattr__(self, "scaled", _scale_angles(self.angles)[1])
+        if any(a <= 0 for a in self.scaled):
             raise ValidationError("sector angles must be positive")
+
+    @classmethod
+    def _of(cls, angles: tuple[Angle, ...], crease_ids: tuple[str, ...],
+            scaled: tuple[int, ...]) -> "ConeVertex":
+        """A cone whose scaled angles are already known, unchecked:
+        ``scaled`` must be ``angles`` times one positive integer."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "angles", angles)
+        object.__setattr__(cone, "crease_ids", crease_ids)
+        object.__setattr__(cone, "scaled", scaled)
+        return cone
 
     @property
     def degree(self) -> int:
@@ -89,21 +115,31 @@ class ConeVertex:
         return sum(self.angles, Fraction(0))
 
     def rotated(self, k: int) -> "ConeVertex":
-        n = self.degree
-        k %= n
-        return ConeVertex(self.angles[k:] + self.angles[:k],
-                          self.crease_ids[k:] + self.crease_ids[:k])
+        k %= self.degree
+        return ConeVertex._of(self.angles[k:] + self.angles[:k],
+                              self.crease_ids[k:] + self.crease_ids[:k],
+                              self.scaled[k:] + self.scaled[:k])
 
     def reflected(self) -> "ConeVertex":
         """Mirror image: the cyclic sequence read in the opposite direction."""
-        n = self.degree
         ids = (self.crease_ids[0],) + tuple(reversed(self.crease_ids[1:]))
-        angs = tuple(reversed(self.angles))
-        return ConeVertex(angs, ids)
+        return ConeVertex._of(self.angles[::-1], ids, self.scaled[::-1])
 
     def sector(self, i: int) -> tuple[str, str]:
         """(left, right) crease-id pair bounding sector i."""
         return (self.crease_ids[i], self.crease_ids[(i + 1) % self.degree])
+
+
+def _scale_angles(angles) -> tuple[int, tuple[int, ...]]:
+    """(d, the angles times d), d the lcm of the angles' denominators.
+
+    Raises ValidationError naming the first angle that is not a rational
+    number (a float, a bool or a str)."""
+    for a in angles:
+        if isinstance(a, bool) or not isinstance(a, Rational):
+            raise ValidationError(f"sector angle {a!r} is not a rational number")
+    d = lcm(*(a.denominator for a in angles))
+    return d, tuple(a.numerator * (d // a.denominator) for a in angles)
 
 
 @dataclass(frozen=True)
@@ -307,9 +343,10 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
             raise ValidationError(f"declared angles for unknown vertex {v}")
         if len(angs) != degree[v]:
             raise ValidationError(f"vertex {v}: {len(angs)} angles for degree {degree[v]}")
-        if any(a <= 0 for a in angs):
+        d, scaled = _scale_angles(angs)
+        if any(a <= 0 for a in scaled):
             raise ValidationError(f"vertex {v}: non-positive declared angle")
-        if sum(angs) != 360:
+        if sum(scaled) != 360 * d:
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
 
     faces, crease_sides, corner_faces, ccw_creases, ccw_dirs, boundary_tour = \
@@ -487,8 +524,9 @@ def cone_at(cp: CreasePattern, v: str) -> ConeVertex:
                     f"vertex {v}: sector angles are not 45-degree multiples; "
                     "declare them explicitly")
             angles.append(a)
-        if sum(angles) != 360:
-            raise ValidationError(f"vertex {v}: computed angles do not close up")
         cone = ConeVertex(angles=tuple(angles), crease_ids=ids)
+        # whole degrees: the scale is 1, so the scaled angles are the angles
+        if sum(cone.scaled) != 360:
+            raise ValidationError(f"vertex {v}: computed angles do not close up")
     cp._cones[v] = cone
     return cone

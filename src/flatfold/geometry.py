@@ -135,6 +135,10 @@ def octant(d: tuple[int, int]) -> int | None:
     return _OCTANTS.get((sx, sy))
 
 
+# the sector of k octant steps, k = 1..8, shared by every cone that has it
+_SECTORS = tuple(Fraction(45 * k) for k in range(9))
+
+
 def sector_45(d1: tuple[int, int], d2: tuple[int, int]) -> Fraction | None:
     """Exact ccw angle from d1 to d2 in degrees when both are 45-degree multiples.
 
@@ -145,10 +149,8 @@ def sector_45(d1: tuple[int, int], d2: tuple[int, int]) -> Fraction | None:
     o1, o2 = octant(d1), octant(d2)
     if o1 is None or o2 is None:
         return None
-    step = (o2 - o1) % 8
-    if step == 0:
-        step = 8  # full turn never occurs for distinct creases; defensive
-    return Fraction(45 * step)
+    # a full turn (step 0) never occurs for distinct creases; defensive
+    return _SECTORS[(o2 - o1) % 8 or 8]
 
 
 def polygon_signed_area2(points: list[Point]) -> Fraction | int:

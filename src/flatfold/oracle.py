@@ -101,7 +101,7 @@ def _reads(cones: dict[str, ConeVertex], order: list[str]) -> list:
 def _plan(reads: list) -> list:
     """The plan of ``_reads``' positions: the crease that completes a
     vertex checks it against the vertex's crimp schedule."""
-    return [(r, partial(_crease_values, [(_schedule(cone.angles), places) for cone, places in completed]))
+    return [(r, partial(_crease_values, [(_schedule(cone.scaled), places) for cone, places in completed]))
             for r, completed in reads]
 
 

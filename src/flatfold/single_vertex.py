@@ -11,19 +11,25 @@ Conventions (used consistently across the library):
 * The recursion never re-checks Kawasaki after a crimp; the initial test
   is inherited through the cone states.
 * The validity check, the count, the enumeration and niceness all read
-  the crimp schedule (``_schedule``, cached per angle tuple); only the SAW
-  construction walks the intermediate cones of ``crimp_trace``.
+  the crimp schedule (``_schedule``, cached per scaled angle tuple); only
+  the SAW construction walks the intermediate cones of ``crimp_trace``.
+* Kawasaki's test, the minimal runs and the crimp recursion read each
+  cone's integer-scaled angles (``ConeVertex.scaled``): its angles times
+  the lcm of their denominators, a crimped cone keeping the scale of the
+  cone it came from. A uniform positive scale keeps every equality, order
+  and zero sum, so the answers are those of the exact Fractions. The
+  Fractions stay the public values: a crimped cone's Fraction angles are
+  computed alongside its ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .cp import Angle, ConeVertex, MVAssignment
+from .cp import ConeVertex, MVAssignment
 from .errors import (
     AllAnglesEqual,
     CapExceeded,
@@ -68,13 +74,8 @@ class CrimpTrace:
 
 def kawasaki_check(cone: ConeVertex) -> bool:
     """Even degree and alternating angle sum exactly zero."""
-    n = cone.degree
-    if n % 2 != 0:
-        return False
-    s = Fraction(0)
-    for i, a in enumerate(cone.angles):
-        s += a if i % 2 == 0 else -a
-    return s == 0
+    a = cone.scaled
+    return len(a) % 2 == 0 and sum(a[::2]) == sum(a[1::2])
 
 
 def maekawa_check(mv_values) -> bool:
@@ -95,32 +96,52 @@ def blb_condition(j: int, mv_values) -> bool:
 
 def find_min_runs(cone: ConeVertex) -> list[MinRun]:
     """All maximal runs of equal angles strictly smaller than both neighbours."""
-    angles = cone.angles
-    n = cone.degree
-    if len(set(angles)) == 1:
+    if len(set(cone.scaled)) == 1:
         raise AllAnglesEqual("all sector angles are equal")
-    runs = []
+    return [_run(cone, start, j) for start, j in _min_runs(cone.scaled)]
+
+
+def _min_runs(a: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, j) of each minimal run of the angles a, not all equal, by start."""
+    n = len(a)
     i = 0
-    # walk maximal equal runs starting from a position where a run begins
-    start0 = 0
-    while angles[start0 - 1] == angles[start0]:
-        start0 -= 1  # negative indexing walks back over a wrapping run
-    start0 %= n
-    i = start0
-    seen = 0
-    while seen < n:
+    while a[i - 1] == a[i]:
+        i -= 1  # negative indexing walks back over a wrapping run
+    runs = []
+    end = i + n
+    while i < end:
+        x = a[i % n]
         j = 1
-        while angles[(i + j) % n] == angles[i % n] and j < n:
+        while a[(i + j) % n] == x:
             j += 1
-        prev = angles[(i - 1) % n]
-        nxt = angles[(i + j) % n]
-        if prev > angles[i % n] and nxt > angles[i % n]:
-            creases = tuple(cone.crease_ids[(i + k) % n] for k in range(j + 1))
-            runs.append(MinRun(start=i % n, j=j, creases=creases))
+        if a[(i - 1) % n] > x < a[(i + j) % n]:
+            runs.append((i % n, j))
         i += j
-        seen += j
-    runs.sort(key=lambda r: r.start)
+    runs.sort()
     return runs
+
+
+def _run(cone: ConeVertex, start: int, j: int) -> MinRun:
+    """The run of j angles from ``start``, with its j + 1 bordering creases."""
+    ids = cone.crease_ids
+    n = len(ids)
+    return MinRun(start=start, j=j, creases=tuple(ids[(start + k) % n] for k in range(j + 1)))
+
+
+def _crimp(cone: ConeVertex, run: MinRun) -> ConeVertex:
+    """The smaller cone once the run is folded away (see ``crimp``); the
+    same steps give its Fraction angles and its scaled angles."""
+    j = run.j
+    if j >= cone.degree - 1:
+        raise InvalidRun("run neighbours coincide; cone is not flat-foldable")
+    k = (run.start - 1) % cone.degree  # rotated so the run starts at 1
+    angles, scaled, ids = (t[k:] + t[:k] for t in (cone.angles, cone.scaled, cone.crease_ids))
+    if j % 2 == 1:
+        return ConeVertex._of((angles[0] - angles[1] + angles[j + 1],) + angles[j + 2:],
+                              ids[:1] + ids[j + 2:],
+                              (scaled[0] - scaled[1] + scaled[j + 1],) + scaled[j + 2:])
+    return ConeVertex._of(angles[:1] + angles[j + 1:], ids[:2] + ids[j + 2:],
+                          scaled[:1] + scaled[j + 1:])
 
 
 def crimp(cone: ConeVertex, run: MinRun) -> ConeVertex:
@@ -131,34 +152,18 @@ def crimp(cone: ConeVertex, run: MinRun) -> ConeVertex:
     bordering creases disappear; the first bordering crease survives
     between the unchanged neighbours.
     """
-    n = cone.degree
-    runs = find_min_runs(cone)
-    if run not in runs:
+    if run not in find_min_runs(cone):
         raise InvalidRun(f"{run} is not a minimal run of this cone")
-    if run.j >= n - 1:
-        raise InvalidRun("run neighbours coincide; cone is not flat-foldable")
-    # rotate so the run starts at index 1; then nothing wraps
-    rot = cone.rotated((run.start - 1) % n)
-    angles = list(rot.angles)
-    ids = list(rot.crease_ids)
-    j = run.j
-    if j % 2 == 1:
-        merged = angles[0] - angles[1] + angles[j + 1]
-        new_angles = [merged] + angles[j + 2:]
-        new_ids = [ids[0]] + ids[j + 2:]
-    else:
-        new_angles = [angles[0]] + angles[j + 1:]
-        new_ids = ids[:2] + ids[j + 2:]
-    return ConeVertex(tuple(new_angles), tuple(new_ids))
+    return _crimp(cone, run)
 
 
 def crimp_trace(cone: ConeVertex) -> CrimpTrace:
     """Run the deterministic recursion (first MinRun each time) to the base."""
     steps = []
     cur = cone
-    while len(set(cur.angles)) > 1:
-        run = find_min_runs(cur)[0]
-        cur = crimp(cur, run)
+    while len(set(cur.scaled)) > 1:
+        run = _run(cur, *_min_runs(cur.scaled)[0])
+        cur = _crimp(cur, run)
         steps.append(CrimpStep(run=run, result=cur))
     return CrimpTrace(start=cone, steps=tuple(steps))
 
@@ -170,9 +175,9 @@ def niceness(cone: ConeVertex):
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="niceness needs a Kawasaki-valid cone")
-    if len(set(cone.angles)) == 1:
+    if len(set(cone.scaled)) == 1:
         return ALL_EQUAL
-    return max(j for _, j, _ in _schedule(cone.angles).steps)
+    return max(j for _, j, _ in _schedule(cone.scaled).steps)
 
 
 # -- fast validity schedule ---------------------------------------------------
@@ -182,8 +187,8 @@ class _Schedule:
     """Positions, per crimp step, into the original crease tuple.
 
     Checking one assignment is O(degree) integer work. Positions do not
-    depend on crease names, so the schedule is cached per angle tuple and
-    brute-force loops stay fast.
+    depend on crease names, so the schedule is cached per scaled angle
+    tuple (``ConeVertex.scaled``) and brute-force loops stay fast.
     """
 
     steps: tuple[tuple[tuple[int, ...], int, int | None], ...]
@@ -191,9 +196,10 @@ class _Schedule:
 
 
 @lru_cache(maxsize=4096)
-def _schedule(angles: tuple[Angle, ...]) -> _Schedule:
-    # the positions themselves serve as crease labels
-    trace = crimp_trace(ConeVertex(angles, tuple(range(len(angles)))))
+def _schedule(scaled: tuple[int, ...]) -> _Schedule:
+    # the positions themselves serve as crease labels; the crimp recursion
+    # depends on the angles only up to a uniform scale
+    trace = crimp_trace(ConeVertex(scaled, tuple(range(len(scaled)))))
     steps = []
     for st in trace.steps:
         run = st.run
@@ -228,7 +234,7 @@ def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
-    sched = _schedule(cone.angles)
+    sched = _schedule(cone.scaled)
     vals = [mv.get(c) for c in cone.crease_ids]
     if any(v not in (1, -1) for v in vals):
         raise ValueError("assignment values must be +-1")
@@ -245,7 +251,7 @@ def count_single_vertex_mv(cone: ConeVertex) -> int:
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
-    sched = _schedule(cone.angles)
+    sched = _schedule(cone.scaled)
     n2 = len(sched.terminal_idx)
     total = 2 * comb(n2, n2 // 2 - 1)
     for _, j, _ in sched.steps:
@@ -265,7 +271,7 @@ def enumerate_single_vertex_mv(cone: ConeVertex, cap: int = 1 << 20) -> list[MVA
     total = count_single_vertex_mv(cone)
     if total > cap:
         raise CapExceeded(f"{total} assignments exceed cap {cap}")
-    sched = _schedule(cone.angles)
+    sched = _schedule(cone.scaled)
     rows = [[0] * cone.degree]
     # the base's Maekawa vectors first, then the runs, last crimp first
     lifts = [(sched.terminal_idx, None, (2, -2))]

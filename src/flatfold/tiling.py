@@ -181,24 +181,25 @@ def tile(cp: CreasePattern) -> SawGraph:
     the support pass and the merges. The support pass runs
     single_vertex_saw once per distinct angle tuple, walking the vertices
     in sorted id order and turning a refusal into UnsupportedVertex at the
-    first vertex that meets it. Each merge takes a bound copy of its
-    tuple's graph. Waterbomb vertices are 3-nice, so no pattern surgery is
+    first vertex that meets it; the table is keyed by ``ConeVertex.scaled``,
+    which tells the tuples apart as every cone of a pattern closes at 360.
+    Each merge takes a bound copy of its tuple's graph. Waterbomb vertices are 3-nice, so no pattern surgery is
     needed. The graph built here and each bound copy are owned by this
     call, so every triangle, prism and merge changes them in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
-    built: dict[tuple, tuple[SawGraph, tuple[str, ...]]] = {}
+    built: dict[tuple[int, ...], tuple[SawGraph, tuple[str, ...]]] = {}
     for v, cone in cones.items():
-        if cone.angles not in built:
+        if cone.scaled not in built:
             try:
-                built[cone.angles] = (single_vertex_saw(cone), cone.crease_ids)
+                built[cone.scaled] = (single_vertex_saw(cone), cone.crease_ids)
             except _REFUSALS as exc:
                 raise UnsupportedVertex(v, str(exc)) from exc
     g = _base_saw(cp)
     merged: set[str] = set()
     for v in _rebuild_order(cp):
         cone = cones[v]
-        base, names = built[cone.angles]
+        base, names = built[cone.scaled]
         u_graph = _bound(base, cp, v, dict(zip(names, cone.crease_ids)))
         try:
             _merge_vertex(g, cp, v, cone, u_graph, merged)

@@ -5,14 +5,17 @@ boundary edges (the failure mode the tiling procedure must avoid)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
-from flatfold.cp import build_crease_pattern, cone_at
+from flatfold.cp import ConeVertex, build_crease_pattern, cone_at
 from flatfold.errors import (
+    AllAnglesEqual,
     AmbiguousCompletion,
     DisconnectedInterior,
     ImproperColoring,
+    InvalidRun,
     NoCompletion,
 )
 from flatfold.generators import modified_miura, snake, triangle_twist
@@ -20,6 +23,7 @@ from flatfold.geometry import on_segment, orient
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
 from flatfold.search import frontier_width
+from flatfold.single_vertex import CrimpStep, CrimpTrace, MinRun
 from flatfold.tiling import _bound, _merge_vertex
 
 
@@ -610,3 +614,89 @@ def reference_lift(g: SawGraph, steps: list[int]) -> list[int]:
     if found is None:
         raise NoCompletion("no coloring completes the assignment")
     return found
+
+
+# -- the single-vertex layer in Fraction arithmetic ----------------------------
+# ``single_vertex`` reads each cone's integer-scaled angles; these are its
+# bodies as they were on the exact Fractions, the reference it must match.
+
+def reference_kawasaki_check(cone: ConeVertex) -> bool:
+    n = cone.degree
+    if n % 2 != 0:
+        return False
+    s = Fraction(0)
+    for i, a in enumerate(cone.angles):
+        s += a if i % 2 == 0 else -a
+    return s == 0
+
+
+def reference_find_min_runs(cone: ConeVertex) -> list[MinRun]:
+    angles = cone.angles
+    n = cone.degree
+    if len(set(angles)) == 1:
+        raise AllAnglesEqual("all sector angles are equal")
+    runs = []
+    start0 = 0
+    while angles[start0 - 1] == angles[start0]:
+        start0 -= 1
+    start0 %= n
+    i = start0
+    seen = 0
+    while seen < n:
+        j = 1
+        while angles[(i + j) % n] == angles[i % n] and j < n:
+            j += 1
+        prev = angles[(i - 1) % n]
+        nxt = angles[(i + j) % n]
+        if prev > angles[i % n] and nxt > angles[i % n]:
+            creases = tuple(cone.crease_ids[(i + k) % n] for k in range(j + 1))
+            runs.append(MinRun(start=i % n, j=j, creases=creases))
+        i += j
+        seen += j
+    runs.sort(key=lambda r: r.start)
+    return runs
+
+
+def reference_crimp(cone: ConeVertex, run: MinRun) -> ConeVertex:
+    n = cone.degree
+    if run not in reference_find_min_runs(cone):
+        raise InvalidRun(f"{run} is not a minimal run of this cone")
+    if run.j >= n - 1:
+        raise InvalidRun("run neighbours coincide; cone is not flat-foldable")
+    rot = cone.rotated((run.start - 1) % n)
+    angles = list(rot.angles)
+    ids = list(rot.crease_ids)
+    j = run.j
+    if j % 2 == 1:
+        new_angles = [angles[0] - angles[1] + angles[j + 1]] + angles[j + 2:]
+        new_ids = [ids[0]] + ids[j + 2:]
+    else:
+        new_angles = [angles[0]] + angles[j + 1:]
+        new_ids = ids[:2] + ids[j + 2:]
+    return ConeVertex(tuple(new_angles), tuple(new_ids))
+
+
+def reference_crimp_trace(cone: ConeVertex) -> CrimpTrace:
+    steps = []
+    cur = cone
+    while len(set(cur.angles)) > 1:
+        run = reference_find_min_runs(cur)[0]
+        cur = reference_crimp(cur, run)
+        steps.append(CrimpStep(run=run, result=cur))
+    return CrimpTrace(start=cone, steps=tuple(steps))
+
+
+def random_rational_cone(rng: random.Random) -> ConeVertex:
+    """A cone of degree 2-12 whose angles are drawn from a pool of one to
+    four rationals with denominators 1-12, so equal runs (wrapping ones
+    too), all-equal cones, odd degrees and Kawasaki failures all occur;
+    an even cone is made Kawasaki-valid half the time by moving its last
+    angle, when that leaves it positive."""
+    n = rng.randint(2, 12)
+    pool = [Fraction(rng.randint(1, 60), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+    angles = [rng.choice(pool) for _ in range(n)]
+    if n % 2 == 0 and rng.random() < 0.5:
+        alt = sum(a if i % 2 == 0 else -a for i, a in enumerate(angles))
+        if angles[-1] + alt > 0:
+            angles[-1] += alt
+    return ConeVertex(tuple(angles), tuple(f"c{i}" for i in range(n)))

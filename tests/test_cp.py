@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,32 @@ def test_rejects_bad_declared_angles(declared, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         build_crease_pattern(cp.vertices, cp.creases, SQUARE, declared_angles=declared,
                              boundary_points=cp.boundary_points)
+
+
+@pytest.mark.parametrize("bad", [90.0, True, "90"])
+def test_cone_vertex_refuses_a_non_rational_angle(bad):
+    # a float would run Kawasaki's test inexactly; a bool or a str is no angle
+    with pytest.raises(ValidationError,
+                       match=f"^sector angle {re.escape(repr(bad))} is not a rational number$"):
+        ConeVertex((F(90), F(90), bad, F(90)), ("c0", "c1", "c2", "c3"))
+
+
+def test_cone_vertex_scales_its_angles_by_the_lcm_of_their_denominators():
+    c = ConeVertex((F(45, 2), F(135, 4), 90, F(60)), ("c0", "c1", "c2", "c3"))
+    assert c.scaled == (90, 135, 360, 240)
+    assert c.rotated(1).scaled == (135, 360, 240, 90)
+    assert c.reflected().scaled == (240, 360, 135, 90)
+
+
+def test_cone_angles_are_fractions():
+    # computed from coordinates and declared (here as ints) alike
+    computed = cross_pattern()
+    declared = build_crease_pattern(
+        computed.vertices, computed.creases, SQUARE,
+        declared_angles={"v0": (60, 120, 60, 120)},
+        boundary_points=computed.boundary_points)
+    for cp in (computed, declared):
+        angles = cone_at(cp, "v0").angles
+        assert all(type(a) is Fraction for a in angles)
+    assert angles == (60, 120, 60, 120)
+    assert all(type(a) is Fraction for a in declared.declared_angles["v0"])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from flatfold import (
     blb_condition,
     count_single_vertex_mv,
     crimp,
+    crimp_trace,
     enumerate_single_vertex_mv,
     find_min_runs,
     is_valid_single_vertex,
@@ -18,13 +20,20 @@ from flatfold import (
     maekawa_check,
     niceness,
 )
-from flatfold.cp import cone_at
-from flatfold.errors import AllAnglesEqual, InvalidRun, KawasakiViolation
-from flatfold.generators import miura
+from flatfold.cp import ConeVertex, cone_at
+from flatfold.errors import AllAnglesEqual, FlatfoldError, InvalidRun, KawasakiViolation
+from flatfold.generators import crane, miura
 from flatfold.oracle import count_locally_valid
+from flatfold.saw import single_vertex_saw
 from flatfold.single_vertex import MinRun, _schedule
 
 from .conftest import brute_force_count, cone, random_kawasaki_cone
+from .helpers import (
+    random_rational_cone,
+    reference_crimp_trace,
+    reference_find_min_runs,
+    reference_kawasaki_check,
+)
 
 
 def test_kawasaki_examples():
@@ -235,3 +244,66 @@ def test_validity_schedule_is_cached_per_angle_tuple():
     assert count_locally_valid(cp, limit=len(cp.creases)) == 33865632
     assert _schedule.cache_info().misses <= len(angle_tuples)
     assert len(angle_tuples) < len(cp.interior_vertex_ids())
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the library error it raised."""
+    try:
+        return f(*args)
+    except FlatfoldError as exc:
+        return type(exc), str(exc)
+
+
+def test_single_vertex_layer_matches_its_fraction_reference():
+    # the layer reads integer-scaled angles; on seeded rational cones it
+    # gives the results, and raises the errors, of its Fraction bodies
+    rng = random.Random(20261019)
+    seen = Counter()
+    for k in range(3000):
+        c = random_kawasaki_cone(rng, 6) if k % 4 == 0 else random_rational_cone(rng)
+        kawasaki = kawasaki_check(c)
+        assert kawasaki == reference_kawasaki_check(c), c
+        runs = _outcome(find_min_runs, c)
+        assert runs == _outcome(reference_find_min_runs, c), c
+        trace = _outcome(crimp_trace, c)
+        assert trace == _outcome(reference_crimp_trace, c), c
+        seen.update({f"degree {c.degree}", f"kawasaki {kawasaki}",
+                     f"denominator {max(a.denominator for a in c.angles)}"})
+        seen.update(x[0].__name__ for x in (runs, trace) if isinstance(x, tuple))
+        if isinstance(runs, list):
+            seen.update("wrapping run" for r in runs if r.start + r.j > c.degree)
+    assert {f"degree {n}" for n in range(2, 13)} <= seen.keys()
+    assert {f"denominator {d}" for d in range(1, 13)} <= seen.keys()
+    # all-equal cones (find_min_runs refuses) and crimps whose neighbours
+    # coincide (crimp_trace refuses) occur as well
+    assert min(seen[k] for k in ("kawasaki True", "kawasaki False", "wrapping run",
+                                 "AllAnglesEqual", "InvalidRun")) >= 100
+
+
+def test_single_vertex_layer_is_scale_invariant():
+    # a uniform positive scale changes no equality, order or zero sum, so
+    # Kawasaki's test, the runs, the schedule and the SAW graph all stay
+    rng = random.Random(4417)
+    for k in range(600):
+        c = random_kawasaki_cone(rng, 5) if k % 2 else random_rational_cone(rng)
+        r = Fraction(rng.randint(1, 100), rng.randint(1, 100))
+        big = ConeVertex(tuple(a * r for a in c.angles), c.crease_ids)
+        assert kawasaki_check(big) == kawasaki_check(c)
+        runs = _outcome(find_min_runs, c)
+        if isinstance(runs, list):
+            runs = [(run.start, run.j) for run in runs]
+            assert [(run.start, run.j) for run in find_min_runs(big)] == runs
+        else:
+            assert _outcome(find_min_runs, big) == runs
+        if kawasaki_check(c):
+            assert _schedule(big.scaled) == _schedule(c.scaled)
+            assert _outcome(single_vertex_saw, big) == _outcome(single_vertex_saw, c)
+
+
+def test_crimp_trace_angles_are_fractions():
+    # the layer computes on ints, but every angle it hands out is a
+    # Fraction: on computed (crane) and declared (Miura) cones alike
+    angles = [a for cp in (crane(), miura(3, 3)) for v in cp.interior_vertex_ids()
+              for step in crimp_trace(cone_at(cp, v)).steps for a in step.result.angles]
+    assert len(angles) >= 20
+    assert all(type(a) is Fraction for a in angles)
