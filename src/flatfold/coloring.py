@@ -117,10 +117,12 @@ def count_colorings(g: SawGraph) -> int:
 
     The frontier DP of ``search.frontier_count`` over a greedy min-frontier
     vertex order, so the cost follows the frontier width, not the number of
-    colorings. Raises DisconnectedSawGraph for a disconnected graph and
-    TilingError when the root is not a vertex.
+    colorings. Swapping colors 1 and 2 maps the colorings onto themselves,
+    so the DP keeps one state for each frontier and its swap. Raises
+    DisconnectedSawGraph for a disconnected graph and TilingError when the
+    root is not a vertex.
     """
-    return frontier_count(_plan(g, _min_frontier_order(g)))
+    return frontier_count(_plan(g, _min_frontier_order(g)), swap=True)
 
 
 def _checked_colors(nbrs: list[int], first, checks: list, vals: tuple[int, ...]) -> list[int]:
@@ -165,7 +167,10 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     last crossing edges' steps pass each interior vertex's crimp schedule
     (checked at the vertex that colors their last endpoint), and that give
     every crossing edge its crease's last crossing edge's step: those whose
-    image is in M(cp) and round trip is consistent.
+    image is in M(cp) and round trip is consistent. Swapping colors 1 and
+    2 negates every step and keeps each schedule's verdict, so this DP
+    keeps one state for each frontier and its swap; the pair values below
+    are not swapped slot by slot, so that DP keeps both.
 
     The second is the number of pairs of colorings with equal images:
     ``n_col`` exactly when no two share one. When the first count is
@@ -198,7 +203,7 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
                 checks = [(test, [(place[u], place[v]) for u, v in pairs]) for test, pairs in checks]
                 nbrs, first = reads, partial(_checked_colors, [place[k] for k in nbrs], first, checks)
             checked.append((nbrs, first))
-        into_m = frontier_count(checked)
+        into_m = frontier_count(checked, swap=True)
     if into_m == n_col and spans and last.keys() <= cp.creases.keys():
         return into_m, n_col
     equal = {tuple(sorted(last[c])) for c in cp.creases.keys() & last.keys()}
@@ -568,7 +573,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     order, first, count = oracle._first_assignments(cp, _LIFTS)
     vertex_order = _min_frontier_order(g)
     search = _plan(g, vertex_order)
-    n_col = frontier_count(search)
+    n_col = frontier_count(search, swap=True)
     if n_col > cap:
         raise CapExceeded(f"more than {cap} colorings")
     colorings = None

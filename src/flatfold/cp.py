@@ -169,6 +169,13 @@ class CreasePattern:
     ccw_dirs: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     # creases ending on the boundary in ccw walk order (a chord appears twice)
     boundary_tour: tuple[str, ...] = ()
+    # interior vertex -> its coordinates on the build's integer lattice
+    # (one uniform positive scale, so they sort as the Fractions do)
+    lattice: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False,
+                                                compare=False)
+    # declared vertex -> its declared angles scaled as ``ConeVertex.scaled``
+    declared_scaled: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False,
+                                                        compare=False)
     # cone_at's memo: interior vertex -> its ConeVertex
     _cones: dict[str, ConeVertex] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
@@ -211,7 +218,10 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     order along a line, so convexity, containment, the sweep, the segment
     tests and the face trace give the answers they would give on the
     rationals; the factor 2 keeps every crease midpoint an integer. The
-    returned pattern holds the original Fractions.
+    returned pattern holds the original Fractions, and keeps the interior
+    vertices' integer copies (``lattice``, which the oracle's sweep sorts)
+    and each declared list's scaled angles (``declared_scaled``, which
+    ``cone_at`` reads), so neither is computed again.
 
     A boundary point's place is the region edge (a, b) holding it with
     p != b, and its offset dot(p - a, b - a); 0 means it is corner a, no
@@ -337,7 +347,8 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if d % 2 != 0:
             raise OddDegreeInteriorVertex(f"vertex {v} has degree {d}")
 
-    # declared angle sanity
+    # declared angle sanity, on the angles scaled once for the pattern's cones
+    declared_scaled = {}
     for v, angs in declared_angles.items():
         if v not in vertices:
             raise ValidationError(f"declared angles for unknown vertex {v}")
@@ -348,6 +359,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
             raise ValidationError(f"vertex {v}: non-positive declared angle")
         if sum(scaled) != 360 * d:
             raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
+        declared_scaled[v] = scaled
 
     faces, crease_sides, corner_faces, ccw_creases, ccw_dirs, boundary_tour = \
         _trace_faces(ivertices, ibpoints, places, creases, iregion)
@@ -364,6 +376,8 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         ccw_creases=ccw_creases,
         ccw_dirs=ccw_dirs,
         boundary_tour=boundary_tour,
+        lattice=ivertices,
+        declared_scaled=declared_scaled,
     )
 
 
@@ -513,7 +527,8 @@ def cone_at(cp: CreasePattern, v: str) -> ConeVertex:
         raise NotInteriorVertex(v)
     ids = cp.ccw_creases[v]
     if v in cp.declared_angles:
-        cone = ConeVertex(angles=cp.declared_angles[v], crease_ids=ids)
+        # checked by build_crease_pattern: positive, one per crease
+        cone = ConeVertex._of(cp.declared_angles[v], ids, cp.declared_scaled[v])
     else:
         dirs = cp.ccw_dirs[v]
         angles = []

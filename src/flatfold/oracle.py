@@ -7,9 +7,11 @@ values that pass its single-vertex crimp schedule. A value is a color
 step (``cp.STEP_OF_MV``): 1 for mountain, 2 for valley.
 ``count_locally_valid`` runs the plan through the frontier DP
 ``search.frontier_count``, so its cost follows the frontier width, not
-the count. ``_first_assignments`` runs it through ``search.depth_first``
-and stops past its cap, leaving the count to the DP; it keeps each
-assignment as ``bytes``, one step per crease in search order.
+the count; the mountain-valley flip maps M onto itself, so the DP keeps
+one state for each frontier and its flip. ``_first_assignments`` runs it
+through ``search.depth_first`` and stops past its cap, leaving the count
+to the DP; it keeps each assignment as ``bytes``, one step per crease in
+search order.
 ``enumerate_locally_valid`` turns those keys into witness dicts, and
 ``coloring.verify_bijection`` uses them as its assignment keys as they
 are. Counts are exact Python ints (arbitrary precision).
@@ -64,15 +66,17 @@ def _search_plan(cp: CreasePattern):
     plan (a crease reads the other creases of the vertices it completes).
 
     The order is a vertex sweep: the interior vertices sorted by exact
-    coordinate, x then y or y then x, each vertex's ``ccw_creases`` in
-    turn, then the creases no vertex has. Of the two axes, the one whose
-    reads have the smaller ``search.frontier_width`` wins, x on a tie, so
-    the frontier is one row of vertices across the narrower side of the
-    pattern; only its plan is built."""
+    coordinate (their integer copies, ``CreasePattern.lattice``, which sort
+    as the Fractions do), x then y or y then x, each vertex's
+    ``ccw_creases`` in turn, then the creases no vertex has. Of the two
+    axes, the one whose reads have the smaller ``search.frontier_width``
+    wins, x on a tie, so the frontier is one row of vertices across the
+    narrower side of the pattern; only its plan is built."""
     cones = _cones(cp)
+    at = cp.lattice
     sweeps = []
-    for axis in (0, 1):
-        swept = sorted(cones, key=lambda v: (cp.vertices[v][axis], cp.vertices[v][1 - axis]))
+    for key in (at.__getitem__, lambda v: at[v][::-1]):   # x then y, y then x
+        swept = sorted(cones, key=key)
         order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
                                    + sorted(cp.creases)))
         sweeps.append((order, _reads(cones, order)))
@@ -132,7 +136,7 @@ def _first_assignments(cp: CreasePattern, cap: int):
     order, plan = _search_plan(cp)
     cap = max(cap, 0)
     found = list(map(bytes, islice(depth_first(plan), cap + 1)))
-    count = len(found) if len(found) <= cap else frontier_count(plan)
+    count = len(found) if len(found) <= cap else frontier_count(plan, swap=True)
     del found[cap:]
     return order, found, count
 
@@ -163,7 +167,7 @@ def count_locally_valid(cp: CreasePattern, limit: int | None = None) -> int:
     lim = _brute_limit(limit)
     if n > lim:
         raise LimitExceeded(f"{n} creases exceed the brute-force limit {lim}")
-    return frontier_count(_search_plan(cp)[1])
+    return frontier_count(_search_plan(cp)[1], swap=True)
 
 
 def is_locally_valid(cp: CreasePattern, mv: MVAssignment) -> bool:

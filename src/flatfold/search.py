@@ -6,8 +6,16 @@ A *plan* is a list of positions in assignment order. Position i is a pair
 i may take when the positions in ``reads`` hold the tuple ``vals`` (0..3,
 or wider in ``frontier_count``). A SAW-graph vertex reads its earlier
 neighbours (``coloring``); a crease reads the other creases of the
-vertices it completes (``oracle``). Both functions call ``allowed`` once
-per position and distinct ``vals``.
+vertices it completes (``oracle``). Both functions call ``allowed`` at most
+once per position and distinct ``vals``.
+
+Both of those plans are equivariant under sigma, the exchange of the
+values 1 and 2 (0 and 3 stay): ``allowed`` of the sigma-image of ``vals``
+is the sigma-image of ``allowed(vals)``. For colorings sigma swaps the
+colors 1 and 2 and keeps the root's 0; for creases it is the
+mountain-valley flip, under which every crimp schedule is symmetric.
+``frontier_count(plan, swap=True)`` counts such a plan with one DP state
+for each pair of states {s, sigma(s)}.
 """
 
 from __future__ import annotations
@@ -18,15 +26,32 @@ from operator import itemgetter
 Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
 
 
-def frontier_count(plan: Plan, bits: int = 2) -> int:
+def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
     """Number of complete assignments of ``plan``, by a frontier DP: the
     state packs the values of the assigned positions that a later position
     still reads into an int, ``bits`` bits per slot (a value that does not
     fit raises ValueError), and maps to the number of assignments that
     leave the frontier so. A slot is freed after its last reader, so the
-    cost follows the frontier width, not the count."""
+    cost follows the frontier width, not the count.
+
+    ``swap`` is for a sigma-equivariant plan with 2-bit slots (module
+    docstring). sigma acts on a state slot by slot: it exchanges 01 and 10
+    and keeps 00 (a free slot, or the value 0) and 11. Each new state t is
+    stored as the smaller of t and sigma(t), so a state stands for its
+    pair, and ``allowed`` is asked only of one state of each pair. The
+    count stays exact because sigma maps the successors of s onto those of
+    sigma(s), so both states of a pair lead to each pair equally often. On
+    a plan that is not equivariant the count is wrong; ``swap`` with wider
+    slots raises ValueError."""
     last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
     mask = (1 << bits) - 1
+    lo = 0
+    if swap:
+        if bits != 2:
+            raise ValueError("swap needs 2-bit slots")
+        # 01 in every slot a state can use (each shift is below
+        # bits * frontier_width)
+        lo = ((1 << bits * (frontier_width(plan) + 1)) - 1) // 3
     slot: dict[int, int] = {}   # frontier position -> bit shift of its value
     free: list[int] = []
     states = {0: 1}
@@ -52,9 +77,17 @@ def frontier_count(plan: Plan, bits: int = 2) -> int:
                     raise ValueError(f"position {i} allows a value outside {bits} bits")
                 codes = codes_of[r] = [0 if sh is None else v << sh for v in vals]
             base = s & keep
-            for c in codes:
-                t = base | c
-                new[t] = new.get(t, 0) + n
+            if lo:
+                for c in codes:
+                    t = base | c
+                    u = (t & lo) << 1 | (t >> 1) & lo
+                    if u < t:
+                        t = u
+                    new[t] = new.get(t, 0) + n
+            else:
+                for c in codes:
+                    t = base | c
+                    new[t] = new.get(t, 0) + n
         states = new
     return sum(states.values())
 

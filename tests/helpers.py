@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
@@ -22,7 +23,7 @@ from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.geometry import on_segment, orient
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
-from flatfold.search import frontier_width
+from flatfold.search import frontier_count, frontier_width
 from flatfold.single_vertex import CrimpStep, CrimpTrace, MinRun
 from flatfold.tiling import _bound, _merge_vertex
 
@@ -371,6 +372,32 @@ def reference_search_plan(cp):
                                    + sorted(cp.creases)))
         plans.append((order, oracle_plan(cp, order)))
     return min(plans, key=lambda op: frontier_width(op[1]))
+
+
+# sigma, the exchange of the values 1 and 2, on one 2-bit value
+SIGMA = (0, 2, 1, 3)
+
+
+def sigma_checked(plan) -> list:
+    """``plan`` with each ``allowed`` asserting, on every tuple it is
+    asked, the equivariance that ``frontier_count``'s ``swap`` needs: the
+    values ``allowed`` gives the tuple's sigma-image are the sigma-images of
+    the values it gives the tuple."""
+    def checked(allowed, vals):
+        got = allowed(vals)
+        flipped = allowed(tuple([SIGMA[v] for v in vals]))
+        assert set(flipped) == {SIGMA[v] for v in got}, vals
+        return got
+    return [(reads, partial(checked, allowed)) for reads, allowed in plan]
+
+
+def swap_counted(plan) -> int:
+    """``frontier_count(plan, swap=True)``, once the plain DP over
+    ``sigma_checked(plan)`` has found every tuple it asks equivariant and
+    given the same count."""
+    count = frontier_count(plan, swap=True)
+    assert count == frontier_count(sigma_checked(plan))
+    return count
 
 
 def replayed_width(plan) -> int:

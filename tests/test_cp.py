@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flatfold import build_crease_pattern, cone_at
+from flatfold import cp as cp_module
 from flatfold.cp import ConeVertex
 from flatfold.errors import (
     CrossingCreases,
@@ -12,6 +13,7 @@ from flatfold.errors import (
     OddDegreeInteriorVertex,
     ValidationError,
 )
+from flatfold.generators import crane, miura, triangle_twist
 
 F = Fraction
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -237,3 +239,26 @@ def test_cone_angles_are_fractions():
         assert all(type(a) is Fraction for a in angles)
     assert angles == (60, 120, 60, 120)
     assert all(type(a) is Fraction for a in declared.declared_angles["v0"])
+
+
+@pytest.mark.parametrize("make", [lambda: miura(3, 3), lambda: triangle_twist(2), crane],
+                         ids=["miura-3x3", "twists-2", "crane"])
+def test_each_vertex_scales_its_angles_once(monkeypatch, make):
+    # the build checks a declared list on its scaled angles and keeps them
+    # for the vertex's cone; a cone computed from coordinates scales its own
+    calls = []
+    scale = cp_module._scale_angles
+
+    def counting(angles):
+        calls.append(angles)
+        return scale(angles)
+
+    monkeypatch.setattr(cp_module, "_scale_angles", counting)
+    cp = make()
+    cones = [cone_at(cp, v) for v in cp.interior_vertex_ids()]
+    assert len(calls) == len(cp.vertices)
+    for v, cone in zip(cp.interior_vertex_ids(), cones):
+        assert cone.scaled == scale(cone.angles)[1]
+        if v in cp.declared_angles:
+            assert cone.angles == cp.declared_angles[v]
+            assert cone.scaled is cp.declared_scaled[v]

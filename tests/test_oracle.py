@@ -14,10 +14,10 @@ from flatfold import (
     enumerate_locally_valid,
     is_locally_valid,
 )
-from flatfold import oracle
+from flatfold import oracle, patternio
 from flatfold.cp import MV_OF_STEP, cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
-from flatfold.generators import crane, miura, snake, triangle_twist
+from flatfold.generators import PatternSpec, crane, miura, snake, triangle_twist
 from flatfold.search import depth_first, frontier_count, frontier_width
 from flatfold.tiling import tile
 
@@ -158,6 +158,28 @@ def test_sweep_axis_chosen_by_reads_keeps_the_full_plans_choice():
         assert frontier_count(plan) == frontier_count(want_plan)
 
 
+def test_sweep_sorts_the_integer_lattice_as_the_coordinates():
+    # the sweep sorts the build's integer copies of the coordinates: the
+    # orders and reads are the reference's, which sorts the Fractions, on
+    # every pattern of the benchmark's decks (read back from their files)
+    # and on seeded modified-Miura masks
+    specs = [PatternSpec("crane")] + [PatternSpec("joined-twists", count=k) for k in (1, 2, 3)]
+    rng = random.Random(5)
+    for m, n in [(3, 3), (3, 4), (4, 3), (4, 4), (4, 5), (5, 4), (5, 5)]:
+        mask = tuple(rng.random() < 0.5 for _ in range(n - 1))
+        specs += [PatternSpec("miura", m, n), PatternSpec("snake", m, n),
+                  PatternSpec("modified-miura", m, n, mask)]
+    patterns = [patternio.load_text(patternio.emit(spec.build()))[0] for spec in specs]
+    patterns += [small_pattern("modified-miura", m, n, seed)
+                 for m, n in [(2, 6), (6, 2), (7, 7)] for seed in range(10)]
+    for cp in patterns:
+        assert all(type(c) is int for p in cp.lattice.values() for c in p)
+        order, plan = oracle._search_plan(cp)
+        want_order, want_plan = reference_search_plan(cp)
+        assert order == want_order
+        assert [reads for reads, _ in plan] == [reads for reads, _ in want_plan]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["modified-miura", "snake", "twists"]),
        st.integers(2, 8), st.integers(2, 8), st.integers(0, 10 ** 6))
@@ -254,9 +276,14 @@ def test_capped_search_stops_at_cap(monkeypatch):
 
 def test_enumeration_checks_no_more_than_the_count(monkeypatch):
     # both searches ask a crease's rule once per distinct read value, and
-    # a full enumeration reads no value the DP does not
+    # a full enumeration reads no value the plain DP does not; the count's
+    # DP, quotiented by the mountain-valley flip, asks one read value of
+    # each flipped pair
     calls = _count_checks(monkeypatch)
     assert count_locally_valid(miura(4, 4)) == 2_604
+    assert calls[0] == 88
+    calls[0] = 0
+    assert frontier_count(oracle._search_plan(miura(4, 4))[1]) == 2_604
     counted = calls[0]
     calls[0] = 0
     report = enumerate_locally_valid(miura(4, 4), cap=10 ** 6)

@@ -1,0 +1,180 @@
+"""The frontier DP's quotient by sigma, the exchange of the values 1 and 2:
+for colorings the swap of colors 1 and 2, for creases the mountain-valley
+flip. Every plan the library counts with ``swap`` must be sigma-equivariant
+on every tuple the plain DP asks, and count as the plain DP does."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+
+from flatfold import coloring, oracle
+from flatfold.coloring import count_colorings, verify_bijection
+from flatfold.generators import crane, miura, snake, triangle_twist
+from flatfold.oracle import count_locally_valid
+from flatfold.saw import SawGraph
+from flatfold.search import depth_first, frontier_count
+from flatfold.tiling import tile
+
+from .helpers import sigma_checked, small_pattern, swap_counted
+from .test_oracle import _count_checks
+from .test_search import plans
+
+
+@pytest.fixture
+def swapped(monkeypatch):
+    """The plans the library counts with ``swap``, in call order; each is
+    counted by ``swap_counted``, which checks it against the plain DP."""
+    seen = []
+
+    def spy(plan, bits=2, swap=False):
+        if not swap:
+            return frontier_count(plan, bits)
+        seen.append(plan)
+        return swap_counted(plan)
+
+    for module in (coloring, oracle):
+        monkeypatch.setattr(module, "frontier_count", spy)
+    return seen
+
+
+def _looped(at_root: bool) -> SawGraph:
+    """Miura 3x3's graph with a loop at the root or at its last vertex."""
+    g = tile(miura(3, 3))
+    v = g.root if at_root else max(g.vertices)
+    g.add_edge(v, v)
+    return g
+
+
+def _mutant(how: str):
+    """Miura 4x4 and its graph with the first crossing edge reversed, made
+    undirected (its crease uncrossed), copied reversed and listed first, or
+    copied across a crease the pattern lacks."""
+    cp = miura(4, 4)
+    g = tile(cp)
+    e = next(e for e in g.edges.values() if e.directed)
+    if how == "reversed":
+        e.u, e.v = e.v, e.u
+    elif how == "uncrossed":
+        e.directed, e.crease = False, None
+    elif how == "copied":
+        eid = g.add_edge(e.v, e.u, directed=True, crease=e.crease)
+        g.edges = {eid: g.edges.pop(eid), **g.edges}
+    else:
+        g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
+    return cp, g
+
+
+PATTERNS = {
+    "crane": (crane, 93_312),
+    "twists-1": (lambda: triangle_twist(1), 26),
+    "twists-2": (lambda: triangle_twist(2), 170),
+    "twists-3": (lambda: triangle_twist(3), 1_112),
+    "miura-4x4": (lambda: miura(4, 4), 2_604),
+    "snake-4x4": (lambda: snake(4, 4), 2_604),
+}
+
+
+@pytest.mark.parametrize("name", [*PATTERNS, "looped-root", "looped-other"])
+def test_count_colorings_swaps_an_equivariant_plan(swapped, name):
+    if name.startswith("looped"):
+        g, count = _looped(name == "looped-root"), 0
+    else:
+        make, count = PATTERNS[name]
+        g = tile(make())
+    assert count_colorings(g) == count
+    assert len(swapped) == 1
+
+
+@pytest.mark.parametrize("name", [*PATTERNS, "reversed", "uncrossed", "copied", "foreign"])
+def test_into_m_swaps_an_equivariant_plan(swapped, name):
+    # the round-trip certificate's plan checks steps and crimp schedules,
+    # both symmetric under the flip; an uncrossed crease leaves it uncounted
+    if name in PATTERNS:
+        cp = PATTERNS[name][0]()
+        g = tile(cp)
+    else:
+        cp, g = _mutant(name)
+    order = coloring._min_frontier_order(g)
+    plan = coloring._plan(g, order)
+    n_col = frontier_count(plan)
+    into_m, _ = coloring._certificates(cp, g, order, plan, n_col, spans=True)
+    if name in PATTERNS or name == "foreign":
+        assert into_m == n_col
+    else:
+        assert into_m < n_col
+    assert len(swapped) == (name != "uncrossed")
+
+
+@pytest.mark.parametrize("name", [*PATTERNS, "masked-0", "masked-1", "masked-2"])
+def test_count_locally_valid_swaps_an_equivariant_plan(swapped, name):
+    if name in PATTERNS:
+        make, count = PATTERNS[name]
+        cp = make()
+    else:
+        cp, count = small_pattern("modified-miura", 4, 5, int(name[-1])), 18_150
+    assert count_locally_valid(cp, limit=len(cp.creases)) == count
+    assert oracle._first_assignments(cp, 3)[2] == count
+    assert len(swapped) == 2
+
+
+def test_verify_bijection_counts_three_plans_with_the_swap(swapped):
+    # |M| past the oracle's cap, |S| and the round-trip certificate; the
+    # pair count is skipped, since Miura 4x4's crossing edges span it
+    report = verify_bijection(miura(4, 4), tile(miura(4, 4)))
+    assert report.ok and report.count_colorings == 2_604
+    assert len(swapped) == 3
+
+
+def test_swap_needs_two_bit_slots():
+    with pytest.raises(ValueError, match="^swap needs 2-bit slots$"):
+        frontier_count([([], lambda vals: (0,))], bits=4, swap=True)
+
+
+def test_swap_asks_fewer_checks_on_the_crane(monkeypatch):
+    # one read tuple per pair of flipped frontiers: the crane's crease
+    # count asks fewer crimp checks than the plain DP on the same plan
+    calls = _count_checks(monkeypatch)
+    plan = oracle._search_plan(crane())[1]
+    assert frontier_count(plan, swap=True) == 93_312
+    asked, calls[0] = calls[0], 0
+    assert frontier_count(plan) == 93_312
+    assert asked == 160 and calls[0] == 224
+
+
+@settings(max_examples=40, deadline=None)
+@given(plans())
+def test_swap_counts_as_the_plain_dp(plan):
+    # seeded coloring plans over random vertex orders, K4, no position,
+    # and crease plans over random crease orders
+    assert swap_counted(plan) == len(list(depth_first(plan)))
+
+
+def random_connected_graph(seed: int) -> tuple[SawGraph, list[int]]:
+    """A seeded connected graph on 2-9 vertices (a random tree plus up to
+    as many random edges again) with a random root, and a vertex order
+    that does not start at the root."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    g = SawGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for v in range(1, n):
+        g.add_edge(rng.randrange(v), v)
+    for _ in range(rng.randint(0, n)):
+        g.add_edge(*rng.sample(range(n), 2))
+    g.root = rng.randrange(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    if order[0] == g.root:
+        order[0], order[1] = order[1], order[0]
+    return g, order
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_swap_counts_a_plan_that_colors_the_root_late(seed):
+    # vertices before the root take any color; sigma keeps the root's 0
+    g, order = random_connected_graph(seed)
+    plan = coloring._plan(g, order)
+    count = len(list(depth_first(plan)))
+    assert frontier_count(plan, swap=True) == frontier_count(sigma_checked(plan)) == count
