@@ -266,9 +266,11 @@ class _Plan:
     the place of its steps in ``edge_steps``, and ``crossing`` that place
     for each crease's last crossing edge, whose step the crease takes. A
     crossing edge's step is (s(head) - s(tail)) mod 3: 1 for mountain, 2
-    for valley. ``colors``' getters, ``lift``'s ``nbrs`` and ``spans`` are
-    built on first use, so ``coloring_to_mv`` and ``mv_to_coloring`` build
-    only what they use.
+    for valley. ``nbrs``, the neighbour lists that ``lift`` and ``spans``
+    read, are filled in the same pass over the graph's edges as ``edges``
+    and ``directed``; ``colors``' getters and ``spans`` are built on first
+    use, so ``coloring_to_mv`` and ``mv_to_coloring`` build only what they
+    use.
     Building, checking, translating and lifting are each O(V + E) per
     coloring; only the completion search of a stalled lift can take longer.
     """
@@ -279,17 +281,29 @@ class _Plan:
         self.root_id = g.root
         index = dict(zip(self.vertices, range(len(self.vertices))))
         self.root = index.get(g.root)
-        self.edges: list[tuple[int, int, int, int]] = []
-        self.directed: list[tuple[str, int]] = []
-        self.crossing: dict[str, int] = {}
+        edges: list[tuple[int, int, int, int]] = []
+        directed: list[tuple[str, int]] = []
+        crossing: dict[str, int] = {}
+        # the neighbours of each vertex i: cross[i] across crossing edges as
+        # (index, k, sign), the neighbour's color being i's plus sign times
+        # step k, and plain[i] across undirected edges
+        cross: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
+        plain: list[list[int]] = [[] for _ in self.vertices]
         for j, e in enumerate(g.edges.values(), 1):
             u, v = index[e.u], index[e.v]
-            k = -1
             if e.directed:
-                k = len(self.directed)
-                self.directed.append((e.crease, j))
-                self.crossing[e.crease] = j
-            self.edges.append((e.id, u, v, k))
+                k = len(directed)
+                directed.append((e.crease, j))
+                crossing[e.crease] = j
+                cross[u].append((v, k, 1))
+                cross[v].append((u, k, -1))
+            else:
+                k = -1
+                plain[u].append(v)
+                plain[v].append(u)
+            edges.append((e.id, u, v, k))
+        self.edges, self.directed, self.crossing = edges, directed, crossing
+        self.nbrs = (cross, plain)
 
     def colors(self, block: Sequence[ThreeColoring]) -> tuple[list[bytes], list[bytes]]:
         """The color columns of a block of colorings, checked: each
@@ -430,22 +444,6 @@ class _Plan:
         if found is None:
             raise NoCompletion("no coloring completes the assignment")
         return found
-
-    @cached_property
-    def nbrs(self) -> tuple[list[list[tuple[int, int, int]]], list[list[int]]]:
-        """The neighbours of each vertex i: ``cross[i]`` across crossing
-        edges as ``(index, k, sign)``, the neighbour's color being i's plus
-        ``sign`` times step k, and ``plain[i]`` across undirected edges."""
-        cross: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
-        plain: list[list[int]] = [[] for _ in self.vertices]
-        for _, u, v, k in self.edges:
-            if k < 0:
-                plain[u].append(v)
-                plain[v].append(u)
-            else:
-                cross[u].append((v, k, 1))
-                cross[v].append((u, k, -1))
-        return cross, plain
 
     @cached_property
     def lift_at(self):

@@ -12,6 +12,14 @@ integer directions in ``CreasePattern.ccw_dirs``, which ``cone_at`` reads.
 ``cone_at`` computes a vertex's cone once per pattern and keeps it on the
 pattern.
 
+The face trace takes one gcd per edge (crease or boundary segment): an
+edge's primitive direction at its far end is the negation of the one at
+its first end. It numbers the half-edges leaving each node in a block, in
+the node's ccw order, and builds one successor table from the blocks, so
+each face is traced once, one table lookup per half-edge. The build's
+planarity sweep finds each crease's candidates by bisection on the boxes'
+sorted left edges.
+
 The build places each boundary point once (its region edge and offset);
 the trace orders the boundary by place and records the boundary tour,
 ``CreasePattern.boundary_tour``, which tiling reads.
@@ -39,6 +47,7 @@ public values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -71,6 +80,7 @@ MVAssignment = dict[str, int]  # crease id -> +1 mountain / -1 valley
 # mod 3 across a crossing edge: 1 for mountain, 2 for valley; step 0 reads 0
 STEP_OF_MV = {1: 1, -1: 2}
 MV_OF_STEP = (0, 1, -1)
+_EXACT_TYPES = frozenset((Fraction, int))
 
 
 @dataclass(frozen=True)
@@ -134,12 +144,15 @@ def _scale_angles(angles) -> tuple[int, tuple[int, ...]]:
     """(d, the angles times d), d the lcm of the angles' denominators.
 
     Raises ValidationError naming the first angle that is not a rational
-    number (a float, a bool or a str)."""
-    for a in angles:
-        if isinstance(a, bool) or not isinstance(a, Rational):
-            raise ValidationError(f"sector angle {a!r} is not a rational number")
-    d = lcm(*(a.denominator for a in angles))
-    return d, tuple(a.numerator * (d // a.denominator) for a in angles)
+    number (a float, a bool or a str). Fractions and ints pass without the
+    abstract ``Rational`` check."""
+    if not _EXACT_TYPES.issuperset(map(type, angles)):
+        for a in angles:
+            if isinstance(a, bool) or not isinstance(a, Rational):
+                raise ValidationError(f"sector angle {a!r} is not a rational number")
+    dens = [a.denominator for a in angles]
+    d = lcm(*dens)
+    return d, tuple([a.numerator * (d // q) for a, q in zip(angles, dens)])
 
 
 @dataclass(frozen=True)
@@ -232,9 +245,11 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
 
     The planarity check is a sort-and-sweep rather than an all-pairs loop.
     Each crease's exact closed bounding box is computed once, and the boxes
-    are swept in order of their left edge. A box leaves the active list once
-    its right edge lies left of the new box; an active box whose y-interval
-    also overlaps the new one makes a candidate pair. Creases whose boxes are
+    are sorted by their left edge. The boxes whose x-interval overlaps a
+    given one, later in that order, are a run of it: from the next box to
+    the last whose left edge is not past the given box's right edge, found
+    by bisection. A box of that run whose
+    y-interval also overlaps makes a candidate pair. Creases whose boxes are
     disjoint cannot touch, so only candidates reach the exact
     ``segments_conflict`` test, which decides a pair that shares an
     endpoint (most candidates) with one cross and one dot product. Creases
@@ -292,8 +307,11 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     rim = [(a, sub(iregion[(i + 1) % nreg], a)) for i, a in enumerate(iregion)]
 
     def _strictly_inside(p) -> bool:
-        return all(ex * (p[1] - ay) - ey * (p[0] - ax) > 0
-                   for (ax, ay), (ex, ey) in rim)
+        x, y = p
+        for (ax, ay), (ex, ey) in rim:
+            if ex * (y - ay) - ey * (x - ax) <= 0:
+                return False
+        return True
 
     # each boundary point's place (see the docstring)
     places: dict[str, tuple[int, int]] = {}
@@ -314,17 +332,23 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     # the sweep that picks the candidate pairs)
     items = sorted(creases.items())
     segs = [(pts[a], pts[b]) for _, (a, b) in items]
-    boxes = [(min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
-             for p, q in segs]
+    xlo = [min(p[0], q[0]) for p, q in segs]
+    xhi = [max(p[0], q[0]) for p, q in segs]
+    ylo = [min(p[1], q[1]) for p, q in segs]
+    yhi = [max(p[1], q[1]) for p, q in segs]
     candidates: list[list[int]] = [[] for _ in items]
-    active: list[int] = []
-    for k in sorted(range(len(items)), key=lambda k: boxes[k][0]):
-        xmin, _, ymin, ymax = boxes[k]
-        active = [j for j in active if boxes[j][1] >= xmin]
-        for j in active:
-            if boxes[j][2] <= ymax and ymin <= boxes[j][3]:
-                candidates[min(j, k)].append(max(j, k))
-        active.append(k)
+    by_left = sorted(range(len(items)), key=xlo.__getitem__)
+    lefts = [xlo[k] for k in by_left]
+    for at, j in enumerate(by_left):
+        # the boxes after j by left edge whose left edge is not past j's
+        # right edge, found by bisection: the later boxes j's x-interval meets
+        top, bottom = yhi[j], ylo[j]
+        for k in [k for k in by_left[at + 1:bisect_right(lefts, xhi[j], at + 1)]
+                  if ylo[k] <= top and bottom <= yhi[k]]:
+            if j < k:
+                candidates[j].append(k)
+            else:
+                candidates[k].append(j)
     # walking creases in id order keeps the first error the all-pairs one
     for i, (c1, _) in enumerate(items):
         p1, q1 = segs[i]
@@ -386,12 +410,44 @@ def _exact(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _ccw_ids(dirs: dict[str, tuple[int, int]]) -> list[str]:
+def _angle_ranks(dirs) -> dict[tuple[int, int], int]:
+    """Each distinct primitive direction's place counterclockwise from +x."""
+    return {d: i for i, d in enumerate(sorted(set(dirs), key=ANGLE_KEY))}
+
+
+def _ccw_ids(dirs: dict[str, tuple[int, int]], rank: dict[tuple[int, int], int]) -> list[str]:
     """The crease-order rule: ids counterclockwise by their primitive
-    direction, rotated so the lowest id leads."""
-    ids = sorted(dirs, key=lambda i: ANGLE_KEY(dirs[i]))
+    direction, rotated so the lowest id leads. The directions are sorted
+    by ``rank``, their places from ``_angle_ranks``; a pattern ranks all
+    its directions once, so that each node's sort compares ints."""
+    ids = [i for _, i in sorted(zip(map(rank.__getitem__, dirs.values()), dirs))]
     k = ids.index(min(ids))
     return ids[k:] + ids[:k]
+
+
+def _least_rotation(nodes: tuple[str, ...]) -> tuple[str, ...]:
+    """The least rotation of a face's node tuple, which starts at an
+    occurrence of its least node (most faces have one)."""
+    m = min(nodes)
+    i = nodes.index(m)
+    if nodes.count(m) == 1:
+        return nodes[i:] + nodes[:i]
+    return min(nodes[j:] + nodes[:j] for j, n in enumerate(nodes) if n == m)
+
+
+def _successors(refs: list[str], before: list[int]) -> list[int]:
+    """The successor table of the face trace. Half-edge h leaves its node
+    along edge refs[h], and before[h] leaves the same node along the edge
+    before it in that node's ccw order. Arriving at v along e, a face
+    leaves v along the edge before e: the successor of h is ``before`` of
+    its twin, the half-edge that leaves v along e."""
+    twin = [0] * len(refs)
+    first: dict[str, int] = {}
+    for h, e in enumerate(refs):
+        t = first.setdefault(e, h)
+        twin[h] = t
+        twin[t] = h
+    return list(map(before.__getitem__, twin))
 
 
 def _trace_faces(vertices, boundary_points, places, creases, region):
@@ -400,6 +456,17 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
 
     Coordinates are the integer copies made by build_crease_pattern, and
     places[b] is boundary point b's (region edge, offset) from there.
+
+    Each edge's primitive direction is computed once (one gcd), at its
+    first end, and negated at the other. The half-edges leaving a node are
+    numbered in a block, in the node's ccw order, so the one leaving along
+    the edge before a given one is known without a search; one successor
+    table (``_successors``) then gives every face's next half-edge, and
+    each face is traced once, as a cycle of that table. A face starts at
+    its least half-edge by (node, edge) id, where a scan of all half-edges
+    in sorted order would first meet it; the interior faces are named f0,
+    f1, ... in order of their least node-tuple rotation, ties kept in that
+    scan's order.
 
     crease_sides[c] = (left face, right face) relative to the stored (a, b)
     direction of crease c. corner_faces[(v, cL, cR)] = face occupying the
@@ -428,76 +495,78 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
     # incidence in the exact ccw order
     incident: dict[str, dict[str, tuple[int, int]]] = {n: {} for n in pts}
     for eid, (a, b) in edges.items():
-        incident[a][eid] = primitive((pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]))
-        incident[b][eid] = primitive((pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]))
+        (xa, ya), (xb, yb) = pts[a], pts[b]
+        dx, dy = primitive((xb - xa, yb - ya))
+        incident[a][eid] = (dx, dy)
+        incident[b][eid] = (-dx, -dy)
     order: dict[str, list[str]] = {}
+    tails: list[str] = []
+    refs: list[str] = []
+    before: list[int] = []
+    block: dict[str, int] = {}      # node -> its first half-edge
+    rank = _angle_ranks(d for dirs in incident.values() for d in dirs.values())
     for n, dirs in incident.items():
         if len(set(dirs.values())) != len(dirs):
             raise ValidationError(f"overlapping creases at {n}")
-        order[n] = _ccw_ids(dirs)
+        lst = order[n] = _ccw_ids(dirs, rank)
+        h = block[n] = len(refs)
+        tails += [n] * len(lst)
+        refs += lst
+        before.append(h + len(lst) - 1)
+        before += range(h, h + len(lst) - 1)
 
-    # next half-edge: arriving at v from u, leave via the edge immediately
-    # clockwise of the reversed direction (interior faces traced ccw).
-    def next_half_edge(u: str, eid: str, v: str) -> tuple[str, str, str]:
-        lst = order[v]
-        e2 = lst[lst.index(eid) - 1]
-        a, b = edges[e2]
-        return (v, e2, b if a == v else a)
-
-    half_edges = {h for e, (a, b) in edges.items() for h in ((a, e, b), (b, e, a))}
-    walks = []
-    seen = set()
-    for he in sorted(half_edges):
-        if he in seen:
-            continue
-        walk = []
-        cur = he
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
-            cur = next_half_edge(*cur)
-        walks.append(walk)
-
-    # identify outer face by signed area of the walk polygon
-    face_rows = [(w, polygon_signed_area2([pts[u] for u, _, _ in w])) for w in walks]
-    outers = [w for w, a2 in face_rows if a2 < 0]
-    if len(outers) != 1:
+    succ = _successors(refs, before)
+    face_of = [-1] * len(succ)
+    walks: list[list[int]] = []
+    for h in range(len(succ)):
+        if face_of[h] < 0:
+            f = len(walks)
+            walk = []
+            while face_of[h] < 0:
+                face_of[h] = f
+                walk.append(h)
+                h = succ[h]
+            walks.append(walk)
+    # a connected plane graph has E - V + 2 faces; an island (a component
+    # off the ring) adds a second outer walk. Otherwise the outer face is
+    # the one clockwise along the ring: that of the half-edge leaving
+    # ring[1] along s0.
+    if len(walks) != len(edges) - len(pts) + 2:
         raise ValidationError("face traversal failed to find a unique outer face")
+    outer = face_of[block[ring[1]] + order[ring[1]].index("s0")]
 
-    # deterministic face ids: sort interior walks by canonical node tuple
-    def canon(walk):
-        nodes = tuple(u for (u, _, _) in walk)
-        rots = [nodes[i:] + nodes[:i] for i in range(len(nodes))]
-        return min(rots)
+    # each face from its least half-edge; interior faces named by least
+    # node rotation, ties in order of that half-edge
+    keys = list(zip(tails, refs))
+    for walk in walks:
+        i = walk.index(min(walk, key=keys.__getitem__))
+        walk[:] = walk[i:] + walk[:i]
+    nodes = [tuple(map(tails.__getitem__, w)) for w in walks]
+    interior = sorted((f for f in range(len(walks)) if f != outer),
+                      key=lambda f: (_least_rotation(nodes[f]), keys[walks[f][0]]))
+    names = [""] * len(walks)
+    for k, f in enumerate(interior):
+        names[f] = f"f{k}"
+    names[outer] = "outer"
+    faces = tuple(Face(id=names[f], nodes=nodes[f],
+                       edge_refs=tuple(map(refs.__getitem__, walks[f])),
+                       is_outer=f == outer)
+                  for f in interior + [outer])
 
-    interior = sorted((w for w, a2 in face_rows if a2 >= 0), key=canon)
-    named = [(f"f{i}", w) for i, w in enumerate(interior)] + [("outer", outers[0])]
-    faces = []
-    he_face: dict[tuple[str, str, str], str] = {}
-    for fid, walk in named:
-        faces.append(Face(
-            id=fid,
-            nodes=tuple(u for (u, _, _) in walk),
-            edge_refs=tuple(e for (_, e, _) in walk),
-            is_outer=fid == "outer",
-        ))
-        he_face.update((he, fid) for he in walk)
+    def face(n: str, e: str) -> str:
+        """The face left of the half-edge leaving n along e."""
+        return names[face_of[block[n] + order[n].index(e)]]
 
-    crease_sides = {cid: (he_face[(a, cid, b)], he_face[(b, cid, a)])
-                    for cid, (a, b) in creases.items()}
-
-    # corners: consecutive half-edges (u -> v), (v -> w) of a face put the
-    # sector running ccw from edge (v,w) to edge (v,u) inside that face.
+    crease_sides = {cid: (face(a, cid), face(b, cid)) for cid, (a, b) in creases.items()}
+    # the sector running ccw from crease order[v][i - 1] to order[v][i]
+    # lies in the face of the half-edge leaving v along order[v][i - 1]
     corner_faces = {}
-    for f, walk in named:
-        n = len(walk)
-        for i in range(n):
-            u, e1, v = walk[i]
-            _, e2, w = walk[(i + 1) % n]
-            if v in vertices:
-                corner_faces[(v, e2, e1)] = f
+    for v in vertices:
+        h, lst = block[v], order[v]
+        for i, e in enumerate(lst):
+            corner_faces[v, lst[i - 1], e] = names[face_of[before[h + i]]]
     ccw_creases = {v: tuple(order[v]) for v in vertices}
-    ccw_dirs = {v: tuple(incident[v][c] for c in order[v]) for v in vertices}
+    ccw_dirs = {v: tuple(map(incident[v].__getitem__, order[v])) for v in vertices}
     # at a ring node the walk meets the creases by falling angle from its
     # direction: the node's order from the outgoing segment round to the
     # incoming one, reversed
@@ -507,7 +576,7 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
         i = lst.index(segs[k])
         after = lst[i + 1:] + lst[:i]
         tour += reversed(after[:after.index(segs[k - 1])])
-    return tuple(faces), crease_sides, corner_faces, ccw_creases, ccw_dirs, tuple(tour)
+    return faces, crease_sides, corner_faces, ccw_creases, ccw_dirs, tuple(tour)
 
 
 def cone_at(cp: CreasePattern, v: str) -> ConeVertex:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cp import CreasePattern, _ccw_ids, build_crease_pattern, cone_at
+from .cp import CreasePattern, _angle_ranks, _ccw_ids, build_crease_pattern, cone_at
 from .errors import BadMaskLength, NotWaterbomb, ValidationError
 from .geometry import dot, primitive
 
@@ -108,7 +108,7 @@ class _Builder:
             other = b if a == vid else a
             q = self.vertices.get(other) or self.bpoints[other]
             dirs[cid] = primitive((q[0] - p[0], q[1] - p[1]))
-        ids = _ccw_ids(dirs)
+        ids = _ccw_ids(dirs, _angle_ranks(dirs.values()))
         self.angles[vid] = tuple(sector(dirs[c1], dirs[c2])
                                  for c1, c2 in zip(ids, ids[1:] + ids[:1]))
 

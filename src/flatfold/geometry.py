@@ -70,9 +70,9 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
         return ((d1 == 0 and _in_box(a, c, d)) or (d2 == 0 and _in_box(b, c, d))
                 or (d3 == 0 and _in_box(c, a, b)) or (d4 == 0 and _in_box(d, a, b)))
     q = d if c == s else c
-    u = sub(p, s)
-    w = sub(q, s)
-    return cross(u, w) == 0 and dot(u, w) > 0
+    ux, uy = p[0] - s[0], p[1] - s[1]
+    wx, wy = q[0] - s[0], q[1] - s[1]
+    return ux * wy == uy * wx and ux * wx + uy * wy > 0
 
 
 def _in_box(p: Point, a: Point, b: Point) -> bool:

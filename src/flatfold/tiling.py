@@ -20,11 +20,20 @@ Tiling computes no geometry: crease orders, faces, sides and the boundary
 tour all come from the pattern's face trace. A crossing edge's tail face
 says which side of its crease it leaves from, so two crossing edges of
 one crease point the same way exactly when their tails share a face.
+
+No merge rescans the merged graph. Tiling keeps the crossing edge of
+each crease on the merged graph's walk, so a band's window is found from
+its first crease's edge: ``list.index`` gives that edge's walk step, and
+only the window's steps are read. The zip moves the incoming graph's
+vertices and edges into the merged graph under new ids, and builds the
+new walk from slices: the merged walk after its window round to the
+window's start, then the incoming arc.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from operator import ne
 
 from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
@@ -44,37 +53,41 @@ def clip_order(cp: CreasePattern) -> list[str]:
 
     Only the crease order ``cp.ccw_creases`` is read, no angle.
     Clippability depends only on which of a vertex's neighbours remain, so
-    the clippable set is kept up to date: a pick re-evaluates only its own
-    neighbours. Each pick takes the first clippable vertex, in sorted
-    order, that is not a cut vertex, else the first clippable one.
+    the clippable set is kept up to date, as a sorted list: a pick
+    re-evaluates only its own neighbours, and moves each in or out of the
+    list by bisection. Each pick takes the first clippable vertex, in
+    sorted order, that is not a cut vertex, else the first clippable one.
     """
-    ends = {v: [cp.crease_other_end(c, v) for c in ids]
+    creases = cp.creases
+    ends = {v: [b if a == v else a for a, b in map(creases.__getitem__, ids)]
             for v, ids in cp.ccw_creases.items()}
     remaining = set(ends)
-    clippable = {v for v in remaining if _clippable(ends[v], remaining)}
+    clippable = sorted(v for v in remaining if _clippable(ends[v], remaining))
     order = []
     while remaining:
         if not clippable:
             raise DisconnectedInterior(
                 "no clippable vertex; interior cannot be ordered")
-        ranked = sorted(clippable)
-        pick = next((v for v in ranked if not _is_cut(ends, remaining, v)),
-                    ranked[0])
+        pick = next((v for v in clippable if not _is_cut(ends, remaining, v)),
+                    clippable[0])
         order.append(pick)
         remaining.discard(pick)
-        clippable.discard(pick)
+        del clippable[bisect_left(clippable, pick)]
         for w in set(ends[pick]) & remaining:
+            i = bisect_left(clippable, w)
+            listed = i < len(clippable) and clippable[i] == w
             if _clippable(ends[w], remaining):
-                clippable.add(w)
-            else:
-                clippable.discard(w)
+                if not listed:
+                    clippable.insert(i, w)
+            elif listed:
+                del clippable[i]
     return order
 
 
 def _clippable(ends: list[str], remaining: set[str]) -> bool:
     """Does a vertex whose creases end at ``ends`` (in cyclic order) reach
     the boundary, with its creases to remaining vertices contiguous?"""
-    shared = [w in remaining for w in ends]
+    shared = list(map(remaining.__contains__, ends))
     return not all(shared) and _contiguous(shared)
 
 
@@ -83,28 +96,26 @@ def _is_cut(ends: dict[str, list[str]], remaining: set[str], v: str) -> bool:
 
     A breadth-first search from one remaining neighbour of v, avoiding v,
     that stops as soon as it has reached every other one."""
-    nbrs = {w for w in ends[v] if w in remaining}
+    nbrs = remaining.intersection(ends[v])
     if len(nbrs) <= 1:
         return False
     start = nbrs.pop()
     seen = {v, start}
-    queue = deque([start])
-    while queue:
-        for x in ends[queue.popleft()]:
-            if x in remaining and x not in seen:
-                seen.add(x)
-                nbrs.discard(x)
+    queue = [start]
+    for x in queue:             # the queue grows as the search reaches
+        for y in ends[x]:
+            if y in remaining and y not in seen:
+                seen.add(y)
+                nbrs.discard(y)
                 if not nbrs:
                     return False
-                queue.append(x)
+                queue.append(y)
     return True
 
 
 def _contiguous(flags: list[bool]) -> bool:
     """True if the True entries form one contiguous cyclic block (or none)."""
-    n = len(flags)
-    transitions = sum(flags[i] != flags[(i + 1) % n] for i in range(n))
-    return transitions <= 2
+    return sum(map(ne, flags, flags[1:] + flags[:1])) <= 2
 
 
 def _face_regions(cp: CreasePattern, kept: set[str]) -> dict[str, str]:
@@ -112,6 +123,8 @@ def _face_regions(cp: CreasePattern, kept: set[str]) -> dict[str, str]:
     every crease not in kept. A region is named by its minimum face id, so
     the order of the unions does not matter."""
     parent = {f.id: f.id for f in cp.interior_faces()}
+    if not kept:    # a crease joins the faces on its sides, so all are one
+        return dict.fromkeys(parent, min(parent))
 
     def find(x):
         while parent[x] != x:
@@ -196,13 +209,14 @@ def tile(cp: CreasePattern) -> SawGraph:
             except _REFUSALS as exc:
                 raise UnsupportedVertex(v, str(exc)) from exc
     g = _base_saw(cp)
+    crossing = g.crossing_edges()
     merged: set[str] = set()
     for v in _rebuild_order(cp):
         cone = cones[v]
         base, names = built[cone.scaled]
         u_graph = _bound(base, cp, v, dict(zip(names, cone.crease_ids)))
         try:
-            _merge_vertex(g, cp, v, cone, u_graph, merged)
+            _merge_vertex(g, cp, v, cone, u_graph, merged, crossing)
         except TilingError as exc:
             exc.vertex = v
             raise
@@ -220,13 +234,14 @@ def _rebuild_order(cp: CreasePattern) -> list[str]:
     the one old vertex the splice gives a new face ends no crossing edge
     whose side a later merge reads."""
     rebuild = clip_order(cp)[::-1]
+    creases, at = cp.creases, cp.ccw_creases
     first: dict[str, int] = {}
     for i, s in enumerate(rebuild):
         queue = [s]
         for x in queue:
-            if x in cp.ccw_creases and x not in first:
+            if x in at and x not in first:
                 first[x] = i
-                queue += [cp.crease_other_end(c, x) for c in cp.ccw_creases[x]]
+                queue += [b if a == x else a for a, b in map(creases.__getitem__, at[x])]
     return sorted(rebuild, key=first.__getitem__)
 
 
@@ -252,55 +267,70 @@ def select_root(g: SawGraph) -> int:
 
 
 def _merge_vertex(g: SawGraph, cp: CreasePattern, v: str, cone: ConeVertex,
-                  u_graph: SawGraph, merged: set[str]) -> None:
+                  u_graph: SawGraph, merged: set[str], crossing: dict[str, SawEdge]) -> None:
     """Merge u_graph, the single-vertex SAW graph of vertex v (cone
     ``cone``) bound to cp's faces, into g. Both are owned by the caller
-    and changed in place."""
-    shared_flags = [cp.crease_other_end(c, v) in merged for c in cone.crease_ids]
+    and changed in place. ``crossing`` holds g's crossing edge of each
+    crease its walk crosses; the merge keeps it so. ``_fuse`` moves u's
+    edges into g, so u's crossing edges off the band are g's afterwards."""
+    shared_flags = [(b if a == v else a) in merged
+                    for a, b in map(cp.creases.__getitem__, cone.crease_ids)]
     if not any(shared_flags):
         _splice_disjoint(g, cp, u_graph, v)
+        crossing.update(u_graph.crossing_edges())
         return
 
     if not _contiguous(shared_flags):
         raise DisconnectedInterior(f"shared creases of {v} are not contiguous")
     # the shared block in cyclic order c_s..c_e
-    n = len(shared_flags)
-    start = next(i for i in range(n)
-                 if shared_flags[i] and not shared_flags[(i - 1) % n])
+    start = next(i for i, shared in enumerate(shared_flags)
+                 if shared and not shared_flags[i - 1])
     ids = cone.crease_ids
     block = list((ids[start:] + ids[:start])[:sum(shared_flags)])
 
     # g's band, junk-free, holds the tail faces u must match
-    g_span = _clear_window_junk(g, block[::-1])
-    g_tail = {g.edges[g.walk[i][1]].crease: g.vertices[g.edges[g.walk[i][1]].u].face
-              for i in g_span}
+    g_span = _clear_window_junk(g, block[::-1], crossing)
     # orientation pass: a global negation of the incoming graph is a free
     # variant, used when it fixes the majority; triangles fix the rest.
-    # Negation keeps edge ids and a triangle replaces only its own crease's
-    # edge, so u's crossing edges are read once.
+    # Negation keeps edge ids; a triangle moves its crease's crossing role
+    # to a new edge, so u's crossing edges are read again after triangles.
     u_edges = u_graph.crossing_edges()
-    mism = [c for c in block if g_tail[c] != u_graph.vertices[u_edges[c].u].face]
+    mism = [c for c in block if g.vertices[crossing[c].u].face
+            != u_graph.vertices[u_edges[c].u].face]
     if len(mism) * 2 > len(block):
         negate_orientations(u_graph)
         mism = [c for c in block if c not in mism]
     for c in mism:
         insert_triangle(u_graph, u_edges[c].id)
+    if mism:
+        u_edges = u_graph.crossing_edges()
 
-    u_span = _clear_window_junk(u_graph, block)
+    u_span = _clear_window_junk(u_graph, block, u_edges)
     _zip(g, g_span, u_graph, u_span, block)
+    for c in block:
+        del crossing[c]
+        del u_edges[c]
+    crossing.update(u_edges)
 
 
-def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
+def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str],
+            crossing: dict[str, SawEdge]):
     """Locate the walk window whose directed edges are exactly the given
     creases in order (undirected edges allowed in between). Returns the
-    window's step indices in walk order, wrapping around the walk's end."""
+    window's step indices in walk order, wrapping around the walk's end.
+
+    The window starts at a step along ``crossing[creases[0]]``, the first
+    crease's crossing edge. One ``list.index`` per end of that edge finds
+    its steps (an edge bordering the outer face twice has two, tried in
+    walk order), and only the window's own steps are read from there."""
     n = len(walk)
-    for s in range(n):
-        e0 = edges[walk[s][1]]
-        if not e0.directed or e0.crease != creases[0]:
-            continue
+    e0 = crossing.get(creases[0])
+    starts = [] if e0 is None else [walk.index(step) for step in
+                                    ((e0.u, e0.id), (e0.v, e0.id)) if step in walk]
+    for s in sorted(starts):
         span, seen = [], 0
-        for i in (j % n for j in range(s, s + n)):
+        for i in range(s, s + n):
+            i %= n
             span.append(i)
             e = edges[walk[i][1]]
             if e.directed:
@@ -312,73 +342,96 @@ def _window(walk: list[tuple[int, int]], edges: dict, creases: list[str]):
     raise TilingError("window not found on the boundary walk", crease=tuple(creases))
 
 
-def _clear_window_junk(g: SawGraph, creases: list[str]) -> list[int]:
+def _clear_window_junk(g: SawGraph, creases: list[str],
+                       crossing: dict[str, SawEdge]) -> list[int]:
     """Push undirected boundary edges out of the window with prisms, in
-    place; returns the window, now junk-free.
+    place; returns the window, now junk-free. ``crossing`` holds g's
+    crossing edge of each crease on its walk and is kept so.
 
     Always pushes the first junk edge toward the window start; its
     walk-earlier neighbour inside the span is then guaranteed directed, and
-    every prism strictly shrinks the junk count inside the window.
+    every prism strictly shrinks the junk count inside the window. A prism
+    swaps the two edges' boundary order, so the crease's new crossing edge
+    takes the junk edge's step.
     """
     while True:
-        span = _window(g.walk, g.edges, creases)
+        span = _window(g.walk, g.edges, creases, crossing)
         junk = [i for i in span if not g.edges[g.walk[i][1]].directed]
         if not junk:
             return span
         i = junk[0]
         dir_idx = span[span.index(i) - 1]
+        crease = g.edges[g.walk[dir_idx][1]].crease
         insert_prism(g, g.walk[dir_idx][1], g.walk[i][1])
+        crossing[crease] = g.edges[g.walk[i][1]]
 
 
 def _zip(g: SawGraph, g_span: list[int], u: SawGraph, u_span: list[int],
          block: list[str]) -> None:
     """Identify the band vertices of u with those of g and fuse u into g in
     place. The spans are the junk-free band windows: g's crosses the block
-    in reverse, u's in order."""
-    ng, nu = len(g.walk), len(u.walk)
+    in reverse, u's in order.
 
+    The new walk is g's walk after its window round to the window's start,
+    then u's arc outside its window: two slices of g's walk and one of
+    u's, so no step of g's walk is read one at a time."""
+    # a window without junk holds exactly the band's crossing edges: u's
+    # in block order, g's in reverse
+    u_band = [u.edges[u.walk[i][1]] for i in u_span]
+    g_band = [g.edges[g.walk[i][1]] for i in reversed(g_span)]
     # vertex pairing: u's arc vertices in order pair with g's in reverse
     u_verts = [u.walk[i][0] for i in u_span]
-    u_verts.append(u.edges[u.walk[u_span[-1]][1]].other(u_verts[-1]))
+    u_verts.append(u_band[-1].other(u_verts[-1]))
     g_verts = [g.walk[i][0] for i in g_span]
-    g_verts.append(g.edges[g.walk[g_span[-1]][1]].other(g_verts[-1]))
-    pairs = list(zip(u_verts, reversed(g_verts)))
-
-    # a window without junk holds exactly the band's crossing edges
-    g_band = {g.edges[g.walk[i][1]].crease: g.edges[g.walk[i][1]] for i in g_span}
-    u_band = {u.edges[u.walk[i][1]].crease: u.edges[u.walk[i][1]] for i in u_span}
+    g_verts.append(g_band[0].other(g_verts[-1]))
     # sanity: paired crossing edges agree in orientation, tail face to tail face
-    for c in block:
-        if u.vertices[u_band[c].u].face != g.vertices[g_band[c].u].face:
+    for c, ue, ge in zip(block, u_band, g_band):
+        if u.vertices[ue.u].face != g.vertices[ge.u].face:
             raise TilingError("orientation mismatch at zip time", crease=c)
 
-    vmap, emap = _fuse(g, u, dict(pairs),
-                       {se.id: g_band[se.crease].id for se in u.edges.values()
-                        if se.directed and se.crease in g_band})
+    vmap, emap = _fuse(g, u, dict(zip(u_verts, reversed(g_verts))),
+                       {ue.id: ge.id for ue, ge in zip(u_band, g_band)})
 
-    # new walk: g's walk after the window, then u's arc outside its window.
-    # Only u's arc and the two seams are new: the last step of g's part
-    # now leads into the arc, and the arc's last step back to g's part.
-    g_rest = [g.walk[(g_span[-1] + 1 + k) % ng] for k in range(ng - len(g_span))]
-    u_rest = [u.walk[(u_span[-1] + 1 + k) % nu] for k in range(nu - len(u_span))]
-    g.walk = g_rest + [(vmap[v0], emap[e0]) for v0, e0 in u_rest]
+    # only u's arc and the two seams are new: the last step of g's part
+    # now leads into the arc, and the arc's last step back to g's part
+    g_rest = _outside(g.walk, g_span)
+    g.walk = g_rest + [(vmap[v0], emap[e0]) for v0, e0 in _outside(u.walk, u_span)]
     g.check_walk(range(len(g_rest) - 1, len(g.walk)))
+
+
+def _outside(walk: list[tuple[int, int]], span: list[int]) -> list[tuple[int, int]]:
+    """The steps of a closed walk outside a window (consecutive step
+    indices, possibly wrapping), from the step after it round to the step
+    before it."""
+    first, last = span[0], span[-1]
+    if first <= last:
+        return walk[last + 1:] + walk[:first]
+    return walk[last + 1:first]
 
 
 def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
           emap: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Copy u into g, in place, but for the vertices and edges that vmap
+    """Move u into g, in place, but for the vertices and edges that vmap
     and emap (u id -> g id) already identify with g's; returns both maps,
     completed. An identified vertex takes u's face, the incoming side
-    knowing the finest (pattern-level) one. New ids follow u's order."""
+    knowing the finest (pattern-level) one. Every other vertex and edge
+    object of u moves into g under the next free id, in u's order, with
+    its ends renamed; u is left spent."""
     for uv, gv in vmap.items():
         g.vertices[gv].face = u.vertices[uv].face
     for sv in u.vertices.values():
         if sv.id not in vmap:
-            vmap[sv.id] = g.add_vertex(face=sv.face)
+            vmap[sv.id] = g._next_v
+            sv.id = g._next_v
+            g.vertices[sv.id] = sv
+            g._next_v += 1
     for se in u.edges.values():
         if se.id not in emap:
-            emap[se.id] = g.add_edge(vmap[se.u], vmap[se.v], se.directed, se.crease)
+            emap[se.id] = g._next_e
+            se.id = g._next_e
+            se.u, se.v = vmap[se.u], vmap[se.v]
+            g.edges[se.id] = se
+            g._next_e += 1
     return vmap, emap
 
 

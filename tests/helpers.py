@@ -10,7 +10,7 @@ from functools import partial
 
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
-from flatfold.cp import ConeVertex, build_crease_pattern, cone_at
+from flatfold.cp import ConeVertex, Face, build_crease_pattern, cone_at
 from flatfold.errors import (
     AllAnglesEqual,
     AmbiguousCompletion,
@@ -18,9 +18,10 @@ from flatfold.errors import (
     ImproperColoring,
     InvalidRun,
     NoCompletion,
+    ValidationError,
 )
 from flatfold.generators import modified_miura, snake, triangle_twist
-from flatfold.geometry import on_segment, orient
+from flatfold.geometry import ANGLE_KEY, on_segment, orient, polygon_signed_area2, primitive
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
 from flatfold.search import frontier_count, frontier_width
@@ -64,8 +65,9 @@ def twist_unit_saw(cp, vertex_ids) -> SawGraph:
     first, *rest = sorted(vertex_ids)
     g = bound(first)[1]
     merged = {first}
+    crossing = g.crossing_edges()
     for v in rest:
-        _merge_vertex(g, cp, v, *bound(v), merged)
+        _merge_vertex(g, cp, v, *bound(v), merged, crossing)
         merged.add(v)
     return g
 
@@ -727,3 +729,95 @@ def random_rational_cone(rng: random.Random) -> ConeVertex:
         if angles[-1] + alt > 0:
             angles[-1] += alt
     return ConeVertex(tuple(angles), tuple(f"c{i}" for i in range(n)))
+
+
+def _reference_ccw_ids(dirs):
+    """The crease-order rule, sorting every node by exact angle comparison."""
+    ids = sorted(dirs, key=lambda i: ANGLE_KEY(dirs[i]))
+    k = ids.index(min(ids))
+    return ids[k:] + ids[:k]
+
+
+def reference_trace_faces(vertices, boundary_points, places, creases, region):
+    """``cp._trace_faces`` as a plain traversal: two gcds per edge, each
+    next half-edge found by its edge's place in the node's crease list, and
+    every rotation of each face built to pick its canonical one. Takes the
+    arguments the build passes and returns what it must return."""
+    pts = {**vertices, **boundary_points}
+    node_at = {place: bid for bid, place in places.items()}
+    for i, p in enumerate(region):
+        if (i, 0) not in node_at:
+            node_at[(i, 0)] = f"r{i}"
+            pts[f"r{i}"] = p
+    ring = [node_at[place] for place in sorted(node_at)]
+    segs = [f"s{k}" for k in range(len(ring))]
+    edges = dict(creases)
+    for k, sid in enumerate(segs):
+        edges[sid] = (ring[k], ring[(k + 1) % len(ring)])
+
+    incident = {n: {} for n in pts}
+    for eid, (a, b) in edges.items():
+        incident[a][eid] = primitive((pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]))
+        incident[b][eid] = primitive((pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]))
+    order = {}
+    for n, dirs in incident.items():
+        if len(set(dirs.values())) != len(dirs):
+            raise ValidationError(f"overlapping creases at {n}")
+        order[n] = _reference_ccw_ids(dirs)
+
+    def next_half_edge(u, eid, v):
+        lst = order[v]
+        e2 = lst[lst.index(eid) - 1]
+        a, b = edges[e2]
+        return (v, e2, b if a == v else a)
+
+    half_edges = {h for e, (a, b) in edges.items() for h in ((a, e, b), (b, e, a))}
+    walks = []
+    seen = set()
+    for he in sorted(half_edges):
+        if he in seen:
+            continue
+        walk = []
+        cur = he
+        while cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            cur = next_half_edge(*cur)
+        walks.append(walk)
+
+    face_rows = [(w, polygon_signed_area2([pts[u] for u, _, _ in w])) for w in walks]
+    outers = [w for w, a2 in face_rows if a2 < 0]
+    if len(outers) != 1:
+        raise ValidationError("face traversal failed to find a unique outer face")
+
+    def canon(walk):
+        nodes = tuple(u for (u, _, _) in walk)
+        return min(nodes[i:] + nodes[:i] for i in range(len(nodes)))
+
+    interior = sorted((w for w, a2 in face_rows if a2 >= 0), key=canon)
+    named = [(f"f{i}", w) for i, w in enumerate(interior)] + [("outer", outers[0])]
+    faces = []
+    he_face = {}
+    for fid, walk in named:
+        faces.append(Face(id=fid, nodes=tuple(u for (u, _, _) in walk),
+                          edge_refs=tuple(e for (_, e, _) in walk),
+                          is_outer=fid == "outer"))
+        he_face.update((he, fid) for he in walk)
+    crease_sides = {cid: (he_face[(a, cid, b)], he_face[(b, cid, a)])
+                    for cid, (a, b) in creases.items()}
+    corner_faces = {}
+    for f, walk in named:
+        for i in range(len(walk)):
+            _, e1, v = walk[i]
+            _, e2, _ = walk[(i + 1) % len(walk)]
+            if v in vertices:
+                corner_faces[(v, e2, e1)] = f
+    ccw_creases = {v: tuple(order[v]) for v in vertices}
+    ccw_dirs = {v: tuple(incident[v][c] for c in order[v]) for v in vertices}
+    tour = []
+    for k, n in enumerate(ring):
+        lst = order[n]
+        i = lst.index(segs[k])
+        after = lst[i + 1:] + lst[:i]
+        tour += reversed(after[:after.index(segs[k - 1])])
+    return tuple(faces), crease_sides, corner_faces, ccw_creases, ccw_dirs, tuple(tour)

@@ -15,6 +15,8 @@ from flatfold.errors import (
 )
 from flatfold.generators import crane, miura, triangle_twist
 
+from .helpers import reference_trace_faces, small_pattern
+
 F = Fraction
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
 
@@ -200,6 +202,23 @@ def test_rejects_isolated_interior_vertex():
         build_crease_pattern(vertices={"v0": (2, 2)}, creases={}, region=SQUARE)
 
 
+@pytest.mark.parametrize("cross", [False, True])
+def test_rejects_a_crease_island(cross):
+    # a triangle of creases off the paper boundary, alone or beside a
+    # cross: the island adds a second outer walk to the trace (a connected
+    # plane graph has E - V + 2 faces, and each island adds one more)
+    vertices = {"a": (1, 1), "b": (2, 1), "c": (1, 2)}
+    creases = {"c0": ("a", "b"), "c1": ("b", "c"), "c2": ("c", "a")}
+    bpoints = {}
+    if cross:
+        vertices["v0"] = (3, 3)
+        bpoints = {"b0": (4, 3), "b1": (3, 4), "b2": (0, 3), "b3": (3, 0)}
+        creases.update({f"x{i}": ("v0", f"b{i}") for i in range(4)})
+    with pytest.raises(ValidationError, match="^face traversal failed to find a unique outer face$"):
+        build_crease_pattern(vertices=vertices, creases=creases, region=SQUARE,
+                             boundary_points=bpoints)
+
+
 @pytest.mark.parametrize("declared, message", [
     ({"v9": (90, 90, 90, 90)}, "declared angles for unknown vertex v9"),
     ({"v0": (90, 90, 180)}, "vertex v0: 3 angles for degree 4"),
@@ -262,3 +281,68 @@ def test_each_vertex_scales_its_angles_once(monkeypatch, make):
         if v in cp.declared_angles:
             assert cone.angles == cp.declared_angles[v]
             assert cone.scaled is cp.declared_scaled[v]
+
+
+# the benchmark decks' patterns: ingest (Miura, a seeded modified-Miura mask
+# and the snake at 6x6, 8x8 and 10x10), count (4x5, 5x4 and snake 5x5), the
+# crane and the joined twists, and seeded masks of other sizes
+_TRACED = {f"{kind}-{m}x{n}": (kind, m, n, 1)
+           for kind in ("miura", "modified-miura", "snake")
+           for m, n in ((6, 6), (8, 8), (10, 10), (4, 5), (5, 4))}
+_TRACED["snake-5x5"] = ("snake", 5, 5, 1)
+_TRACED.update({f"mask-{2 + s % 6}x{2 + s // 6}-seed{s}": ("modified-miura", 2 + s % 6, 2 + s // 6, s)
+                for s in range(30)})
+
+
+def _traced_pattern(name):
+    if name == "crane":
+        return crane()
+    if name.startswith("twists-"):
+        return triangle_twist(int(name[-1]))
+    kind, m, n, seed = _TRACED[name]
+    if kind == "miura":
+        return miura(m, n)
+    return small_pattern(kind, m, n, seed)
+
+
+@pytest.mark.parametrize("name", ["crane", "twists-1", "twists-2", "twists-3", *_TRACED])
+def test_face_trace_matches_the_reference(monkeypatch, name):
+    # the trace numbers half-edges in per-node blocks and follows one
+    # successor table; the reference finds each next half-edge by its
+    # edge's place in the node's crease list and builds every rotation of
+    # each face. Every field, and every dict's order but corner_faces' (a
+    # lookup table), must come out the same
+    cp = _traced_pattern(name)
+    calls = []
+    trace = cp_module._trace_faces
+    monkeypatch.setattr(cp_module, "_trace_faces", lambda *a: calls.append(a) or trace(*a))
+    built = build_crease_pattern(cp.vertices, cp.creases, cp.region,
+                                 declared_angles=cp.declared_angles,
+                                 boundary_points=cp.boundary_points)
+    faces, sides, corners, ccw, dirs, tour = reference_trace_faces(*calls[0])
+    assert built.faces == faces
+    assert list(built.crease_sides.items()) == list(sides.items())
+    assert built.corner_faces == corners
+    assert list(built.ccw_creases.items()) == list(ccw.items())
+    assert list(built.ccw_dirs.items()) == list(dirs.items())
+    assert built.boundary_tour == tour
+
+
+def test_face_trace_looks_up_each_half_edge_successor_once(monkeypatch):
+    # each face's next half-edge comes from the successor table, read once
+    # per half-edge at the step that leaves it: 2E reads for E edges
+    lookups = [0]
+
+    class CountingTable(list):
+        def __getitem__(self, i):
+            lookups[0] += 1
+            return super().__getitem__(i)
+
+    successors = cp_module._successors
+    monkeypatch.setattr(cp_module, "_successors",
+                        lambda refs, before: CountingTable(successors(refs, before)))
+    cp = miura(20, 20)
+    ring = next(f for f in cp.faces if f.is_outer).nodes
+    n_edges = len(cp.creases) + len(ring)
+    assert (len(cp.creases), len(ring)) == (760, 80)
+    assert lookups[0] == 2 * n_edges

@@ -201,8 +201,8 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
     # the incoming single-vertex graph, not of the merged one (178 edges)
     windows = []
     real_window = tiling._window
-    monkeypatch.setattr(tiling, "_window", lambda walk, edges, creases:
-                        windows.append(creases) or real_window(walk, edges, creases))
+    monkeypatch.setattr(tiling, "_window", lambda walk, edges, creases, crossing:
+                        windows.append(creases) or real_window(walk, edges, creases, crossing))
     crossing_reads = []
     real_crossing = SawGraph.crossing_edges
     monkeypatch.setattr(SawGraph, "crossing_edges",
@@ -214,6 +214,53 @@ def test_miura_10x10_tiling_scales_linearly(monkeypatch):
     assert copied[0] < 2 * len(g.vertices)
     assert len(windows) <= 2 * len(cp.vertices)
     assert crossing_reads and max(crossing_reads) <= 20
+
+
+class _CountingWalk(list):
+    """A boundary walk that counts the steps read from it one at a time,
+    by index or by iteration; a slice copies in bulk and counts nothing."""
+
+    def __init__(self, steps, reads):
+        super().__init__(steps)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            self.reads[0] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for step in super().__iter__():
+            self.reads[0] += 1
+            yield step
+
+
+def test_merges_read_band_steps_not_the_whole_walk(monkeypatch):
+    # _window starts at the band's first crossing edge (list.index finds
+    # its step) and reads only the window's steps; _zip slices both walks
+    # around the windows. Scanning the walk from step 0 for every window,
+    # or rebuilding the walk one step at a time, reads merges x walk
+    # length steps: tens of thousands here, against a band of 684
+    window_reads, zip_reads, band, walk_steps = [0], [0], [0], [0]
+    real_window, real_zip = tiling._window, tiling._zip
+
+    def counted_window(walk, edges, creases, crossing):
+        return real_window(_CountingWalk(walk, window_reads), edges, creases, crossing)
+
+    def counted_zip(g, g_span, u, u_span, block):
+        band[0] += len(block)
+        walk_steps[0] += len(g.walk)
+        g.walk, u.walk = _CountingWalk(g.walk, zip_reads), _CountingWalk(u.walk, zip_reads)
+        real_zip(g, g_span, u, u_span, block)
+        g.walk = g.walk[:]
+
+    monkeypatch.setattr(tiling, "_window", counted_window)
+    monkeypatch.setattr(tiling, "_zip", counted_zip)
+    g = tile(miura(20, 20))
+    assert (len(g.vertices), band[0]) == (400, 684)
+    assert walk_steps[0] > 20 * band[0]
+    assert window_reads[0] <= 4 * band[0]
+    assert zip_reads[0] <= 6 * band[0]
 
 
 def test_tile_and_oracle_build_each_cone_once(monkeypatch):
@@ -420,8 +467,8 @@ def test_broken_walk_raises_typed_error():
 
 def test_merge_fault_names_the_vertex(monkeypatch):
     real = tiling._window
-    monkeypatch.setattr(tiling, "_window",
-                        lambda walk, edges, creases: real(walk, edges, ["zz"]))
+    monkeypatch.setattr(tiling, "_window", lambda walk, edges, creases, crossing:
+                        real(walk, edges, ["zz"], crossing))
     with pytest.raises(TilingError) as exc:
         tile(miura(3, 3))
     assert exc.value.vertex in miura(3, 3).interior_vertex_ids()
@@ -475,6 +522,12 @@ GOLDEN_SAW_SHA256 = {
     "miura-1x4": "0736cd65b5bf1052333ee5a24fcf787df4bb70396920978830c54ff8ad824160",
     "modified-miura-2x6-mask10110": "4f2b860bcc0d3872c208b43422fed3a07ffebc566229820dcfad4b704dba857d",
     "snake-6x2": "a315ef7bc1a3db2a139ba602e7655fa7f78634d47ab59245408343f20f4127db",
+    # the ingest benchmark deck's sizes, 6x6 up to its largest, 10x10
+    "miura-6": "1dea6cb08dbd10d4e1743e9ce5bf77426b3150767c22b57bb2a18a3dd4ffbc9d",
+    "snake-6": "05ec4c13ac6482df6e50009d5d339d5d746172d565bc51c80b245f3a94fac944",
+    "miura-10": "80427e458813f42b5971eeda86a916e87a4ecbae99590510d96819b8a5d51464",
+    "snake-10": "978d5ef61b1ceb5654fee3234100ab4aaec80ab479872d5f91b350d9083600f4",
+    "modified-miura-10-seed1": "eea135d2794466ac28279c37c8db1e16332c56bfc94b6bb6c6c6ef934de00bff",
 }
 
 
