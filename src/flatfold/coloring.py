@@ -13,8 +13,9 @@ bijection onto M by counts (``_certificates``): a frontier DP counts the
 colorings whose image is in M with a consistent round trip, and the
 pairs of colorings with equal images are counted by one more where the
 crossing edges do not already fix every color. When both equal |S| and
-|M|, only a sample of lifts is checked; otherwise every coloring is
-checked against M as the oracle lists it (``_exact_pass``).
+|M|, only the lifts of the first ``_LIFTS`` colorings are checked;
+otherwise every coloring is checked against M as the oracle lists it
+(``_exact_pass``).
 """
 
 from __future__ import annotations
@@ -241,8 +242,7 @@ _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
 _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
 # colorings that verify_bijection checks, keys and lifts back as one block
 _BLOCK = 256
-# the oracle's first assignments that a certified graph past _BLOCK lifts
-# (its own first colorings where it crosses a crease the pattern lacks)
+# the first colorings, in sorted-id order, that a certified graph lifts
 _LIFTS = 8
 
 
@@ -554,21 +554,21 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     map is a bijection whose round trips hold as far as the lift is right.
     |S(g)| and the certificates share one min-frontier order and coloring
     plan, and the pair count runs only where the crossing edges do not
-    fix every color (``_certificates``). The lift is checked on a sample:
-    up to ``_BLOCK`` colorings, each must lift back to itself
-    (``_Plan.lifts_back``); past it, each of the first ``_LIFTS``
-    assignments must lift and map back, or, on a graph that crosses a
-    crease the pattern lacks (which no assignment gives), each of its own
-    first ``_LIFTS`` colorings must lift back to itself. Anything else (a
-    count that differs, a sample that fails or raises, a listing of other
-    than |S(g)| colorings) goes to ``_exact_pass``.
+    fix every color (``_certificates``). |M(cp)| is counted by the
+    oracle's DP, not listed. The lift is checked on one sample, the first
+    ``_LIFTS`` colorings in sorted-id order, each of which must lift back
+    to itself (``_Plan.lifts_back``); up to ``_BLOCK`` colorings, S(g) is
+    listed (``enumerate_colorings``) and the sample is its head, past it
+    the sample is all that is searched for. Anything else (a count that
+    differs, a sample that fails or raises, a listing of other than
+    |S(g)| colorings) goes to ``_exact_pass``.
 
     Raises CapExceeded past ``cap`` colorings, counted before any is
     enumerated, so such a graph is refused without building a coloring,
     whether or not the oracle's search passes ``cap``.
     """
     plan = _Plan(g)
-    order, first, count = oracle._first_assignments(cp, _LIFTS)
+    count = oracle._first_assignments(cp, 0)[2]
     vertex_order = _min_frontier_order(g)
     search = _plan(g, vertex_order)
     n_col = frontier_count(search, swap=True)
@@ -578,14 +578,10 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     if count == n_col and _certificates(cp, g, vertex_order, search, n_col,
                                         plan.spans) == (n_col, n_col):
         try:
-            if n_col <= _BLOCK:
-                colorings = enumerate_colorings(g, cap=cap)
-                certified = len(colorings) == n_col and plan.lifts_back(*plan.colors(colorings))
-            elif plan.crossing.keys() <= cp.creases.keys():
-                certified = all(plan.round_trip(m) == m for m in (
-                    {c: MV_OF_STEP[v] for c, v in zip(order, key)} for key in first))
-            else:
-                certified = plan.lifts_back(*plan.colors(list(islice(_colorings(g), _LIFTS))))
+            colorings = enumerate_colorings(g, cap=cap) if n_col <= _BLOCK else None
+            sample = list(islice(_colorings(g) if colorings is None else colorings, _LIFTS))
+            certified = ((colorings is None or len(colorings) == n_col)
+                         and plan.lifts_back(*plan.colors(sample)))
         except Exception:  # noqa: BLE001 - the exact pass reports it
             certified = False
         if certified:

@@ -13,8 +13,9 @@ through ``search.depth_first`` and stops past its cap, leaving the count
 to the DP; it keeps each assignment as ``bytes``, one step per crease in
 search order.
 ``enumerate_locally_valid`` turns those keys into witness dicts, and
-``coloring.verify_bijection`` uses them as its assignment keys as they
-are. Counts are exact Python ints (arbitrary precision).
+``coloring._exact_pass`` uses them as its assignment keys as they are;
+``coloring.verify_bijection`` reads only the count. Counts are exact
+Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000) -> LocalValidit
     Witnesses come in depth-first order over the vertex sweep of
     ``_search_plan``, each crease trying step 1 (mountain, +1) before
     step 2 (valley, -1): one dict per assignment key of
-    ``_first_assignments``, the keys ``verify_bijection`` uses too, its
-    steps read through ``cp.MV_OF_STEP``. The search stops once it finds
+    ``_first_assignments``, the keys ``coloring._exact_pass`` uses too,
+    its steps read through ``cp.MV_OF_STEP``. The search stops once it finds
     assignment ``cap + 1``; then ``cap_exceeded`` is set and ``count``
     comes from the frontier DP of ``count_locally_valid`` (without its
     crease limit). Otherwise ``count`` is the number of witnesses found.

@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +18,7 @@ from flatfold import (
 )
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
-from flatfold.cp import MV_OF_STEP, STEP_OF_MV
+from flatfold.cp import STEP_OF_MV
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -530,6 +530,15 @@ def test_plan_spans_where_crossing_edges_reach_every_vertex():
     assert not coloring._Plan(g).spans
 
 
+def _sample_steps(g: SawGraph) -> list[bytes]:
+    """The crossing edges' steps, as ``_Plan.lift`` takes them, of the
+    first ``_LIFTS`` colorings of ``_colorings(g)``: the lift sample of a
+    certified graph."""
+    plan = coloring._Plan(g)
+    return [b"".join(plan.lift_at(plan.colors([s])[1]))
+            for s in islice(coloring._colorings(g), coloring._LIFTS)]
+
+
 def _recorded_lifts(monkeypatch) -> list[bytes]:
     """The steps of every later call of ``_Plan.lift``."""
     lifted: list[bytes] = []
@@ -540,13 +549,12 @@ def _recorded_lifts(monkeypatch) -> list[bytes]:
 
 
 @pytest.mark.parametrize("make, count, lifts", [(lambda: miura(3, 3), 82, 0),
-                                                (lambda: triangle_twist(2), 170, 170)],
+                                                (lambda: triangle_twist(2), 170, coloring._LIFTS)],
                          ids=["miura", "twists-2"])
 def test_verify_bijection_lifts_each_assignment_once(monkeypatch, make, count, lifts):
-    # the coloring pass lifts every assignment a coloring maps to, so the
-    # witness pass has none left to lift; where the crossing edges span
-    # the graph, as on Miura 3x3, it reads the round trip off their steps
-    # and lifts none
+    # a certified graph lifts its first _LIFTS colorings once each, though
+    # joined twists 2 has 170; where the crossing edges span the graph, as
+    # on Miura 3x3, it reads the round trip off their steps and lifts none
     cp = make()
     lifted = _recorded_lifts(monkeypatch)
     report = verify_bijection(cp, tile(cp))
@@ -639,17 +647,14 @@ def test_verify_bijection_matches_reference(case):
         lifted = _recorded_lifts(mp)
         got = _outcome(verify_bijection, cp, g, cap)
     # a passing graph is certified by its counts and never lists M; where
-    # its colorings fit a block and the crossing edges span the graph, it
-    # reads every round trip off their steps and lifts nothing, and past a
-    # block it lifts at most the oracle's first assignments. Any other
-    # report comes from the exact pass, which lists M
+    # the crossing edges span the graph, it reads the round trips off their
+    # steps and lifts nothing, and elsewhere it lifts at most its first
+    # _LIFTS colorings. Any other report comes from the exact pass, which
+    # lists M
     if isinstance(got, BijectionReport):
-        assert caps == ([coloring._LIFTS] if got.ok else [coloring._LIFTS, cap])
+        assert caps == ([0] if got.ok else [0, cap])
     if isinstance(got, BijectionReport) and got.ok:
-        if got.count_colorings > coloring._BLOCK:
-            assert len(lifted) <= coloring._LIFTS
-        elif spans:
-            assert lifted == []
+        assert len(lifted) <= (0 if spans else coloring._LIFTS)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -793,7 +798,7 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
         return
     caps = _recorded_caps(monkeypatch)
     assert verify_bijection(cp, g) == want
-    assert caps == [coloring._LIFTS, 200000]
+    assert caps == [0, 200000]
 
 
 @pytest.mark.parametrize("make, count", [(crane, 93_312), (lambda: miura(5, 5), 193_662)],
@@ -836,21 +841,19 @@ def test_verify_bijection_refuses_a_mutant_past_a_block(monkeypatch, how):
     assert into_m < 2604 and pairs == 2604
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS, 200000]
+    assert caps == [0, 200000]
     assert not report.ok
     assert report == reference_verify_bijection(cp, g)
 
 
 def test_verify_bijection_lifts_a_sample_past_a_block(monkeypatch):
     # joined twists 3 (1,112 colorings) is certified by counts, and its
-    # lift is checked on the oracle's first _LIFTS assignments; a lift
-    # planted to fail on the first of them sends verify to the exact pass,
-    # whose report is the reference's
+    # lift is checked on its first _LIFTS colorings; a lift planted to fail
+    # on the first of them sends verify to the exact pass, whose report is
+    # the reference's
     cp = triangle_twist(3)
     g = tile(cp)
-    plan = coloring._Plan(g)
-    order, first, _ = oracle._first_assignments(cp, coloring._LIFTS)
-    targets = [plan.steps({c: MV_OF_STEP[v] for c, v in zip(order, key)}) for key in first]
+    targets = _sample_steps(g)
     assert len(targets) == coloring._LIFTS
     with pytest.MonkeyPatch.context() as mp:
         lifted = _recorded_lifts(mp)
@@ -866,8 +869,51 @@ def test_verify_bijection_lifts_a_sample_past_a_block(monkeypatch):
     monkeypatch.setattr(coloring._Plan, "lift", planted)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS, 200000]
+    assert caps == [0, 200000]
     assert report.first_counterexample == ("mv_to_coloring failed", "planted")
+    assert report == reference_verify_bijection(cp, g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_bijection_lifts_the_first_colorings(monkeypatch, k):
+    # joined twists 1, 2 and 3 (26, 170 and 1,112 colorings, their crossing
+    # edges spanning none) are certified by counts and lift exactly their
+    # first min(_LIFTS, |S|) colorings of _colorings, in sorted-id order
+    cp = triangle_twist(k)
+    g = tile(cp)
+    lifted = _recorded_lifts(monkeypatch)
+    assert verify_bijection(cp, g).ok
+    assert lifted == _sample_steps(g)
+    assert len(lifted) == min(coloring._LIFTS, count_colorings(g))
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["twists-2", "twists-3"])
+@pytest.mark.parametrize("how", ["lift-fails", "lift-differs"])
+def test_verify_bijection_refuses_a_planted_lift_in_the_sample(monkeypatch, how, k):
+    # a lift planted to fail, or to give other colors, on the last coloring
+    # of the sample, on a graph of at most a block (joined twists 2) or
+    # past one (joined twists 3): verify takes the exact pass, lists M and
+    # gives the reference's report
+    cp = triangle_twist(k)
+    g = tile(cp)
+    target = _sample_steps(g)[-1]
+    lift = coloring._Plan.lift
+
+    def planted(plan, steps):
+        colors = lift(plan, steps)
+        if bytes(steps) != target:
+            return colors
+        if how == "lift-fails":
+            raise NoCompletion("planted")
+        return [-c % 3 for c in colors]     # colors 1 and 2 swapped
+
+    monkeypatch.setattr(coloring._Plan, "lift", planted)
+    caps = _recorded_caps(monkeypatch)
+    report = verify_bijection(cp, g)
+    assert caps == [0, 200000]
+    assert not report.ok and not report.round_trip_ok
+    reason = "mv_to_coloring failed" if how == "lift-fails" else "round trip mismatch"
+    assert report.first_counterexample[0] == reason
     assert report == reference_verify_bijection(cp, g)
 
 
@@ -983,13 +1029,13 @@ def _recorded_caps(monkeypatch) -> list[int]:
     lambda: triangle_twist(3)],
     ids=["miura", "modified-miura", "snake", "twists-1", "twists-2", "twists-3"])
 def test_verify_bijection_certifies_without_enumerating_m(monkeypatch, make):
-    # a passing graph is certified by counts: the oracle's search keeps
-    # only the first _LIFTS assignments (its count from the DP)
+    # a passing graph is certified by counts: the oracle's search keeps no
+    # assignment (its count from the DP)
     cp = make()
     g = tile(cp)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS]
+    assert caps == [0]
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -1014,7 +1060,7 @@ def test_verify_bijection_lists_m_when_an_assignment_is_unmapped(monkeypatch, ma
     cp, g = make()
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS, 200000]
+    assert caps == [0, 200000]
     assert not report.ok
     if make is not invalid_joined_twist_saw:
         assert report.count_mv == report.count_colorings == 82
@@ -1050,7 +1096,7 @@ def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
     g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS]
+    assert caps == [0]
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -1059,9 +1105,9 @@ def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
                          ids=["miura-4x4", "twists-3"])
 def test_verify_bijection_certifies_a_foreign_crease_past_a_block(monkeypatch, make):
     # past a block, a copy of a crossing edge across a crease the pattern
-    # lacks passes without listing M: no assignment gives that crease, so
-    # the graph's own first _LIFTS colorings, in sorted-id order, must lift
-    # back (joined twists 3's crossing edges do not span it, so each lifts)
+    # lacks passes without listing M: as on any certified graph, its first
+    # _LIFTS colorings, in sorted-id order, must lift back (joined twists
+    # 3's crossing edges do not span it, so each lifts)
     cp = make()
     g = tile(cp)
     e = next(e for e in g.edges.values() if e.directed)
@@ -1069,12 +1115,9 @@ def test_verify_bijection_certifies_a_foreign_crease_past_a_block(monkeypatch, m
     caps = _recorded_caps(monkeypatch)
     lifted = _recorded_lifts(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS]
+    assert caps == [0]
     assert report.ok and report.count_colorings > coloring._BLOCK
-    plan = coloring._Plan(g)
-    want = [b"".join(plan.lift_at(plan.colors([s])[1]))
-            for s in enumerate_colorings(g)[:coloring._LIFTS]]
-    assert lifted == ([] if plan.spans else want)
+    assert lifted == ([] if coloring._Plan(g).spans else _sample_steps(g))
     assert report == reference_verify_bijection(cp, g)
 
 
@@ -1100,6 +1143,6 @@ def test_verify_bijection_past_the_table_degree(monkeypatch):
     g = tile(cp)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [coloring._LIFTS]
+    assert caps == [0]
     assert report.ok and report.count_mv == 32
     assert report == reference_verify_bijection(cp, g)
