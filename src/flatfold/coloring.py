@@ -240,7 +240,8 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
 _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
 # the step (y - x) mod 3 of an edge whose end colors are x and y, at byte 4x + y
 _STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
-# colorings that verify_bijection checks, keys and lifts back as one block
+# colorings that _exact_pass checks, keys and lifts back as one block, and
+# the most that verify_bijection lists on a certified graph
 _BLOCK = 256
 # the first colorings, in sorted-id order, that a certified graph lifts
 _LIFTS = 8
