@@ -14,8 +14,8 @@ colorings whose image is in M with a consistent round trip, and the
 pairs of colorings with equal images are counted by one more where the
 crossing edges do not already fix every color. When both equal |S| and
 |M|, only the lifts of the first ``_LIFTS`` colorings are checked;
-otherwise every coloring is checked against M as the oracle lists it
-(``_exact_pass``).
+otherwise every coloring is checked, one at a time, against M as the
+oracle lists it (``_exact_pass``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
-from operator import eq, itemgetter
+from operator import eq
 
 from . import oracle
 from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment, cone_at
@@ -37,7 +37,7 @@ from .errors import (
     TilingError,
 )
 from .saw import SawGraph
-from .search import _reader, depth_first, frontier_count
+from .search import depth_first, frontier_count
 from .single_vertex import _check_values, _schedule
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
@@ -238,40 +238,30 @@ def enumerate_colorings(g: SawGraph, cap: int = 100000) -> list[ThreeColoring]:
 
 # the color a vertex is forced to, by the bit mask of two banned colors
 _THIRD = (-1, -1, -1, 2, -1, 1, 0, -1)
-# the step (y - x) mod 3 of an edge whose end colors are x and y, at byte 4x + y
-_STEP_OF_PAIR = bytes((b % 4 - b // 4) % 3 for b in range(256))
-# colorings that _exact_pass checks, keys and lifts back as one block, and
-# the most that verify_bijection lists on a certified graph
+# the most colorings that verify_bijection lists on a certified graph
 _BLOCK = 256
 # the first colorings, in sorted-id order, that a certified graph lifts
 _LIFTS = 8
 
 
-def _transpose(seqs: Sequence[Sequence[int]], n: int) -> list[bytes]:
-    """The n byte strings of the values at each place of ``seqs``: a
-    block's rows from its columns, or its columns from its rows."""
-    return list(map(bytes, zip(*seqs))) if seqs else [b""] * n
-
-
 class _Plan:
     """Per-graph tables for checking, translating and lifting colorings.
 
-    ``colors`` and ``edge_steps`` hold a block of colorings as columns: a
-    ``bytes`` per vertex with each coloring's color, and a ``bytes`` per
-    edge with each coloring's step on it. ``lift`` takes one row of steps.
+    ``colors`` checks one coloring and gives its row, its colors by vertex
+    index as ``bytes``; ``to_mv``, ``steps_of`` and ``lifts_back`` read a
+    row, and ``lift`` takes one step per crossing edge.
 
     A vertex's index is its place in ``vertices``, the sorted ids (the
-    order of ``enumerate_colorings``). ``edges`` holds each edge's id,
-    endpoint indices and k, the edge's position in ``directed`` (-1 for an
-    undirected edge); ``directed`` holds each crossing edge's crease and
-    the place of its steps in ``edge_steps``, and ``crossing`` that place
-    for each crease's last crossing edge, whose step the crease takes. A
-    crossing edge's step is (s(head) - s(tail)) mod 3: 1 for mountain, 2
-    for valley. ``nbrs``, the neighbour lists that ``lift`` and ``spans``
-    read, are filled in the same pass over the graph's edges as ``edges``
-    and ``directed``; ``colors``' getters and ``spans`` are built on first
-    use, so ``coloring_to_mv`` and ``mv_to_coloring`` build only what they
-    use.
+    order of ``enumerate_colorings``). ``edges`` holds each edge's id and
+    endpoint indices, and ``arcs`` each crossing edge's endpoint indices;
+    ``directed`` holds each crossing edge's crease and the place in
+    ``arcs`` of that crease's last crossing edge, whose step the crease
+    takes, and ``crossing`` that place for each crease. A crossing edge's
+    step is (s(head) - s(tail)) mod 3: 1 for mountain, 2 for valley.
+    ``nbrs``, the neighbour lists that ``lift`` and ``spans`` read, are
+    filled in the same pass over the graph's edges as ``edges`` and
+    ``arcs``; ``spans`` is built on first use, so ``coloring_to_mv`` and
+    ``mv_to_coloring`` build only what they use.
     Building, checking, translating and lifting are each O(V + E) per
     coloring; only the completion search of a stalled lift can take longer.
     """
@@ -282,84 +272,62 @@ class _Plan:
         self.root_id = g.root
         index = dict(zip(self.vertices, range(len(self.vertices))))
         self.root = index.get(g.root)
-        edges: list[tuple[int, int, int, int]] = []
-        directed: list[tuple[str, int]] = []
+        edges: list[tuple[int, int, int]] = []
+        arcs: list[tuple[int, int]] = []
+        creases: list[str] = []
         crossing: dict[str, int] = {}
         # the neighbours of each vertex i: cross[i] across crossing edges as
         # (index, k, sign), the neighbour's color being i's plus sign times
         # step k, and plain[i] across undirected edges
         cross: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
         plain: list[list[int]] = [[] for _ in self.vertices]
-        for j, e in enumerate(g.edges.values(), 1):
+        for e in g.edges.values():
             u, v = index[e.u], index[e.v]
+            edges.append((e.id, u, v))
             if e.directed:
-                k = len(directed)
-                directed.append((e.crease, j))
-                crossing[e.crease] = j
+                k = crossing[e.crease] = len(arcs)
+                arcs.append((u, v))
+                creases.append(e.crease)
                 cross[u].append((v, k, 1))
                 cross[v].append((u, k, -1))
             else:
-                k = -1
                 plain[u].append(v)
                 plain[v].append(u)
-            edges.append((e.id, u, v, k))
-        self.edges, self.directed, self.crossing = edges, directed, crossing
+        self.edges, self.arcs, self.crossing = edges, arcs, crossing
+        self.directed = [(c, crossing[c]) for c in creases]
         self.nbrs = (cross, plain)
 
-    def colors(self, block: Sequence[ThreeColoring]) -> tuple[list[bytes], list[bytes]]:
-        """The color columns of a block of colorings, checked: each
-        coloring colors the vertices, the root 0, with colors 0, 1 and 2
-        only, and properly; and their ``edge_steps``. Raises
-        ImproperColoring; on a block of one, for its first failed check in
-        that order (and the first improper edge in edge order)."""
-        rows = len(block)
-        if self.root is None or sum(map(len, block)) != rows * len(self.vertices):
-            raise self._refusal(block)
-        try:
-            cols = [bytes(map(get, block)) for get in self._getters]
-        except (KeyError, TypeError, ValueError):   # a vertex or a byte is missing
-            raise self._refusal(block) from None
-        if cols[self.root] != bytes(rows) or max(map(max, cols)) > 2:
-            raise self._refusal(block)
-        steps = self.edge_steps(cols)
-        bad = b"".join(steps).find(0, rows)     # past the zero column
-        if bad >= 0:
-            j, i = divmod(bad, rows)
-            eid, u, _, _ = self.edges[j - 1]
-            raise ImproperColoring(f"edge {eid} endpoints share color {cols[u][i]}")
-        return cols, steps
-
-    def _refusal(self, block: Sequence[ThreeColoring]) -> ImproperColoring:
-        """The first check of ``colors`` that a block of colorings fails,
-        short of properness."""
-        if any(s.keys() != self.vset for s in block):
-            return ImproperColoring("coloring domain mismatch")
+    def colors(self, s: ThreeColoring) -> bytes:
+        """The row of a coloring, checked: it colors the vertices, the root
+        0, with colors 0, 1 and 2 only, and properly. Raises
+        ImproperColoring for its first failed check in that order (and the
+        first improper edge in edge order)."""
+        if s.keys() != self.vset:
+            raise ImproperColoring("coloring domain mismatch")
         if self.root is None:
-            return ImproperColoring(f"root {self.root_id} is not a vertex")
-        if any(s[self.root_id] != 0 for s in block):
-            return ImproperColoring("root is not colored 0")
-        s, v = next((s, v) for s in block for v in self.vertices
-                    if not (isinstance(s[v], int) and 0 <= s[v] <= 2))
-        return ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
+            raise ImproperColoring(f"root {self.root_id} is not a vertex")
+        if s[self.root_id] != 0:
+            raise ImproperColoring("root is not colored 0")
+        try:
+            row = bytes(map(s.__getitem__, self.vertices))
+        except (TypeError, ValueError):     # a color is not a byte
+            row = None
+        if row is None or max(row) > 2:
+            v = next(v for v in self.vertices if not (isinstance(s[v], int) and 0 <= s[v] <= 2))
+            raise ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
+        for eid, u, v in self.edges:
+            if row[u] == row[v]:
+                raise ImproperColoring(f"edge {eid} endpoints share color {row[u]}")
+        return row
 
-    @cached_property
-    def _getters(self) -> list[itemgetter]:
-        """``colors``' getter of each vertex's color in a coloring."""
-        return list(map(itemgetter, self.vertices))
+    def steps_of(self, row: Sequence[int]) -> list[int]:
+        """Each crossing edge's step in the coloring of ``row``."""
+        return [(row[v] - row[u]) % 3 for u, v in self.arcs]
 
-    def edge_steps(self, cols: list[bytes]) -> list[bytes]:
-        """A zero column, then each edge's steps (s(v) - s(u)) mod 3, in
-        edge order, of the block with color columns ``cols``: the columns
-        read as ints, one ``to_bytes`` gives each edge's 4 s(u) + s(v) and
-        one ``translate`` its steps."""
-        rows = len(cols[0])
-        ints = [int.from_bytes(c, "big") for c in cols]
-        return [bytes(rows)] + [(ints[u] << 2 | ints[v]).to_bytes(rows, "big")
-                                .translate(_STEP_OF_PAIR) for _, u, v, _ in self.edges]
-
-    def to_mv(self, steps: list[bytes]) -> MVAssignment:
-        """The MV assignment of a block of one from its ``edge_steps``."""
-        return {c: MV_OF_STEP[steps[j][0]] for c, j in self.crossing.items()}
+    def to_mv(self, row: Sequence[int]) -> MVAssignment:
+        """The MV assignment of the coloring of ``row``."""
+        steps = self.steps_of(row)
+        return {c: MV_OF_STEP[steps[k]] for c, k in self.crossing.items()}
 
     def steps(self, mv: MVAssignment) -> bytes:
         """Each crossing edge's step in the coloring that encodes ``mv``."""
@@ -446,25 +414,17 @@ class _Plan:
             raise NoCompletion("no coloring completes the assignment")
         return found
 
-    @cached_property
-    def lift_at(self):
-        """Reads from ``edge_steps`` each crossing edge's crease's step."""
-        return _reader([self.crossing[c] for c, _ in self.directed])
-
-    def lifts_back(self, cols: list[bytes], steps: list[bytes]) -> bool:
-        """Whether each coloring of a proper block (``colors``) lifts back
-        to itself; where the crossing edges span the graph they fix every
+    def lifts_back(self, row: bytes) -> bool:
+        """Whether the proper coloring of ``row`` (``colors``) lifts back to
+        itself; where the crossing edges span the graph they fix every
         color, so exactly when each takes its crease's step (no lift)."""
-        if self.spans:
-            return _reader([j for _, j in self.directed])(steps) == self.lift_at(steps)
-        rows = len(cols[0])
-        return ([bytes(self.lift(r)) for r in _transpose(self.lift_at(steps), rows)]
-                == _transpose(cols, rows))
+        steps = self.steps_of(row)
+        want = [steps[k] for _, k in self.directed]
+        return steps == want if self.spans else bytes(self.lift(want)) == row
 
     def round_trip(self, mv: MVAssignment) -> MVAssignment:
         """The assignment of the coloring that ``mv`` lifts to."""
-        back = _transpose([self.lift(self.steps(mv))], len(self.vertices))
-        return self.to_mv(self.edge_steps(back))
+        return self.to_mv(self.lift(self.steps(mv)))
 
     @cached_property
     def spans(self) -> bool:
@@ -504,7 +464,7 @@ def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
         else:
             return mv
     plan = _Plan(g)
-    return plan.to_mv(plan.colors([s])[1])
+    return plan.to_mv(plan.colors(s))
 
 
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
@@ -558,7 +518,8 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     fix every color (``_certificates``). |M(cp)| is counted by the
     oracle's DP, not listed. The lift is checked on one sample, the first
     ``_LIFTS`` colorings in sorted-id order, each of which must lift back
-    to itself (``_Plan.lifts_back``); up to ``_BLOCK`` colorings, S(g) is
+    to itself, checked one at a time (``_Plan.colors``, then
+    ``_Plan.lifts_back``); up to ``_BLOCK`` colorings, S(g) is
     listed (``enumerate_colorings``) and the sample is its head, past it
     the sample is all that is searched for. Anything else (a count that
     differs, a sample that fails or raises, a listing of other than
@@ -580,9 +541,9 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
                                         plan.spans) == (n_col, n_col):
         try:
             colorings = enumerate_colorings(g, cap=cap) if n_col <= _BLOCK else None
-            sample = list(islice(_colorings(g) if colorings is None else colorings, _LIFTS))
+            sample = islice(_colorings(g) if colorings is None else colorings, _LIFTS)
             certified = ((colorings is None or len(colorings) == n_col)
-                         and plan.lifts_back(*plan.colors(sample)))
+                         and all(plan.lifts_back(plan.colors(s)) for s in sample))
         except Exception:  # noqa: BLE001 - the exact pass reports it
             certified = False
         if certified:
@@ -595,55 +556,51 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
 
 def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
                 cap: int) -> BijectionReport:
-    """``verify_bijection``'s report from every coloring of ``colorings``
-    and M(cp) as the oracle's search lists it up to ``cap``, keyed as that
-    search gives it (``bytes``, a step per crease in search order). A
-    block of ``_BLOCK`` colorings is recorded whole when they are proper,
-    their keys distinct, listed and new, and each lifts back; any other
-    block is checked again one by one, so the report and every error are
-    those of the colorings one by one. Then each listed assignment no
-    coloring mapped to must lift and map back."""
+    """``verify_bijection``'s report from M(cp) as the oracle's search
+    lists it up to ``cap``, keyed as that search gives it (``bytes``, a
+    step per crease in search order), and every coloring of ``colorings``,
+    one at a time in order: its row is checked (``_Plan.colors`` raises
+    its ImproperColoring), its key must be listed and new, and it must
+    lift back to itself. Where the crossing edges span the graph, a
+    coloring whose key is listed and new and whose crossing edges take
+    their creases' steps lifts back with no lift (``_Plan.lifts_back``).
+    Then each listed assignment no coloring mapped to must lift and map
+    back."""
     order, found, count = oracle._first_assignments(cp, cap)
     listed = set(found)
-    # a key reads each crease's steps in search order (the crease's last
-    # crossing edge's), and a crease no edge crosses reads the zero column
-    key_at = _reader([plan.crossing.get(c, 0) for c in order])
+    # a key reads each crease's step in search order (the crease's last
+    # crossing edge's), and a crease no edge crosses reads 0
+    key_at = [plan.crossing.get(c, -1) for c in order]
     hit: set[bytes] = set()         # the keys of images in M(cp)
     outside: set[bytes] = set()     # the keys of the other images
     translation_valid = injective = round_trip = True
     counterexample = None
 
-    for i in range(0, len(colorings), _BLOCK):
-        block = colorings[i:i + _BLOCK]
+    for s in colorings:
+        row = plan.colors(s)
+        steps = plan.steps_of(row)
+        key = bytes([steps[k] if k >= 0 else 0 for k in key_at])
+        seen = hit if key in listed else outside
+        if seen is outside:
+            translation_valid = False
+            counterexample = counterexample or ("coloring maps outside M", s)
+        new = key not in seen
+        if not new:
+            injective = False
+            counterexample = counterexample or ("two colorings share an assignment", s)
+        seen.add(key)
+        want = [steps[k] for _, k in plan.directed]
+        if new and seen is hit and plan.spans and steps == want:
+            continue    # the steps fix every color, so s lifts back to itself
         try:
-            cols, steps = plan.colors(block)
-            keys = set(_transpose(key_at(steps), len(block)))
-            if (len(keys) == len(block) and hit.isdisjoint(keys) and keys <= listed
-                    and plan.lifts_back(cols, steps)):
-                hit |= keys
-                continue
-        except Exception:  # noqa: BLE001 - checked again one by one
-            pass
-        for s in block:
-            colors, steps = plan.colors([s])
-            key = b"".join(key_at(steps))
-            seen = hit if key in listed else outside
-            if seen is outside:
-                translation_valid = False
-                counterexample = counterexample or ("coloring maps outside M", s)
-            if key in seen:
-                injective = False
-                counterexample = counterexample or ("two colorings share an assignment", s)
-            seen.add(key)
-            try:
-                back = bytes(plan.lift(b"".join(plan.lift_at(steps))))
-            except Exception as exc:  # noqa: BLE001 - report, don't raise
-                round_trip = False
-                counterexample = counterexample or ("mv_to_coloring failed", str(exc))
-                continue
-            if back != b"".join(colors):
-                round_trip = False
-                counterexample = counterexample or ("round trip mismatch", s)
+            back = plan.lift(want)
+        except Exception as exc:  # noqa: BLE001 - report, don't raise
+            round_trip = False
+            counterexample = counterexample or ("mv_to_coloring failed", str(exc))
+            continue
+        if bytes(back) != row:
+            round_trip = False
+            counterexample = counterexample or ("round trip mismatch", s)
     # both ways: every valid assignment lifts to a coloring that maps back.
     # A graph for a transformed pattern crosses creases the pattern lacks,
     # so its witnesses cannot be lifted and are not checked. A witness some

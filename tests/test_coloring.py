@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product, starmap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -280,11 +280,11 @@ def test_coloring_to_mv_refuses_a_missing_root():
 
 @pytest.mark.parametrize("color", [3, 4, -1, 256, 1.5, 1.0, Fraction(2)])
 def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
-    # colors are packed a byte per edge end, so any other value is refused
-    # before it could pass for a color (3 for 0, 4 for a step of 1); 1.0
-    # and Fraction(2) equal colors but are not ints, which bytes refuses.
-    # verify's exact pass refuses it alike as the first coloring of a
-    # later block
+    # a row holds a coloring's colors a byte per vertex, so any other
+    # value is refused before it could pass for a color in a step mod 3 (3
+    # for 0, 4 for 1); 1.0 and Fraction(2) equal colors but are not ints,
+    # which bytes refuses. verify's exact pass refuses it alike as coloring
+    # _BLOCK, past the most a certified graph lists
     cp = miura(4, 4)
     g = tile(cp)
     colorings = enumerate_colorings(g)
@@ -298,11 +298,11 @@ def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
         _exact_pass(cp, g)
 
 
-def _to_mv_by_columns(g, s):
-    """``coloring_to_mv`` as a block of one: the coloring's columns
-    checked by ``_Plan.colors`` and its image read off their steps."""
+def _to_mv_by_row(g, s):
+    """``coloring_to_mv`` through ``_Plan``: the coloring's row checked by
+    ``_Plan.colors`` and its image read off its crossing edges' steps."""
     plan = coloring._Plan(g)
-    return plan.to_mv(plan.colors([s])[1])
+    return plan.to_mv(plan.colors(s))
 
 
 def _copied_first(g):
@@ -320,18 +320,18 @@ def _copied_first(g):
                          ids=["miura-3x3", "snake-3x3", "twists-1", "twists-2", "miura-3x3-copied"])
 def test_coloring_to_mv_matches_the_column_read(make):
     # the one pass over the edges gives each coloring the assignment that
-    # the column read gives, in the same crease order; a crease crossed
-    # twice takes its last crossing edge's step
+    # the read of its checked row gives, in the same crease order; a crease
+    # crossed twice takes its last crossing edge's step
     g = make()
     for s in enumerate_colorings(g):
-        got, want = coloring_to_mv(g, s), _to_mv_by_columns(g, s)
+        got, want = coloring_to_mv(g, s), _to_mv_by_row(g, s)
         assert got == want and list(got) == list(want)
 
 
 @pytest.mark.parametrize("how", ["domain", "missing-root", "root", "range", "improper"])
 def test_coloring_to_mv_refuses_as_the_column_read(how):
-    # each planted refusal raises the column read's ImproperColoring,
-    # message included
+    # each planted refusal raises the ImproperColoring of the checked row
+    # read (``_Plan.colors``), message included
     g = tile(miura(3, 3))
     s = first_coloring(g)
     v = next(v for v in sorted(g.vertices) if v != g.root)
@@ -347,7 +347,7 @@ def test_coloring_to_mv_refuses_as_the_column_read(how):
         e = list(g.edges.values())[len(g.edges) // 2]
         s[e.v] = s[e.u]
     with pytest.raises(ImproperColoring) as want:
-        _to_mv_by_columns(g, s)
+        _to_mv_by_row(g, s)
     with pytest.raises(ImproperColoring, match=f"^{re.escape(str(want.value))}$"):
         coloring_to_mv(g, s)
 
@@ -452,9 +452,9 @@ def lift_cases(draw):
     crossing edge over its crease, its crease left uncrossed, or the root
     removed; and a row of steps drawn at random, taken from a random color
     list (the crossing edges agree wherever its colors differ, the
-    undirected edges may not), taken from a proper coloring, or taken from
-    one of the pattern's first 20 locally-valid assignments (without an
-    edit, these two lift)."""
+    undirected edges may not), taken from a proper coloring (a random color
+    list where the edit leaves none), or taken from one of the pattern's
+    first 20 locally-valid assignments (without an edit, these two lift)."""
     kind = draw(st.sampled_from(["miura", "modified-miura", "snake", "twists", "crane"]))
     if kind == "crane":
         cp = crane()
@@ -489,9 +489,13 @@ def lift_cases(draw):
         if how == "random":
             return draw(st.lists(st.sampled_from([1, 2]), min_size=len(directed),
                                  max_size=len(directed)))
+        s = None
         if how == "proper" and edit != "no-root":
-            s = first_coloring(g)
-        else:
+            try:
+                s = first_coloring(g)
+            except ValueError:      # the extra edge left no proper coloring
+                pass
+        if s is None:
             s = dict(zip(ids, draw(st.lists(st.integers(0, 2), min_size=len(ids),
                                             max_size=len(ids)))))
             s[g.root] = 0
@@ -518,6 +522,27 @@ def test_lift_matches_reference(case):
     assert _lifted(coloring._Plan(g).lift, steps) == _lifted(reference_lift, g, steps)
 
 
+def test_lift_refuses_a_graph_with_no_proper_coloring():
+    # one more crossing edge between two vertices that every proper
+    # coloring of joined twists 1 colors alike leaves no proper coloring:
+    # both lifts raise NoCompletion on the steps of a locally-valid
+    # assignment
+    cp = triangle_twist(1)
+    mv = enumerate_locally_valid(cp, cap=1).witnesses[0]
+
+    def with_edge(u, v):
+        g = tile(cp)
+        e = next(e for e in g.edges.values() if e.directed)
+        g.add_edge(u, v, directed=True, crease=e.crease)
+        return g
+
+    g = next(g for g in starmap(with_edge, combinations(sorted(tile(cp).vertices), 2))
+             if count_colorings(g) == 0)
+    steps = [STEP_OF_MV[mv[e.crease]] for e in g.edges.values() if e.directed]
+    assert _lifted(coloring._Plan(g).lift, steps) is NoCompletion
+    assert _lifted(reference_lift, g, steps) is NoCompletion
+
+
 def test_plan_spans_where_crossing_edges_reach_every_vertex():
     # the crossing edges from the root reach every vertex of the Miura,
     # modified-Miura and snake graphs; the crane and joined twists have
@@ -535,8 +560,8 @@ def _sample_steps(g: SawGraph) -> list[bytes]:
     first ``_LIFTS`` colorings of ``_colorings(g)``: the lift sample of a
     certified graph."""
     plan = coloring._Plan(g)
-    return [b"".join(plan.lift_at(plan.colors([s])[1]))
-            for s in islice(coloring._colorings(g), coloring._LIFTS)]
+    rows = [plan.steps_of(plan.colors(s)) for s in islice(coloring._colorings(g), coloring._LIFTS)]
+    return [bytes([steps[k] for _, k in plan.directed]) for steps in rows]
 
 
 def _recorded_lifts(monkeypatch) -> list[bytes]:
@@ -714,10 +739,10 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     # a coloring that fails a check of coloring_to_mv raises its error, as
     # in the list-based reference; colorings reach both functions through
     # the coloring.enumerate_colorings attribute. Miura 2x3's listing, one
-    # too long, sends verify to its exact pass. Miura 4x4's 2,604
-    # colorings fill several blocks: the bad one is the first of the
-    # second block, or the last of all. A graph certified past a block
-    # lists no coloring, so these go to the exact pass directly
+    # too long, sends verify to its exact pass. Of Miura 4x4's 2,604
+    # colorings, the bad one is coloring _BLOCK, or the last of all. A
+    # graph certified past _BLOCK colorings lists none, so these go to the
+    # exact pass directly
     cp = miura(*size)
     g = tile(cp)
     g.vertices = dict(reversed(g.vertices.items()))
@@ -747,16 +772,16 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
 @pytest.mark.parametrize("how", ["repeat-earlier", "repeat-same", "outside",
                                  "lift-fails", "lift-differs"])
 def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, how):
-    # in the second block of Miura 4x4, a repeat of a coloring of the first
-    # block or of its own, or a coloring whose assignment the oracle's
-    # search leaves out; in the second block of joined twists 3, whose
-    # crossing edges do not span it, so that each coloring is lifted, one
-    # whose lift (patched) fails or gives other colors: the block is
-    # checked again one by one, and the report is the list-based
-    # reference's, counterexample included. The oracle's count, one short,
-    # sends verify to the exact pass; the planted colorings and lifts of a
-    # graph certified past a block are never listed or lifted, so those go
-    # to the exact pass directly
+    # past the first _BLOCK colorings of Miura 4x4, a repeat of one of the
+    # first colorings or of a recent one, or a coloring whose assignment
+    # the oracle's search leaves out; past the first _BLOCK of joined
+    # twists 3, whose crossing edges do not span it, so that each coloring
+    # is lifted, one whose lift (patched) fails or gives other colors: the
+    # exact pass checks each coloring in turn, and the report is the
+    # list-based reference's, counterexample included. The oracle's count,
+    # one short, sends verify to the exact pass; the planted colorings and
+    # lifts of a graph certified past _BLOCK colorings are never listed or
+    # lifted, so those go to the exact pass directly
     cp = triangle_twist(3) if how.startswith("lift") else miura(4, 4)
     g = tile(cp)
     at = coloring._BLOCK + 44
