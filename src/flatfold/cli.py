@@ -101,9 +101,8 @@ def _count_mv(args) -> int:
 
 
 def _build_saw(args) -> int:
-    cp, _, _ = _read_pattern(args.file)
-    g = tile(cp)
-    _write(emit(cp, saw=g), args.output)
+    cp, mv, _ = _read_pattern(args.file)
+    _write(emit(cp, mv, tile(cp)), args.output)
     return 0
 
 

@@ -5,9 +5,9 @@ exact. A string in the schema's grammar, ``-?[0-9]+(/[0-9]+)?``, is read
 with ``int()``; any other string goes to ``Fraction`` as it is. Every id
 is a string and no id repeats.
 
-``emit`` writes the bytes ``json.dumps(doc, indent=2, sort_keys=True)``
-would write, with a one-pass writer (``_write_json``): json.dumps uses its
-C encoder only without an indent.
+``emit`` writes the bytes ``json.dumps(pattern_to_dict(...), indent=2,
+sort_keys=True)`` would write from one f-string template per row kind,
+rows joined by their indent's separator and keys as literal sorted text.
 """
 
 from __future__ import annotations
@@ -196,54 +196,57 @@ def pattern_from_dict(doc: dict):
 
 def emit(cp: CreasePattern, mv=None, saw=None) -> str:
     """The pattern file: the bytes ``json.dumps(pattern_to_dict(cp, mv,
-    saw), indent=2, sort_keys=True)`` writes, and a newline."""
-    out: list[str] = []
-    _write_json(pattern_to_dict(cp, mv, saw), "\n", out)
-    out.append("\n")
-    return "".join(out)
+    saw), indent=2, sort_keys=True)`` writes, and a newline. A non-string
+    id raises ``TypeError``, as it does in the string encoder json.dumps
+    uses; a rational's digits, ``-`` and ``/`` need no escaping."""
+    q, r = _encode_str, _rat_str
+
+    def points(pts: dict) -> str:
+        return _rows([f'{{\n      "id": {q(pid)},\n      "x": "{r(x)}",\n      "y": "{r(y)}"\n    }}'
+                      for pid, (x, y) in sorted(pts.items())], "\n  ")
+
+    keys = ['"angles": ' + _rows([f"{q(v)}: " + _rows([f'"{r(a)}"' for a in angs], "\n    ")
+                                  for v, angs in sorted(cp.declared_angles.items())], "\n  ", "{}")
+            ] if cp.declared_angles else []
+    keys += ['"boundary_points": ' + points(cp.boundary_points),
+             '"creases": ' + _rows([f'{{\n      "from": {q(a)},\n      "id": {q(cid)},\n'
+                                    f'      "to": {q(b)}\n    }}'
+                                    for cid, (a, b) in sorted(cp.creases.items())], "\n  ")]
+    if mv is not None:
+        keys.append('"mv": ' + _rows([f"{q(c)}: {int(v)}" for c, v in sorted(mv.items())],
+                                     "\n  ", "{}"))
+    keys.append('"region": ' + _rows([f'[\n      "{r(x)}",\n      "{r(y)}"\n    ]'
+                                      for x, y in cp.region], "\n  "))
+    if saw is not None:
+        keys.append('"saw": ' + _rows([
+            '"boundary": ' + _rows([f"[\n        {v},\n        {e}\n      ]" for v, e in saw.walk],
+                                   "\n    "),
+            '"edges": ' + _rows([
+                f'{{\n        "crease": {"null" if e.crease is None else q(e.crease)},\n'
+                f'        "directed": {"true" if e.directed else "false"},\n'
+                f'        "id": {e.id},\n        "u": {e.u},\n        "v": {e.v}\n      }}'
+                for e in sorted(saw.edges.values(), key=lambda e: e.id)], "\n    "),
+            f'"root": {saw.root}',
+            '"vertices": ' + _rows([f'{{\n        "face": {_face(sv.face)},\n        "id": {sv.id}\n      }}'
+                                    for sv in sorted(saw.vertices.values(), key=lambda s: s.id)],
+                                   "\n    ")], "\n  ", "{}"))
+    keys += [f'"version": {FORMAT_VERSION}', '"vertices": ' + points(cp.vertices)]
+    return _rows(keys, "\n", "{}") + "\n"
 
 
-def _write_json(o, nl: str, out: list[str]) -> None:
-    """Append o to out as ``json.dumps(o, indent=2, sort_keys=True)`` writes
-    it, nl being a newline and the indent o sits at. Handles exactly the
-    types a pattern document holds: dict (string keys), list, str, int,
-    bool and None. json.dumps uses its C encoder only without an indent;
-    this writer encodes strings with the same C function."""
-    t = type(o)
-    if t is str:
-        out.append(_encode_str(o))
-    elif t is int:
-        out.append(int.__repr__(o))
-    elif t is dict:
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(o):
-            out.append(sep + _encode_str(k) + ": ")
-            _write_json(o[k], inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif t is list:
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            _write_json(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+def _rows(rows: list[str], nl: str, brackets: str = "[]") -> str:
+    """The list (or, with brackets "{}", object) of rows that json.dumps
+    writes at newline-and-indent nl, each row already written at nl + "  "."""
+    if not rows:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(rows) + nl + brackets[1]
+
+
+def _face(face) -> str:
+    if isinstance(face, str):
+        return _encode_str(face)
+    return "null" if face is None else _rows([_encode_str(f) for f in face], "\n        ")
 
 
 def load_text(text: str):
@@ -255,8 +258,12 @@ def load_text(text: str):
 
 
 def load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
+    return load_text(text)
 
 
 def to_fold(cp: CreasePattern, mv: MVAssignment | None = None) -> dict:
@@ -266,20 +273,13 @@ def to_fold(cp: CreasePattern, mv: MVAssignment | None = None) -> dict:
     """
     ids = sorted(cp.vertices) + sorted(cp.boundary_points)
     index = {nid: i for i, nid in enumerate(ids)}
-    coords = [[float(cp.point_of(n)[0]), float(cp.point_of(n)[1])] for n in ids]
-    edges = []
-    assignment = []
-    for cid, (a, b) in sorted(cp.creases.items()):
-        edges.append([index[a], index[b]])
-        if mv and cid in mv:
-            assignment.append("M" if mv[cid] == 1 else "V")
-        else:
-            assignment.append("U")
+    creases = sorted(cp.creases.items())
     return {
         "file_spec": 1.1,
         "file_classes": ["singleModel"],
         "frame_classes": ["creasePattern"],
-        "vertices_coords": coords,
-        "edges_vertices": edges,
-        "edges_assignment": assignment,
+        "vertices_coords": [[float(x) for x in cp.point_of(n)] for n in ids],
+        "edges_vertices": [[index[a], index[b]] for _, (a, b) in creases],
+        "edges_assignment": [("M" if mv[c] == 1 else "V") if mv and c in mv else "U"
+                             for c, _ in creases],
     }

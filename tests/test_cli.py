@@ -57,6 +57,26 @@ def test_crane_build_saw_count_colorings(capsys, tmp_path):
     assert out.strip() == "93312"
 
 
+def test_build_saw_keeps_the_mv_block(capsys, tmp_path):
+    cp = miura(2, 2)
+    mv = {c: (-1) ** i for i, c in enumerate(sorted(cp.creases))}
+    paths = [tmp_path / f"{i}.json" for i in range(3)]
+    paths[0].write_text(emit(cp, mv))
+    for src, dst in zip(paths, paths[1:]):
+        assert run(capsys, ["build-saw", str(src), "-o", str(dst)])[0] == 0
+    assert json.loads(paths[1].read_text())["mv"] == mv
+    assert paths[2].read_bytes() == paths[1].read_bytes()
+
+
+def test_file_that_is_not_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["count-mv", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_check_reports(capsys, tmp_path):
     path = tmp_path / "m.json"
     run(capsys, ["generate", "miura", "2", "2", "-o", str(path)])

@@ -4,16 +4,19 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatfold.errors import ParseError
 from flatfold.generators import crane, miura, triangle_twist
-from flatfold.patternio import _rat, _write_json, emit, load_text, pattern_to_dict, to_fold
+from flatfold.oracle import enumerate_locally_valid
+from flatfold.patternio import _rat, emit, load, load_text, pattern_to_dict, to_fold
+from flatfold.saw import SawGraph, SawVertex, deg4_saw
 from flatfold.svg import render_svg
 from flatfold.tiling import tile
 
 from .helpers import small_pattern, star_pattern
+from .test_tiling import GOLDEN_SAW_SHA256, _golden_pattern
 
 
 def test_round_trip_miura():
@@ -156,27 +159,79 @@ def test_load_text_refuses_a_non_object():
     with pytest.raises(ParseError, match="^top level must be an object$"):
         load_text("[]")
 
-json_docs = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
-    | st.text() | st.sampled_from(["", "\x00\x1f\\\"", "\u00e9\u2603\U0001f600", "\ud800"]),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=30)
+# every kind of character the string encoder treats apart: quotes,
+# backslashes, control characters, non-ASCII, astral and a lone surrogate
+_ODD = st.text(st.sampled_from('"\\\x00\x1f\n\x7f\u00e9\u2603\U0001f600\ud800az'), max_size=3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(json_docs)
-@example({})
-@example([])
-@example({"a": [], "b": {}, "c": [[]], "\u00e9": None})
-def test_writer_matches_json_dumps(doc):
-    out: list[str] = []
-    _write_json(doc, "\n", out)
-    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 10 ** 6), st.sampled_from(["none", "empty", "witness"]),
+       st.sampled_from(["none", "tiled", "deg4"]), st.data())
+def test_emit_matches_json_dumps(kind, m, n, seed, mv_kind, saw_kind, data):
+    cp = small_pattern(kind, m, n, seed)
+    mv = (None if mv_kind == "none" else {} if mv_kind == "empty"
+          else enumerate_locally_valid(cp, cap=1).witnesses[0])
+    # a deg4_saw graph has sector-pair faces, written as lists
+    g = None if saw_kind == "none" else tile(cp) if saw_kind == "tiled" else deg4_saw("BLB")
+    # every string of the file (ids, faces, crease names) gets an odd
+    # prefix; a prefix that makes two names equal is skipped
+    names: dict = {}
+
+    def lab(x):
+        if x not in names:
+            names[x] = data.draw(_ODD) + x
+        return names[x]
+
+    def lab_face(f):
+        return tuple(map(lab, f)) if isinstance(f, tuple) else lab(f)
+
+    cp = dataclasses.replace(
+        cp, vertices={lab(k): p for k, p in cp.vertices.items()},
+        boundary_points={lab(k): p for k, p in cp.boundary_points.items()},
+        creases={lab(k): (lab(a), lab(b)) for k, (a, b) in cp.creases.items()},
+        declared_angles={lab(k): a for k, a in cp.declared_angles.items()})
+    mv = mv if mv is None else {lab(c): v for c, v in mv.items()}
+    if g is not None:
+        g = SawGraph({k: SawVertex(k, lab_face(sv.face)) for k, sv in g.vertices.items()},
+                     {k: dataclasses.replace(e, crease=e.crease and lab(e.crease))
+                      for k, e in g.edges.items()}, g.root, list(g.walk))
+    assume(len(set(names.values())) == len(names))
+    assert emit(cp, mv, g) == json.dumps(pattern_to_dict(cp, mv, g), indent=2,
+                                         sort_keys=True) + "\n"
 
 
-def test_writer_refuses_other_types():
-    with pytest.raises(TypeError):
-        _write_json({"x": 0.5}, "\n", [])
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAW_SHA256))
+def test_emit_reads_back_equal_with_mv_and_saw(name):
+    # tiled on its own copy: tiling fills the pattern's cone cache
+    cp, g = _golden_pattern(name), tile(_golden_pattern(name))
+    mv = {c: (-1) ** i for i, c in enumerate(sorted(cp.creases))}
+    cp2, mv2, g2 = load_text(emit(cp, mv, g))
+    for f in dataclasses.fields(cp):
+        assert getattr(cp2, f.name) == getattr(cp, f.name), f.name
+    assert mv2 == mv and g2 == g
+
+
+def test_emit_refuses_a_non_string_id():
+    # a number where the file holds a string: a crease end, a crease id,
+    # an MV key, a SAW edge's crease, a SAW face
+    cp = miura(2, 2)
+    g = tile(cp)
+    end = dataclasses.replace(cp, creases={**cp.creases, "c0": (7, "b0")})
+    cid = dataclasses.replace(cp, creases={0.5: ("v0", "b0")})
+    crease, face = g.copy(), g.copy()
+    crease.edges[0].crease = 7
+    face.vertices[0].face = 0.5
+    for args in ((end,), (cid,), (cp, {0: 1}), (cp, None, crease), (cp, None, face)):
+        with pytest.raises(TypeError):
+            emit(*args)
+
+
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError, match="is not UTF-8"):
+        load(str(path))
 
 
 def test_bad_json_rejected():
@@ -192,6 +247,10 @@ def test_emitted_json_validates_against_schema():
     for cp in (miura(2, 3), triangle_twist(1), crane()):
         doc = pattern_to_dict(cp, saw=tile(cp))
         jsonschema.validate(doc, schema)
+    # a file with both an MV block and a SAW block, as build-saw writes it
+    cp = miura(2, 2)
+    mv = enumerate_locally_valid(cp, cap=1).witnesses[0]
+    jsonschema.validate(json.loads(emit(cp, mv, tile(cp))), schema)
 
 
 def test_fold_export_shim():
