@@ -15,15 +15,13 @@ from . import generators
 from .coloring import count_colorings, verify_bijection
 from .errors import BadMaskLength, FlatfoldError
 from .oracle import count_locally_valid
-from .patternio import emit, load, load_text
+from .patternio import emit, load
 from .svg import render_svg
 from .tiling import tile
 
 
 def _read_pattern(path: str):
-    if path == "-":
-        return load_text(sys.stdin.read())
-    return load(path)
+    return load(sys.stdin.buffer if path == "-" else path)
 
 
 def _write(text: str, out: str | None):

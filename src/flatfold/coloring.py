@@ -142,12 +142,13 @@ def _passes(sched, *steps: int) -> bool:
     return _check_values(sched, [MV_OF_STEP[s] for s in steps])
 
 
-# a pair of colorings (s, s') takes the value 3 d + s at a vertex, where
-# d = s' - s (mod 3); the values that a neighbour's value x bans (the same
-# s or the same s'), and those of another d than x's, as bit masks
-_PAIR_BAN = [sum(1 << y for y in range(9) if y % 3 == x % 3 or (y + y // 3) % 3 == (x + x // 3) % 3)
-             for x in range(9)]
-_OFFSET_BAN = [sum(1 << y for y in range(9) if y // 3 != x // 3) for x in range(9)]
+# a pair of colorings (s, s') takes the value 4 d + s at a vertex, where
+# d = s' - s (mod 3); the nine values, those that a neighbour's value x bans
+# (the same s or the same s'), and those of another d than x's, as bit masks
+_PAIRS = [4 * d + s for d in range(3) for s in range(3)]
+_PAIR_BAN = [sum(1 << y for y in _PAIRS if y & 3 == x & 3 or (y + (y >> 2)) % 3 == (x + (x >> 2)) % 3)
+             for x in range(11)]
+_OFFSET_BAN = [sum(1 << y for y in _PAIRS if y >> 2 != x >> 2) for x in range(11)]
 
 
 def _pair_values(same: list[int], banned: int, vals: tuple[int, ...]) -> list[int]:
@@ -157,7 +158,7 @@ def _pair_values(same: list[int], banned: int, vals: tuple[int, ...]) -> list[in
         banned |= _PAIR_BAN[x]
     for k in same:
         banned |= _OFFSET_BAN[vals[k]]
-    return [y for y in range(9) if not banned >> y & 1]
+    return [y for y in _PAIRS if not banned >> y & 1]
 
 
 def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
@@ -170,8 +171,7 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     every crossing edge its crease's last crossing edge's step: those whose
     image is in M(cp) and round trip is consistent. Swapping colors 1 and
     2 negates every step and keeps each schedule's verdict, so this DP
-    keeps one state for each frontier and its swap; the pair values below
-    are not swapped slot by slot, so that DP keeps both.
+    keeps one state for each frontier and its swap.
 
     The second is the number of pairs of colorings with equal images:
     ``n_col`` exactly when no two share one. When the first count is
@@ -183,7 +183,8 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     colorings share an image and the pair count is ``n_col`` without a
     count. Otherwise a frontier DP counts the pairs in 4-bit pair values
     (``_PAIR_BAN``), the last crossing edge of each crease of the pattern
-    keeping d equal at its ends."""
+    keeping d equal at its ends; swapping colors 1 and 2 in both colorings
+    swaps them in both fields, d and s, so it too counts under the swap."""
     pos = {v: i for i, v in enumerate(order)}
     ends = [((pos[e.u], pos[e.v]), e.crease) for e in g.edges.values() if e.directed]
     last = {c: uv for uv, c in ends}
@@ -210,8 +211,8 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     equal = {tuple(sorted(last[c])) for c in cp.creases.keys() & last.keys()}
     pairs_plan = [(nbrs, _no_colors if first is _no_colors else partial(
         _pair_values, [j for j, k in enumerate(nbrs) if (k, i) in equal],
-        0x1FE if first is _root_colors else 0)) for i, (nbrs, first) in enumerate(plan)]
-    return into_m, frontier_count(pairs_plan, bits=4)
+        0x7FE if first is _root_colors else 0)) for i, (nbrs, first) in enumerate(plan)]
+    return into_m, frontier_count(pairs_plan, bits=4, swap=True)
 
 
 def _colorings(g: SawGraph) -> Iterator[ThreeColoring]:
@@ -560,12 +561,14 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
     lists it up to ``cap``, keyed as that search gives it (``bytes``, a
     step per crease in search order), and every coloring of ``colorings``,
     one at a time in order: its row is checked (``_Plan.colors`` raises
-    its ImproperColoring), its key must be listed and new, and it must
-    lift back to itself. Where the crossing edges span the graph, a
-    coloring whose key is listed and new and whose crossing edges take
-    their creases' steps lifts back with no lift (``_Plan.lifts_back``).
-    Then each listed assignment no coloring mapped to must lift and map
-    back."""
+    its ImproperColoring), its key must be in M and new, and it must
+    lift back to itself. A key is in M if it is listed or, where the
+    listing stopped at ``cap``, if it crosses every crease and each
+    interior vertex's crimp schedule passes it. Where the crossing edges
+    span the graph, a coloring whose key is in M and new and whose
+    crossing edges take their creases' steps lifts back with no lift
+    (``_Plan.lifts_back``). Then each listed assignment no coloring mapped
+    to must lift and map back."""
     order, found, count = oracle._first_assignments(cp, cap)
     listed = set(found)
     # a key reads each crease's step in search order (the crease's last
@@ -580,7 +583,8 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
         row = plan.colors(s)
         steps = plan.steps_of(row)
         key = bytes([steps[k] if k >= 0 else 0 for k in key_at])
-        seen = hit if key in listed else outside
+        seen = hit if key in listed or (len(found) < count and 0 not in key and oracle.is_locally_valid(
+            cp, {c: MV_OF_STEP[v] for c, v in zip(order, key)})) else outside
         if seen is outside:
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)

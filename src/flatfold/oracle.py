@@ -130,12 +130,14 @@ def _crease_values(checks: list, vals: tuple[int, ...]) -> list[int]:
 
 def _first_assignments(cp: CreasePattern, cap: int):
     """The search plan's crease order; the first ``cap`` assignments of
-    its depth-first search, which stops at assignment ``cap + 1``, each as
-    ``bytes`` with one step per crease in that order (1 = mountain, 2 =
-    valley); and the count, from the frontier DP once the cap is passed.
-    The cap is passed exactly when the count exceeds ``max(cap, 0)``."""
+    its depth-first search, which stops at assignment ``cap + 1`` (none
+    runs at a cap of 0 or less), each as ``bytes`` with one step per crease
+    in that order (1 = mountain, 2 = valley); and the count, from the
+    frontier DP once the cap is passed, which it is exactly when the count
+    exceeds ``max(cap, 0)``."""
     order, plan = _search_plan(cp)
-    cap = max(cap, 0)
+    if cap <= 0:
+        return order, [], frontier_count(plan, swap=True)
     found = list(map(bytes, islice(depth_first(plan), cap + 1)))
     count = len(found) if len(found) <= cap else frontier_count(plan, swap=True)
     del found[cap:]

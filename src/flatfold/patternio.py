@@ -257,12 +257,15 @@ def load_text(text: str):
     return pattern_from_dict(doc)
 
 
-def load(path: str):
+def load(file):
+    """The pattern in ``file``, a path or a binary stream, read as UTF-8."""
+    if not hasattr(file, "read"):
+        with open(file, "rb") as fh:
+            return load(fh)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
+        raise ParseError(f"{getattr(file, 'name', 'input')} is not UTF-8: {exc}") from exc
     return load_text(text)
 
 

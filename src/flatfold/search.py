@@ -13,9 +13,12 @@ Both of those plans are equivariant under sigma, the exchange of the
 values 1 and 2 (0 and 3 stay): ``allowed`` of the sigma-image of ``vals``
 is the sigma-image of ``allowed(vals)``. For colorings sigma swaps the
 colors 1 and 2 and keeps the root's 0; for creases it is the
-mountain-valley flip, under which every crimp schedule is symmetric.
+mountain-valley flip, under which every crimp schedule is symmetric. On a
+wider value sigma acts on each 2-bit field, as on the two fields of a
+pair of colorings (``coloring._certificates``).
 ``frontier_count(plan, swap=True)`` counts such a plan with one DP state
-for each pair of states {s, sigma(s)}.
+for each pair of states {s, sigma(s)}, as every count the library makes
+does; ``swap=False`` is the plain reference.
 """
 
 from __future__ import annotations
@@ -34,24 +37,19 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
     leave the frontier so. A slot is freed after its last reader, so the
     cost follows the frontier width, not the count.
 
-    ``swap`` is for a sigma-equivariant plan with 2-bit slots (module
-    docstring). sigma acts on a state slot by slot: it exchanges 01 and 10
-    and keeps 00 (a free slot, or the value 0) and 11. Each new state t is
-    stored as the smaller of t and sigma(t), so a state stands for its
+    ``swap`` is for a sigma-equivariant plan (module docstring) with even
+    ``bits``: sigma acts on each 2-bit field of a state, exchanging 01 and
+    10 and keeping 00 (a free slot, or the value 0) and 11. Each new state
+    t is stored as the larger of t and sigma(t), so a state stands for its
     pair, and ``allowed`` is asked only of one state of each pair. The
     count stays exact because sigma maps the successors of s onto those of
     sigma(s), so both states of a pair lead to each pair equally often. On
-    a plan that is not equivariant the count is wrong; ``swap`` with wider
-    slots raises ValueError."""
+    a plan that is not equivariant the count is wrong. Without ``swap``
+    no field is swapped: sigma(t) is 0, never the larger."""
     last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
     mask = (1 << bits) - 1
-    lo = 0
-    if swap:
-        if bits != 2:
-            raise ValueError("swap needs 2-bit slots")
-        # 01 in every slot a state can use (each shift is below
-        # bits * frontier_width)
-        lo = ((1 << bits * (frontier_width(plan) + 1)) - 1) // 3
+    # 01 in every 2-bit field a state can use (shifts stay below bits * width)
+    lo = ((1 << bits * (frontier_width(plan) + 1)) - 1) // 3 if swap else 0
     slot: dict[int, int] = {}   # frontier position -> bit shift of its value
     free: list[int] = []
     states = {0: 1}
@@ -77,17 +75,12 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
                     raise ValueError(f"position {i} allows a value outside {bits} bits")
                 codes = codes_of[r] = [0 if sh is None else v << sh for v in vals]
             base = s & keep
-            if lo:
-                for c in codes:
-                    t = base | c
-                    u = (t & lo) << 1 | (t >> 1) & lo
-                    if u < t:
-                        t = u
-                    new[t] = new.get(t, 0) + n
-            else:
-                for c in codes:
-                    t = base | c
-                    new[t] = new.get(t, 0) + n
+            for c in codes:
+                t = base | c
+                u = (t & lo) << 1 | (t >> 1) & lo
+                if u > t:
+                    t = u
+                new[t] = new.get(t, 0) + n
         states = new
     return sum(states.values())
 

@@ -376,29 +376,33 @@ def reference_search_plan(cp):
     return min(plans, key=lambda op: frontier_width(op[1]))
 
 
-# sigma, the exchange of the values 1 and 2, on one 2-bit value
-SIGMA = (0, 2, 1, 3)
+def sigma(v: int, bits: int = 2) -> int:
+    """sigma, the exchange of the values 1 and 2, on each 2-bit field of
+    the ``bits``-bit value ``v``: 01 and 10 swap, 00 and 11 stay."""
+    lo = ((1 << bits) - 1) // 3
+    return (v & lo) << 1 | (v >> 1) & lo
 
 
-def sigma_checked(plan) -> list:
+def sigma_checked(plan, bits: int = 2) -> list:
     """``plan`` with each ``allowed`` asserting, on every tuple it is
     asked, the equivariance that ``frontier_count``'s ``swap`` needs: the
     values ``allowed`` gives the tuple's sigma-image are the sigma-images of
-    the values it gives the tuple."""
+    the values it gives the tuple, sigma acting on each 2-bit field of a
+    ``bits``-bit value."""
     def checked(allowed, vals):
         got = allowed(vals)
-        flipped = allowed(tuple([SIGMA[v] for v in vals]))
-        assert set(flipped) == {SIGMA[v] for v in got}, vals
+        flipped = allowed(tuple([sigma(v, bits) for v in vals]))
+        assert set(flipped) == {sigma(v, bits) for v in got}, vals
         return got
     return [(reads, partial(checked, allowed)) for reads, allowed in plan]
 
 
-def swap_counted(plan) -> int:
-    """``frontier_count(plan, swap=True)``, once the plain DP over
-    ``sigma_checked(plan)`` has found every tuple it asks equivariant and
-    given the same count."""
-    count = frontier_count(plan, swap=True)
-    assert count == frontier_count(sigma_checked(plan))
+def swap_counted(plan, bits: int = 2) -> int:
+    """``frontier_count(plan, bits, swap=True)``, once the plain DP over
+    ``sigma_checked(plan, bits)`` has found every tuple it asks
+    equivariant and given the same count."""
+    count = frontier_count(plan, bits, swap=True)
+    assert count == frontier_count(sigma_checked(plan, bits), bits)
     return count
 
 
@@ -503,7 +507,10 @@ def reference_verify_bijection(cp, g: SawGraph, cap: int = 200000) -> BijectionR
     for s in colorings:
         mv = _reference_to_mv(g, s)
         key = tuple(map(mv.get, order))
-        if key not in mset:
+        # past the cap the witnesses are a prefix of M: an image they lack
+        # is in M when it crosses every crease and each vertex folds flat
+        if key not in mset and (not report.cap_exceeded or None in key
+                                or not oracle.is_locally_valid(cp, mv)):
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)
         if key in seen:

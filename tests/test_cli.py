@@ -14,10 +14,17 @@ from flatfold.tiling import tile
 from .helpers import star_pattern
 
 
+def piped(data) -> io.TextIOWrapper:
+    """A standard input that holds ``data``, text as UTF-8 or bytes as
+    they are, with a binary ``buffer`` named as the real one is."""
+    raw = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
+    raw.name = "<stdin>"
+    return io.TextIOWrapper(raw, encoding="utf-8")
+
+
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io, sys
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", piped(stdin))
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -74,6 +81,15 @@ def test_file_that_is_not_utf8_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, ["count-mv", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "is not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_stdin_that_is_not_utf8_exits_1(capsys, monkeypatch):
+    # the bytes of standard input take the same UTF-8 check as a file's
+    code, out, err = run(capsys, ["count-mv", "-"], stdin=b"\xff\xfe{}",
+                         monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: <stdin> is not UTF-8: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -320,7 +336,7 @@ def run_pipeline(capsys, monkeypatch, line: str) -> tuple[int, str]:
     for stage in line.split("|"):
         argv = shlex.split(stage)
         assert argv[0] == "flatfold"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        monkeypatch.setattr(sys, "stdin", piped(out))
         code = main(argv[1:])
         out = capsys.readouterr().out
         if code:

@@ -951,6 +951,21 @@ def test_verify_bijection_raises_past_cap():
     assert verify_bijection(cp, g, cap=82).ok
 
 
+@pytest.mark.parametrize("cap", [32, 40, 60, 81, 82, 200_000])
+def test_verify_bijection_decides_m_past_a_capped_listing(cap):
+    # an undirected edge (0, 6) leaves Miura 3x3's graph 32 of its 82
+    # colorings, each mapping into M. Under 82 the oracle lists M only up
+    # to the cap, and an image it does not list is still found in M by the
+    # crimp schedules, so every cap gives the same report
+    cp = miura(3, 3)
+    g = tile(cp)
+    g.add_edge(0, 6)
+    report = verify_bijection(cp, g, cap=cap)
+    assert (report.count_mv, report.count_colorings) == (82, 32)
+    assert report.translation_valid and report.injective and not report.round_trip_ok
+    assert report == verify_bijection(cp, g) == reference_verify_bijection(cp, g, cap=cap)
+
+
 @pytest.mark.parametrize("make, cap", [(crane, 20), (lambda: miura(3, 3), 81)])
 def test_verify_bijection_refuses_by_count(monkeypatch, make, cap):
     # count_colorings decides: no coloring is enumerated before the refusal

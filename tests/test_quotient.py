@@ -23,15 +23,16 @@ from .test_search import plans
 
 @pytest.fixture
 def swapped(monkeypatch):
-    """The plans the library counts with ``swap``, in call order; each is
-    counted by ``swap_counted``, which checks it against the plain DP."""
+    """The slot widths of the plans the library counts with ``swap``, in
+    call order; each plan is counted by ``swap_counted``, which checks it,
+    field by field, against the plain DP."""
     seen = []
 
     def spy(plan, bits=2, swap=False):
         if not swap:
             return frontier_count(plan, bits)
-        seen.append(plan)
-        return swap_counted(plan)
+        seen.append(bits)
+        return swap_counted(plan, bits)
 
     for module in (coloring, oracle):
         monkeypatch.setattr(module, "frontier_count", spy)
@@ -89,7 +90,8 @@ def test_count_colorings_swaps_an_equivariant_plan(swapped, name):
 @pytest.mark.parametrize("name", [*PATTERNS, "reversed", "uncrossed", "copied", "foreign"])
 def test_into_m_swaps_an_equivariant_plan(swapped, name):
     # the round-trip certificate's plan checks steps and crimp schedules,
-    # both symmetric under the flip; an uncrossed crease leaves it uncounted
+    # both symmetric under the flip; an uncrossed crease leaves it uncounted.
+    # Each mutant's pairs are counted too, in 4-bit slots under the swap
     if name in PATTERNS:
         cp = PATTERNS[name][0]()
         g = tile(cp)
@@ -103,7 +105,7 @@ def test_into_m_swaps_an_equivariant_plan(swapped, name):
         assert into_m == n_col
     else:
         assert into_m < n_col
-    assert len(swapped) == (name != "uncrossed")
+    assert swapped == [2] * (name != "uncrossed") + [4] * (name not in PATTERNS)
 
 
 @pytest.mark.parametrize("name", [*PATTERNS, "masked-0", "masked-1", "masked-2"])
@@ -126,9 +128,30 @@ def test_verify_bijection_counts_three_plans_with_the_swap(swapped):
     assert len(swapped) == 3
 
 
-def test_swap_needs_two_bit_slots():
-    with pytest.raises(ValueError, match="^swap needs 2-bit slots$"):
-        frontier_count([([], lambda vals: (0,))], bits=4, swap=True)
+@pytest.mark.parametrize("name", ["crane", "twists-1", "twists-2", "twists-3"])
+def test_verify_bijection_counts_the_pairs_with_the_swap(swapped, name):
+    # crossing edges that do not span the graph: |M|, |S|, the round-trip
+    # certificate and the pair count in 4-bit slots, each field swapped
+    make, count = PATTERNS[name]
+    report = verify_bijection(make(), tile(make()))
+    assert report.ok and report.count_colorings == count
+    assert swapped == [2, 2, 2, 4]
+
+
+def _pair_colors(vals: tuple[int, ...]) -> list[int]:
+    """The values 4 a + b, a and b colors in 0..2, whose a and b differ
+    from those of every value of ``vals``."""
+    return [y for y in range(11) if y & 3 < 3
+            and all(y >> 2 != x >> 2 and y & 3 != x & 3 for x in vals)]
+
+
+def test_swap_counts_four_bit_slots():
+    # sigma swaps 1 and 2 in both 2-bit fields of a 4-bit value: pairs of
+    # 3-colorings of a 4-cycle whose root takes the pair (0, 0) count the
+    # same with and without the swap, 6 ** 2 of them
+    plan = [([], lambda vals: (0,)), ([0], _pair_colors), ([1], _pair_colors),
+            ([0, 2], _pair_colors)]
+    assert swap_counted(plan, bits=4) == frontier_count(plan, bits=4) == 36
 
 
 def test_swap_asks_fewer_checks_on_the_crane(monkeypatch):

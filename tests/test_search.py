@@ -11,7 +11,7 @@ from flatfold.saw import SawGraph
 from flatfold.search import depth_first, frontier_count
 from flatfold.tiling import tile
 
-from .helpers import oracle_plan, reference_depth_first, small_pattern
+from .helpers import oracle_plan, reference_depth_first, sigma, small_pattern, swap_counted
 
 
 def k4() -> SawGraph:
@@ -99,3 +99,35 @@ def test_frontier_count_refuses_a_value_past_its_slot(values):
     bits = 4 if 16 in values else 2
     with pytest.raises(ValueError, match=f"^position 1 allows a value outside {bits} bits$"):
         frontier_count(plan, bits=bits)
+
+
+def _orbit_values(salt: tuple[int, int], vals: tuple[int, ...]) -> list[int]:
+    """The 4-bit values y, each two 2-bit fields, for which a salted hash
+    of the sigma-orbit of ``vals + (y,)`` (its larger member) is 0 mod 3:
+    sigma-equivariant by construction, since sigma of the tuple for y is
+    the tuple of ``sigma(vals)`` for sigma(y)."""
+    out = []
+    for y in range(16):
+        key = vals + (y,)
+        if hash(salt + max(key, tuple([sigma(v, 4) for v in key]))) % 3 == 0:
+            out.append(y)
+    return out
+
+
+@st.composite
+def equivariant_plans(draw):
+    """A plan of up to 6 positions, each reading up to 3 earlier ones and
+    taking 4-bit values by its own salted ``_orbit_values`` rule."""
+    salt = draw(st.integers(0, 10 ** 6))
+    plan = []
+    for i in range(draw(st.integers(1, 6))):
+        reads = sorted(draw(st.sets(st.integers(0, i - 1), max_size=3))) if i else []
+        plan.append((reads, partial(_orbit_values, (salt, i))))
+    return plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(equivariant_plans())
+def test_swap_counts_four_bit_slots_as_the_plain_dp(plan):
+    # sigma swaps 1 and 2 in both 2-bit fields of every value
+    assert swap_counted(plan, bits=4) == frontier_count(plan, bits=4)
