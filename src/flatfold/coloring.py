@@ -571,6 +571,7 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
     to must lift and map back."""
     order, found, count = oracle._first_assignments(cp, cap)
     listed = set(found)
+    crimps = _crimp_test(cp, order)
     # a key reads each crease's step in search order (the crease's last
     # crossing edge's), and a crease no edge crosses reads 0
     key_at = [plan.crossing.get(c, -1) for c in order]
@@ -583,8 +584,7 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
         row = plan.colors(s)
         steps = plan.steps_of(row)
         key = bytes([steps[k] if k >= 0 else 0 for k in key_at])
-        seen = hit if key in listed or (len(found) < count and 0 not in key and oracle.is_locally_valid(
-            cp, {c: MV_OF_STEP[v] for c, v in zip(order, key)})) else outside
+        seen = hit if key in listed or (len(found) < count and 0 not in key and crimps(key)) else outside
         if seen is outside:
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)
@@ -625,3 +625,21 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
         count_mv=count, count_colorings=len(colorings), counts_match=count == len(colorings),
         translation_valid=translation_valid, injective=injective,
         round_trip_ok=round_trip, first_counterexample=counterexample)
+
+
+def _crimp_test(cp: CreasePattern, order: list[str]):
+    """The test ``_exact_pass`` puts to a key that the oracle's listing
+    lacks: a step per crease of ``order``, none 0, passes it where every
+    interior vertex's crimp schedule passes the vertex's creases, as in
+    ``oracle.is_locally_valid``. Each schedule, and the places of its
+    vertex's creases in the key, is looked up once for all keys, and each
+    key is read as signs once for all vertices."""
+    pos = {c: i for i, c in enumerate(order)}
+    checks = [(_schedule(cone.scaled), [pos[c] for c in cone.crease_ids])
+              for cone in oracle._cones(cp).values()]
+
+    def passes(key: bytes) -> bool:
+        signs = [MV_OF_STEP[s] for s in key]
+        return all(_check_values(sched, [signs[i] for i in places]) for sched, places in checks)
+
+    return passes

@@ -234,7 +234,10 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     returned pattern holds the original Fractions, and keeps the interior
     vertices' integer copies (``lattice``, which the oracle's sweep sorts)
     and each declared list's scaled angles (``declared_scaled``, which
-    ``cone_at`` reads), so neither is computed again.
+    ``cone_at`` reads), so neither is computed again. A declared list is
+    checked and scaled once per distinct list; every vertex holding it
+    gets the one result, and a failing list is reported at the first
+    vertex, in the order given, that holds it.
 
     A boundary point's place is the region edge (a, b) holding it with
     p != b, and its offset dot(p - a, b - a); 0 means it is corner a, no
@@ -256,6 +259,14 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     are then checked in sorted id order, each crease's candidates in
     ascending order, so the first ``CrossingCreases`` raised is the one an
     all-pairs loop would raise.
+
+    A crease may touch the boundary only at its ends, and the all-pairs
+    loop tests that by its midpoint. Only chords, creases with both ends
+    at boundary points, need the test: every interior vertex is already
+    checked strictly inside, and the region is convex, so the open segment
+    from an interior vertex to any point of the region lies strictly
+    inside it. A crease that is not a chord would pass, so skipping it
+    keeps the first message.
     """
     vertices = {k: (_exact(x), _exact(y)) for k, (x, y) in vertices.items()}
     boundary_points = {k: (_exact(x), _exact(y))
@@ -350,11 +361,12 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
             else:
                 candidates[k].append(j)
     # walking creases in id order keeps the first error the all-pairs one
-    for i, (c1, _) in enumerate(items):
+    for i, (c1, (a, b)) in enumerate(items):
         p1, q1 = segs[i]
-        mid = ((p1[0] + q1[0]) // 2, (p1[1] + q1[1]) // 2)  # exact: coordinates are even
-        if not _strictly_inside(mid):
-            raise CrossingCreases(f"crease {c1} runs along the region boundary")
+        if a in ibpoints and b in ibpoints:     # a chord (see the docstring)
+            mid = ((p1[0] + q1[0]) // 2, (p1[1] + q1[1]) // 2)  # exact: coordinates are even
+            if not _strictly_inside(mid):
+                raise CrossingCreases(f"crease {c1} runs along the region boundary")
         for j in sorted(candidates[i]):
             if segments_conflict(p1, q1, *segs[j]):
                 raise CrossingCreases(f"creases {c1} and {items[j][0]} intersect")
@@ -371,18 +383,23 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         if d % 2 != 0:
             raise OddDegreeInteriorVertex(f"vertex {v} has degree {d}")
 
-    # declared angle sanity, on the angles scaled once for the pattern's cones
+    # declared angle sanity, once per distinct list, on the angles scaled
+    # once for the pattern's cones
     declared_scaled = {}
+    checked: dict[tuple[Angle, ...], tuple[int, ...]] = {}
     for v, angs in declared_angles.items():
         if v not in vertices:
             raise ValidationError(f"declared angles for unknown vertex {v}")
         if len(angs) != degree[v]:
             raise ValidationError(f"vertex {v}: {len(angs)} angles for degree {degree[v]}")
-        d, scaled = _scale_angles(angs)
-        if any(a <= 0 for a in scaled):
-            raise ValidationError(f"vertex {v}: non-positive declared angle")
-        if sum(scaled) != 360 * d:
-            raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
+        scaled = checked.get(angs)
+        if scaled is None:
+            d, scaled = _scale_angles(angs)
+            if any(a <= 0 for a in scaled):
+                raise ValidationError(f"vertex {v}: non-positive declared angle")
+            if sum(scaled) != 360 * d:
+                raise ValidationError(f"vertex {v}: declared angles sum to {sum(angs)}, not 360")
+            checked[angs] = scaled
         declared_scaled[v] = scaled
 
     faces, crease_sides, corner_faces, ccw_creases, ccw_dirs, boundary_tour = \
@@ -391,7 +408,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     return CreasePattern(
         vertices=vertices,
         boundary_points=boundary_points,
-        creases=dict(sorted(creases.items())),
+        creases=dict(items),
         region=region_t,
         declared_angles=declared_angles,
         faces=faces,

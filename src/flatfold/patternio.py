@@ -2,8 +2,10 @@
 and embedded SAW graphs. Coordinates are integers or rational strings
 ("p/q" or "p"); floats and booleans are rejected so exact angle tests stay
 exact. A string in the schema's grammar, ``-?[0-9]+(/[0-9]+)?``, is read
-with ``int()``; any other string goes to ``Fraction`` as it is. Every id
-is a string and no id repeats.
+with ``int()``; any other string goes to ``Fraction`` as it is. A load
+parses each distinct rational string once, and every copy of it reads as
+that one ``Fraction``: a grid pattern repeats a few dozen strings hundreds
+of times. Every id is a string and no id repeats.
 
 ``emit`` writes the bytes ``json.dumps(pattern_to_dict(...), indent=2,
 sort_keys=True)`` would write from one f-string template per row kind,
@@ -150,7 +152,20 @@ def pattern_from_dict(doc: dict):
 
     Every id is a string, and no id repeats: vertices and boundary points
     share one namespace (a crease names its endpoints by id), creases have
-    their own."""
+    their own. A rational string that parses is kept with its Fraction
+    (``parsed``), so each distinct one is parsed once; a JSON number or
+    boolean goes through ``_rat`` every time, as a memo keyed by value
+    would read ``true`` as ``1``."""
+    parsed: dict[str, Fraction] = {}
+
+    def rat(value, where: str) -> Fraction:
+        if type(value) is not str:
+            return _rat(value, where)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = _rat(value, where)
+        return x
+
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = doc.get("version")
@@ -164,7 +179,7 @@ def pattern_from_dict(doc: dict):
                                     "boundary point")):
             for row in rows:
                 rid = _new_id(row, kind, vertices, bpoints)
-                points[rid] = (_rat(row["x"], rid), _rat(row["y"], rid))
+                points[rid] = (rat(row["x"], rid), rat(row["y"], rid))
         creases = {}
         for row in doc.get("creases", []):
             cid = _new_id(row, "crease", creases)
@@ -172,8 +187,8 @@ def pattern_from_dict(doc: dict):
             if not all(end in vertices or end in bpoints for end in (a, b)):
                 raise ParseError(f"crease {cid} references unknown endpoint")
             creases[cid] = (a, b)
-        region = [(_rat(x, "region"), _rat(y, "region")) for x, y in doc["region"]]
-        angles = {v: tuple(_rat(a, v) for a in angs)
+        region = [(rat(x, "region"), rat(y, "region")) for x, y in doc["region"]]
+        angles = {v: tuple([rat(a, v) for a in angs])
                   for v, angs in doc.get("angles", {}).items()}
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +19,7 @@ from flatfold import (
 )
 from flatfold import coloring, oracle
 from flatfold.coloring import BijectionReport
-from flatfold.cp import STEP_OF_MV
+from flatfold.cp import MV_OF_STEP, STEP_OF_MV
 from flatfold.errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -964,6 +965,24 @@ def test_verify_bijection_decides_m_past_a_capped_listing(cap):
     assert (report.count_mv, report.count_colorings) == (82, 32)
     assert report.translation_valid and report.injective and not report.round_trip_ok
     assert report == verify_bijection(cp, g) == reference_verify_bijection(cp, g, cap=cap)
+
+
+@pytest.mark.parametrize("make", [crane, lambda: miura(3, 3)], ids=["crane", "miura-3x3"])
+def test_the_exact_pass_decides_an_unlisted_key_as_the_oracle(make):
+    # the exact pass tests a key the capped listing lacks on crimp schedules
+    # looked up once; on seeded random keys, on listed keys and on listed
+    # keys with one crease flipped it gives is_locally_valid's verdict
+    cp = make()
+    order, found, _ = oracle._first_assignments(cp, 20)
+    rng = random.Random(1)
+    keys = [bytes(rng.choices((1, 2), k=len(order))) for _ in range(200)] + found
+    for key in found:
+        i = rng.randrange(len(key))
+        keys.append(key[:i] + bytes([3 - key[i]]) + key[i + 1:])
+    verdicts = list(map(coloring._crimp_test(cp, order), keys))
+    assert verdicts == [oracle.is_locally_valid(cp, {c: MV_OF_STEP[v] for c, v in zip(order, key)})
+                        for key in keys]
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("make, cap", [(crane, 20), (lambda: miura(3, 3), 81)])

@@ -231,6 +231,24 @@ def test_rejects_bad_declared_angles(declared, message):
                              boundary_points=cp.boundary_points)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_bad_shared_declared_list_is_reported_at_its_first_vertex(reverse):
+    # a list is checked once for all its vertices, and the error names the
+    # first vertex holding it in the order given
+    cp = miura(3, 3)
+    lists = list(cp.declared_angles.values())
+    shared = next(a for a in lists if lists.count(a) > 1)
+    bad = (shared[0] + 1,) + shared[1:]
+    declared = {v: bad if a == shared else a for v, a in cp.declared_angles.items()}
+    if reverse:
+        declared = dict(reversed(declared.items()))
+    first = next(v for v, a in declared.items() if a == bad)
+    with pytest.raises(ValidationError,
+                       match=f"^vertex {first}: declared angles sum to {sum(bad)}, not 360$"):
+        build_crease_pattern(cp.vertices, cp.creases, cp.region, declared_angles=declared,
+                             boundary_points=cp.boundary_points)
+
+
 @pytest.mark.parametrize("bad", [90.0, True, "90"])
 def test_cone_vertex_refuses_a_non_rational_angle(bad):
     # a float would run Kawasaki's test inexactly; a bool or a str is no angle
@@ -263,8 +281,9 @@ def test_cone_angles_are_fractions():
 @pytest.mark.parametrize("make", [lambda: miura(3, 3), lambda: triangle_twist(2), crane],
                          ids=["miura-3x3", "twists-2", "crane"])
 def test_each_vertex_scales_its_angles_once(monkeypatch, make):
-    # the build checks a declared list on its scaled angles and keeps them
-    # for the vertex's cone; a cone computed from coordinates scales its own
+    # the build checks each distinct declared list on its scaled angles once
+    # and keeps them for every cone holding it; a cone computed from
+    # coordinates scales its own
     calls = []
     scale = cp_module._scale_angles
 
@@ -275,7 +294,8 @@ def test_each_vertex_scales_its_angles_once(monkeypatch, make):
     monkeypatch.setattr(cp_module, "_scale_angles", counting)
     cp = make()
     cones = [cone_at(cp, v) for v in cp.interior_vertex_ids()]
-    assert len(calls) == len(cp.vertices)
+    computed = len(cp.vertices) - len(cp.declared_angles)
+    assert len(calls) == len(set(cp.declared_angles.values())) + computed
     for v, cone in zip(cp.interior_vertex_ids(), cones):
         assert cone.scaled == scale(cone.angles)[1]
         if v in cp.declared_angles:

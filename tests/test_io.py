@@ -96,6 +96,25 @@ def test_boolean_rationals_rejected(where, value):
         load_text(json.dumps(doc))
 
 
+def test_a_bad_rational_string_is_reported_at_its_first_row():
+    # a load parses each distinct string once, keeping only those that parse
+    doc = pattern_to_dict(miura(3, 3))
+    first, second = doc["vertices"][0], doc["vertices"][1]
+    first["y"] = second["x"] = "1/0"
+    with pytest.raises(ParseError, match=f"^{first['id']}: bad rational '1/0'$"):
+        load_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("earlier", ["1", 1])
+def test_true_after_a_parsed_one_is_still_rejected(earlier):
+    # the memo holds strings only; true == 1 must not read as the 1 before it
+    doc = pattern_to_dict(miura(3, 3))
+    first, second = doc["vertices"][0], doc["vertices"][1]
+    first["x"], second["x"] = earlier, True
+    with pytest.raises(ParseError, match=f"^{second['id']}: expected a rational, not true$"):
+        load_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("rows", ["vertices", "boundary_points", "creases"])
 def test_ids_must_be_strings(rows):
     doc = pattern_to_dict(miura(2, 2))

@@ -83,6 +83,11 @@ EDGE_CASES = {
     "boxes share an edge only": ([((1, 1), (2, 2)), ((2, 1), (3, 2))], None),
     "boxes overlap, segments apart": ([((1, 1), (3, 3)), ((2, 1), (3, 2))], None),
     "along the boundary": ([((0, 1), (0, 3))], "crease c0 runs along the region boundary"),
+    # a crease from an interior vertex has no midpoint test; a later chord does
+    "chord along an edge after a crease to the boundary": (
+        [((1, 1), (2, 0)), ((0, 1), (0, 3))], "crease c1 runs along the region boundary"),
+    "crease to a boundary point on a later chord": (
+        [((1, 1), (0, 2)), ((0, 1), (0, 3))], "creases c0 and c1 intersect"),
     # the sweep meets c1 x c3 first, but ids sort c0 < c1 < c10 < c2
     "id order decides": (
         [((3, 1), (3, 3)), ((1, 1), (1, 3)),
