@@ -24,10 +24,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
-from operator import eq
 
 from . import oracle
-from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment, cone_at
+from .cp import MV_OF_STEP, STEP_OF_MV, CreasePattern, MVAssignment
 from .errors import (
     AmbiguousCompletion,
     CapExceeded,
@@ -37,8 +36,7 @@ from .errors import (
     TilingError,
 )
 from .saw import SawGraph
-from .search import depth_first, frontier_count
-from .single_vertex import _check_values, _schedule
+from .search import checked, depth_first, frontier_count
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
@@ -126,20 +124,9 @@ def count_colorings(g: SawGraph) -> int:
     return frontier_count(_plan(g, _min_frontier_order(g)), swap=True)
 
 
-def _checked_colors(nbrs: list[int], first, checks: list, vals: tuple[int, ...]) -> list[int]:
-    """The colors ``first`` leaves a vertex by its neighbours' colors (the
-    places ``nbrs`` of ``vals``) whose steps (s(v) - s(u)) mod 3 on each
-    check's place pairs (u, v) pass its test; the vertex is placed last."""
-    out = []
-    for c in first(tuple([vals[k] for k in nbrs])):
-        full = vals + (c,)
-        if all(test(*[(full[v] - full[u]) % 3 for u, v in pairs]) for test, pairs in checks):
-            out.append(c)
-    return out
-
-
-def _passes(sched, *steps: int) -> bool:
-    return _check_values(sched, [MV_OF_STEP[s] for s in steps])
+def _same_step(vals: tuple[int, ...], places: list[int]) -> bool:
+    u, v, x, y = places
+    return (vals[v] - vals[u]) % 3 == (vals[y] - vals[x]) % 3
 
 
 # a pair of colorings (s, s') takes the value 4 d + s at a vertex, where
@@ -165,13 +152,14 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
                   n_col: int, spans: bool) -> tuple[int, int]:
     """Two counts over the coloring plan ``plan`` of ``order``, which has
     ``n_col`` colorings. The first is a frontier DP that counts the
-    colorings that cross every crease of the pattern (else it is 0), whose
-    last crossing edges' steps pass each interior vertex's crimp schedule
-    (checked at the vertex that colors their last endpoint), and that give
-    every crossing edge its crease's last crossing edge's step: those whose
-    image is in M(cp) and round trip is consistent. Swapping colors 1 and
-    2 negates every step and keeps each schedule's verdict, so this DP
-    keeps one state for each frontier and its swap.
+    colorings that cross every crease of the pattern (else it is 0) and
+    pass, as ``search.checked`` checks, each crossing edge's
+    ``_same_step`` with its crease's last crossing edge, in edge order,
+    then each interior vertex's crimp check (``oracle._crimp_checks``) on
+    its creases' last crossing edges: those whose image is in M(cp) and
+    round trip is consistent. Swapping colors 1 and 2 negates every step
+    and keeps each schedule's verdict, so this DP keeps one state for each
+    frontier and its swap.
 
     The second is the number of pairs of colorings with equal images:
     ``n_col`` exactly when no two share one. When the first count is
@@ -188,24 +176,11 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     pos = {v: i for i, v in enumerate(order)}
     ends = [((pos[e.u], pos[e.v]), e.crease) for e in g.edges.values() if e.directed]
     last = {c: uv for uv, c in ends}
-    checks_at: list[list] = [[] for _ in order]
-    for uv, c in ends:
-        if uv != last[c]:
-            checks_at[max(uv + last[c])].append((eq, [uv, last[c]]))
     into_m = 0
     if cp.creases.keys() <= last.keys():
-        for cone in map(partial(cone_at, cp), cp.interior_vertex_ids()):
-            pairs = [last[c] for c in cone.crease_ids]
-            checks_at[max(map(max, pairs))].append((partial(_passes, _schedule(cone.scaled)), pairs))
-        checked = []
-        for i, ((nbrs, first), checks) in enumerate(zip(plan, checks_at)):
-            if checks:
-                reads = sorted({k for _, pairs in checks for p in pairs for k in p} - {i} | set(nbrs))
-                place = {k: j for j, k in enumerate(reads + [i])}
-                checks = [(test, [(place[u], place[v]) for u, v in pairs]) for test, pairs in checks]
-                nbrs, first = reads, partial(_checked_colors, [place[k] for k in nbrs], first, checks)
-            checked.append((nbrs, first))
-        into_m = frontier_count(checked, swap=True)
+        checks = [(uv + last[c], _same_step) for uv, c in ends if uv != last[c]]
+        checks += oracle._crimp_checks(oracle._cones(cp), last.__getitem__)
+        into_m = frontier_count(checked(plan, checks), swap=True)
     if into_m == n_col and spans and last.keys() <= cp.creases.keys():
         return into_m, n_col
     equal = {tuple(sorted(last[c])) for c in cp.creases.keys() & last.keys()}
@@ -524,7 +499,8 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     listed (``enumerate_colorings``) and the sample is its head, past it
     the sample is all that is searched for. Anything else (a count that
     differs, a sample that fails or raises, a listing of other than
-    |S(g)| colorings) goes to ``_exact_pass``.
+    |S(g)| colorings) goes to ``_exact_pass``, which gets no listing when
+    |S(g)| is 0.
 
     Raises CapExceeded past ``cap`` colorings, counted before any is
     enumerated, so such a graph is refused without building a coloring,
@@ -551,7 +527,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
             return BijectionReport(count_mv=count, count_colorings=n_col, counts_match=True,
                                    translation_valid=True, injective=True, round_trip_ok=True)
     if colorings is None:
-        colorings = enumerate_colorings(g, cap=cap)
+        colorings = enumerate_colorings(g, cap=cap) if n_col else []
     return _exact_pass(cp, plan, colorings, cap)
 
 
@@ -629,17 +605,10 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
 
 def _crimp_test(cp: CreasePattern, order: list[str]):
     """The test ``_exact_pass`` puts to a key that the oracle's listing
-    lacks: a step per crease of ``order``, none 0, passes it where every
-    interior vertex's crimp schedule passes the vertex's creases, as in
-    ``oracle.is_locally_valid``. Each schedule, and the places of its
-    vertex's creases in the key, is looked up once for all keys, and each
-    key is read as signs once for all vertices."""
+    lacks: a step per crease of ``order``, none 0, passes it where it
+    passes the crimp check of every interior vertex
+    (``oracle._crimp_checks``, each crease's place its key index), as in
+    ``oracle.is_locally_valid``. The checks are built once for all keys."""
     pos = {c: i for i, c in enumerate(order)}
-    checks = [(_schedule(cone.scaled), [pos[c] for c in cone.crease_ids])
-              for cone in oracle._cones(cp).values()]
-
-    def passes(key: bytes) -> bool:
-        signs = [MV_OF_STEP[s] for s in key]
-        return all(_check_values(sched, [signs[i] for i in places]) for sched, places in checks)
-
-    return passes
+    checks = oracle._crimp_checks(oracle._cones(cp), lambda c: (pos[c],))
+    return lambda key: all(test(key, places) for places, test in checks)

@@ -28,7 +28,7 @@ from itertools import islice
 from .cp import MV_OF_STEP, ConeVertex, CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
 from .single_vertex import _check_values, _schedule, kawasaki_check
-from .search import depth_first, frontier_count, frontier_width
+from .search import checked, depth_first, frontier_count, frontier_width
 
 DEFAULT_BRUTE_LIMIT = 40
 
@@ -63,16 +63,16 @@ def _cones(cp: CreasePattern) -> dict[str, ConeVertex]:
 
 
 def _search_plan(cp: CreasePattern):
-    """The crease search as a plan of ``search``: the crease order and the
-    plan (a crease reads the other creases of the vertices it completes).
+    """The crease search as a plan of ``search``: the crease order and its
+    plan (``_crease_plan``).
 
     The order is a vertex sweep: the interior vertices sorted by exact
     coordinate (their integer copies, ``CreasePattern.lattice``, which sort
     as the Fractions do), x then y or y then x, each vertex's
     ``ccw_creases`` in turn, then the creases no vertex has. Of the two
-    axes, the one whose reads have the smaller ``search.frontier_width``
-    wins, x on a tie, so the frontier is one row of vertices across the
-    narrower side of the pattern; only its plan is built."""
+    axes' plans, the one with the smaller ``search.frontier_width`` wins,
+    x on a tie, so the frontier is one row of vertices across the
+    narrower side of the pattern."""
     cones = _cones(cp)
     at = cp.lattice
     sweeps = []
@@ -80,52 +80,39 @@ def _search_plan(cp: CreasePattern):
         swept = sorted(cones, key=key)
         order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
                                    + sorted(cp.creases)))
-        sweeps.append((order, _reads(cones, order)))
-    order, reads = min(sweeps, key=lambda sweep: frontier_width(sweep[1]))
-    return order, _plan(reads)
+        sweeps.append((order, _crease_plan(cones, order)))
+    return min(sweeps, key=lambda sweep: frontier_width(sweep[1]))
 
 
-def _reads(cones: dict[str, ConeVertex], order: list[str]) -> list:
-    """The positions of ``order``, which lists every crease once, before
-    their checks: each as its reads, the other creases of the vertices of
-    ``cones`` that it completes, and those vertices, each with the places
-    of its creases in the reads followed by the position itself."""
+def _crease_plan(cones: dict[str, ConeVertex], order: list[str]) -> list:
+    """The plan over ``order``, which lists every crease once: each crease
+    takes step 1 or 2, checked by the crimp check of each cone of
+    ``cones`` that it completes (``_crimp_checks``)."""
     pos = {c: i for i, c in enumerate(order)}
-    completes: list[list] = [[] for _ in order]
+    return checked([([], lambda vals: (1, 2))] * len(order), _crimp_checks(cones, lambda c: (pos[c],)))
+
+
+def _crimp_checks(cones: dict[str, ConeVertex], places_of) -> list:
+    """Each cone of ``cones`` as a check of ``search.checked``: the places
+    of its creases in turn, ``places_of(crease)`` each, and ``_crimp`` of
+    its crimp schedule. A crease has one place, which holds its step, or
+    two, which hold the colors at the tail and head of a crossing edge."""
+    checks = []
     for cone in cones.values():
-        idxs = [pos[c] for c in cone.crease_ids]
-        completes[max(idxs)].append((cone, idxs))
-    out = []
-    for i, completed in enumerate(completes):
-        reads = sorted({k for _, idxs in completed for k in idxs} - {i})
-        place = {k: j for j, k in enumerate(reads + [i])}
-        out.append((reads, [(cone, [place[k] for k in idxs]) for cone, idxs in completed]))
-    return out
+        places = [k for c in cone.crease_ids for k in places_of(c)]
+        checks.append((places, partial(_crimp, _schedule(cone.scaled), len(places) // cone.degree)))
+    return checks
 
 
-def _plan(reads: list) -> list:
-    """The plan of ``_reads``' positions: the crease that completes a
-    vertex checks it against the vertex's crimp schedule."""
-    return [(r, partial(_crease_values, [(_schedule(cone.scaled), places) for cone, places in completed]))
-            for r, completed in reads]
-
-
-def _crease_values(checks: list, vals: tuple[int, ...]) -> list[int]:
-    """The ``allowed`` rule of a crease that completes the vertices of
-    ``checks``: step 1 (mountain) or 2 (valley), whichever passes each
-    vertex's crimp schedule. A check lists the places of its vertex's
-    creases in ``vals`` followed by the crease's own step."""
-    signs = [MV_OF_STEP[v] for v in vals]
-    out = []
-    for step in (1, 2):
-        signs.append(MV_OF_STEP[step])
-        for sched, places in checks:
-            if not _check_values(sched, [signs[j] for j in places]):
-                break
-        else:
-            out.append(step)
-        signs.pop()
-    return out
+def _crimp(sched, width: int, vals, places: list[int]) -> bool:
+    """Whether the steps at ``places`` of ``vals`` pass the crimp schedule
+    ``sched``: a crease's step is the value at its one place (``width``
+    1), or the difference (head - tail) mod 3 of the colors at its two."""
+    if width == 1:
+        signs = [MV_OF_STEP[vals[k]] for k in places]
+    else:
+        signs = [MV_OF_STEP[(vals[v] - vals[u]) % 3] for u, v in zip(places[::2], places[1::2])]
+    return _check_values(sched, signs)
 
 
 def _first_assignments(cp: CreasePattern, cap: int):

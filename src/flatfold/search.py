@@ -7,7 +7,10 @@ i may take when the positions in ``reads`` hold the tuple ``vals`` (0..3,
 or wider in ``frontier_count``). A SAW-graph vertex reads its earlier
 neighbours (``coloring``); a crease reads the other creases of the
 vertices it completes (``oracle``). Both functions call ``allowed`` at most
-once per position and distinct ``vals``.
+once per position and distinct ``vals``. ``checked`` adds local tests to a
+plan, each at the last place it reads, which then also reads the test's
+other places: the oracle's crimp checks, and the round-trip certificate's
+equal-step and crimp checks (``coloring._certificates``), are built so.
 
 Both of those plans are equivariant under sigma, the exchange of the
 values 1 and 2 (0 and 3 stay): ``allowed`` of the sigma-image of ``vals``
@@ -24,6 +27,7 @@ does; ``swap=False`` is the plain reference.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from functools import partial
 from operator import itemgetter
 
 Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
@@ -97,6 +101,41 @@ def frontier_width(plan: Plan) -> int:
             live += 1
             width = max(width, live)
     return width
+
+
+def checked(plan: Plan, checks: Sequence[tuple[Sequence[int], Callable]]) -> list:
+    """``plan`` with each check ``(places, test)`` attached at its last
+    place, ``max(places)``: that position also reads the check's other
+    places, and its ``allowed`` keeps only the values v for which every
+    test attached there passes. A test is called as ``test(vals, places)``,
+    ``vals`` being the position's read tuple with v appended and ``places``
+    the check's places translated into it; the tests run in the order of
+    ``checks`` and stop at the first that fails."""
+    at: list[list] = [[] for _ in plan]
+    for places, test in checks:
+        at[max(places)].append((places, test))
+    out = []
+    for i, ((reads, allowed), attached) in enumerate(zip(plan, at)):
+        if attached:
+            wide = sorted({k for places, _ in attached for k in places} - {i} | set(reads))
+            place = {k: j for j, k in enumerate(wide + [i])}
+            tests = [(test, [place[k] for k in places]) for places, test in attached]
+            reads, allowed = wide, partial(_passing, [place[k] for k in reads], allowed, tests)
+        out.append((reads, allowed))
+    return out
+
+
+def _passing(own: list[int], allowed: Callable, tests: list, vals: tuple[int, ...]) -> list[int]:
+    """The values ``allowed`` gives ``own`` of ``vals`` that pass ``tests``."""
+    out = []
+    for v in allowed(tuple([vals[k] for k in own])):
+        full = vals + (v,)
+        for test, places in tests:
+            if not test(full, places):
+                break
+        else:
+            out.append(v)
+    return out
 
 
 def _reader(reads: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:

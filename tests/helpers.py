@@ -360,7 +360,7 @@ def oracle_plan(cp, order: list[str]) -> list:
     """The oracle's crease search plan over a fixed crease order, which
     lists every crease once, in place of the vertex sweep."""
     assert sorted(order) == sorted(cp.creases)
-    return oracle._plan(oracle._reads(oracle._cones(cp), order))
+    return oracle._crease_plan(oracle._cones(cp), order)
 
 
 def reference_search_plan(cp):

@@ -998,6 +998,48 @@ def test_verify_bijection_refuses_by_count(monkeypatch, make, cap):
         verify_bijection(cp, g, cap=cap)
 
 
+def _wheel_graph(k: int) -> SawGraph:
+    """Miura 3x3's graph with an undirected k x k grid hung off its last
+    vertex and an odd wheel (a hub joined to a 5-cycle) hung off the
+    grid's far corner: no proper coloring."""
+    g = tile(miura(3, 3))
+    last = max(g.vertices)
+    grid = [[g.add_vertex() for _ in range(k)] for _ in range(k)]
+    g.add_edge(last, grid[0][0])
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                g.add_edge(grid[i][j], grid[i + 1][j])
+            if j + 1 < k:
+                g.add_edge(grid[i][j], grid[i][j + 1])
+    hub = g.add_vertex()
+    g.add_edge(grid[-1][-1], hub)
+    rim = [g.add_vertex() for _ in range(5)]
+    for a, b in zip(rim, rim[1:] + rim[:1]):
+        g.add_edge(a, b)
+        g.add_edge(hub, a)
+    return g
+
+
+def test_verify_bijection_lists_no_colorings_when_it_counts_none(monkeypatch):
+    # |S| = 0 is counted, so the exact pass gets an empty listing: the
+    # listing's search over sorted ids, which opens every dead prefix of
+    # the grid, never runs, and the report is the reference's
+    cp = miura(3, 3)
+    g = _wheel_graph(3)
+    assert count_colorings(g) == 0
+    want = reference_verify_bijection(cp, g)
+
+    def fail(g, cap):
+        raise AssertionError("enumerate_colorings ran")
+
+    monkeypatch.setattr(coloring, "enumerate_colorings", fail)
+    report = verify_bijection(cp, g)
+    assert report == want
+    assert (report.count_mv, report.count_colorings) == (82, 0)
+    assert not report.counts_match
+
+
 def test_verify_bijection_refuses_a_graph_past_the_cap(monkeypatch):
     # the oracle's search stays under the cap and the graph's colorings do
     # not: count_colorings refuses before any coloring is enumerated, so no

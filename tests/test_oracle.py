@@ -143,9 +143,9 @@ def test_sweep_takes_the_narrower_axis():
 
 
 def test_sweep_axis_chosen_by_reads_keeps_the_full_plans_choice():
-    # the axis is chosen by the width of its reads alone, and only the
-    # winner's plan is built: the order, the reads and the count are those
-    # of choosing between both axes' full plans
+    # the axis is chosen by the width of its plan's reads: the order, the
+    # reads and the count are those of choosing between both axes' full
+    # plans as the reference builds them
     patterns = [crane()] + [triangle_twist(k) for k in (1, 2, 3)]
     patterns += [make(m, n) for make in (miura, snake) for m, n in [(1, 4), (3, 3), (2, 7), (7, 2)]]
     patterns += [small_pattern("modified-miura", m, n, seed)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flatfold import coloring
 from flatfold.saw import SawGraph
-from flatfold.search import depth_first, frontier_count
+from flatfold.search import checked, depth_first, frontier_count
 from flatfold.tiling import tile
 
 from .helpers import oracle_plan, reference_depth_first, sigma, small_pattern, swap_counted
@@ -131,3 +131,68 @@ def equivariant_plans(draw):
 def test_swap_counts_four_bit_slots_as_the_plain_dp(plan):
     # sigma swaps 1 and 2 in both 2-bit fields of every value
     assert swap_counted(plan, bits=4) == frontier_count(plan, bits=4)
+
+
+def _sum_mod(p: int, r: int, vals: tuple[int, ...], places: list[int]) -> bool:
+    """A test of ``search.checked``: the values at ``places`` sum to r mod p."""
+    return sum(vals[k] for k in places) % p == r
+
+
+def _orbit_sum_mod(p: int, r: int, vals: tuple[int, ...], places: list[int]) -> bool:
+    """``_sum_mod`` over each 4-bit value's larger sigma-image: a test that
+    sigma, acting on every value, keeps."""
+    return sum(max(vals[k], sigma(vals[k], 4)) for k in places) % p == r
+
+
+@st.composite
+def random_checks(draw, n: int, test) -> list:
+    """Up to four checks on a plan of ``n`` positions: each a random place
+    list, which may repeat a place, and ``test`` of a random p and r."""
+    checks = []
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        places = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+        p = draw(st.integers(2, 3))
+        checks.append((places, partial(test, p, draw(st.integers(0, p - 1)))))
+    return checks
+
+
+def _filtered(plan, checks) -> list:
+    """The assignments of ``plan`` that pass every check, in order."""
+    return [a for a in depth_first(plan) if all(test(a, places) for places, test in checks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checked_filters_the_plan_by_every_check(data):
+    # the checked plan lists the plan's assignments that pass every check,
+    # in the same order, and the frontier DP counts them
+    plan = data.draw(plans())
+    checks = data.draw(random_checks(len(plan), _sum_mod))
+    want = _filtered(plan, checks)
+    assert list(depth_first(checked(plan, checks))) == want
+    assert frontier_count(checked(plan, checks)) == len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checked_keeps_an_equivariant_plan_equivariant(data):
+    # checks that sigma keeps leave the plan countable under the swap
+    plan = data.draw(equivariant_plans())
+    checks = data.draw(random_checks(len(plan), _orbit_sum_mod))
+    assert swap_counted(checked(plan, checks), bits=4) == len(_filtered(plan, checks))
+
+
+@pytest.mark.parametrize("places", [[0], [0, 0], [1, 1, 3], [3, 1, 2, 1], [2, 3, 3]])
+@pytest.mark.parametrize("seed", range(10))
+def test_checked_on_the_first_position_and_repeated_places(seed, places):
+    # a check on position 0 alone attaches there and reads nothing; a check
+    # that repeats a place, or a place the position already reads, reads it
+    # once and passes the test each copy
+    plan = random_plan(seed)
+    plan += [([0], partial(_values_mod, [1, 2], 3)) for _ in range(4 - len(plan))]
+    checks = [(places, partial(_sum_mod, 3, 1)), ([1, 0], partial(_sum_mod, 2, 0))]
+    got = checked(plan, checks)
+    assert all(i not in reads and reads == sorted(set(reads)) for i, (reads, _) in enumerate(got))
+    want = _filtered(plan, checks)
+    assert list(depth_first(got)) == want
+    assert frontier_count(got, bits=4) == len(want)
