@@ -319,16 +319,8 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> None:
         for e in list(g.edges.values()):
             if e.id in path_edges or host not in e.ends():
                 continue
-            if e.crease == prev_id:
-                side = a
-            elif e.crease == next_id:
-                side = b
-            elif e.id == e_in:
-                side = a
-            elif e.id == e_out:
-                side = b
-            else:
-                side = a
+            side = b if e.crease != prev_id and (
+                e.crease == next_id or e.id == e_out != e_in) else a
             if e.u == host:
                 e.u = side
             else:
@@ -345,31 +337,24 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> None:
     survivor = first_id
     se = g.crossing_edges()[survivor]
     left_sector = (prev_id, survivor)
-    u_on_left = g.vertices[se.u].face == left_sector
+    # the chain runs from se.u: with the run's sectors and creases in
+    # order when se.u is on the left, reversed otherwise
+    order = 1 if g.vertices[se.u].face == left_sector else -1
     for v in g.vertices.values():
         if v.face == (survivor, next_id):
             v.face = (last_id, next_id)
-    w1 = g.add_vertex(face=run_sectors[0] if u_on_left else run_sectors[1])
-    w2 = g.add_vertex(face=run_sectors[1] if u_on_left else run_sectors[0])
+    w1, w2 = (g.add_vertex(face=sector) for sector in run_sectors[::order])
     chain = [se.u, w1, w2, se.v]
-    run_creases = [ids[1], ids[2], ids[3]]
-    if not u_on_left:
-        run_creases.reverse()
-    e_new = [g.add_edge(chain[t], chain[t + 1], directed=True,
-                        crease=run_creases[t]) for t in range(3)]
-    walk_idx = next(i for i, (_, e) in enumerate(g.walk) if e == se.id)
-    start_v = g.walk[walk_idx][0]
-    step_chain = chain if start_v == se.u else list(reversed(chain))
-    step_edges = e_new if start_v == se.u else list(reversed(e_new))
-    steps = [(step_chain[t], step_edges[t]) for t in range(3)]
-    g.walk = g.walk[:walk_idx] + steps + g.walk[walk_idx + 1:]
+    e_new = [g.add_edge(chain[t], chain[t + 1], directed=True, crease=c)
+             for t, c in enumerate(ids[1:4][::order])]
     # demote the old edge; drop it if a parallel edge already exists
     if any(e.id != se.id and {e.u, e.v} == {se.u, se.v} for e in g.edges.values()):
         del g.edges[se.id]
     else:
         se.directed = False
         se.crease = None
-    g.check_walk()
+    walk_idx = next(i for i, (_, e) in enumerate(g.walk) if e == se.id)
+    _splice_path(g, walk_idx, 1, chain, e_new)
 
 
 # -- degree-4 catalog ------------------------------------------------------------
@@ -442,11 +427,7 @@ def insert_triangle(g: SawGraph, edge_id: int) -> None:
     new_cross = g.add_edge(w, u, directed=True, crease=e.crease)
     junk = g.add_edge(v, w)
     e.directed, e.crease = False, None
-    idx = slots[0]
-    start_v = g.walk[idx][0]
-    steps = [(u, new_cross), (w, junk)] if start_v == u else [(v, junk), (w, new_cross)]
-    g.walk[idx:idx + 1] = steps
-    g.check_walk()
+    _splice_path(g, slots[0], 1, [u, w, v], [new_cross, junk])
 
 
 def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> None:
@@ -494,16 +475,23 @@ def insert_prism(g: SawGraph, e1_id: int, e2_id: int) -> None:
     g.add_edge(x, f)
     g.add_edge(y, x)
     cross = g.add_edge(*((z, f) if head else (f, z)), directed=True, crease=e1.crease)
-    steps = [(q, qz), (z, cross)] if head else [(f, cross), (z, qz)]
     e1.directed, e1.crease = False, None
+    _splice_path(g, idx, 2, [q, z, f], [qz, cross])
 
-    walk = g.walk
-    (s1v, s1e), (s2v, s2e) = steps
-    if walk[idx][0] != s1v:
-        end_v = g.edges[s2e].other(s2v)
-        steps = [(end_v, s2e), (s2v, s1e)]
-    if idx + 1 < n:
-        walk[idx:idx + 2] = steps
+
+def _splice_path(g: SawGraph, i: int, k: int, path: list[int], edges: list[int]) -> None:
+    """Replace the k walk steps from step i with a new boundary path, in
+    place: the path through the vertices ``path`` along ``edges``, run as
+    given when step i leaves path[0] and reversed otherwise. Steps that
+    wrap past the walk's end are replaced in place, modulo its length, by
+    as many new ones, so the walk keeps its first step."""
+    if g.walk[i][0] != path[0]:
+        path, edges = path[::-1], edges[::-1]
+    steps = list(zip(path, edges))
+    n = len(g.walk)
+    if i + k <= n:
+        g.walk[i:i + k] = steps
     else:
-        walk[-1], walk[0] = steps
+        for t, step in enumerate(steps):
+            g.walk[(i + t) % n] = step
     g.check_walk()

@@ -3,7 +3,11 @@
 The construction mirrors the inductive proof: clip vertices one at a time
 (each clipped vertex must reach the current boundary), then rebuild in
 reverse, one component of the interior graph at a time, merging each
-vertex's single-vertex SAW graph along the band of shared creases.
+vertex's single-vertex SAW graph along the band of shared creases. Each
+component is built in a graph of its own and spliced into the rest whole,
+through a face they share, so no band's window runs across a splice
+point; only the first component onto a base with no walk is built in
+place.
 Within a band, mismatched crossing-edge orientations are reversed with
 triangles and stray undirected edges are pushed to the band periphery
 with prisms; the zip then identifies tail with tail and head with head
@@ -197,8 +201,9 @@ def tile(cp: CreasePattern) -> SawGraph:
     first vertex that meets it; the table is keyed by ``ConeVertex.scaled``,
     which tells the tuples apart as every cone of a pattern closes at 360.
     Each merge takes a bound copy of its tuple's graph. Waterbomb vertices are 3-nice, so no pattern surgery is
-    needed. The graph built here and each bound copy are owned by this
-    call, so every triangle, prism and merge changes them in place.
+    needed. The graph built here, each component's graph and each bound
+    copy are owned by this call, so every triangle, prism and merge
+    changes them in place.
     """
     cones = {v: cone_at(cp, v) for v in cp.interior_vertex_ids()}
     built: dict[tuple[int, ...], tuple[SawGraph, tuple[str, ...]]] = {}
@@ -208,41 +213,51 @@ def tile(cp: CreasePattern) -> SawGraph:
                 built[cone.scaled] = (single_vertex_saw(cone), cone.crease_ids)
             except _REFUSALS as exc:
                 raise UnsupportedVertex(v, str(exc)) from exc
+
+    def bound(v):
+        base, names = built[cones[v].scaled]
+        return _bound(base, cp, v, dict(zip(names, cones[v].crease_ids)))
+
     g = _base_saw(cp)
-    crossing = g.crossing_edges()
-    merged: set[str] = set()
-    for v in _rebuild_order(cp):
-        cone = cones[v]
-        base, names = built[cone.scaled]
-        u_graph = _bound(base, cp, v, dict(zip(names, cone.crease_ids)))
-        try:
-            _merge_vertex(g, cp, v, cone, u_graph, merged, crossing)
-        except TilingError as exc:
-            exc.vertex = v
-            raise
-        merged.add(v)
+    for group in _rebuild_order(cp):
+        # a base with no walk has no tour to split: it takes the first
+        # component in place
+        if g.walk:
+            h, rest, merged = bound(group[0]), group[1:], {group[0]}
+        else:
+            h, rest, merged = g, group, set()
+        crossing = h.crossing_edges()
+        for v in rest:
+            try:
+                _merge_vertex(h, cp, v, cones[v], bound(v), merged, crossing)
+            except TilingError as exc:
+                exc.vertex = v
+                raise
+            merged.add(v)
+        if h is not g:
+            _splice_disjoint(g, cp, h, group[0])
     g.root = select_root(g)
     g.validate()
     return g
 
 
-def _rebuild_order(cp: CreasePattern) -> list[str]:
-    """The clip order reversed, one component of the interior graph at a
-    time, in the order the components first come. A component's share of
-    the clip order is a clip order of its own. Merged whole, a component
-    starts with a disjoint splice while every earlier one is complete, so
-    the one old vertex the splice gives a new face ends no crossing edge
-    whose side a later merge reads."""
+def _rebuild_order(cp: CreasePattern) -> list[list[str]]:
+    """The clip order reversed, as one group per component of the interior
+    graph, in the order the components first come. A component's share of
+    the clip order is a clip order of its own, so each group can be merged
+    whole, into a graph of its own, before it is spliced into the rest."""
     rebuild = clip_order(cp)[::-1]
     creases, at = cp.creases, cp.ccw_creases
     first: dict[str, int] = {}
+    groups: dict[int, list[str]] = {}
     for i, s in enumerate(rebuild):
         queue = [s]
         for x in queue:
             if x in at and x not in first:
                 first[x] = i
                 queue += [b if a == x else a for a, b in map(creases.__getitem__, at[x])]
-    return sorted(rebuild, key=first.__getitem__)
+        groups.setdefault(first[s], []).append(s)
+    return list(groups.values())
 
 
 def _bound(g: SawGraph, cp: CreasePattern, v: str, names: dict[str, str]) -> SawGraph:

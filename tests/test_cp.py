@@ -348,6 +348,28 @@ def test_face_trace_matches_the_reference(monkeypatch, name):
     assert built.boundary_tour == tour
 
 
+def test_least_rotation_of_a_face_that_visits_its_least_node_twice():
+    # a triangle hung off a by two creases to the edge: the face around it
+    # passes a twice. It is traced from a toward p1, but named by its
+    # rotation from a toward c, which puts it between f0 and f2
+    cp = build_crease_pattern(
+        vertices={"a": (2, 1), "b": (3, 3), "c": (1, 3)},
+        creases={"k0": ("a", "b"), "k1": ("b", "c"), "k2": ("a", "p0"),
+                 "k3": ("a", "p1"), "k4": ("c", "a")},
+        region=SQUARE,
+        boundary_points={"p0": (1, 0), "p1": (3, 0)},
+    )
+    assert {f.id: f.nodes for f in cp.faces} == {
+        "f0": ("a", "b", "c"),
+        "f1": ("a", "p1", "r1", "r2", "r3", "r0", "p0", "a", "c", "b"),
+        "f2": ("a", "p0", "p1"),
+        "outer": ("p0", "r0", "r3", "r2", "r1", "p1"),
+    }
+    for f in cp.faces:
+        rotations = [f.nodes[j:] + f.nodes[:j] for j in range(len(f.nodes))]
+        assert cp_module._least_rotation(f.nodes) == min(rotations)
+
+
 def test_face_trace_looks_up_each_half_edge_successor_once(monkeypatch):
     # each face's next half-edge comes from the successor table, read once
     # per half-edge at the step that leaves it: 2E reads for E edges

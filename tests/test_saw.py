@@ -360,6 +360,37 @@ def test_surgery_changes_its_argument():
     assert g == single_vertex_saw(c)
 
 
+def _reversed_walk(g):
+    """g's closed walk run backwards, from the end of its last step."""
+    return [(g.edges[e].other(v), e) for v, e in reversed(g.walk)]
+
+
+# the all-equal graph's walk is e0..e3 then the closing edge 4, which hangs
+# off e3's head and e0's tail
+@pytest.mark.parametrize("surgery, args", [
+    (insert_triangle, (0,)), (insert_triangle, (3,)),
+    (insert_prism, (3, 4)), (insert_prism, (0, 4)),
+])
+@pytest.mark.parametrize("turn", range(5))
+def test_surgery_on_a_walk_and_on_it_run_backwards(surgery, args, turn):
+    # a surgery lays its new steps the way the walk runs: on the same closed
+    # walk run backwards it builds the same graph and lays the same steps
+    # backwards. Turning the walk puts each prism's window across the walk's
+    # end once, where its two steps are written in place
+    g = single_vertex_saw(cone(90, 90, 90, 90))
+    assert [e for _, e in g.walk] == [0, 1, 2, 3, 4]
+    assert g.edges[3].v in g.edges[4].ends() and g.edges[0].u in g.edges[4].ends()
+    g.walk = g.walk[turn:] + g.walk[:turn]
+    twin = g.copy()
+    twin.walk = _reversed_walk(g)
+    twin.check_walk()
+    for h in (g, twin):
+        surgery(h, *args)
+    assert len(g.walk) == (6 if surgery is insert_triangle else 5)
+    assert twin.vertices == g.vertices and twin.edges == g.edges
+    assert twin.walk == _reversed_walk(g)
+
+
 def test_random_surgery_preserves_counts(rng):
     done = 0
     while done < 25:

@@ -430,11 +430,10 @@ def test_diamond_strips_tile(units, names, count):
     assert count_colorings(tile(cp)) == count_locally_valid(cp, limit=10 ** 6) == count
 
 
-# _splice_disjoint inserts an incoming component's tour at the vertex it
-# identifies; on these namings a later band's window runs across that point,
-# so _window cannot find it (the open FOUND on window splits in CHANGES.md)
-@pytest.mark.xfail(strict=True, raises=TilingError,
-                   reason="_splice_disjoint can split a later band's window")
+# on these namings a later band of a component runs across the point where
+# that component's first vertex would be spliced into the merged walk, so
+# _window would not find it; tile builds the component in a graph of its own
+# and splices it in whole
 @pytest.mark.parametrize("units, names, count", [
     ("dx", "mjfio", 2048), ("dc", "jifagp", 8192), ("cd", "pgkcdn", 8192),
     ("xdx", "hjicfo", 16384),
@@ -444,6 +443,20 @@ def test_diamond_strips_whose_window_a_splice_splits(units, names, count):
     n = count_locally_valid(cp, limit=10 ** 6)
     assert n == count
     assert count_colorings(tile(cp)) == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text("xcd", min_size=1, max_size=4), st.permutations("abcdefghijklmnop"))
+def test_random_strips_tile_count_verify_and_round_trip(units, names):
+    # the vertex names decide the clip order, and so where each component's
+    # bands and splices fall on the merged walk
+    cp = strip_of_units(units, names)
+    g = tile(cp)
+    n = count_colorings(g)
+    assert n == count_locally_valid(cp, limit=10 ** 6)
+    if n <= 20_000:
+        assert verify_bijection(cp, g).ok
+    assert load_text(emit(cp, saw=g))[2] == g
 
 
 def test_broken_walk_raises_typed_error():
