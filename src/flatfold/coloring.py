@@ -116,12 +116,17 @@ def count_colorings(g: SawGraph) -> int:
 
     The frontier DP of ``search.frontier_count`` over a greedy min-frontier
     vertex order, so the cost follows the frontier width, not the number of
-    colorings. Swapping colors 1 and 2 maps the colorings onto themselves,
-    so the DP keeps one state for each frontier and its swap. Raises
+    colorings. Every permutation of the three colors maps proper colorings
+    onto proper colorings, and the order colors the root first, so the DP
+    keeps one state for each frontier and its images under all six
+    (``search.frontier_count``'s ``swap`` and ``rotate``): the root's 0,
+    then once the root has left the frontier one live slot held at 0,
+    picks one of each three rotations, and the swap of colors 1 and 2 one
+    of each pair. Raises
     DisconnectedSawGraph for a disconnected graph and TilingError when the
     root is not a vertex.
     """
-    return frontier_count(_plan(g, _min_frontier_order(g)), swap=True)
+    return frontier_count(_plan(g, _min_frontier_order(g)), swap=True, rotate=True)
 
 
 def _same_step(vals: tuple[int, ...], places: list[int]) -> bool:
@@ -158,8 +163,9 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     then each interior vertex's crimp check (``oracle._crimp_checks``) on
     its creases' last crossing edges: those whose image is in M(cp) and
     round trip is consistent. Swapping colors 1 and 2 negates every step
-    and keeps each schedule's verdict, so this DP keeps one state for each
-    frontier and its swap.
+    and keeps each schedule's verdict, and rotating the colors keeps every
+    step, so this DP, like ``count_colorings``, keeps one state for each
+    frontier and its images under the six color permutations.
 
     The second is the number of pairs of colorings with equal images:
     ``n_col`` exactly when no two share one. When the first count is
@@ -172,7 +178,9 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     count. Otherwise a frontier DP counts the pairs in 4-bit pair values
     (``_PAIR_BAN``), the last crossing edge of each crease of the pattern
     keeping d equal at its ends; swapping colors 1 and 2 in both colorings
-    swaps them in both fields, d and s, so it too counts under the swap."""
+    swaps them in both fields, d and s, so it too counts under the swap,
+    but rotating both colorings turns s alone, so it counts under no
+    rotation."""
     pos = {v: i for i, v in enumerate(order)}
     ends = [((pos[e.u], pos[e.v]), e.crease) for e in g.edges.values() if e.directed]
     last = {c: uv for uv, c in ends}
@@ -180,7 +188,7 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     if cp.creases.keys() <= last.keys():
         checks = [(uv + last[c], _same_step) for uv, c in ends if uv != last[c]]
         checks += oracle._crimp_checks(oracle._cones(cp), last.__getitem__)
-        into_m = frontier_count(checked(plan, checks), swap=True)
+        into_m = frontier_count(checked(plan, checks), swap=True, rotate=True)
     if into_m == n_col and spans and last.keys() <= cp.creases.keys():
         return into_m, n_col
     equal = {tuple(sorted(last[c])) for c in cp.creases.keys() & last.keys()}
@@ -510,7 +518,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     count = oracle._first_assignments(cp, 0)[2]
     vertex_order = _min_frontier_order(g)
     search = _plan(g, vertex_order)
-    n_col = frontier_count(search, swap=True)
+    n_col = frontier_count(search, swap=True, rotate=True)
     if n_col > cap:
         raise CapExceeded(f"more than {cap} colorings")
     colorings = None

@@ -22,6 +22,17 @@ pair of colorings (``coloring._certificates``).
 ``frontier_count(plan, swap=True)`` counts such a plan with one DP state
 for each pair of states {s, sigma(s)}, as every count the library makes
 does; ``swap=False`` is the plain reference.
+
+A coloring plan whose first position is its root is also equivariant
+under rho, the rotation of the colors 0, 1, 2 to 1, 2, 0, at every
+position after the first: only the root's pin to 0 breaks it, and the
+round-trip certificate's checks keep it, as they read only color
+differences.
+``frontier_count(plan, swap=True, rotate=True)`` counts such a plan with
+one DP state for each class of states under all six color permutations,
+by keeping one live slot at 0; ``coloring`` counts its colorings and its
+first certificate so. The crease plans and the pair certificate, where
+rho turns only one of a value's two fields, keep the swap alone.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from operator import itemgetter
 Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
 
 
-def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
+def frontier_count(plan: Plan, bits: int = 2, swap: bool = False, rotate: bool = False) -> int:
     """Number of complete assignments of ``plan``, by a frontier DP: the
     state packs the values of the assigned positions that a later position
     still reads into an int, ``bits`` bits per slot (a value that does not
@@ -49,13 +60,29 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
     count stays exact because sigma maps the successors of s onto those of
     sigma(s), so both states of a pair lead to each pair equally often. On
     a plan that is not equivariant the count is wrong. Without ``swap``
-    no field is swapped: sigma(t) is 0, never the larger."""
+    no field is swapped: sigma(t) is 0, never the larger.
+
+    ``rotate`` is for a plan of 2-bit values 0..2 (others raise
+    ValueError) that is rho-equivariant at every position after the first
+    (module docstring). One live position, the pin, holds 0 in every
+    state. Whenever some slot is live and the pin's is not, the pin moves
+    to the live position read last, so it moves rarely, and at that
+    position only each new state is rotated, by rho or rho squared, so
+    that the pin holds 0 before the sigma step, which keeps 0. So a state
+    stands for its class under rho (and sigma), and the count stays exact
+    as under ``swap``: the assignments after a state and after its
+    rho-image correspond one to one, every later position commuting with
+    rho."""
+    if rotate and bits != 2:
+        raise ValueError("rotate needs 2-bit slots")
     last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
     mask = (1 << bits) - 1
-    # 01 in every 2-bit field a state can use (shifts stay below bits * width)
-    lo = ((1 << bits * (frontier_width(plan) + 1)) - 1) // 3 if swap else 0
+    top, span = (2, "0..2") if rotate else (mask, f"{bits} bits")
+    unit = mask // 3 if swap else 0   # 01 in each 2-bit field of a slot
+    lo = 0                            # unit in every slot taken so far
     slot: dict[int, int] = {}   # frontier position -> bit shift of its value
     free: list[int] = []
+    pin = -1                    # the position held at 0, once one is live
     states = {0: 1}
     for i, (reads, allowed) in enumerate(plan):
         shifts = [slot[k] for k in reads]
@@ -67,7 +94,17 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
                 free.append(slot.pop(k))
         sh = None
         if i in last:
-            sh = slot[i] = free.pop() if free else bits * len(slot)
+            if free:
+                sh = free.pop()
+            else:
+                sh = bits * len(slot)
+                lo |= unit << sh
+            slot[i] = sh
+        repin = rotate and pin not in slot and len(slot) > 0
+        if repin:
+            pin = max(slot, key=last.__getitem__)
+            at = slot[pin]
+            live = sum(1 << t for t in slot.values())   # the low bit of each live slot
         codes_of: dict[int, list[int]] = {}   # read bits -> allowed value bits
         new: dict[int, int] = {}
         for s, n in states.items():
@@ -75,12 +112,17 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False) -> int:
             codes = codes_of.get(r)
             if codes is None:
                 vals = allowed(tuple([r >> t & mask for t in shifts]))
-                if vals and not 0 <= min(vals) <= max(vals) <= mask:
-                    raise ValueError(f"position {i} allows a value outside {bits} bits")
+                if vals and not 0 <= min(vals) <= max(vals) <= top:
+                    raise ValueError(f"position {i} allows a value outside {span}")
                 codes = codes_of[r] = [0 if sh is None else v << sh for v in vals]
             base = s & keep
             for c in codes:
                 t = base | c
+                if repin and (p := t >> at & 3):
+                    # rho maps 0, 1, 2 to 1, 2, 0 in every live slot
+                    l, h = t & live, t >> 1 & live
+                    zero = live & ~(l | h)
+                    t = zero | l << 1 if p == 2 else zero << 1 | h
                 u = (t & lo) << 1 | (t >> 1) & lo
                 if u > t:
                     t = u

@@ -406,6 +406,30 @@ def swap_counted(plan, bits: int = 2) -> int:
     return count
 
 
+def rho_checked(plan) -> list:
+    """``plan`` with each ``allowed`` after the first position asserting, on
+    every tuple it is asked, the equivariance that ``frontier_count``'s
+    ``rotate`` needs: the values ``allowed`` gives the tuple's rho-image
+    are the rho-images of the values it gives the tuple, rho turning the
+    colors 0, 1, 2 to 1, 2, 0."""
+    def checked(allowed, vals):
+        got = allowed(vals)
+        turned = allowed(tuple([(v + 1) % 3 for v in vals]))
+        assert set(turned) == {(v + 1) % 3 for v in got}, vals
+        return got
+    return [(reads, partial(checked, allowed) if i else allowed)
+            for i, (reads, allowed) in enumerate(plan)]
+
+
+def rotate_counted(plan) -> int:
+    """``frontier_count(plan, swap=True, rotate=True)``, once the plain DP
+    over ``rho_checked(sigma_checked(plan))`` has found every tuple it
+    asks equivariant and given the same count."""
+    count = frontier_count(plan, swap=True, rotate=True)
+    assert count == frontier_count(rho_checked(sigma_checked(plan)))
+    return count
+
+
 def replayed_width(plan) -> int:
     """The most frontier slots live at once, by replaying the slot rule of
     ``search.frontier_count`` on explicit slot sets: at each position, the

@@ -1,7 +1,10 @@
-"""The frontier DP's quotient by sigma, the exchange of the values 1 and 2:
-for colorings the swap of colors 1 and 2, for creases the mountain-valley
-flip. Every plan the library counts with ``swap`` must be sigma-equivariant
-on every tuple the plain DP asks, and count as the plain DP does."""
+"""The frontier DP's quotients: by sigma, the exchange of the values 1 and
+2 (for colorings the swap of colors 1 and 2, for creases the
+mountain-valley flip), and for colorings by rho, the rotation of the
+colors, too. Every plan the library counts with ``swap`` must be
+sigma-equivariant on every tuple the plain DP asks, each it counts with
+``rotate`` also rho-equivariant after its first position, and each must
+count as the plain DP does."""
 
 import random
 
@@ -16,23 +19,32 @@ from flatfold.saw import SawGraph
 from flatfold.search import depth_first, frontier_count
 from flatfold.tiling import tile
 
-from .helpers import sigma_checked, small_pattern, swap_counted
+from .helpers import rotate_counted, sigma_checked, small_pattern, swap_counted
 from .test_oracle import _count_checks
 from .test_search import plans
 
 
 @pytest.fixture
-def swapped(monkeypatch):
+def rotated():
+    """Whether each plan the library counts with ``swap`` is also counted
+    with ``rotate``, in call order (filled by ``swapped``)."""
+    return []
+
+
+@pytest.fixture
+def swapped(monkeypatch, rotated):
     """The slot widths of the plans the library counts with ``swap``, in
     call order; each plan is counted by ``swap_counted``, which checks it,
-    field by field, against the plain DP."""
+    field by field, against the plain DP, or with ``rotate`` by
+    ``rotate_counted``, which checks rho too."""
     seen = []
 
-    def spy(plan, bits=2, swap=False):
+    def spy(plan, bits=2, swap=False, rotate=False):
         if not swap:
-            return frontier_count(plan, bits)
+            return frontier_count(plan, bits, rotate=rotate)
         seen.append(bits)
-        return swap_counted(plan, bits)
+        rotated.append(rotate)
+        return rotate_counted(plan) if rotate else swap_counted(plan, bits)
 
     for module in (coloring, oracle):
         monkeypatch.setattr(module, "frontier_count", spy)
@@ -77,21 +89,22 @@ PATTERNS = {
 
 
 @pytest.mark.parametrize("name", [*PATTERNS, "looped-root", "looped-other"])
-def test_count_colorings_swaps_an_equivariant_plan(swapped, name):
+def test_count_colorings_swaps_an_equivariant_plan(swapped, rotated, name):
     if name.startswith("looped"):
         g, count = _looped(name == "looped-root"), 0
     else:
         make, count = PATTERNS[name]
         g = tile(make())
     assert count_colorings(g) == count
-    assert len(swapped) == 1
+    assert swapped == [2] and rotated == [True]
 
 
 @pytest.mark.parametrize("name", [*PATTERNS, "reversed", "uncrossed", "copied", "foreign"])
-def test_into_m_swaps_an_equivariant_plan(swapped, name):
+def test_into_m_swaps_an_equivariant_plan(swapped, rotated, name):
     # the round-trip certificate's plan checks steps and crimp schedules,
-    # both symmetric under the flip; an uncrossed crease leaves it uncounted.
-    # Each mutant's pairs are counted too, in 4-bit slots under the swap
+    # both symmetric under the flip and kept by rotating the colors; an
+    # uncrossed crease leaves it uncounted. Each mutant's pairs are counted
+    # too, in 4-bit slots under the swap alone
     if name in PATTERNS:
         cp = PATTERNS[name][0]()
         g = tile(cp)
@@ -106,10 +119,11 @@ def test_into_m_swaps_an_equivariant_plan(swapped, name):
     else:
         assert into_m < n_col
     assert swapped == [2] * (name != "uncrossed") + [4] * (name not in PATTERNS)
+    assert rotated == [bits == 2 for bits in swapped]
 
 
 @pytest.mark.parametrize("name", [*PATTERNS, "masked-0", "masked-1", "masked-2"])
-def test_count_locally_valid_swaps_an_equivariant_plan(swapped, name):
+def test_count_locally_valid_swaps_an_equivariant_plan(swapped, rotated, name):
     if name in PATTERNS:
         make, count = PATTERNS[name]
         cp = make()
@@ -117,25 +131,27 @@ def test_count_locally_valid_swaps_an_equivariant_plan(swapped, name):
         cp, count = small_pattern("modified-miura", 4, 5, int(name[-1])), 18_150
     assert count_locally_valid(cp, limit=len(cp.creases)) == count
     assert oracle._first_assignments(cp, 3)[2] == count
-    assert len(swapped) == 2
+    assert len(swapped) == 2 and not any(rotated)
 
 
-def test_verify_bijection_counts_three_plans_with_the_swap(swapped):
-    # |M| past the oracle's cap, |S| and the round-trip certificate; the
-    # pair count is skipped, since Miura 4x4's crossing edges span it
+def test_verify_bijection_counts_three_plans_with_the_swap(swapped, rotated):
+    # |M| past the oracle's cap, |S| and the round-trip certificate, the
+    # last two rotated too; the pair count is skipped, since Miura 4x4's
+    # crossing edges span it
     report = verify_bijection(miura(4, 4), tile(miura(4, 4)))
     assert report.ok and report.count_colorings == 2_604
-    assert len(swapped) == 3
+    assert swapped == [2, 2, 2] and rotated == [False, True, True]
 
 
 @pytest.mark.parametrize("name", ["crane", "twists-1", "twists-2", "twists-3"])
-def test_verify_bijection_counts_the_pairs_with_the_swap(swapped, name):
+def test_verify_bijection_counts_the_pairs_with_the_swap(swapped, rotated, name):
     # crossing edges that do not span the graph: |M|, |S|, the round-trip
-    # certificate and the pair count in 4-bit slots, each field swapped
+    # certificate and the pair count in 4-bit slots, each field swapped;
+    # rho rotates only a pair's s field, so the pairs are not rotated
     make, count = PATTERNS[name]
     report = verify_bijection(make(), tile(make()))
     assert report.ok and report.count_colorings == count
-    assert swapped == [2, 2, 2, 4]
+    assert swapped == [2, 2, 2, 4] and rotated == [False, True, True, False]
 
 
 def _pair_colors(vals: tuple[int, ...]) -> list[int]:
@@ -163,6 +179,23 @@ def test_swap_asks_fewer_checks_on_the_crane(monkeypatch):
     asked, calls[0] = calls[0], 0
     assert frontier_count(plan) == 93_312
     assert asked == 160 and calls[0] == 224
+
+
+def test_rotate_asks_fewer_tuples_on_the_crane():
+    # one read tuple per class of frontiers: the crane's root leaves the
+    # frontier at position 2, and from there the pin keeps one of each
+    # three rotations, so the coloring count asks fewer tuples than under
+    # the swap alone, itself fewer than the plain DP
+    g = tile(crane())
+    asked = []
+    plan = [(reads, lambda vals, allowed=allowed: asked.append(vals) or allowed(vals))
+            for reads, allowed in coloring._plan(g, coloring._min_frontier_order(g))]
+    tuples = []
+    for kw in ({}, {"swap": True}, {"swap": True, "rotate": True}):
+        asked.clear()
+        assert frontier_count(plan, **kw) == 93_312
+        tuples.append(len(asked))
+    assert tuples == [846, 645, 494]
 
 
 @settings(max_examples=40, deadline=None)

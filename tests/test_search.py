@@ -11,7 +11,14 @@ from flatfold.saw import SawGraph
 from flatfold.search import checked, depth_first, frontier_count
 from flatfold.tiling import tile
 
-from .helpers import oracle_plan, reference_depth_first, sigma, small_pattern, swap_counted
+from .helpers import (
+    oracle_plan,
+    reference_depth_first,
+    rotate_counted,
+    sigma,
+    small_pattern,
+    swap_counted,
+)
 
 
 def k4() -> SawGraph:
@@ -131,6 +138,83 @@ def equivariant_plans(draw):
 def test_swap_counts_four_bit_slots_as_the_plain_dp(plan):
     # sigma swaps 1 and 2 in both 2-bit fields of every value
     assert swap_counted(plan, bits=4) == frontier_count(plan, bits=4)
+
+
+@st.composite
+def rotatable_plans(draw):
+    """A 3-coloring plan that starts at its root: of a random graph on up
+    to 12 vertices in one to three components, each a random tree plus
+    random edges, placed one after another, each in a random order; or of
+    a tiled seeded pattern, over the greedy min-frontier order or a random
+    order after the root. Each vertex reads its earlier neighbours and
+    takes a color none of them has; position 0 takes 0, or in a random
+    graph's plan possibly any color."""
+    if draw(st.booleans()):
+        g = tile(small_pattern(draw(st.sampled_from(["modified-miura", "snake", "twists"])),
+                               draw(st.integers(2, 3)), draw(st.integers(2, 3)),
+                               draw(st.integers(0, 10 ** 6))))
+        rest = sorted(g.vertices.keys() - {g.root})
+        order = coloring._min_frontier_order(g) if draw(st.booleans()) else \
+            [g.root] + draw(st.permutations(rest))
+        return coloring._plan(g, order)
+    adj: dict[int, set[int]] = {}
+    order = []
+    for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        vs = list(range(len(adj), len(adj) + size))
+        adj.update((v, set()) for v in vs)
+        edges = [(vs[draw(st.integers(0, j - 1))], vs[j]) for j in range(1, size)]
+        edges += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=size))
+        for u, v in edges:
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        order += draw(st.permutations(vs))
+    pos = {v: i for i, v in enumerate(order)}
+    first = draw(st.sampled_from([coloring._root_colors, coloring._free_colors]))
+    return [(sorted(pos[w] for w in adj[v] if pos[w] < i), coloring._free_colors if i else first)
+            for i, v in enumerate(order)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rotatable_plans())
+def test_rotate_counts_as_the_plain_dp(plan):
+    # every position after the first commutes with rho; the pin moves when
+    # its slot is freed, and is set again once a later component's first
+    # vertex is live after the frontier has emptied between components
+    n = frontier_count(plan)
+    assert rotate_counted(plan) == frontier_count(plan, rotate=True) == n
+
+
+def test_rotate_pins_each_component_again():
+    # two triangles: 2 colorings of the root's, 6 of the other, whose
+    # first vertex is pinned at 0 once the frontier has emptied, so its
+    # second vertex is asked of one tuple, not of one per color
+    asked = []
+
+    def colors(vals):
+        asked.append(vals)
+        return coloring._free_colors(vals)
+
+    tri = [([], coloring._root_colors), ([0], colors), ([0, 1], colors)]
+    plan = tri + [([k + 3 for k in reads], colors) for reads, _ in tri]
+    assert frontier_count(plan) == 12
+    assert [vals for vals in asked if len(vals) == 1] == [(0,), (0,), (1,), (2,)]
+    asked.clear()
+    assert frontier_count(plan, swap=True, rotate=True) == 12
+    assert asked == [(0,), (0, 2), (), (0,), (0, 2)]
+
+
+@pytest.mark.parametrize("values", [(3,), (0, 3), (-1,), (4,)])
+def test_rotate_refuses_a_value_past_2(values):
+    # rho turns only the colors 0..2, so a 3 that fits its slot is refused
+    plan = [([], lambda vals: (0, 1)), ([0], lambda vals: values)]
+    with pytest.raises(ValueError, match="^position 1 allows a value outside 0..2$"):
+        frontier_count(plan, swap=True, rotate=True)
+
+
+def test_rotate_refuses_wider_slots():
+    with pytest.raises(ValueError, match="^rotate needs 2-bit slots$"):
+        frontier_count([([], lambda vals: (0,))], bits=4, swap=True, rotate=True)
 
 
 def _sum_mod(p: int, r: int, vals: tuple[int, ...], places: list[int]) -> bool:
