@@ -2,7 +2,8 @@
 
 Subcommands: generate, check, count-mv, build-saw, count-colorings,
 verify, render. All counts can be printed as JSON via --json. Exit codes:
-0 success, 1 validation failure, 2 usage error.
+0 success, 1 validation failure or a file that cannot be opened, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -20,15 +21,27 @@ from .svg import render_svg
 from .tiling import tile
 
 
+def _open(path: str, *args, **kwargs):
+    """``open``, whose OSError (a missing file, a directory) becomes the
+    FlatfoldError that ``main`` prints as one error line."""
+    try:
+        return open(path, *args, **kwargs)
+    except OSError as exc:
+        raise FlatfoldError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _read_pattern(path: str):
-    return load(sys.stdin.buffer if path == "-" else path)
+    if path == "-":
+        return load(sys.stdin.buffer)
+    with _open(path, "rb") as fh:
+        return load(fh)
 
 
 def _write(text: str, out: str | None):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 

@@ -6,8 +6,10 @@ reads its earlier neighbours and takes a color none of them has. A crossing
 edge (u, v) over crease c takes the step s(v) - s(u) (mod 3): 1 reads as
 mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 
-An assignment lifts back to its coloring by one body: from the root, a
-worklist propagates forced colors and a search completes what it leaves.
+A coloring is checked by one function (``_check``), whether it is
+translated or read into a row. An assignment lifts back to its coloring in
+one loop (``_Plan.lift``): from the root, a worklist propagates forced
+colors, and a search on an explicit stack completes what it leaves.
 ``verify_bijection`` certifies the map from colorings to assignments a
 bijection onto M by counts (``_certificates``): a frontier DP counts the
 colorings whose image is in M with a consistent round trip, and the
@@ -228,35 +230,56 @@ _BLOCK = 256
 _LIFTS = 8
 
 
+def _check(g: SawGraph, s: ThreeColoring) -> None:
+    """Check a coloring of ``g``: it colors the vertices, the root 0, with
+    colors 0, 1 and 2 only, and properly. Raises ImproperColoring for its
+    first failed check in that order (the first vertex in sorted-id order
+    with another color, and the first improper edge in edge order)."""
+    if s.keys() != g.vertices.keys():
+        raise ImproperColoring("coloring domain mismatch")
+    if g.root not in g.vertices:
+        raise ImproperColoring(f"root {g.root} is not a vertex")
+    if s[g.root] != 0:
+        raise ImproperColoring("root is not colored 0")
+    try:
+        ok = max(bytes(s.values())) <= 2
+    except (TypeError, ValueError):     # a color is not a byte
+        ok = False
+    if not ok:
+        v = next(v for v in sorted(s) if not (isinstance(s[v], int) and 0 <= s[v] <= 2))
+        raise ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
+    for e in g.edges.values():
+        if s[e.u] == s[e.v]:
+            raise ImproperColoring(f"edge {e.id} endpoints share color {int(s[e.u])}")
+
+
 class _Plan:
     """Per-graph tables for checking, translating and lifting colorings.
 
-    ``colors`` checks one coloring and gives its row, its colors by vertex
-    index as ``bytes``; ``to_mv``, ``steps_of`` and ``lifts_back`` read a
-    row, and ``lift`` takes one step per crossing edge.
+    ``colors`` checks one coloring (``_check``) and gives its row, its
+    colors by vertex index as ``bytes``; ``to_mv``, ``steps_of`` and
+    ``lifts_back`` read a row, and ``lift`` takes one step per crossing
+    edge.
 
     A vertex's index is its place in ``vertices``, the sorted ids (the
-    order of ``enumerate_colorings``). ``edges`` holds each edge's id and
-    endpoint indices, and ``arcs`` each crossing edge's endpoint indices;
-    ``directed`` holds each crossing edge's crease and the place in
-    ``arcs`` of that crease's last crossing edge, whose step the crease
-    takes, and ``crossing`` that place for each crease. A crossing edge's
-    step is (s(head) - s(tail)) mod 3: 1 for mountain, 2 for valley.
-    ``nbrs``, the neighbour lists that ``lift`` and ``spans`` read, are
-    filled in the same pass over the graph's edges as ``edges`` and
-    ``arcs``; ``spans`` is built on first use, so ``coloring_to_mv`` and
-    ``mv_to_coloring`` build only what they use.
+    order of ``enumerate_colorings``). ``arcs`` holds each crossing edge's
+    endpoint indices; ``directed`` holds each crossing edge's crease and
+    the place in ``arcs`` of that crease's last crossing edge, whose step
+    the crease takes, and ``crossing`` that place for each crease. A
+    crossing edge's step is (s(head) - s(tail)) mod 3: 1 for mountain, 2
+    for valley. ``nbrs``, the neighbour lists that ``lift`` and ``spans``
+    read, are filled in the same pass over the graph's edges as ``arcs``;
+    ``spans`` is built on first use. There is no per-edge table: ``colors``
+    is ``_check`` on the graph ``g`` plus the row.
     Building, checking, translating and lifting are each O(V + E) per
     coloring; only the completion search of a stalled lift can take longer.
     """
 
     def __init__(self, g: SawGraph):
+        self.g = g
         self.vertices = sorted(g.vertices)
-        self.vset = set(self.vertices)
-        self.root_id = g.root
         index = dict(zip(self.vertices, range(len(self.vertices))))
         self.root = index.get(g.root)
-        edges: list[tuple[int, int, int]] = []
         arcs: list[tuple[int, int]] = []
         creases: list[str] = []
         crossing: dict[str, int] = {}
@@ -267,7 +290,6 @@ class _Plan:
         plain: list[list[int]] = [[] for _ in self.vertices]
         for e in g.edges.values():
             u, v = index[e.u], index[e.v]
-            edges.append((e.id, u, v))
             if e.directed:
                 k = crossing[e.crease] = len(arcs)
                 arcs.append((u, v))
@@ -277,32 +299,14 @@ class _Plan:
             else:
                 plain[u].append(v)
                 plain[v].append(u)
-        self.edges, self.arcs, self.crossing = edges, arcs, crossing
+        self.arcs, self.crossing = arcs, crossing
         self.directed = [(c, crossing[c]) for c in creases]
         self.nbrs = (cross, plain)
 
     def colors(self, s: ThreeColoring) -> bytes:
-        """The row of a coloring, checked: it colors the vertices, the root
-        0, with colors 0, 1 and 2 only, and properly. Raises
-        ImproperColoring for its first failed check in that order (and the
-        first improper edge in edge order)."""
-        if s.keys() != self.vset:
-            raise ImproperColoring("coloring domain mismatch")
-        if self.root is None:
-            raise ImproperColoring(f"root {self.root_id} is not a vertex")
-        if s[self.root_id] != 0:
-            raise ImproperColoring("root is not colored 0")
-        try:
-            row = bytes(map(s.__getitem__, self.vertices))
-        except (TypeError, ValueError):     # a color is not a byte
-            row = None
-        if row is None or max(row) > 2:
-            v = next(v for v in self.vertices if not (isinstance(s[v], int) and 0 <= s[v] <= 2))
-            raise ImproperColoring(f"vertex {v} has color {s[v]!r}, not 0, 1 or 2")
-        for eid, u, v in self.edges:
-            if row[u] == row[v]:
-                raise ImproperColoring(f"edge {eid} endpoints share color {row[u]}")
-        return row
+        """The row of a coloring, checked by ``_check``."""
+        _check(self.g, s)
+        return bytes(map(s.__getitem__, self.vertices))
 
     def steps_of(self, row: Sequence[int]) -> list[int]:
         """Each crossing edge's step in the coloring of ``row``."""
@@ -324,18 +328,39 @@ class _Plan:
     def lift(self, steps: Sequence[int]) -> list[int]:
         """The colors of the coloring whose crossing edges take ``steps``,
         one per crossing edge: a worklist propagates forced colors from the
-        root (``_propagate``) and a search completes what it leaves
-        (``_search``). Raises NoCompletion or AmbiguousCompletion when no
-        coloring or more than one takes the steps."""
+        root (``_propagate``), and a depth-first search on an explicit
+        stack completes what it leaves. The search branches on an uncolored
+        vertex next to a colored one, propagates each choice, and stops at
+        the second completion. Raises NoCompletion or AmbiguousCompletion
+        when no coloring or more than one takes the steps."""
         if self.root is None:
-            raise NoCompletion(f"root {self.root_id} is not a vertex")
+            raise NoCompletion(f"root {self.g.root} is not a vertex")
         colors = [-1] * len(self.vertices)
         banned = [0] * len(self.vertices)
         colors[self.root] = 0
         err = self._propagate(colors, banned, self.root, steps)
         if err:
             raise NoCompletion(err)
-        return self._search(colors, banned, steps) if -1 in colors else colors
+        found = None
+        stack = [(colors, banned)]
+        while stack:
+            colors, banned = stack.pop()
+            if -1 not in colors:
+                if found is not None:
+                    raise AmbiguousCompletion("the assignment lifts to more than one coloring")
+                found = colors
+                continue
+            v = next((i for i, b in enumerate(banned) if b and colors[i] < 0), None)
+            if v is None:       # nothing colored borders the rest
+                v = colors.index(-1)
+            for c in _ALLOWED[banned[v]]:
+                cs, bs = colors[:], banned[:]
+                cs[v] = c
+                if not self._propagate(cs, bs, v, steps):
+                    stack.append((cs, bs))
+        if found is None:
+            raise NoCompletion("no coloring completes the assignment")
+        return found
 
     def _propagate(self, colors: list[int], banned: list[int], start: int,
                    steps: Sequence[int]) -> str | None:
@@ -371,33 +396,6 @@ class _Plan:
                             f"{self.vertices[w]} share color {c}")
         return None
 
-    def _search(self, colors: list[int], banned: list[int],
-                steps: Sequence[int]) -> list[int]:
-        """Finish a stalled propagation by depth-first search on an explicit
-        stack: branch on an uncolored vertex next to a colored one, propagate
-        each choice, and stop at the second completion."""
-        found = None
-        stack = [(colors, banned)]
-        while stack:
-            colors, banned = stack.pop()
-            v = next((i for i, b in enumerate(banned) if b and colors[i] < 0), None)
-            if v is None:       # nothing colored borders the rest
-                v = colors.index(-1)
-            for c in _ALLOWED[banned[v]]:
-                cs, bs = colors[:], banned[:]
-                cs[v] = c
-                if self._propagate(cs, bs, v, steps):
-                    continue
-                if -1 in cs:
-                    stack.append((cs, bs))
-                elif found is None:
-                    found = cs
-                else:
-                    raise AmbiguousCompletion("the assignment lifts to more than one coloring")
-        if found is None:
-            raise NoCompletion("no coloring completes the assignment")
-        return found
-
     def lifts_back(self, row: bytes) -> bool:
         """Whether the proper coloring of ``row`` (``colors``) lifts back to
         itself; where the crossing edges span the graph they fix every
@@ -428,39 +426,24 @@ class _Plan:
 
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:
-    """Translate a proper coloring into the MV assignment it encodes, in
-    one pass over the edges: each crease takes its last crossing edge's
-    step. A coloring that fails a check of ``_Plan.colors`` (its domain,
-    root, color range or an improper edge) goes to it, which raises its
-    ImproperColoring."""
-    try:
-        ok = s.keys() == g.vertices.keys() and s.get(g.root) == 0 and max(bytes(s.values())) <= 2
-    except (TypeError, ValueError):     # a color is not a byte
-        ok = False
-    if ok:
-        mv = {}
-        for e in g.edges.values():
-            a, b = s[e.u], s[e.v]
-            if a == b:
-                break
-            if e.directed:
-                mv[e.crease] = MV_OF_STEP[(b - a) % 3]
-        else:
-            return mv
-    plan = _Plan(g)
-    return plan.to_mv(plan.colors(s))
+    """Translate a proper coloring into the MV assignment it encodes: each
+    crease takes its last crossing edge's step. A coloring that fails a
+    check of ``_check`` (its domain, root, color range or an improper
+    edge) raises its ImproperColoring."""
+    _check(g, s)
+    return {e.crease: MV_OF_STEP[(s[e.v] - s[e.u]) % 3] for e in g.edges.values() if e.directed}
 
 
 def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     """Invert the translation: the coloring that encodes ``mv``.
 
-    From the root (colored 0), a worklist propagates forced colors: a
-    crossing edge forces its far endpoint, and a vertex with two colors
-    banned by its undirected neighbours takes the third; if propagation
-    stalls, a depth-first search on an explicit stack completes it and
-    stops at the second completion. Every edge is checked, so a returned
-    coloring is proper and translates back to ``mv`` on every crease the
-    graph crosses.
+    One loop, ``_Plan.lift``: from the root (colored 0), a worklist
+    propagates forced colors: a crossing edge forces its far endpoint, and
+    a vertex with two colors banned by its undirected neighbours takes the
+    third; if propagation stalls, a depth-first search on an explicit
+    stack completes it and stops at the second completion. Every edge is
+    checked, so a returned coloring is proper and translates back to
+    ``mv`` on every crease the graph crosses.
 
     ``mv`` must give every crease the graph crosses; values of other
     creases are ignored. Raises NoCompletion when no coloring encodes

@@ -267,7 +267,7 @@ def _face(face) -> str:
 def load_text(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:    # a JSONDecodeError, or too deep or long
         raise ParseError(f"invalid JSON: {exc}") from exc
     return pattern_from_dict(doc)
 

@@ -93,6 +93,18 @@ def test_stdin_that_is_not_utf8_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["count-mv", "missing.json"], ["count-mv", "."],
+                                  ["generate", "miura", "2", "2", "-o", "no/such/dir/x.json"]],
+                         ids=["missing", "directory", "output-dir"])
+def test_file_that_cannot_be_opened_exits_1(capsys, monkeypatch, tmp_path, argv):
+    # an input that is missing or a directory, and an output in a missing
+    # directory, give one error line naming the path, not a traceback
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {argv[-1]}: ") and err.count("\n") == 1
+
+
 def test_check_reports(capsys, tmp_path):
     path = tmp_path / "m.json"
     run(capsys, ["generate", "miura", "2", "2", "-o", str(path)])

@@ -329,10 +329,12 @@ def test_coloring_to_mv_matches_the_column_read(make):
         assert got == want and list(got) == list(want)
 
 
-@pytest.mark.parametrize("how", ["domain", "missing-root", "root", "range", "improper"])
+@pytest.mark.parametrize("how", ["domain", "missing-root", "root", "range", "improper",
+                                 "bool-improper"])
 def test_coloring_to_mv_refuses_as_the_column_read(how):
     # each planted refusal raises the ImproperColoring of the checked row
-    # read (``_Plan.colors``), message included
+    # read (``_Plan.colors``), message included; a bool color is named as
+    # the byte it reads as, 0 or 1, not as False or True
     g = tile(miura(3, 3))
     s = first_coloring(g)
     v = next(v for v in sorted(g.vertices) if v != g.root)
@@ -345,12 +347,17 @@ def test_coloring_to_mv_refuses_as_the_column_read(how):
     elif how == "range":
         s[v] = 3
     else:
+        if how == "bool-improper":
+            s = {u: bool(c) for u, c in s.items()}
         e = list(g.edges.values())[len(g.edges) // 2]
         s[e.v] = s[e.u]
     with pytest.raises(ImproperColoring) as want:
         _to_mv_by_row(g, s)
     with pytest.raises(ImproperColoring, match=f"^{re.escape(str(want.value))}$"):
         coloring_to_mv(g, s)
+    if how == "bool-improper":
+        e = next(e for e in g.edges.values() if s[e.u] == s[e.v])
+        assert str(want.value) == f"edge {e.id} endpoints share color {1 if s[e.u] else 0}"
 
 
 def test_mv_round_trip_on_twist():
@@ -542,6 +549,25 @@ def test_lift_refuses_a_graph_with_no_proper_coloring():
     steps = [STEP_OF_MV[mv[e.crease]] for e in g.edges.values() if e.directed]
     assert _lifted(coloring._Plan(g).lift, steps) is NoCompletion
     assert _lifted(reference_lift, g, steps) is NoCompletion
+
+
+def test_crane_lifts_stall_and_match_the_reference():
+    # the crane's first 20 witnesses, the lifts of the verify benchmark's
+    # crane-lift op: the propagation from the root leaves each with an
+    # uncolored vertex, so each lift searches, and it gives the reference
+    # lift's colors
+    g = tile(crane())
+    plan = coloring._Plan(g)
+    directed = [e for e in g.edges.values() if e.directed]
+    witnesses = enumerate_locally_valid(crane(), cap=20).witnesses
+    assert len(witnesses) == 20
+    for mv in witnesses:
+        steps = [STEP_OF_MV[mv[e.crease]] for e in directed]
+        colors = [-1] * len(plan.vertices)
+        colors[plan.root] = 0
+        assert plan._propagate(colors, [0] * len(colors), plan.root, steps) is None
+        assert -1 in colors
+        assert plan.lift(steps) == reference_lift(g, steps)
 
 
 def test_plan_spans_where_crossing_edges_reach_every_vertex():

@@ -258,6 +258,18 @@ def test_bad_json_rejected():
         load_text("{not json")
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, "1" * 5_000], ids=["deep", "long-integer"])
+def test_json_that_json_loads_refuses_is_a_parse_error(tmp_path, text):
+    # nesting past the recursion limit raises RecursionError in json.loads,
+    # and an integer past the digit limit ValueError: each is invalid JSON
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        load_text(text)
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        load(str(path))
+
+
 def test_emitted_json_validates_against_schema():
     jsonschema = pytest.importorskip("jsonschema")
     from importlib import resources
