@@ -1,33 +1,47 @@
 """Ground truth over whole crease patterns, independent of SAW graphs.
 
-The crease search is a plan of ``search``: creases are assigned in one
-order, a vertex sweep (``_search_plan``), and the crease that completes an
-interior vertex reads that vertex's other creases and takes only the
-values that pass its single-vertex crimp schedule. A value is a color
-step (``cp.STEP_OF_MV``): 1 for mountain, 2 for valley.
-``count_locally_valid`` runs the plan through the frontier DP
-``search.frontier_count``, so its cost follows the frontier width, not
-the count; the mountain-valley flip maps M onto itself, so the DP keeps
-one state for each frontier and its flip. ``_first_assignments`` runs it
-through ``search.depth_first`` and stops past its cap, leaving the count
-to the DP; it keeps each assignment as ``bytes``, one step per crease in
-search order.
-``enumerate_locally_valid`` turns those keys into witness dicts, and
-``coloring._exact_pass`` uses them as its assignment keys as they are;
-``coloring.verify_bijection`` reads only the count. Counts are exact
-Python ints (arbitrary precision).
+The oracle has two plans of ``search``, over the same vertex sweep
+(interior vertices sorted by exact coordinate along the axis that gives
+the narrower frontier, each vertex's creases counterclockwise). A value is
+a color step (``cp.STEP_OF_MV``): 1 for mountain, 2 for valley.
+
+* The *listing plan* (``_search_plan``) places every crease. The crease
+  that completes an interior vertex reads that vertex's other creases and
+  takes only the values that pass its single-vertex crimp schedule.
+  ``_first_assignments`` runs it through ``search.depth_first`` and stops
+  past its cap; it keeps each assignment as ``bytes``, one step per
+  crease in search order. ``enumerate_locally_valid`` turns those keys
+  into witness dicts, and ``coloring._exact_pass`` uses them as its
+  assignment keys as they are.
+* The *count plan* (``_count_plan``) places only the creases with two
+  interior ends. A crease with one interior end is constrained by that
+  vertex alone, so it is summed out of the vertex's table: how many valid
+  assignments of the cone (lifted through its crimp schedule once per
+  cone shape and placed creases) give its placed creases each tuple of
+  steps. The crease
+  that completes a vertex's placed creases takes each value once per
+  count in the table, a repeat ``search.frontier_count`` counts as often.
+  A crease with no interior end doubles the count, and a vertex with no
+  placed crease multiplies it by its single-vertex count.
+
+``count_locally_valid``, and ``_first_assignments`` at a cap of 0 or less
+or once the cap is passed, count by the frontier DP over the count plan,
+so the cost follows the frontier width, not the count; the
+mountain-valley flip maps M onto itself, so the DP keeps one state for
+each frontier and its flip. ``coloring.verify_bijection`` reads only the
+count. Counts are exact Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 
-from .cp import MV_OF_STEP, ConeVertex, CreasePattern, MVAssignment, cone_at
+from .cp import MV_OF_STEP, STEP_OF_MV, ConeVertex, CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
-from .single_vertex import _check_values, _schedule, kawasaki_check
+from .single_vertex import _check_values, _lift, _schedule, kawasaki_check
 from .search import checked, depth_first, frontier_count, frontier_width
 
 DEFAULT_BRUTE_LIMIT = 40
@@ -63,24 +77,30 @@ def _cones(cp: CreasePattern) -> dict[str, ConeVertex]:
 
 
 def _search_plan(cp: CreasePattern):
-    """The crease search as a plan of ``search``: the crease order and its
-    plan (``_crease_plan``).
-
-    The order is a vertex sweep: the interior vertices sorted by exact
-    coordinate (their integer copies, ``CreasePattern.lattice``, which sort
-    as the Fractions do), x then y or y then x, each vertex's
-    ``ccw_creases`` in turn, then the creases no vertex has. Of the two
-    axes' plans, the one with the smaller ``search.frontier_width`` wins,
-    x on a tie, so the frontier is one row of vertices across the
-    narrower side of the pattern."""
+    """The listing plan: the crease order of a vertex sweep over every
+    crease (``_narrower_sweep``), so the frontier is one row of vertices
+    across the narrower side of the pattern, and its plan
+    (``_crease_plan``)."""
     cones = _cones(cp)
+    return _narrower_sweep(cp, cones, partial(_crease_plan, cones))
+
+
+def _narrower_sweep(cp: CreasePattern, cones: dict[str, ConeVertex], plan_of, placed=None):
+    """The crease order of a vertex sweep and its plan ``plan_of(order)``,
+    on the axis whose plan has the smaller ``search.frontier_width``, x on
+    a tie. The sweep takes the vertices of ``cones`` by exact coordinate
+    (their integer copies, ``CreasePattern.lattice``, which sort as the
+    Fractions do), x then y or y then x, and each vertex's creases in
+    turn, counterclockwise. The order lists each crease once: those in
+    ``placed``, or with no ``placed`` every crease, the ones no vertex has
+    last in id order."""
     at = cp.lattice
     sweeps = []
     for key in (at.__getitem__, lambda v: at[v][::-1]):   # x then y, y then x
-        swept = sorted(cones, key=key)
-        order = list(dict.fromkeys([c for v in swept for c in cones[v].crease_ids]
-                                   + sorted(cp.creases)))
-        sweeps.append((order, _crease_plan(cones, order)))
+        swept = [c for v in sorted(cones, key=key) for c in cones[v].crease_ids]
+        swept = swept + sorted(cp.creases) if placed is None else [c for c in swept if c in placed]
+        order = list(dict.fromkeys(swept))
+        sweeps.append((order, plan_of(order)))
     return min(sweeps, key=lambda sweep: frontier_width(sweep[1]))
 
 
@@ -89,7 +109,12 @@ def _crease_plan(cones: dict[str, ConeVertex], order: list[str]) -> list:
     takes step 1 or 2, checked by the crimp check of each cone of
     ``cones`` that it completes (``_crimp_checks``)."""
     pos = {c: i for i, c in enumerate(order)}
-    return checked([([], lambda vals: (1, 2))] * len(order), _crimp_checks(cones, lambda c: (pos[c],)))
+    return checked([([], _either_step)] * len(order), _crimp_checks(cones, lambda c: (pos[c],)))
+
+
+def _either_step(vals) -> tuple[int, int]:
+    """Step 1 or 2, whatever is read."""
+    return (1, 2)
 
 
 def _crimp_checks(cones: dict[str, ConeVertex], places_of) -> list:
@@ -120,15 +145,74 @@ def _first_assignments(cp: CreasePattern, cap: int):
     its depth-first search, which stops at assignment ``cap + 1`` (none
     runs at a cap of 0 or less), each as ``bytes`` with one step per crease
     in that order (1 = mountain, 2 = valley); and the count, from the
-    frontier DP once the cap is passed, which it is exactly when the count
-    exceeds ``max(cap, 0)``."""
+    count plan's frontier DP (``_count``) once the cap is passed, which it
+    is exactly when the count exceeds ``max(cap, 0)``."""
     order, plan = _search_plan(cp)
     if cap <= 0:
-        return order, [], frontier_count(plan, swap=True)
+        return order, [], _count(cp)
     found = list(map(bytes, islice(depth_first(plan), cap + 1)))
-    count = len(found) if len(found) <= cap else frontier_count(plan, swap=True)
+    count = len(found) if len(found) <= cap else _count(cp)
     del found[cap:]
     return order, found, count
+
+
+def _count_plan(cp: CreasePattern):
+    """The count plan: the creases with two interior ends in the order of
+    a vertex sweep, the plan of ``search`` over them, and the factor the
+    plan's count is multiplied by.
+
+    Each crease takes step 1 or 2. A cone is checked where its last such
+    crease is placed, by ``_completions`` of its table (``_table``): the
+    value is listed once per valid completion of the cone's other
+    creases, each of which has this cone as its only interior end. A
+    crease with no interior end multiplies the factor by 2, and a cone
+    with no crease of the plan by its table's single entry. The sweep is
+    ``_search_plan``'s over these creases alone, its axis chosen by this
+    plan's own frontier width (``_narrower_sweep``)."""
+    cones = _cones(cp)
+    inner = {c for c, (a, b) in cp.creases.items() if a in cones and b in cones}
+    factor = 2 ** sum(a not in cones and b not in cones for a, b in cp.creases.values())
+    tables = []
+    for cone in cones.values():
+        idx = tuple([i for i, c in enumerate(cone.crease_ids) if c in inner])
+        table = _table(cone.scaled, idx)
+        if idx:
+            tables.append(([cone.crease_ids[i] for i in idx], table))
+        else:
+            factor *= table[()]
+
+    def plan_of(order):
+        pos = {c: i for i, c in enumerate(order)}
+        checks = [([pos[c] for c in ids], partial(_completions, table)) for ids, table in tables]
+        return checked([([], _either_step)] * len(order), checks)
+
+    return *_narrower_sweep(cp, cones, plan_of, inner), factor
+
+
+@lru_cache(maxsize=4096)
+def _table(scaled: tuple[int, ...], idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """How many valid assignments of a cone with these scaled angles
+    (``single_vertex._lift``) give its creases at ``idx`` each tuple of
+    steps. Cached per angle tuple and ``idx``, like ``_schedule``, so every
+    caller shares the dict: read it only."""
+    table: dict[tuple[int, ...], int] = {}
+    for row in _lift(_schedule(scaled), len(scaled)):
+        key = tuple([STEP_OF_MV[row[i]] for i in idx])
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def _completions(table: dict, vals, places: list[int]) -> int:
+    """A count test of ``search.checked``: how many times ``table`` lists
+    the steps at ``places`` of ``vals``."""
+    return table.get(tuple([vals[k] for k in places]), 0)
+
+
+def _count(cp: CreasePattern) -> int:
+    """|M(cp)|: the count plan's factor times its frontier DP's count,
+    with one state for each frontier and its flip."""
+    _, plan, factor = _count_plan(cp)
+    return factor * frontier_count(plan, swap=True)
 
 
 def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000) -> LocalValidityReport:
@@ -157,7 +241,7 @@ def count_locally_valid(cp: CreasePattern, limit: int | None = None) -> int:
     lim = _brute_limit(limit)
     if n > lim:
         raise LimitExceeded(f"{n} creases exceed the brute-force limit {lim}")
-    return frontier_count(_search_plan(cp)[1], swap=True)
+    return _count(cp)
 
 
 def is_locally_valid(cp: CreasePattern, mv: MVAssignment) -> bool:

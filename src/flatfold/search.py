@@ -12,6 +12,13 @@ plan, each at the last place it reads, which then also reads the test's
 other places: the oracle's crimp checks, and the round-trip certificate's
 equal-step and crimp checks (``coloring._certificates``), are built so.
 
+``allowed`` may list a value k times: ``frontier_count`` then counts the
+assignments through it k times, as if each repeat were a value of its
+own. The oracle's count plan does so, listing a crease's step once per
+valid completion of the creases it sums out (a test of ``checked`` that
+returns a count). ``depth_first`` is for plans without repeats, so it
+never runs the count plan; it would list each such assignment k times.
+
 Both of those plans are equivariant under sigma, the exchange of the
 values 1 and 2 (0 and 3 stay): ``allowed`` of the sigma-image of ``vals``
 is the sigma-image of ``allowed(vals)``. For colorings sigma swaps the
@@ -21,7 +28,9 @@ wider value sigma acts on each 2-bit field, as on the two fields of a
 pair of colorings (``coloring._certificates``).
 ``frontier_count(plan, swap=True)`` counts such a plan with one DP state
 for each pair of states {s, sigma(s)}, as every count the library makes
-does; ``swap=False`` is the plain reference.
+does; ``swap=False`` is the plain reference. With repeats, the lists are
+compared as multisets: the sigma-image of ``vals`` must list each value's
+sigma-image as many times as ``vals`` lists the value.
 
 A coloring plan whose first position is its root is also equivariant
 under rho, the rotation of the colors 0, 1, 2 to 1, 2, 0, at every
@@ -50,7 +59,9 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False, rotate: bool =
     still reads into an int, ``bits`` bits per slot (a value that does not
     fit raises ValueError), and maps to the number of assignments that
     leave the frontier so. A slot is freed after its last reader, so the
-    cost follows the frontier width, not the count.
+    cost follows the frontier width, not the count. A value that
+    ``allowed`` lists k times adds each state's number k times, so the
+    count takes it k times.
 
     ``swap`` is for a sigma-equivariant plan (module docstring) with even
     ``bits``: sigma acts on each 2-bit field of a state, exchanging 01 and
@@ -152,7 +163,9 @@ def checked(plan: Plan, checks: Sequence[tuple[Sequence[int], Callable]]) -> lis
     test attached there passes. A test is called as ``test(vals, places)``,
     ``vals`` being the position's read tuple with v appended and ``places``
     the check's places translated into it; the tests run in the order of
-    ``checks`` and stop at the first that fails."""
+    ``checks`` and stop at the first that fails. A test may return a count
+    instead of a bool: v is then listed the product of the tests' results
+    times (a repeat, module docstring), and 0 fails."""
     at: list[list] = [[] for _ in plan]
     for places, test in checks:
         at[max(places)].append((places, test))
@@ -168,15 +181,19 @@ def checked(plan: Plan, checks: Sequence[tuple[Sequence[int], Callable]]) -> lis
 
 
 def _passing(own: list[int], allowed: Callable, tests: list, vals: tuple[int, ...]) -> list[int]:
-    """The values ``allowed`` gives ``own`` of ``vals`` that pass ``tests``."""
+    """The values ``allowed`` gives ``own`` of ``vals``, each listed the
+    product of ``tests``' results on it times: once if every test passes
+    (``True``), not at all if one fails, k times for a count k."""
     out = []
     for v in allowed(tuple([vals[k] for k in own])):
         full = vals + (v,)
+        times = 1
         for test, places in tests:
-            if not test(full, places):
+            times *= test(full, places)
+            if not times:
                 break
         else:
-            out.append(v)
+            out += [v] * times
     return out
 
 
@@ -193,9 +210,10 @@ def _reader(reads: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:
 
 
 def depth_first(plan: Plan) -> Iterator[tuple[int, ...]]:
-    """Yield every complete assignment of ``plan`` in lexicographic order,
-    by a depth-first search without recursion (``its[i]`` iterates over the
-    values position i may still take), so any number of positions fits.
+    """Yield every complete assignment of ``plan``, a plan without repeats
+    (module docstring), in lexicographic order, by a depth-first search
+    without recursion (``its[i]`` iterates over the values position i may
+    still take), so any number of positions fits.
     Each position reads its key with one ``_reader`` call and keeps its
     ``allowed`` results as tuples, one per distinct key; the last
     position's values are yielded directly, with no iterator."""

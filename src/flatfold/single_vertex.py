@@ -13,6 +13,8 @@ Conventions (used consistently across the library):
 * The validity check, the count, the enumeration and niceness all read
   the crimp schedule (``_schedule``, cached per scaled angle tuple); only
   the SAW construction walks the intermediate cones of ``crimp_trace``.
+  The enumeration and the oracle's count tables lift through it
+  (``_lift``).
 * Kawasaki's test, the minimal runs and the crimp recursion read each
   cone's integer-scaled angles (``ConeVertex.scaled``): its angles times
   the lcm of their denominators, a crimped cone keeping the scale of the
@@ -259,20 +261,16 @@ def count_single_vertex_mv(cone: ConeVertex) -> int:
     return total
 
 
-def enumerate_single_vertex_mv(cone: ConeVertex, cap: int = 1 << 20) -> list[MVAssignment]:
-    """Materialize the valid assignments, sorted by their values in
-    sorted crease-id order.
+def _lift(sched: _Schedule, degree: int) -> list[list[int]]:
+    """Every valid assignment of a cone of ``degree`` creases with crimp
+    schedule ``sched``, as a list of +-1 values in crease order.
 
     Lifts the base Maekawa vectors back through the crimp schedule: each
     run's j+1 positions take every +-1 vector summing to 0 (odd j) or to
-    the survivor's value (even j), so |result| always equals
-    count_single_vertex_mv.
+    the survivor's value (even j), so there are always
+    count_single_vertex_mv rows.
     """
-    total = count_single_vertex_mv(cone)
-    if total > cap:
-        raise CapExceeded(f"{total} assignments exceed cap {cap}")
-    sched = _schedule(cone.scaled)
-    rows = [[0] * cone.degree]
+    rows = [[0] * degree]
     # the base's Maekawa vectors first, then the runs, last crimp first
     lifts = [(sched.terminal_idx, None, (2, -2))]
     lifts += [(idxs, survivor, None) for idxs, _, survivor in reversed(sched.steps)]
@@ -287,6 +285,20 @@ def enumerate_single_vertex_mv(cone: ConeVertex, cap: int = 1 << 20) -> list[MVA
                         new[i] = v
                     lifted.append(new)
         rows = lifted
+    return rows
+
+
+def enumerate_single_vertex_mv(cone: ConeVertex, cap: int = 1 << 20) -> list[MVAssignment]:
+    """Materialize the valid assignments, sorted by their values in
+    sorted crease-id order.
+
+    The rows are ``_lift``'s, so |result| always equals
+    count_single_vertex_mv.
+    """
+    total = count_single_vertex_mv(cone)
+    if total > cap:
+        raise CapExceeded(f"{total} assignments exceed cap {cap}")
+    rows = _lift(_schedule(cone.scaled), cone.degree)
     ids = cone.crease_ids
     by_id = sorted(range(cone.degree), key=ids.__getitem__)
     rows.sort(key=lambda row: [row[i] for i in by_id])

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from flatfold import coloring, oracle
+from flatfold import coloring, oracle, patternio
 from flatfold.coloring import BijectionReport
 from flatfold.cp import ConeVertex, Face, build_crease_pattern, cone_at
 from flatfold.errors import (
@@ -376,6 +376,61 @@ def reference_search_plan(cp):
     return min(plans, key=lambda op: frontier_width(op[1]))
 
 
+def moved_pattern(cp, k: int, scale=1, shift=(0, 0), seed: int = 0):
+    """``cp`` mapped through the k-th of the square's 8 symmetries (for
+    k >= 4 the reflection x -> -x, then k % 4 quarter turns
+    counterclockwise), scaled by ``scale`` and shifted by ``shift``, both
+    rational, then written as a pattern file with every vertex, boundary
+    point and crease under a fresh id in a seeded random order, each row
+    list shuffled and the region started at a seeded corner, and read back
+    (``patternio.pattern_from_dict``).
+
+    A declared angle list follows its vertex's creases: it is reversed
+    under the reflection (``ConeVertex.reflected``) and rotated to start
+    at the crease with the lowest new id (``ConeVertex.rotated``). The
+    region is reversed under the reflection, so it stays counterclockwise.
+    """
+    rng = random.Random(seed)
+    reflect = k >= 4
+
+    def moved(p):
+        x, y = p
+        if reflect:
+            x = -x
+        for _ in range(k % 4):
+            x, y = -y, x
+        return x * scale + shift[0], y * scale + shift[1]
+
+    def fresh(ids, prefix):
+        return dict(zip(ids, (f"{prefix}{i}" for i in rng.sample(range(len(ids)), len(ids)))))
+
+    name = fresh(sorted(cp.vertices) + sorted(cp.boundary_points), "n")
+    name.update(fresh(sorted(cp.creases), "c"))
+    angles = {}
+    for v in cp.declared_angles:
+        cone = cone_at(cp, v).reflected() if reflect else cone_at(cp, v)
+        ids = [name[c] for c in cone.crease_ids]
+        angles[name[v]] = [str(a) for a in cone.rotated(ids.index(min(ids))).angles]
+    region = [moved(p) for p in cp.region]
+    if reflect:
+        region.reverse()
+    start = rng.randrange(len(region))
+    doc = {
+        "version": patternio.FORMAT_VERSION,
+        "vertices": [{"id": name[v], "x": str(x), "y": str(y)}
+                     for v, (x, y) in ((v, moved(p)) for v, p in cp.vertices.items())],
+        "boundary_points": [{"id": name[b], "x": str(x), "y": str(y)}
+                            for b, (x, y) in ((b, moved(p)) for b, p in cp.boundary_points.items())],
+        "creases": [{"id": name[c], "from": name[a], "to": name[b]}
+                    for c, (a, b) in cp.creases.items()],
+        "region": [[str(x), str(y)] for x, y in region[start:] + region[:start]],
+        "angles": angles,
+    }
+    for rows in (doc["vertices"], doc["boundary_points"], doc["creases"]):
+        rng.shuffle(rows)
+    return patternio.pattern_from_dict(doc)[0]
+
+
 def sigma(v: int, bits: int = 2) -> int:
     """sigma, the exchange of the values 1 and 2, on each 2-bit field of
     the ``bits``-bit value ``v``: 01 and 10 swap, 00 and 11 stay."""
@@ -387,12 +442,13 @@ def sigma_checked(plan, bits: int = 2) -> list:
     """``plan`` with each ``allowed`` asserting, on every tuple it is
     asked, the equivariance that ``frontier_count``'s ``swap`` needs: the
     values ``allowed`` gives the tuple's sigma-image are the sigma-images of
-    the values it gives the tuple, sigma acting on each 2-bit field of a
-    ``bits``-bit value."""
+    the values it gives the tuple, each as often (a multiset, since a value
+    may repeat), sigma acting on each 2-bit field of a ``bits``-bit
+    value."""
     def checked(allowed, vals):
         got = allowed(vals)
         flipped = allowed(tuple([sigma(v, bits) for v in vals]))
-        assert set(flipped) == {sigma(v, bits) for v in got}, vals
+        assert sorted(flipped) == sorted(sigma(v, bits) for v in got), vals
         return got
     return [(reads, partial(checked, allowed)) for reads, allowed in plan]
 
@@ -410,12 +466,12 @@ def rho_checked(plan) -> list:
     """``plan`` with each ``allowed`` after the first position asserting, on
     every tuple it is asked, the equivariance that ``frontier_count``'s
     ``rotate`` needs: the values ``allowed`` gives the tuple's rho-image
-    are the rho-images of the values it gives the tuple, rho turning the
-    colors 0, 1, 2 to 1, 2, 0."""
+    are the rho-images of the values it gives the tuple, each as often (a
+    multiset), rho turning the colors 0, 1, 2 to 1, 2, 0."""
     def checked(allowed, vals):
         got = allowed(vals)
         turned = allowed(tuple([(v + 1) % 3 for v in vals]))
-        assert set(turned) == {(v + 1) % 3 for v in got}, vals
+        assert sorted(turned) == sorted((v + 1) % 3 for v in got), vals
         return got
     return [(reads, partial(checked, allowed) if i else allowed)
             for i, (reads, allowed) in enumerate(plan)]

@@ -45,6 +45,7 @@ from .helpers import (
     small_pattern,
     star_pattern,
 )
+from .test_oracle import _count_checks
 
 
 def path_graph(n):
@@ -1101,16 +1102,10 @@ def test_verify_bijection_refusal_memory():
 
 
 def test_verify_bijection_stops_the_search_at_cap(monkeypatch):
-    # as in test_oracle's test_capped_search_stops_at_cap: the oracle's
-    # search stops at assignment cap + 1 before the colorings pass the cap
-    calls = [0]
-    check_values = oracle._check_values
-
-    def counting(*args):
-        calls[0] += 1
-        return check_values(*args)
-
-    monkeypatch.setattr(oracle, "_check_values", counting)
+    # as in test_oracle's test_capped_search_stops_at_cap: the oracle
+    # counts M without walking it, before the colorings pass the cap; its
+    # vertex checks are crimp schedules and count-plan table reads
+    calls = _count_checks(monkeypatch)
     cp = crane()
     with pytest.raises(CapExceeded):
         verify_bijection(cp, tile(cp), cap=20)

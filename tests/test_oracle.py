@@ -22,7 +22,8 @@ from flatfold.search import depth_first, frontier_count, frontier_width
 from flatfold.tiling import tile
 
 from .helpers import (grid_saw, oracle_plan, reference_search_plan, replayed_width,
-                      small_pattern, sweep_order, vertex_id_order)
+                      small_pattern, swap_counted, sweep_order, vertex_id_order)
+from .test_tiling import strip_of_units, x_and_chords
 
 
 def test_single_vertex_pattern_matches_recursion():
@@ -192,6 +193,75 @@ def test_sweep_count_matches_colorings_and_old_order(kind, m, n, seed):
         assert count == frontier_count(oracle_plan(cp, vertex_id_order(cp)))
 
 
+def _count_plan_count(cp, seed: int = 0, shuffled: bool = True) -> int:
+    """``oracle._count(cp)``, once the count plan has been checked: one
+    position per crease with two interior ends, sigma-equivariant with its
+    repeats as multisets, and the same count as the listing plan's DP and
+    as, with ``shuffled``, the plain DP over a shuffled vertex order (the
+    vertices in a seeded random order, each one's creases in turn, then
+    the rest; a random crease order is too wide to count on the crane)."""
+    count = oracle._count(cp)
+    order, plan, factor = oracle._count_plan(cp)
+    inner = [c for c, ends in cp.creases.items() if set(ends) <= cp.vertices.keys()]
+    assert sorted(order) == sorted(inner) and len(plan) == len(inner)
+    assert factor * swap_counted(plan) == count
+    assert count == frontier_count(oracle._search_plan(cp)[1], swap=True)
+    if shuffled:
+        vertices = sorted(cp.vertices)
+        random.Random(seed).shuffle(vertices)
+        crease_order = [c for v in vertices for c in cp.ccw_creases[v]]
+        crease_order = list(dict.fromkeys(crease_order + sorted(cp.creases)))
+        assert count == frontier_count(oracle_plan(cp, crease_order))
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_plan_without_a_position(n):
+    # a snake one cell high has no interior vertex: every crease runs from
+    # boundary to boundary and only doubles the factor
+    cp = snake(1, n)
+    assert oracle._count_plan(cp)[1:] == ([], 2 ** (n - 1))
+    assert _count_plan_count(cp) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("case, count", [(((1,), (3,), 4), 16), (((1, 5), (), 6), 64),
+                                         (((1, 5), (3,), 6), 128)])
+def test_count_plan_of_lone_cones_and_chords(case, count):
+    # X's sharing no crease: each cone's table has one entry, its count,
+    # and each chord doubles the factor
+    cp = x_and_chords(*case)
+    assert oracle._count_plan(cp)[1:] == ([], count)
+    assert _count_plan_count(cp) == count
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: strip_of_units("dx", "mjfio"), 2_048), (crane, 93_312),
+    (lambda: triangle_twist(1), 26), (lambda: triangle_twist(2), 170),
+    (lambda: triangle_twist(3), 1_112), (lambda: miura(1, 2), 2)],
+    ids=["strip-dx", "crane", "twists-1", "twists-2", "twists-3", "miura-1x2"])
+def test_count_plan_matches_the_listing_plan(make, count):
+    assert _count_plan_count(make()) == count
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["modified-miura", "snake", "twists"]),
+       st.integers(2, 8), st.integers(2, 8), st.integers(0, 10 ** 6))
+def test_count_plan_matches_the_listing_plan_on_seeded_patterns(kind, m, n, seed):
+    # a shuffled vertex order is too wide to count past 5x5
+    cp = small_pattern(kind, m, n, seed)
+    _count_plan_count(cp, seed, shuffled=kind == "twists" or max(m, n) <= 5)
+
+
+@pytest.mark.parametrize("make", [crane, lambda: miura(5, 5), lambda: snake(6, 6),
+                                  lambda: miura(10, 10)],
+                         ids=["crane", "miura-5x5", "snake-6x6", "miura-10x10"])
+def test_count_plan_is_no_wider_than_the_listing_plan(make):
+    cp = make()
+    plan = oracle._count_plan(cp)[1]
+    assert frontier_width(plan) == replayed_width(plan)
+    assert frontier_width(plan) <= frontier_width(oracle._search_plan(cp)[1])
+
+
 def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         count_locally_valid(miura(3, 3), limit=5)
@@ -251,14 +321,16 @@ def test_witness_order_is_pinned(make, cap, digest):
 
 
 def _count_checks(monkeypatch):
+    """The vertex checks the oracle makes from here on, in one counter:
+    each crimp schedule run on a search plan's steps (``_check_values``)
+    and each table read of the count plan (``_completions``)."""
     calls = [0]
-    check_values = oracle._check_values
+    for name in ("_check_values", "_completions"):
+        def counting(*args, check=getattr(oracle, name)):
+            calls[0] += 1
+            return check(*args)
 
-    def counting(*args):
-        calls[0] += 1
-        return check_values(*args)
-
-    monkeypatch.setattr(oracle, "_check_values", counting)
+        monkeypatch.setattr(oracle, name, counting)
     return calls
 
 
@@ -277,11 +349,12 @@ def test_capped_search_stops_at_cap(monkeypatch):
 def test_enumeration_checks_no_more_than_the_count(monkeypatch):
     # both searches ask a crease's rule once per distinct read value, and
     # a full enumeration reads no value the plain DP does not; the count's
-    # DP, quotiented by the mountain-valley flip, asks one read value of
-    # each flipped pair
+    # DP, over the count plan's 24 creases with two interior ends and
+    # quotiented by the mountain-valley flip, reads a cone's table for one
+    # read value of each flipped pair and runs no crimp schedule
     calls = _count_checks(monkeypatch)
     assert count_locally_valid(miura(4, 4)) == 2_604
-    assert calls[0] == 88
+    assert calls[0] == 50
     calls[0] = 0
     assert frontier_count(oracle._search_plan(miura(4, 4))[1]) == 2_604
     counted = calls[0]

@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from itertools import product
 from operator import mul
 
 import pytest
@@ -280,3 +281,60 @@ def test_checked_on_the_first_position_and_repeated_places(seed, places):
     want = _filtered(plan, checks)
     assert list(depth_first(got)) == want
     assert frontier_count(got, bits=4) == len(want)
+
+
+def _weighted(plan) -> int:
+    """The count of a plan of values 0..2 by brute force: every tuple of
+    values, each weighted by the product over positions of how many times
+    ``allowed`` lists its value."""
+    total = 0
+    for vals in product(range(3), repeat=len(plan)):
+        weight = 1
+        for i, (reads, allowed) in enumerate(plan):
+            weight *= list(allowed(tuple(vals[k] for k in reads))).count(vals[i])
+        total += weight
+    return total
+
+
+def _repeated(times: dict[str, int], vals: tuple[int, ...]) -> list[int]:
+    """Each color c, in increasing order, listed ``times["new"]`` times when
+    no value of ``vals`` is c, ``times["first"]`` times when only
+    ``vals[0]`` is, and not at all otherwise: a rule that sees only which
+    read values are equal, so every color permutation keeps it."""
+    out = []
+    for c in range(3):
+        if c not in vals:
+            out += [c] * times["new"]
+        elif c == vals[0] and c not in vals[1:]:
+            out += [c] * times["first"]
+    return out
+
+
+def test_frontier_count_takes_a_repeated_value_as_often():
+    # a path of colorings that repeats values, at positions read later
+    # (1, 2) and at one read by none (3): the plain DP, the swap and the
+    # swap with the pin count each repeat, and the equivariance checks
+    # compare the repeats as multisets
+    plan = [([], lambda vals: (0,)),
+            ([0], partial(_repeated, {"new": 2, "first": 0})),
+            ([0, 1], partial(_repeated, {"new": 3, "first": 1})),
+            ([1, 2], partial(_repeated, {"new": 2, "first": 5}))]
+    want = _weighted(plan)
+    # two colors twice at 1, then the new color three times or 0 once at
+    # 2, then at 3 the new color twice or position 1's five times
+    assert want == 2 * 2 * (3 + 1) * (2 + 5)
+    assert frontier_count(plan) == frontier_count(plan, bits=4) == want
+    assert swap_counted(plan) == rotate_counted(plan) == want
+
+
+def test_repeats_that_break_sigma_are_caught():
+    # position 1 lists 0 once after a 2 and three times after a 1: the
+    # same set, so only a multiset comparison sees that sigma is broken,
+    # and the swap, asking only after the 2, undercounts
+    plan = [([], lambda vals: (1, 2)),
+            ([0], lambda vals: (0,) * (3 if vals == (1,) else 1))]
+    assert frontier_count(plan) == _weighted(plan) == 4
+    assert frontier_count(plan, swap=True) == 2
+    assert set(plan[1][1]((1,))) == set(plan[1][1]((2,)))
+    with pytest.raises(AssertionError):
+        swap_counted(plan)
