@@ -162,12 +162,15 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     colorings that cross every crease of the pattern (else it is 0) and
     pass, as ``search.checked`` checks, each crossing edge's
     ``_same_step`` with its crease's last crossing edge, in edge order,
-    then each interior vertex's crimp check (``oracle._crimp_checks``) on
-    its creases' last crossing edges: those whose image is in M(cp) and
-    round trip is consistent. Swapping colors 1 and 2 negates every step
-    and keeps each schedule's verdict, and rotating the colors keeps every
-    step, so this DP, like ``count_colorings``, keeps one state for each
-    frontier and its images under the six color permutations.
+    then each interior vertex's cone test (``oracle._crimp_checks``),
+    which reads the steps of its creases' last crossing edges as color
+    differences and looks them up in the cone's full table: those whose
+    image is in M(cp) and round trip is consistent. Swapping colors 1 and
+    2 negates every step and keeps each table's verdict, since every
+    crimp schedule is symmetric under the flip, and rotating the colors
+    keeps every step, so this DP, like ``count_colorings``, keeps one
+    state for each frontier and its images under the six color
+    permutations.
 
     The second is the number of pairs of colorings with equal images:
     ``n_col`` exactly when no two share one. When the first count is
@@ -498,7 +501,7 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     whether or not the oracle's search passes ``cap``.
     """
     plan = _Plan(g)
-    count = oracle._first_assignments(cp, 0)[2]
+    count = oracle._count(cp)
     vertex_order = _min_frontier_order(g)
     search = _plan(g, vertex_order)
     n_col = frontier_count(search, swap=True, rotate=True)
@@ -531,11 +534,11 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
     its ImproperColoring), its key must be in M and new, and it must
     lift back to itself. A key is in M if it is listed or, where the
     listing stopped at ``cap``, if it crosses every crease and each
-    interior vertex's crimp schedule passes it. Where the crossing edges
-    span the graph, a coloring whose key is in M and new and whose
-    crossing edges take their creases' steps lifts back with no lift
-    (``_Plan.lifts_back``). Then each listed assignment no coloring mapped
-    to must lift and map back."""
+    interior vertex's table lists it (``_crimp_test``). Where the
+    crossing edges span the graph, a coloring whose key is in M and new
+    and whose crossing edges take their creases' steps lifts back with no
+    lift (``_Plan.lifts_back``). Then each listed assignment no coloring
+    mapped to must lift and map back."""
     order, found, count = oracle._first_assignments(cp, cap)
     listed = set(found)
     crimps = _crimp_test(cp, order)
@@ -596,10 +599,11 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
 
 def _crimp_test(cp: CreasePattern, order: list[str]):
     """The test ``_exact_pass`` puts to a key that the oracle's listing
-    lacks: a step per crease of ``order``, none 0, passes it where it
-    passes the crimp check of every interior vertex
-    (``oracle._crimp_checks``, each crease's place its key index), as in
-    ``oracle.is_locally_valid``. The checks are built once for all keys."""
+    lacks: a step per crease of ``order``, none 0, passes it where every
+    interior vertex's full table lists its steps (``oracle._crimp_checks``,
+    each crease's place its key index), the valid assignments that
+    ``oracle.is_locally_valid`` accepts. The checks are built once for all
+    keys."""
     pos = {c: i for i, c in enumerate(order)}
     checks = oracle._crimp_checks(oracle._cones(cp), lambda c: (pos[c],))
     return lambda key: all(test(key, places) for places, test in checks)

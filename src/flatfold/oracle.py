@@ -1,35 +1,38 @@
 """Ground truth over whole crease patterns, independent of SAW graphs.
 
-The oracle has two plans of ``search``, over the same vertex sweep
-(interior vertices sorted by exact coordinate along the axis that gives
-the narrower frontier, each vertex's creases counterclockwise). A value is
-a color step (``cp.STEP_OF_MV``): 1 for mountain, 2 for valley.
+The oracle builds its plans of ``search`` in one place, ``_plan``, over a
+vertex sweep (interior vertices sorted by exact coordinate along the axis
+that gives the narrower frontier, each vertex's creases
+counterclockwise). A value is a color step (``cp.STEP_OF_MV``): 1 for
+mountain, 2 for valley. Each cone is checked at its last placed crease
+by one test, ``_cone_test``, which reads the cone's table: how many valid
+assignments of the cone (lifted through its crimp schedule once per cone
+shape and placed creases) give its placed creases each tuple of steps.
 
-* The *listing plan* (``_search_plan``) places every crease. The crease
-  that completes an interior vertex reads that vertex's other creases and
-  takes only the values that pass its single-vertex crimp schedule.
-  ``_first_assignments`` runs it through ``search.depth_first`` and stops
-  past its cap; it keeps each assignment as ``bytes``, one step per
-  crease in search order. ``enumerate_locally_valid`` turns those keys
-  into witness dicts, and ``coloring._exact_pass`` uses them as its
-  assignment keys as they are.
-* The *count plan* (``_count_plan``) places only the creases with two
-  interior ends. A crease with one interior end is constrained by that
-  vertex alone, so it is summed out of the vertex's table: how many valid
-  assignments of the cone (lifted through its crimp schedule once per
-  cone shape and placed creases) give its placed creases each tuple of
-  steps. The crease
-  that completes a vertex's placed creases takes each value once per
-  count in the table, a repeat ``search.frontier_count`` counts as often.
-  A crease with no interior end doubles the count, and a vertex with no
-  placed crease multiplies it by its single-vertex count.
+* The *listing plan* (``_plan(cp, every=True)``) places every crease, so
+  each table lists a cone's valid assignments once each and a cone's
+  test passes once or not at all. ``_first_assignments`` runs it through
+  ``search.depth_first`` and stops past its cap; it keeps each
+  assignment as ``bytes``, one step per crease in search order.
+  ``enumerate_locally_valid`` turns those keys into witness dicts, and
+  ``coloring._exact_pass`` uses them as its assignment keys as they are.
+* The *count plan* (``_plan(cp, every=False)``) places only the creases
+  with two interior ends. A crease with one interior end is constrained
+  by that vertex alone, so it is summed out of the vertex's table: the
+  crease that completes a vertex's placed creases takes each value once
+  per valid completion, a repeat ``search.frontier_count`` counts as
+  often. A crease with no interior end doubles the count, and a vertex
+  with no placed crease multiplies it by its single-vertex count.
 
-``count_locally_valid``, and ``_first_assignments`` at a cap of 0 or less
-or once the cap is passed, count by the frontier DP over the count plan,
-so the cost follows the frontier width, not the count; the
+``_crimp_checks`` puts the same test, over each cone's full table, to
+other plans: a crease's step is read at its one place, or as the color
+difference at its two (``coloring._certificates`` and ``_crimp_test``).
+``count_locally_valid``, and ``_first_assignments`` at a cap of 0 or
+less or once the cap is passed, count by the frontier DP over the count
+plan, so the cost follows the frontier width, not the count; the
 mountain-valley flip maps M onto itself, so the DP keeps one state for
 each frontier and its flip. ``coloring.verify_bijection`` reads only the
-count. Counts are exact Python ints (arbitrary precision).
+count (``_count``). Counts are exact Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from itertools import islice
 
 from .cp import MV_OF_STEP, STEP_OF_MV, ConeVertex, CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
-from .single_vertex import _check_values, _lift, _schedule, kawasaki_check
+from .single_vertex import _lift, _schedule, count_single_vertex_mv, kawasaki_check
 from .search import checked, depth_first, frontier_count, frontier_width
 
 DEFAULT_BRUTE_LIMIT = 40
@@ -76,40 +79,57 @@ def _cones(cp: CreasePattern) -> dict[str, ConeVertex]:
     return cones
 
 
-def _search_plan(cp: CreasePattern):
-    """The listing plan: the crease order of a vertex sweep over every
-    crease (``_narrower_sweep``), so the frontier is one row of vertices
-    across the narrower side of the pattern, and its plan
-    (``_crease_plan``)."""
+def _plan(cp: CreasePattern, every: bool):
+    """The crease order of a vertex sweep, its plan of ``search`` and the
+    factor the plan's count is multiplied by: the listing plan if
+    ``every``, which places every crease, else the count plan, which
+    places only the creases with two interior ends (module docstring).
+
+    Each placed crease takes step 1 or 2. A cone is checked at its last
+    placed crease by ``_cone_test`` of its table (``_table``, built once
+    per call): a cone with every crease placed passes once or not at all,
+    any other once per valid completion of its other creases, each of
+    which has this cone as its only interior end. A cone with no placed
+    crease multiplies the factor by its single-vertex count, and an
+    unplaced crease with no interior end by 2. The sweep's axis is chosen
+    by the plan's own frontier width (``_narrower_sweep``)."""
     cones = _cones(cp)
-    return _narrower_sweep(cp, cones, partial(_crease_plan, cones))
+    placed = {c for c, (a, b) in cp.creases.items() if every or a in cones and b in cones}
+    factor = 2 ** sum(a not in cones and b not in cones
+                      for c, (a, b) in cp.creases.items() if c not in placed)
+    tables = []
+    for cone in cones.values():
+        idx = tuple([i for i, c in enumerate(cone.crease_ids) if c in placed])
+        if idx:
+            tables.append(([cone.crease_ids[i] for i in idx], _table(cone.scaled, idx)))
+        else:
+            factor *= count_single_vertex_mv(cone)
+
+    def plan_of(order):
+        pos = {c: i for i, c in enumerate(order)}
+        checks = [([pos[c] for c in ids], partial(_cone_test, table, 1)) for ids, table in tables]
+        return checked([([], _either_step)] * len(order), checks)
+
+    return *_narrower_sweep(cp, cones, plan_of, placed), factor
 
 
-def _narrower_sweep(cp: CreasePattern, cones: dict[str, ConeVertex], plan_of, placed=None):
+def _narrower_sweep(cp: CreasePattern, cones: dict[str, ConeVertex], plan_of, placed: set[str]):
     """The crease order of a vertex sweep and its plan ``plan_of(order)``,
     on the axis whose plan has the smaller ``search.frontier_width``, x on
     a tie. The sweep takes the vertices of ``cones`` by exact coordinate
     (their integer copies, ``CreasePattern.lattice``, which sort as the
     Fractions do), x then y or y then x, and each vertex's creases in
-    turn, counterclockwise. The order lists each crease once: those in
-    ``placed``, or with no ``placed`` every crease, the ones no vertex has
-    last in id order."""
+    ``placed`` in turn, counterclockwise. The order lists each crease of
+    ``placed`` once: the swept ones, then those no vertex holds in id
+    order."""
     at = cp.lattice
     sweeps = []
     for key in (at.__getitem__, lambda v: at[v][::-1]):   # x then y, y then x
-        swept = [c for v in sorted(cones, key=key) for c in cones[v].crease_ids]
-        swept = swept + sorted(cp.creases) if placed is None else [c for c in swept if c in placed]
+        swept = [c for v in sorted(cones, key=key) for c in cones[v].crease_ids if c in placed]
         order = list(dict.fromkeys(swept))
+        order += sorted(placed.difference(order))
         sweeps.append((order, plan_of(order)))
     return min(sweeps, key=lambda sweep: frontier_width(sweep[1]))
-
-
-def _crease_plan(cones: dict[str, ConeVertex], order: list[str]) -> list:
-    """The plan over ``order``, which lists every crease once: each crease
-    takes step 1 or 2, checked by the crimp check of each cone of
-    ``cones`` that it completes (``_crimp_checks``)."""
-    pos = {c: i for i, c in enumerate(order)}
-    return checked([([], _either_step)] * len(order), _crimp_checks(cones, lambda c: (pos[c],)))
 
 
 def _either_step(vals) -> tuple[int, int]:
@@ -117,37 +137,54 @@ def _either_step(vals) -> tuple[int, int]:
     return (1, 2)
 
 
+@lru_cache(maxsize=4096)
+def _table(scaled: tuple[int, ...], idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """How many valid assignments of a cone with these scaled angles
+    (``single_vertex._lift``) give its creases at ``idx`` each tuple of
+    steps; with every crease at ``idx``, each valid tuple once. Cached per
+    angle tuple and ``idx``, like ``_schedule``, so every caller shares
+    the dict: read it only."""
+    table: dict[tuple[int, ...], int] = {}
+    for row in _lift(_schedule(scaled), len(scaled)):
+        key = tuple([STEP_OF_MV[row[i]] for i in idx])
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def _cone_test(table: dict, width: int, vals, places: list[int]) -> int:
+    """A test of ``search.checked``: how many times the cone's ``table``
+    lists the steps at ``places`` of ``vals``. A crease's step is the
+    value at its one place (``width`` 1), or the difference (head - tail)
+    mod 3 of the colors at its two."""
+    if width == 1:
+        key = tuple([vals[k] for k in places])
+    else:
+        key = tuple([(vals[v] - vals[u]) % 3 for u, v in zip(places[::2], places[1::2])])
+    return table.get(key, 0)
+
+
 def _crimp_checks(cones: dict[str, ConeVertex], places_of) -> list:
     """Each cone of ``cones`` as a check of ``search.checked``: the places
-    of its creases in turn, ``places_of(crease)`` each, and ``_crimp`` of
-    its crimp schedule. A crease has one place, which holds its step, or
-    two, which hold the colors at the tail and head of a crossing edge."""
+    of its creases in turn, ``places_of(crease)`` each, and ``_cone_test``
+    of its full table, which passes once or not at all. A crease has one
+    place, which holds its step, or two, which hold the colors at the tail
+    and head of a crossing edge."""
     checks = []
     for cone in cones.values():
         places = [k for c in cone.crease_ids for k in places_of(c)]
-        checks.append((places, partial(_crimp, _schedule(cone.scaled), len(places) // cone.degree)))
+        table = _table(cone.scaled, tuple(range(cone.degree)))
+        checks.append((places, partial(_cone_test, table, len(places) // cone.degree)))
     return checks
 
 
-def _crimp(sched, width: int, vals, places: list[int]) -> bool:
-    """Whether the steps at ``places`` of ``vals`` pass the crimp schedule
-    ``sched``: a crease's step is the value at its one place (``width``
-    1), or the difference (head - tail) mod 3 of the colors at its two."""
-    if width == 1:
-        signs = [MV_OF_STEP[vals[k]] for k in places]
-    else:
-        signs = [MV_OF_STEP[(vals[v] - vals[u]) % 3] for u, v in zip(places[::2], places[1::2])]
-    return _check_values(sched, signs)
-
-
 def _first_assignments(cp: CreasePattern, cap: int):
-    """The search plan's crease order; the first ``cap`` assignments of
+    """The listing plan's crease order; the first ``cap`` assignments of
     its depth-first search, which stops at assignment ``cap + 1`` (none
     runs at a cap of 0 or less), each as ``bytes`` with one step per crease
     in that order (1 = mountain, 2 = valley); and the count, from the
     count plan's frontier DP (``_count``) once the cap is passed, which it
     is exactly when the count exceeds ``max(cap, 0)``."""
-    order, plan = _search_plan(cp)
+    order, plan, _ = _plan(cp, True)
     if cap <= 0:
         return order, [], _count(cp)
     found = list(map(bytes, islice(depth_first(plan), cap + 1)))
@@ -156,71 +193,19 @@ def _first_assignments(cp: CreasePattern, cap: int):
     return order, found, count
 
 
-def _count_plan(cp: CreasePattern):
-    """The count plan: the creases with two interior ends in the order of
-    a vertex sweep, the plan of ``search`` over them, and the factor the
-    plan's count is multiplied by.
-
-    Each crease takes step 1 or 2. A cone is checked where its last such
-    crease is placed, by ``_completions`` of its table (``_table``): the
-    value is listed once per valid completion of the cone's other
-    creases, each of which has this cone as its only interior end. A
-    crease with no interior end multiplies the factor by 2, and a cone
-    with no crease of the plan by its table's single entry. The sweep is
-    ``_search_plan``'s over these creases alone, its axis chosen by this
-    plan's own frontier width (``_narrower_sweep``)."""
-    cones = _cones(cp)
-    inner = {c for c, (a, b) in cp.creases.items() if a in cones and b in cones}
-    factor = 2 ** sum(a not in cones and b not in cones for a, b in cp.creases.values())
-    tables = []
-    for cone in cones.values():
-        idx = tuple([i for i, c in enumerate(cone.crease_ids) if c in inner])
-        table = _table(cone.scaled, idx)
-        if idx:
-            tables.append(([cone.crease_ids[i] for i in idx], table))
-        else:
-            factor *= table[()]
-
-    def plan_of(order):
-        pos = {c: i for i, c in enumerate(order)}
-        checks = [([pos[c] for c in ids], partial(_completions, table)) for ids, table in tables]
-        return checked([([], _either_step)] * len(order), checks)
-
-    return *_narrower_sweep(cp, cones, plan_of, inner), factor
-
-
-@lru_cache(maxsize=4096)
-def _table(scaled: tuple[int, ...], idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """How many valid assignments of a cone with these scaled angles
-    (``single_vertex._lift``) give its creases at ``idx`` each tuple of
-    steps. Cached per angle tuple and ``idx``, like ``_schedule``, so every
-    caller shares the dict: read it only."""
-    table: dict[tuple[int, ...], int] = {}
-    for row in _lift(_schedule(scaled), len(scaled)):
-        key = tuple([STEP_OF_MV[row[i]] for i in idx])
-        table[key] = table.get(key, 0) + 1
-    return table
-
-
-def _completions(table: dict, vals, places: list[int]) -> int:
-    """A count test of ``search.checked``: how many times ``table`` lists
-    the steps at ``places`` of ``vals``."""
-    return table.get(tuple([vals[k] for k in places]), 0)
-
-
 def _count(cp: CreasePattern) -> int:
     """|M(cp)|: the count plan's factor times its frontier DP's count,
     with one state for each frontier and its flip."""
-    _, plan, factor = _count_plan(cp)
+    _, plan, factor = _plan(cp, False)
     return factor * frontier_count(plan, swap=True)
 
 
 def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000) -> LocalValidityReport:
     """Exact count plus the first ``cap`` witness assignments.
 
-    Witnesses come in depth-first order over the vertex sweep of
-    ``_search_plan``, each crease trying step 1 (mountain, +1) before
-    step 2 (valley, -1): one dict per assignment key of
+    Witnesses come in depth-first order over the vertex sweep of the
+    listing plan (``_plan``), each crease trying step 1 (mountain, +1)
+    before step 2 (valley, -1): one dict per assignment key of
     ``_first_assignments``, the keys ``coloring._exact_pass`` uses too,
     its steps read through ``cp.MV_OF_STEP``. The search stops once it finds
     assignment ``cap + 1``; then ``cap_exceeded`` is set and ``count``

@@ -9,8 +9,10 @@ neighbours (``coloring``); a crease reads the other creases of the
 vertices it completes (``oracle``). Both functions call ``allowed`` at most
 once per position and distinct ``vals``. ``checked`` adds local tests to a
 plan, each at the last place it reads, which then also reads the test's
-other places: the oracle's crimp checks, and the round-trip certificate's
-equal-step and crimp checks (``coloring._certificates``), are built so.
+other places. The oracle's one cone test (``oracle._cone_test``), which
+looks a cone's steps up in its table, is attached so to both crease plans
+and to the round-trip certificate (``coloring._certificates``), with
+that certificate's equal-step checks.
 
 ``allowed`` may list a value k times: ``frontier_count`` then counts the
 assignments through it k times, as if each repeat were a value of its

@@ -13,7 +13,7 @@ Conventions (used consistently across the library):
 * The validity check, the count, the enumeration and niceness all read
   the crimp schedule (``_schedule``, cached per scaled angle tuple); only
   the SAW construction walks the intermediate cones of ``crimp_trace``.
-  The enumeration and the oracle's count tables lift through it
+  The enumeration and the oracle's cone tables lift through it
   (``_lift``).
 * Kawasaki's test, the minimal runs and the crimp recursion read each
   cone's integer-scaled angles (``ConeVertex.scaled``): its angles times

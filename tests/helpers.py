@@ -10,7 +10,7 @@ from functools import partial
 
 from flatfold import coloring, oracle, patternio
 from flatfold.coloring import BijectionReport
-from flatfold.cp import ConeVertex, Face, build_crease_pattern, cone_at
+from flatfold.cp import MV_OF_STEP, ConeVertex, Face, build_crease_pattern, cone_at
 from flatfold.errors import (
     AllAnglesEqual,
     AmbiguousCompletion,
@@ -24,8 +24,8 @@ from flatfold.generators import modified_miura, snake, triangle_twist
 from flatfold.geometry import ANGLE_KEY, on_segment, orient, polygon_signed_area2, primitive
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.saw import SawGraph, insert_prism, negate_orientations, single_vertex_saw
-from flatfold.search import frontier_count, frontier_width
-from flatfold.single_vertex import CrimpStep, CrimpTrace, MinRun
+from flatfold.search import checked, frontier_count, frontier_width
+from flatfold.single_vertex import CrimpStep, CrimpTrace, MinRun, _check_values, _schedule
 from flatfold.tiling import _bound, _merge_vertex
 
 
@@ -324,12 +324,14 @@ _STAR_ENDS = {
     6: [(4, 0), (2, 4), (-2, 4), (-4, 0), (-2, -4), (2, -4)],
     10: [(4, 0), (4, 1), (4, 2), (2, 4), (-1, 4), (-4, 0), (-4, -1), (-4, -3),
          (-2, -4), (1, -4)],
+    16: [(4, 0), (4, 1), (4, 3), (3, 4), (1, 4), (-1, 4), (-3, 4), (-4, 3),
+         (-4, 1), (-4, -1), (-4, -3), (-3, -4), (-1, -4), (1, -4), (3, -4), (4, -3)],
 }
 
 
 def star_pattern(angles):
     """One interior vertex v0 at the centre of a square, with a crease to
-    the boundary per declared sector angle (degree 4, 6 or 10)."""
+    the boundary per declared sector angle (degree 4, 6, 10 or 16)."""
     ends = _STAR_ENDS[len(angles)]
     return build_crease_pattern(
         vertices={"v0": (0, 0)},
@@ -357,14 +359,26 @@ def sweep_order(cp, axis: int) -> list[str]:
 
 
 def oracle_plan(cp, order: list[str]) -> list:
-    """The oracle's crease search plan over a fixed crease order, which
-    lists every crease once, in place of the vertex sweep."""
+    """The oracle's listing plan over a fixed crease order, which lists
+    every crease once, in place of the vertex sweep, its checks built
+    independently of the oracle's tables: each crease takes step 1 or 2,
+    and each interior vertex is checked at its last crease by walking its
+    crimp schedule (``single_vertex._check_values``)."""
     assert sorted(order) == sorted(cp.creases)
-    return oracle._crease_plan(oracle._cones(cp), order)
+    pos = {c: i for i, c in enumerate(order)}
+    checks = [([pos[c] for c in cone.crease_ids], partial(_schedule_passes, _schedule(cone.scaled)))
+              for cone in oracle._cones(cp).values()]
+    return checked([([], lambda vals: (1, 2))] * len(order), checks)
+
+
+def _schedule_passes(sched, vals, places: list[int]) -> bool:
+    """Whether the steps at ``places`` of ``vals`` pass the crimp schedule
+    ``sched``."""
+    return _check_values(sched, [MV_OF_STEP[vals[k]] for k in places])
 
 
 def reference_search_plan(cp):
-    """``oracle._search_plan`` as it was before it chose the axis by its
+    """The oracle's listing plan as it was before it chose the axis by its
     reads alone: both sweeps' full plans, the narrower kept, x on a tie."""
     cones = oracle._cones(cp)
     plans = []

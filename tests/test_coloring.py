@@ -705,7 +705,7 @@ def test_verify_bijection_matches_reference(case):
     # _LIFTS colorings. Any other report comes from the exact pass, which
     # lists M
     if isinstance(got, BijectionReport):
-        assert caps == ([0] if got.ok else [0, cap])
+        assert caps == ([] if got.ok else [cap])
     if isinstance(got, BijectionReport) and got.ok:
         assert len(lifted) <= (0 if spans else coloring._LIFTS)
     if isinstance(want, tuple):
@@ -840,6 +840,8 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
             return order, [k for k in found if k != key], count - 1
 
         monkeypatch.setattr(oracle, "_first_assignments", without)
+        count_mv = oracle._count
+        monkeypatch.setattr(oracle, "_count", lambda cp: count_mv(cp) - 1)
     monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: list(colorings))
     want = reference_verify_bijection(cp, g)
     reason = {"outside": "coloring maps outside M", "lift-fails": "mv_to_coloring failed",
@@ -851,7 +853,7 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
         return
     caps = _recorded_caps(monkeypatch)
     assert verify_bijection(cp, g) == want
-    assert caps == [0, 200000]
+    assert caps == [200000]
 
 
 @pytest.mark.parametrize("make, count", [(crane, 93_312), (lambda: miura(5, 5), 193_662)],
@@ -894,7 +896,7 @@ def test_verify_bijection_refuses_a_mutant_past_a_block(monkeypatch, how):
     assert into_m < 2604 and pairs == 2604
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [200000]
     assert not report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -922,7 +924,7 @@ def test_verify_bijection_lifts_a_sample_past_a_block(monkeypatch):
     monkeypatch.setattr(coloring._Plan, "lift", planted)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [200000]
     assert report.first_counterexample == ("mv_to_coloring failed", "planted")
     assert report == reference_verify_bijection(cp, g)
 
@@ -963,7 +965,7 @@ def test_verify_bijection_refuses_a_planted_lift_in_the_sample(monkeypatch, how,
     monkeypatch.setattr(coloring._Plan, "lift", planted)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [200000]
     assert not report.ok and not report.round_trip_ok
     reason = "mv_to_coloring failed" if how == "lift-fails" else "round trip mismatch"
     assert report.first_counterexample[0] == reason
@@ -1104,7 +1106,7 @@ def test_verify_bijection_refusal_memory():
 def test_verify_bijection_stops_the_search_at_cap(monkeypatch):
     # as in test_oracle's test_capped_search_stops_at_cap: the oracle
     # counts M without walking it, before the colorings pass the cap; its
-    # vertex checks are crimp schedules and count-plan table reads
+    # vertex checks are the count plan's cone tests
     calls = _count_checks(monkeypatch)
     cp = crane()
     with pytest.raises(CapExceeded):
@@ -1157,7 +1159,7 @@ def test_verify_bijection_certifies_without_enumerating_m(monkeypatch, make):
     g = tile(cp)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0]
+    assert caps == []
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -1182,7 +1184,7 @@ def test_verify_bijection_lists_m_when_an_assignment_is_unmapped(monkeypatch, ma
     cp, g = make()
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0, 200000]
+    assert caps == [200000]
     assert not report.ok
     if make is not invalid_joined_twist_saw:
         assert report.count_mv == report.count_colorings == 82
@@ -1218,7 +1220,7 @@ def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
     g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0]
+    assert caps == []
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -1237,7 +1239,7 @@ def test_verify_bijection_certifies_a_foreign_crease_past_a_block(monkeypatch, m
     caps = _recorded_caps(monkeypatch)
     lifted = _recorded_lifts(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0]
+    assert caps == []
     assert report.ok and report.count_colorings > coloring._BLOCK
     assert lifted == ([] if coloring._Plan(g).spans else _sample_steps(g))
     assert report == reference_verify_bijection(cp, g)
@@ -1265,6 +1267,6 @@ def test_verify_bijection_past_the_table_degree(monkeypatch):
     g = tile(cp)
     caps = _recorded_caps(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [0]
+    assert caps == []
     assert report.ok and report.count_mv == 32
     assert report == reference_verify_bijection(cp, g)

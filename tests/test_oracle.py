@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,10 +20,11 @@ from flatfold.cp import MV_OF_STEP, cone_at
 from flatfold.errors import KawasakiViolation, LimitExceeded
 from flatfold.generators import PatternSpec, crane, miura, snake, triangle_twist
 from flatfold.search import depth_first, frontier_count, frontier_width
+from flatfold.single_vertex import _check_values, _schedule
 from flatfold.tiling import tile
 
 from .helpers import (grid_saw, oracle_plan, reference_search_plan, replayed_width,
-                      small_pattern, swap_counted, sweep_order, vertex_id_order)
+                      small_pattern, star_pattern, swap_counted, sweep_order, vertex_id_order)
 from .test_tiling import strip_of_units, x_and_chords
 
 
@@ -124,7 +126,7 @@ def test_sweep_matches_colorings_on_large_miura(n, count):
                          ids=["crane", "miura-5x5", "snake-6x6", "miura-10x10"])
 def test_sweep_plan_widths(make, width):
     cp = make()
-    plan = oracle._search_plan(cp)[1]
+    plan = oracle._plan(cp, True)[1]
     assert frontier_width(plan) == replayed_width(plan) == width
     old = oracle_plan(cp, vertex_id_order(cp))
     assert replayed_width(old) > width
@@ -137,9 +139,9 @@ def test_sweep_takes_the_narrower_axis():
     widths = [replayed_width(oracle_plan(cp, sweep_order(cp, axis)))
               for axis in (0, 1)]
     assert widths == [18, 11]
-    assert oracle._search_plan(cp)[0] == sweep_order(cp, 1)
+    assert oracle._plan(cp, True)[0] == sweep_order(cp, 1)
     cp = crane()
-    assert oracle._search_plan(cp)[0] == sweep_order(cp, 0)
+    assert oracle._plan(cp, True)[0] == sweep_order(cp, 0)
     assert replayed_width(oracle_plan(cp, sweep_order(cp, 1))) == 7
 
 
@@ -152,7 +154,7 @@ def test_sweep_axis_chosen_by_reads_keeps_the_full_plans_choice():
     patterns += [small_pattern("modified-miura", m, n, seed)
                  for m, n in [(3, 5), (5, 3), (6, 6)] for seed in range(3)]
     for cp in patterns:
-        order, plan = oracle._search_plan(cp)
+        order, plan, _ = oracle._plan(cp, True)
         want_order, want_plan = reference_search_plan(cp)
         assert order == want_order
         assert [reads for reads, _ in plan] == [reads for reads, _ in want_plan]
@@ -175,7 +177,7 @@ def test_sweep_sorts_the_integer_lattice_as_the_coordinates():
                  for m, n in [(2, 6), (6, 2), (7, 7)] for seed in range(10)]
     for cp in patterns:
         assert all(type(c) is int for p in cp.lattice.values() for c in p)
-        order, plan = oracle._search_plan(cp)
+        order, plan, _ = oracle._plan(cp, True)
         want_order, want_plan = reference_search_plan(cp)
         assert order == want_order
         assert [reads for reads, _ in plan] == [reads for reads, _ in want_plan]
@@ -201,11 +203,11 @@ def _count_plan_count(cp, seed: int = 0, shuffled: bool = True) -> int:
     vertices in a seeded random order, each one's creases in turn, then
     the rest; a random crease order is too wide to count on the crane)."""
     count = oracle._count(cp)
-    order, plan, factor = oracle._count_plan(cp)
+    order, plan, factor = oracle._plan(cp, False)
     inner = [c for c, ends in cp.creases.items() if set(ends) <= cp.vertices.keys()]
     assert sorted(order) == sorted(inner) and len(plan) == len(inner)
     assert factor * swap_counted(plan) == count
-    assert count == frontier_count(oracle._search_plan(cp)[1], swap=True)
+    assert count == frontier_count(oracle._plan(cp, True)[1], swap=True)
     if shuffled:
         vertices = sorted(cp.vertices)
         random.Random(seed).shuffle(vertices)
@@ -220,17 +222,17 @@ def test_count_plan_without_a_position(n):
     # a snake one cell high has no interior vertex: every crease runs from
     # boundary to boundary and only doubles the factor
     cp = snake(1, n)
-    assert oracle._count_plan(cp)[1:] == ([], 2 ** (n - 1))
+    assert oracle._plan(cp, False)[1:] == ([], 2 ** (n - 1))
     assert _count_plan_count(cp) == 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("case, count", [(((1,), (3,), 4), 16), (((1, 5), (), 6), 64),
                                          (((1, 5), (3,), 6), 128)])
 def test_count_plan_of_lone_cones_and_chords(case, count):
-    # X's sharing no crease: each cone's table has one entry, its count,
-    # and each chord doubles the factor
+    # X's sharing no crease: each cone has no placed crease and multiplies
+    # the factor by its count, and each chord doubles it
     cp = x_and_chords(*case)
-    assert oracle._count_plan(cp)[1:] == ([], count)
+    assert oracle._plan(cp, False)[1:] == ([], count)
     assert _count_plan_count(cp) == count
 
 
@@ -257,9 +259,50 @@ def test_count_plan_matches_the_listing_plan_on_seeded_patterns(kind, m, n, seed
                          ids=["crane", "miura-5x5", "snake-6x6", "miura-10x10"])
 def test_count_plan_is_no_wider_than_the_listing_plan(make):
     cp = make()
-    plan = oracle._count_plan(cp)[1]
+    plan = oracle._plan(cp, False)[1]
     assert frontier_width(plan) == replayed_width(plan)
-    assert frontier_width(plan) <= frontier_width(oracle._search_plan(cp)[1])
+    assert frontier_width(plan) <= frontier_width(oracle._plan(cp, True)[1])
+
+
+def test_count_plan_takes_a_cone_without_a_position_in_closed_form(monkeypatch):
+    # a lone all-equal vertex of degree 16 has no crease with two interior
+    # ends: its count, 2 * C(16, 7), comes from the crimp schedule, and no
+    # table is lifted over no placed crease to count its rows
+    idxs = []
+    table = oracle._table
+    monkeypatch.setattr(oracle, "_table", lambda scaled, idx: idxs.append(idx) or table(scaled, idx))
+    cp = star_pattern([Fraction(45, 2)] * 16)
+    assert oracle._plan(cp, False)[1:] == ([], 22_880)
+    assert count_locally_valid(cp) == 22_880
+    assert () not in idxs
+
+
+def test_the_cone_test_reads_steps_and_colors_as_the_crimp_schedule():
+    # every cone shape of these patterns (degrees 4 and 6, and a degree-10
+    # star with runs of several lengths), on every step tuple: the cone
+    # test on the steps at one place each, on colors whose head - tail
+    # differences are those steps at two places each, and the crimp
+    # schedule walk on the matching signs give one answer; a full table
+    # lists each valid assignment once
+    patterns = [crane(), miura(3, 3), snake(3, 3)] + [triangle_twist(k) for k in (1, 2, 3)]
+    patterns += [small_pattern("modified-miura", m, n, seed)
+                 for m, n in [(3, 4), (4, 5)] for seed in range(4)]
+    patterns.append(star_pattern((10, 20, 30, 40, 80) * 2))
+    shapes = {cone.scaled: cone for cp in patterns for cone in oracle._cones(cp).values()}
+    rng = random.Random(7)
+    for scaled, cone in shapes.items():
+        d = cone.degree
+        table = oracle._table(scaled, tuple(range(d)))
+        assert set(table.values()) == {1} and len(table) == count_single_vertex_mv(cone)
+        at = {c: i for i, c in enumerate(cone.crease_ids)}
+        [(places, by_step)] = oracle._crimp_checks({"v": cone}, lambda c: (at[c],))
+        [(pairs, by_color)] = oracle._crimp_checks({"v": cone}, lambda c: (2 * at[c], 2 * at[c] + 1))
+        assert places == list(range(d)) and pairs == list(range(2 * d))
+        for steps in product((1, 2), repeat=d):
+            tails = [rng.randrange(3) for _ in steps]
+            colors = tuple(c for t, s in zip(tails, steps) for c in (t, (t + s) % 3))
+            want = _check_values(_schedule(scaled), [MV_OF_STEP[s] for s in steps])
+            assert by_step(steps, places) == by_color(colors, pairs) == int(want), (scaled, steps)
 
 
 def test_limit_exceeded():
@@ -321,16 +364,16 @@ def test_witness_order_is_pinned(make, cap, digest):
 
 
 def _count_checks(monkeypatch):
-    """The vertex checks the oracle makes from here on, in one counter:
-    each crimp schedule run on a search plan's steps (``_check_values``)
-    and each table read of the count plan (``_completions``)."""
+    """The vertex checks the oracle makes from here on: each call of its
+    one cone test (``_cone_test``), in the listing plan, the count plan and
+    the checks it lends (``_crimp_checks``)."""
     calls = [0]
-    for name in ("_check_values", "_completions"):
-        def counting(*args, check=getattr(oracle, name)):
-            calls[0] += 1
-            return check(*args)
 
-        monkeypatch.setattr(oracle, name, counting)
+    def counting(*args, check=oracle._cone_test):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(oracle, "_cone_test", counting)
     return calls
 
 
@@ -350,13 +393,13 @@ def test_enumeration_checks_no_more_than_the_count(monkeypatch):
     # both searches ask a crease's rule once per distinct read value, and
     # a full enumeration reads no value the plain DP does not; the count's
     # DP, over the count plan's 24 creases with two interior ends and
-    # quotiented by the mountain-valley flip, reads a cone's table for one
-    # read value of each flipped pair and runs no crimp schedule
+    # quotiented by the mountain-valley flip, tests a cone for one read
+    # value of each flipped pair; every test reads the cone's table
     calls = _count_checks(monkeypatch)
     assert count_locally_valid(miura(4, 4)) == 2_604
     assert calls[0] == 50
     calls[0] = 0
-    assert frontier_count(oracle._search_plan(miura(4, 4))[1]) == 2_604
+    assert frontier_count(oracle._plan(miura(4, 4), True)[1]) == 2_604
     counted = calls[0]
     calls[0] = 0
     report = enumerate_locally_valid(miura(4, 4), cap=10 ** 6)

@@ -172,9 +172,9 @@ def test_swap_counts_four_bit_slots():
 
 def test_swap_asks_fewer_checks_on_the_crane(monkeypatch):
     # one read tuple per pair of flipped frontiers: the crane's crease
-    # count asks fewer crimp checks than the plain DP on the same plan
+    # count asks fewer cone tests than the plain DP on the same plan
     calls = _count_checks(monkeypatch)
-    plan = oracle._search_plan(crane())[1]
+    plan = oracle._plan(crane(), True)[1]
     assert frontier_count(plan, swap=True) == 93_312
     asked, calls[0] = calls[0], 0
     assert frontier_count(plan) == 93_312
