@@ -16,13 +16,14 @@ colorings whose image is in M with a consistent round trip, and the
 pairs of colorings with equal images are counted by one more where the
 crossing edges do not already fix every color. When both equal |S| and
 |M|, only the lifts of the first ``_LIFTS`` colorings are checked;
-otherwise every coloring is checked, one at a time, against M as the
-oracle lists it (``_exact_pass``).
+otherwise every coloring is streamed and checked, one at a time, its
+image in M by each cone's full table (``_exact_pass``); the oracle lists
+M only to lift the assignments no coloring maps to.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
@@ -493,8 +494,8 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     listed (``enumerate_colorings``) and the sample is its head, past it
     the sample is all that is searched for. Anything else (a count that
     differs, a sample that fails or raises, a listing of other than
-    |S(g)| colorings) goes to ``_exact_pass``, which gets no listing when
-    |S(g)| is 0.
+    |S(g)| colorings) goes to ``_exact_pass``, which streams S(g)
+    (``_colorings``; nothing when |S(g)| is 0) and holds no list of it.
 
     Raises CapExceeded past ``cap`` colorings, counted before any is
     enumerated, so such a graph is refused without building a coloring,
@@ -507,55 +508,55 @@ def verify_bijection(cp: CreasePattern, g: SawGraph,
     n_col = frontier_count(search, swap=True, rotate=True)
     if n_col > cap:
         raise CapExceeded(f"more than {cap} colorings")
-    colorings = None
     if count == n_col and _certificates(cp, g, vertex_order, search, n_col,
                                         plan.spans) == (n_col, n_col):
         try:
-            colorings = enumerate_colorings(g, cap=cap) if n_col <= _BLOCK else None
-            sample = islice(_colorings(g) if colorings is None else colorings, _LIFTS)
-            certified = ((colorings is None or len(colorings) == n_col)
+            listed = enumerate_colorings(g, cap=cap) if n_col <= _BLOCK else None
+            sample = islice(_colorings(g) if listed is None else listed, _LIFTS)
+            certified = ((listed is None or len(listed) == n_col)
                          and all(plan.lifts_back(plan.colors(s)) for s in sample))
         except Exception:  # noqa: BLE001 - the exact pass reports it
             certified = False
         if certified:
             return BijectionReport(count_mv=count, count_colorings=n_col, counts_match=True,
                                    translation_valid=True, injective=True, round_trip_ok=True)
-    if colorings is None:
-        colorings = enumerate_colorings(g, cap=cap) if n_col else []
-    return _exact_pass(cp, plan, colorings, cap)
+    return _exact_pass(cp, plan, _colorings(g) if n_col else (), count, cap)
 
 
-def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
-                cap: int) -> BijectionReport:
-    """``verify_bijection``'s report from M(cp) as the oracle's search
-    lists it up to ``cap``, keyed as that search gives it (``bytes``, a
-    step per crease in search order), and every coloring of ``colorings``,
-    one at a time in order: its row is checked (``_Plan.colors`` raises
-    its ImproperColoring), its key must be in M and new, and it must
-    lift back to itself. A key is in M if it is listed or, where the
-    listing stopped at ``cap``, if it crosses every crease and each
-    interior vertex's table lists it (``_crimp_test``). Where the
-    crossing edges span the graph, a coloring whose key is in M and new
-    and whose crossing edges take their creases' steps lifts back with no
-    lift (``_Plan.lifts_back``). Then each listed assignment no coloring
-    mapped to must lift and map back."""
-    order, found, count = oracle._first_assignments(cp, cap)
-    listed = set(found)
-    crimps = _crimp_test(cp, order)
-    # a key reads each crease's step in search order (the crease's last
-    # crossing edge's), and a crease no edge crosses reads 0
+def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: Iterable[ThreeColoring],
+                count: int, cap: int) -> BijectionReport:
+    """``verify_bijection``'s report on ``colorings``, taken one at a time
+    in order, and |M(cp)| = ``count``. Each coloring's row is checked
+    (``_Plan.colors`` raises its ImproperColoring); its image must be in M
+    and new, and it must lift back to itself. An image is in M when every
+    pattern crease is crossed and every cone test of
+    ``oracle._crimp_checks`` (the listing plan's full tables) passes on the
+    row; its key, a step per pattern crease in sorted-id order (0 where
+    uncrossed), serves only injectivity and the witness skip. Where the
+    crossing edges span the graph, a new image in M whose crossing edges
+    take their creases' steps lifts back with no lift (``_Plan.lifts_back``).
+    Once a round trip fails nothing more is lifted. While the round trips
+    hold, some assignment is no image and no foreign crease is crossed, the
+    first ``cap`` witnesses of ``oracle._witnesses`` that no coloring maps
+    to must lift and map back."""
+    order = sorted(cp.creases)
     key_at = [plan.crossing.get(c, -1) for c in order]
+    crossed = -1 not in key_at
+    checks = oracle._crimp_checks(oracle._cones(cp), lambda c: plan.arcs[plan.crossing[c]]) \
+        if crossed else []
     hit: set[bytes] = set()         # the keys of images in M(cp)
     outside: set[bytes] = set()     # the keys of the other images
     translation_valid = injective = round_trip = True
     counterexample = None
+    n_col = 0
 
-    for s in colorings:
+    for n_col, s in enumerate(colorings, 1):
         row = plan.colors(s)
         steps = plan.steps_of(row)
         key = bytes([steps[k] if k >= 0 else 0 for k in key_at])
-        seen = hit if key in listed or (len(found) < count and 0 not in key and crimps(key)) else outside
-        if seen is outside:
+        inside = crossed and all(test(row, places) for places, test in checks)
+        seen = hit if inside else outside
+        if not inside:
             translation_valid = False
             counterexample = counterexample or ("coloring maps outside M", s)
         new = key not in seen
@@ -564,8 +565,8 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
             counterexample = counterexample or ("two colorings share an assignment", s)
         seen.add(key)
         want = [steps[k] for _, k in plan.directed]
-        if new and seen is hit and plan.spans and steps == want:
-            continue    # the steps fix every color, so s lifts back to itself
+        if not round_trip or new and inside and plan.spans and steps == want:
+            continue    # a round trip failed before, or the steps fix every color of s
         try:
             back = plan.lift(want)
         except Exception as exc:  # noqa: BLE001 - report, don't raise
@@ -579,31 +580,20 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: list[ThreeColoring],
     # A graph for a transformed pattern crosses creases the pattern lacks,
     # so its witnesses cannot be lifted and are not checked. A witness some
     # coloring produced had its round trip checked above.
-    if len(hit) < count and not plan.crossing.keys() - set(cp.creases):
-        for key in found:
-            if key in hit:
+    if round_trip and len(hit) < count and plan.crossing.keys() <= cp.creases.keys():
+        for m in islice(oracle._witnesses(cp), cap):
+            if bytes([STEP_OF_MV[m[c]] for c in order]) in hit:
                 continue
-            m = {c: MV_OF_STEP[v] for c, v in zip(order, key)}
             try:
-                if plan.round_trip(m) != m:
-                    round_trip = False
-                    counterexample = counterexample or ("assignment round trip", m)
+                if plan.round_trip(m) == m:
+                    continue
+                failure = ("assignment round trip", m)
             except Exception as exc:  # noqa: BLE001
-                round_trip = False
-                counterexample = counterexample or ("assignment does not lift", str(exc))
+                failure = ("assignment does not lift", str(exc))
+            round_trip = False
+            counterexample = counterexample or failure
+            break
     return BijectionReport(
-        count_mv=count, count_colorings=len(colorings), counts_match=count == len(colorings),
+        count_mv=count, count_colorings=n_col, counts_match=count == n_col,
         translation_valid=translation_valid, injective=injective,
         round_trip_ok=round_trip, first_counterexample=counterexample)
-
-
-def _crimp_test(cp: CreasePattern, order: list[str]):
-    """The test ``_exact_pass`` puts to a key that the oracle's listing
-    lacks: a step per crease of ``order``, none 0, passes it where every
-    interior vertex's full table lists its steps (``oracle._crimp_checks``,
-    each crease's place its key index), the valid assignments that
-    ``oracle.is_locally_valid`` accepts. The checks are built once for all
-    keys."""
-    pos = {c: i for i, c in enumerate(order)}
-    checks = oracle._crimp_checks(oracle._cones(cp), lambda c: (pos[c],))
-    return lambda key: all(test(key, places) for places, test in checks)

@@ -11,11 +11,10 @@ shape and placed creases) give its placed creases each tuple of steps.
 
 * The *listing plan* (``_plan(cp, every=True)``) places every crease, so
   each table lists a cone's valid assignments once each and a cone's
-  test passes once or not at all. ``_first_assignments`` runs it through
-  ``search.depth_first`` and stops past its cap; it keeps each
-  assignment as ``bytes``, one step per crease in search order.
-  ``enumerate_locally_valid`` turns those keys into witness dicts, and
-  ``coloring._exact_pass`` uses them as its assignment keys as they are.
+  test passes once or not at all. ``_witnesses`` runs it through
+  ``search.depth_first`` and yields each assignment as a witness dict;
+  ``enumerate_locally_valid`` and ``coloring._exact_pass`` take as many
+  as they need.
 * The *count plan* (``_plan(cp, every=False)``) places only the creases
   with two interior ends. A crease with one interior end is constrained
   by that vertex alone, so it is summed out of the vertex's table: the
@@ -25,13 +24,14 @@ shape and placed creases) give its placed creases each tuple of steps.
   with no placed crease multiplies it by its single-vertex count.
 
 ``_crimp_checks`` puts the same test, over each cone's full table, to
-other plans: a crease's step is read at its one place, or as the color
-difference at its two (``coloring._certificates`` and ``_crimp_test``).
-``count_locally_valid``, and ``_first_assignments`` at a cap of 0 or
-less or once the cap is passed, count by the frontier DP over the count
-plan, so the cost follows the frontier width, not the count; the
-mountain-valley flip maps M onto itself, so the DP keeps one state for
-each frontier and its flip. ``coloring.verify_bijection`` reads only the
+other plans and rows: a crease's step is read at its one place, or as the
+color difference at its two (``coloring._certificates`` and the
+membership rule of ``coloring._exact_pass``). ``count_locally_valid``,
+and ``enumerate_locally_valid`` at a cap of 0 or less (which builds no
+listing plan) or once the cap is passed, count by the frontier DP over
+the count plan, so the cost follows the frontier width, not the count;
+the mountain-valley flip maps M onto itself, so the DP keeps one state
+for each frontier and its flip. ``coloring.verify_bijection`` reads the
 count (``_count``). Counts are exact Python ints (arbitrary precision).
 """
 
@@ -177,20 +177,14 @@ def _crimp_checks(cones: dict[str, ConeVertex], places_of) -> list:
     return checks
 
 
-def _first_assignments(cp: CreasePattern, cap: int):
-    """The listing plan's crease order; the first ``cap`` assignments of
-    its depth-first search, which stops at assignment ``cap + 1`` (none
-    runs at a cap of 0 or less), each as ``bytes`` with one step per crease
-    in that order (1 = mountain, 2 = valley); and the count, from the
-    count plan's frontier DP (``_count``) once the cap is passed, which it
-    is exactly when the count exceeds ``max(cap, 0)``."""
+def _witnesses(cp: CreasePattern):
+    """M(cp) as witness dicts, one at a time: the listing plan's
+    depth-first search, each assignment reading its steps (1 = mountain,
+    2 = valley) through ``cp.MV_OF_STEP`` in the plan's crease order. The
+    plan is built at the first witness asked for."""
     order, plan, _ = _plan(cp, True)
-    if cap <= 0:
-        return order, [], _count(cp)
-    found = list(map(bytes, islice(depth_first(plan), cap + 1)))
-    count = len(found) if len(found) <= cap else _count(cp)
-    del found[cap:]
-    return order, found, count
+    for vals in depth_first(plan):
+        yield {c: MV_OF_STEP[v] for c, v in zip(order, vals)}
 
 
 def _count(cp: CreasePattern) -> int:
@@ -205,15 +199,15 @@ def enumerate_locally_valid(cp: CreasePattern, cap: int = 10000) -> LocalValidit
 
     Witnesses come in depth-first order over the vertex sweep of the
     listing plan (``_plan``), each crease trying step 1 (mountain, +1)
-    before step 2 (valley, -1): one dict per assignment key of
-    ``_first_assignments``, the keys ``coloring._exact_pass`` uses too,
-    its steps read through ``cp.MV_OF_STEP``. The search stops once it finds
-    assignment ``cap + 1``; then ``cap_exceeded`` is set and ``count``
-    comes from the frontier DP of ``count_locally_valid`` (without its
-    crease limit). Otherwise ``count`` is the number of witnesses found.
+    before step 2 (valley, -1): those of ``_witnesses``. The search
+    stops once it finds assignment ``cap + 1``; then ``cap_exceeded`` is
+    set and ``count`` comes from the frontier DP of ``count_locally_valid``
+    (without its crease limit), as it does at a cap of 0 or less, where
+    no listing plan is built. Otherwise ``count`` is the number found.
     """
-    order, found, count = _first_assignments(cp, cap)
-    witnesses = [{c: MV_OF_STEP[v] for c, v in zip(order, key)} for key in found]
+    witnesses = list(islice(_witnesses(cp), cap + 1)) if cap > 0 else []
+    count = len(witnesses) if 0 < cap and len(witnesses) <= cap else _count(cp)
+    del witnesses[cap:]
     return LocalValidityReport(count, witnesses, cap_exceeded=count > max(cap, 0))
 
 

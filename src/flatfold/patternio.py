@@ -104,14 +104,14 @@ def saw_from_dict(doc: dict) -> SawGraph:
     """The SAW graph of a ``saw`` block. Ids, edge ends, the root and the
     boundary steps are JSON integers, and all but ids name listed rows; no
     vertex id or edge id repeats. ``directed`` is a boolean, a face a
-    string or a list of strings, and a crease a string or null."""
+    string, a list of strings or null, and a crease a string or null."""
     g = SawGraph()
     try:
         for row in doc["vertices"]:
             vid, face = _int(row["id"], "vertex id", taken=g.vertices), row["face"]
             if type(face) is list and all(type(f) is str for f in face):
                 face = tuple(face)
-            elif type(face) is not str:
+            elif face is not None and type(face) is not str:
                 raise ParseError(f"bad SAW graph: vertex {vid} has face {face!r}")
             g.vertices[vid] = SawVertex(vid, face)
         for row in doc["edges"]:

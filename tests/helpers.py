@@ -582,10 +582,14 @@ def reference_min_frontier_order(g: SawGraph) -> list[int]:
 
 def reference_verify_bijection(cp, g: SawGraph, cap: int = 200000) -> BijectionReport:
     """``coloring.verify_bijection`` as it was before it streamed: lists of
-    witness dicts and colorings, keys over the sorted crease ids, and every
-    translation and lift on dicts. Colorings come from the
-    ``coloring.enumerate_colorings`` attribute, so a test that replaces it
-    feeds both functions the same list."""
+    witness dicts and colorings, keys over the sorted crease ids, M
+    decided by the oracle's listing (``is_locally_valid`` past its cap),
+    and every translation and lift on dicts. Colorings come from
+    ``coloring.enumerate_colorings``, which reads the
+    ``coloring._colorings`` attribute that ``verify_bijection`` streams,
+    so a test that replaces that attribute feeds both functions the same
+    colorings; witnesses come from ``oracle._witnesses`` through
+    ``enumerate_locally_valid``."""
     report = enumerate_locally_valid(cp, cap=cap)
     # assignment keys list values in one fixed crease order (None if absent)
     order = sorted(cp.creases)

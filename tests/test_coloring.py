@@ -295,7 +295,7 @@ def test_coloring_to_mv_rejects_a_color_out_of_range(monkeypatch, color):
     message = re.escape(f"vertex {v} has color {color!r}, not 0, 1 or 2")
     with pytest.raises(ImproperColoring, match=f"^{message}$"):
         coloring_to_mv(g, colorings[coloring._BLOCK])
-    monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: colorings)
+    monkeypatch.setattr(coloring, "_colorings", lambda g: iter(colorings))
     with pytest.raises(ImproperColoring, match=f"^{message}$"):
         _exact_pass(cp, g)
 
@@ -626,8 +626,10 @@ def test_verify_bijection_flags_bad_merge():
 
 def _exact_pass(cp, g, cap=200000):
     """verify_bijection's exact pass on the colorings of the
-    coloring.enumerate_colorings attribute, as the reference reads them."""
-    return coloring._exact_pass(cp, coloring._Plan(g), coloring.enumerate_colorings(g, cap), cap)
+    coloring._colorings attribute, which the reference reads through
+    enumerate_colorings, and the oracle's count of M."""
+    return coloring._exact_pass(cp, coloring._Plan(g), coloring._colorings(g),
+                                oracle._count(cp), cap)
 
 
 def _outcome(verify, cp, g, cap):
@@ -696,16 +698,28 @@ def test_verify_bijection_matches_reference(case):
     want = _outcome(reference_verify_bijection, cp, g, cap)
     spans = coloring._Plan(g).spans
     with pytest.MonkeyPatch.context() as mp:
-        caps = _recorded_caps(mp)
+        listings = _recorded_listings(mp)
         lifted = _recorded_lifts(mp)
         got = _outcome(verify_bijection, cp, g, cap)
     # a passing graph is certified by its counts and never lists M; where
     # the crossing edges span the graph, it reads the round trips off their
     # steps and lifts nothing, and elsewhere it lifts at most its first
     # _LIFTS colorings. Any other report comes from the exact pass, which
-    # lists M
+    # lists M once, up to the cap, and only while every coloring's round
+    # trip holds: all of it (up to the cap) if the round trips still hold
+    # at the end, and surely when M has more assignments than S colorings
+    # and the graph crosses only the pattern's creases
     if isinstance(got, BijectionReport):
-        assert caps == ([] if got.ok else [cap])
+        drawn = list(map(len, listings))
+        assert len(drawn) <= (0 if got.ok else 1)
+        if drawn and got.round_trip_ok:
+            assert drawn == [min(cap, got.count_mv)]
+        if drawn and not got.round_trip_ok:
+            assert got.first_counterexample[0] not in ("mv_to_coloring failed",
+                                                       "round trip mismatch")
+        foreign = coloring._Plan(g).crossing.keys() - cp.creases.keys()
+        if got.round_trip_ok and not foreign and got.count_mv > got.count_colorings:
+            assert drawn == [min(cap, got.count_mv)]
     if isinstance(got, BijectionReport) and got.ok:
         assert len(lifted) <= (0 if spans else coloring._LIFTS)
     if isinstance(want, tuple):
@@ -766,7 +780,7 @@ def test_verify_bijection_builds_one_plan(monkeypatch, make, counts):
 def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     # a coloring that fails a check of coloring_to_mv raises its error, as
     # in the list-based reference; colorings reach both functions through
-    # the coloring.enumerate_colorings attribute. Miura 2x3's listing, one
+    # the coloring._colorings attribute. Miura 2x3's listing, one
     # too long, sends verify to its exact pass. Of Miura 4x4's 2,604
     # colorings, the bad one is coloring _BLOCK, or the last of all. A
     # graph certified past _BLOCK colorings lists none, so these go to the
@@ -774,10 +788,10 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
     cp = miura(*size)
     g = tile(cp)
     g.vertices = dict(reversed(g.vertices.items()))
-    enumerate_colorings = coloring.enumerate_colorings
+    colorings = coloring._colorings
 
-    def with_bad(g, cap):
-        out = enumerate_colorings(g, cap)
+    def with_bad(g):
+        out = list(colorings(g))
         s = out[at]
         if how == "root":       # the colors cycled: proper, but the root is 1
             bad = {v: (c + 1) % 3 for v, c in reversed(s.items())}
@@ -788,9 +802,9 @@ def test_verify_bijection_checks_each_coloring(monkeypatch, how, size, at):
         else:                   # a vertex the graph lacks
             bad = {**s, max(s) + 1: 0}
         out.insert(at % (len(out) + 1), bad)
-        return out
+        return iter(out)
 
-    monkeypatch.setattr(coloring, "enumerate_colorings", with_bad)
+    monkeypatch.setattr(coloring, "_colorings", with_bad)
     want = _outcome(reference_verify_bijection, cp, g, 200000)
     assert want[0] is ImproperColoring
     verify = _exact_pass if size == (4, 4) else verify_bijection
@@ -809,7 +823,9 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
     # list-based reference's, counterexample included. The oracle's count,
     # one short, sends verify to the exact pass; the planted colorings and
     # lifts of a graph certified past _BLOCK colorings are never listed or
-    # lifted, so those go to the exact pass directly
+    # lifted, so those go to the exact pass directly. The image left out
+    # of M is left out of the oracle's witnesses, which the reference
+    # lists, and fails one more cone test, which the exact pass reads
     cp = triangle_twist(3) if how.startswith("lift") else miura(4, 4)
     g = tile(cp)
     at = coloring._BLOCK + 44
@@ -832,17 +848,21 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
 
         monkeypatch.setattr(coloring._Plan, "lift", planted)
     elif how == "outside":
-        first_assignments = oracle._first_assignments
+        witnesses, crimp_checks = oracle._witnesses, oracle._crimp_checks
+        target = [STEP_OF_MV[v] for v in mv.values()]
 
-        def without(cp, cap):
-            order, found, count = first_assignments(cp, cap)
-            key = bytes(STEP_OF_MV[mv[c]] for c in order)
-            return order, [k for k in found if k != key], count - 1
+        def other(vals, places):
+            return [(vals[v] - vals[u]) % 3 for u, v in zip(places[::2], places[1::2])] != target
 
-        monkeypatch.setattr(oracle, "_first_assignments", without)
+        def with_other(cones, places_of):
+            places = [k for c in mv for k in places_of(c)]
+            return crimp_checks(cones, places_of) + [(places, other)]
+
+        monkeypatch.setattr(oracle, "_witnesses", lambda cp: (m for m in witnesses(cp) if m != mv))
+        monkeypatch.setattr(oracle, "_crimp_checks", with_other)
         count_mv = oracle._count
         monkeypatch.setattr(oracle, "_count", lambda cp: count_mv(cp) - 1)
-    monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: list(colorings))
+    monkeypatch.setattr(coloring, "_colorings", lambda g: iter(colorings))
     want = reference_verify_bijection(cp, g)
     reason = {"outside": "coloring maps outside M", "lift-fails": "mv_to_coloring failed",
               "lift-differs": "round trip mismatch"}.get(how, "two colorings share an assignment")
@@ -851,9 +871,10 @@ def test_verify_bijection_reports_a_later_block_as_the_reference(monkeypatch, ho
     if how != "outside":
         assert _exact_pass(cp, g) == want
         return
-    caps = _recorded_caps(monkeypatch)
+    # every other assignment is an image, so M is not listed
+    listings = _recorded_listings(monkeypatch)
     assert verify_bijection(cp, g) == want
-    assert caps == [200000]
+    assert listings == []
 
 
 @pytest.mark.parametrize("make, count", [(crane, 93_312), (lambda: miura(5, 5), 193_662)],
@@ -889,15 +910,17 @@ def _miura_mutant(how: str):
 def test_verify_bijection_refuses_a_mutant_past_a_block(monkeypatch, how):
     # each mutant keeps Miura 4x4's 2,604 colorings and assignments, but
     # the first certificate falls short of them, so verify takes the exact
-    # pass, lists M and gives the reference's report
+    # pass and gives the reference's report. Where every coloring lifts
+    # back, the pass lists M and stops at its first witness, which fails
+    # to; the copy's colorings fail their round trips, so M is not listed
     cp, g = _miura_mutant(how)
     assert count_colorings(g) == enumerate_locally_valid(cp, cap=0).count == 2604
     into_m, pairs = _certificates(cp, g, spans=True)
     assert into_m < 2604 and pairs == 2604
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [200000]
-    assert not report.ok
+    assert list(map(len, listings)) == ([] if how == "copied" else [1])
+    assert not report.ok and not report.round_trip_ok
     assert report == reference_verify_bijection(cp, g)
 
 
@@ -905,7 +928,8 @@ def test_verify_bijection_lifts_a_sample_past_a_block(monkeypatch):
     # joined twists 3 (1,112 colorings) is certified by counts, and its
     # lift is checked on its first _LIFTS colorings; a lift planted to fail
     # on the first of them sends verify to the exact pass, whose report is
-    # the reference's
+    # the reference's. The pass lifts that coloring first, and once its
+    # lift fails it lifts nothing more and lists no witness of M
     cp = triangle_twist(3)
     g = tile(cp)
     targets = _sample_steps(g)
@@ -922,9 +946,11 @@ def test_verify_bijection_lifts_a_sample_past_a_block(monkeypatch):
         return lift(plan, steps)
 
     monkeypatch.setattr(coloring._Plan, "lift", planted)
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
+    lifted = _recorded_lifts(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [200000]
+    assert listings == []
+    assert lifted == targets[:1] * 2
     assert report.first_counterexample == ("mv_to_coloring failed", "planted")
     assert report == reference_verify_bijection(cp, g)
 
@@ -947,11 +973,14 @@ def test_verify_bijection_lifts_the_first_colorings(monkeypatch, k):
 def test_verify_bijection_refuses_a_planted_lift_in_the_sample(monkeypatch, how, k):
     # a lift planted to fail, or to give other colors, on the last coloring
     # of the sample, on a graph of at most a block (joined twists 2) or
-    # past one (joined twists 3): verify takes the exact pass, lists M and
-    # gives the reference's report
+    # past one (joined twists 3): verify takes the exact pass and gives the
+    # reference's report. The pass lifts the sample's colorings again, in
+    # order, and after the planted one lifts nothing more and lists no
+    # witness of M
     cp = triangle_twist(k)
     g = tile(cp)
-    target = _sample_steps(g)[-1]
+    sample = _sample_steps(g)
+    target = sample[-1]
     lift = coloring._Plan.lift
 
     def planted(plan, steps):
@@ -963,9 +992,11 @@ def test_verify_bijection_refuses_a_planted_lift_in_the_sample(monkeypatch, how,
         return [-c % 3 for c in colors]     # colors 1 and 2 swapped
 
     monkeypatch.setattr(coloring._Plan, "lift", planted)
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
+    lifted = _recorded_lifts(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [200000]
+    assert listings == []
+    assert lifted == sample * 2
     assert not report.ok and not report.round_trip_ok
     reason = "mv_to_coloring failed" if how == "lift-fails" else "round trip mismatch"
     assert report.first_counterexample[0] == reason
@@ -998,31 +1029,40 @@ def test_verify_bijection_decides_m_past_a_capped_listing(cap):
 
 @pytest.mark.parametrize("make", [crane, lambda: miura(3, 3)], ids=["crane", "miura-3x3"])
 def test_the_exact_pass_decides_an_unlisted_key_as_the_oracle(make):
-    # the exact pass tests a key the capped listing lacks on crimp schedules
-    # looked up once; on seeded random keys, on listed keys and on listed
-    # keys with one crease flipped it gives is_locally_valid's verdict
+    # the exact pass decides an image's membership in M on the coloring's
+    # row, by the cones' full tables, with no witness listed (a cap of 0):
+    # on seeded colorings of the graph, of a mutant with its first crossing
+    # edge reversed (every image flips one crease, so none is in M) and of
+    # one with the creases of crossing edges 0 and 5 swapped (some images
+    # are in M), it gives is_locally_valid's verdict on the coloring's image
     cp = make()
-    order, found, _ = oracle._first_assignments(cp, 20)
+    count = oracle._count(cp)
     rng = random.Random(1)
-    keys = [bytes(rng.choices((1, 2), k=len(order))) for _ in range(200)] + found
-    for key in found:
-        i = rng.randrange(len(key))
-        keys.append(key[:i] + bytes([3 - key[i]]) + key[i + 1:])
-    verdicts = list(map(coloring._crimp_test(cp, order), keys))
-    assert verdicts == [oracle.is_locally_valid(cp, {c: MV_OF_STEP[v] for c, v in zip(order, key)})
-                        for key in keys]
-    assert any(verdicts) and not all(verdicts)
+    for how in ("none", "reversed", "swapped"):
+        g = tile(cp)
+        a, b = [e for e in g.edges.values() if e.directed][0:6:5]
+        if how == "reversed":
+            a.u, a.v = a.v, a.u
+        elif how == "swapped":
+            a.crease, b.crease = b.crease, a.crease
+        plan = coloring._Plan(g)
+        rows = list(islice(coloring._colorings(g), 3000))
+        sample = rng.sample(rows, min(len(rows), 25))
+        verdicts = [coloring._exact_pass(cp, plan, [s], count, 0).translation_valid for s in sample]
+        assert verdicts == [oracle.is_locally_valid(cp, coloring_to_mv(g, s)) for s in sample]
+        assert {"none": all(verdicts), "reversed": not any(verdicts),
+                "swapped": any(verdicts) and not all(verdicts)}[how]
 
 
 @pytest.mark.parametrize("make, cap", [(crane, 20), (lambda: miura(3, 3), 81)])
 def test_verify_bijection_refuses_by_count(monkeypatch, make, cap):
     # count_colorings decides: no coloring is enumerated before the refusal
-    def fail(g, cap):
-        raise AssertionError("enumerate_colorings ran")
+    def fail(g):
+        raise AssertionError("a coloring search ran")
 
     cp = make()
     g = tile(cp)
-    monkeypatch.setattr(coloring, "enumerate_colorings", fail)
+    monkeypatch.setattr(coloring, "_colorings", fail)
     with pytest.raises(CapExceeded, match=f"^more than {cap} colorings$"):
         verify_bijection(cp, g, cap=cap)
 
@@ -1059,10 +1099,10 @@ def test_verify_bijection_lists_no_colorings_when_it_counts_none(monkeypatch):
     assert count_colorings(g) == 0
     want = reference_verify_bijection(cp, g)
 
-    def fail(g, cap):
-        raise AssertionError("enumerate_colorings ran")
+    def fail(g):
+        raise AssertionError("a coloring search ran")
 
-    monkeypatch.setattr(coloring, "enumerate_colorings", fail)
+    monkeypatch.setattr(coloring, "_colorings", fail)
     report = verify_bijection(cp, g)
     assert report == want
     assert (report.count_mv, report.count_colorings) == (82, 0)
@@ -1073,11 +1113,11 @@ def test_verify_bijection_refuses_a_graph_past_the_cap(monkeypatch):
     # the oracle's search stays under the cap and the graph's colorings do
     # not: count_colorings refuses before any coloring is enumerated, so no
     # coloring dict is held (20,000 of them took 23 MB)
-    def fail(g, cap):
-        raise AssertionError("enumerate_colorings ran")
+    def fail(g):
+        raise AssertionError("a coloring search ran")
 
     g = tile(miura(5, 5))
-    monkeypatch.setattr(coloring, "enumerate_colorings", fail)
+    monkeypatch.setattr(coloring, "_colorings", fail)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match="^more than 20000 colorings$"):
@@ -1101,6 +1141,23 @@ def test_verify_bijection_refusal_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_verify_bijection_exact_pass_memory():
+    # the exact pass streams the colorings and keeps one byte key per
+    # image, not a list of coloring dicts: Miura 4x4 with a crossing edge
+    # reversed (2,604 colorings, each image outside M) peaked at 2.2 MB
+    # when its colorings were listed, and about 0.3 MB streamed
+    cp, g = _miura_mutant("reversed")
+    tracemalloc.start()
+    try:
+        report = verify_bijection(cp, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert not report.translation_valid
+    assert report == reference_verify_bijection(cp, g)
 
 
 def test_verify_bijection_stops_the_search_at_cap(monkeypatch):
@@ -1138,13 +1195,19 @@ def test_verify_bijection_flags_an_uncrossed_crease():
     assert report.round_trip_ok == want.round_trip_ok
 
 
-def _recorded_caps(monkeypatch) -> list[int]:
-    """The caps of every later call of ``oracle._first_assignments``."""
-    caps: list[int] = []
-    first_assignments = oracle._first_assignments
-    monkeypatch.setattr(oracle, "_first_assignments",
-                        lambda cp, cap: caps.append(cap) or first_assignments(cp, cap))
-    return caps
+def _recorded_listings(monkeypatch) -> list[list]:
+    """The witnesses drawn from each later call of ``oracle._witnesses``,
+    one list per call."""
+    listings: list[list] = []
+    witnesses = oracle._witnesses
+
+    def recorded(cp):
+        drawn: list = []
+        listings.append(drawn)
+        return (drawn.append(m) or m for m in witnesses(cp))
+
+    monkeypatch.setattr(oracle, "_witnesses", recorded)
+    return listings
 
 
 @pytest.mark.parametrize("make", [
@@ -1157,9 +1220,9 @@ def test_verify_bijection_certifies_without_enumerating_m(monkeypatch, make):
     # assignment (its count from the DP)
     cp = make()
     g = tile(cp)
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == []
+    assert listings == []
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -1180,12 +1243,14 @@ def test_verify_bijection_lists_m_when_an_assignment_is_unmapped(monkeypatch, ma
     # the bad merge's counts differ (170 and 110); a reversed edge of Miura
     # 3x3 keeps both counts at 82 and every coloring's lift, so only the
     # first certificate sees that its images leave M. Either way the exact
-    # pass lists M, and the report is the reference's
+    # pass lists M, every coloring having lifted back, and stops at the
+    # first witness that fails to lift back: the bad merge's fourth, a
+    # reversed edge's first. The report is the reference's
     cp, g = make()
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == [200000]
-    assert not report.ok
+    assert list(map(len, listings)) == [4 if make is invalid_joined_twist_saw else 1]
+    assert not report.ok and not report.round_trip_ok
     if make is not invalid_joined_twist_saw:
         assert report.count_mv == report.count_colorings == 82
         assert not report.translation_valid
@@ -1218,9 +1283,9 @@ def test_verify_bijection_certifies_only_the_patterns_creases(monkeypatch):
     g = tile(cp)
     e = next(e for e in g.edges.values() if e.directed)
     g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == []
+    assert listings == []
     assert report.ok
     assert report == reference_verify_bijection(cp, g)
 
@@ -1236,10 +1301,10 @@ def test_verify_bijection_certifies_a_foreign_crease_past_a_block(monkeypatch, m
     g = tile(cp)
     e = next(e for e in g.edges.values() if e.directed)
     g.add_edge(e.u, e.v, directed=True, crease="elsewhere")
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
     lifted = _recorded_lifts(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == []
+    assert listings == []
     assert report.ok and report.count_colorings > coloring._BLOCK
     assert lifted == ([] if coloring._Plan(g).spans else _sample_steps(g))
     assert report == reference_verify_bijection(cp, g)
@@ -1253,7 +1318,7 @@ def test_verify_bijection_sees_a_repeated_image(monkeypatch):
     g = tile(cp)
     colorings = enumerate_colorings(g)
     colorings[coloring._BLOCK + 44] = colorings[3]
-    monkeypatch.setattr(coloring, "enumerate_colorings", lambda g, cap: list(colorings))
+    monkeypatch.setattr(coloring, "_colorings", lambda g: iter(colorings))
     want = reference_verify_bijection(cp, g)
     assert want.counts_match and not want.injective
     assert _exact_pass(cp, g) == want
@@ -1265,8 +1330,8 @@ def test_verify_bijection_past_the_table_degree(monkeypatch):
     # without listing M, and the report is the reference's
     cp = star_pattern((10, 20, 30, 40, 80) * 2)
     g = tile(cp)
-    caps = _recorded_caps(monkeypatch)
+    listings = _recorded_listings(monkeypatch)
     report = verify_bijection(cp, g)
-    assert caps == []
+    assert listings == []
     assert report.ok and report.count_mv == 32
     assert report == reference_verify_bijection(cp, g)

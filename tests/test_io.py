@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from flatfold.errors import ParseError
 from flatfold.generators import crane, miura, triangle_twist
 from flatfold.oracle import enumerate_locally_valid
 from flatfold.patternio import _rat, emit, load, load_text, pattern_to_dict, to_fold
-from flatfold.saw import SawGraph, SawVertex, deg4_saw
+from flatfold.saw import SawGraph, SawVertex, baby_gadget, deg4_saw
 from flatfold.svg import render_svg
 from flatfold.tiling import tile
 
@@ -54,6 +55,36 @@ def test_round_trip_with_mv_and_saw():
     assert count_colorings(g2) == count_colorings(g)
     assert g2.root == g.root
     assert g2.walk == g.walk
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_a_faceless_saw_graph_reads_back_equal(j):
+    # a baby gadget's vertices have no face: emit writes "face": null,
+    # which reads back as None, so the graph reads back equal, and the
+    # file validates against the schema
+    g = baby_gadget(j).graph
+    assert all(v.face is None for v in g.vertices.values())
+    text = emit(miura(2, 2), saw=g)
+    assert '"face": null' in text
+    assert load_text(text)[2] == g
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+    schema = json.loads(
+        resources.files("flatfold").joinpath("schema/pattern.schema.json").read_text())
+    jsonschema.validate(json.loads(text), schema)
+
+
+@pytest.mark.parametrize("face", [3, 1.5, True, ["a", 1], ["a", None], {"a": "b"}])
+def test_a_saw_face_of_another_type_is_refused(face):
+    # a face is a string, a list of strings or null; a number, or a list
+    # holding anything but strings, is refused with the vertex named
+    cp = miura(2, 2)
+    doc = pattern_to_dict(cp, saw=tile(cp))
+    row = doc["saw"]["vertices"][0]
+    row["face"] = face
+    message = re.escape(f"bad SAW graph: vertex {row['id']} has face {face!r}")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_text(json.dumps(doc))
 
 
 def test_unknown_vertex_reference_rejected():

@@ -389,6 +389,25 @@ def test_capped_search_stops_at_cap(monkeypatch):
     assert calls[0] < 5_000
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_capped_listing_of_none_builds_no_listing_plan(monkeypatch, cap):
+    # at a cap of 0 or less the count comes from the count plan alone: the
+    # listing plan, which places every crease, is never built
+    plans = []
+
+    def recorded(cp, every, plan=oracle._plan):
+        plans.append(every)
+        return plan(cp, every)
+
+    monkeypatch.setattr(oracle, "_plan", recorded)
+    report = enumerate_locally_valid(crane(), cap=cap)
+    assert (report.count, report.witnesses, report.cap_exceeded) == (93_312, [], True)
+    assert plans == [False]
+    plans.clear()
+    assert len(enumerate_locally_valid(crane(), cap=1).witnesses) == 1
+    assert plans == [True, False]
+
+
 def test_enumeration_checks_no_more_than_the_count(monkeypatch):
     # both searches ask a crease's rule once per distinct read value, and
     # a full enumeration reads no value the plain DP does not; the count's

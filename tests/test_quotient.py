@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from flatfold import coloring, oracle
 from flatfold.coloring import count_colorings, verify_bijection
 from flatfold.generators import crane, miura, snake, triangle_twist
-from flatfold.oracle import count_locally_valid
+from flatfold.oracle import count_locally_valid, enumerate_locally_valid
 from flatfold.saw import SawGraph
 from flatfold.search import depth_first, frontier_count
 from flatfold.tiling import tile
@@ -130,7 +130,7 @@ def test_count_locally_valid_swaps_an_equivariant_plan(swapped, rotated, name):
     else:
         cp, count = small_pattern("modified-miura", 4, 5, int(name[-1])), 18_150
     assert count_locally_valid(cp, limit=len(cp.creases)) == count
-    assert oracle._first_assignments(cp, 3)[2] == count
+    assert enumerate_locally_valid(cp, cap=3).count == count
     assert len(swapped) == 2 and not any(rotated)
 
 
