@@ -9,12 +9,15 @@ mountain and 2 as valley, the oracle's values for c (``cp.MV_OF_STEP``).
 A coloring is checked by one function (``_check``), whether it is
 translated or read into a row. An assignment lifts back to its coloring in
 one loop (``_Plan.lift``): from the root, a worklist propagates forced
-colors, and a search on an explicit stack completes what it leaves.
+colors, and a search on an explicit stack completes what it leaves,
+never searching a dead state's key twice.
 ``verify_bijection`` certifies the map from colorings to assignments a
 bijection onto M by counts (``_certificates``): a frontier DP counts the
 colorings whose image is in M with a consistent round trip, and the
 pairs of colorings with equal images are counted by one more where the
-crossing edges do not already fix every color. When both equal |S| and
+crossing edges do not already fix every color. Like the count of S, each
+keeps one state per frontier and its images under the six color
+permutations (``search.frontier_count``). When both equal |S| and
 |M|, only the lifts of the first ``_LIFTS`` colorings are checked;
 otherwise every coloring is streamed and checked, one at a time, its
 image in M by each cone's full table (``_exact_pass``); the oracle lists
@@ -183,10 +186,11 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     colorings share an image and the pair count is ``n_col`` without a
     count. Otherwise a frontier DP counts the pairs in 4-bit pair values
     (``_PAIR_BAN``), the last crossing edge of each crease of the pattern
-    keeping d equal at its ends; swapping colors 1 and 2 in both colorings
-    swaps them in both fields, d and s, so it too counts under the swap,
-    but rotating both colorings turns s alone, so it counts under no
-    rotation."""
+    keeping d equal at its ends, and the root taking the pair value 0
+    alone (the mask 0x7FE bans the others). Swapping colors 1 and 2
+    in both colorings swaps them in both fields, d and s, and rotating
+    both colorings turns s and keeps d, so this DP too keeps one state
+    for each frontier and its images under the six color permutations."""
     pos = {v: i for i, v in enumerate(order)}
     ends = [((pos[e.u], pos[e.v]), e.crease) for e in g.edges.values() if e.directed]
     last = {c: uv for uv, c in ends}
@@ -201,7 +205,7 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     pairs_plan = [(nbrs, _no_colors if first is _no_colors else partial(
         _pair_values, [j for j, k in enumerate(nbrs) if (k, i) in equal],
         0x7FE if first is _root_colors else 0)) for i, (nbrs, first) in enumerate(plan)]
-    return into_m, frontier_count(pairs_plan, bits=4, swap=True)
+    return into_m, frontier_count(pairs_plan, bits=4, swap=True, rotate=True)
 
 
 def _colorings(g: SawGraph) -> Iterator[ThreeColoring]:
@@ -336,7 +340,16 @@ class _Plan:
         stack completes what it leaves. The search branches on an uncolored
         vertex next to a colored one, propagates each choice, and stops at
         the second completion. Raises NoCompletion or AmbiguousCompletion
-        when no coloring or more than one takes the steps."""
+        when no coloring or more than one takes the steps.
+
+        The search remembers dead states. Once ``_propagate`` succeeds, no
+        crossing edge joins a colored vertex to an uncolored one, so a
+        state's key, the banned-color mask of each uncolored vertex and 8
+        for each colored one, fixes every completion of the rest. A state
+        whose branches found no completion is dead, and no state with its
+        key is searched again: the entry ``(key, found)``, pushed below the
+        state's branches, marks the key dead when it is popped with
+        ``found`` unchanged."""
         if self.root is None:
             raise NoCompletion(f"root {self.g.root} is not a vertex")
         colors = [-1] * len(self.vertices)
@@ -346,14 +359,23 @@ class _Plan:
         if err:
             raise NoCompletion(err)
         found = None
+        dead: set[bytes] = set()
         stack = [(colors, banned)]
         while stack:
             colors, banned = stack.pop()
+            if isinstance(colors, bytes):   # (key, found) below a key's branches
+                if banned is found:         # they found no completion
+                    dead.add(colors)
+                continue
             if -1 not in colors:
                 if found is not None:
                     raise AmbiguousCompletion("the assignment lifts to more than one coloring")
                 found = colors
                 continue
+            key = bytes([8 if c >= 0 else b for c, b in zip(colors, banned)])
+            if key in dead:
+                continue
+            stack.append((key, found))
             v = next((i for i, b in enumerate(banned) if b and colors[i] < 0), None)
             if v is None:       # nothing colored borders the rest
                 v = colors.index(-1)
@@ -445,7 +467,8 @@ def mv_to_coloring(g: SawGraph, mv: MVAssignment) -> ThreeColoring:
     propagates forced colors: a crossing edge forces its far endpoint, and
     a vertex with two colors banned by its undirected neighbours takes the
     third; if propagation stalls, a depth-first search on an explicit
-    stack completes it and stops at the second completion. Every edge is
+    stack completes it, never searching a dead state twice, and stops at
+    the second completion. Every edge is
     checked, so a returned coloring is proper and translates back to
     ``mv`` on every crease the graph crosses.
 

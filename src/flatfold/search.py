@@ -39,11 +39,14 @@ under rho, the rotation of the colors 0, 1, 2 to 1, 2, 0, at every
 position after the first: only the root's pin to 0 breaks it, and the
 round-trip certificate's checks keep it, as they read only color
 differences.
+On a wider value rho turns the low 2-bit field alone: a pair of
+colorings (``coloring._certificates``) holds the first color there and
+the offset of the second from it above, which rotating both colorings
+keeps.
 ``frontier_count(plan, swap=True, rotate=True)`` counts such a plan with
 one DP state for each class of states under all six color permutations,
-by keeping one live slot at 0; ``coloring`` counts its colorings and its
-first certificate so. The crease plans and the pair certificate, where
-rho turns only one of a value's two fields, keep the swap alone.
+by keeping one live slot's low field at 0; ``coloring`` counts its
+colorings and both certificates so. The crease plans keep the swap alone.
 """
 
 from __future__ import annotations
@@ -75,22 +78,21 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False, rotate: bool =
     a plan that is not equivariant the count is wrong. Without ``swap``
     no field is swapped: sigma(t) is 0, never the larger.
 
-    ``rotate`` is for a plan of 2-bit values 0..2 (others raise
-    ValueError) that is rho-equivariant at every position after the first
-    (module docstring). One live position, the pin, holds 0 in every
-    state. Whenever some slot is live and the pin's is not, the pin moves
-    to the live position read last, so it moves rarely, and at that
-    position only each new state is rotated, by rho or rho squared, so
-    that the pin holds 0 before the sigma step, which keeps 0. So a state
-    stands for its class under rho (and sigma), and the count stays exact
-    as under ``swap``: the assignments after a state and after its
+    ``rotate`` is for a plan whose values have a low 2-bit field of 0..2
+    (others raise ValueError) and that is rho-equivariant at every
+    position after the first (module docstring). One live position, the
+    pin, holds 0 in its low field in every state. Whenever some slot is
+    live and the pin's is not, the pin moves to the live position read
+    last, so it moves rarely, and at that position only each new state has
+    the low field of every live slot rotated, by rho or rho squared, so
+    that the pin's holds 0 before the sigma step, which keeps 0. So a
+    state stands for its class under rho (and sigma), and the count stays
+    exact as under ``swap``: the assignments after a state and after its
     rho-image correspond one to one, every later position commuting with
     rho."""
-    if rotate and bits != 2:
-        raise ValueError("rotate needs 2-bit slots")
     last = {k: i for i, (reads, _) in enumerate(plan) for k in reads}
     mask = (1 << bits) - 1
-    top, span = (2, "0..2") if rotate else (mask, f"{bits} bits")
+    span = f"{bits} bits with a low field of 0..2" if rotate else f"{bits} bits"
     unit = mask // 3 if swap else 0   # 01 in each 2-bit field of a slot
     lo = 0                            # unit in every slot taken so far
     slot: dict[int, int] = {}   # frontier position -> bit shift of its value
@@ -125,17 +127,18 @@ def frontier_count(plan: Plan, bits: int = 2, swap: bool = False, rotate: bool =
             codes = codes_of.get(r)
             if codes is None:
                 vals = allowed(tuple([r >> t & mask for t in shifts]))
-                if vals and not 0 <= min(vals) <= max(vals) <= top:
+                if vals and not 0 <= min(vals) <= max(vals) <= mask \
+                        or rotate and 3 in {v & 3 for v in vals}:
                     raise ValueError(f"position {i} allows a value outside {span}")
                 codes = codes_of[r] = [0 if sh is None else v << sh for v in vals]
             base = s & keep
             for c in codes:
                 t = base | c
                 if repin and (p := t >> at & 3):
-                    # rho maps 0, 1, 2 to 1, 2, 0 in every live slot
+                    # rho maps 0, 1, 2 to 1, 2, 0 in every live low field
                     l, h = t & live, t >> 1 & live
                     zero = live & ~(l | h)
-                    t = zero | l << 1 if p == 2 else zero << 1 | h
+                    t = t & ~(live * 3) | (zero | l << 1 if p == 2 else zero << 1 | h)
                 u = (t & lo) << 1 | (t >> 1) & lo
                 if u > t:
                     t = u

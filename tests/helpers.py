@@ -476,27 +476,34 @@ def swap_counted(plan, bits: int = 2) -> int:
     return count
 
 
+def rho(v: int) -> int:
+    """rho, the rotation of the colors 0, 1, 2 to 1, 2, 0, on the low 2-bit
+    field of ``v``; the higher bits stay."""
+    return v - (v & 3) + ((v & 3) + 1) % 3
+
+
 def rho_checked(plan) -> list:
     """``plan`` with each ``allowed`` after the first position asserting, on
     every tuple it is asked, the equivariance that ``frontier_count``'s
     ``rotate`` needs: the values ``allowed`` gives the tuple's rho-image
     are the rho-images of the values it gives the tuple, each as often (a
-    multiset), rho turning the colors 0, 1, 2 to 1, 2, 0."""
+    multiset), rho turning the low 2-bit field of each value, whatever its
+    width."""
     def checked(allowed, vals):
         got = allowed(vals)
-        turned = allowed(tuple([(v + 1) % 3 for v in vals]))
-        assert sorted(turned) == sorted((v + 1) % 3 for v in got), vals
+        turned = allowed(tuple([rho(v) for v in vals]))
+        assert sorted(turned) == sorted(rho(v) for v in got), vals
         return got
     return [(reads, partial(checked, allowed) if i else allowed)
             for i, (reads, allowed) in enumerate(plan)]
 
 
-def rotate_counted(plan) -> int:
-    """``frontier_count(plan, swap=True, rotate=True)``, once the plain DP
-    over ``rho_checked(sigma_checked(plan))`` has found every tuple it
-    asks equivariant and given the same count."""
-    count = frontier_count(plan, swap=True, rotate=True)
-    assert count == frontier_count(rho_checked(sigma_checked(plan)))
+def rotate_counted(plan, bits: int = 2) -> int:
+    """``frontier_count(plan, bits, swap=True, rotate=True)``, once the
+    plain DP over ``rho_checked(sigma_checked(plan, bits))`` has found
+    every tuple it asks equivariant and given the same count."""
+    count = frontier_count(plan, bits, swap=True, rotate=True)
+    assert count == frontier_count(rho_checked(sigma_checked(plan, bits)), bits)
     return count
 
 

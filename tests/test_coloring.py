@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice, product, starmap
@@ -1107,6 +1108,106 @@ def test_verify_bijection_lists_no_colorings_when_it_counts_none(monkeypatch):
     assert report == want
     assert (report.count_mv, report.count_colorings) == (82, 0)
     assert not report.counts_match
+
+
+def test_lift_and_verify_end_on_the_wheel_graph():
+    # no coloring of the grid survives the wheel, and the lift's search
+    # remembers each dead state, so it does not reopen one once per way of
+    # reaching it (k = 5 took 8.5 s so, k = 6 over 300 s): the lift of a
+    # witness and verify's report each take under a second
+    cp = miura(3, 3)
+    g = _wheel_graph(6)
+    mv = enumerate_locally_valid(cp, cap=1).witnesses[0]
+    start = time.perf_counter()
+    with pytest.raises(NoCompletion, match="^no coloring completes the assignment$"):
+        mv_to_coloring(g, mv)
+    lifted = time.perf_counter()
+    report = verify_bijection(cp, g)
+    done = time.perf_counter()
+    assert (report.count_mv, report.count_colorings, report.counts_match) == (82, 0, False)
+    assert report.first_counterexample == ("assignment does not lift",
+                                           "no coloring completes the assignment")
+    assert lifted - start < 1 and done - lifted < 1
+
+
+def test_lift_searches_a_state_again_once_it_found_a_completion():
+    # from the root, a and then b are branched on: either color of a
+    # leaves b and c the same banned colors, and b takes 1 alone, since 2
+    # would cross to c at the root's 0. A state whose branches found a
+    # coloring is not dead, so both colors of a are searched
+    g = SawGraph()
+    root, a, b, c = (g.add_vertex() for _ in range(4))
+    g.root = root
+    for u, v in [(root, a), (root, b), (root, c)]:
+        g.add_edge(u, v)
+    g.add_edge(b, c, directed=True, crease="x")
+    with pytest.raises(AmbiguousCompletion):
+        mv_to_coloring(g, {"x": MV_OF_STEP[1]})
+    assert _lifted(reference_lift, g, [1]) is AmbiguousCompletion
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_bijection_on_small_wheel_graphs_matches_reference(k):
+    cp = miura(3, 3)
+    assert verify_bijection(cp, _wheel_graph(k)) == reference_verify_bijection(cp, _wheel_graph(k))
+
+
+def _hang(draw, g: SawGraph) -> None:
+    """Hang an undirected gadget off ``g``: an edge from a random vertex of
+    ``g`` to the gadget's first vertex, and perhaps one from another to its
+    last. The gadget is a grid of up to 3 x 3 (its corners joined), an odd
+    wheel, a hub joined to a 3-cycle (K4) or a 5-cycle, which has no proper
+    coloring (the hub and a rim vertex joined), or a diamond, two triangles
+    on a shared edge, whose tips every proper coloring colors alike (the
+    tips joined)."""
+    kind = draw(st.sampled_from(["grid", "wheel", "diamond"]))
+    if kind == "grid":
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        new = [g.add_vertex() for _ in range(rows * cols)]
+        edges = [(new[i], new[i + 1]) for i in range(len(new) - 1) if (i + 1) % cols]
+        edges += [(new[i], new[i + cols]) for i in range(len(new) - cols)]
+    elif kind == "wheel":
+        new = [g.add_vertex() for _ in range(1 + draw(st.sampled_from([3, 5])))]
+        ring = new[1:]
+        edges = [(new[0], v) for v in ring] + list(zip(ring, ring[1:] + ring[:1]))
+    else:
+        new = [g.add_vertex() for _ in range(4)]
+        edges = [(new[0], new[1]), (new[0], new[2]), (new[1], new[2]),
+                 (new[1], new[3]), (new[2], new[3])]
+    hosts = sorted(g.vertices.keys() - set(new))
+    edges.append((draw(st.sampled_from(hosts)), new[0]))
+    if draw(st.booleans()):
+        edges.append((draw(st.sampled_from(hosts)), new[-1]))
+    for u, v in edges:
+        g.add_edge(u, v)
+
+
+@st.composite
+def hung_cases(draw):
+    """(graph, mv): a tiled small pattern with up to two gadgets of
+    ``_hang`` hung off it, the second perhaps off the first, and one of the
+    pattern's first 5 locally-valid assignments."""
+    cp = small_pattern(draw(st.sampled_from(["modified-miura", "snake", "twists"])),
+                       draw(st.integers(2, 3)), draw(st.integers(2, 3)),
+                       draw(st.integers(0, 10 ** 6)))
+    g = tile(cp)
+    for _ in range(draw(st.integers(0, 2))):
+        _hang(draw, g)
+    return g, draw(st.sampled_from(enumerate_locally_valid(cp, cap=5).witnesses))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hung_cases())
+def test_lift_of_hung_gadgets_matches_reference(case):
+    # the lift's dead states change how long it searches, never what it
+    # finds: the same colors as the reference lift, which remembers none,
+    # or the same type of error
+    g, mv = case
+    steps = [STEP_OF_MV[mv[e.crease]] for e in g.edges.values() if e.directed]
+    got = _lifted(mv_to_coloring, g, mv)
+    if isinstance(got, dict):
+        got = [got[v] for v in sorted(g.vertices)]
+    assert got == _lifted(reference_lift, g, steps)
 
 
 def test_verify_bijection_refuses_a_graph_past_the_cap(monkeypatch):

@@ -44,7 +44,7 @@ def swapped(monkeypatch, rotated):
             return frontier_count(plan, bits, rotate=rotate)
         seen.append(bits)
         rotated.append(rotate)
-        return rotate_counted(plan) if rotate else swap_counted(plan, bits)
+        return rotate_counted(plan, bits) if rotate else swap_counted(plan, bits)
 
     for module in (coloring, oracle):
         monkeypatch.setattr(module, "frontier_count", spy)
@@ -104,7 +104,7 @@ def test_into_m_swaps_an_equivariant_plan(swapped, rotated, name):
     # the round-trip certificate's plan checks steps and crimp schedules,
     # both symmetric under the flip and kept by rotating the colors; an
     # uncrossed crease leaves it uncounted. Each mutant's pairs are counted
-    # too, in 4-bit slots under the swap alone
+    # too, in 4-bit slots, swapped and rotated alike
     if name in PATTERNS:
         cp = PATTERNS[name][0]()
         g = tile(cp)
@@ -119,7 +119,7 @@ def test_into_m_swaps_an_equivariant_plan(swapped, rotated, name):
     else:
         assert into_m < n_col
     assert swapped == [2] * (name != "uncrossed") + [4] * (name not in PATTERNS)
-    assert rotated == [bits == 2 for bits in swapped]
+    assert rotated == [True] * len(swapped)
 
 
 @pytest.mark.parametrize("name", [*PATTERNS, "masked-0", "masked-1", "masked-2"])
@@ -147,11 +147,12 @@ def test_verify_bijection_counts_three_plans_with_the_swap(swapped, rotated):
 def test_verify_bijection_counts_the_pairs_with_the_swap(swapped, rotated, name):
     # crossing edges that do not span the graph: |M|, |S|, the round-trip
     # certificate and the pair count in 4-bit slots, each field swapped;
-    # rho rotates only a pair's s field, so the pairs are not rotated
+    # rho turns a pair's first color and keeps its offset, so the pairs
+    # are rotated too
     make, count = PATTERNS[name]
     report = verify_bijection(make(), tile(make()))
     assert report.ok and report.count_colorings == count
-    assert swapped == [2, 2, 2, 4] and rotated == [False, True, True, False]
+    assert swapped == [2, 2, 2, 4] and rotated == [False, True, True, True]
 
 
 def _pair_colors(vals: tuple[int, ...]) -> list[int]:
@@ -198,12 +199,41 @@ def test_rotate_asks_fewer_tuples_on_the_crane():
     assert tuples == [846, 645, 494]
 
 
+def test_rotate_asks_fewer_tuples_of_the_crane_pairs(monkeypatch):
+    # the pair count of the crane's verify, whose crossing edges do not
+    # span it: one read tuple per class of pair frontiers, the pin keeping
+    # one of each three rotations of the first color
+    pair_plans = []
+
+    def spy(plan, bits=2, swap=False, rotate=False):
+        if bits == 4:
+            pair_plans.append(plan)
+        return frontier_count(plan, bits, swap, rotate)
+
+    monkeypatch.setattr(coloring, "frontier_count", spy)
+    assert verify_bijection(crane(), tile(crane())).ok
+    asked = []
+    plan = [(reads, lambda vals, allowed=allowed: asked.append(vals) or allowed(vals))
+            for reads, allowed in pair_plans[0]]
+    tuples = []
+    for kw in ({}, {"swap": True}, {"swap": True, "rotate": True}):
+        asked.clear()
+        assert frontier_count(plan, bits=4, **kw) == 93_312
+        tuples.append(len(asked))
+    assert tuples == [1_260, 901, 692]
+
+
 @settings(max_examples=40, deadline=None)
 @given(plans())
-def test_swap_counts_as_the_plain_dp(plan):
+def test_swap_counts_as_the_plain_dp(drawn):
     # seeded coloring plans over random vertex orders, K4, no position,
-    # and crease plans over random crease orders
-    assert swap_counted(plan) == len(list(depth_first(plan)))
+    # crease plans over random crease orders, and pair plans of random
+    # graphs, which start at their root and so are counted rotated too
+    plan, bits = drawn
+    n = len(list(depth_first(plan)))
+    assert swap_counted(plan, bits) == n
+    if bits == 4:
+        assert rotate_counted(plan, bits) == n
 
 
 def random_connected_graph(seed: int) -> tuple[SawGraph, list[int]]:

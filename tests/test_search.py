@@ -34,30 +34,60 @@ def k4() -> SawGraph:
     return g
 
 
+def pair_plan(draw) -> list:
+    """The plan of the pair count of ``coloring._certificates``, built as
+    it builds it, for a random connected graph on 2-6 vertices (a random
+    tree plus random edges) over a random order that starts at its root,
+    with random edges keeping the offset of the two colorings equal: each
+    vertex takes the pair values ``coloring._pair_values`` leaves it, the
+    root only 0."""
+    n = draw(st.integers(2, 6))
+    g = SawGraph()
+    for _ in range(n):
+        g.add_vertex()
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda e: e[0] != e[1]), max_size=n))
+    for u, v in edges:
+        g.add_edge(u, v)
+    g.root = draw(st.integers(0, n - 1))
+    order = [g.root] + draw(st.permutations(sorted(set(range(n)) - {g.root})))
+    pos = {v: i for i, v in enumerate(order)}
+    equal = {tuple(sorted((pos[u], pos[v]))) for u, v in draw(st.lists(st.sampled_from(edges)))}
+    return [(nbrs, partial(coloring._pair_values,
+                           [j for j, k in enumerate(nbrs) if (k, i) in equal], 0 if i else 0x7FE))
+            for i, (nbrs, _) in enumerate(coloring._plan(g, order))]
+
+
 @st.composite
 def plans(draw):
-    """A search plan: the coloring plan of a tiled seeded pattern over a
-    random vertex order, of K4 (no coloring) or of no vertex; or the crease
-    plan of a seeded pattern over a random crease order."""
-    kind = draw(st.sampled_from(["coloring", "k4", "empty", "creases"]))
+    """A search plan and the bits a slot needs for its values: the
+    coloring plan of a tiled seeded pattern over a random vertex order, of
+    K4 (no coloring) or of no vertex, or the crease plan of a seeded
+    pattern over a random crease order, each in 2 bits; or a 4-bit
+    ``pair_plan``."""
+    kind = draw(st.sampled_from(["coloring", "k4", "empty", "creases", "pairs"]))
+    if kind == "pairs":
+        return pair_plan(draw), 4
     if kind == "k4":
         g = k4()
-        return coloring._plan(g, draw(st.permutations(sorted(g.vertices))))
+        return coloring._plan(g, draw(st.permutations(sorted(g.vertices)))), 2
     if kind == "empty":
-        return []
+        return [], 2
     cp = small_pattern(draw(st.sampled_from(["modified-miura", "snake", "twists"])),
                        draw(st.integers(2, 3)), draw(st.integers(2, 3)),
                        draw(st.integers(0, 10 ** 6)))
     if kind == "coloring":
         g = tile(cp)
-        return coloring._plan(g, draw(st.permutations(sorted(g.vertices))))
-    return oracle_plan(cp, draw(st.permutations(sorted(cp.creases))))
+        return coloring._plan(g, draw(st.permutations(sorted(g.vertices)))), 2
+    return oracle_plan(cp, draw(st.permutations(sorted(cp.creases)))), 2
 
 
 @settings(max_examples=60, deadline=None)
 @given(plans())
-def test_depth_first_matches_reference(plan):
+def test_depth_first_matches_reference(drawn):
     # the same assignments in the same order, none too many or too few
+    plan, _ = drawn
     assert list(depth_first(plan)) == list(reference_depth_first(plan))
 
 
@@ -69,11 +99,12 @@ def test_depth_first_on_one_position():
 
 @settings(max_examples=30, deadline=None)
 @given(plans())
-def test_frontier_count_matches_depth_first(plan):
-    # two-bit slots hold the values 0..3 of these plans, and four-bit slots
+def test_frontier_count_matches_depth_first(drawn):
+    # slots of the bits drawn hold the plan's values, and four-bit slots
     # count them alike
+    plan, bits = drawn
     n = len(list(depth_first(plan)))
-    assert frontier_count(plan) == frontier_count(plan, bits=4) == n
+    assert frontier_count(plan, bits) == frontier_count(plan, bits=4) == n
 
 
 def _values_mod(weights: list[int], p: int, vals: tuple[int, ...]) -> list[int]:
@@ -209,13 +240,22 @@ def test_rotate_pins_each_component_again():
 def test_rotate_refuses_a_value_past_2(values):
     # rho turns only the colors 0..2, so a 3 that fits its slot is refused
     plan = [([], lambda vals: (0, 1)), ([0], lambda vals: values)]
-    with pytest.raises(ValueError, match="^position 1 allows a value outside 0..2$"):
+    with pytest.raises(ValueError, match="^position 1 allows a value outside "
+                                         "2 bits with a low field of 0..2$"):
         frontier_count(plan, swap=True, rotate=True)
 
 
-def test_rotate_refuses_wider_slots():
-    with pytest.raises(ValueError, match="^rotate needs 2-bit slots$"):
-        frontier_count([([], lambda vals: (0,))], bits=4, swap=True, rotate=True)
+def test_rotate_refuses_a_low_field_of_3_in_wider_slots():
+    # rho turns a 4-bit value's low 2-bit field and keeps the rest, so a
+    # low field of 3 is refused as in 2-bit slots, and a value past the
+    # slot too; the values whose low field is 0..2 count
+    for values in [(3,), (4, 7), (0, 11), (15,), (-1,), (16,)]:
+        plan = [([], lambda vals: (0, 1)), ([0], lambda vals, values=values: values)]
+        with pytest.raises(ValueError, match="^position 1 allows a value outside "
+                                             "4 bits with a low field of 0..2$"):
+            frontier_count(plan, bits=4, swap=True, rotate=True)
+    plan = [([], lambda vals: (0, 1)), ([0], lambda vals: (4, 5, 6, 12, 13, 14))]
+    assert frontier_count(plan, bits=4, swap=True, rotate=True) == 12
 
 
 def _sum_mod(p: int, r: int, vals: tuple[int, ...], places: list[int]) -> bool:
@@ -251,11 +291,11 @@ def _filtered(plan, checks) -> list:
 def test_checked_filters_the_plan_by_every_check(data):
     # the checked plan lists the plan's assignments that pass every check,
     # in the same order, and the frontier DP counts them
-    plan = data.draw(plans())
+    plan, bits = data.draw(plans())
     checks = data.draw(random_checks(len(plan), _sum_mod))
     want = _filtered(plan, checks)
     assert list(depth_first(checked(plan, checks))) == want
-    assert frontier_count(checked(plan, checks)) == len(want)
+    assert frontier_count(checked(plan, checks), bits) == len(want)
 
 
 @settings(max_examples=60, deadline=None)
