@@ -20,8 +20,9 @@ keeps one state per frontier and its images under the six color
 permutations (``search.frontier_count``). When both equal |S| and
 |M|, only the lifts of the first ``_LIFTS`` colorings are checked;
 otherwise every coloring is streamed and checked, one at a time, its
-image in M by each cone's full table (``_exact_pass``); the oracle lists
-M only to lift the assignments no coloring maps to.
+image in M by each cone's crimp schedule walk, the rule of
+``is_valid_single_vertex`` (``_exact_pass``); the oracle lists M only to
+lift the assignments no coloring maps to.
 """
 
 from __future__ import annotations
@@ -168,12 +169,12 @@ def _certificates(cp: CreasePattern, g: SawGraph, order: list[int], plan: list,
     ``_same_step`` with its crease's last crossing edge, in edge order,
     then each interior vertex's cone test (``oracle._crimp_checks``),
     which reads the steps of its creases' last crossing edges as color
-    differences and looks them up in the cone's full table: those whose
-    image is in M(cp) and round trip is consistent. Swapping colors 1 and
-    2 negates every step and keeps each table's verdict, since every
-    crimp schedule is symmetric under the flip, and rotating the colors
-    keeps every step, so this DP, like ``count_colorings``, keeps one
-    state for each frontier and its images under the six color
+    differences and judges them by the cone's crimp schedule walk: those
+    whose image is in M(cp) and round trip is consistent. Swapping colors
+    1 and 2 negates every step and keeps each table's verdict, since
+    every crimp schedule is symmetric under the flip, and rotating the
+    colors keeps every step, so this DP, like ``count_colorings``, keeps
+    one state for each frontier and its images under the six color
     permutations.
 
     The second is the number of pairs of colorings with equal images:
@@ -349,7 +350,9 @@ class _Plan:
         whose branches found no completion is dead, and no state with its
         key is searched again: the entry ``(key, found)``, pushed below the
         state's branches, marks the key dead when it is popped with
-        ``found`` unchanged."""
+        ``found`` unchanged. A state popped from an empty stack is all that
+        is left to search, and its descendants color more vertices, so no
+        later state meets its key: it is neither keyed nor checked."""
         if self.root is None:
             raise NoCompletion(f"root {self.g.root} is not a vertex")
         colors = [-1] * len(self.vertices)
@@ -372,10 +375,11 @@ class _Plan:
                     raise AmbiguousCompletion("the assignment lifts to more than one coloring")
                 found = colors
                 continue
-            key = bytes([8 if c >= 0 else b for c, b in zip(colors, banned)])
-            if key in dead:
-                continue
-            stack.append((key, found))
+            if stack:   # alone on the stack, a state's key cannot recur
+                key = bytes([8 if c >= 0 else b for c, b in zip(colors, banned)])
+                if key in dead:
+                    continue
+                stack.append((key, found))
             v = next((i for i, b in enumerate(banned) if b and colors[i] < 0), None)
             if v is None:       # nothing colored borders the rest
                 v = colors.index(-1)
@@ -553,12 +557,13 @@ def _exact_pass(cp: CreasePattern, plan: _Plan, colorings: Iterable[ThreeColorin
     (``_Plan.colors`` raises its ImproperColoring); its image must be in M
     and new, and it must lift back to itself. An image is in M when every
     pattern crease is crossed and every cone test of
-    ``oracle._crimp_checks`` (the listing plan's full tables) passes on the
-    row; its key, a step per pattern crease in sorted-id order (0 where
-    uncrossed), serves only injectivity and the witness skip. Where the
-    crossing edges span the graph, a new image in M whose crossing edges
-    take their creases' steps lifts back with no lift (``_Plan.lifts_back``).
-    Once a round trip fails nothing more is lifted. While the round trips
+    ``oracle._crimp_checks`` (the crimp schedule walks the listing plan
+    reads) passes on the row; its key, a step per pattern crease in
+    sorted-id order (0 where uncrossed), serves only injectivity and the
+    witness skip. Where the crossing edges span the graph, a new image in
+    M whose crossing edges take their creases' steps lifts back with no
+    lift (``_Plan.lifts_back``). Once a round trip fails nothing more is
+    lifted. While the round trips
     hold, some assignment is no image and no foreign crease is crossed, the
     first ``cap`` witnesses of ``oracle._witnesses`` that no coloring maps
     to must lift and map back."""

@@ -5,13 +5,16 @@ vertex sweep (interior vertices sorted by exact coordinate along the axis
 that gives the narrower frontier, each vertex's creases
 counterclockwise). A value is a color step (``cp.STEP_OF_MV``): 1 for
 mountain, 2 for valley. Each cone is checked at its last placed crease
-by one test, ``_cone_test``, which reads the cone's table: how many valid
-assignments of the cone (lifted through its crimp schedule once per cone
-shape and placed creases) give its placed creases each tuple of steps.
+by one test, ``_cone_test``, which reads the cone's table (``_table``)
+at the steps of its placed creases: with every crease placed, the crimp
+schedule walk of ``is_valid_single_vertex`` on those steps, kept per cone
+shape and tuple once asked; otherwise how many valid assignments of the
+cone (lifted through its crimp schedule once per cone shape and placed
+creases) give its placed creases those steps.
 
 * The *listing plan* (``_plan(cp, every=True)``) places every crease, so
-  each table lists a cone's valid assignments once each and a cone's
-  test passes once or not at all. ``_witnesses`` runs it through
+  each table is a walk, a cone's test passes once or not at all, and no
+  cone's valid assignments are listed. ``_witnesses`` runs it through
   ``search.depth_first`` and yields each assignment as a witness dict;
   ``enumerate_locally_valid`` and ``coloring._exact_pass`` take as many
   as they need.
@@ -23,8 +26,8 @@ shape and placed creases) give its placed creases each tuple of steps.
   often. A crease with no interior end doubles the count, and a vertex
   with no placed crease multiplies it by its single-vertex count.
 
-``_crimp_checks`` puts the same test, over each cone's full table, to
-other plans and rows: a crease's step is read at its one place, or as the
+``_crimp_checks`` puts the same test, over each cone's walk, to other
+plans and rows: a crease's step is read at its one place, or as the
 color difference at its two (``coloring._certificates`` and the
 membership rule of ``coloring._exact_pass``). ``count_locally_valid``,
 and ``enumerate_locally_valid`` at a cap of 0 or less (which builds no
@@ -38,13 +41,15 @@ count (``_count``). Counts are exact Python ints (arbitrary precision).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
 
 from .cp import MV_OF_STEP, STEP_OF_MV, ConeVertex, CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
-from .single_vertex import _lift, _schedule, count_single_vertex_mv, kawasaki_check
+from .single_vertex import (_check_values, _lift, _schedule, count_single_vertex_mv,
+                            is_valid_single_vertex, kawasaki_check)
 from .search import checked, depth_first, frontier_count, frontier_width
 
 DEFAULT_BRUTE_LIMIT = 40
@@ -86,13 +91,14 @@ def _plan(cp: CreasePattern, every: bool):
     places only the creases with two interior ends (module docstring).
 
     Each placed crease takes step 1 or 2. A cone is checked at its last
-    placed crease by ``_cone_test`` of its table (``_table``, built once
-    per call): a cone with every crease placed passes once or not at all,
-    any other once per valid completion of its other creases, each of
-    which has this cone as its only interior end. A cone with no placed
-    crease multiplies the factor by its single-vertex count, and an
-    unplaced crease with no interior end by 2. The sweep's axis is chosen
-    by the plan's own frontier width (``_narrower_sweep``)."""
+    placed crease by ``_cone_test`` of its table (``_table``, shared per
+    cone shape and placed creases): a cone with every crease placed passes
+    once or not at all, by its crimp schedule walk, any other once per
+    valid completion of its other creases, each of which has this cone as
+    its only interior end. A cone with no placed crease multiplies the
+    factor by its single-vertex count, and an unplaced crease with no
+    interior end by 2. The sweep's axis is chosen by the plan's own
+    frontier width (``_narrower_sweep``)."""
     cones = _cones(cp)
     placed = {c for c, (a, b) in cp.creases.items() if every or a in cones and b in cones}
     factor = 2 ** sum(a not in cones and b not in cones
@@ -138,37 +144,44 @@ def _either_step(vals) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _table(scaled: tuple[int, ...], idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """How many valid assignments of a cone with these scaled angles
-    (``single_vertex._lift``) give its creases at ``idx`` each tuple of
-    steps; with every crease at ``idx``, each valid tuple once. Cached per
+def _table(scaled: tuple[int, ...], idx: tuple[int, ...]):
+    """The table of a cone with these scaled angles and its creases at
+    ``idx`` placed: a function from a tuple of their steps to a count.
+    With every crease at ``idx`` it is the crimp schedule walk
+    (``single_vertex._check_values``, the rule of
+    ``is_valid_single_vertex``) on the matching signs, 1 or 0, kept per
+    tuple once asked; a tuple holding a step 0 reads 0. So no valid
+    assignment of such a cone is listed. Otherwise it is how many valid
+    assignments of the cone (``single_vertex._lift``) give those steps, 0
+    for a tuple none gives: the other creases are summed out. Cached per
     angle tuple and ``idx``, like ``_schedule``, so every caller shares
-    the dict: read it only."""
-    table: dict[tuple[int, ...], int] = {}
-    for row in _lift(_schedule(scaled), len(scaled)):
-        key = tuple([STEP_OF_MV[row[i]] for i in idx])
-        table[key] = table.get(key, 0) + 1
-    return table
+    it."""
+    if len(idx) == len(scaled):
+        return lru_cache(maxsize=None)(lambda key: int(
+            0 not in key and _check_values(_schedule(scaled), [MV_OF_STEP[s] for s in key])))
+    rows = _lift(_schedule(scaled), len(scaled))
+    return Counter(tuple([STEP_OF_MV[row[i]] for i in idx]) for row in rows).__getitem__
 
 
-def _cone_test(table: dict, width: int, vals, places: list[int]) -> int:
-    """A test of ``search.checked``: how many times the cone's ``table``
-    lists the steps at ``places`` of ``vals``. A crease's step is the
-    value at its one place (``width`` 1), or the difference (head - tail)
-    mod 3 of the colors at its two."""
+def _cone_test(table, width: int, vals, places: list[int]) -> int:
+    """A test of ``search.checked``: the cone's ``table`` (``_table``) read
+    at the steps at ``places`` of ``vals``. A crease's step is the value
+    at its one place (``width`` 1), or the difference (head - tail) mod 3
+    of the colors at its two."""
     if width == 1:
         key = tuple([vals[k] for k in places])
     else:
         key = tuple([(vals[v] - vals[u]) % 3 for u, v in zip(places[::2], places[1::2])])
-    return table.get(key, 0)
+    return table(key)
 
 
 def _crimp_checks(cones: dict[str, ConeVertex], places_of) -> list:
     """Each cone of ``cones`` as a check of ``search.checked``: the places
     of its creases in turn, ``places_of(crease)`` each, and ``_cone_test``
-    of its full table, which passes once or not at all. A crease has one
-    place, which holds its step, or two, which hold the colors at the tail
-    and head of a crossing edge."""
+    of its table with every crease placed, the crimp schedule walk, which
+    passes once or not at all. A crease has one place, which holds its
+    step, or two, which hold the colors at the tail and head of a crossing
+    edge; a color difference of 0 fails the test."""
     checks = []
     for cone in cones.values():
         places = [k for c in cone.crease_ids for k in places_of(c)]
@@ -225,9 +238,4 @@ def count_locally_valid(cp: CreasePattern, limit: int | None = None) -> int:
 
 def is_locally_valid(cp: CreasePattern, mv: MVAssignment) -> bool:
     """Restriction of the assignment to every vertex folds flat."""
-    from .single_vertex import is_valid_single_vertex
-    for v in cp.interior_vertex_ids():
-        cone = cone_at(cp, v)
-        if not is_valid_single_vertex(cone, mv):
-            return False
-    return True
+    return all(is_valid_single_vertex(cone_at(cp, v), mv) for v in cp.interior_vertex_ids())

@@ -13,8 +13,9 @@ Conventions (used consistently across the library):
 * The validity check, the count, the enumeration and niceness all read
   the crimp schedule (``_schedule``, cached per scaled angle tuple); only
   the SAW construction walks the intermediate cones of ``crimp_trace``.
-  The enumeration and the oracle's cone tables lift through it
-  (``_lift``).
+  The oracle judges a whole cone by the validity check's walk
+  (``_check_values``); the enumeration and the oracle's count tables,
+  which sum boundary creases out, lift through the schedule (``_lift``).
 * Kawasaki's test, the minimal runs and the crimp recursion read each
   cone's integer-scaled angles (``ConeVertex.scaled``): its angles times
   the lcm of their denominators, a crimped cone keeping the scale of the

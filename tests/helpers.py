@@ -326,12 +326,15 @@ _STAR_ENDS = {
          (-2, -4), (1, -4)],
     16: [(4, 0), (4, 1), (4, 3), (3, 4), (1, 4), (-1, 4), (-3, 4), (-4, 3),
          (-4, 1), (-4, -1), (-4, -3), (-3, -4), (-1, -4), (1, -4), (3, -4), (4, -3)],
+    20: [(4, 0), (4, 1), (4, 3), (3, 4), (1, 4), (0, 4), (-1, 4), (-3, 4), (-4, 3), (-4, 1),
+         (-4, 0), (-4, -1), (-4, -3), (-3, -4), (-1, -4), (0, -4), (1, -4), (3, -4), (4, -3),
+         (4, -1)],
 }
 
 
 def star_pattern(angles):
     """One interior vertex v0 at the centre of a square, with a crease to
-    the boundary per declared sector angle (degree 4, 6, 10 or 16)."""
+    the boundary per declared sector angle (degree 4, 6, 10, 16 or 20)."""
     ends = _STAR_ENDS[len(angles)]
     return build_crease_pattern(
         vertices={"v0": (0, 0)},

@@ -1,7 +1,8 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -283,7 +284,10 @@ def test_the_cone_test_reads_steps_and_colors_as_the_crimp_schedule():
     # test on the steps at one place each, on colors whose head - tail
     # differences are those steps at two places each, and the crimp
     # schedule walk on the matching signs give one answer; a full table
-    # lists each valid assignment once
+    # reads 1 at each valid assignment's steps, so its reads over every
+    # step tuple sum to the cone's count, and 0 at a tuple holding a step
+    # 0: here a valid tuple with two steps made 0, which the walk alone
+    # would read as values 0 and often pass
     patterns = [crane(), miura(3, 3), snake(3, 3)] + [triangle_twist(k) for k in (1, 2, 3)]
     patterns += [small_pattern("modified-miura", m, n, seed)
                  for m, n in [(3, 4), (4, 5)] for seed in range(4)]
@@ -293,7 +297,11 @@ def test_the_cone_test_reads_steps_and_colors_as_the_crimp_schedule():
     for scaled, cone in shapes.items():
         d = cone.degree
         table = oracle._table(scaled, tuple(range(d)))
-        assert set(table.values()) == {1} and len(table) == count_single_vertex_mv(cone)
+        assert sum(map(table, product((1, 2), repeat=d))) == count_single_vertex_mv(cone)
+        valid = next(steps for steps in product((1, 2), repeat=d) if table(steps))
+        for i, j in combinations(range(d), 2):
+            zeroed = tuple(0 if k in (i, j) else s for k, s in enumerate(valid))
+            assert table(zeroed) == 0, (scaled, zeroed)
         at = {c: i for i, c in enumerate(cone.crease_ids)}
         [(places, by_step)] = oracle._crimp_checks({"v": cone}, lambda c: (at[c],))
         [(pairs, by_color)] = oracle._crimp_checks({"v": cone}, lambda c: (2 * at[c], 2 * at[c] + 1))
@@ -387,6 +395,26 @@ def test_capped_search_stops_at_cap(monkeypatch):
     assert report.count == 93_312
     assert len(report.witnesses) == 20 and report.cap_exceeded
     assert calls[0] < 5_000
+
+
+def test_a_capped_listing_judges_a_whole_cone_by_its_walk():
+    # a lone all-equal vertex of degree 20 has 335,920 valid assignments:
+    # its full table, once built by lifting them all, peaked at 146 MB of
+    # traced memory to list 10 witnesses; judged by the crimp schedule walk
+    # per step tuple asked, it keeps 1,280 verdicts
+    cp = star_pattern([Fraction(18)] * 20)
+    tracemalloc.start()
+    try:
+        report = enumerate_locally_valid(cp, cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert len(report.witnesses) == 10 and report.cap_exceeded
+    assert report.count == 335_920 == count_single_vertex_mv(cone_at(cp, "v0"))
+    assert all(map(is_locally_valid, [cp] * 10, report.witnesses))
+    table = oracle._table(cone_at(cp, "v0").scaled, tuple(range(20)))
+    assert table.cache_info().currsize < 5_000
 
 
 @pytest.mark.parametrize("cap", [0, -1])
