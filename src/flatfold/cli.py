@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -130,19 +131,13 @@ def _verify(args) -> int:
     if saw is None:
         saw = tile(cp)
     report = verify_bijection(cp, saw)
-    payload = {
-        "count_mv": report.count_mv,
-        "count_colorings": report.count_colorings,
-        "counts_match": report.counts_match,
-        "translation_valid": report.translation_valid,
-        "injective": report.injective,
-        "round_trip_ok": report.round_trip_ok,
-        "ok": report.ok,
-    }
+    payload = dataclasses.asdict(report)
+    counterexample = payload.pop("first_counterexample")
+    payload["ok"] = report.ok
     if not report.ok:
         # (reason, detail): the detail is a coloring, an assignment or an
         # error message, all of which json.dumps writes as they are
-        payload["first_counterexample"] = report.first_counterexample
+        payload["first_counterexample"] = counterexample
     if args.json:
         print(json.dumps(payload))
     else:

@@ -105,35 +105,34 @@ def saw_from_dict(doc: dict) -> SawGraph:
     boundary steps are JSON integers, and all but ids name listed rows; no
     vertex id or edge id repeats. ``directed`` is a boolean, a face a
     string, a list of strings or null, and a crease a string or null."""
-    g = SawGraph()
+    vertices: dict[int, SawVertex] = {}
+    edges: dict[int, SawEdge] = {}
     try:
         for row in doc["vertices"]:
-            vid, face = _int(row["id"], "vertex id", taken=g.vertices), row["face"]
+            vid, face = _int(row["id"], "vertex id", taken=vertices), row["face"]
             if type(face) is list and all(type(f) is str for f in face):
                 face = tuple(face)
             elif face is not None and type(face) is not str:
                 raise ParseError(f"bad SAW graph: vertex {vid} has face {face!r}")
-            g.vertices[vid] = SawVertex(vid, face)
+            vertices[vid] = SawVertex(vid, face)
         for row in doc["edges"]:
-            eid = _int(row["id"], "edge id", taken=g.edges)
-            u, v = (_int(row[k], f"edge {eid} end", g.vertices) for k in "uv")
+            eid = _int(row["id"], "edge id", taken=edges)
+            u, v = (_int(row[k], f"edge {eid} end", vertices) for k in "uv")
             directed, crease = row.get("directed", False), row.get("crease")
             if type(directed) is not bool or not (crease is None or type(crease) is str):
                 raise ParseError(f"bad SAW graph: edge {eid} has directed {directed!r} "
                                  f"and crease {crease!r}")
-            g.edges[eid] = SawEdge(eid, u, v, directed, crease)
-        g.root = _int(doc["root"], "root", g.vertices or None)
+            edges[eid] = SawEdge(eid, u, v, directed, crease)
+        root = _int(doc["root"], "root", vertices or None)
         boundary = doc.get("boundary", [])
         if not (type(boundary) is list
                 and all(type(step) is list and len(step) == 2 for step in boundary)):
             raise ParseError("bad SAW graph: boundary is not a list of [vertex, edge] pairs")
-        g.walk = [(_int(v, "boundary vertex", g.vertices), _int(e, "boundary edge", g.edges))
-                  for v, e in boundary]
-        g._next_v = max(g.vertices, default=-1) + 1
-        g._next_e = max(g.edges, default=-1) + 1
+        walk = [(_int(v, "boundary vertex", vertices), _int(e, "boundary edge", edges))
+                for v, e in boundary]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad SAW graph: {exc}") from exc
-    return g
+    return SawGraph(vertices, edges, root, walk)
 
 
 def _new_id(row: dict, kind: str, *taken: dict) -> str:

@@ -6,9 +6,13 @@ A SawGraph holds vertices placed in faces (pattern face ids, or
 cone), undirected internal edges, and directed "crossing" edges tagged
 with the crease they cross. The boundary walk is the closed walk around
 the outer face; for single-vertex graphs every crossing edge lies on it.
-These are exactly the fields of a pattern file's ``saw`` block, so a
-graph written to a file reads back equal. Nothing else is cached: the
-side of its crease a crossing edge leaves from is the face of its tail.
+These are exactly the fields of a pattern file's ``saw`` block, and
+``==`` and ``repr`` see them alone, so a graph written to a file reads
+back equal. Besides them a graph keeps only its next vertex and edge
+ids, set past every row when it is built, so a graph built from its rows
+never hands out an id it holds; only this module reads or writes them.
+Nothing else is cached: the side of its crease a crossing edge leaves
+from is the face of its tail.
 
 Boundary surgery (insert_triangle, insert_prism, negate_orientations)
 changes the graph it is given and returns None, as the construction
@@ -67,8 +71,12 @@ class SawGraph:
     # boundary walk: steps (vertex, edge) meaning "from vertex, leave along
     # edge"; consecutive steps chain and the walk closes up
     walk: list[tuple[int, int]] = field(default_factory=list)
-    _next_v: int = 0
-    _next_e: int = 0
+
+    def __post_init__(self):
+        # the next ids handed out, past every row; not fields, so == and
+        # repr see the rows alone
+        self._next_v = max(self.vertices, default=-1) + 1
+        self._next_e = max(self.edges, default=-1) + 1
 
     # -- construction helpers -------------------------------------------------
 
@@ -85,12 +93,10 @@ class SawGraph:
         return eid
 
     def copy(self) -> "SawGraph":
-        g = SawGraph(root=self.root, _next_v=self._next_v, _next_e=self._next_e)
-        g.vertices = {k: SawVertex(k, v.face) for k, v in self.vertices.items()}
-        g.edges = {k: SawEdge(k, e.u, e.v, e.directed, e.crease)
-                   for k, e in self.edges.items()}
-        g.walk = list(self.walk)
-        return g
+        return SawGraph({k: SawVertex(k, v.face) for k, v in self.vertices.items()},
+                        {k: SawEdge(k, e.u, e.v, e.directed, e.crease)
+                         for k, e in self.edges.items()},
+                        self.root, list(self.walk))
 
     # -- views ----------------------------------------------------------------
 
@@ -495,3 +501,28 @@ def _splice_path(g: SawGraph, i: int, k: int, path: list[int], edges: list[int])
         for t, step in enumerate(steps):
             g.walk[(i + t) % n] = step
     g.check_walk()
+
+
+# -- merging -----------------------------------------------------------------------
+
+def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
+          emap: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Move u into g, in place, but for the vertices and edges that vmap
+    and emap (u id -> g id) already identify with g's; returns both maps,
+    completed. An identified vertex takes u's face, the incoming side
+    knowing the finest (pattern-level) one. Every other vertex of u is
+    added to g, and every other edge object of u moves into g with its
+    ends renamed, so a caller's hold on it stays good; both take the next
+    free ids, in u's order. u is left spent."""
+    for uv, gv in vmap.items():
+        g.vertices[gv].face = u.vertices[uv].face
+    for sv in u.vertices.values():
+        if sv.id not in vmap:
+            vmap[sv.id] = g.add_vertex(sv.face)
+    for se in u.edges.values():
+        if se.id not in emap:
+            emap[se.id] = g._next_e
+            se.id, se.u, se.v = g._next_e, vmap[se.u], vmap[se.v]
+            g.edges[se.id] = se
+            g._next_e += 1
+    return vmap, emap

@@ -28,10 +28,11 @@ one crease point the same way exactly when their tails share a face.
 No merge rescans the merged graph. Tiling keeps the crossing edge of
 each crease on the merged graph's walk, so a band's window is found from
 its first crease's edge: ``list.index`` gives that edge's walk step, and
-only the window's steps are read. The zip moves the incoming graph's
-vertices and edges into the merged graph under new ids, and builds the
-new walk from slices: the merged walk after its window round to the
-window's start, then the incoming arc.
+only the window's steps are read. The zip fuses the incoming graph into
+the merged one (``saw._fuse``): its vertices are added and its edges
+moved, under the merged graph's next ids, and the new walk is built
+from slices: the merged walk after its window round to the window's
+start, then the incoming arc.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import ne
 
 from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
-from .saw import (_REFUSALS, SawEdge, SawGraph, SawVertex, insert_prism,
+from .saw import (_REFUSALS, SawEdge, SawGraph, SawVertex, _fuse, insert_prism,
                   insert_triangle, negate_orientations, single_vertex_saw)
 
 
@@ -265,14 +266,12 @@ def _bound(g: SawGraph, cp: CreasePattern, v: str, names: dict[str, str]) -> Saw
     each crossing edge's crease name mapped through names, and each
     sector pair, its creases mapped alike, replaced by the pattern face of
     that corner of v. Ids, orientations, the walk and the root are kept."""
-    out = SawGraph(root=g.root, walk=list(g.walk),
-                   _next_v=g._next_v, _next_e=g._next_e)
-    out.vertices = {k: SawVertex(k, cp.corner_faces[(v, names[sv.face[0]], names[sv.face[1]])])
-                    for k, sv in g.vertices.items()}
-    out.edges = {k: SawEdge(k, e.u, e.v, e.directed,
-                            None if e.crease is None else names[e.crease])
-                 for k, e in g.edges.items()}
-    return out
+    return SawGraph({k: SawVertex(k, cp.corner_faces[(v, names[sv.face[0]], names[sv.face[1]])])
+                     for k, sv in g.vertices.items()},
+                    {k: SawEdge(k, e.u, e.v, e.directed,
+                                None if e.crease is None else names[e.crease])
+                     for k, e in g.edges.items()},
+                    g.root, list(g.walk))
 
 
 def select_root(g: SawGraph) -> int:
@@ -422,32 +421,6 @@ def _outside(walk: list[tuple[int, int]], span: list[int]) -> list[tuple[int, in
     if first <= last:
         return walk[last + 1:] + walk[:first]
     return walk[last + 1:first]
-
-
-def _fuse(g: SawGraph, u: SawGraph, vmap: dict[int, int],
-          emap: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Move u into g, in place, but for the vertices and edges that vmap
-    and emap (u id -> g id) already identify with g's; returns both maps,
-    completed. An identified vertex takes u's face, the incoming side
-    knowing the finest (pattern-level) one. Every other vertex and edge
-    object of u moves into g under the next free id, in u's order, with
-    its ends renamed; u is left spent."""
-    for uv, gv in vmap.items():
-        g.vertices[gv].face = u.vertices[uv].face
-    for sv in u.vertices.values():
-        if sv.id not in vmap:
-            vmap[sv.id] = g._next_v
-            sv.id = g._next_v
-            g.vertices[sv.id] = sv
-            g._next_v += 1
-    for se in u.edges.values():
-        if se.id not in emap:
-            emap[se.id] = g._next_e
-            se.id = g._next_e
-            se.u, se.v = vmap[se.u], vmap[se.v]
-            g.edges[se.id] = se
-            g._next_e += 1
-    return vmap, emap
 
 
 def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph, vname: str) -> None:

@@ -1,5 +1,6 @@
 """The public API and the benchmark's tracing targets stay resolvable."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import flatfold
 import flatfold.patternio  # noqa: F401 - the package does not import it
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _perfbench_module(name: str):
@@ -21,6 +23,27 @@ def _perfbench_module(name: str):
 def test_public_names_resolve():
     for name in flatfold.__all__:
         assert hasattr(flatfold, name), name
+
+
+def test_readme_library_block_gives_the_values_its_comments_state():
+    # the README's Python example runs as written, and each bare expression
+    # in it equals what its comment says: "# 6", or "# 82 == ..." as a
+    # chained comparison
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library at a glance", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    ns: dict = {}
+    checked = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            comment = lines[node.end_lineno - 1].split("#", 1)[1].strip()
+            expr = ast.get_source_segment(block, node.value)
+            assert eval(f"({expr}) == {comment}", ns), (expr, comment)
+            checked.append(comment)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
+    assert checked == ["6", "6", "82 == count_locally_valid(cp)", "True"]
 
 
 def test_perfbench_span_targets_exist():

@@ -172,12 +172,15 @@ def test_validation_failure_exits_1(capsys, tmp_path):
      ' "saw": {"vertices": [{"id": 0, "face": "f0"}, {"id": 1, "face": "f0"}],'
      ' "edges": [{"id": 0, "u": 0, "v": 1}, {"id": 0, "u": 1, "v": 0}], "root": 0}}',
      "edge id 0 is used by an earlier row"),
+    ('{"version": 1, "region": [["0","0"],["1","0"],["1","1"]], "creases": [],'
+     ' "saw": {"vertices": [{"id": 0, "face": "f0"}], "edges": [], "root": 0,'
+     ' "boundary": [0, 1]}}', "boundary is not a list of [vertex, edge] pairs"),
 ])
 def test_malformed_file_exits_1(capsys, monkeypatch, doc, message, command):
     code, out, err = run(capsys, [command, "-"], stdin=doc,
                          monkeypatch=monkeypatch)
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -301,6 +304,8 @@ def test_verify_prints_first_counterexample(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", str(path), "--json"])
     assert code == 1
     doc = json.loads(out)
+    assert list(doc) == ["count_mv", "count_colorings", "counts_match", "translation_valid",
+                         "injective", "round_trip_ok", "ok", "first_counterexample"]
     assert not doc["ok"]
     reason, detail = doc["first_counterexample"]
     assert isinstance(reason, str) and reason

@@ -87,6 +87,16 @@ def test_a_saw_face_of_another_type_is_refused(face):
         load_text(json.dumps(doc))
 
 
+@pytest.mark.parametrize("boundary", [{}, [[0]], [0, 1], "x", [[0, 0, 0]]])
+def test_a_saw_boundary_that_is_not_a_list_of_pairs_is_refused(boundary):
+    cp = miura(2, 2)
+    doc = pattern_to_dict(cp, saw=tile(cp))
+    doc["saw"]["boundary"] = boundary
+    with pytest.raises(ParseError, match=r"^bad SAW graph: boundary is not a list of "
+                                         r"\[vertex, edge\] pairs$"):
+        load_text(json.dumps(doc))
+
+
 def test_unknown_vertex_reference_rejected():
     cp = miura(2, 2)
     doc = pattern_to_dict(cp)

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +34,7 @@ from flatfold.errors import (
 from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.oracle import count_locally_valid
 from flatfold.patternio import saw_to_dict
-from flatfold.saw import _REFUSALS, SawGraph, negate_orientations
+from flatfold.saw import _REFUSALS, SawEdge, SawGraph, SawVertex, negate_orientations
 from flatfold.tiling import tile
 
 from .conftest import cone, random_kawasaki_cone
@@ -358,6 +359,44 @@ def test_surgery_changes_its_argument():
         assert h != g
         assert count_colorings(h) == base
     assert g == single_vertex_saw(c)
+
+
+def _rebuilt(g):
+    """g built anew from copies of its rows alone."""
+    return SawGraph({k: SawVertex(k, v.face) for k, v in g.vertices.items()},
+                    {k: SawEdge(k, e.u, e.v, e.directed, e.crease) for k, e in g.edges.items()},
+                    g.root, list(g.walk))
+
+
+def _walk_surgeries(g):
+    """A triangle on every directed walk edge, and a prism on every directed
+    walk edge beside an undirected one."""
+    steps = [e for _, e in g.walk]
+    out = []
+    for i, e in enumerate(steps):
+        if g.edges[e].directed:
+            out.append((insert_triangle, (e,)))
+            out += [(insert_prism, (e, f)) for f in (steps[i - 1], steps[(i + 1) % len(steps)])
+                    if not g.edges[f].directed]
+    return out
+
+
+def test_a_graph_built_from_its_rows_takes_new_ids_past_them():
+    # the rows are the whole graph: a graph rebuilt from them equals the
+    # tiled one, and surgery on it never reuses an id it holds
+    assert [f.name for f in fields(SawGraph)] == ["vertices", "edges", "root", "walk"]
+    done = 0
+    for cp, count in ((miura(3, 3), 82), (triangle_twist(3), 1_112)):
+        g = tile(cp)
+        assert _rebuilt(g) == g
+        for surgery, args in _walk_surgeries(g):
+            h = _rebuilt(g)
+            surgery(h, *args)
+            assert min(h.vertices.keys() - g.vertices.keys()) > max(g.vertices)
+            assert min(h.edges.keys() - g.edges.keys()) > max(g.edges)
+            assert count_colorings(h) == count
+            done += 1
+    assert done == 24
 
 
 def _reversed_walk(g):
