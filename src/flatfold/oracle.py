@@ -6,18 +6,17 @@ that gives the narrower frontier, each vertex's creases
 counterclockwise). A value is a color step (``cp.STEP_OF_MV``): 1 for
 mountain, 2 for valley. Each cone is checked at its last placed crease
 by one test, ``_cone_test``, which reads the cone's table (``_table``)
-at the steps of its placed creases: with every crease placed, the crimp
-schedule walk of ``is_valid_single_vertex`` on those steps, kept per cone
-shape and tuple once asked; otherwise how many valid assignments of the
-cone (lifted through its crimp schedule once per cone shape and placed
-creases) give its placed creases those steps.
+at the steps of its placed creases: how many valid assignments of the
+cone give its placed creases those steps, by the crimp schedule walk of
+``is_valid_single_vertex`` with the cone's other creases summed out,
+kept per cone shape, placed creases and step tuple once asked. So no
+table lists a cone's valid assignments.
 
 * The *listing plan* (``_plan(cp, every=True)``) places every crease, so
-  each table is a walk, a cone's test passes once or not at all, and no
-  cone's valid assignments are listed. ``_witnesses`` runs it through
-  ``search.depth_first`` and yields each assignment as a witness dict;
-  ``enumerate_locally_valid`` and ``coloring._exact_pass`` take as many
-  as they need.
+  each table reads 1 or 0 and a cone's test passes once or not at all.
+  ``_witnesses`` runs it through ``search.depth_first`` and yields each
+  assignment as a witness dict; ``enumerate_locally_valid`` and
+  ``coloring._exact_pass`` take as many as they need.
 * The *count plan* (``_plan(cp, every=False)``) places only the creases
   with two interior ends. A crease with one interior end is constrained
   by that vertex alone, so it is summed out of the vertex's table: the
@@ -41,14 +40,13 @@ count (``_count``). Counts are exact Python ints (arbitrary precision).
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
 
-from .cp import MV_OF_STEP, STEP_OF_MV, ConeVertex, CreasePattern, MVAssignment, cone_at
+from .cp import MV_OF_STEP, ConeVertex, CreasePattern, MVAssignment, cone_at
 from .errors import KawasakiViolation, LimitExceeded
-from .single_vertex import (_check_values, _lift, _schedule, count_single_vertex_mv,
+from .single_vertex import (_check_values, _schedule, count_single_vertex_mv,
                             is_valid_single_vertex, kawasaki_check)
 from .search import checked, depth_first, frontier_count, frontier_width
 
@@ -146,21 +144,19 @@ def _either_step(vals) -> tuple[int, int]:
 @lru_cache(maxsize=4096)
 def _table(scaled: tuple[int, ...], idx: tuple[int, ...]):
     """The table of a cone with these scaled angles and its creases at
-    ``idx`` placed: a function from a tuple of their steps to a count.
-    With every crease at ``idx`` it is the crimp schedule walk
-    (``single_vertex._check_values``, the rule of
-    ``is_valid_single_vertex``) on the matching signs, 1 or 0, kept per
-    tuple once asked; a tuple holding a step 0 reads 0. So no valid
-    assignment of such a cone is listed. Otherwise it is how many valid
-    assignments of the cone (``single_vertex._lift``) give those steps, 0
-    for a tuple none gives: the other creases are summed out. Cached per
-    angle tuple and ``idx``, like ``_schedule``, so every caller shares
-    it."""
-    if len(idx) == len(scaled):
-        return lru_cache(maxsize=None)(lambda key: int(
-            0 not in key and _check_values(_schedule(scaled), [MV_OF_STEP[s] for s in key])))
-    rows = _lift(_schedule(scaled), len(scaled))
-    return Counter(tuple([STEP_OF_MV[row[i]] for i in idx]) for row in rows).__getitem__
+    ``idx`` placed: a function from a tuple of their steps to how many
+    valid assignments of the cone give them those steps. It is the crimp
+    schedule walk (``single_vertex._check_values``), each unplaced crease
+    reading the step 0 put after the tuple, so the value 0, which the
+    walk sums out; kept per tuple once asked. With every crease placed it
+    is 1 or 0, the rule of ``is_valid_single_vertex``. A tuple holding a
+    step 0 reads 0. So no table lists a cone's valid assignments. Cached
+    per angle tuple and ``idx``, like ``_schedule``, so every caller
+    shares it."""
+    sched = _schedule(scaled)
+    at = [idx.index(i) if i in idx else len(idx) for i in range(len(scaled))]
+    return lru_cache(maxsize=None)(lambda key: 0 if 0 in key else _check_values(
+        sched, [MV_OF_STEP[(key + (0,))[k]] for k in at]))
 
 
 def _cone_test(table, width: int, vals, places: list[int]) -> int:

@@ -10,8 +10,8 @@ vertices it completes (``oracle``). Both functions call ``allowed`` at most
 once per position and distinct ``vals``. ``checked`` adds local tests to a
 plan, each at the last place it reads, which then also reads the test's
 other places. The oracle's one cone test (``oracle._cone_test``), which
-reads a cone's table at its steps (the crimp schedule walk where every
-crease of the cone is placed), is attached so to both crease plans
+reads a cone's table at its steps (the crimp schedule walk, which sums
+the cone's unplaced creases out), is attached so to both crease plans
 and to the round-trip certificate (``coloring._certificates``), with
 that certificate's equal-step checks.
 

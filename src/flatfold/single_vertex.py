@@ -13,9 +13,11 @@ Conventions (used consistently across the library):
 * The validity check, the count, the enumeration and niceness all read
   the crimp schedule (``_schedule``, cached per scaled angle tuple); only
   the SAW construction walks the intermediate cones of ``crimp_trace``.
-  The oracle judges a whole cone by the validity check's walk
-  (``_check_values``); the enumeration and the oracle's count tables,
-  which sum boundary creases out, lift through the schedule (``_lift``).
+  The validity check's walk (``_check_values``) counts the completions
+  of the values it is given, a value 0 being summed out, so the oracle's
+  tables read it for whole cones and for cones with creases summed out
+  alike; only the enumeration, whose output is its rows, lifts through
+  the schedule (``_lift``).
 * Kawasaki's test, the minimal runs and the crimp recursion read each
   cone's integer-scaled angles (``ConeVertex.scaled``): its angles times
   the lcm of their denominators, a crimped cone keeping the scale of the
@@ -210,22 +212,32 @@ def _schedule(scaled: tuple[int, ...]) -> _Schedule:
     return _Schedule(steps=tuple(steps), terminal_idx=trace.terminal.crease_ids)
 
 
-def _check_values(sched: _Schedule, vals: list[int]) -> bool:
-    for idxs, j, survivor in sched.steps:
-        s = 0
-        for i in idxs:
-            s += vals[i]
-        if j % 2 == 1:
-            if s != 0:
-                return False
-        else:
-            if s not in (1, -1):
-                return False
-            vals[survivor] = s
-    t = 0
-    for i in sched.terminal_idx:
-        t += vals[i]
-    return abs(t) == 2
+def _check_values(sched: _Schedule, vals: list[int]) -> int:
+    """How many ways the creases whose value is 0 in ``vals`` (+-1 or 0 per
+    crease, in crease order) can take +-1 values that pass the crimp
+    schedule ``sched``: 1 or 0 when every value is given.
+
+    A run's creases must sum to 0 (odd j) or to +-1 (even j), and the
+    terminal's, walked as a last step of j = 0, to +-2. Where a step's
+    given values sum to s, its f free creases meet a sum t in
+    C(f, (f + t - s)/2) ways. An even run writes its sum onto its
+    survivor, so the walk branches on that sum, copying ``vals``, only
+    where a free crease leaves it open; otherwise ``vals`` is written to."""
+    branches = [(vals, 1)]
+    for idxs, j, survivor in sched.steps + ((sched.terminal_idx, 0, None),):
+        out = []
+        for vals, n in branches:
+            got = [vals[i] for i in idxs]
+            s, free = sum(got), got.count(0)
+            for t in (2, -2) if not j else (0,) if survivor is None else (1, -1):
+                h, odd = divmod(free + t - s, 2)
+                if not odd and h >= 0 and (k := comb(free, h)):
+                    if survivor is not None:
+                        vals = vals.copy() if free else vals
+                        vals[survivor] = t
+                    out.append((vals, n * k))
+        branches = out
+    return sum(n for _, n in branches)
 
 
 def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
@@ -241,7 +253,7 @@ def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
     vals = [mv.get(c) for c in cone.crease_ids]
     if any(v not in (1, -1) for v in vals):
         raise ValueError("assignment values must be +-1")
-    return _check_values(sched, vals)
+    return bool(_check_values(sched, vals))
 
 
 def count_single_vertex_mv(cone: ConeVertex) -> int:

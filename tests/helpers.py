@@ -345,6 +345,22 @@ def star_pattern(angles):
     )
 
 
+def joined_star_pattern():
+    """The all-equal degree-20 star of ``star_pattern``, its crease c0
+    ending at a degree-2 interior vertex v1 at (2, 0), which crease c20
+    joins to the boundary: c0 is the one crease with two interior ends."""
+    ends = _STAR_ENDS[20]
+    creases = {f"c{i}": ("v0", f"b{i}") for i in range(20)}
+    creases.update(c0=("v0", "v1"), c20=("v1", "b0"))
+    return build_crease_pattern(
+        vertices={"v0": (0, 0), "v1": (2, 0)},
+        creases=creases,
+        region=[(-4, -4), (4, -4), (4, 4), (-4, 4)],
+        boundary_points={f"b{i}": p for i, p in enumerate(ends)},
+        declared_angles={"v0": (18,) * 20},
+    )
+
+
 def vertex_id_order(cp) -> list[str]:
     """The crease order the oracle used before the vertex sweep: each
     interior vertex's creases counterclockwise, in vertex-id order, then

@@ -24,8 +24,9 @@ from flatfold.search import depth_first, frontier_count, frontier_width
 from flatfold.single_vertex import _check_values, _schedule
 from flatfold.tiling import tile
 
-from .helpers import (grid_saw, oracle_plan, reference_search_plan, replayed_width,
-                      small_pattern, star_pattern, swap_counted, sweep_order, vertex_id_order)
+from .helpers import (grid_saw, joined_star_pattern, oracle_plan, reference_search_plan,
+                      replayed_width, small_pattern, star_pattern, swap_counted, sweep_order,
+                      vertex_id_order)
 from .test_tiling import strip_of_units, x_and_chords
 
 
@@ -415,6 +416,26 @@ def test_a_capped_listing_judges_a_whole_cone_by_its_walk():
     assert all(map(is_locally_valid, [cp] * 10, report.witnesses))
     table = oracle._table(cone_at(cp, "v0").scaled, tuple(range(20)))
     assert table.cache_info().currsize < 5_000
+
+
+def test_a_count_sums_a_cone_out_by_its_walk():
+    # the degree-20 star joined by c0 to a degree-2 vertex: c0 is placed,
+    # so the star's table sums its 19 other creases out; counted by the
+    # crimp schedule walk per step of c0, not over the 335,920 lifted rows
+    # (a table of them peaked at 72 MB of traced memory)
+    cp = joined_star_pattern()
+    tracemalloc.start()
+    try:
+        count = count_locally_valid(cp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 335_920 == count_single_vertex_mv(cone_at(cp, "v0"))
+    assert peak < 8 * 2 ** 20
+    report = enumerate_locally_valid(cp, cap=10)
+    assert len(report.witnesses) == 10 and report.cap_exceeded
+    assert report.count == 335_920
+    assert all(map(is_locally_valid, [cp] * 10, report.witnesses))
 
 
 @pytest.mark.parametrize("cap", [0, -1])

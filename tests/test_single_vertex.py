@@ -22,10 +22,10 @@ from flatfold import (
 )
 from flatfold.cp import ConeVertex, cone_at
 from flatfold.errors import AllAnglesEqual, FlatfoldError, InvalidRun, KawasakiViolation
-from flatfold.generators import crane, miura
+from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.oracle import count_locally_valid
 from flatfold.saw import single_vertex_saw
-from flatfold.single_vertex import MinRun, _schedule
+from flatfold.single_vertex import MinRun, _check_values, _lift, _schedule
 
 from .conftest import brute_force_count, cone, random_kawasaki_cone
 from .helpers import (
@@ -33,6 +33,8 @@ from .helpers import (
     reference_crimp_trace,
     reference_find_min_runs,
     reference_kawasaki_check,
+    small_pattern,
+    star_pattern,
 )
 
 
@@ -233,6 +235,39 @@ def test_enumerate_agrees_with_validity(half_degree, seed):
         if is_valid_single_vertex(c, m):
             want.add(tuple(sorted(m.items())))
     assert got == want
+
+
+def test_the_walk_counts_the_completions_of_the_given_values():
+    # the crimp schedule walk reads a value 0 as a crease summed out: on
+    # every cone shape of these patterns it counts the lifted rows that
+    # agree with the given values, for every +-1/0 vector up to degree 6
+    # and seeded ones above, and the all-zero vector counts the cone
+    patterns = [crane(), miura(3, 3), snake(3, 3)] + [triangle_twist(k) for k in (1, 2, 3)]
+    patterns += [small_pattern("modified-miura", m, n, seed)
+                 for m, n in [(3, 4), (4, 5)] for seed in range(4)]
+    patterns += [star_pattern(angles) for angles in [(90,) * 4, (80, 90, 100, 90), (60,) * 6,
+                                                     (10, 20, 30, 40, 80) * 2,
+                                                     [Fraction(45, 2)] * 16]]
+    cones = {c.scaled: c for c in [cone_at(cp, v) for cp in patterns
+                                   for v in cp.interior_vertex_ids()]}
+    assert {c.degree for c in cones.values()} == {4, 6, 10, 16}
+    rng = random.Random(50)
+    for scaled, c in cones.items():
+        sched, d = _schedule(scaled), c.degree
+        rows = _lift(sched, d)
+        assert _check_values(sched, [0] * d) == count_single_vertex_mv(c) == len(rows)
+        # a row as the bit mask of its +1 creases
+        masks = [sum(1 << i for i, v in enumerate(row) if v == 1) for row in rows]
+        if d <= 6:
+            vectors = list(product((1, 0, -1), repeat=d))
+        else:
+            vectors = [[rng.choice((1, -1)) if rng.random() < p else 0 for _ in range(d)]
+                       for p in [rng.random() for _ in range(200)]]
+        for vals in vectors:
+            given = sum(1 << i for i, v in enumerate(vals) if v)
+            plus = sum(1 << i for i, v in enumerate(vals) if v == 1)
+            want = sum(m & given == plus for m in masks)
+            assert _check_values(sched, list(vals)) == want, (scaled, vals)
 
 
 def test_validity_schedule_is_cached_per_angle_tuple():
