@@ -101,6 +101,8 @@ class ConeVertex:
     def __post_init__(self):
         if len(self.angles) != len(self.crease_ids):
             raise ValidationError("angle/crease count mismatch")
+        if not self.angles:
+            raise ValidationError("a cone needs at least one sector")
         object.__setattr__(self, "scaled", _scale_angles(self.angles)[1])
         if any(a <= 0 for a in self.scaled):
             raise ValidationError("sector angles must be positive")

@@ -49,6 +49,11 @@ class InvalidRun(FlatfoldError):
     """The supplied run is not a valid local-minimum run of the cone."""
 
 
+class InvalidAssignment(FlatfoldError, ValueError):
+    """A crease value is missing or not +-1, or a run is given the wrong
+    number of values."""
+
+
 class CapExceeded(FlatfoldError):
     """Materialization would exceed the caller-supplied cap."""
 

@@ -296,13 +296,13 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> None:
     j = run.j
     rot = big.rotated((run.start - 1) % n)
     ids = rot.crease_ids
-    prev_id, first_id, last_id = ids[0], ids[1], ids[j + 1]
+    prev_id, last_id = ids[0], ids[j + 1]
     next_id = ids[(j + 2) % n]
     run_sectors = [(ids[1 + t], ids[2 + t]) for t in range(j)]
 
     if j % 2 == 1:
         merged_sector = (prev_id, next_id)
-        left_sector = (prev_id, first_id)
+        left_sector = (prev_id, ids[1])
         right_sector = (last_id, next_id)
         host = min(v for v in g.walk_vertices()
                    if g.vertices[v].face == merged_sector)
@@ -340,7 +340,7 @@ def _unfold(g: SawGraph, big: ConeVertex, run) -> None:
         return
 
     # even j: attach the directed path onto the survivor crease's edge
-    survivor = first_id
+    survivor = run.survivor
     se = g.crossing_edges()[survivor]
     left_sector = (prev_id, survivor)
     # the chain runs from se.u: with the run's sectors and creases in

@@ -5,14 +5,17 @@ Conventions (used consistently across the library):
 
 * ``j`` is the number of equal angles in a local-minimum run; the run is
   bordered by ``j + 1`` creases.
-* For even ``j`` the crimp keeps the first bordering crease as the
-  survivor; its value in the smaller cone is the majority value of the
-  run creases.
+* For even ``j`` the crimp keeps one bordering crease, the run's
+  ``MinRun.survivor`` (its first); its value in the smaller cone is the
+  majority value of the run creases.
 * The recursion never re-checks Kawasaki after a crimp; the initial test
   is inherited through the cone states.
-* The validity check, the count, the enumeration and niceness all read
-  the crimp schedule (``_schedule``, cached per scaled angle tuple); only
-  the SAW construction walks the intermediate cones of ``crimp_trace``.
+* The crimp schedule (``_schedule``, cached per scaled angle tuple) is
+  the crimp trace of the cone's angle shape with its creases named by
+  position, so one record of the recursion serves every reader: the
+  validity check, the count, the enumeration and niceness read its runs
+  and terminal, and the SAW construction walks the intermediate cones of
+  a named cone's ``crimp_trace``.
   The validity check's walk (``_check_values``) counts the completions
   of the values it is given, a value 0 being summed out, so the oracle's
   tables read it for whole cones and for cones with creases summed out
@@ -32,12 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 from .cp import ConeVertex, MVAssignment
 from .errors import (
     AllAnglesEqual,
     CapExceeded,
+    InvalidAssignment,
     InvalidRun,
     KawasakiViolation,
 )
@@ -53,6 +57,12 @@ class MinRun:
     start: int                 # index into the cyclic angle list
     j: int                     # number of equal angles
     creases: tuple[str, ...]   # the j+1 bordering crease ids
+
+    @property
+    def survivor(self) -> str | None:
+        """The crease the crimp keeps: an even run's first bordering
+        crease, else None (an odd run's crimp keeps none)."""
+        return None if self.j % 2 else self.creases[0]
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ def blb_condition(j: int, mv_values) -> bool:
     Sum zero when j is odd (even crease count), +-1 when j is even.
     """
     if len(mv_values) != j + 1:
-        raise ValueError(f"expected {j + 1} values, got {len(mv_values)}")
+        raise InvalidAssignment(f"expected {j + 1} values, got {len(mv_values)}")
     s = sum(mv_values)
     return s == 0 if j % 2 == 1 else abs(s) == 1
 
@@ -180,39 +190,27 @@ def niceness(cone: ConeVertex):
     """
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="niceness needs a Kawasaki-valid cone")
-    if len(set(cone.scaled)) == 1:
-        return ALL_EQUAL
-    return max(j for _, j, _ in _schedule(cone.scaled).steps)
+    j = _schedule(cone.scaled).max_j
+    return ALL_EQUAL if j is None else j
 
 
-# -- fast validity schedule ---------------------------------------------------
-
-@dataclass(frozen=True)
-class _Schedule:
-    """Positions, per crimp step, into the original crease tuple.
-
-    Checking one assignment is O(degree) integer work. Positions do not
-    depend on crease names, so the schedule is cached per scaled angle
-    tuple (``ConeVertex.scaled``) and brute-force loops stay fast.
-    """
-
-    steps: tuple[tuple[tuple[int, ...], int, int | None], ...]
-    terminal_idx: tuple[int, ...]
-
+# -- the crimp schedule -------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _schedule(scaled: tuple[int, ...]) -> _Schedule:
-    # the positions themselves serve as crease labels; the crimp recursion
-    # depends on the angles only up to a uniform scale
-    trace = crimp_trace(ConeVertex(scaled, tuple(range(len(scaled)))))
-    steps = []
-    for st in trace.steps:
-        run = st.run
-        steps.append((run.creases, run.j, run.creases[0] if run.j % 2 == 0 else None))
-    return _Schedule(steps=tuple(steps), terminal_idx=trace.terminal.crease_ids)
+def _schedule(scaled: tuple[int, ...]) -> CrimpTrace:
+    """The crimp trace of the cone with angles ``scaled`` over their gcd
+    and its creases named by position (0, 1, ...), so each run's and the
+    terminal's creases are positions into the original crease tuple.
+
+    The recursion depends on the angles only up to a uniform scale and not
+    on crease names, so proportional cones share one trace and the cache
+    per scaled angle tuple keeps brute-force loops fast: checking one
+    assignment is then O(degree) integer work."""
+    g = gcd(*scaled)
+    return crimp_trace(ConeVertex(tuple([a // g for a in scaled]), tuple(range(len(scaled)))))
 
 
-def _check_values(sched: _Schedule, vals: list[int]) -> int:
+def _check_values(sched: CrimpTrace, vals: list[int]) -> int:
     """How many ways the creases whose value is 0 in ``vals`` (+-1 or 0 per
     crease, in crease order) can take +-1 values that pass the crimp
     schedule ``sched``: 1 or 0 when every value is given.
@@ -221,10 +219,11 @@ def _check_values(sched: _Schedule, vals: list[int]) -> int:
     terminal's, walked as a last step of j = 0, to +-2. Where a step's
     given values sum to s, its f free creases meet a sum t in
     C(f, (f + t - s)/2) ways. An even run writes its sum onto its
-    survivor, so the walk branches on that sum, copying ``vals``, only
+    ``survivor``, so the walk branches on that sum, copying ``vals``, only
     where a free crease leaves it open; otherwise ``vals`` is written to."""
     branches = [(vals, 1)]
-    for idxs, j, survivor in sched.steps + ((sched.terminal_idx, 0, None),):
+    steps = [(s.run.creases, s.run.j, s.run.survivor) for s in sched.steps]
+    for idxs, j, survivor in steps + [(sched.terminal.crease_ids, 0, None)]:
         out = []
         for vals, n in branches:
             got = [vals[i] for i in idxs]
@@ -252,7 +251,7 @@ def is_valid_single_vertex(cone: ConeVertex, mv: MVAssignment) -> bool:
     sched = _schedule(cone.scaled)
     vals = [mv.get(c) for c in cone.crease_ids]
     if any(v not in (1, -1) for v in vals):
-        raise ValueError("assignment values must be +-1")
+        raise InvalidAssignment("assignment values must be +-1")
     return bool(_check_values(sched, vals))
 
 
@@ -267,26 +266,26 @@ def count_single_vertex_mv(cone: ConeVertex) -> int:
     if not kawasaki_check(cone):
         raise KawasakiViolation(message="cone fails the Kawasaki test")
     sched = _schedule(cone.scaled)
-    n2 = len(sched.terminal_idx)
+    n2 = sched.terminal.degree
     total = 2 * comb(n2, n2 // 2 - 1)
-    for _, j, _ in sched.steps:
-        total *= comb(j + 1, (j + 1) // 2)
+    for step in sched.steps:
+        total *= comb(step.run.j + 1, (step.run.j + 1) // 2)
     return total
 
 
-def _lift(sched: _Schedule, degree: int) -> list[list[int]]:
+def _lift(sched: CrimpTrace, degree: int) -> list[list[int]]:
     """Every valid assignment of a cone of ``degree`` creases with crimp
     schedule ``sched``, as a list of +-1 values in crease order.
 
     Lifts the base Maekawa vectors back through the crimp schedule: each
-    run's j+1 positions take every +-1 vector summing to 0 (odd j) or to
-    the survivor's value (even j), so there are always
+    run's j+1 creases take every +-1 vector summing to 0 (odd j) or to
+    the value of its ``survivor`` (even j), so there are always
     count_single_vertex_mv rows.
     """
     rows = [[0] * degree]
     # the base's Maekawa vectors first, then the runs, last crimp first
-    lifts = [(sched.terminal_idx, None, (2, -2))]
-    lifts += [(idxs, survivor, None) for idxs, _, survivor in reversed(sched.steps)]
+    lifts = [(sched.terminal.crease_ids, None, (2, -2))]
+    lifts += [(s.run.creases, s.run.survivor, None) for s in reversed(sched.steps)]
     for idxs, survivor, sums in lifts:
         lifted = []
         for row in rows:

@@ -184,6 +184,7 @@ def test_rejects_degenerate_region(region):
 @pytest.mark.parametrize("angles, ids, message", [
     ((90, 270), ("c0",), "angle/crease count mismatch"),
     ((0, 360), ("c0", "c1"), "sector angles must be positive"),
+    ((), (), "a cone needs at least one sector"),
 ])
 def test_cone_vertex_refuses_bad_sectors(angles, ids, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -15,6 +15,7 @@ from flatfold import (
     crimp_trace,
     enumerate_single_vertex_mv,
     find_min_runs,
+    is_locally_valid,
     is_valid_single_vertex,
     kawasaki_check,
     maekawa_check,
@@ -25,7 +26,7 @@ from flatfold.errors import AllAnglesEqual, FlatfoldError, InvalidRun, KawasakiV
 from flatfold.generators import crane, miura, snake, triangle_twist
 from flatfold.oracle import count_locally_valid
 from flatfold.saw import single_vertex_saw
-from flatfold.single_vertex import MinRun, _check_values, _lift, _schedule
+from flatfold.single_vertex import CrimpTrace, MinRun, _check_values, _lift, _schedule
 
 from .conftest import brute_force_count, cone, random_kawasaki_cone
 from .helpers import (
@@ -342,3 +343,69 @@ def test_crimp_trace_angles_are_fractions():
               for step in crimp_trace(cone_at(cp, v)).steps for a in step.result.angles]
     assert len(angles) >= 20
     assert all(type(a) is Fraction for a in angles)
+
+
+def test_the_crimp_schedule_is_the_position_named_crimp_trace():
+    # one record of the recursion: on every cone shape of these patterns
+    # the cached schedule is the cone's crimp trace, each crease id
+    # replaced by its position in the cone
+    patterns = [crane(), miura(3, 3), snake(3, 3)] + [triangle_twist(k) for k in (1, 2, 3)]
+    patterns += [small_pattern("modified-miura", m, n, seed)
+                 for m, n in [(3, 4), (4, 5), (5, 5)] for seed in range(4)]
+    patterns += [star_pattern(angles) for angles in [(90,) * 4, (80, 90, 100, 90), (60,) * 6,
+                                                     (40, 80, 60, 60, 80, 40),
+                                                     (10, 20, 30, 40, 80) * 2,
+                                                     (50, 20, 20, 50, 40, 30, 30, 40, 40, 40),
+                                                     [Fraction(45, 2)] * 16]]
+    cones = {c.scaled: c for c in [cone_at(cp, v) for cp in patterns
+                                   for v in cp.interior_vertex_ids()]}
+    assert {c.degree for c in cones.values()} == {4, 6, 10, 16}
+    js = set()
+    for c in cones.values():
+        pos = {cid: i for i, cid in enumerate(c.crease_ids)}
+        trace, sched = crimp_trace(c), _schedule(c.scaled)
+        assert type(sched) is CrimpTrace
+        assert [(s.run.start, s.run.j, s.run.creases) for s in sched.steps] == [
+            (s.run.start, s.run.j, tuple(pos[cid] for cid in s.run.creases)) for s in trace.steps]
+        assert sched.terminal.crease_ids == tuple(pos[cid] for cid in trace.terminal.crease_ids)
+        js.update(s.run.j for s in sched.steps)
+    assert {1, 2} <= js
+
+
+def test_an_even_run_keeps_its_survivor_and_an_odd_run_none():
+    # the survivor is an even run's first bordering crease, and the crimp
+    # keeps that crease of the run's creases and no other
+    rng = random.Random(51)
+    seen = Counter()
+    for _ in range(400):
+        c = random_kawasaki_cone(rng, 6)
+        if rng.random() < 0.5:
+            # k equal angles below every other, planted: both alternating
+            # sums grow alike for even k, so the cone stays Kawasaki-valid
+            k, at = rng.choice((2, 4)), rng.randrange(c.degree)
+            small = (min(c.angles) / rng.randint(2, 5),) * k
+            c = ConeVertex(c.angles[:at] + small + c.angles[at:],
+                           tuple(f"c{i}" for i in range(c.degree + k)))
+        try:
+            trace = crimp_trace(c)
+        except InvalidRun:
+            continue
+        for step in trace.steps:
+            run = step.run
+            assert run.survivor == (None if run.j % 2 else run.creases[0])
+            kept = set(run.creases) & set(step.result.crease_ids)
+            assert kept == ({run.survivor} - {None}), (c, run)
+            seen[run.j % 2] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 2
+
+
+def test_a_malformed_assignment_raises_a_library_error():
+    # a missing crease, a value other than +-1 and a run given the wrong
+    # number of values are the caller's error, typed as the library's
+    c = cone(90, 90, 90, 90)
+    with pytest.raises(FlatfoldError, match=r"^assignment values must be \+-1$"):
+        is_locally_valid(miura(2, 2), {})
+    with pytest.raises(FlatfoldError, match=r"^assignment values must be \+-1$"):
+        is_valid_single_vertex(c, dict(zip(c.crease_ids, (1, 1, -1, 0))))
+    with pytest.raises(FlatfoldError, match="^expected 3 values, got 2$"):
+        blb_condition(2, [1, 1])
