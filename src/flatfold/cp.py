@@ -14,9 +14,11 @@ pattern.
 
 The face trace takes one gcd per edge (crease or boundary segment): an
 edge's primitive direction at its far end is the negation of the one at
-its first end. It numbers the half-edges leaving each node in a block, in
-the node's ccw order, and builds one successor table from the blocks, so
-each face is traced once, one table lookup per half-edge. The build's
+its first end. It numbers the half-edges by edge, 2k leaving edge k's
+first end and 2k + 1 its second, so a half-edge's twin is h ^ 1. Each
+node's ccw order fills one table, ``before[h]``, the half-edge leaving h's
+node along the edge before h's; a face steps from h to ``before[h ^ 1]``,
+so each face is traced once, one table lookup per half-edge. The build's
 planarity sweep finds each crease's candidates by bisection on the boxes'
 sorted left edges.
 
@@ -226,6 +228,11 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     declared_angles: {vertex id: [angles ccw starting after the lowest-id crease]}.
     boundary_points: {id: (x, y)} points on the region boundary.
 
+    An id names one node: no interior vertex may share a boundary point's
+    id (refused before any crease is checked). The face trace names the
+    boundary segments s0, s1, ... in ring order beside the creases, and
+    refuses a crease id that holds one of those names.
+
     Every geometric test runs on Python ints. Once the coordinates are
     Fractions, all of them (region corners, vertices and boundary points)
     are multiplied by one even integer, ``2 * lcm`` of their denominators.
@@ -294,9 +301,15 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
         iregion.reverse()
     region_t = tuple(region)
 
+    for k in vertices:
+        if k in boundary_points:
+            raise ValidationError(f"id {k} names both an interior vertex and a boundary point")
+    degree = {v: 0 for v in vertices}
     for cid, (a, b) in creases.items():
         for end in (a, b):
-            if end not in vertices and end not in boundary_points:
+            if end in degree:
+                degree[end] += 1
+            elif end not in boundary_points:
                 raise DanglingCrease(f"crease {cid} endpoint {end} undeclared")
         if a == b:
             raise ValidationError(f"crease {cid} is degenerate")
@@ -373,12 +386,7 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
             if segments_conflict(p1, q1, *segs[j]):
                 raise CrossingCreases(f"creases {c1} and {items[j][0]} intersect")
 
-    # interior vertices: even degree
-    degree = {v: 0 for v in vertices}
-    for cid, (a, b) in creases.items():
-        for end in (a, b):
-            if end in degree:
-                degree[end] += 1
+    # interior vertices: even degree (counted with the endpoint checks)
     for v, d in degree.items():
         if d == 0:
             raise ValidationError(f"isolated interior vertex {v}")
@@ -434,11 +442,13 @@ def _angle_ranks(dirs) -> dict[tuple[int, int], int]:
     return {d: i for i, d in enumerate(sorted(set(dirs), key=ANGLE_KEY))}
 
 
-def _ccw_ids(dirs: dict[str, tuple[int, int]], rank: dict[tuple[int, int], int]) -> list[str]:
+def _ccw_ids(dirs: dict, rank) -> list[str]:
     """The crease-order rule: ids counterclockwise by their primitive
     direction, rotated so the lowest id leads. The directions are sorted
     by ``rank``, their places from ``_angle_ranks``; a pattern ranks all
-    its directions once, so that each node's sort compares ints."""
+    its directions once, so that each node's sort compares ints. ``dirs``
+    maps each id to its direction, or to a key (the face trace's
+    half-edge) that ``rank`` maps to the direction's place."""
     ids = [i for _, i in sorted(zip(map(rank.__getitem__, dirs.values()), dirs))]
     k = ids.index(min(ids))
     return ids[k:] + ids[:k]
@@ -454,19 +464,19 @@ def _least_rotation(nodes: tuple[str, ...]) -> tuple[str, ...]:
     return min(nodes[j:] + nodes[:j] for j, n in enumerate(nodes) if n == m)
 
 
-def _successors(refs: list[str], before: list[int]) -> list[int]:
-    """The successor table of the face trace. Half-edge h leaves its node
-    along edge refs[h], and before[h] leaves the same node along the edge
-    before it in that node's ccw order. Arriving at v along e, a face
-    leaves v along the edge before e: the successor of h is ``before`` of
-    its twin, the half-edge that leaves v along e."""
-    twin = [0] * len(refs)
-    first: dict[str, int] = {}
-    for h, e in enumerate(refs):
-        t = first.setdefault(e, h)
-        twin[h] = t
-        twin[t] = h
-    return list(map(before.__getitem__, twin))
+def _before(order, leaving, n: int) -> list[int]:
+    """The face trace's successor table over its n half-edges, from each
+    node's edges in ccw order (``order``) and the half-edge that leaves
+    the node along each (``leaving``): before[h] leaves h's node along the
+    edge before h's. A face that arrives at a node along half-edge h
+    leaves it along before[h ^ 1], since h ^ 1 is h's twin."""
+    before = [0] * n
+    for node, lst in order.items():
+        out = leaving[node]
+        g = out[lst[-1]]
+        for h in map(out.__getitem__, lst):
+            before[h], g = g, h
+    return before
 
 
 def _trace_faces(vertices, boundary_points, places, creases, region):
@@ -476,16 +486,19 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
     Coordinates are the integer copies made by build_crease_pattern, and
     places[b] is boundary point b's (region edge, offset) from there.
 
-    Each edge's primitive direction is computed once (one gcd), at its
-    first end, and negated at the other. The half-edges leaving a node are
-    numbered in a block, in the node's ccw order, so the one leaving along
-    the edge before a given one is known without a search; one successor
-    table (``_successors``) then gives every face's next half-edge, and
-    each face is traced once, as a cycle of that table. A face starts at
-    its least half-edge by (node, edge) id, where a scan of all half-edges
-    in sorted order would first meet it; the interior faces are named f0,
-    f1, ... in order of their least node-tuple rotation, ties kept in that
-    scan's order.
+    The half-edges are numbered by edge, the creases first and then the
+    boundary segments: half-edge 2k leaves edge k's first end, and 2k + 1
+    its second, so the twin of h is h ^ 1. Each edge's primitive direction
+    is computed once (one gcd), at its first end, and negated at the
+    other, and all directions are ranked once (``_angle_ranks``). Each
+    node's ccw order of its edges (``_ccw_ids`` over its half-edges'
+    ranks) fills the successor table (``_before``): a face steps from h to
+    before[h ^ 1], so each face is traced once, one table lookup per
+    half-edge. A face starts at its least half-edge by (node, edge) id,
+    where a scan of all half-edges in sorted order would first meet it;
+    the interior faces are named f0, f1, ... in order of their least
+    node-tuple rotation, ties kept in that scan's order. Crease k's sides
+    are the faces of half-edges 2k and 2k + 1.
 
     crease_sides[c] = (left face, right face) relative to the stored (a, b)
     direction of crease c. corner_faces[(v, cL, cR)] = face occupying the
@@ -509,50 +522,47 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
     segs = [f"s{k}" for k in range(len(ring))]  # segs[k] joins ring[k], ring[k + 1]
     edges: dict[str, tuple[str, str]] = dict(creases)
     for k, sid in enumerate(segs):
+        if sid in creases:
+            raise ValidationError(f"crease id {sid} is taken by boundary segment {k}")
         edges[sid] = (ring[k], ring[(k + 1) % len(ring)])
 
-    # incidence in the exact ccw order
-    incident: dict[str, dict[str, tuple[int, int]]] = {n: {} for n in pts}
-    for eid, (a, b) in edges.items():
+    # half-edge h leaves node tails[h] along edge refs[h] in primitive
+    # direction heading[h], whose place from _angle_ranks is hplace[h];
+    # leaving[n] maps each edge at node n to the half-edge leaving n along it
+    tails = list(chain.from_iterable(edges.values()))
+    refs = list(chain.from_iterable(zip(edges, edges)))
+    heading: list[tuple[int, int]] = []
+    leaving: dict[str, dict[str, int]] = {n: {} for n in pts}
+    for h, (eid, (a, b)) in zip(range(0, 2 * len(edges), 2), edges.items()):
         (xa, ya), (xb, yb) = pts[a], pts[b]
         dx, dy = primitive((xb - xa, yb - ya))
-        incident[a][eid] = (dx, dy)
-        incident[b][eid] = (-dx, -dy)
-    order: dict[str, list[str]] = {}
-    tails: list[str] = []
-    refs: list[str] = []
-    before: list[int] = []
-    block: dict[str, int] = {}      # node -> its first half-edge
-    rank = _angle_ranks(d for dirs in incident.values() for d in dirs.values())
-    for n, dirs in incident.items():
-        if len(set(dirs.values())) != len(dirs):
+        heading += ((dx, dy), (-dx, -dy))
+        leaving[a][eid], leaving[b][eid] = h, h + 1
+    hplace = list(map(_angle_ranks(heading).__getitem__, heading))
+    for n, out in leaving.items():
+        if len(set(map(hplace.__getitem__, out.values()))) != len(out):
             raise ValidationError(f"overlapping creases at {n}")
-        lst = order[n] = _ccw_ids(dirs, rank)
-        h = block[n] = len(refs)
-        tails += [n] * len(lst)
-        refs += lst
-        before.append(h + len(lst) - 1)
-        before += range(h, h + len(lst) - 1)
+    order = {n: _ccw_ids(out, hplace) for n, out in leaving.items()}  # node -> its edges, ccw
+    before = _before(order, leaving, len(refs))
 
-    succ = _successors(refs, before)
-    face_of = [-1] * len(succ)
+    face_of = [-1] * len(refs)
     walks: list[list[int]] = []
-    for h in range(len(succ)):
+    for h in range(len(refs)):
         if face_of[h] < 0:
             f = len(walks)
             walk = []
             while face_of[h] < 0:
                 face_of[h] = f
                 walk.append(h)
-                h = succ[h]
+                h = before[h ^ 1]
             walks.append(walk)
     # a connected plane graph has E - V + 2 faces; an island (a component
     # off the ring) adds a second outer walk. Otherwise the outer face is
     # the one clockwise along the ring: that of the half-edge leaving
-    # ring[1] along s0.
+    # ring[1] along s0, edge len(creases).
     if len(walks) != len(edges) - len(pts) + 2:
         raise ValidationError("face traversal failed to find a unique outer face")
-    outer = face_of[block[ring[1]] + order[ring[1]].index("s0")]
+    outer = face_of[2 * len(creases) + 1]
 
     # each face from its least half-edge; interior faces named by least
     # node rotation, ties in order of that half-edge
@@ -572,20 +582,16 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
                        is_outer=f == outer)
                   for f in interior + [outer])
 
-    def face(n: str, e: str) -> str:
-        """The face left of the half-edge leaving n along e."""
-        return names[face_of[block[n] + order[n].index(e)]]
-
-    crease_sides = {cid: (face(a, cid), face(b, cid)) for cid, (a, b) in creases.items()}
-    # the sector running ccw from crease order[v][i - 1] to order[v][i]
-    # lies in the face of the half-edge leaving v along order[v][i - 1]
-    corner_faces = {}
-    for v in vertices:
-        h, lst = block[v], order[v]
-        for i, e in enumerate(lst):
-            corner_faces[v, lst[i - 1], e] = names[face_of[before[h + i]]]
+    # the face left of each half-edge; crease k's half-edges are 2k and 2k + 1
+    face_name = list(map(names.__getitem__, face_of))
+    crease_sides = dict(zip(creases, zip(face_name[::2], face_name[1::2])))
+    # the sector running ccw from crease d to the next, e, at v lies in
+    # the face of the half-edge leaving v along d
+    corner_faces = {(v, d, e): face_name[leaving[v][d]]
+                    for v in vertices for d, e in zip(order[v][-1:] + order[v], order[v])}
     ccw_creases = {v: tuple(order[v]) for v in vertices}
-    ccw_dirs = {v: tuple(map(incident[v].__getitem__, order[v])) for v in vertices}
+    ccw_dirs = {v: tuple(map(heading.__getitem__, map(leaving[v].__getitem__, order[v])))
+                for v in vertices}
     # at a ring node the walk meets the creases by falling angle from its
     # direction: the node's order from the outgoing segment round to the
     # incoming one, reversed

@@ -151,3 +151,8 @@ class ParseError(FlatfoldError):
 
 class BadMaskLength(FlatfoldError):
     """Reflection mask length does not match the zig-zag column count."""
+
+
+class InvalidParameter(FlatfoldError, ValueError):
+    """A pattern family or gadget is given a parameter outside its range,
+    or an unknown family name."""

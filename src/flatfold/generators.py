@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cp import CreasePattern, _angle_ranks, _ccw_ids, build_crease_pattern, cone_at
-from .errors import BadMaskLength, NotWaterbomb, ValidationError
+from .errors import BadMaskLength, InvalidParameter, NotWaterbomb, ValidationError
 from .geometry import dot, primitive
 
 F = Fraction
@@ -41,7 +41,7 @@ class PatternSpec:
 
     def build(self) -> "CreasePattern":
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InvalidParameter(f"unknown family {self.family!r}")
         return FAMILIES[self.family].build(self)
 
 
@@ -154,14 +154,14 @@ def modified_miura(m: int, n: int, mask, acute=F(60), shear=F(1, 4)) -> CreasePa
     shapes the drawing).
     """
     if m < 1 or n < 1:
-        raise ValueError("m, n >= 1")
+        raise InvalidParameter("m, n >= 1")
     mask = tuple(bool(x) for x in mask)
     if len(mask) != max(n - 1, 0):
         raise BadMaskLength(f"mask needs {n - 1} entries, got {len(mask)}")
     b = _Builder()
     s = F(shear)
     if not (0 < s < F(1, 2)):
-        raise ValueError("shear must be in (0, 1/2)")
+        raise InvalidParameter("shear must be in (0, 1/2)")
 
     def zx(j: int, i: int) -> Fraction:
         sigma = -1 if mask[j - 1] else 1
@@ -189,7 +189,7 @@ def snake(m: int, n: int) -> CreasePattern:
     the coordinates.
     """
     if m < 1 or n < 1:
-        raise ValueError("m, n >= 1")
+        raise InvalidParameter("m, n >= 1")
     b = _Builder()
     s = F(1, 2)
 
@@ -302,7 +302,7 @@ def triangle_twist(count: int = 1) -> CreasePattern:
     the other a toe of both.
     """
     if count not in (1, 2, 3):
-        raise ValueError("count must be 1, 2 or 3")
+        raise InvalidParameter("count must be 1, 2 or 3")
     units = [{"A": (0, 0), "B": (1, 0), "C": (0, 1)}]
     ray_dirs = [dict(A=[(1, -1), (-1, 0)], B=[(1, -1), (0, 1)], C=[(0, 1), (-1, 0)])]
     for pt, vec in _TWIST_REFLECTIONS[:count - 1]:

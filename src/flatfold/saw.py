@@ -30,6 +30,7 @@ from .cp import ConeVertex
 from .errors import (
     AllEqualHighDegree,
     EdgesNotAdjacent,
+    InvalidParameter,
     KawasakiViolation,
     NotBoundaryEdge,
     NotThreeNice,
@@ -209,7 +210,7 @@ def baby_gadget(j: int, creases: tuple[str, ...] | None = None) -> GadgetFragmen
     if creases is None:
         creases = tuple(f"c{i + 1}" for i in range(j + 1))
     if len(creases) != j + 1:
-        raise ValueError("need j+1 crease ids")
+        raise InvalidParameter("need j+1 crease ids")
     g = SawGraph()
     path, edges, _ = _add_gadget(g, creases)
     g.root = path[0]

@@ -16,6 +16,7 @@ from flatfold.errors import (
 from flatfold.generators import crane, miura, triangle_twist
 
 from .helpers import reference_trace_faces, small_pattern
+from .test_tiling import x_and_chords
 
 F = Fraction
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -124,6 +125,32 @@ def test_rejects_odd_degree():
             region=SQUARE,
             boundary_points={"b0": (4, 2), "b1": (2, 4), "b2": (0, 2)},
         )
+
+
+@pytest.mark.parametrize("creases", [
+    {"c0": ("a", "b"), "c1": ("a", "d")},
+    {"c0": ("a", "b")},     # a with degree 1 as an interior vertex
+])
+def test_rejects_an_id_naming_a_vertex_and_a_boundary_point(creases):
+    # the trace would place a at the boundary point, while the build and
+    # cone_at take it as the interior vertex; refused before any crease
+    # check, so a lone c0 is not reported as an odd degree
+    with pytest.raises(ValidationError,
+                       match="^id a names both an interior vertex and a boundary point$"):
+        build_crease_pattern({"a": (1, 1)}, creases, [(0, 0), (2, 0), (2, 2), (0, 2)],
+                             boundary_points={"a": (0, 1), "b": (2, 1), "d": (1, 0)})
+
+
+@pytest.mark.parametrize("creases, message", [
+    ({"s0": ("v", "a"), "c1": ("v", "b")}, "crease id s0 is taken by boundary segment 0"),
+    ({"c1": ("v", "a"), "s3": ("v", "b")}, "crease id s3 is taken by boundary segment 3"),
+])
+def test_rejects_a_crease_id_the_trace_gives_a_boundary_segment(creases, message):
+    # the trace names the boundary segments s0, s1, ... among the creases:
+    # a crease so named would lose its place to the segment
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_crease_pattern({"v": (2, 2)}, creases, SQUARE,
+                             boundary_points={"a": (2, 0), "b": (2, 4)})
 
 
 def test_rejects_dangling_crease():
@@ -313,11 +340,19 @@ _TRACED = {f"{kind}-{m}x{n}": (kind, m, n, 1)
 _TRACED["snake-5x5"] = ("snake", 5, 5, 1)
 _TRACED.update({f"mask-{2 + s % 6}x{2 + s // 6}-seed{s}": ("modified-miura", 2 + s % 6, 2 + s // 6, s)
                 for s in range(30)})
+# no interior vertex, and ring nodes that hold two chords each
+_TRACED.update({f"snake-1x{n}": ("snake", 1, n, 1) for n in range(2, 6)})
+# X's and vertical chords (tests/test_tiling.py): ring nodes that hold
+# several creases, and a chord that splits the paper
+_CHORDS = {"x1-chord3": ((1,), (3,), 4), "x1-x5": ((1, 5), (), 6),
+           "x1-x5-chord3": ((1, 5), (3,), 6)}
 
 
 def _traced_pattern(name):
     if name == "crane":
         return crane()
+    if name in _CHORDS:
+        return x_and_chords(*_CHORDS[name])
     if name.startswith("twists-"):
         return triangle_twist(int(name[-1]))
     kind, m, n, seed = _TRACED[name]
@@ -326,13 +361,14 @@ def _traced_pattern(name):
     return small_pattern(kind, m, n, seed)
 
 
-@pytest.mark.parametrize("name", ["crane", "twists-1", "twists-2", "twists-3", *_TRACED])
+@pytest.mark.parametrize("name", ["crane", "twists-1", "twists-2", "twists-3", *_TRACED,
+                                  *_CHORDS])
 def test_face_trace_matches_the_reference(monkeypatch, name):
-    # the trace numbers half-edges in per-node blocks and follows one
-    # successor table; the reference finds each next half-edge by its
-    # edge's place in the node's crease list and builds every rotation of
-    # each face. Every field, and every dict's order but corner_faces' (a
-    # lookup table), must come out the same
+    # the trace numbers half-edges by edge, so a half-edge's twin is h ^ 1,
+    # and follows one successor table (``_before``); the reference finds
+    # each next half-edge by its edge's place in the node's crease list and
+    # builds every rotation of each face. Every field, and every dict's
+    # order but corner_faces' (a lookup table), must come out the same
     cp = _traced_pattern(name)
     calls = []
     trace = cp_module._trace_faces
@@ -381,9 +417,9 @@ def test_face_trace_looks_up_each_half_edge_successor_once(monkeypatch):
             lookups[0] += 1
             return super().__getitem__(i)
 
-    successors = cp_module._successors
-    monkeypatch.setattr(cp_module, "_successors",
-                        lambda refs, before: CountingTable(successors(refs, before)))
+    before = cp_module._before
+    monkeypatch.setattr(cp_module, "_before",
+                        lambda order, leaving, n: CountingTable(before(order, leaving, n)))
     cp = miura(20, 20)
     ring = next(f for f in cp.faces if f.is_outer).nodes
     n_edges = len(cp.creases) + len(ring)

@@ -1,12 +1,14 @@
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from flatfold import cone_at, count_colorings, count_locally_valid, kawasaki_check, tile
-from flatfold.errors import BadMaskLength, ValidationError
-from flatfold.generators import (_ray_to_rect, crane, miura, modified_miura, snake,
-                                 triangle_twist)
+from flatfold.errors import BadMaskLength, FlatfoldError, ValidationError
+from flatfold.generators import (PatternSpec, _ray_to_rect, crane, miura, modified_miura,
+                                 snake, triangle_twist)
+from flatfold.saw import baby_gadget
 
 
 def all_kawasaki(cp):
@@ -170,3 +172,19 @@ def test_ray_to_rect_miss_raises_validation_error():
     # from outside the rectangle, pointing away from it
     with pytest.raises(ValidationError, match="ray misses the region"):
         _ray_to_rect((5, 0), (1, 0), -2, 2, -1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: miura(0, 3),
+    lambda: snake(2, 0),
+    lambda: triangle_twist(4),
+    lambda: modified_miura(2, 2, (False,), shear=Fraction(1, 2)),
+    lambda: PatternSpec("x").build(),
+    lambda: baby_gadget(2, ("a",)),
+], ids=["miura", "snake", "twists", "shear", "family", "baby-gadget"])
+def test_a_bad_parameter_raises_a_library_error(call):
+    # one class, a FlatfoldError that is still the ValueError the earlier
+    # tests expect
+    with pytest.raises(FlatfoldError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
