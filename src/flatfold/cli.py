@@ -15,7 +15,7 @@ import sys
 
 from . import generators
 from .coloring import count_colorings, verify_bijection
-from .errors import BadMaskLength, FlatfoldError
+from .errors import FlatfoldError, InvalidParameter
 from .oracle import count_locally_valid
 from .patternio import emit, load
 from .svg import render_svg
@@ -72,7 +72,7 @@ def _generate(args) -> int:
     spec = generators.PatternSpec(fam, **fields)
     try:
         cp = spec.build()
-    except (ValueError, BadMaskLength) as exc:  # the generators' own parameter checks
+    except InvalidParameter as exc:  # the generators' own parameter checks
         args.usage_error(f"{fam}: {exc}")
     _write(emit(cp), args.output)
     return 0
@@ -195,9 +195,6 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("file")
     r.add_argument("-o", "--output", default="-")
     r.set_defaults(func=_render)
-
-    for p in (g, bs, r):
-        p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     return ap
 
 

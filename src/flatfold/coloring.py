@@ -43,7 +43,7 @@ from .errors import (
     TilingError,
 )
 from .saw import SawGraph
-from .search import checked, depth_first, frontier_count
+from .search import checked, depth_first, frontier_count, reach
 
 ThreeColoring = dict[int, int]  # SAW vertex id -> color in {0, 1, 2}
 
@@ -444,15 +444,9 @@ class _Plan:
         vertex, so that the steps fix every color of a lift."""
         if self.root is None:
             return False
-        reached = {self.root}
-        queue = [self.root]
         cross = self.nbrs[0]
-        for v in queue:             # the queue grows as the search reaches
-            for w, _, _ in cross[v]:
-                if w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        return len(reached) == len(self.vertices)
+        found = reach(self.root, lambda v: [w for w, _, _ in cross[v]])
+        return len(list(found)) == len(self.vertices)
 
 
 def coloring_to_mv(g: SawGraph, s: ThreeColoring) -> MVAssignment:

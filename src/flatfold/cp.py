@@ -231,7 +231,9 @@ def build_crease_pattern(vertices, creases, region, declared_angles=None,
     An id names one node: no interior vertex may share a boundary point's
     id (refused before any crease is checked). The face trace names the
     boundary segments s0, s1, ... in ring order beside the creases, and
-    refuses a crease id that holds one of those names.
+    refuses a crease id that holds one of those names; it names region
+    corner i ``r<i>`` beside the nodes, unless a boundary point lies there,
+    and refuses a node id that holds that name.
 
     Every geometric test runs on Python ints. Once the coordinates are
     Fractions, all of them (region corners, vertices and boundary points)
@@ -516,6 +518,8 @@ def _trace_faces(vertices, boundary_points, places, creases, region):
     node_at = {place: bid for bid, place in places.items()}
     for i, p in enumerate(region):
         if (i, 0) not in node_at:
+            if f"r{i}" in pts:
+                raise ValidationError(f"id r{i} is taken by region corner {i}")
             node_at[(i, 0)] = f"r{i}"
             pts[f"r{i}"] = p
     ring = [node_at[place] for place in sorted(node_at)]

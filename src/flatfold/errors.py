@@ -149,10 +149,10 @@ class ParseError(FlatfoldError):
     """Malformed pattern file."""
 
 
-class BadMaskLength(FlatfoldError):
-    """Reflection mask length does not match the zig-zag column count."""
-
-
 class InvalidParameter(FlatfoldError, ValueError):
     """A pattern family or gadget is given a parameter outside its range,
     or an unknown family name."""
+
+
+class BadMaskLength(InvalidParameter):
+    """Reflection mask length does not match the zig-zag column count."""

@@ -38,6 +38,7 @@ from .errors import (
     UnknownVariant,
     UnsupportedJ,
 )
+from .search import reach
 from .single_vertex import crimp_trace, kawasaki_check
 
 
@@ -112,17 +113,11 @@ class SawGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
         adj = self.adjacency()
-        seen = {next(iter(self.vertices))}
-        stack = list(seen)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        if not adj:
+            return True
+        found = reach(next(iter(adj)), adj.__getitem__)
+        return len(list(found)) == len(adj)
 
     def walk_vertices(self) -> set[int]:
         return {v for v, _ in self.walk}

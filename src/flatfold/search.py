@@ -48,15 +48,38 @@ keeps.
 one DP state for each class of states under all six color permutations,
 by keeping one live slot's low field at 0; ``coloring`` counts its
 colorings and both certificates so. The crease plans keep the swap alone.
+
+``reach`` is the graph search, breadth first, that answers what a node
+reaches: whether a SAW graph is connected, whether a coloring plan's
+crossing edges span it, the components of the interior graph and the face
+regions a tiling splices through, and whether the clip order's next
+vertex is a cut vertex (``tiling._is_cut``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from functools import partial
 from operator import itemgetter
 
 Plan = Sequence[tuple[Sequence[int], Callable[[tuple[int, ...]], Sequence[int]]]]
+
+
+def reach(start: Hashable, nbrs: Callable[[Hashable], Iterable[Hashable]]) -> Iterator:
+    """Yield each node reachable from ``start`` once, breadth first, as it
+    is first found: ``start`` first, then the new nodes of ``nbrs(start)``
+    in their order, and so on. ``nbrs`` is called once per node, in the
+    order the nodes are yielded and only after the node itself has been,
+    so a caller that stops early has driven the search only that far."""
+    seen = {start}
+    queue = [start]
+    yield start
+    for x in queue:             # the queue grows as the search reaches
+        for y in nbrs(x):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                yield y
 
 
 def frontier_count(plan: Plan, bits: int = 2, swap: bool = False, rotate: bool = False) -> int:

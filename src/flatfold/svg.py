@@ -11,6 +11,7 @@ from .cp import CreasePattern, MVAssignment
 from .saw import SawGraph
 
 _COLORS = {0: "#e6c000", 1: "#2e8b57", 2: "#c0392b"}  # yellow, green, red
+_SCALE = 60.0   # drawing width and height per unit of the pattern
 
 
 def _fmt(x) -> str:
@@ -19,8 +20,7 @@ def _fmt(x) -> str:
 
 def render_svg(cp: CreasePattern, mv: MVAssignment | None = None,
                saw: SawGraph | None = None,
-               coloring: dict[int, int] | None = None,
-               scale: float = 60.0) -> str:
+               coloring: dict[int, int] | None = None) -> str:
     xs = [p[0] for p in cp.region]
     ys = [p[1] for p in cp.region]
     xlo, xhi = min(xs), max(xs)
@@ -33,8 +33,8 @@ def render_svg(cp: CreasePattern, mv: MVAssignment | None = None,
 
     w, h = float(xhi - xlo + 2 * pad), float(yhi - ylo + 2 * pad)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * scale:.0f}" '
-        f'height="{h * scale:.0f}" viewBox="0 0 {w:.4f} {h:.4f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * _SCALE:.0f}" '
+        f'height="{h * _SCALE:.0f}" viewBox="0 0 {w:.4f} {h:.4f}">',
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
         'markerWidth="5" markerHeight="5" orient="auto-start-reverse">'
         '<path d="M 0 1 L 9 5 L 0 9 z" fill="#1f77b4"/></marker></defs>',

@@ -44,6 +44,7 @@ from .cp import ConeVertex, CreasePattern, cone_at
 from .errors import DisconnectedInterior, TilingError, UnsupportedVertex
 from .saw import (_REFUSALS, SawEdge, SawGraph, SawVertex, _fuse, insert_prism,
                   insert_triangle, negate_orientations, single_vertex_saw)
+from .search import reach
 
 
 def clip_order(cp: CreasePattern) -> list[str]:
@@ -104,17 +105,14 @@ def _is_cut(ends: dict[str, list[str]], remaining: set[str], v: str) -> bool:
     nbrs = remaining.intersection(ends[v])
     if len(nbrs) <= 1:
         return False
-    start = nbrs.pop()
-    seen = {v, start}
-    queue = [start]
-    for x in queue:             # the queue grows as the search reaches
-        for y in ends[x]:
-            if y in remaining and y not in seen:
-                seen.add(y)
-                nbrs.discard(y)
-                if not nbrs:
-                    return False
-                queue.append(y)
+
+    def onward(x):   # v itself is found but not searched through
+        return () if x == v else filter(remaining.__contains__, ends[x])
+
+    for x in reach(nbrs.pop(), onward):
+        nbrs.discard(x)
+        if not nbrs:
+            return False
     return True
 
 
@@ -125,24 +123,20 @@ def _contiguous(flags: list[bool]) -> bool:
 
 def _face_regions(cp: CreasePattern, kept: set[str]) -> dict[str, str]:
     """Map each interior face of cp to its region, the faces joined across
-    every crease not in kept. A region is named by its minimum face id, so
-    the order of the unions does not matter."""
-    parent = {f.id: f.id for f in cp.interior_faces()}
+    every crease not in kept. A region is named by its minimum face id:
+    each search starts at the least face no earlier search reached."""
+    across: dict[str, list[str]] = {f.id: [] for f in cp.interior_faces()}
     if not kept:    # a crease joins the faces on its sides, so all are one
-        return dict.fromkeys(parent, min(parent))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+        return dict.fromkeys(across, min(across))
     for c, (fa, fb) in cp.crease_sides.items():
         if c not in kept:
-            ra, rb = find(fa), find(fb)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return {f: find(f) for f in parent}
+            across[fa].append(fb)
+            across[fb].append(fa)
+    region: dict[str, str] = {}
+    for f in sorted(across):
+        if f not in region:
+            region.update(dict.fromkeys(reach(f, across.__getitem__), f))
+    return region
 
 
 def _base_saw(cp: CreasePattern) -> SawGraph:
@@ -247,16 +241,16 @@ def _rebuild_order(cp: CreasePattern) -> list[list[str]]:
     graph, in the order the components first come. A component's share of
     the clip order is a clip order of its own, so each group can be merged
     whole, into a graph of its own, before it is spliced into the rest."""
-    rebuild = clip_order(cp)[::-1]
-    creases, at = cp.creases, cp.ccw_creases
-    first: dict[str, int] = {}
+    at = cp.ccw_creases
+    first: dict[str, int] = {}   # node found -> its component's first place
     groups: dict[int, list[str]] = {}
-    for i, s in enumerate(rebuild):
-        queue = [s]
-        for x in queue:
-            if x in at and x not in first:
-                first[x] = i
-                queue += [b if a == x else a for a, b in map(creases.__getitem__, at[x])]
+
+    def across(x):   # a boundary point is found but not searched through
+        return [cp.crease_other_end(c, x) for c in at.get(x, ())]
+
+    for i, s in enumerate(clip_order(cp)[::-1]):
+        if s not in first:
+            first.update(dict.fromkeys(reach(s, across), i))
         groups.setdefault(first[s], []).append(s)
     return list(groups.values())
 
@@ -430,18 +424,15 @@ def _splice_disjoint(g: SawGraph, cp: CreasePattern, u: SawGraph, vname: str) ->
     present = {e.crease for h in (g, u) for e in h.edges.values() if e.directed}
     region = _face_regions(cp, present)
 
-    on_walk = g.walk_vertices() if g.walk else set(g.vertices)
-    u_pick = g_pick = None
-    for uv in sorted(u.walk_vertices()):
-        r = region[u.vertices[uv].face]
-        candidates = [sv.id for sv in g.vertices.values()
-                      if sv.id in on_walk and region[sv.face] == r]
-        if candidates:
-            u_pick, g_pick = uv, min(candidates)
-            break
+    # each region's least vertex on g's walk (in g, if no walk), written last
+    least = {region[g.vertices[k].face]: k
+             for k in sorted(g.walk_vertices() if g.walk else g.vertices, reverse=True)}
+    u_pick = next((uv for uv in sorted(u.walk_vertices())
+                   if region[u.vertices[uv].face] in least), None)
     if u_pick is None:
         raise DisconnectedInterior(
             f"no face connection found while merging {vname}")
+    g_pick = least[region[u.vertices[u_pick].face]]
 
     vmap, emap = _fuse(g, u, {u_pick: g_pick}, {})
     # splice u's walk (rotated to start at u_pick) into g's walk at g_pick

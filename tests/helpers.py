@@ -228,6 +228,27 @@ def grid_coloring_count(m: int, n: int) -> int:
     return sum(counts.values()) // 3
 
 
+def reference_face_regions(cp, kept: set[str]) -> dict[str, str]:
+    """Each interior face's region, the faces joined across every crease
+    not in kept, named by its least face id, by a union-find: the library
+    searches each region from its least face instead and must name every
+    face alike."""
+    parent = {f.id: f.id for f in cp.interior_faces()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c, (fa, fb) in cp.crease_sides.items():
+        if c not in kept:
+            ra, rb = find(fa), find(fb)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return {f: find(f) for f in parent}
+
+
 def reference_clip_order(cp) -> list[str]:
     """The clip order by rescanning: each pick re-tests every remaining
     vertex for clippability, and each candidate for being a cut vertex by

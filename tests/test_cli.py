@@ -343,6 +343,17 @@ def test_generate_usage_errors_exit_2(capsys, argv):
     assert err.startswith("usage: flatfold generate") and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["generate", "miura", "2", "2"], ["build-saw", "m.json"],
+                                  ["render", "m.json"]], ids=lambda argv: argv[0])
+def test_json_is_an_unknown_flag_where_nothing_is_counted(capsys, argv):
+    # generate, build-saw and render write a pattern file or an SVG, with
+    # no count to print as JSON
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def readme_cli_commands() -> list[str]:
     """Command lines of the README's CLI example block, comments stripped."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

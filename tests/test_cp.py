@@ -153,6 +153,20 @@ def test_rejects_a_crease_id_the_trace_gives_a_boundary_segment(creases, message
                              boundary_points={"a": (2, 0), "b": (2, 4)})
 
 
+@pytest.mark.parametrize("vertices, boundary_points, message", [
+    ({"r1": (2, 2)}, {"a": (2, 0), "b": (2, 4)}, "id r1 is taken by region corner 1"),
+    ({"v": (2, 2)}, {"a": (2, 0), "r2": (2, 4)}, "id r2 is taken by region corner 2"),
+])
+def test_rejects_a_node_id_the_trace_gives_a_region_corner(vertices, boundary_points, message):
+    # the trace names each region corner that is not a boundary point r<i>
+    # among the nodes: a node so named would lose its place to the corner
+    (v,) = vertices
+    (a, b) = boundary_points
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_crease_pattern(vertices, {"c0": (v, a), "c1": (v, b)}, SQUARE,
+                             boundary_points=boundary_points)
+
+
 def test_rejects_dangling_crease():
     with pytest.raises(DanglingCrease):
         build_crease_pattern(

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from flatfold import cone_at, count_colorings, count_locally_valid, kawasaki_check, tile
-from flatfold.errors import BadMaskLength, FlatfoldError, ValidationError
+from flatfold.errors import BadMaskLength, FlatfoldError, InvalidParameter, ValidationError
 from flatfold.generators import (PatternSpec, _ray_to_rect, crane, miura, modified_miura,
                                  snake, triangle_twist)
 from flatfold.saw import baby_gadget
@@ -67,6 +67,8 @@ def test_modified_miura_mask_rules():
     assert count_locally_valid(cp) == count_locally_valid(base)
     with pytest.raises(BadMaskLength):
         modified_miura(3, 3, (True,))
+    # a parameter error like the others, so the CLI reports it as a usage error
+    assert issubclass(BadMaskLength, InvalidParameter)
 
 
 def test_generators_refuse_bad_sizes_and_shears():

@@ -1,6 +1,7 @@
 import random
+from collections import deque
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from operator import mul
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from flatfold import coloring
 from flatfold.saw import SawGraph
-from flatfold.search import checked, depth_first, frontier_count
+from flatfold.search import checked, depth_first, frontier_count, reach
 from flatfold.tiling import tile
 
 from .helpers import (
@@ -378,3 +379,41 @@ def test_repeats_that_break_sigma_are_caught():
     assert set(plan[1][1]((1,))) == set(plan[1][1]((2,)))
     with pytest.raises(AssertionError):
         swap_counted(plan)
+
+
+@st.composite
+def digraphs(draw) -> tuple[int, dict[int, list[int]], int]:
+    """A random directed graph on 1-12 nodes as neighbour lists, with
+    loops and repeated arcs, a start node and a number of nodes to take."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    nbrs: dict[int, list[int]] = {v: [] for v in range(n)}
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        nbrs[a].append(b)
+    return draw(node), nbrs, draw(st.integers(1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_reach_yields_each_reachable_node_once_in_bfs_order(drawn):
+    start, nbrs, take = drawn
+    # what start reaches, as the least set closed under nbrs
+    reached = {start}
+    while (grown := reached.union(*(nbrs[v] for v in reached))) != reached:
+        reached = grown
+    # a plain breadth-first search's discovery order
+    order, queue = [start], deque([start])
+    while queue:
+        for w in nbrs[queue.popleft()]:
+            if w not in order:
+                order.append(w)
+                queue.append(w)
+    asked = []
+    found = list(reach(start, lambda v: asked.append(v) or nbrs[v]))
+    assert found == order and set(found) == reached
+    assert asked == found       # each node's neighbours asked once, in order
+    # a consumer that stops early has asked only of the nodes it was given
+    asked.clear()
+    taken = list(islice(reach(start, lambda v: asked.append(v) or nbrs[v]), take))
+    assert taken == order[:take]
+    assert asked == taken[:len(asked)]

@@ -17,8 +17,8 @@ from flatfold.generators import (crane, miura, modified_miura, snake, split_wate
 from flatfold.patternio import emit, load_text, saw_from_dict, saw_to_dict
 from flatfold.tiling import clip_order, select_root
 
-from .helpers import (grid_saw, random_crease_graph, reference_clip_order, small_pattern,
-                      star_pattern)
+from .helpers import (grid_saw, random_crease_graph, reference_clip_order,
+                      reference_face_regions, small_pattern, star_pattern)
 
 
 def test_tile_matches_oracle_small_miuras():
@@ -566,6 +566,18 @@ def test_saw_files_match_golden_hashes(name):
     cp = _golden_pattern(name)
     text = emit(cp, saw=tile(cp))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SAW_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAW_SHA256))
+def test_face_regions_match_the_union_find(name):
+    # the regions the base graph and each disjoint splice read, one search
+    # per region, against a union-find, on seeded sets of kept creases from
+    # none to all
+    cp = _golden_pattern(name)
+    rng = random.Random(name)
+    for p in (0, 0.1, 0.5, 0.9, 1):
+        kept = {c for c in sorted(cp.creases) if rng.random() < p}
+        assert tiling._face_regions(cp, kept) == reference_face_regions(cp, kept), (p, kept)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SAW_SHA256))
